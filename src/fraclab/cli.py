@@ -3,9 +3,9 @@
 Every run writes a RunManifest (config snapshot, seed, input/output hashes,
 phase wall-times) sufficient to replay it: pass a manifest.json as --config
 and the recorded snapshot is reused. Exit codes: 0 success, 2 usage or config
-parse error, 3 input compatibility, 4 numerical failure. Heavy imports happen
-after thread-count flags are applied so --threads/FRACLAB_THREADS reach the
-BLAS pool.
+parse error, 3 input compatibility, 4 numerical failure. The BLAS thread
+count is set by OPENBLAS_NUM_THREADS / OMP_NUM_THREADS at launch: the package
+imports numpy and scipy before main() runs, so it cannot change it.
 """
 
 import argparse
@@ -22,11 +22,6 @@ _INTERRUPT_RC = 130
 
 class UsageError(Exception):
     pass
-
-
-def _apply_threads(n):
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ[var] = str(n)
 
 
 def _version():
@@ -66,6 +61,14 @@ def _cfg(cfg, key, cast, default=None, required=False):
         raise UsageError(f"config key '{key}': {exc}") from None
 
 
+def _checked(build, *args, **kwargs):
+    """Call a constructor on config values; its ValueError is a usage error."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+
+
 def _build_grid(cfg):
     from .grids import BoxGrid
 
@@ -73,7 +76,7 @@ def _build_grid(cfg):
     cells = _cfg(cfg, "cells", int, required=True)
     lower = _cfg(cfg, "lower", float, -1.0)
     upper = _cfg(cfg, "upper", float, 1.0)
-    return BoxGrid(n, lower, upper, cells)
+    return _checked(BoxGrid, n, lower, upper, cells)
 
 
 def _build_params(cfg):
@@ -86,23 +89,27 @@ def _build_params(cfg):
         raise UsageError("s must lie in (0, 1)")
     if lam <= 0:
         raise UsageError("lambda must be positive")
-    return FracParams(n, s, lam)
+    return _checked(FracParams, n, s, lam)
 
 
 def _domain_from(cfg, grid, manifest):
     from .gridio import read_mask, sha256_file
     from .grids import ball_domain, interval_domain
 
-    spec = _cfg(cfg, "domain", str, required=True).split()
+    spec = _cfg(cfg, "domain", str, required=True).split() or [""]
     if spec[0] == "interval":
         if grid.n != 1 or len(spec) != 3:
             raise UsageError("domain = interval A B needs n=1")
-        return interval_domain(grid, float(spec[1]), float(spec[2]))
+        a, b = _checked(lambda: [float(v) for v in spec[1:]])
+        return interval_domain(grid, a, b)
     if spec[0] == "ball":
         if len(spec) != grid.n + 2:
             raise UsageError("domain = ball CENTER... R")
-        return ball_domain(grid, [float(v) for v in spec[1:-1]], float(spec[-1]))
+        *center, radius = _checked(lambda: [float(v) for v in spec[1:]])
+        return ball_domain(grid, center, radius)
     if spec[0] == "mask":
+        if len(spec) != 2:
+            raise UsageError("domain = mask PATH")
         dom = read_mask(spec[1])
         manifest.input_hashes[spec[1]] = sha256_file(spec[1])
         if dom.grid.n != grid.n or dom.grid.cells_per_axis != grid.cells_per_axis:
@@ -169,6 +176,10 @@ def cmd_eig(args):
     params = _build_params(cfg)
     m = _cfg(cfg, "m", int, 1)
     dom = _domain_from(cfg, grid, manifest)
+    if dom.cell_count == 0:
+        raise UsageError("the domain contains no nodes")
+    if not 1 <= m <= dom.cell_count:
+        raise UsageError(f"m = {m} must lie in [1, {dom.cell_count}] (domain nodes)")
     os.makedirs(args.out, exist_ok=True)
     t1 = time.perf_counter()
     form = assemble_form(dom, params)
@@ -218,14 +229,14 @@ def cmd_extend(args):
     grid, fields = read_fields(trace_path)
     manifest.input_hashes[trace_path] = sha256_file(trace_path)
     comp = _cfg(cfg, "component", int, 0)
-    if comp >= fields.shape[0]:
+    if not 0 <= comp < fields.shape[0]:
         raise UsageError(f"component {comp} out of range for {trace_path}")
     J = _cfg(cfg, "J", int, 32)
     Y = _cfg(cfg, "Y", float, None)
     gamma = _cfg(cfg, "gamma", float, None)
-    slab = SlabGrid(grid, J, a=params.a, Y=Y, gamma=gamma)
+    slab = _checked(SlabGrid, grid, J, a=params.a, Y=Y, gamma=gamma)
     t1 = time.perf_counter()
-    fld = extend(fields[comp], slab, params)
+    fld = extend(fields[comp], slab)
     manifest.wall_times["solve"] = round(time.perf_counter() - t1, 6)
     energy = extension_energy(fld)
     nt, flags = neumann_trace(fld)
@@ -283,7 +294,8 @@ def cmd_optimize(args):
     if seed is None:
         seed = recorded_seed if recorded_seed is not None else _cfg(cfg, "seed", int, 0)
     manifest.seed = int(seed)
-    ocfg = OptimizerConfig(
+    ocfg = _checked(
+        OptimizerConfig,
         m=_cfg(cfg, "m", int, 1),
         Lambda=_cfg(cfg, "lambda", float, required=True),
         move_kind=_cfg(cfg, "move_kind", str, "boundary-flip"),
@@ -295,6 +307,8 @@ def cmd_optimize(args):
         seed=int(seed),
         stale_limit=_cfg(cfg, "stale_limit", int, 200),
     )
+    if ocfg.m > grid.interior().sum():
+        raise UsageError(f"m = {ocfg.m} exceeds the design box's interior nodes")
     stop_flag = threading.Event()
     previous = {}
 
@@ -344,6 +358,7 @@ def cmd_diagnose(args):
     from .constants import slope_constant
     from .diagnostics import (
         ClassifierConfig,
+        ResolutionError,
         boundary_slope,
         classify,
         density_ratio,
@@ -387,8 +402,8 @@ def cmd_diagnose(args):
         traces.extend(arr)
     J = _cfg(cfg, "J", int, 32)
     Y = _cfg(cfg, "Y", float, None)
-    slab = SlabGrid(grid, J, a=params.a, Y=Y)
-    ext_fields = [extend(tr, slab, params) for tr in traces]
+    slab = _checked(SlabGrid, grid, J, a=params.a, Y=Y)
+    ext_fields = [extend(tr, slab) for tr in traces]
     fb = free_boundary_set(dom)
     sel = list(range(len(fb)))
     if args.points:
@@ -425,7 +440,7 @@ def cmd_diagnose(args):
         try:
             al = boundary_slope(ext_fields, x0, -fb.normals[k], params)
             slope_rows.append(f"{k},{xs},{_fmt(al)},{_fmt(target)}\n")
-        except Exception:
+        except ResolutionError:
             slope_rows.append(f"{k},{xs},nan,{_fmt(target)}\n")
         pc = classify(dom, ext_fields, x0, ccfg, params, fb.normals[k])
         counts[pc.label] = counts.get(pc.label, 0) + 1
@@ -566,8 +581,6 @@ def build_parser():
         prog="fraclab",
         description="Spectral shape optimization laboratory for the fractional Laplacian",
     )
-    ap.add_argument("--threads", type=int, default=None,
-                    help="BLAS thread count (fallback: FRACLAB_THREADS)")
     sub = ap.add_subparsers(dest="command", required=True)
 
     c = sub.add_parser("constants", help="print kernel and extension constants")
@@ -598,18 +611,6 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    threads = args.threads
-    if threads is None and os.environ.get("FRACLAB_THREADS"):
-        try:
-            threads = int(os.environ["FRACLAB_THREADS"])
-        except ValueError:
-            print("FRACLAB_THREADS is not an integer", file=sys.stderr)
-            return EXIT_USAGE
-    if threads is not None:
-        if threads < 1:
-            print("thread count must be >= 1", file=sys.stderr)
-            return EXIT_USAGE
-        _apply_threads(threads)
     from .diagnostics import GeometryError, ResolutionError
     from .gridio import CompatibilityError, ConfigError
 

@@ -177,9 +177,9 @@ def la_residual(field, s, h, t0=0.0, z0=None):
 
     Parameters
     ----------
-    field : callable or 2d array
-        Either g(t, z) evaluable on arrays, or node values on the uniform grid
-        with t along axis 0 and z along axis 1.
+    field : 2d array
+        Node values on the uniform grid with t along axis 0 and z along
+        axis 1. A callable is rejected with TypeError: sample it first.
     s : float
         Fractional order; the weight exponent is a = 1 - 2s.
     h : float

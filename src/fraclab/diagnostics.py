@@ -16,8 +16,8 @@ from scipy import ndimage
 from scipy.special import roots_jacobi
 
 from .constants import one_plane_solution, slope_constant, unit_ball_volume
-from .extension import ball_energy
-from .grids import ThinDomain
+from .extension import _as_fields, _c_tilde, _multilinear, _trace_support, ball_energy
+from .grids import ThinDomain, _neighbor_counts
 from .shape_opt import blow_up_rescale
 
 __all__ = [
@@ -68,26 +68,17 @@ class FreeBoundarySet:
         if np.any(np.abs(norms - 1.0) > 1e-12):
             raise AssertionError("free-boundary normals are not unit length")
         m = self.domain.mask
-        offsets = _face_neighbor_counts(m)
-        on_fb = m.ravel()[self.flat_indices] & (offsets.ravel()[self.flat_indices] < 2 * m.ndim)
+        counts = _neighbor_counts(m)
+        on_fb = m.ravel()[self.flat_indices] & (counts.ravel()[self.flat_indices] < 2 * m.ndim)
         if not np.all(on_fb):
             raise AssertionError("free-boundary point lacks a complement neighbor")
         return True
 
 
-def _face_neighbor_counts(mask):
-    """Number of same-mask face neighbors per node (masked nodes only)."""
-    m = mask.astype(int)
-    total = np.zeros_like(m)
-    for ax in range(mask.ndim):
-        total += np.roll(m, 1, axis=ax) + np.roll(m, -1, axis=ax)
-    return total
-
-
 def free_boundary_set(domain):
     """Extract the discrete free boundary of a mask with smoothed normals."""
     m = domain.mask
-    counts = _face_neighbor_counts(m)
+    counts = _neighbor_counts(m)
     fb = m & (counts < 2 * domain.grid.n)
     flat = np.flatnonzero(fb.ravel())
     coords = domain.grid.node_coords()[flat]
@@ -135,16 +126,16 @@ def density_ratio(mask, x0, r):
 def nondegeneracy_scan(G_fields, fb, radii, params, points=None):
     """Empirical non-degeneracy constants c(X0) = min_r r^-s sup_{B_r} |G|.
 
-    G_fields: component node arrays (list or single array) on fb's grid.
+    G_fields: extension fields or a (grid, traces) pair on fb's grid, in any
+    form `_as_fields` accepts; only the traces are used.
     Returns a dict with per-point constants and summary statistics; points not
     on the free boundary are flagged, not rejected.
     """
     grid = fb.domain.grid
-    if isinstance(G_fields, np.ndarray) and G_fields.shape == grid.node_shape:
-        comps = [G_fields]
-    else:
-        comps = list(G_fields)
-    mag = np.sqrt(sum(np.asarray(c, dtype=float) ** 2 for c in comps)).ravel()
+    fgrid, _, traces = _as_fields(G_fields)
+    if not fgrid.same_layout(grid):
+        raise ValueError("fields and free boundary live on different grids")
+    mag = np.sqrt(sum(tr**2 for tr in traces)).ravel()
     coords = grid.node_coords()
     radii = np.sort(np.asarray(radii, dtype=float))
     if radii[0] < 3 * grid.h - 1e-12:
@@ -205,25 +196,17 @@ def _hemisphere_rule(n, a, k_polar=48, k_azimuth=64):
     return dirs, wts
 
 
-def _trace_support(fields, tol=1e-12):
-    sup = np.sqrt(sum(f.trace.astype(float) ** 2 for f in fields))
-    top = sup.max()
-    return sup > tol * max(top, 1e-300)
-
-
 def weiss_energy(G_ext, X0, r, params):
     """Weiss energy W(X0, G, r) of extension fields at one radius.
 
     W = r^-n [2 sum_i E_half(g_i, B_r) + lambda_tilde meas({|G|>0} in B_r)]
         - s r^-(n+1) * 2 * int_{upper hemisphere} |y|^a |G|^2 dS.
     """
-    fields = [G_ext] if not isinstance(G_ext, (list, tuple)) else list(G_ext)
-    slab = fields[0].slab
-    grid = slab.base
+    grid, fields, traces = _as_fields(G_ext, need_slab=True)
     x0 = _check_ball(grid, X0, r, floor=5)
-    if r > slab.Y:
+    if r > fields[0].slab.Y:
         raise GeometryError("ball exits the slab vertically")
-    supp = _trace_support(fields)
+    supp = _trace_support(traces, 1e-12)
     if not supp.any():
         return 0.0
     e = sum(ball_energy(f, x0, r) for f in fields)
@@ -269,20 +252,11 @@ class WeissCurve:
 
 def weiss_curve(G_ext, X0, radii, params, c_tilde=None):
     """Evaluate the Weiss energy across radii and package as a WeissCurve."""
-    fields = [G_ext] if not isinstance(G_ext, (list, tuple)) else list(G_ext)
+    _, fields, _ = _as_fields(G_ext, need_slab=True)
     radii = np.sort(np.asarray(radii, dtype=float))
     vals = np.array([weiss_energy(fields, X0, r, params) for r in radii])
     if c_tilde is None:
-        lam_sum = 0.0
-        grid = fields[0].slab.base
-        for f in fields:
-            from .extension import extension_energy
-
-            tr = f.trace.ravel()
-            nrm2 = float(np.sum(tr * tr)) * grid.h**grid.n
-            if nrm2 > 0:
-                lam_sum += params.d_s * extension_energy(f) / nrm2
-        c_tilde = 2.0 * unit_ball_volume(grid.n) * lam_sum / params.d_s
+        c_tilde = _c_tilde(fields, params)
     return WeissCurve(
         center=np.atleast_1d(np.asarray(X0, dtype=float)),
         radii=radii,
@@ -329,22 +303,20 @@ def flatness(G_fields, X0, r, params, angle_count=128):
 
     Minimizes sup_{|X|<=1} |G_{X0,r}(X) - slope_const * U(<x, nu>, y) f| over
     a grid of unit directions nu and the dominant component direction f.
-    Returns (epsilon, nu, f).
+    A (grid, trace) pair is compared on y = 0 only. Returns (epsilon, nu, f).
     """
-    fields = [G_fields] if not isinstance(G_fields, (list, tuple)) else list(G_fields)
-    n = fields[0].slab.base.n
-    bus = [blow_up_rescale(f, X0, r, params.s) for f in fields]
-    bu0 = bus[0]
-    mask = bu0.ball_mask().ravel()
-    M = np.stack([b.values.reshape(-1)[mask] for b in bus], axis=1)
+    bu = blow_up_rescale(G_fields, X0, r, params.s)
+    n = bu.xgrid.n
+    mask = bu.ball_mask().ravel()
+    M = bu.values.reshape(-1, bu.m)[mask]
     # dominant component direction
     _, _, vt = np.linalg.svd(M, full_matrices=False)
     f = vt[0]
     if np.sum(M @ f) < 0:
         f = -f
     c = slope_constant(params.lambda_penalty, params.s)
-    coords = bu0.xgrid.node_coords()
-    y = bu0.y_levels
+    coords = bu.xgrid.node_coords()
+    y = bu.y_levels
     pts_x = np.repeat(coords, len(y), axis=0)[mask]
     pts_y = np.tile(y, len(coords))[mask]
     if n == 1:
@@ -370,23 +342,8 @@ def boundary_slope(G_fields, x0, normal, params, t_lo=3.0, t_hi=10.0):
     pass the inward normal (pointing into the positivity set). Needs at least
     4 in-grid samples, else raises ResolutionError.
     """
-    from .extension import ExtensionField, _multilinear
-
-    if isinstance(G_fields, ExtensionField):
-        grid = G_fields.slab.base
-        comps = [G_fields.trace]
-    elif (
-        isinstance(G_fields, (list, tuple))
-        and len(G_fields) > 0
-        and isinstance(G_fields[0], ExtensionField)
-    ):
-        grid = G_fields[0].slab.base
-        comps = [f.trace for f in G_fields]
-    else:
-        grid, arr = G_fields
-        arr = np.asarray(arr, dtype=float)
-        comps = [arr] if arr.shape == grid.node_shape else list(arr)
-    mag = np.sqrt(sum(np.asarray(c, dtype=float) ** 2 for c in comps))
+    grid, _, traces = _as_fields(G_fields)
+    mag = np.sqrt(sum(tr**2 for tr in traces))
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     nu = np.atleast_1d(np.asarray(normal, dtype=float))
     nu = nu / np.linalg.norm(nu)
@@ -432,7 +389,8 @@ def classify(mask, G_fields, x0, config=None, params=None, normal=None):
 
     Density ratios on a decreasing radius ladder are extrapolated linearly in
     r to a density limit; regular additionally requires small flatness of the
-    blow-up at the finest radius (needs extension fields and params).
+    blow-up at the finest radius (needs G_fields, in any form `_as_fields`
+    accepts, and params).
     """
     if config is None:
         config = ClassifierConfig()

@@ -6,7 +6,7 @@ eigenvalues, L2-orthonormal vectors, per-pair residuals, and a single-signed
 ground state.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import linalg
@@ -38,7 +38,6 @@ class EigenBundle:
     residuals: np.ndarray
     clustered: bool
     domain: object
-    params: object
     h: float
 
     @property
@@ -111,7 +110,6 @@ def lowest_eigenpairs(form, m):
         residuals=residuals,
         clustered=clustered,
         domain=form.domain,
-        params=getattr(form, "params", None),
         h=form.h,
     )
     return bundle

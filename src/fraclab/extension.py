@@ -15,6 +15,9 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse import linalg as sla
 
+from .constants import unit_ball_volume
+from .grids import BoxGrid
+
 __all__ = [
     "SlabGrid",
     "ExtensionField",
@@ -93,11 +96,7 @@ class SlabGrid:
         ids = np.arange(nx * J1).reshape((nx, J1))
         coords = base.node_coords()
 
-        # control-volume bounds in y: midpoints between levels, closed at 0 and Y
-        y_half = np.empty(J + 2)
-        y_half[0] = 0.0
-        y_half[1:-1] = 0.5 * (y[:-1] + y[1:])
-        y_half[-1] = y[-1]
+        y_half = self.control_bounds()
         w_cv = (y_half[1:] ** (1.0 + a) - y_half[:-1] ** (1.0 + a)) / (1.0 + a)
 
         P, Q, C, MX, MY = [], [], [], [], []
@@ -138,6 +137,11 @@ class SlabGrid:
             np.concatenate(MY),
         )
         return self._edges
+
+    def control_bounds(self):
+        """Control-volume bounds in y: midpoints between levels, closed at 0 and Y."""
+        y = self.y_nodes
+        return np.concatenate([[0.0], 0.5 * (y[:-1] + y[1:]), [y[-1]]])
 
     def boundary_mask(self):
         """Flat mask of Dirichlet nodes for the extension solve."""
@@ -239,11 +243,6 @@ class ExtensionField:
         ty = (y - ynodes[j]) / (ynodes[j + 1] - ynodes[j])
         ty = np.clip(ty, 0.0, 1.0)
         vals = self.flat_values()
-
-        def thin_interp(level):
-            field = vals[:, level].reshape(base.node_shape)
-            return _multilinear(base, field, pts[:, :-1])
-
         lo = np.empty(len(pts))
         hi = np.empty(len(pts))
         for level in np.unique(j):
@@ -254,6 +253,59 @@ class ExtensionField:
             lo[m] = _multilinear(base, flo, sub)
             hi[m] = _multilinear(base, fhi, sub)
         return lo * (1.0 - ty) + hi * ty
+
+
+def _as_fields(source, need_slab=False):
+    """Normalize a "fields" argument to (grid, fields, traces).
+
+    source is one ExtensionField, a non-empty list or tuple of them on one
+    slab layout, or a (BoxGrid, array) trace pair whose array is one node
+    field or a stack of them. grid is the thin-space grid, traces the y=0
+    node arrays, and fields the ExtensionFields, or None for a trace pair,
+    which need_slab=True rejects.
+    """
+    if isinstance(source, ExtensionField):
+        source = [source]
+    if not isinstance(source, (list, tuple)) or not source:
+        raise ValueError("fields must be ExtensionFields or a (BoxGrid, array) pair")
+    if all(isinstance(f, ExtensionField) for f in source):
+        first = source[0]
+        if any(f.values.shape != first.values.shape
+               or not np.array_equal(f.slab.y_nodes, first.slab.y_nodes) for f in source):
+            raise ValueError("extension fields must share one slab layout")
+        return first.slab.base, list(source), [f.trace for f in source]
+    if len(source) != 2 or not isinstance(source[0], BoxGrid):
+        raise ValueError("fields must be ExtensionFields or a (BoxGrid, array) pair")
+    if need_slab:
+        raise ValueError("this quantity needs extension fields, not a (grid, trace) pair")
+    grid, arr = source
+    arr = np.asarray(arr, dtype=float)
+    if arr.shape == grid.node_shape:
+        arr = arr[None]
+    if arr.shape[1:] != grid.node_shape or len(arr) == 0:
+        raise ValueError("trace array does not match the grid's node shape")
+    return grid, None, list(arr)
+
+
+def _trace_support(traces, tol):
+    """Nodes where |G| = sqrt(sum_i trace_i^2) exceeds tol * max |G|."""
+    sup = np.sqrt(sum(tr**2 for tr in traces))
+    return sup > tol * max(sup.max(), 1e-300)
+
+
+def _c_tilde(fields, params):
+    """C = 2 omega_n (sum_i lambda_i) / d_s from the Rayleigh quotients
+    lambda_i = d_s E(g_i) / ||trace g_i||^2 of the fields; fields with a zero
+    trace contribute nothing.
+    """
+    grid = fields[0].slab.base
+    lam_sum = 0.0
+    for f in fields:
+        tr = f.trace.ravel()
+        nrm2 = float(np.sum(tr * tr)) * grid.h**grid.n
+        if nrm2 > 0:
+            lam_sum += params.d_s * extension_energy(f) / nrm2
+    return 2.0 * unit_ball_volume(grid.n) * lam_sum / params.d_s
 
 
 def _multilinear(grid, field, pts):
@@ -279,7 +331,7 @@ def _multilinear(grid, field, pts):
     )
 
 
-def extend(trace, slab, params=None):
+def extend(trace, slab):
     """Extend thin-space Dirichlet data into the slab.
 
     trace : full node array on slab.base (must vanish on the lateral ring).
@@ -384,12 +436,7 @@ def ball_energy(field, center, radius):
 
 def _node_volumes(slab):
     """Lebesgue control-volume sizes (upper half, per slab node)."""
-    y = slab.y_nodes
-    yh = np.empty(slab.J + 2)
-    yh[0] = 0.0
-    yh[1:-1] = 0.5 * (y[:-1] + y[1:])
-    yh[-1] = y[-1]
-    dv = (yh[1:] - yh[:-1]) * slab.base.h**slab.base.n
+    dv = np.diff(slab.control_bounds()) * slab.base.h**slab.base.n
     return np.broadcast_to(dv, (slab.base.num_nodes, slab.J + 1))
 
 
@@ -401,25 +448,15 @@ def almost_minimality_audit(fields, mask, params, centers, radii, support_tol=1e
     J(F, B) = 2 * sum_i E_half(F_i, B) + lambda_tilde * meas({|trace F| > 0} in B).
     The fitted sigma is the smallest value with
     J(G, B) <= J(Gt, B) + sigma * C * ||Gt - G||_L1(B) over the sample, where
-    C = 2 * omega_n * (sum_i lambda_i) / d_s is supplied via params and the
-    Rayleigh quotients of the traces. Report-only: returns a dict per ball plus
-    the overall sigma.
+    C = 2 * omega_n * (sum_i lambda_i) / d_s comes from the Rayleigh quotients
+    of the traces (see _c_tilde). Report-only: returns a dict per ball plus the
+    overall sigma.
     """
-    from .constants import unit_ball_volume
-
-    fields = list(fields)
-    slab = fields[0].slab
-    base = slab.base
+    base, fields, _ = _as_fields(fields, need_slab=True)
     h = base.h
     coords = base.node_coords()
-    vols = _node_volumes(slab).ravel()
-    lam_sum = 0.0
-    for f in fields:
-        e = extension_energy(f)
-        tr = f.trace.ravel()
-        nrm2 = float(np.sum(tr[mask.flat_indices] ** 2)) * h**base.n
-        lam_sum += params.d_s * e / max(nrm2, 1e-300)
-    c_tilde = 2.0 * unit_ball_volume(base.n) * lam_sum / params.d_s
+    vols = _node_volumes(fields[0].slab).ravel()
+    c_tilde = _c_tilde(fields, params)
     rows = []
     sigma = 0.0
     mask_flat = mask.mask.ravel()
@@ -430,12 +467,9 @@ def almost_minimality_audit(fields, mask, params, centers, radii, support_tol=1e
             reps = [harmonic_replacement(f, center, r) for f in fields]
             e_g = sum(ball_energy(f, center, r) for f in fields)
             e_t = sum(ball_energy(f, center, r) for f in reps)
-            sup_g = np.sqrt(sum(f.trace.ravel() ** 2 for f in fields))
-            sup_t = np.sqrt(sum(f.trace.ravel() ** 2 for f in reps))
+            supp_t = _trace_support([f.trace for f in reps], support_tol).ravel()
             meas_g = h**base.n * np.sum(ball_thin & mask_flat)
-            meas_t = h**base.n * np.sum(
-                ball_thin & (sup_t > support_tol * max(sup_t.max(), 1e-300))
-            )
+            meas_t = h**base.n * np.sum(ball_thin & supp_t)
             j_g = 2.0 * e_g + params.lambda_tilde * meas_g
             j_t = 2.0 * e_t + params.lambda_tilde * meas_t
             dv = 0.0

@@ -7,6 +7,7 @@ File format (little-endian):
   kind 2 (mask):   (cells+1)^n uint8 node flags (0/1)
   kind 3 (slab):   f64 a, f64 gamma, u32 J, (J+1) float64 y-nodes,
                    (cells+1)^n * (J+1) float64 values (x-major)
+Readers reject a file whose length differs from what its header declares.
 All writes are atomic (temp file + rename). Config files are flat KEY = VALUE
 text with # comments.
 """
@@ -19,6 +20,9 @@ import tempfile
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
+
+from .extension import ExtensionField, SlabGrid
+from .grids import BoxGrid, ThinDomain
 
 __all__ = [
     "CompatibilityError",
@@ -41,6 +45,7 @@ _MAGIC = b"FRLB"
 _VERSION = 1
 _HDR = struct.Struct("<4sIIII dd")
 _KIND_FIELDS, _KIND_MASK, _KIND_SLAB = 1, 2, 3
+_KIND_NAMES = {_KIND_FIELDS: "field", _KIND_MASK: "mask", _KIND_SLAB: "slab"}
 
 
 class CompatibilityError(Exception):
@@ -74,21 +79,41 @@ def _header(kind, grid):
                      float(grid.lower), float(grid.upper))
 
 
-def _read_header(blob, path):
+def _open(path, kind, meta):
+    """Grid, kind-specific header values and payload bytes of a FRLB file.
+
+    meta is the struct format of the values that follow the common header.
+    """
+    blob = memoryview(open(path, "rb").read())
     if len(blob) < _HDR.size:
         raise CompatibilityError(f"{path}: truncated header")
-    magic, ver, kind, n, cells, lower, upper = _HDR.unpack_from(blob, 0)
+    magic, ver, found, n, cells, lower, upper = _HDR.unpack_from(blob, 0)
     if magic != _MAGIC:
         raise CompatibilityError(f"{path}: not a FRLB file")
     if ver != _VERSION:
         raise CompatibilityError(f"{path}: unsupported format version {ver}")
-    return kind, n, cells, lower, upper, _HDR.size
+    if found != kind:
+        raise CompatibilityError(
+            f"{path}: expected a {_KIND_NAMES[kind]} file, found kind {found}"
+        )
+    try:
+        grid = BoxGrid(n, lower, upper, cells)
+    except ValueError as exc:
+        raise CompatibilityError(f"{path}: bad grid in header: {exc}") from None
+    meta = struct.Struct(meta)
+    if len(blob) < _HDR.size + meta.size:
+        raise CompatibilityError(f"{path}: truncated file")
+    return grid, meta.unpack_from(blob, _HDR.size), blob[_HDR.size + meta.size :]
 
 
-def _grid_from(n, cells, lower, upper):
-    from .grids import BoxGrid
-
-    return BoxGrid(n, lower, upper, cells)
+def _payload(buf, dtype, count, path):
+    """The payload as `count` items; its length must match exactly."""
+    need = count * np.dtype(dtype).itemsize
+    if len(buf) != need:
+        raise CompatibilityError(
+            f"{path}: payload is {len(buf)} bytes, the header declares {need}"
+        )
+    return np.frombuffer(buf, dtype=dtype)
 
 
 def write_mask(path, domain):
@@ -99,16 +124,14 @@ def write_mask(path, domain):
 
 
 def read_mask(path):
-    from .grids import ThinDomain
-
-    blob = open(path, "rb").read()
-    kind, n, cells, lower, upper, off = _read_header(blob, path)
-    if kind != _KIND_MASK:
-        raise CompatibilityError(f"{path}: expected a mask file, found kind {kind}")
-    grid = _grid_from(n, cells, lower, upper)
-    count = grid.num_nodes
-    arr = np.frombuffer(blob, dtype=np.uint8, count=count, offset=off)
-    return ThinDomain(grid, arr.reshape(grid.node_shape).astype(bool))
+    grid, _, buf = _open(path, _KIND_MASK, "")
+    arr = _payload(buf, np.uint8, grid.num_nodes, path)
+    if np.any(arr > 1):
+        raise CompatibilityError(f"{path}: mask bytes must be 0 or 1")
+    try:
+        return ThinDomain(grid, arr.reshape(grid.node_shape).astype(bool))
+    except ValueError as exc:
+        raise CompatibilityError(f"{path}: {exc}") from None
 
 
 def write_fields(path, grid, fields):
@@ -126,14 +149,8 @@ def write_fields(path, grid, fields):
 
 
 def read_fields(path):
-    blob = open(path, "rb").read()
-    kind, n, cells, lower, upper, off = _read_header(blob, path)
-    if kind != _KIND_FIELDS:
-        raise CompatibilityError(f"{path}: expected a field file, found kind {kind}")
-    grid = _grid_from(n, cells, lower, upper)
-    (m,) = struct.unpack_from("<I", blob, off)
-    off += 4
-    arr = np.frombuffer(blob, dtype="<f8", count=m * grid.num_nodes, offset=off)
+    grid, (m,), buf = _open(path, _KIND_FIELDS, "<I")
+    arr = _payload(buf, "<f8", m * grid.num_nodes, path)
     return grid, arr.reshape((m,) + grid.node_shape).copy()
 
 
@@ -151,22 +168,15 @@ def write_slab_field(path, ext_field):
 
 
 def read_slab_field(path):
-    from .extension import ExtensionField, SlabGrid
-
-    blob = open(path, "rb").read()
-    kind, n, cells, lower, upper, off = _read_header(blob, path)
-    if kind != _KIND_SLAB:
-        raise CompatibilityError(f"{path}: expected a slab file, found kind {kind}")
-    grid = _grid_from(n, cells, lower, upper)
-    a, gamma, J = struct.unpack_from("<ddI", blob, off)
-    off += 20
-    y = np.frombuffer(blob, dtype="<f8", count=J + 1, offset=off).copy()
-    off += 8 * (J + 1)
-    slab = SlabGrid(grid, J, a=a, Y=float(y[-1]), gamma=gamma)
+    grid, (a, gamma, J), buf = _open(path, _KIND_SLAB, "<ddI")
+    data = _payload(buf, "<f8", (J + 1) * (1 + grid.num_nodes), path)
+    y = data[: J + 1].copy()
+    try:
+        slab = SlabGrid(grid, J, a=a, Y=float(y[-1]), gamma=gamma)
+    except ValueError as exc:
+        raise CompatibilityError(f"{path}: bad slab in header: {exc}") from None
     slab.y_nodes = y  # stored nodes are authoritative
-    vals = np.frombuffer(
-        blob, dtype="<f8", count=grid.num_nodes * (J + 1), offset=off
-    ).copy()
+    vals = data[J + 1 :].copy()
     return ExtensionField(slab, vals.reshape(slab.values_shape()))
 
 

@@ -152,6 +152,24 @@ def ball_domain(grid, center, radius):
     return ThinDomain(grid, mask)
 
 
+def _neighbor_counts(mask):
+    """Number of face neighbours of each node that lie in `mask`.
+
+    Works on any boolean node array; neighbours beyond the array edges do not
+    exist (there is no wraparound).
+    """
+    mask = np.asarray(mask, dtype=bool)
+    counts = np.zeros(mask.shape, dtype=int)
+    for ax in range(mask.ndim):
+        lo = [slice(None)] * mask.ndim
+        hi = [slice(None)] * mask.ndim
+        lo[ax] = slice(None, -1)
+        hi[ax] = slice(1, None)
+        counts[tuple(lo)] += mask[tuple(hi)]
+        counts[tuple(hi)] += mask[tuple(lo)]
+    return counts
+
+
 def mask_from_indices(grid, flat_indices):
     mask = np.zeros(grid.num_nodes, dtype=bool)
     mask[np.asarray(flat_indices, dtype=int)] = True

@@ -17,13 +17,13 @@ and is positive definite for any nonempty admissible mask.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate
 
 from .constants import normalization_constant
-from .grids import BoxGrid, ThinDomain
+from .grids import ThinDomain
 
 __all__ = ["StiffnessForm", "KernelTable", "assemble_form", "seminorm", "domain_measure"]
 
@@ -182,7 +182,6 @@ class KernelTable:
             raise ValueError(
                 f"grid has {grid.num_nodes} nodes, beyond the dense cap {_NODE_CAP}"
             )
-        self.grid = grid
         self.s = float(s)
         self.c_ns = normalization_constant(grid.n, s)
         h = grid.h

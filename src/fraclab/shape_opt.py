@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import linalg
 
-from .grids import BoxGrid, ThinDomain, ball_domain
+from .extension import _as_fields, _multilinear
+from .grids import BoxGrid, ThinDomain, _neighbor_counts, ball_domain
 from .nonlocal_form import kernel_table
 
 __all__ = [
@@ -101,7 +102,6 @@ class _Evaluator:
     """Objective evaluation shared across moves: cached kernel submatrices."""
 
     def __init__(self, grid, params, m, Lambda):
-        self.grid = grid
         self.table = kernel_table(grid, params.s)
         self.h = grid.h
         self.n = grid.n
@@ -128,34 +128,22 @@ class _Evaluator:
 
 
 def _neighbor_offsets(grid):
-    offs = []
-    shape = grid.node_shape
+    """Flat-index offsets of the 2n face neighbours of a node."""
     stride = np.ones(grid.n, dtype=int)
     for ax in range(grid.n - 2, -1, -1):
-        stride[ax] = stride[ax + 1] * shape[ax + 1]
-    for ax in range(grid.n):
-        offs.append(stride[ax])
-        offs.append(-stride[ax])
-    return np.array(offs), stride
+        stride[ax] = stride[ax + 1] * grid.node_shape[ax + 1]
+    return np.stack([stride, -stride], axis=1).ravel()
 
 
 def _candidates(grid, mask_flat, kind):
     """Seed cells of admissible moves, sorted by flat index."""
     interior = grid.interior().ravel()
-    offs, _ = _neighbor_offsets(grid)
-    N = mask_flat.size
-    nbr_mask = np.zeros(N, dtype=int)
-    for o in offs:
-        nbr_mask += np.roll(mask_flat, o)
-    # roll wraps around; margin of non-mask cells makes wraparound harmless
-    # because mask cells never touch the array edge.
     if kind == "single-flip":
-        cand = interior.copy()
-    else:
-        add = interior & ~mask_flat & (nbr_mask > 0)
-        rem = mask_flat & (nbr_mask < 2 * grid.n)
-        cand = add | rem
-    return np.flatnonzero(cand)
+        return np.flatnonzero(interior)
+    nbr_mask = _neighbor_counts(mask_flat.reshape(grid.node_shape)).ravel()
+    add = interior & ~mask_flat & (nbr_mask > 0)
+    rem = mask_flat & (nbr_mask < 2 * grid.n)
+    return np.flatnonzero(add | rem)
 
 
 def _apply_move(grid, mask_flat, seed_cell, kind):
@@ -163,7 +151,7 @@ def _apply_move(grid, mask_flat, seed_cell, kind):
     if kind in ("single-flip", "boundary-flip"):
         new[seed_cell] = ~new[seed_cell]
         return new
-    offs, _ = _neighbor_offsets(grid)
+    offs = _neighbor_offsets(grid)
     target = ~mask_flat[seed_cell]
     interior = grid.interior().ravel()
     block = [seed_cell]
@@ -356,47 +344,35 @@ class RescaledField:
 def blow_up_rescale(source, x0, r, s):
     """Rescale a field around a thin-space point onto the unit ball scale.
 
-    source: ExtensionField, or a (BoxGrid, node_array) pair for trace-only
-    data (node_array may carry a leading component axis).
+    source: extension fields or a (BoxGrid, node_array) trace pair, in any
+    form `_as_fields` accepts; a trace pair is sampled on y = 0 only. The
+    rescaled field has one component per field or trace.
     """
-    from .extension import ExtensionField
-
+    base, fields, traces = _as_fields(source)
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     r = float(r)
     if r <= 0:
         raise ValueError("rescale radius must be positive")
-    if isinstance(source, ExtensionField):
-        base = source.slab.base
-        fields = [source]
-        y_native = source.slab.y_nodes
-    else:
-        base, arr = source
-        arr = np.asarray(arr, dtype=float)
-        if arr.shape == base.node_shape:
-            arr = arr[None]
-        fields = [a for a in arr]
-        y_native = None
     if np.any(x0 - r < base.lower - 1e-12) or np.any(x0 + r > base.upper + 1e-12):
         raise ValueError("blow-up window exits the field footprint")
     cells = int(np.clip(np.round(2.0 * r / base.h), 8, 128))
     xg = BoxGrid(base.n, -1.0, 1.0, cells)
-    if y_native is not None:
+    if fields is not None:
+        y_native = fields[0].slab.y_nodes
         y_lv = y_native[y_native <= r * (1 + 1e-12)] / r
         if y_lv.size == 0 or y_lv[-1] < 1.0 - 1e-12:
             y_lv = np.append(y_lv, 1.0)
     else:
         y_lv = np.array([0.0])
     pts_x = xg.node_coords() * r + x0[None, :]
-    if isinstance(source, ExtensionField):
-        vals = np.empty((xg.num_nodes, y_lv.size, 1))
+    vals = np.empty((xg.num_nodes, y_lv.size, len(traces)))
+    if fields is not None:
         for k, yl in enumerate(y_lv):
             q = np.column_stack([pts_x, np.full(len(pts_x), yl * r)])
-            vals[:, k, 0] = source.interp(q)
+            for ci, f in enumerate(fields):
+                vals[:, k, ci] = f.interp(q)
     else:
-        from .extension import _multilinear
-
-        vals = np.empty((xg.num_nodes, y_lv.size, len(fields)))
-        for ci, comp in enumerate(fields):
+        for ci, comp in enumerate(traces):
             vals[:, 0, ci] = _multilinear(base, comp, pts_x)
     vals *= r ** (-s)
     return RescaledField(
@@ -413,12 +389,6 @@ def perimeter_estimate(mask):
     if not isinstance(mask, ThinDomain):
         raise TypeError("mask must be a ThinDomain")
     grid = mask.grid
-    m = mask.mask
-    count = 0
-    for ax in range(grid.n):
-        sl_lo = [slice(None)] * grid.n
-        sl_hi = [slice(None)] * grid.n
-        sl_lo[ax] = slice(None, -1)
-        sl_hi[ax] = slice(1, None)
-        count += int(np.sum(m[tuple(sl_lo)] != m[tuple(sl_hi)]))
+    # masks never touch the ring, so each mask node has all 2n face neighbours
+    count = int(np.sum(2 * grid.n - _neighbor_counts(mask.mask)[mask.mask]))
     return count * grid.h ** (grid.n - 1)

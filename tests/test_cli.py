@@ -43,13 +43,6 @@ def test_unknown_subcommand_is_usage_error():
     assert exc.value.code == 2
 
 
-def test_bad_threads_env(capsys, monkeypatch):
-    monkeypatch.setenv("FRACLAB_THREADS", "many")
-    assert main(["constants", "--s", "0.5"]) == 2
-    monkeypatch.setenv("FRACLAB_THREADS", "0")
-    assert main(["constants", "--s", "0.5"]) == 2
-
-
 # -- eig / extend / diagnose chain -------------------------------------------
 
 
@@ -175,6 +168,32 @@ def test_missing_required_key(tmp_path, capsys):
     cfg = write_cfg(tmp_path / "c.cfg", n=1, s=0.5)  # no cells
     assert main(["eig", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert "cells" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,keys", [
+    ("eig", {**EIG_KEYS, "n": 3}),
+    ("eig", {**EIG_KEYS, "cells": 2}),
+    ("eig", {**EIG_KEYS, "m": 0}),
+    ("eig", {**EIG_KEYS, "m": 1000}),
+    ("eig", {**EIG_KEYS, "domain": "interval 0.5 -0.5"}),
+    ("eig", {**EIG_KEYS, "domain": "interval -1 one"}),
+    ("optimize", {**OPT_KEYS, "schedule": "foo"}),
+    ("optimize", {**OPT_KEYS, "cooling": 2}),
+    ("optimize", {**OPT_KEYS, "m": 40}),
+    ("extend", {"n": 1, "s": 0.5, "J": 2}),
+    ("extend", {"n": 1, "s": 0.5, "Y": 1.0}),
+    ("diagnose", {"n": 1, "s": 0.5, "J": 2}),
+], ids=["n3", "cells2", "m0", "m-too-large", "empty-interval", "bad-number",
+        "schedule-foo", "cooling2", "optimize-m-too-large", "J2", "Y-below-diameter", "diagnose-J2"])
+def test_bad_config_values_are_usage_errors(eig_out, tmp_path, capsys, command, keys):
+    keys = dict(keys)
+    if command == "extend":
+        keys["trace"] = str(eig_out / "v01.frlb")
+    if command == "diagnose":
+        keys.update(mask=str(eig_out / "mask.frlb"), fields=str(eig_out / "v01.frlb"))
+    cfg = write_cfg(tmp_path / "bad.cfg", **keys)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "usage error" in capsys.readouterr().err
 
 
 def test_missing_config_file(tmp_path):

@@ -22,6 +22,7 @@ from fraclab.eigen import lowest_eigenpairs
 from fraclab.extension import ExtensionField, SlabGrid, extend
 from fraclab.grids import BoxGrid, ball_domain, interval_domain, mask_from_indices
 from fraclab.nonlocal_form import assemble_form
+from fraclab.shape_opt import blow_up_rescale
 
 
 def exact_field(grid, J, Y, s, scale=1.0):
@@ -252,16 +253,16 @@ def test_nondegeneracy_scan_structure():
     bundle = lowest_eigenpairs(assemble_form(dom, p), 1)
     fb = free_boundary_set(dom)
     radii = [6 * g.h, 9 * g.h, 12 * g.h]
-    rep = nondegeneracy_scan(bundle.full_fields(), fb, radii, p)
+    rep = nondegeneracy_scan((g, bundle.full_fields()), fb, radii, p)
     assert set(rep) >= {"constants", "not_on_boundary", "min", "median"}
     arr = np.asarray(rep["constants"])
     assert arr.shape == (fb.points.shape[0],)
     assert rep["min"] > 0.0
     assert rep["median"] >= rep["min"]
     with pytest.raises(ResolutionError):
-        nondegeneracy_scan(bundle.full_fields(), fb, [2.0 * g.h], p)
+        nondegeneracy_scan((g, bundle.full_fields()), fb, [2.0 * g.h], p)
     # off-boundary points are flagged, not rejected
-    rep2 = nondegeneracy_scan(bundle.full_fields(), fb, radii, p,
+    rep2 = nondegeneracy_scan((g, bundle.full_fields()), fb, radii, p,
                               points=[[0.33 * g.h + 0.5]])
     assert rep2["not_on_boundary"].all()
 
@@ -343,3 +344,60 @@ def test_support_coincidence_flags_tiny_component():
     bundle = lowest_eigenpairs(assemble_form(dom, p), 1)
     _, low = support_coincidence(bundle, dom)
     assert low
+
+
+# -- fields arguments --------------------------------------------------------
+
+
+def test_field_arguments_give_identical_results_in_every_form():
+    p = FracParams(1, 0.5, 1.0)
+    g = BoxGrid(1, -1.0, 1.0, 64)
+    f = exact_field(g, 24, 4.0, 0.5, scale=slope_constant(1.0, 0.5))
+    fb = free_boundary_set(half_line_domain(g))
+    calls = {
+        "weiss_energy": lambda G: weiss_energy(G, [0.0], 0.2, p),
+        "weiss_curve": lambda G: (lambda c: np.append(c.values, c.c_tilde))(
+            weiss_curve(G, [0.0], [0.2, 0.25, 0.3, 0.35], p)),
+        "flatness": lambda G: flatness(G, [0.0], 0.25, p)[0],
+        "boundary_slope": lambda G: boundary_slope(G, [0.0], [1.0], p),
+        "nondegeneracy_scan": lambda G: nondegeneracy_scan(
+            G, fb, [6 * g.h, 9 * g.h], p)["constants"],
+        "blow_up_rescale": lambda G: blow_up_rescale(G, [0.0], 0.25, 0.5).values,
+    }
+    trace_only = {"boundary_slope", "nondegeneracy_scan"}
+    for name, call in calls.items():
+        ref = call(f)
+        np.testing.assert_array_equal(call([f]), ref, err_msg=name)
+        np.testing.assert_array_equal(call((f,)), ref, err_msg=name)
+        if name in trace_only:
+            np.testing.assert_array_equal(call((g, f.trace)), ref, err_msg=name)
+            np.testing.assert_array_equal(call((g, f.trace[None])), ref, err_msg=name)
+    for name in ("weiss_energy", "weiss_curve"):
+        with pytest.raises(ValueError, match="needs extension fields"):
+            calls[name]((g, f.trace))
+    for bad in ([], [f.trace], (g, np.zeros(5))):
+        with pytest.raises(ValueError):
+            boundary_slope(bad, [0.0], [1.0], p)
+
+
+def test_trace_pair_is_the_y0_slice_of_the_blow_up():
+    g = BoxGrid(1, -1.0, 1.0, 64)
+    f = exact_field(g, 24, 4.0, 0.5)
+    full = blow_up_rescale(f, [0.0], 0.25, 0.5)
+    pair = blow_up_rescale((g, f.trace), [0.0], 0.25, 0.5)
+    assert pair.y_levels.tolist() == [0.0]
+    np.testing.assert_allclose(pair.values[:, 0], full.values[:, 0], rtol=0, atol=1e-15)
+
+
+def test_flatness_and_classify_accept_a_trace_pair():
+    p = FracParams(1, 0.5, 1.0)
+    g = BoxGrid(1, -1.0, 1.0, 256)
+    f = exact_field(g, 64, 4.0, 0.5, scale=slope_constant(1.0, 0.5))
+    pair = (g, f.trace)
+    eps, nu, fvec = flatness(pair, [0.0], 0.25, p)
+    assert eps <= 0.05 and nu.tolist() == [1.0] and fvec.tolist() == [1.0]
+    cfg = ClassifierConfig(r_max=0.5, num_radii=6)
+    pc = classify(half_line_domain(g), pair, [0.0], cfg, p, [-1.0])  # outward normal
+    assert pc.label == "regular"
+    assert pc.flatness == flatness(pair, [0.0], pc.radii[0], p)[0]
+    assert pc.slope == boundary_slope(f, [0.0], [1.0], p) > 0

@@ -104,7 +104,7 @@ def test_energy_identity_against_seminorm():
         u = bump_trace(g)
         q = seminorm_of(g, u, s)
         slab = SlabGrid(g, 32, a=p.a, Y=4.0)
-        f = extend(u, slab, p)
+        f = extend(u, slab)
         rel = abs(p.d_s * extension_energy(f) - q) / q
         assert rel <= tol, f"s={s}: mismatch {rel:.3%}"
 
@@ -116,7 +116,7 @@ def test_energy_identity_improves_under_refinement():
         g = BoxGrid(1, -2.0, 2.0, cells)
         u = bump_trace(g, seed=7)
         q = seminorm_of(g, u, 0.5)
-        f = extend(u, SlabGrid(g, J, a=0.0, Y=Y), p)
+        f = extend(u, SlabGrid(g, J, a=0.0, Y=Y))
         rels.append(abs(p.d_s * extension_energy(f) - q) / q)
     assert rels[1] < rels[0]
 
@@ -181,7 +181,7 @@ def test_neumann_trace_matches_eigenvalue_condition():
         bundle = lowest_eigenpairs(assemble_form(dom, p), 1)
         lam = bundle.lambdas[0]
         v = bundle.full_fields()[0]
-        f = extend(v, SlabGrid(g, 48, a=p.a, Y=4.0), p)
+        f = extend(v, SlabGrid(g, 48, a=p.a, Y=4.0))
         nt, flags = neumann_trace(f)
         om = dom.flat_indices
         target = (lam / p.d_s) * v.ravel()[om]
@@ -200,7 +200,7 @@ def test_neumann_trace_interior_accuracy_at_large_s():
     dom = interval_domain(g, -1.0, 1.0)
     bundle = lowest_eigenpairs(assemble_form(dom, p), 1)
     v = bundle.full_fields()[0]
-    f = extend(v, SlabGrid(g, 96, a=p.a, Y=4.0), p)
+    f = extend(v, SlabGrid(g, 96, a=p.a, Y=4.0))
     nt, _ = neumann_trace(f)
     om = dom.flat_indices
     x = g.axis_nodes()[om]
@@ -288,7 +288,7 @@ def test_almost_minimality_audit_structure():
     g = BoxGrid(1, -2.0, 2.0, 128)
     dom = interval_domain(g, -1.0, 1.0)
     bundle = lowest_eigenpairs(assemble_form(dom, p), 1)
-    f = extend(bundle.full_fields()[0], SlabGrid(g, 32, a=p.a, Y=4.0), p)
+    f = extend(bundle.full_fields()[0], SlabGrid(g, 32, a=p.a, Y=4.0))
     report = almost_minimality_audit(
         [f], dom, p, centers=[[-1.0], [0.0], [1.0]], radii=[0.2, 0.3]
     )

@@ -141,8 +141,63 @@ def test_truncated_payload_rejected(tmp_path):
     write_fields(path, g, np.ones(g.node_shape))
     blob = path.read_bytes()
     path.write_bytes(blob[: len(blob) - 16])
-    with pytest.raises(ValueError):
+    with pytest.raises(CompatibilityError):
         read_fields(path)
+
+
+def _frlb_files(tmp_path):
+    """One valid file of each kind, with its reader."""
+    g = BoxGrid(1, -2.0, 2.0, 16)
+    dom = interval_domain(g, -1.0, 1.0)
+    write_mask(tmp_path / "m.frlb", dom)
+    write_fields(tmp_path / "f.frlb", g, np.stack([dom.mask * 1.0, dom.mask * 2.0]))
+    write_slab_field(tmp_path / "s.frlb", extend(dom.mask * 1.0, SlabGrid(g, 6, a=0.0)))
+    return [(tmp_path / "m.frlb", read_mask), (tmp_path / "f.frlb", read_fields),
+            (tmp_path / "s.frlb", read_slab_field)]
+
+
+@pytest.mark.parametrize("cut", [1, 7, -1, -8],
+                         ids=["drop1", "drop7", "extra1", "extra8"])
+def test_payload_length_must_be_exact(tmp_path, cut):
+    for path, reader in _frlb_files(tmp_path):
+        reader(path)  # the intact file reads
+        blob = path.read_bytes()
+        path.write_bytes(blob[:-cut] if cut > 0 else blob + bytes(-cut))
+        with pytest.raises(CompatibilityError, match="bytes"):
+            reader(path)
+
+
+def test_payload_cut_inside_the_kind_header(tmp_path):
+    for path, reader in _frlb_files(tmp_path)[1:]:
+        path.write_bytes(path.read_bytes()[: struct.calcsize("<4sIIII dd") + 3])
+        with pytest.raises(CompatibilityError, match="truncated"):
+            reader(path)
+
+
+def test_mask_bytes_outside_0_1_rejected(tmp_path):
+    path = _frlb_files(tmp_path)[0][0]
+    blob = bytearray(path.read_bytes())
+    blob[-8] = 2
+    path.write_bytes(bytes(blob))
+    with pytest.raises(CompatibilityError, match="0 or 1"):
+        read_mask(path)
+
+
+def test_ring_touching_mask_rejected(tmp_path):
+    path = _frlb_files(tmp_path)[0][0]
+    blob = bytearray(path.read_bytes())
+    blob[-1] = 1  # last node of the grid sits on the ring
+    path.write_bytes(bytes(blob))
+    with pytest.raises(CompatibilityError, match="boundary layer"):
+        read_mask(path)
+
+
+def test_bad_header_grid_rejected(tmp_path):
+    hdr = struct.Struct("<4sIIII dd").pack(b"FRLB", 1, 2, 3, 8, -1.0, 1.0)
+    path = tmp_path / "n3.frlb"
+    path.write_bytes(hdr + bytes(9**3))
+    with pytest.raises(CompatibilityError, match="bad grid"):
+        read_mask(path)
 
 
 # -- config files ------------------------------------------------------------

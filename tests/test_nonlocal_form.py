@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -150,3 +153,14 @@ def test_empty_domain_rejected_by_assembly():
     assert empty.cell_count == 0 and empty.measure == 0.0
     with pytest.raises(ValueError):
         assemble_form(empty, FracParams(1, 0.5, 1.0))
+
+
+def test_kernel_table_is_freed_with_its_grid():
+    g = BoxGrid(1, -1.0, 1.0, 8)
+    ref = weakref.ref(kernel_table(g, 0.5))
+    gc.disable()
+    try:
+        del g  # the grid caches the table; no reference cycle keeps it alive
+        assert ref() is None
+    finally:
+        gc.enable()

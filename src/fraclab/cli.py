@@ -10,6 +10,7 @@ imports numpy and scipy before main() runs, so it cannot change it.
 
 import argparse
 import json
+import math
 import os
 import signal
 import sys
@@ -326,7 +327,10 @@ def cmd_optimize(args):
     atomic_write_text(os.path.join(args.out, "trace.csv"), _trace_csv(trace, ocfg.m))
     names = ["trace.csv"]
     summary = {
-        "best_objective": trace.best_objective,
+        # a run that found no finite objective has no best value (and JSON
+        # has no Infinity)
+        "best_objective": (trace.best_objective
+                           if math.isfinite(trace.best_objective) else None),
         "best_lambdas": None
         if trace.best_lambdas is None
         else [float(v) for v in trace.best_lambdas],

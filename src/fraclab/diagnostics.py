@@ -391,6 +391,11 @@ def classify(mask, G_fields, x0, config=None, params=None, normal=None):
     r to a density limit; regular additionally requires small flatness of the
     blow-up at the finest radius (needs G_fields, in any form `_as_fields`
     accepts, and params).
+
+    normal is the outward unit normal at x0 (pointing out of the positivity
+    set), the orientation of FreeBoundarySet.normals, which supplies it when
+    omitted; the slope is taken along its negative, the inward direction that
+    boundary_slope expects.
     """
     if config is None:
         config = ClassifierConfig()

@@ -255,7 +255,8 @@ def _run_greedy(grid, ev, config, mask, trace, restart, rng, should_stop):
             if o < best_obj - 1e-12:
                 best_c, best_obj, best_lams, best_new = c, o, lms, new
         if best_c < 0:
-            trace.certified = _certify(grid, ev, config, mask, obj)
+            # no finite objective was found: there is no optimum to certify
+            trace.certified = bool(np.isfinite(obj)) and _certify(grid, ev, config, mask, obj)
             return False
         if (
             best_new.sum() < mask.sum()

@@ -140,6 +140,23 @@ def test_optimize_and_manifest_replay(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not valid JSON")
+
+
+def test_optimize_without_finite_objective_is_not_certified(tmp_path):
+    # m = 20 exceeds the nodes of every ball the greedy search can reach from
+    # its start, so every objective is infinite and nothing may be certified
+    cfg = write_cfg(tmp_path / "opt.cfg", **{**OPT_KEYS, "m": 20, "lambda": 10})
+    out = tmp_path / "o"
+    assert main(["optimize", "--config", cfg, "--out", str(out)]) == 4
+    summary = json.loads((out / "summary.json").read_text(),
+                         parse_constant=_reject_constant)
+    assert summary["aborted"]
+    assert not summary["certified"]
+    assert summary["best_objective"] is None
+
+
 def test_optimize_seed_flag_overrides_config(tmp_path):
     cfg = write_cfg(tmp_path / "opt.cfg", **{**OPT_KEYS, "schedule": "anneal",
                                              "steps": 60, "stale_limit": 50})

@@ -279,11 +279,14 @@ def test_classify_exact_profile_regular():
     # the default 5h..12h ladder sits inside the staircase transient; a wider
     # ladder is needed before the extrapolated density settles near 1/2
     cfg = ClassifierConfig(r_max=0.5, num_radii=6)
-    pc = classify(dom, f, [0.0], cfg, p, [1.0])
+    # classify wants the outward normal; the positivity set is x > 0
+    pc = classify(dom, f, [0.0], cfg, p, [-1.0])
     pc.check(cfg)
     assert pc.label == "regular"
     assert pc.density_limit == pytest.approx(0.5, abs=0.1)
     assert pc.flatness <= 0.05
+    assert pc.slope == boundary_slope(f, [0.0], [1.0], p)
+    assert pc.slope == pytest.approx(c, rel=1e-9)
 
 
 def test_classify_slit_point_singular():

@@ -6,6 +6,7 @@ from fraclab.eigen import lowest_eigenpairs
 from fraclab.extension import (
     ExtensionField,
     SlabGrid,
+    _solve_dirichlet,
     almost_minimality_audit,
     ball_energy,
     extend,
@@ -137,6 +138,59 @@ def test_extension_maximum_principle_and_linearity():
     assert np.all(fsum.values >= f1.values - 1e-12)
     # linearity is exact (same sparse solve)
     np.testing.assert_allclose(fsum.values, f1.values + f2.values, atol=1e-9)
+
+
+def random_interior_trace(grid, seed):
+    tr = np.zeros(grid.node_shape)
+    inner = grid.interior()
+    tr[inner] = np.random.default_rng(seed).normal(size=int(inner.sum()))
+    return tr
+
+
+@pytest.mark.parametrize("n,cells,J,a", [
+    (2, 16, 16, -0.6), (2, 16, 16, 0.0), (2, 16, 16, 0.6), (1, 64, 16, 0.3),
+])
+def test_separable_extend_matches_sparse_lu(n, cells, J, a):
+    """The DST-I / per-mode LU solve equals a sparse LU of the assembled
+    system on the same free nodes, up to roundoff."""
+    g = BoxGrid(n, -1.0, 1.0, cells)
+    slab = SlabGrid(g, J, a=a)
+    tr = random_interior_trace(g, seed=cells + J)
+    f = extend(tr, slab)
+    data = np.zeros(slab.values_shape())
+    data[..., 0] = tr
+    ref = _solve_dirichlet(slab, ~slab.boundary_mask(), data.ravel())
+    rel = np.abs(f.values.ravel() - ref).max() / np.abs(ref).max()
+    assert rel <= 1e-12
+
+
+def test_extend_at_scale_passes_residual_check():
+    """128^2 x 48 (758k unknowns); extend raises if the residual of the
+    assembled operator exceeds 1e-10 relative."""
+    g = BoxGrid(2, -1.0, 1.0, 128)
+    slab = SlabGrid(g, 48, a=0.0)
+    r2 = (g.node_coords() ** 2).sum(axis=1).reshape(g.node_shape)
+    u = np.maximum(0.0, 0.5 - r2)
+    f = extend(u, slab)
+    np.testing.assert_array_equal(f.trace, u)
+    assert f.values.min() >= -1e-12 and f.values.max() <= u.max() + 1e-12
+    # one tridiagonal block per mode: the LU fill stays linear in the unknowns
+    lu = slab._modal_lu()
+    assert lu.L.nnz + lu.U.nnz <= 4 * 127**2 * 47
+
+
+def test_extend_residual_check_rejects_a_wrong_solve():
+    g = BoxGrid(1, -2.0, 2.0, 32)
+    slab = SlabGrid(g, 8, a=0.0)
+    lu = slab._modal_lu()
+
+    class PerturbedLU:
+        def solve(self, b):
+            return 1.0001 * lu.solve(b)
+
+    slab._lu = PerturbedLU()
+    with pytest.raises(RuntimeError, match="residual"):
+        extend(bump_trace(g), slab)
 
 
 def test_trace_property_roundtrip():

@@ -369,7 +369,7 @@ def cmd_diagnose(args):
         free_boundary_set,
         weiss_curve,
     )
-    from .extension import SlabGrid, extend
+    from .extension import SlabGrid, _c_tilde, extend
     from .gridio import (
         CompatibilityError,
         RunManifest,
@@ -408,6 +408,7 @@ def cmd_diagnose(args):
     Y = _cfg(cfg, "Y", float, None)
     slab = _checked(SlabGrid, grid, J, a=params.a, Y=Y)
     ext_fields = [extend(tr, slab) for tr in traces]
+    c_tilde = _c_tilde(ext_fields, params)
     fb = free_boundary_set(dom)
     sel = list(range(len(fb)))
     if args.points:
@@ -438,7 +439,7 @@ def cmd_diagnose(args):
         for r in radii:
             dens_rows.append(f"{k},{xs},{_fmt(r)},{_fmt(density_ratio(dom, x0, r))}\n")
         if len(radii) >= 4:
-            cur = weiss_curve(ext_fields, x0, radii, params)
+            cur = weiss_curve(ext_fields, x0, radii, params, c_tilde=c_tilde)
             for r, w in zip(cur.radii, cur.values):
                 weiss_rows.append(f"{k},{xs},{_fmt(r)},{_fmt(w)}\n")
         try:

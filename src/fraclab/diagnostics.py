@@ -9,6 +9,7 @@ values are comparable to densities after dividing by lambda_tilde, and every
 curve records that normalization.
 """
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -167,32 +168,30 @@ def nondegeneracy_scan(G_fields, fb, radii, params, points=None):
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=8)
 def _hemisphere_rule(n, a, k_polar=48, k_azimuth=64):
     """Quadrature nodes/weights for int_{upper half unit sphere} |y|^a f dS.
 
     Returns (directions (q, n+1), weights (q,)) with the weight |y|^a folded in.
+    Built once per argument set; the cached arrays are read-only.
     """
     if n == 1:
         # x = cos(theta): int_0^pi f (sin)^a dtheta = int_-1^1 f (1-x^2)^((a-1)/2) dx
-        x, w = roots_jacobi(k_polar, (a - 1.0) / 2.0, (a - 1.0) / 2.0)
+        x, wts = roots_jacobi(k_polar, (a - 1.0) / 2.0, (a - 1.0) / 2.0)
         dirs = np.column_stack([x, np.sqrt(1.0 - x * x)])
-        return dirs, w
-    # n=2: t = y/r in [0,1]: dS = r^2 t^a f  dt dphi on the weight side
-    t, wt = roots_jacobi(k_polar, 0.0, a)
-    t = 0.5 * (t + 1.0)
-    wt = wt * 0.5 ** (a + 1.0)
-    phi = 2.0 * np.pi * (np.arange(k_azimuth) + 0.5) / k_azimuth
-    wphi = 2.0 * np.pi / k_azimuth
-    rho = np.sqrt(np.clip(1.0 - t * t, 0.0, None))
-    dirs = np.empty((k_polar * k_azimuth, 3))
-    wts = np.empty(k_polar * k_azimuth)
-    q = 0
-    for i in range(k_polar):
-        dirs[q : q + k_azimuth, 0] = rho[i] * np.cos(phi)
-        dirs[q : q + k_azimuth, 1] = rho[i] * np.sin(phi)
-        dirs[q : q + k_azimuth, 2] = t[i]
-        wts[q : q + k_azimuth] = wt[i] * wphi
-        q += k_azimuth
+    else:
+        # n=2: t = y/r in [0,1]: dS = r^2 t^a f  dt dphi on the weight side
+        t, wt = roots_jacobi(k_polar, 0.0, a)
+        t = 0.5 * (t + 1.0)
+        wt = wt * 0.5 ** (a + 1.0)
+        phi = 2.0 * np.pi * (np.arange(k_azimuth) + 0.5) / k_azimuth
+        rho = np.sqrt(np.clip(1.0 - t * t, 0.0, None))
+        dirs = np.column_stack([np.outer(rho, np.cos(phi)).ravel(),
+                                np.outer(rho, np.sin(phi)).ravel(),
+                                np.repeat(t, k_azimuth)])
+        wts = np.repeat(wt * (2.0 * np.pi / k_azimuth), k_azimuth)
+    dirs.setflags(write=False)
+    wts.setflags(write=False)
     return dirs, wts
 
 

@@ -3,10 +3,14 @@
 Solves div(y^a grad g) = 0 on D x (0, Y] with Dirichlet trace data at y=0,
 zero on the lateral walls and the top, on a tensor grid whose y-levels are
 graded toward the degenerate line. The discretization is a finite-volume
-graph: vertical conductances use the exact resistance integral of the weight
-(so pure powers of y are reproduced exactly), lateral conductances use the
-cell-averaged weight. The discrete energy is the edge sum c * (dg)^2, which
-makes harmonic replacement an exact discrete energy minimizer.
+stencil on that grid. Field values have shape node_shape + (J+1,), and each
+edge joins two neighbours along one of the n+1 axes, so np.diff(values, axis)
+lists the edge differences of that axis. The conductances depend only on the
+axis and the level: a vertical edge between levels j and j+1 has the exact
+resistance integral of the weight (so pure powers of y are reproduced
+exactly), and a lateral edge on level j has the cell-averaged weight of that
+level. The discrete energy is the sum over axes of c * np.diff(values)^2,
+which makes harmonic replacement an exact discrete energy minimizer.
 
 The extension solve is separable. On the free nodes (interior x-nodes times
 levels 1..J-1) the operator is h^(n-2) L_x (x) diag(w) + I (x) T_y, with L_x the
@@ -20,6 +24,7 @@ the result agrees with a direct sparse solve of the assembled system up to
 roundoff.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,7 +86,6 @@ class SlabGrid:
         self.gamma = float(gamma)
         self.a = a
         self.y_nodes = self.Y * (np.arange(J + 1) / J) ** self.gamma
-        self._edges = None
         self._lu = None
 
     @property
@@ -90,58 +94,6 @@ class SlabGrid:
 
     def values_shape(self):
         return self.base.node_shape + (self.J + 1,)
-
-    # -- finite-volume edge graph -------------------------------------------
-
-    def edges(self):
-        """(p, q, conductance, midpoint) arrays of the weighted FV graph."""
-        if self._edges is not None:
-            return self._edges
-        base, J = self.base, self.J
-        h = base.h
-        y = self.y_nodes
-        nx = base.num_nodes
-        J1 = J + 1
-        ids = np.arange(nx * J1).reshape((nx, J1))
-        coords = base.node_coords()
-        cv, w_cv = self._level_conductances()
-
-        P, Q, C, MX, MY = [], [], [], [], []
-
-        # vertical edges: exact resistance integral of y^-a between levels
-        for j in range(J):
-            P.append(ids[:, j])
-            Q.append(ids[:, j + 1])
-            C.append(np.full(nx, cv[j]))
-            MX.append(coords)
-            MY.append(np.full(nx, 0.5 * (y[j] + y[j + 1])))
-
-        # lateral edges: cell-averaged weight, per axis
-        shape = base.node_shape
-        idgrid = np.arange(nx).reshape(shape)
-        for axis in range(base.n):
-            sl_lo = [slice(None)] * base.n
-            sl_hi = [slice(None)] * base.n
-            sl_lo[axis] = slice(None, -1)
-            sl_hi[axis] = slice(1, None)
-            lo = idgrid[tuple(sl_lo)].ravel()
-            hi = idgrid[tuple(sl_hi)].ravel()
-            mid = 0.5 * (coords[lo] + coords[hi])
-            for j in range(J1):
-                P.append(ids[lo, j])
-                Q.append(ids[hi, j])
-                C.append(np.full(lo.size, w_cv[j] * h ** (base.n - 2)))
-                MX.append(mid)
-                MY.append(np.full(lo.size, y[j]))
-
-        self._edges = (
-            np.concatenate(P),
-            np.concatenate(Q),
-            np.concatenate(C),
-            np.vstack(MX),
-            np.concatenate(MY),
-        )
-        return self._edges
 
     def _level_conductances(self):
         """(cv, w_cv): vertical edge conductances between levels j and j+1,
@@ -182,62 +134,65 @@ class SlabGrid:
 
     def boundary_mask(self):
         """Flat mask of Dirichlet nodes for the extension solve."""
-        nx = self.base.num_nodes
-        J1 = self.J + 1
-        mask = np.zeros((nx, J1), dtype=bool)
-        mask[:, 0] = True
-        mask[:, -1] = True
-        lateral = ~self.base.interior().ravel()
-        mask[lateral, :] = True
+        mask = np.zeros(self.values_shape(), dtype=bool)
+        mask[..., 0] = mask[..., -1] = True
+        mask[~self.base.interior()] = True
         return mask.ravel()
 
 
+def _conductances(slab):
+    """Edge conductances per axis of the values array, indexed by level.
+
+    Entry k < n holds the lateral conductances w_cv[j] * h^(n-2) of the edges
+    along x-axis k on level j (length J+1); entry n holds the vertical ones cv
+    (length J). Either broadcasts against d = np.diff(values, axis=k); on a
+    window of the lowest levels, c[:d.shape[-1]] does.
+    """
+    cv, w_cv = slab._level_conductances()
+    return [w_cv * slab.base.h ** (slab.base.n - 2)] * slab.base.n + [cv]
+
+
 def _laplacian(slab, keep):
-    """System matrix over `keep` nodes plus coupling to the complement."""
-    P, Q, C, _, _ = slab.edges()
-    N = slab.num_nodes
-    unk_id = -np.ones(N, dtype=np.int64)
-    unk = np.flatnonzero(keep)
-    unk_id[unk] = np.arange(unk.size)
-    pu, qu = unk_id[P], unk_id[Q]
-    rows, cols, vals = [], [], []
-    brows, bcols, bvals = [], [], []
-    both = (pu >= 0) & (qu >= 0)
-    rows += [pu[both], qu[both], pu[both], qu[both]]
-    cols += [pu[both], qu[both], qu[both], pu[both]]
-    vals += [C[both], C[both], -C[both], -C[both]]
-    for uu, dd in ((pu, Q), (qu, P)):
-        m = (uu >= 0) & ~both
-        rows.append(uu[m]); cols.append(uu[m]); vals.append(C[m])
-        brows.append(uu[m]); bcols.append(dd[m]); bvals.append(C[m])
-    A = sparse.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(unk.size, unk.size),
-    )
-    B = sparse.csr_matrix(
-        (np.concatenate(bvals), (np.concatenate(brows), np.concatenate(bcols))),
-        shape=(unk.size, N),
-    )
-    return A, B, unk
+    """System matrix A over the `keep` nodes and coupling B to the rest, so
+    that A g[keep] = B g[~keep] is the weighted Laplace equation on `keep`.
+
+    The graph Laplacian is the sum over axes of D^T diag(c) D, with D the
+    difference matrix along that axis (a Kronecker product of one path-graph
+    difference and identities) and c its conductances.
+    """
+    shape = slab.values_shape()
+    L = sparse.csr_matrix((slab.num_nodes, slab.num_nodes))
+    for axis, c in enumerate(_conductances(slab)):
+        factors = [sparse.identity(m, format="csr") for m in shape]
+        factors[axis] = sparse.diags([-1.0, 1.0], [0, 1], (shape[axis] - 1, shape[axis]))
+        D = functools.reduce(sparse.kron, factors).tocsr()
+        edge_shape = shape[:axis] + (shape[axis] - 1,) + shape[axis + 1:]
+        L = L + D.T @ sparse.diags(np.broadcast_to(c, edge_shape).ravel()) @ D
+    rows = L.tocsr()[keep]
+    return rows[:, keep], -rows[:, ~keep]
 
 
 def _solve_dirichlet(slab, keep, boundary_values):
     """Solve the weighted Laplace system on `keep` with given boundary data."""
-    A, B, unk = _laplacian(slab, keep)
-    if unk.size == 0:
-        return boundary_values.copy()
     out = boundary_values.copy()
-    out[unk] = sla.splu(A.tocsc()).solve(np.asarray(B @ boundary_values))
+    if not keep.any():
+        return out
+    A, B = _laplacian(slab, keep)
+    out[keep] = sla.splu(A.tocsc()).solve(B @ boundary_values[~keep])
     _check_residual(slab, keep, out)
     return out
 
 
 def _apply_laplacian(slab, g):
-    """Graph Laplacian of the FV edge graph applied to a flat node vector."""
-    P, Q, C, _, _ = slab.edges()
-    flux = C * (g[P] - g[Q])
-    N = slab.num_nodes
-    return np.bincount(P, flux, N) - np.bincount(Q, flux, N)
+    """Graph Laplacian of the slab stencil applied to a flat node vector:
+    per axis, the edge fluxes c * np.diff(g), then minus their difference
+    into the nodes (zero flux past the ends)."""
+    g = g.reshape(slab.values_shape())
+    out = np.zeros_like(g)
+    for axis, c in enumerate(_conductances(slab)):
+        flux = c * np.diff(g, axis=axis)
+        out -= np.diff(flux, axis=axis, prepend=0.0, append=0.0)
+    return out.ravel()
 
 
 def _check_residual(slab, free, solved):
@@ -402,10 +357,11 @@ def extend(trace, slab):
 
 def extension_energy(field):
     """Weighted Dirichlet energy of the upper half-slab, edge quadrature."""
-    P, Q, C, _, _ = field.slab.edges()
-    g = field.values.ravel()
-    d = g[P] - g[Q]
-    return float(np.sum(C * d * d))
+    total = 0.0
+    for axis, c in enumerate(_conductances(field.slab)):
+        d = np.diff(field.values, axis=axis)
+        total += np.sum(c * d * d)
+    return float(total)
 
 
 def neumann_trace(field):
@@ -449,30 +405,45 @@ def harmonic_replacement(field, center, radius):
         raise ValueError("replacement ball exits the slab footprint")
     if radius > slab.Y:
         raise ValueError("replacement ball exits the slab vertically")
-    coords = base.node_coords()
-    d2 = ((coords - center[None, :]) ** 2).sum(axis=1)
-    r2 = (d2[:, None] + slab.y_nodes[None, :] ** 2).ravel()
-    inside = r2 < radius**2
+    d2 = ((base.node_coords() - center[None, :]) ** 2).sum(axis=1)
+    inside = d2.reshape(base.node_shape)[..., None] + slab.y_nodes**2 < radius**2
     # free nodes must not touch the outer Dirichlet shell of the slab itself
-    inside &= ~slab.boundary_mask() | (slab.y_nodes[None, :] == 0.0).repeat(
-        base.num_nodes, axis=0
-    ).ravel()
-    lateral = ~base.interior().ravel()
-    inside &= ~np.repeat(lateral, slab.J + 1)
-    full = _solve_dirichlet(slab, inside, field.values.ravel().copy())
+    # (the top level y = Y >= radius is outside); y=0 nodes in the ball are free
+    inside &= base.interior()[..., None]
+    full = _solve_dirichlet(slab, inside.ravel(), field.values.ravel().copy())
     return ExtensionField(slab, full.reshape(slab.values_shape()))
 
 
 def ball_energy(field, center, radius):
-    """Edge-quadrature energy of the upper half-ball at a thin-space center."""
+    """Edge-quadrature energy of the upper half-ball at a thin-space center:
+    the sum of c * (dg)^2 over the edges whose midpoints lie in the open ball.
+
+    Only the ball's index window is read: such an edge joins x-nodes within
+    r + h of the center, at levels up to the first one with y >= r.
+    """
     slab = field.slab
-    P, Q, C, MX, MY = slab.edges()
+    base = slab.base
     center = np.atleast_1d(np.asarray(center, dtype=float))
-    d2 = ((MX - center[None, :]) ** 2).sum(axis=1) + MY**2
-    sel = d2 < radius**2
-    g = field.values.ravel()
-    d = g[P[sel]] - g[Q[sel]]
-    return float(np.sum(C[sel] * d * d))
+    at = (center - base.lower) / base.h  # the center in index units
+    lo = np.maximum(np.floor(at - radius / base.h).astype(int) - 1, 0)
+    hi = np.maximum(np.ceil(at + radius / base.h).astype(int) + 2, 0)
+    top = int(np.searchsorted(slab.y_nodes, radius)) + 1
+    window = tuple(slice(i, k) for i, k in zip(lo, hi)) + (slice(0, top),)
+    g = field.values[window]
+    # per axis: node coordinates and the center, with y the last axis
+    coords = [base.axis_nodes()[w] for w in window[:-1]] + [slab.y_nodes[:top]]
+    origin = list(center) + [0.0]
+    total = 0.0
+    for axis, c in enumerate(_conductances(slab)):
+        d2 = 0.0
+        for k, x in enumerate(coords):
+            if k == axis:
+                x = 0.5 * (x[:-1] + x[1:])
+            shape = [-1 if m == k else 1 for m in range(g.ndim)]
+            d2 = d2 + ((x - origin[k]) ** 2).reshape(shape)
+        d = np.diff(g, axis=axis)
+        total += np.sum((c[: d.shape[-1]] * d * d)[d2 < radius**2])
+    return float(total)
 
 
 def _node_volumes(slab):

@@ -1,3 +1,6 @@
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -6,6 +9,8 @@ from fraclab.eigen import lowest_eigenpairs
 from fraclab.extension import (
     ExtensionField,
     SlabGrid,
+    _apply_laplacian,
+    _laplacian,
     _solve_dirichlet,
     almost_minimality_audit,
     ball_energy,
@@ -166,12 +171,20 @@ def test_separable_extend_matches_sparse_lu(n, cells, J, a):
 
 def test_extend_at_scale_passes_residual_check():
     """128^2 x 48 (758k unknowns); extend raises if the residual of the
-    assembled operator exceeds 1e-10 relative."""
+    assembled operator exceeds 1e-10 relative, and keeps no per-edge data."""
     g = BoxGrid(2, -1.0, 1.0, 128)
     slab = SlabGrid(g, 48, a=0.0)
     r2 = (g.node_coords() ** 2).sum(axis=1).reshape(g.node_shape)
     u = np.maximum(0.0, 0.5 - r2)
-    f = extend(u, slab)
+    tracemalloc.start()
+    try:
+        f = extend(u, slab)
+        extension_energy(f)
+        resident = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    # nothing per edge stays cached: about the field itself remains allocated
+    assert resident < 3 * f.values.nbytes
     np.testing.assert_array_equal(f.trace, u)
     assert f.values.min() >= -1e-12 and f.values.max() <= u.max() + 1e-12
     # one tridiagonal block per mode: the LU fill stays linear in the unknowns
@@ -191,6 +204,77 @@ def test_extend_residual_check_rejects_a_wrong_solve():
     slab._lu = PerturbedLU()
     with pytest.raises(RuntimeError, match="residual"):
         extend(bump_trace(g), slab)
+
+
+def oracle_edges(slab):
+    """(p, q, conductance, midpoint) of every slab edge, by a loop over node
+    pairs, with the conductances integrated from their definitions: a vertical
+    edge has h^n over the resistance integral of y^-a between its levels, and
+    a lateral edge on level j has h^(n-2) times the integral of y^a over the
+    control interval of that level (level midpoints, closed at 0 and Y)."""
+    base, y, a = slab.base, slab.y_nodes, slab.a
+    x = base.axis_nodes()
+    h, n, J = base.h, base.n, slab.J
+    shape = slab.values_shape()
+    bounds = [0.0] + [0.5 * (y[j] + y[j + 1]) for j in range(J)] + [y[J]]
+    edges = []
+    for p in itertools.product(*(range(m) for m in shape)):
+        for axis in range(n + 1):
+            q = list(p)
+            q[axis] += 1
+            if q[axis] == shape[axis]:
+                continue
+            j = p[-1]
+            if axis == n:
+                res = (y[j + 1] ** (1 - a) - y[j] ** (1 - a)) / (1 - a)
+                c = h**n / res
+            else:
+                w = (bounds[j + 1] ** (1 + a) - bounds[j] ** (1 + a)) / (1 + a)
+                c = h ** (n - 2) * w
+            pt_p = [x[i] for i in p[:-1]] + [y[p[-1]]]
+            pt_q = [x[i] for i in q[:-1]] + [y[q[-1]]]
+            mid = [0.5 * (u + v) for u, v in zip(pt_p, pt_q)]
+            ids = np.ravel_multi_index(p, shape), np.ravel_multi_index(q, shape)
+            edges.append((*ids, c, mid))
+    return edges
+
+
+@pytest.mark.parametrize("a", [-0.6, 0.0, 0.6])
+@pytest.mark.parametrize("n,cells,J", [(2, 8, 6), (1, 16, 6)])
+def test_stencil_matches_edge_by_edge_oracle(n, cells, J, a):
+    """Energy, Laplacian and ball energies of the tensor stencil agree with a
+    plain sum over the slab's node pairs, on a random field."""
+    g = BoxGrid(n, -1.0, 1.0, cells)
+    slab = SlabGrid(g, J, a=a)
+    vals = np.random.default_rng(cells + J).normal(size=slab.values_shape())
+    f = ExtensionField(slab, vals)
+    v = vals.ravel()
+    edges = oracle_edges(slab)
+
+    energy = sum(c * (v[p] - v[q]) ** 2 for p, q, c, _ in edges)
+    assert extension_energy(f) == pytest.approx(energy, rel=1e-13)
+
+    lap = np.zeros(v.size)
+    for p, q, c, _ in edges:
+        lap[p] += c * (v[p] - v[q])
+        lap[q] -= c * (v[p] - v[q])
+    scale = np.abs(lap).max()
+    assert np.abs(_apply_laplacian(slab, v) - lap).max() <= 1e-13 * scale
+    A, _ = _laplacian(slab, np.ones(v.size, dtype=bool))
+    assert np.abs(A @ v - lap).max() <= 1e-13 * scale
+
+    # inside the footprint, across its edge, and tall enough to pass two levels
+    balls = (([0.1, -0.2], 0.45), ([0.85, 0.3], 0.5), ([-0.3, 0.95], 1.7))
+    assert balls[-1][1] > slab.y_nodes[2]
+    for center, r in balls:
+        center = center[:n]
+        want = sum(
+            c * (v[p] - v[q]) ** 2
+            for p, q, c, mid in edges
+            if sum((m - o) ** 2 for m, o in zip(mid, center + [0.0])) < r * r
+        )
+        assert want > 0
+        assert ball_energy(f, center, r) == pytest.approx(want, rel=1e-13)
 
 
 def test_trace_property_roundtrip():

@@ -336,6 +336,7 @@ def cmd_optimize(args):
         else [float(v) for v in trace.best_lambdas],
         "measure": None if trace.best_mask is None else trace.best_mask.measure,
         "certified": trace.certified,
+        "evaluations": trace.evaluations,
         "aborted": trace.aborted,
         "interrupted": trace.interrupted,
         "seed": ocfg.seed,

@@ -221,9 +221,6 @@ class ExtensionField:
     def trace(self):
         return self.values[..., 0]
 
-    def flat_values(self):
-        return self.values.reshape(self.slab.base.num_nodes, self.slab.J + 1)
-
     def interp(self, points):
         """Multilinear interpolation at (k, n+1) points (x..., y); y may be 0."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -237,16 +234,7 @@ class ExtensionField:
         j = np.clip(np.searchsorted(ynodes, y, side="right") - 1, 0, self.slab.J - 1)
         ty = (y - ynodes[j]) / (ynodes[j + 1] - ynodes[j])
         ty = np.clip(ty, 0.0, 1.0)
-        vals = self.flat_values()
-        lo = np.empty(len(pts))
-        hi = np.empty(len(pts))
-        for level in np.unique(j):
-            m = j == level
-            sub = pts[m, :-1]
-            flo = vals[:, level].reshape(base.node_shape)
-            fhi = vals[:, level + 1].reshape(base.node_shape)
-            lo[m] = _multilinear(base, flo, sub)
-            hi[m] = _multilinear(base, fhi, sub)
+        lo, hi = _multilinear(base, self.values, pts[:, :-1], np.stack([j, j + 1]))
         return lo * (1.0 - ty) + hi * ty
 
 
@@ -303,8 +291,13 @@ def _c_tilde(fields, params):
     return 2.0 * unit_ball_volume(grid.n) * lam_sum / params.d_s
 
 
-def _multilinear(grid, field, pts):
-    """Multilinear interpolation of a node field at thin-space points."""
+def _multilinear(grid, field, pts, *tail):
+    """Multilinear interpolation of a node field at thin-space points.
+
+    tail: index arrays into trailing axes of field that broadcast against
+    one entry per point; ExtensionField.interp passes the (2, points) levels
+    below and above each point and gets both interpolants in one gather.
+    """
     x = (np.atleast_2d(pts) - grid.lower) / grid.h
     eps = 1e-9
     if np.any(x < -eps) or np.any(x > grid.cells_per_axis + eps):
@@ -312,17 +305,19 @@ def _multilinear(grid, field, pts):
     x = np.clip(x, 0.0, grid.cells_per_axis)
     i0 = np.clip(x.astype(int), 0, grid.cells_per_axis - 1)
     t = x - i0
+
+    def f(*corner):
+        return field[corner + tail]
+
     if grid.n == 1:
-        f = field
-        return f[i0[:, 0]] * (1 - t[:, 0]) + f[i0[:, 0] + 1] * t[:, 0]
-    f = field
+        return f(i0[:, 0]) * (1 - t[:, 0]) + f(i0[:, 0] + 1) * t[:, 0]
     i, k = i0[:, 0], i0[:, 1]
     tx, ty = t[:, 0], t[:, 1]
     return (
-        f[i, k] * (1 - tx) * (1 - ty)
-        + f[i + 1, k] * tx * (1 - ty)
-        + f[i, k + 1] * (1 - tx) * ty
-        + f[i + 1, k + 1] * tx * ty
+        f(i, k) * (1 - tx) * (1 - ty)
+        + f(i + 1, k) * tx * (1 - ty)
+        + f(i, k + 1) * (1 - tx) * ty
+        + f(i + 1, k + 1) * tx * ty
     )
 
 

@@ -228,6 +228,17 @@ class KernelTable:
         K *= self.c_ns
         return K
 
+    def border(self, flat_indices, cells):
+        """What adding one of `cells` to a mask appends to its stiffness matrix.
+
+        Returns (B, alpha): column j of B holds the entries between the mask
+        nodes and cells[j], alpha[j] the diagonal entry of cells[j].
+        """
+        idx = np.asarray(flat_indices, dtype=int)
+        cells = np.asarray(cells, dtype=int)
+        B = -self.c_ns * self.weights[np.ix_(idx, cells)]
+        return B, self.c_ns * (self.row_sums[cells] + self.tail[cells])
+
 
 def kernel_table(grid, s):
     """Per-grid cache of KernelTable instances (assembly is the heavy step)."""

@@ -2,10 +2,16 @@
 
 The search space is node masks on a BoxGrid with a one-cell margin. Because
 zero-extension makes the stiffness matrix of a subdomain a principal submatrix
-of the full-grid matrix, candidate moves re-solve small dense eigenproblems
-against a kernel table assembled once. Greedy descent is steepest with
-deterministic tie-breaking; annealing is Metropolis with geometric cooling.
-Degenerate proposals (disconnecting or emptying the mask) are admissible.
+of the full-grid matrix, every mask's matrix is a selection from a kernel
+table assembled once. Greedy descent is steepest with deterministic
+tie-breaking. Its single-cell moves border or delete one row and column of
+the current matrix, so one full eigendecomposition per iteration scores all
+of them through secular equations; the few candidates within 1e-9 of the
+best score are then re-solved densely, and the tie rule runs on those dense
+values. Block-flip moves, the local-optimality certificate and annealing
+(Metropolis with geometric cooling, one candidate per step) solve each
+candidate's dense eigenproblem. Degenerate proposals (disconnecting or
+emptying the mask) are admissible.
 """
 
 import time
@@ -29,6 +35,9 @@ __all__ = [
 
 _MOVE_KINDS = ("single-flip", "boundary-flip", "block-flip")
 _SCHEDULES = ("greedy", "anneal")
+# bisection stops once every bracket is down to adjacent floats (about 55
+# halvings for the spectra met here); this only bounds the loop
+_BISECTION_STEPS = 128
 
 
 @dataclass(frozen=True)
@@ -76,6 +85,7 @@ class OptimizationTrace:
     best_objective: float = np.inf
     best_lambdas: np.ndarray | None = None
     wall_time: float = 0.0
+    evaluations: dict = field(default_factory=dict)  # _Evaluator.counts
     certified: bool = False
     aborted: bool = False
     interrupted: bool = False
@@ -99,7 +109,13 @@ class OptimizationTrace:
 
 
 class _Evaluator:
-    """Objective evaluation shared across moves: cached kernel submatrices."""
+    """Objective evaluation shared across moves, against one kernel table.
+
+    `objective` solves the dense eigenproblem of one mask; `move_objectives`
+    scores every single-cell move of a mask from one eigendecomposition of
+    its matrix. `counts` tallies dense subset solves, secular move scores and
+    full eigendecompositions.
+    """
 
     def __init__(self, grid, params, m, Lambda):
         self.table = kernel_table(grid, params.s)
@@ -107,13 +123,13 @@ class _Evaluator:
         self.n = grid.n
         self.m = m
         self.Lambda = Lambda
-        self.count = 0
+        self.counts = {"dense": 0, "secular": 0, "full_eigh": 0}
 
     def lambdas(self, idx):
         if idx.size < self.m:
             return None
         K = self.table.stiffness(idx)
-        self.count += 1
+        self.counts["dense"] += 1
         vals = linalg.eigh(
             K, subset_by_index=(0, self.m - 1), eigvals_only=True, driver="evr"
         )
@@ -125,6 +141,62 @@ class _Evaluator:
             return np.inf, None
         meas = self.h**self.n * idx.size
         return float(np.sum(lams) + self.Lambda * meas), lams
+
+    def move_objectives(self, mask_flat, cells):
+        """Objective after flipping each one of `cells` alone in the mask.
+
+        With K = U diag(lam) U^T the mask's matrix, adding a cell borders K with a
+        column b and a diagonal entry alpha, and removing the node at position
+        j deletes row and column j. The m lowest eigenvalues of the new matrix
+        are the roots of the increasing secular function
+        F(mu) = [mu - alpha] + sum_i w_i / (lam_i - mu), with w = (U^T b)^2 and
+        the bracketed term for an addition, w = U[j]^2 and no bracketed term
+        for a removal (Golub 1973). Cauchy interlacing puts root k in
+        [lam_{k-1}, lam_k] for an addition (lam_0 = 0: the new matrix is
+        positive definite; lam_{d+1} = max(lam_d, alpha) + |U^T b|) and in
+        [lam_k, lam_{k+1}] for a removal. A move that leaves fewer than m
+        nodes scores inf.
+        """
+        idx = np.flatnonzero(mask_flat)
+        m, d = self.m, idx.size
+        lam, U = linalg.eigh(self.table.stiffness(idx))
+        self.counts["full_eigh"] += 1
+        self.counts["secular"] += cells.size
+        add = ~mask_flat[cells]
+        roots = np.full((cells.size, m), np.inf)
+        if d + 1 >= m and add.any():
+            B, alpha = self.table.border(idx, cells[add])
+            z = B.T @ U  # one row U^T b per cell
+            top = np.maximum(lam.max(initial=0.0), alpha) + np.linalg.norm(z, axis=1)
+            poles = np.column_stack([np.zeros(top.size), np.tile(lam, (top.size, 1)), top])
+            roots[add] = _secular_roots(lam, z**2, poles[:, :m], poles[:, 1:m + 1], alpha)
+        if d - 1 >= m and not add.all():
+            w = U[np.searchsorted(idx, cells[~add])] ** 2
+            roots[~add] = _secular_roots(lam, w, lam[:m], lam[1:m + 1])
+        size = d + np.where(add, 1, -1)
+        return roots.sum(axis=1) / self.h**self.n + self.Lambda * self.h**self.n * size
+
+
+def _secular_roots(lam, w, lo, hi, alpha=None):
+    """Bisect F(mu) = [mu - alpha] + sum_i w_i / (lam_i - mu) inside [lo, hi].
+
+    w has one row of weights per candidate; lo and hi have one column per
+    root and broadcast against the candidates. No pole lies strictly inside a bracket, so F increases there and
+    bisection converges to its root, or to the bracket end that is the root
+    when a weight vanishes or two poles coincide; no case needs special code.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(_BISECTION_STEPS):
+            mid = 0.5 * (lo + hi)
+            if np.all((mid <= lo) | (mid >= hi)):
+                break
+            F = (w[:, None, :] / (lam - mid[..., None])).sum(axis=-1)
+            if alpha is not None:
+                F += mid - alpha[:, None]
+            below = F < 0
+            lo = np.where(below, mid, lo)
+            hi = np.where(below, hi, mid)
+    return 0.5 * (lo + hi)
 
 
 def _neighbor_offsets(grid):
@@ -212,6 +284,7 @@ def optimize(design_box, config, params, should_stop=None):
     except linalg.LinAlgError:
         trace.aborted = True
     trace.wall_time = time.perf_counter() - t_start
+    trace.evaluations = dict(ev.counts)
     if trace.best_mask is None and trace.records:
         trace.aborted = True
     return trace
@@ -237,8 +310,18 @@ def _update_best(trace, design_box, mask_flat, obj, lams):
         trace.best_lambdas = None if lams is None else np.array(lams)
 
 
+def _shortlist(scores):
+    """Positions of the scores at most 1e-9·max(1, |low|) above the lowest finite one."""
+    finite = scores[np.isfinite(scores)]
+    if finite.size == 0:
+        return np.empty(0, dtype=int)
+    low = finite.min()
+    return np.flatnonzero(scores <= low + 1e-9 * max(1.0, abs(low)))
+
+
 def _run_greedy(grid, ev, config, mask, trace, restart, rng, should_stop):
     h, n = grid.h, grid.n
+    kind = config.move_kind
     obj, lams = ev.objective(np.flatnonzero(mask))
     _record(trace, restart, 0, obj, mask, lams, True, h, n)
     _update_best(trace, grid, mask, obj, lams)
@@ -247,17 +330,29 @@ def _run_greedy(grid, ev, config, mask, trace, restart, rng, should_stop):
         if should_stop is not None and should_stop():
             return True
         iteration += 1
-        cands = _candidates(grid, mask, config.move_kind)
-        best_c, best_obj, best_lams, best_new = -1, obj, lams, None
-        for c in cands:
-            new = _apply_move(grid, mask, c, config.move_kind)
+        cands = _candidates(grid, mask, kind)
+        if kind == "block-flip":
+            scores, near = None, range(cands.size)
+        else:
+            # secular scores pick the few candidates that can win; those are
+            # re-solved densely so the tie rule sees exactly the dense values
+            scores = ev.move_objectives(mask, cands)
+            near = _shortlist(scores)
+        best_i, best_obj, best_lams, best_new = -1, obj, lams, None
+        for i in near:
+            new = _apply_move(grid, mask, cands[i], kind)
             o, lms = ev.objective(np.flatnonzero(new))
             if o < best_obj - 1e-12:
-                best_c, best_obj, best_lams, best_new = c, o, lms, new
-        if best_c < 0:
+                best_i, best_obj, best_lams, best_new = i, o, lms, new
+        if best_i < 0:
             # no finite objective was found: there is no optimum to certify
             trace.certified = bool(np.isfinite(obj)) and _certify(grid, ev, config, mask, obj)
             return False
+        if scores is not None and abs(scores[best_i] - best_obj) > 1e-10 * abs(best_obj):
+            raise AssertionError(
+                f"secular objective {scores[best_i]!r} of cell {cands[best_i]} differs "
+                f"from the dense {best_obj!r}"
+            )
         if (
             best_new.sum() < mask.sum()
             and lams is not None

@@ -11,6 +11,7 @@ from fraclab.extension import (
     SlabGrid,
     _apply_laplacian,
     _laplacian,
+    _multilinear,
     _solve_dirichlet,
     almost_minimality_audit,
     ball_energy,
@@ -304,6 +305,33 @@ def test_interp_reproduces_multilinear_functions():
     got = f.interp(pts)
     want = 1.0 + 2.0 * pts[:, 0] - 0.5 * pts[:, 1] + 0.25 * pts[:, 2]
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("n,cells", [(1, 40), (2, 12)])
+def test_interp_matches_per_level_multilinear(n, cells):
+    """One gather over all levels equals interpolating each level on its own."""
+    g = BoxGrid(n, -1.0, 1.0, cells)
+    slab = SlabGrid(g, 10, a=0.3, Y=4.0)
+    rng = np.random.default_rng(5)
+    f = ExtensionField(slab, rng.standard_normal(slab.values_shape()))
+    k = 200
+    y = np.concatenate([rng.uniform(0.0, slab.Y, k - 4 - slab.J - 1),
+                        [0.0, slab.Y, 1e-13, slab.Y - 1e-13], slab.y_nodes])
+    x = rng.uniform(-1.0, 1.0, size=(k, n))
+    x[:3] = g.lower  # footprint corners and edges
+    x[3:6] = g.upper
+    got = f.interp(np.column_stack([x, y]))
+    want = np.empty(k)
+    for i in range(k):
+        j = min(max(np.searchsorted(slab.y_nodes, y[i], side="right") - 1, 0), slab.J - 1)
+        ty = min(max((y[i] - slab.y_nodes[j]) / (slab.y_nodes[j + 1] - slab.y_nodes[j]),
+                     0.0), 1.0)
+        lo = _multilinear(g, f.values[..., j], x[i:i + 1])[0]
+        hi = _multilinear(g, f.values[..., j + 1], x[i:i + 1])[0]
+        want[i] = lo * (1.0 - ty) + hi * ty
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+    with pytest.raises(ValueError):
+        f.interp(np.column_stack([x[:1] + 3.0, y[:1]]))
 
 
 # -- Neumann trace -----------------------------------------------------------

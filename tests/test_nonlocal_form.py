@@ -92,6 +92,18 @@ def test_stiffness_symmetry_and_positivity():
     assert w[0] > 0  # tail load makes the pinned form strictly positive
 
 
+@pytest.mark.parametrize("n,cells", [(1, 30), (2, 10)])
+def test_border_is_the_new_column_of_the_grown_stiffness(n, cells):
+    g = BoxGrid(n, -1.0, 1.0, cells)
+    table = kernel_table(g, 0.4)
+    idx = ball_domain(g, np.zeros(n), 0.5).flat_indices
+    outside = np.setdiff1d(np.flatnonzero(g.interior().ravel()), idx)
+    B, alpha = table.border(idx, outside)
+    for j, c in enumerate(outside):
+        K = table.stiffness(np.append(idx, c))
+        assert np.array_equal(K[:-1, -1], B[:, j]) and K[-1, -1] == alpha[j]
+
+
 def test_quadratic_form_scaling_homogeneity():
     """u^T K u scales as t^(n-2s) under joint grid-domain dilation, exactly."""
     rng = np.random.default_rng(7)

@@ -6,8 +6,11 @@ from fraclab.extension import ExtensionField, SlabGrid
 from fraclab.grids import BoxGrid, ball_domain, interval_domain
 from fraclab.shape_opt import (
     OptimizerConfig,
+    _apply_move,
+    _candidates,
     _certify,
     _Evaluator,
+    _initial_mask,
     blow_up_rescale,
     optimize,
     perimeter_estimate,
@@ -73,6 +76,101 @@ def test_certificate_rejects_suboptimal_mask():
     obj, _ = ev.objective(np.flatnonzero(flat))
     with pytest.raises(AssertionError):
         _certify(g, ev, cfg, flat, obj)
+
+
+def _secular_cases(grid, m, rng):
+    """Masks that exercise the secular move scores: random, the seed disk,
+    and masks too small for some or all moves to keep m nodes."""
+    interior = np.flatnonzero(grid.interior().ravel())
+    seed = _initial_mask(grid, OptimizerConfig(m=m), rng, jitter=False)
+    cases = {"seed": seed}
+    for name, size in (("random", interior.size // 2), ("m nodes", m),
+                       ("m-1 nodes", m - 1)):
+        mask = np.zeros(grid.num_nodes, dtype=bool)
+        mask[rng.choice(interior, size=size, replace=False)] = True
+        cases[name] = mask
+    return cases
+
+
+@pytest.mark.parametrize("n,cells", [(1, 40), (2, 12)])
+@pytest.mark.parametrize("s", [0.2, 0.5, 0.8])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_secular_move_objectives_match_dense(n, cells, s, m):
+    g = BoxGrid(n, -1.0, 1.0, cells)
+    ev = _Evaluator(g, FracParams(n, s, 1.0), m, 1.7)
+    rng = np.random.default_rng([n, int(10 * s), m])
+    flips = np.flatnonzero(g.interior().ravel())  # every add and every removal
+    for name, mask in _secular_cases(g, m, rng).items():
+        idx = np.flatnonzero(mask)
+        got = ev.move_objectives(mask, flips)
+        want = np.array([ev.objective(np.flatnonzero(_apply_move(g, mask, c, "single-flip")))[0]
+                         for c in flips])
+        small = np.isin(flips, idx) & (idx.size - 1 < m)
+        assert np.all(np.isinf(want[small])) and np.all(np.isinf(got[small])), name
+        assert np.all(np.isfinite(want[~small])), name
+        rel = np.abs(got[~small] - want[~small]) / want[~small]
+        assert rel.max() <= 1e-12, (name, rel.max())
+
+
+def test_seed_disk_has_a_double_eigenvalue():
+    # the D4-symmetric seed puts the secular scores on repeated poles
+    g = BoxGrid(2, -1.0, 1.0, 12)
+    ev = _Evaluator(g, FracParams(2, 0.5, 1.0), 3, 1.0)
+    seed = _initial_mask(g, OptimizerConfig(m=3), None, jitter=False)
+    lam = ev.lambdas(np.flatnonzero(seed))
+    assert lam[2] - lam[1] < 1e-12 * lam[1] < lam[1] - lam[0]
+
+
+def _dense_greedy(grid, cfg, params):
+    """Reference greedy loop: every candidate solved densely, in order."""
+    ev = _Evaluator(grid, params, cfg.m, cfg.Lambda)
+    h, n = grid.h, grid.n
+    mask = _initial_mask(grid, cfg, None, jitter=False)
+    obj, lams = ev.objective(np.flatnonzero(mask))
+    records = []
+    while True:
+        records.append({"restart": 0, "iteration": len(records), "objective": obj,
+                        "measure": h**n * int(mask.sum()),
+                        "lambdas": tuple(float(v) for v in lams), "accepted": True})
+        best, lowest = (obj, lams, None), obj
+        for c in _candidates(grid, mask, cfg.move_kind):
+            new = _apply_move(grid, mask, c, cfg.move_kind)
+            o, lms = ev.objective(np.flatnonzero(new))
+            lowest = min(lowest, o)
+            if o < best[0] - 1e-12:
+                best = (o, lms, new)
+        if best[2] is None:
+            return records, mask, lams, lowest >= obj - 1e-10
+        obj, lams, mask = best
+
+
+@pytest.mark.parametrize("kind", ["boundary-flip", "single-flip"])
+@pytest.mark.parametrize("case", ["1d-bench", "2d-16-lambda4", "2d-16-lambda10"])
+def test_greedy_equals_dense_greedy(case, kind):
+    # at Lambda = 10 the symmetric seed makes near-ties that only the dense
+    # re-check of the shortlist breaks the way the dense loop does
+    if case == "1d-bench":
+        g, p, cfg = bench_grid(), bench_params(), OptimizerConfig(**BENCH, move_kind=kind)
+    else:
+        lam = float(case.rsplit("lambda", 1)[1])
+        g, p = BoxGrid(2, -1.0, 1.0, 16), FracParams(2, 0.5, lam)
+        cfg = OptimizerConfig(m=2, Lambda=lam, schedule="greedy", move_kind=kind)
+    records, mask, lams, certified = _dense_greedy(g, cfg, p)
+    tr = optimize(g, cfg, p)
+    assert tr.records == records
+    assert np.array_equal(tr.best_mask.mask.ravel(), mask)
+    assert np.array_equal(tr.best_lambdas, lams)
+    assert tr.certified == certified and certified
+    # one eigendecomposition per iteration, the last (no improving move) included
+    assert tr.evaluations["full_eigh"] == len(records)
+
+
+def test_block_flip_greedy_certifies():
+    cfg = OptimizerConfig(m=2, Lambda=10.0, schedule="greedy", move_kind="block-flip")
+    tr = optimize(BoxGrid(2, -1.0, 1.0, 16), cfg, FracParams(2, 0.5, 10.0))
+    assert tr.certified and len(tr.records) > 1
+    assert tr.evaluations["secular"] == 0 and tr.evaluations["full_eigh"] == 0
+    tr.check()
 
 
 def test_anneal_never_worse_than_greedy_on_benchmark():

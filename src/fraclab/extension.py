@@ -133,11 +133,11 @@ class SlabGrid:
         return np.concatenate([[0.0], 0.5 * (y[:-1] + y[1:]), [y[-1]]])
 
     def boundary_mask(self):
-        """Flat mask of Dirichlet nodes for the extension solve."""
+        """Mask of Dirichlet nodes for the extension solve, values-shaped."""
         mask = np.zeros(self.values_shape(), dtype=bool)
         mask[..., 0] = mask[..., -1] = True
         mask[~self.base.interior()] = True
-        return mask.ravel()
+        return mask
 
 
 def _conductances(slab):
@@ -156,27 +156,30 @@ def _laplacian(slab, keep):
     """System matrix A over the `keep` nodes and coupling B to the rest, so
     that A g[keep] = B g[~keep] is the weighted Laplace equation on `keep`.
 
+    `keep` masks the values array or a window of it from level 0; a node
+    whose neighbours all lie in the window gets its whole-slab row.
     The graph Laplacian is the sum over axes of D^T diag(c) D, with D the
     difference matrix along that axis (a Kronecker product of one path-graph
     difference and identities) and c its conductances.
     """
-    shape = slab.values_shape()
-    L = sparse.csr_matrix((slab.num_nodes, slab.num_nodes))
+    shape = keep.shape
+    L = sparse.csr_matrix((keep.size, keep.size))
     for axis, c in enumerate(_conductances(slab)):
         factors = [sparse.identity(m, format="csr") for m in shape]
         factors[axis] = sparse.diags([-1.0, 1.0], [0, 1], (shape[axis] - 1, shape[axis]))
         D = functools.reduce(sparse.kron, factors).tocsr()
         edge_shape = shape[:axis] + (shape[axis] - 1,) + shape[axis + 1:]
-        L = L + D.T @ sparse.diags(np.broadcast_to(c, edge_shape).ravel()) @ D
+        c = np.broadcast_to(c[: edge_shape[-1]], edge_shape)
+        L = L + D.T @ sparse.diags(c.ravel()) @ D
+    keep = keep.ravel()
     rows = L.tocsr()[keep]
     return rows[:, keep], -rows[:, ~keep]
 
 
 def _solve_dirichlet(slab, keep, boundary_values):
-    """Solve the weighted Laplace system on `keep` with given boundary data."""
+    """Solve the weighted Laplace system on the `keep` nodes of
+    `boundary_values` (shaped as `keep`, see _laplacian), the rest as data."""
     out = boundary_values.copy()
-    if not keep.any():
-        return out
     A, B = _laplacian(slab, keep)
     out[keep] = sla.splu(A.tocsc()).solve(B @ boundary_values[~keep])
     _check_residual(slab, keep, out)
@@ -184,15 +187,15 @@ def _solve_dirichlet(slab, keep, boundary_values):
 
 
 def _apply_laplacian(slab, g):
-    """Graph Laplacian of the slab stencil applied to a flat node vector:
-    per axis, the edge fluxes c * np.diff(g), then minus their difference
-    into the nodes (zero flux past the ends)."""
-    g = g.reshape(slab.values_shape())
+    """Graph Laplacian of the slab stencil applied to the values array g, or
+    to a window of it that starts at level 0: per axis, the edge fluxes
+    c * np.diff(g), then minus their difference into the nodes (zero flux
+    past the ends)."""
     out = np.zeros_like(g)
     for axis, c in enumerate(_conductances(slab)):
-        flux = c * np.diff(g, axis=axis)
-        out -= np.diff(flux, axis=axis, prepend=0.0, append=0.0)
-    return out.ravel()
+        d = np.diff(g, axis=axis)
+        out -= np.diff(c[: d.shape[-1]] * d, axis=axis, prepend=0.0, append=0.0)
+    return out
 
 
 def _check_residual(slab, free, solved):
@@ -346,7 +349,7 @@ def extend(trace, slab):
     z = slab._modal_lu().solve(rhs.ravel()).reshape(rhs.shape)
     vals[inner + (slice(1, -1),)] = fft.dstn(z, type=1, norm="ortho",
                                              axes=tuple(range(base.n)))
-    _check_residual(slab, ~slab.boundary_mask(), vals.ravel())
+    _check_residual(slab, ~slab.boundary_mask(), vals)
     return ExtensionField(slab, vals)
 
 
@@ -405,8 +408,14 @@ def harmonic_replacement(field, center, radius):
     # free nodes must not touch the outer Dirichlet shell of the slab itself
     # (the top level y = Y >= radius is outside); y=0 nodes in the ball are free
     inside &= base.interior()[..., None]
-    full = _solve_dirichlet(slab, inside.ravel(), field.values.ravel().copy())
-    return ExtensionField(slab, full.reshape(slab.values_shape()))
+    values = field.values.copy()
+    if inside.any():
+        # solve on the free nodes' bounding box plus one node per side (their
+        # neighbours), from level 0: the rows of the free nodes are whole there
+        at = np.nonzero(inside)
+        window = tuple(slice(max(k.min() - 1, 0), k.max() + 2) for k in at)
+        values[window] = _solve_dirichlet(slab, inside[window], values[window])
+    return ExtensionField(slab, values)
 
 
 def ball_energy(field, center, radius):

@@ -14,20 +14,22 @@ is discretized by a cell-pair quadrature on the node-cell partition:
 
 The resulting matrix K is symmetric, has nonpositive off-diagonal entries,
 and is positive definite for any nonempty admissible mask.
+
+Pair weights depend only on the lattice offset between two nodes, so a
+KernelTable stores one per offset, O(N) numbers for N grid nodes, and
+gathers K from them; the neighbor sums are one FFT convolution.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
+from scipy import fft, integrate
 
 from .constants import normalization_constant
 from .grids import ThinDomain
 
 __all__ = ["StiffnessForm", "KernelTable", "assemble_form", "seminorm", "domain_measure"]
-
-_NODE_CAP = 8200  # dense storage; refuse grids beyond desk scale
 
 # ---------------------------------------------------------------------------
 # near-field weights (touching cells, local linear model)
@@ -169,60 +171,56 @@ def _tail_2d(grid, s):
 
 
 class KernelTable:
-    """Dense pair-weight table for one grid and fractional order.
+    """Pair weights of one grid and fractional order, indexed by lattice offset.
 
-    Holds the full symmetric weight matrix over all grid nodes plus the
-    diagonal tail potential, so that the stiffness matrix of any admissible
-    mask is a cheap submatrix selection (zero extension makes the form of a
-    subdomain literally the principal submatrix).
+    The weight between two nodes depends only on their signed offset k in
+    cells: the midpoint rule h^(2n) / |h k|^(n+2s), the near-field weights
+    at the offsets of touching cells, and zero at k = 0. ``w`` holds it for
+    every offset in the box, shape (2M-1)^n with M nodes per axis and k = 0
+    at flat position ``centre``; ``key[p]`` is node p's index tuple raveled
+    in that shape, so nodes p and q weigh ``w.flat[key[p] - key[q] + centre]``.
+    The stiffness matrix of any admissible mask is one such gather (zero
+    extension makes the form of a subdomain the principal submatrix of the
+    box's), plus the diagonal: ``row_sums`` (each node's weight sum over the
+    whole box, the valid part of the convolution of ``w`` with the box
+    indicator, by FFT) and the exterior tail potential.
     """
 
     def __init__(self, grid, s):
-        if grid.num_nodes > _NODE_CAP:
-            raise ValueError(
-                f"grid has {grid.num_nodes} nodes, beyond the dense cap {_NODE_CAP}"
-            )
         self.s = float(s)
         self.c_ns = normalization_constant(grid.n, s)
-        h = grid.h
-        coords = grid.node_coords()
-        N = grid.num_nodes
-        expo = -(grid.n + 2.0 * self.s) / 2.0
-        W = np.empty((N, N))
-        chunk = max(1, int(2**24 / max(N, 1)))
-        for start in range(0, N, chunk):
-            stop = min(start + chunk, N)
-            diff = coords[start:stop, None, :] - coords[None, :, :]
-            d2 = np.einsum("ijk,ijk->ij", diff, diff)
-            np.power(d2, expo, out=d2, where=d2 > 0)
-            W[start:stop] = d2
-        W *= h ** (2 * grid.n)
-        np.fill_diagonal(W, 0.0)
-        ids = np.arange(N).reshape(grid.node_shape)
-        if grid.n == 1:
-            beta = _near_weight_1d(self.s, h)
-            a, b = ids[:-1], ids[1:]
-            W[a, b] = beta
-            W[b, a] = beta
+        n, h = grid.n, grid.h
+        M = grid.cells_per_axis + 1
+        k2 = np.arange(1 - M, M) ** 2
+        ksq = k2 if n == 1 else np.add.outer(k2, k2)
+        self.w = w = np.zeros(ksq.shape)
+        np.power(ksq, -(n + 2.0 * self.s) / 2.0, out=w, where=ksq > 0)
+        w *= h ** (n - 2.0 * self.s)
+        c = M - 1
+        near = w[(slice(c - 1, c + 2),) * n]  # offsets of touching cells
+        if n == 1:
+            near[:] = _near_weight_1d(self.s, h)
             self.tail, self.tail_overcount_bound = _tail_1d(grid, self.s)
         else:
             beta_axis, beta_diag = _near_weights_2d(self.s, h)
-            for a, b, w in (
-                (ids[:-1, :], ids[1:, :], beta_axis),
-                (ids[:, :-1], ids[:, 1:], beta_axis),
-                (ids[:-1, :-1], ids[1:, 1:], beta_diag),
-                (ids[:-1, 1:], ids[1:, :-1], beta_diag),
-            ):
-                W[a.ravel(), b.ravel()] = w
-                W[b.ravel(), a.ravel()] = w
+            near[:] = beta_diag
+            near[1, :] = near[:, 1] = beta_axis
             self.tail, self.tail_overcount_bound = _tail_2d(grid, self.s)
-        self.weights = W
-        self.row_sums = W.sum(axis=1)
+        near[(1,) * n] = 0.0
+        self.centre = int(np.ravel_multi_index((c,) * n, w.shape))
+        self.key = np.ravel_multi_index(np.indices(grid.node_shape).reshape(n, -1), w.shape)
+        size = [fft.next_fast_len(3 * M - 2, real=True)] * n
+        spec = fft.rfftn(w, size) * fft.rfftn(np.ones(grid.node_shape), size)
+        self.row_sums = fft.irfftn(spec, size)[(slice(c, c + M),) * n].ravel()
+
+    def _weights(self, rows, cols):
+        """Pair weights between the nodes `rows` and `cols`, shape (rows, cols)."""
+        return self.w.take(np.subtract.outer(self.key[rows] + self.centre, self.key[cols]))
 
     def stiffness(self, flat_indices):
         """Dense stiffness matrix over the given (mask) nodes."""
         idx = np.asarray(flat_indices, dtype=int)
-        K = -self.weights[np.ix_(idx, idx)]
+        K = -self._weights(idx, idx)
         diag = self.row_sums[idx] + self.tail[idx]
         K[np.arange(idx.size), np.arange(idx.size)] = diag
         K *= self.c_ns
@@ -236,20 +234,13 @@ class KernelTable:
         """
         idx = np.asarray(flat_indices, dtype=int)
         cells = np.asarray(cells, dtype=int)
-        B = -self.c_ns * self.weights[np.ix_(idx, cells)]
+        B = -self.c_ns * self._weights(idx, cells)
         return B, self.c_ns * (self.row_sums[cells] + self.tail[cells])
 
 
 def kernel_table(grid, s):
-    """Per-grid cache of KernelTable instances (assembly is the heavy step)."""
-    cache = getattr(grid, "_kernel_tables", None)
-    if cache is None:
-        cache = {}
-        grid._kernel_tables = cache
-    key = round(float(s), 14)
-    if key not in cache:
-        cache[key] = KernelTable(grid, s)
-    return cache[key]
+    """A new KernelTable of the grid and order (a build takes milliseconds)."""
+    return KernelTable(grid, s)
 
 
 @dataclass(frozen=True)

@@ -72,6 +72,19 @@ def test_eig_artifacts(eig_out):
     assert man.wall_times["total"] > 0
 
 
+def test_eig_beyond_the_former_node_cap(tmp_path):
+    """A 101^2 box (10201 nodes) once exceeded the dense kernel table's cap."""
+    cfg = write_cfg(tmp_path / "run.cfg", n=2, cells=100, lower=-1.0, upper=1.0,
+                    s=0.5, domain="ball 0 0 0.1", m=1)
+    out = tmp_path / "out"
+    assert main(["eig", "--config", cfg, "--out", str(out)]) == 0
+    rep = json.loads((out / "lambdas.json").read_text())
+    assert rep["lambdas"][0] > 0 and max(rep["residuals"]) < 1e-8
+    man = RunManifest.load(out / "manifest.json")
+    assert man.complete
+    assert set(man.outputs) >= {"mask.frlb", "v01.frlb", "lambdas.json"}
+
+
 def test_extend_artifacts(eig_out, tmp_path):
     cfg = write_cfg(tmp_path / "ext.cfg", n=1, s=0.5,
                     trace=str(eig_out / "v01.frlb"), J=16, Y=4.0)

@@ -165,8 +165,8 @@ def test_separable_extend_matches_sparse_lu(n, cells, J, a):
     f = extend(tr, slab)
     data = np.zeros(slab.values_shape())
     data[..., 0] = tr
-    ref = _solve_dirichlet(slab, ~slab.boundary_mask(), data.ravel())
-    rel = np.abs(f.values.ravel() - ref).max() / np.abs(ref).max()
+    ref = _solve_dirichlet(slab, ~slab.boundary_mask(), data)
+    rel = np.abs(f.values - ref).max() / np.abs(ref).max()
     assert rel <= 1e-12
 
 
@@ -260,8 +260,8 @@ def test_stencil_matches_edge_by_edge_oracle(n, cells, J, a):
         lap[p] += c * (v[p] - v[q])
         lap[q] -= c * (v[p] - v[q])
     scale = np.abs(lap).max()
-    assert np.abs(_apply_laplacian(slab, v) - lap).max() <= 1e-13 * scale
-    A, _ = _laplacian(slab, np.ones(v.size, dtype=bool))
+    assert np.abs(_apply_laplacian(slab, vals).ravel() - lap).max() <= 1e-13 * scale
+    A, _ = _laplacian(slab, np.ones(vals.shape, dtype=bool))
     assert np.abs(A @ v - lap).max() <= 1e-13 * scale
 
     # inside the footprint, across its edge, and tall enough to pass two levels
@@ -411,6 +411,25 @@ def test_replacement_never_increases_energy():
             f.values.reshape(X.shape)[outside],
             atol=1e-12,
         )
+
+
+@pytest.mark.parametrize("n,cells,J,center,r", [
+    (1, 128, 32, [0.3], 0.4), (1, 64, 16, [-0.6], 0.4),
+    (2, 32, 16, [0.2, -0.1], 0.5), (2, 24, 12, [0.7, -0.45], 0.3),
+])
+def test_windowed_replacement_matches_whole_slab_solve(n, cells, J, center, r):
+    """The replacement solves on the ball's index window only; the same
+    Dirichlet problem assembled over the whole slab gives the same field."""
+    g = BoxGrid(n, -1.0, 1.0, cells)
+    slab = SlabGrid(g, J, a=0.3)
+    f = extend(random_interior_trace(g, seed=cells), slab)
+    rep = harmonic_replacement(f, center, r)
+    d2 = ((g.node_coords() - np.array(center)) ** 2).sum(axis=1)
+    free = d2.reshape(g.node_shape)[..., None] + slab.y_nodes**2 < r * r
+    free &= g.interior()[..., None]
+    ref = _solve_dirichlet(slab, free, f.values)
+    assert np.abs(rep.values - ref).max() <= 1e-13 * np.abs(ref).max()
+    assert np.abs(rep.values - f.values).max() > 1e-3
 
 
 def test_replacement_reproduces_exact_profile_inside_positivity_set():

@@ -1,4 +1,5 @@
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -7,6 +8,11 @@ import pytest
 from fraclab.constants import FracParams, normalization_constant
 from fraclab.grids import BoxGrid, ball_domain, interval_domain, mask_from_indices
 from fraclab.nonlocal_form import (
+    _near_weight_1d,
+    _near_weights_2d,
+    _tail_1d,
+    _tail_2d,
+    KernelTable,
     assemble_form,
     domain_measure,
     kernel_table,
@@ -168,11 +174,77 @@ def test_empty_domain_rejected_by_assembly():
 
 
 def test_kernel_table_is_freed_with_its_grid():
+    """Building a table stores nothing on the grid, and the table holds no
+    reference cycle, so it is freed with its last reference."""
     g = BoxGrid(1, -1.0, 1.0, 8)
+    before = dict(vars(g))
     ref = weakref.ref(kernel_table(g, 0.5))
     gc.disable()
     try:
-        del g  # the grid caches the table; no reference cycle keeps it alive
         assert ref() is None
     finally:
         gc.enable()
+    assert vars(g) == before
+
+
+def pairwise_weights(g, s):
+    """Pair weights over all grid nodes, one row per node: the midpoint rule
+    h^(2n) / |x_p - x_q|^(n+2s) from node coordinates, overwritten by the
+    near-field weight where the cells touch, zero on the diagonal."""
+    n, h = g.n, g.h
+    coords = g.node_coords()
+    ids = np.indices(g.node_shape).reshape(n, -1).T
+    if n == 1:
+        near = {1: _near_weight_1d(s, h)}
+    else:
+        beta_axis, beta_diag = _near_weights_2d(s, h)
+        near = {1: beta_axis, 2: beta_diag}  # by squared offset
+    W = np.zeros((g.num_nodes, g.num_nodes))
+    for p in range(g.num_nodes):
+        r2 = ((coords - coords[p]) ** 2).sum(axis=1)
+        k = ids - ids[p]
+        cells_apart = np.abs(k).max(axis=1)
+        far = cells_apart > 1
+        W[p, far] = h ** (2 * n) * r2[far] ** (-(n + 2 * s) / 2)
+        for q in np.flatnonzero(cells_apart == 1):
+            W[p, q] = near[int((k[q] ** 2).sum())]
+    return W
+
+
+@pytest.mark.parametrize("s", [0.2, 0.5, 0.8])
+@pytest.mark.parametrize("n,cells", [(1, 64), (1, 200), (2, 24), (2, 32), (2, 48)])
+def test_offset_table_matches_pairwise_reference(n, cells, s):
+    """Row sums agree to 1e-14 relative, K to 1e-14 of its largest entry
+    (the reference's own distances carry up to 3e-14 relative rounding at 200
+    cells), and K is exactly symmetric."""
+    g = BoxGrid(n, -1.0, 1.0, cells)
+    table = kernel_table(g, s)
+    W = pairwise_weights(g, s)
+    row_sums = W.sum(axis=1)
+    assert np.abs(table.row_sums - row_sums).max() <= 1e-14 * row_sums.min()
+    ii = np.flatnonzero(g.interior().ravel())
+    tail, _ = (_tail_1d if n == 1 else _tail_2d)(g, s)
+    ref = -W[np.ix_(ii, ii)]
+    ref[np.diag_indices(ii.size)] = row_sums[ii] + tail[ii]
+    ref *= normalization_constant(n, s)
+    K = table.stiffness(ii)
+    assert np.array_equal(K, K.T)
+    assert np.abs(K - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+def test_offset_table_at_128_squared_stays_small():
+    """A dense table over the 129^2 nodes would take 2.2 GB; the offset
+    table's build peaks below 16 MB, and its stiffness matrices pass check()."""
+    g = BoxGrid(2, -1.0, 1.0, 128)
+    _near_weights_2d(0.5, g.h)  # fill the moment cache outside the measurement
+    tracemalloc.start()
+    try:
+        table = KernelTable(g, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    dom = ball_domain(g, [0.1, -0.2], 0.15)
+    form = assemble_form(dom, FracParams(2, 0.5, 1.0))
+    assert np.array_equal(form.K, table.stiffness(dom.flat_indices))
+    assert form.check()

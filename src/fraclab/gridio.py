@@ -16,6 +16,7 @@ import hashlib
 import json
 import os
 import struct
+import sys
 import tempfile
 from dataclasses import dataclass, field, asdict
 
@@ -212,9 +213,22 @@ def format_config(cfg):
     return "".join(f"{k} = {v}\n" for k, v in cfg.items())
 
 
+def _environment():
+    import scipy
+
+    threads = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    return {**{var: os.environ.get(var) for var in threads},
+            "python": "%d.%d.%d" % sys.version_info[:3], "numpy": np.__version__,
+            "scipy": scipy.__version__}
+
+
 @dataclass
 class RunManifest:
-    """Everything needed to reproduce one CLI run."""
+    """Everything needed to reproduce one CLI run.
+
+    `environment`: the BLAS/OpenMP thread variables (None when unset), on
+    which byte-identical replay depends, and the Python/numpy/scipy versions.
+    """
 
     tool_version: str
     command: str
@@ -224,6 +238,7 @@ class RunManifest:
     outputs: dict = field(default_factory=dict)
     wall_times: dict = field(default_factory=dict)
     complete: bool = False
+    environment: dict | None = field(default_factory=_environment)
 
     def to_json(self):
         return json.dumps(asdict(self), indent=2, sort_keys=True) + "\n"
@@ -234,4 +249,4 @@ class RunManifest:
     @classmethod
     def load(cls, path):
         data = json.loads(open(path).read())
-        return cls(**data)
+        return cls(**{"environment": None, **data})  # older manifests record none

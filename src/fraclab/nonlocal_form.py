@@ -8,7 +8,9 @@ is discretized by a cell-pair quadrature on the node-cell partition:
 * touching cell pairs (offsets within one cell, where the plain rule diverges
   as h -> 0) are integrated semi-analytically against the local linear
   interpolant, which turns the singular kernel into an integrable one and
-  yields per-offset weights exact for affine functions;
+  yields per-offset weights exact for affine functions; in 2d their kernel
+  moments are taken in polar coordinates about the singular corner, with
+  exact radial power integrals and Gauss-Legendre quadrature in the angle;
 * the exterior of the box (where functions vanish identically) contributes a
   closed-form tail potential to each diagonal entry.
 
@@ -24,7 +26,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import fft, integrate
+from scipy import fft
 
 from .constants import normalization_constant
 from .grids import ThinDomain
@@ -42,75 +44,58 @@ def _near_weight_1d(s, h):
     return h ** (1.0 - 2.0 * s) * (2.0 ** (3.0 - 2.0 * s) - 1.0) / nu
 
 
-def _same_cell_moment_2d(s):
-    # m = int_{[-1,1]^2} w1^2 |w|^(-2-2s) (1-|w1|)(1-|w2|) dw, by quadrant
-    # symmetry reduced to a polar integral with closed-form radial part
-    def radial(phi):
-        c, sn = math.cos(phi), math.sin(phi)
-        R = 1.0 / max(c, sn)
-        I = (
-            R ** (2.0 - 2.0 * s) / (2.0 - 2.0 * s)
-            - (c + sn) * R ** (3.0 - 2.0 * s) / (3.0 - 2.0 * s)
-            + c * sn * R ** (4.0 - 2.0 * s) / (4.0 - 2.0 * s)
-        )
-        return c * c * I
-
-    v1, _ = integrate.quad(radial, 0.0, 0.25 * math.pi, epsabs=1e-13, epsrel=1e-12)
-    v2, _ = integrate.quad(radial, 0.25 * math.pi, 0.5 * math.pi, epsabs=1e-13, epsrel=1e-12)
-    return 4.0 * (v1 + v2)
+# Gauss-Legendre rule on [-1, 1]; each angular piece below is analytic in the
+# angle, so 40 points reach roundoff
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(40)
+# the tent overlap on [0, 2] as (lo, hi, p0, p1): p0 + p1 w on [lo, hi]
+_TENT = ((0.0, 1.0, 0.0, 1.0), (1.0, 2.0, 2.0, -1.0))
 
 
-def _offset_moment_2d(s, component, diag):
-    """Second moment of the kernel against tent overlaps for a shifted cell pair.
+def _corner_moment(s, component, pieces):
+    """Sum over pieces (a1, b1, a2, b2, p0, p1, q0, q2) of the integral of
+    w_c^2 |w|^(-2-2s) (p0 + p1 w1)(q0 + q2 w2) over [a1,b1]x[a2,b2] >= 0.
 
-    component selects w1^2 (parallel to the offset) or w2^2; diag selects the
-    (1,1) offset instead of (1,0). Computed at h=1.
-    """
-    p = 1.0 + s
-
-    def kern(w1, w2):
-        r2 = w1 * w1 + w2 * w2
-        wa2 = w1 * w1 if component == 0 else w2 * w2
-        return wa2 * r2 ** (-p)
-
+    In polar coordinates about the singular corner w = 0 the radial integrals
+    are exact powers between the ray's entry and exit radii, which are smooth
+    between the rectangle's corner angles; Gauss-Legendre takes the angle."""
+    e = np.arange(3.0)[:, None] + 2.0 - 2.0 * s
     total = 0.0
-    if not diag:
-        # region [0,2] x [-1,1]; symmetric in w2, tent kinks at w1=1 split out
-        for lo, hi, t1 in ((0.0, 1.0, lambda w: w), (1.0, 2.0, lambda w: 2.0 - w)):
-            val, _ = integrate.dblquad(
-                lambda w2, w1: kern(w1, w2) * t1(w1) * (1.0 - w2),
-                lo, hi, 0.0, 1.0, epsabs=1e-12, epsrel=1e-10,
-            )
-            total += 2.0 * val
-    else:
-        for lo1, hi1, t1 in ((0.0, 1.0, lambda w: w), (1.0, 2.0, lambda w: 2.0 - w)):
-            for lo2, hi2, t2 in ((0.0, 1.0, lambda w: w), (1.0, 2.0, lambda w: 2.0 - w)):
-                val, _ = integrate.dblquad(
-                    lambda w2, w1: kern(w1, w2) * t1(w1) * t2(w2),
-                    lo1, hi1, lo2, hi2, epsabs=1e-12, epsrel=1e-10,
-                )
-                total += val
+    for a1, b1, a2, b2, p0, p1, q0, q2 in pieces:
+        cuts = np.unique(np.arctan2([a2, a2, b2, b2], [a1, b1, a1, b1]))
+        for lo, hi in zip(cuts[:-1], cuts[1:]):
+            phi = 0.5 * (hi - lo) * _GL_X + 0.5 * (hi + lo)
+            c, sn = np.cos(phi), np.sin(phi)
+            r0 = np.maximum(a1 / c, a2 / sn)
+            r1 = np.minimum(b1 / c, b2 / sn)
+            k = np.stack([np.full_like(c, p0 * q0), p1 * q0 * c + p0 * q2 * sn,
+                          p1 * q2 * c * sn])
+            radial = (k * (r1**e - r0**e) / e).sum(axis=0)
+            total += 0.5 * (hi - lo) * (_GL_W @ ((c, sn)[component] ** 2 * radial))
     return total
 
 
-_moment_cache = {}
+def _near_moments_2d(s):
+    """Second moments of the kernel against the tent overlaps of a cell pair.
+
+    At h = 1: the same cell (m_same, w1^2 over [-1,1]^2), the (1,0) offset
+    along and across it (m_par, m_perp: w1^2, w2^2 over [0,2]x[-1,1]) and
+    the (1,1) offset (m_di, w1^2 over [0,2]^2).
+    """
+    axis = [(lo, hi, 0.0, 1.0, p0, p1, 1.0, -1.0) for lo, hi, p0, p1 in _TENT]
+    return (
+        4.0 * _corner_moment(s, 0, [(0.0, 1.0, 0.0, 1.0, 1.0, -1.0, 1.0, -1.0)]),
+        2.0 * _corner_moment(s, 0, axis),
+        2.0 * _corner_moment(s, 1, axis),
+        _corner_moment(s, 0, [(l1, h1, l2, h2, p0, p1, q0, q2)
+                              for l1, h1, p0, p1 in _TENT for l2, h2, q0, q2 in _TENT]),
+    )
 
 
 def _near_weights_2d(s, h):
     """(axis, diagonal) pair weights for touching cells in 2d."""
-    key = round(s, 14)
-    if key not in _moment_cache:
-        _moment_cache[key] = (
-            _same_cell_moment_2d(s),
-            _offset_moment_2d(s, 0, False),
-            _offset_moment_2d(s, 1, False),
-            _offset_moment_2d(s, 0, True),
-        )
-    m_same, m_par, m_perp, m_di = _moment_cache[key]
+    m_same, m_par, m_perp, m_di = _near_moments_2d(s)
     scale = h ** (2.0 - 2.0 * s)
-    beta_axis = (m_par + m_perp + 0.5 * m_same) * scale
-    beta_diag = m_di * scale
-    return beta_axis, beta_diag
+    return (m_par + m_perp + 0.5 * m_same) * scale, m_di * scale
 
 
 # ---------------------------------------------------------------------------

@@ -3,15 +3,17 @@
 The search space is node masks on a BoxGrid with a one-cell margin. Because
 zero-extension makes the stiffness matrix of a subdomain a principal submatrix
 of the full-grid matrix, every mask's matrix is a selection from a kernel
-table assembled once. Greedy descent is steepest with deterministic
-tie-breaking. Its single-cell moves border or delete one row and column of
-the current matrix, so one full eigendecomposition per iteration scores all
-of them through secular equations; the few candidates within 1e-9 of the
-best score are then re-solved densely, and the tie rule runs on those dense
-values. Block-flip moves, the local-optimality certificate and annealing
-(Metropolis with geometric cooling, one candidate per step) solve each
-candidate's dense eigenproblem. Degenerate proposals (disconnecting or
-emptying the mask) are admissible.
+table assembled once. A single-cell move borders or deletes one row and
+column of that matrix, so one eigendecomposition of a mask scores any number
+of such moves through secular equations. Greedy descent (steepest, with
+deterministic tie-breaking) scores every candidate so and re-solves densely
+the few within 1e-9 of the best score; the tie rule runs on those dense
+values. Annealing (Metropolis with geometric cooling, one candidate per step)
+solves the first proposal on each mask densely and scores later ones
+secularly, re-solving densely an accepted proposal or a decision within 1e-9
+of its threshold. Both record what a dense solve of every candidate gives.
+Block-flip moves and the local-optimality certificate are solved densely.
+Degenerate proposals (disconnecting or emptying the mask) are admissible.
 """
 
 import time
@@ -35,9 +37,9 @@ __all__ = [
 
 _MOVE_KINDS = ("single-flip", "boundary-flip", "block-flip")
 _SCHEDULES = ("greedy", "anneal")
-# bisection stops once every bracket is down to adjacent floats (about 55
-# halvings for the spectra met here); this only bounds the loop
-_BISECTION_STEPS = 128
+# a root takes a few steps, up to ~55 midpoint steps at a bracket end; this
+# only bounds the loop
+_ROOT_STEPS = 128
 
 
 @dataclass(frozen=True)
@@ -112,9 +114,9 @@ class _Evaluator:
     """Objective evaluation shared across moves, against one kernel table.
 
     `objective` solves the dense eigenproblem of one mask; `move_objectives`
-    scores every single-cell move of a mask from one eigendecomposition of
-    its matrix. `counts` tallies dense subset solves, secular move scores and
-    full eigendecompositions.
+    scores single-cell moves from a mask's eigendecomposition (`decompose`).
+    `counts` tallies dense subset solves, secular move scores, full
+    eigendecompositions and annealing guard-band re-solves.
     """
 
     def __init__(self, grid, params, m, Lambda):
@@ -123,7 +125,7 @@ class _Evaluator:
         self.n = grid.n
         self.m = m
         self.Lambda = Lambda
-        self.counts = {"dense": 0, "secular": 0, "full_eigh": 0}
+        self.counts = {"dense": 0, "secular": 0, "full_eigh": 0, "guard": 0}
 
     def lambdas(self, idx):
         if idx.size < self.m:
@@ -142,8 +144,15 @@ class _Evaluator:
         meas = self.h**self.n * idx.size
         return float(np.sum(lams) + self.Lambda * meas), lams
 
-    def move_objectives(self, mask_flat, cells):
-        """Objective after flipping each one of `cells` alone in the mask.
+    def decompose(self, mask_flat):
+        """(mask, nodes, lam, U) with K = U diag(lam) U^T the mask's matrix."""
+        idx = np.flatnonzero(mask_flat)
+        lam, U = linalg.eigh(self.table.stiffness(idx), driver="evd")
+        self.counts["full_eigh"] += 1
+        return mask_flat, idx, lam, U
+
+    def move_objectives(self, dec, cells):
+        """Objective after flipping each one of `cells` alone in the decomposed mask.
 
         With K = U diag(lam) U^T the mask's matrix, adding a cell borders K with a
         column b and a diagonal entry alpha, and removing the node at position
@@ -151,16 +160,13 @@ class _Evaluator:
         are the roots of the increasing secular function
         F(mu) = [mu - alpha] + sum_i w_i / (lam_i - mu), with w = (U^T b)^2 and
         the bracketed term for an addition, w = U[j]^2 and no bracketed term
-        for a removal (Golub 1973). Cauchy interlacing puts root k in
-        [lam_{k-1}, lam_k] for an addition (lam_0 = 0: the new matrix is
-        positive definite; lam_{d+1} = max(lam_d, alpha) + |U^T b|) and in
-        [lam_k, lam_{k+1}] for a removal. A move that leaves fewer than m
-        nodes scores inf.
+        for a removal (Golub 1973); Cauchy interlacing brackets them (see
+        `_secular_roots`; the top bracket of an addition ends at
+        max(lam_d, alpha) + |U^T b|). A move that leaves fewer than m nodes
+        scores inf.
         """
-        idx = np.flatnonzero(mask_flat)
+        mask_flat, idx, lam, U = dec
         m, d = self.m, idx.size
-        lam, U = linalg.eigh(self.table.stiffness(idx))
-        self.counts["full_eigh"] += 1
         self.counts["secular"] += cells.size
         add = ~mask_flat[cells]
         roots = np.full((cells.size, m), np.inf)
@@ -168,35 +174,69 @@ class _Evaluator:
             B, alpha = self.table.border(idx, cells[add])
             z = B.T @ U  # one row U^T b per cell
             top = np.maximum(lam.max(initial=0.0), alpha) + np.linalg.norm(z, axis=1)
-            poles = np.column_stack([np.zeros(top.size), np.tile(lam, (top.size, 1)), top])
-            roots[add] = _secular_roots(lam, z**2, poles[:, :m], poles[:, 1:m + 1], alpha)
+            roots[add] = _secular_roots(lam, z**2, m, alpha, top)
         if d - 1 >= m and not add.all():
             w = U[np.searchsorted(idx, cells[~add])] ** 2
-            roots[~add] = _secular_roots(lam, w, lam[:m], lam[1:m + 1])
+            roots[~add] = _secular_roots(lam, w, m)
         size = d + np.where(add, 1, -1)
         return roots.sum(axis=1) / self.h**self.n + self.Lambda * self.h**self.n * size
 
 
-def _secular_roots(lam, w, lo, hi, alpha=None):
-    """Bisect F(mu) = [mu - alpha] + sum_i w_i / (lam_i - mu) inside [lo, hi].
+def _secular_roots(lam, w, m, alpha=None, top=None):
+    """The m lowest roots of F(mu) = [mu - alpha] + sum_i w_i / (lam_i - mu).
 
-    w has one row of weights per candidate; lo and hi have one column per
-    root and broadcast against the candidates. No pole lies strictly inside a bracket, so F increases there and
-    bisection converges to its root, or to the bracket end that is the root
-    when a weight vanishes or two poles coincide; no case needs special code.
+    w has one row of weights per candidate; alpha and top (one per candidate)
+    are given for an addition only. With e = (0, lam, top), root k lies in
+    [a, b] = [e_k, e_{k+1}] for an addition (the new matrix is positive
+    definite) and in [lam_k, lam_{k+1}] for a removal. Each step matches the
+    pole sums left and right of [a, b] (the linear term counts right) in value
+    and derivative by P/(a - mu) and Q/(b - mu) plus a constant, and takes
+    that model's root in [a, b] (Bunch, Nielsen and Sorensen 1978), or the
+    midpoint of F's sign bracket if the model root leaves it. Roots at a
+    bracket end (a vanishing weight, coinciding poles) need no special code.
     """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for _ in range(_BISECTION_STEPS):
-            mid = 0.5 * (lo + hi)
-            if np.all((mid <= lo) | (mid >= hi)):
-                break
-            F = (w[:, None, :] / (lam - mid[..., None])).sum(axis=-1)
+    cand, r = np.divmod(np.arange(w.shape[0] * m), m)  # the pairs (candidate, root)
+    split = r + (alpha is None)  # number of poles left of the pair's bracket
+    ext = np.concatenate([[0.0], lam, [np.inf]])
+    a, b = ext[split], ext[split + 1]
+    if alpha is not None:
+        b = np.where(split == lam.size, top[cand], b)
+    left = np.arange(min(m, lam.size)) < split[:, None]  # left poles are among the first m
+    lo, hi, x = a.copy(), b.copy(), 0.5 * (a + b)  # (lo, hi) is F's sign bracket
+    act = np.flatnonzero((x > lo) & (x < hi))  # pairs still iterating
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(_ROOT_STEPS):
+            if act.size == 0:
+                return x.reshape(-1, m)
+            xa, da, db = x[act], a[act] - x[act], b[act] - x[act]
+            inv = 1.0 / (lam - xa[:, None])
+            t = w[cand[act]] * inv
+            dt = t * inv
+            fl = np.where(left[act], t[:, :left.shape[1]], 0.0).sum(1)
+            gl = np.where(left[act], dt[:, :left.shape[1]], 0.0).sum(1)
+            F, dF = t.sum(1), dt.sum(1)
+            # rounding error of F, chiefly from lam_i - mu (exact only to an ulp
+            # of mu, hence the |mu| F' part); a smaller |F| is a root
+            noise = F - 2.0 * fl  # sum of |w_i / (lam_i - mu)|
             if alpha is not None:
-                F += mid - alpha[:, None]
-            below = F < 0
-            lo = np.where(below, mid, lo)
-            hi = np.where(below, hi, mid)
-    return 0.5 * (lo + hi)
+                F += xa - alpha[cand[act]]
+                dF += 1.0
+                noise += np.abs(alpha[cand[act]])
+            noise += np.abs(xa) * dF
+            lo[act] = l = np.where(F < 0, xa, lo[act])
+            hi[act] = h = np.where(F > 0, xa, hi[act])
+            P, Q = gl * da * da, (dF - gl) * db * db
+            c = F - P / da - Q / db
+            # c y^2 - B y + C = 0 in the step y = new - x, its stable root pair
+            B, C = c * (da + db) + P + Q, F * da * db
+            q = B + np.copysign(np.sqrt(B * B - 4.0 * c * C), B)
+            step = np.where((2 * C / q > da) & (2 * C / q < db), 2 * C / q, q / (2 * c))
+            new = xa + step
+            new = np.where((new > l) & (new < h), new, 0.5 * (l + h))
+            done = np.abs(F) <= 8 * np.finfo(float).eps * noise
+            x[act] = np.where(done, xa, new)
+            act = act[~(done | (new <= l) | (new >= h))]
+    raise AssertionError(f"secular roots did not converge in {_ROOT_STEPS} steps")
 
 
 def _neighbor_offsets(grid):
@@ -336,7 +376,7 @@ def _run_greedy(grid, ev, config, mask, trace, restart, rng, should_stop):
         else:
             # secular scores pick the few candidates that can win; those are
             # re-solved densely so the tie rule sees exactly the dense values
-            scores = ev.move_objectives(mask, cands)
+            scores = ev.move_objectives(ev.decompose(mask), cands)
             near = _shortlist(scores)
         best_i, best_obj, best_lams, best_new = -1, obj, lams, None
         for i in near:
@@ -348,11 +388,8 @@ def _run_greedy(grid, ev, config, mask, trace, restart, rng, should_stop):
             # no finite objective was found: there is no optimum to certify
             trace.certified = bool(np.isfinite(obj)) and _certify(grid, ev, config, mask, obj)
             return False
-        if scores is not None and abs(scores[best_i] - best_obj) > 1e-10 * abs(best_obj):
-            raise AssertionError(
-                f"secular objective {scores[best_i]!r} of cell {cands[best_i]} differs "
-                f"from the dense {best_obj!r}"
-            )
+        if scores is not None:
+            _check_secular(scores[best_i], best_obj, cands[best_i])
         if (
             best_new.sum() < mask.sum()
             and lams is not None
@@ -364,6 +401,12 @@ def _run_greedy(grid, ev, config, mask, trace, restart, rng, should_stop):
         mask, obj, lams = best_new, best_obj, best_lams
         _record(trace, restart, iteration, obj, mask, lams, True, h, n)
         _update_best(trace, grid, mask, obj, lams)
+
+
+def _check_secular(score, dense, cell):
+    if abs(score - dense) > 1e-10 * abs(dense):
+        raise AssertionError(
+            f"secular objective {score!r} of cell {cell} differs from the dense {dense!r}")
 
 
 def _certify(grid, ev, config, mask, obj):
@@ -379,24 +422,31 @@ def _certify(grid, ev, config, mask, obj):
 
 def _run_anneal(grid, ev, config, mask, trace, restart, rng, should_stop):
     h, n = grid.h, grid.n
+    kind = config.move_kind
     obj, lams = ev.objective(np.flatnonzero(mask))
     _record(trace, restart, 0, obj, mask, lams, True, h, n)
     _update_best(trace, grid, mask, obj, lams)
     T = config.t0
     stale = 0
+    # whether a proposal on the current mask was rejected; the mask's decomposition
+    rejected, dec = False, None
     for step in range(1, config.steps + 1):
         if should_stop is not None and should_stop():
             return True
-        cands = _candidates(grid, mask, config.move_kind)
+        cands = _candidates(grid, mask, kind)
         if cands.size == 0:
             break
         c = cands[rng.integers(cands.size)]
-        new = _apply_move(grid, mask, c, config.move_kind)
-        o, lms = ev.objective(np.flatnonzero(new))
-        delta = o - obj
-        accept = delta < 0 or (np.isfinite(o) and rng.random() < np.exp(-delta / max(T, 1e-12)))
+        new = _apply_move(grid, mask, c, kind)
+        if not rejected or kind == "block-flip" or not np.isfinite(obj):
+            accept, o, lms = _metropolis(ev, new, obj, T, rng)
+        else:
+            if dec is None:
+                dec = ev.decompose(mask)
+            accept, o, lms = _secular_metropolis(ev, dec, c, new, obj, T, rng)
+        rejected = not accept
         if accept:
-            mask, obj, lams = new, o, lms
+            mask, obj, lams, dec = new, o, lms, None
         _record(trace, restart, step, obj, mask, lams, accept, h, n)
         before = trace.best_objective
         _update_best(trace, grid, mask, obj, lams)
@@ -405,6 +455,37 @@ def _run_anneal(grid, ev, config, mask, trace, restart, rng, should_stop):
             break
         T *= config.cooling
     return False
+
+
+def _metropolis(ev, new, obj, T, rng, u=None):
+    """Dense Metropolis decision on the mask `new`; u is the uniform if already drawn."""
+    o, lms = ev.objective(np.flatnonzero(new))
+    delta = o - obj
+    accept = delta < 0 or (
+        np.isfinite(o)
+        and (rng.random() if u is None else u) < np.exp(-delta / max(T, 1e-12))
+    )
+    return accept, o, lms
+
+
+def _secular_metropolis(ev, dec, cell, new, obj, T, rng):
+    """`_metropolis`'s decision from the secular score, which is far closer
+    than eps = 1e-9·max(1, |obj|) to the dense one: below obj - eps accept;
+    above obj + eps draw u as the dense rule would and let it decide unless it
+    lies between the thresholds of the score -eps and +eps. That guard band and
+    non-finite scores are decided densely; an accepted proposal is solved
+    densely, so the recorded values are the dense ones."""
+    score = ev.move_objectives(dec, np.array([cell]))[0]
+    delta, eps, T = score - obj, 1e-9 * max(1.0, abs(obj)), max(T, 1e-12)
+    u = rng.random() if np.isfinite(score) and delta > eps else None
+    if u is not None and u >= np.exp(-(delta - eps) / T):
+        return False, None, None
+    if not delta < -eps and (u is None or u >= np.exp(-(delta + eps) / T)):
+        ev.counts["guard"] += 1
+        return _metropolis(ev, new, obj, T, rng, u)
+    o, lms = ev.objective(np.flatnonzero(new))
+    _check_secular(score, o, cell)
+    return True, o, lms
 
 
 # ---------------------------------------------------------------------------

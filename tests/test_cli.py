@@ -72,6 +72,39 @@ def test_eig_artifacts(eig_out):
     assert man.wall_times["total"] > 0
 
 
+def test_manifest_records_the_environment(tmp_path, monkeypatch):
+    import platform
+
+    import scipy
+
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.setenv("OMP_NUM_THREADS", "2")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    cfg = write_cfg(tmp_path / "run.cfg", **EIG_KEYS)
+    assert main(["eig", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    env = json.loads((tmp_path / "out" / "manifest.json").read_text())["environment"]
+    assert env == {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "2",
+                   "MKL_NUM_THREADS": None, "python": platform.python_version(),
+                   "numpy": np.__version__, "scipy": scipy.__version__}
+    assert RunManifest.load(tmp_path / "out" / "manifest.json").environment == env
+    older = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    del older["environment"]
+    (tmp_path / "older.json").write_text(json.dumps(older))
+    assert RunManifest.load(tmp_path / "older.json").environment is None
+
+
+def test_cli_import_leaves_scipy_integrate_out():
+    """The near-field moments need no scipy.integrate (13.7 MB, 0.14 s)."""
+    import fraclab
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fraclab.__file__)))
+    code = "import sys, fraclab.cli; print('scipy.integrate' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
+
+
 def test_eig_beyond_the_former_node_cap(tmp_path):
     """A 101^2 box (10201 nodes) once exceeded the dense kernel table's cap."""
     cfg = write_cfg(tmp_path / "run.cfg", n=2, cells=100, lower=-1.0, upper=1.0,

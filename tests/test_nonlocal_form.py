@@ -8,6 +8,7 @@ import pytest
 from fraclab.constants import FracParams, normalization_constant
 from fraclab.grids import BoxGrid, ball_domain, interval_domain, mask_from_indices
 from fraclab.nonlocal_form import (
+    _near_moments_2d,
     _near_weight_1d,
     _near_weights_2d,
     _tail_1d,
@@ -234,9 +235,9 @@ def test_offset_table_matches_pairwise_reference(n, cells, s):
 
 def test_offset_table_at_128_squared_stays_small():
     """A dense table over the 129^2 nodes would take 2.2 GB; the offset
-    table's build peaks below 16 MB, and its stiffness matrices pass check()."""
+    table's build, near-field moments included (nothing is cached), peaks
+    below 16 MB, and its stiffness matrices pass check()."""
     g = BoxGrid(2, -1.0, 1.0, 128)
-    _near_weights_2d(0.5, g.h)  # fill the moment cache outside the measurement
     tracemalloc.start()
     try:
         table = KernelTable(g, 0.5)
@@ -248,3 +249,68 @@ def test_offset_table_at_128_squared_stays_small():
     form = assemble_form(dom, FracParams(2, 0.5, 1.0))
     assert np.array_equal(form.K, table.stiffness(dom.flat_indices))
     assert form.check()
+
+
+# The four near-field moments of _near_moments_2d, by region and integrand:
+# (factor, component, pieces), a piece (a1, b1, a2, b2, f(w1), g(w2)) standing
+# for int_{[a1,b1]x[a2,b2]} w_c^2 |w|^(-2-2s) f(w1) g(w2) dw.
+_RISE, _FALL, _DOWN = (lambda w: w), (lambda w: 2 - w), (lambda w: 1 - w)
+_TENT_PIECES = ((0, 1, _RISE), (1, 2, _FALL))
+MOMENT_REGIONS = (
+    (4, 0, [(0, 1, 0, 1, _DOWN, _DOWN)]),
+    (2, 0, [(lo, hi, 0, 1, t, _DOWN) for lo, hi, t in _TENT_PIECES]),
+    (2, 1, [(lo, hi, 0, 1, t, _DOWN) for lo, hi, t in _TENT_PIECES]),
+    (1, 0, [(l1, h1, l2, h2, t1, t2) for l1, h1, t1 in _TENT_PIECES
+            for l2, h2, t2 in _TENT_PIECES]),
+)
+
+
+@pytest.mark.parametrize("s", [0.2, 0.5, 0.8])
+def test_near_field_moments_match_dblquad(s):
+    """Cartesian adaptive quadrature, split at the tent kinks."""
+    from scipy import integrate
+
+    p = 1.0 + s
+    for got, (factor, comp, pieces) in zip(_near_moments_2d(s), MOMENT_REGIONS):
+        want = factor * sum(
+            integrate.dblquad(
+                lambda w2, w1: (w1, w2)[comp] ** 2 * (w1 * w1 + w2 * w2) ** -p * f(w1) * g(w2),
+                a1, b1, a2, b2, epsabs=1e-12, epsrel=1e-10,
+            )[0]
+            for a1, b1, a2, b2, f, g in pieces
+        )
+        assert abs(got - want) <= 1e-12 * abs(want), (comp, pieces[0][:4])
+
+
+def test_near_field_moments_match_mpmath_at_s_095():
+    """Where dblquad gives up: the w2 integral in closed form (2F1), the w1
+    integral by tanh-sinh quadrature after w1 = t^10 at the singular corner."""
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 20
+    s = 0.95
+    p = 1 + mp.mpf(s)
+
+    def inner(j, w1, a2, b2):
+        # int_{a2}^{b2} w2^j (w1^2 + w2^2)^(-p) dw2
+        def prim(B):
+            B = mp.mpf(B)
+            return B ** (j + 1) / (j + 1) * w1 ** (-2 * p) * mp.hyp2f1(
+                p, mp.mpf(j + 1) / 2, mp.mpf(j + 3) / 2, -((B / w1) ** 2))
+        return prim(b2) - prim(a2)
+
+    def piece(comp, a1, b1, a2, b2, f, g):
+        # g is affine, g(w2) = g(0) + (g(1) - g(0)) w2
+        g0, g1 = g(0), g(1) - g(0)
+        j = 2 * comp
+
+        def integrand(w1):
+            lead = w1 ** 2 if comp == 0 else 1
+            return lead * f(w1) * (g0 * inner(j, w1, a2, b2) + g1 * inner(j + 1, w1, a2, b2))
+
+        if a1 == 0:
+            return mp.quad(lambda t: integrand(t ** 10) * 10 * t ** 9, [0, 1])
+        return mp.quad(integrand, [a1, b1])
+
+    for got, (factor, comp, pieces) in zip(_near_moments_2d(s), MOMENT_REGIONS):
+        want = factor * sum(piece(comp, *pc) for pc in pieces)
+        assert abs(got - float(want)) <= 1e-12 * abs(float(want)), (comp, pieces[0][:4])

@@ -11,6 +11,7 @@ from fraclab.shape_opt import (
     _certify,
     _Evaluator,
     _initial_mask,
+    _secular_metropolis,
     blow_up_rescale,
     optimize,
     perimeter_estimate,
@@ -102,7 +103,7 @@ def test_secular_move_objectives_match_dense(n, cells, s, m):
     flips = np.flatnonzero(g.interior().ravel())  # every add and every removal
     for name, mask in _secular_cases(g, m, rng).items():
         idx = np.flatnonzero(mask)
-        got = ev.move_objectives(mask, flips)
+        got = ev.move_objectives(ev.decompose(mask), flips)
         want = np.array([ev.objective(np.flatnonzero(_apply_move(g, mask, c, "single-flip")))[0]
                          for c in flips])
         small = np.isin(flips, idx) & (idx.size - 1 < m)
@@ -171,6 +172,116 @@ def test_block_flip_greedy_certifies():
     assert tr.certified and len(tr.records) > 1
     assert tr.evaluations["secular"] == 0 and tr.evaluations["full_eigh"] == 0
     tr.check()
+
+
+def _dense_anneal(grid, cfg, params):
+    """Reference annealing loop: every proposal solved densely."""
+    ev = _Evaluator(grid, params, cfg.m, cfg.Lambda)
+    h, n = grid.h, grid.n
+    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0]))
+    mask = _initial_mask(grid, cfg, rng, jitter=False)
+    obj, lams = ev.objective(np.flatnonzero(mask))
+    records, best = [], (np.inf, None, None)
+    T, stale = cfg.t0, 0
+    for step in range(cfg.steps + 1):
+        if step:
+            cands = _candidates(grid, mask, cfg.move_kind)
+            if cands.size == 0:
+                break
+            new = _apply_move(grid, mask, cands[rng.integers(cands.size)], cfg.move_kind)
+            o, lms = ev.objective(np.flatnonzero(new))
+            delta = o - obj
+            accept = delta < 0 or (np.isfinite(o)
+                                   and rng.random() < np.exp(-delta / max(T, 1e-12)))
+            if accept:
+                mask, obj, lams = new, o, lms
+        records.append({"restart": 0, "iteration": step, "objective": float(obj),
+                        "measure": float(h**n * int(mask.sum())),
+                        "lambdas": tuple(float(v) for v in (lams if lams is not None else [])),
+                        "accepted": bool(step == 0 or accept)})
+        improved = obj < best[0] - 1e-15
+        if improved:
+            best = (obj, lams, mask)
+        if step:
+            stale = 0 if improved else stale + 1
+            if stale > cfg.stale_limit:
+                break
+            T *= cfg.cooling
+    return records, best[2], best[1]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("kind", ["boundary-flip", "single-flip"])
+@pytest.mark.parametrize("case", ["1d-bench", "2d-16-lambda4", "2d-16-lambda10"])
+def test_anneal_equals_dense_anneal(case, kind, seed):
+    if case == "1d-bench":
+        g, p = bench_grid(), bench_params()
+        cfg = OptimizerConfig(m=1, Lambda=2.3, schedule="anneal", move_kind=kind,
+                              t0=0.05, cooling=0.97, steps=200, seed=seed)
+    else:
+        lam = float(case.rsplit("lambda", 1)[1])
+        g, p = BoxGrid(2, -1.0, 1.0, 16), FracParams(2, 0.5, lam)
+        cfg = OptimizerConfig(m=2, Lambda=lam, schedule="anneal", move_kind=kind,
+                              steps=150, seed=seed)
+    records, mask, lams = _dense_anneal(g, cfg, p)
+    tr = optimize(g, cfg, p)
+    assert tr.records == records
+    assert np.array_equal(tr.best_mask.mask.ravel(), mask)
+    assert np.array_equal(tr.best_lambdas, lams)
+    # later proposals on a mask were scored secularly, one decomposition per mask
+    ev = tr.evaluations
+    assert ev["secular"] > 0 and 0 < ev["full_eigh"] <= ev["secular"]
+    assert ev["dense"] + ev["secular"] - ev["guard"] >= len(records) - 1
+
+
+def test_block_flip_anneal_stays_dense():
+    cfg = OptimizerConfig(m=2, Lambda=10.0, schedule="anneal", move_kind="block-flip",
+                          steps=80, seed=0)
+    tr = optimize(BoxGrid(2, -1.0, 1.0, 16), cfg, FracParams(2, 0.5, 10.0))
+    assert not all(r["accepted"] for r in tr.records)
+    assert tr.evaluations["secular"] == 0 and tr.evaluations["full_eigh"] == 0
+
+
+class _FixedDraw:
+    """Stand-in generator whose every uniform draw is `u`; counts the draws."""
+
+    def __init__(self, u):
+        self.u, self.draws = u, 0
+
+    def random(self):
+        self.draws += 1
+        return self.u
+
+
+@pytest.mark.parametrize("gap,u_scale,accepted", [
+    (1e-2, 1 - 1e-12, True),   # u just under exp(-delta/T): within the band
+    (1e-2, 1 + 1e-12, False),  # just over
+    (0.0, 0.5, True),          # |delta| within eps: decided densely before any draw
+])
+def test_guard_band_is_decided_densely(gap, u_scale, accepted):
+    g, T = BoxGrid(2, -1.0, 1.0, 12), 0.1
+    ev = _Evaluator(g, FracParams(2, 0.5, 4.0), 2, 4.0)
+    mask = _initial_mask(g, OptimizerConfig(m=2), None, jitter=False)
+    cell = _candidates(g, mask, "boundary-flip")[0]
+    new = _apply_move(g, mask, cell, "boundary-flip")
+    o, lms = ev.objective(np.flatnonzero(new))
+    obj = o - gap  # the current objective the proposal is measured against
+    rng = _FixedDraw(np.exp(-(o - obj) / T) * u_scale)
+    got = _secular_metropolis(ev, ev.decompose(mask), cell, new, obj, T, rng)
+    assert got[0] == accepted and rng.draws == 1
+    assert ev.counts["guard"] == 1
+    if accepted:
+        assert got[1] == o and np.array_equal(got[2], lms)
+
+
+@pytest.mark.parametrize("schedule", ["greedy", "anneal"])
+def test_secular_score_off_its_dense_value_raises(schedule, monkeypatch):
+    score = _Evaluator.move_objectives
+    monkeypatch.setattr(_Evaluator, "move_objectives",
+                        lambda self, dec, cells: score(self, dec, cells) * (1 - 1e-8))
+    cfg = OptimizerConfig(m=2, Lambda=4.0, schedule=schedule, steps=150, seed=0)
+    with pytest.raises(AssertionError, match="secular objective"):
+        optimize(BoxGrid(2, -1.0, 1.0, 12), cfg, FracParams(2, 0.5, 4.0))
 
 
 def test_anneal_never_worse_than_greedy_on_benchmark():

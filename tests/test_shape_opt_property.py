@@ -1,0 +1,91 @@
+"""Property tests of the secular root finder against dense eigensolves.
+
+The oracle is np.linalg.eigvalsh of the explicitly built bordered matrix
+(an added cell) or row-and-column-deleted matrix (a removed cell). The
+spectra have repeated eigenvalues, and the weights include exact zeros and
+weights of order 1e-30, the two ways a root sits on a bracket end.
+_secular_roots raises AssertionError if it reaches its iteration cap, so a
+passing example also shows that the cap was not hit.
+"""
+
+import numpy as np
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from fraclab.shape_opt import _secular_roots  # noqa: E402
+
+
+def spectrum(rng, d, distinct):
+    """d sorted eigenvalues in [1, 10] taking only `distinct` values."""
+    pool = 10.0 ** rng.uniform(0.0, 1.0, size=distinct)
+    return np.sort(rng.choice(pool, size=d))
+
+
+def assert_roots_match(got, want):
+    assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want)), (got, want)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 12), st.integers(1, 12),
+       st.integers(0, 4), st.data())
+def test_removal_roots_match_deleted_matrix(seed, d, distinct, n_zero, data):
+    rng = np.random.default_rng(seed)
+    n_zero = min(n_zero, d - 1)
+    m = data.draw(st.integers(1, d - 1))
+    lam = spectrum(rng, d, distinct)
+    # eigenvectors: a random rotation of the first d - n_zero coordinates, so
+    # row 0 has exact zeros in the other columns; one Givens rotation by 1e-15
+    # turns one of those zeros into a weight of order 1e-30
+    Q = np.eye(d)
+    Q[: d - n_zero, : d - n_zero] = np.linalg.qr(rng.standard_normal((d - n_zero,) * 2))[0]
+    if n_zero:
+        c, s = np.cos(1e-15), np.sin(1e-15)
+        Q[:, [0, d - 1]] = Q[:, [0, d - 1]] @ np.array([[c, -s], [s, c]])
+    Q = Q[:, rng.permutation(d)]
+    A = (Q * lam) @ Q.T
+    j = 0
+    want = np.linalg.eigvalsh(np.delete(np.delete(A, j, 0), j, 1))[:m]
+    got = _secular_roots(lam, Q[j][None] ** 2, m)[0]
+    assert_roots_match(got, want)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.integers(1, 12),
+       st.sampled_from(["below", "inside", "above"]), st.data())
+def test_addition_roots_match_bordered_matrix(seed, d, distinct, where, data):
+    rng = np.random.default_rng(seed)
+    m = data.draw(st.integers(1, d + 1))
+    lam = spectrum(rng, d, distinct)
+    z = rng.standard_normal(d) * 10.0 ** rng.uniform(-3.0, 0.5)
+    kind = rng.integers(0, 3, size=d)  # normal, zero, or of order 1e-15
+    z[kind == 1] = 0.0
+    z[kind == 2] *= 1e-15
+    alpha = {"below": lam[0] * rng.uniform(0.05, 0.95),
+             "inside": rng.uniform(lam[0], lam[-1]),
+             "above": lam[-1] * (1.0 + rng.uniform(0.05, 2.0))}[where]
+    # the bordered matrix must be positive definite, as every stiffness matrix
+    # is: keep z^T diag(lam)^-1 z below alpha / 2
+    q = np.sum(z**2 / lam)
+    z *= min(1.0, np.sqrt(0.5 * alpha / q)) if q > 0 else 1.0
+    M = np.block([[np.diag(lam), z[:, None]], [z[None, :], np.array([[alpha]])]])
+    want = np.linalg.eigvalsh(M)[:m]
+    top = max(lam[-1], alpha) + np.linalg.norm(z)
+    got = _secular_roots(lam, z[None] ** 2, m, np.array([alpha]), np.array([top]))[0]
+    assert_roots_match(got, want)
+
+
+@pytest.mark.parametrize("alpha", [0.5, 2.2509037220921337, 4.5, 4.84799285992818, 7.0])
+def test_vanishing_weights_give_the_merged_spectrum(alpha):
+    """With every weight (nearly) zero the bordered matrix is diagonal to
+    roundoff: its eigenvalues are lam and alpha, so each root sits on a
+    bracket end or at alpha, and the model pole at a bracket end has no
+    weight behind it. (At alpha = 2.25... an early iteration that stopped on
+    a tiny model step returned lam[0] for the second root.)"""
+    lam = np.array([1.6693463778056556, 4.318832268911055] + [4.84799285992818] * 3)
+    z = np.array([-1.2729435055578035e-18, 0.0, -1.0626637717143397e-18, 0.0,
+                  -9.07132007566055e-19])
+    top = max(lam[-1], alpha) + np.linalg.norm(z)
+    got = _secular_roots(lam, z[None] ** 2, lam.size + 1, np.array([alpha]), np.array([top]))[0]
+    assert_roots_match(got, np.sort(np.append(lam, alpha)))

@@ -363,8 +363,6 @@ def cmd_diagnose(args):
     from .constants import slope_constant
     from .diagnostics import (
         ClassifierConfig,
-        ResolutionError,
-        boundary_slope,
         classify,
         density_ratio,
         free_boundary_set,
@@ -443,12 +441,8 @@ def cmd_diagnose(args):
             cur = weiss_curve(ext_fields, x0, radii, params, c_tilde=c_tilde)
             for r, w in zip(cur.radii, cur.values):
                 weiss_rows.append(f"{k},{xs},{_fmt(r)},{_fmt(w)}\n")
-        try:
-            al = boundary_slope(ext_fields, x0, -fb.normals[k], params)
-            slope_rows.append(f"{k},{xs},{_fmt(al)},{_fmt(target)}\n")
-        except ResolutionError:
-            slope_rows.append(f"{k},{xs},nan,{_fmt(target)}\n")
         pc = classify(dom, ext_fields, x0, ccfg, params, fb.normals[k])
+        slope_rows.append(f"{k},{xs},{_fmt(pc.slope)},{_fmt(target)}\n")
         counts[pc.label] = counts.get(pc.label, 0) + 1
         cls_points.append(
             {

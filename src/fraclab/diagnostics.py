@@ -10,11 +10,11 @@ curve records that normalization.
 """
 
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import ndimage
-from scipy.special import roots_jacobi
+from scipy.linalg import eigh_tridiagonal
 
 from .constants import one_plane_solution, slope_constant, unit_ball_volume
 from .extension import _as_fields, _c_tilde, _multilinear, _trace_support, ball_energy
@@ -85,7 +85,8 @@ def free_boundary_set(domain):
     coords = domain.grid.node_coords()[flat]
     smooth = m.astype(float)
     for ax in range(domain.grid.n):
-        smooth = ndimage.correlate1d(smooth, [0.25, 0.5, 0.25], axis=ax, mode="constant")
+        # [1/4, 1/2, 1/4] along ax; np.roll wraps only the empty outer layer
+        smooth = 0.5 * smooth + 0.25 * (np.roll(smooth, 1, ax) + np.roll(smooth, -1, ax))
     grads = np.gradient(smooth, domain.grid.h, edge_order=1)
     if domain.grid.n == 1:
         grads = [grads]
@@ -149,13 +150,8 @@ def nondegeneracy_scan(G_fields, fb, radii, params, points=None):
     consts = np.empty(len(pts))
     flags = np.zeros(len(pts), dtype=bool)
     for k, p in enumerate(pts):
-        vals = []
         d2 = ((coords - p[None, :]) ** 2).sum(axis=1)
-        for r in radii:
-            sel = d2 < r * r
-            sup = mag[sel].max() if sel.any() else 0.0
-            vals.append(sup / r**params.s)
-        consts[k] = min(vals)
+        consts[k] = min(mag[d2 < r * r].max(initial=0.0) / r**params.s for r in radii)
         flags[k] = tuple(np.round(p / grid.h).astype(int)) not in fbset
     return {
         "constants": consts,
@@ -168,6 +164,21 @@ def nondegeneracy_scan(G_fields, fb, radii, params, points=None):
 # ---------------------------------------------------------------------------
 
 
+def _gauss_jacobi(k, alpha, beta):
+    """k-point Gauss rule for the weight (1-x)^alpha (1+x)^beta on [-1, 1] by
+    Golub-Welsch (1969): nodes from the Jacobi matrix, weights mu_0 v_0^2."""
+    ab = alpha + beta
+    i = np.arange(1.0, k)
+    t = 2.0 * i + ab
+    diag = np.append((beta - alpha) / (ab + 2.0), (beta**2 - alpha**2) / (t * (t + 2.0)))
+    # q = (i+ab)/(t-1) in the off-diagonal^2; it is 1 at i = 1 (0/0 if ab = -1)
+    q = np.append(1.0, (i[1:] + ab) / (t[1:] - 1.0))
+    x, v = eigh_tridiagonal(diag, np.sqrt(4.0 * i * (i + alpha) * (i + beta) * q
+                                          / (t * t * (t + 1.0))))
+    mu0 = 2.0 ** (ab + 1.0) * math.gamma(alpha + 1.0) * math.gamma(beta + 1.0)
+    return x, mu0 / math.gamma(ab + 2.0) * v[0] ** 2
+
+
 @functools.lru_cache(maxsize=8)
 def _hemisphere_rule(n, a, k_polar=48, k_azimuth=64):
     """Quadrature nodes/weights for int_{upper half unit sphere} |y|^a f dS.
@@ -177,11 +188,11 @@ def _hemisphere_rule(n, a, k_polar=48, k_azimuth=64):
     """
     if n == 1:
         # x = cos(theta): int_0^pi f (sin)^a dtheta = int_-1^1 f (1-x^2)^((a-1)/2) dx
-        x, wts = roots_jacobi(k_polar, (a - 1.0) / 2.0, (a - 1.0) / 2.0)
+        x, wts = _gauss_jacobi(k_polar, (a - 1.0) / 2.0, (a - 1.0) / 2.0)
         dirs = np.column_stack([x, np.sqrt(1.0 - x * x)])
     else:
         # n=2: t = y/r in [0,1]: dS = r^2 t^a f  dt dphi on the weight side
-        t, wt = roots_jacobi(k_polar, 0.0, a)
+        t, wt = _gauss_jacobi(k_polar, 0.0, a)
         t = 0.5 * (t + 1.0)
         wt = wt * 0.5 ** (a + 1.0)
         phi = 2.0 * np.pi * (np.arange(k_azimuth) + 0.5) / k_azimuth
@@ -201,29 +212,36 @@ def weiss_energy(G_ext, X0, r, params):
     W = r^-n [2 sum_i E_half(g_i, B_r) + lambda_tilde meas({|G|>0} in B_r)]
         - s r^-(n+1) * 2 * int_{upper hemisphere} |y|^a |G|^2 dS.
     """
-    grid, fields, traces = _as_fields(G_ext, need_slab=True)
-    x0 = _check_ball(grid, X0, r, floor=5)
-    if r > fields[0].slab.Y:
-        raise GeometryError("ball exits the slab vertically")
-    supp = _trace_support(traces, 1e-12)
+    _, fields, _ = _as_fields(G_ext, need_slab=True)
+    return float(_weiss_energies(fields, X0, np.array([r], dtype=float), params)[0])
+
+
+def _weiss_energies(fields, X0, radii, params):
+    """weiss_energy at each of the radii: one gather per field of the sphere
+    points of all radii, ball_energy per radius."""
+    grid, n = fields[0].slab.base, fields[0].slab.base.n
+    x0 = np.atleast_1d(np.asarray(X0, dtype=float))
+    for r in radii:
+        _check_ball(grid, x0, r, floor=5)
+        if r > fields[0].slab.Y:
+            raise GeometryError("ball exits the slab vertically")
+    supp = _trace_support([f.trace for f in fields], 1e-12).ravel()
     if not supp.any():
-        return 0.0
-    e = sum(ball_energy(f, x0, r) for f in fields)
-    coords = grid.node_coords()
-    thin_in = ((coords - x0[None, :]) ** 2).sum(axis=1) < r * r
-    meas = grid.h**grid.n * int(np.sum(thin_in & supp.ravel()))
-    vol_term = 2.0 * e + params.lambda_tilde * meas
-    dirs, wts = _hemisphere_rule(grid.n, params.a)
-    pts = np.empty((len(dirs), grid.n + 1))
-    pts[:, : grid.n] = x0[None, :] + r * dirs[:, : grid.n]
-    pts[:, grid.n] = r * dirs[:, grid.n]
-    mag2 = np.zeros(len(dirs))
-    for f in fields:
-        gv = f.interp(pts)
-        mag2 += gv * gv
-    # the |y|^a factor is inside the rule's weights: (y/r)^a there, scale back
-    sphere = float(np.sum(wts * mag2)) * r**grid.n * r**params.a
-    return float(vol_term / r**grid.n - 2.0 * params.s * sphere / r ** (grid.n + 1))
+        return np.zeros(len(radii))
+    d2 = ((grid.node_coords() - x0[None, :]) ** 2).sum(axis=1)
+    dirs, wts = _hemisphere_rule(n, params.a)
+    q = (radii[:, None, None] * dirs).reshape(-1, n + 1)
+    q[:, :n] += x0
+    mag2 = sum(f.interp(q) ** 2 for f in fields).reshape(len(radii), len(dirs))
+    out = np.empty(len(radii))
+    for i, r in enumerate(radii):
+        e = sum(ball_energy(f, x0, r) for f in fields)
+        meas = grid.h**n * int(np.sum((d2 < r * r) & supp))
+        # the |y|^a factor is inside the rule's weights: (y/r)^a there, scale back
+        sphere = float(np.sum(wts * mag2[i])) * r**n * r**params.a
+        out[i] = ((2.0 * e + params.lambda_tilde * meas) / r**n
+                  - 2.0 * params.s * sphere / r ** (n + 1))
+    return out
 
 
 @dataclass
@@ -253,7 +271,7 @@ def weiss_curve(G_ext, X0, radii, params, c_tilde=None):
     """Evaluate the Weiss energy across radii and package as a WeissCurve."""
     _, fields, _ = _as_fields(G_ext, need_slab=True)
     radii = np.sort(np.asarray(radii, dtype=float))
-    vals = np.array([weiss_energy(fields, X0, r, params) for r in radii])
+    vals = _weiss_energies(fields, X0, radii, params)
     if c_tilde is None:
         c_tilde = _c_tilde(fields, params)
     return WeissCurve(
@@ -323,15 +341,16 @@ def flatness(G_fields, X0, r, params, angle_count=128):
     else:
         ang = 2.0 * np.pi * np.arange(angle_count) / angle_count
         nus = np.column_stack([np.cos(ang), np.sin(ang)])
-    best = (np.inf, None)
-    for nu in nus:
-        t = pts_x @ nu
-        model = c * one_plane_solution(t, pts_y, params.s)
-        dev = M - model[:, None] * f[None, :]
-        eps = float(np.sqrt((dev * dev).sum(axis=1)).max())
-        if eps < best[0]:
-            best = (eps, nu)
-    return best[0], best[1], f
+    # all directions at once, in chunks of ~2^21 entries: the stacked product is
+    # one matrix-vector product per direction; components lead for fast sums
+    eps = []
+    for nu in np.array_split(nus, max(1, nus.size * M.size >> 21)):
+        model = c * one_plane_solution((pts_x @ nu[..., None])[..., 0], pts_y, params.s)
+        dev = M.T[:, None] - f[:, None, None] * model
+        eps.append(np.sqrt((dev * dev).sum(axis=0)).max(axis=-1))
+    eps = np.concatenate(eps)
+    k = int(np.argmin(eps))  # the first of equal minima
+    return float(eps[k]), nus[k], f
 
 
 def boundary_slope(G_fields, x0, normal, params, t_lo=3.0, t_hi=10.0):
@@ -451,10 +470,16 @@ def support_coincidence(bundle, mask):
     for i in range(bundle.m):
         v = bundle.vectors[i]
         fractions[i] = float(np.mean(np.abs(v) < 1e-10 * np.abs(v).max()))
-    struct = ndimage.generate_binary_structure(mask.grid.n, 1)
-    labels, ncomp = ndimage.label(mask.mask, structure=struct)
-    low = False
-    for c in range(1, ncomp + 1):
-        if np.sum(labels == c) < 4:
-            low = True
-    return fractions, low
+    return fractions, bool(np.any(_component_sizes(mask.mask) < 4))
+
+
+def _component_sizes(m):
+    """Cell counts of the face-connected components of m (outer layer empty):
+    each cell takes the least flat index of itself and its neighbours in m."""
+    lab, old = np.where(m, np.arange(m.size).reshape(m.shape), m.size), None
+    while not np.array_equal(lab, old):
+        old = lab
+        lab = np.minimum.reduce([old] + [np.roll(old, k, ax) for ax in range(m.ndim)
+                                         for k in (1, -1)])
+        lab[~m] = m.size
+    return np.unique(lab[m], return_counts=True)[1]

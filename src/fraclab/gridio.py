@@ -217,9 +217,11 @@ def _environment():
     import scipy
 
     threads = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    blas = scipy.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
     return {**{var: os.environ.get(var) for var in threads},
             "python": "%d.%d.%d" % sys.version_info[:3], "numpy": np.__version__,
-            "scipy": scipy.__version__}
+            "scipy": scipy.__version__, "blas": blas.get("name"),
+            "blas_version": blas.get("version")}
 
 
 @dataclass
@@ -227,7 +229,8 @@ class RunManifest:
     """Everything needed to reproduce one CLI run.
 
     `environment`: the BLAS/OpenMP thread variables (None when unset), on
-    which byte-identical replay depends, and the Python/numpy/scipy versions.
+    which byte-identical replay depends, the Python/numpy/scipy versions, and
+    the name and version of scipy's BLAS (None when its build record has none).
     """
 
     tool_version: str

@@ -26,7 +26,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import fft
 
 from .constants import normalization_constant
 from .grids import ThinDomain
@@ -194,9 +193,14 @@ class KernelTable:
         near[(1,) * n] = 0.0
         self.centre = int(np.ravel_multi_index((c,) * n, w.shape))
         self.key = np.ravel_multi_index(np.indices(grid.node_shape).reshape(n, -1), w.shape)
-        size = [fft.next_fast_len(3 * M - 2, real=True)] * n
-        spec = fft.rfftn(w, size) * fft.rfftn(np.ones(grid.node_shape), size)
-        self.row_sums = fft.irfftn(spec, size)[(slice(c, c + M),) * n].ravel()
+        # a circular convolution of length L >= 2M-1 wraps nothing into the
+        # valid part; a 5-smooth L avoids the slower, less exact prime lengths
+        L = 2 * M - 1
+        while L // math.gcd(L, 60**40) > 1:
+            L += 1
+        size, axes = (L,) * n, tuple(range(n))
+        spec = np.fft.rfftn(w, size, axes) * np.fft.rfftn(np.ones(grid.node_shape), size, axes)
+        self.row_sums = np.fft.irfftn(spec, size, axes)[(slice(c, c + M),) * n].ravel()
 
     def _weights(self, rows, cols):
         """Pair weights between the nodes `rows` and `cols`, shape (rows, cols)."""

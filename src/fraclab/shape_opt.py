@@ -544,10 +544,11 @@ def blow_up_rescale(source, x0, r, s):
     pts_x = xg.node_coords() * r + x0[None, :]
     vals = np.empty((xg.num_nodes, y_lv.size, len(traces)))
     if fields is not None:
-        for k, yl in enumerate(y_lv):
-            q = np.column_stack([pts_x, np.full(len(pts_x), yl * r)])
-            for ci, f in enumerate(fields):
-                vals[:, k, ci] = f.interp(q)
+        # every (node, level) pair, node-major, in one gather per field
+        q = np.column_stack([np.repeat(pts_x, y_lv.size, axis=0),
+                             np.tile(y_lv * r, len(pts_x))])
+        for ci, f in enumerate(fields):
+            vals[..., ci] = f.interp(q).reshape(len(pts_x), y_lv.size)
     else:
         for ci, comp in enumerate(traces):
             vals[:, 0, ci] = _multilinear(base, comp, pts_x)

@@ -83,9 +83,14 @@ def test_manifest_records_the_environment(tmp_path, monkeypatch):
     cfg = write_cfg(tmp_path / "run.cfg", **EIG_KEYS)
     assert main(["eig", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
     env = json.loads((tmp_path / "out" / "manifest.json").read_text())["environment"]
+    blas = scipy.show_config(mode="dicts")["Build Dependencies"]["blas"]
     assert env == {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "2",
                    "MKL_NUM_THREADS": None, "python": platform.python_version(),
-                   "numpy": np.__version__, "scipy": scipy.__version__}
+                   "numpy": np.__version__, "scipy": scipy.__version__,
+                   "blas": blas["name"], "blas_version": blas["version"]}
+    assert env["blas"] and env["blas_version"]
+    monkeypatch.setattr(scipy, "show_config", lambda mode: {})
+    assert RunManifest("v", "eig", {}).environment["blas"] is None
     assert RunManifest.load(tmp_path / "out" / "manifest.json").environment == env
     older = json.loads((tmp_path / "out" / "manifest.json").read_text())
     del older["environment"]
@@ -93,16 +98,21 @@ def test_manifest_records_the_environment(tmp_path, monkeypatch):
     assert RunManifest.load(tmp_path / "older.json").environment is None
 
 
-def test_cli_import_leaves_scipy_integrate_out():
-    """The near-field moments need no scipy.integrate (13.7 MB, 0.14 s)."""
+def test_cli_import_loads_only_scipy_linalg_and_sparse():
+    """The near-field moments need no scipy.integrate (13.7 MB, 0.14 s); the
+    kernel table, the extension's DST, the quadrature and the diagnostics need
+    no scipy.fft, scipy.special or scipy.ndimage (about 0.13 s per command)."""
     import fraclab
 
     src = os.path.dirname(os.path.dirname(os.path.abspath(fraclab.__file__)))
-    code = "import sys, fraclab.cli; print('scipy.integrate' in sys.modules)"
+    code = ("import json, sys, fraclab.cli; print(json.dumps(sorted({m.split('.')[1]"
+            " for m in sys.modules if m.startswith('scipy.')})))")
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.strip() == "False"
+    loaded = set(json.loads(out))
+    assert loaded >= {"linalg", "sparse"}
+    assert not loaded & {"integrate", "fft", "special", "ndimage"}
 
 
 def test_eig_beyond_the_former_node_cap(tmp_path):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from fraclab import diagnostics
 from fraclab.constants import FracParams, one_plane_solution, slope_constant
 from fraclab.diagnostics import (
     ClassifierConfig,
@@ -18,8 +19,9 @@ from fraclab.diagnostics import (
     weiss_energy,
     weiss_monotonicity_audit,
 )
+from fraclab.diagnostics import _component_sizes, _gauss_jacobi, _hemisphere_rule
 from fraclab.eigen import lowest_eigenpairs
-from fraclab.extension import ExtensionField, SlabGrid, extend
+from fraclab.extension import ExtensionField, SlabGrid, _trace_support, ball_energy, extend
 from fraclab.grids import BoxGrid, ball_domain, interval_domain, mask_from_indices
 from fraclab.nonlocal_form import assemble_form
 from fraclab.shape_opt import blow_up_rescale
@@ -404,3 +406,173 @@ def test_flatness_and_classify_accept_a_trace_pair():
     assert pc.label == "regular"
     assert pc.flatness == flatness(pair, [0.0], pc.radii[0], p)[0]
     assert pc.slope == boundary_slope(f, [0.0], [1.0], p) > 0
+
+
+# -- batched evaluation against per-direction, per-level and per-radius loops
+
+
+def smooth_fields(n, count, s):
+    """count extension fields of traces supported in a centred ball."""
+    g = BoxGrid(n, -1.0, 1.0, 40 if n == 2 else 96)
+    slab = SlabGrid(g, 16, a=1.0 - 2.0 * s, Y=4.0)
+    x = g.node_coords()
+    bump = np.sqrt(np.clip(0.5 - (x**2).sum(axis=1), 0.0, None))
+    traces = [bump, bump * (x[:, 0] + 0.3)][:count]
+    return [extend(t.reshape(g.node_shape), slab) for t in traces]
+
+
+def loop_blow_up(fields, x0, r, s):
+    """blow_up_rescale's values from one interp per level and field."""
+    bu = blow_up_rescale(fields, x0, r, s)
+    pts_x = bu.xgrid.node_coords() * r + np.asarray(x0, dtype=float)
+    vals = np.empty((len(pts_x), bu.y_levels.size, len(fields)))
+    for k, yl in enumerate(bu.y_levels):
+        q = np.column_stack([pts_x, np.full(len(pts_x), yl * r)])
+        for ci, f in enumerate(fields):
+            vals[:, k, ci] = f.interp(q)
+    vals *= r ** (-s)
+    return bu, vals.reshape(bu.values.shape)
+
+
+def loop_flatness(fields, x0, r, p, angle_count):
+    """flatness with one one-plane model per direction, kept while strictly best."""
+    bu, vals = loop_blow_up(fields, x0, r, p.s)
+    mask = bu.ball_mask().ravel()
+    M = vals.reshape(-1, bu.m)[mask]
+    f = np.linalg.svd(M, full_matrices=False)[2][0]
+    if np.sum(M @ f) < 0:
+        f = -f
+    coords = bu.xgrid.node_coords()
+    pts_x = np.repeat(coords, len(bu.y_levels), axis=0)[mask]
+    pts_y = np.tile(bu.y_levels, len(coords))[mask]
+    if len(x0) == 1:
+        nus = np.array([[1.0], [-1.0]])
+    else:
+        ang = 2.0 * np.pi * np.arange(angle_count) / angle_count
+        nus = np.column_stack([np.cos(ang), np.sin(ang)])
+    best = (np.inf, None)
+    for nu in nus:
+        model = slope_constant(p.lambda_penalty, p.s) * one_plane_solution(pts_x @ nu, pts_y, p.s)
+        dev = M - model[:, None] * f[None, :]
+        eps = float(np.sqrt((dev * dev).sum(axis=1)).max())
+        if eps < best[0]:
+            best = (eps, nu)
+    return best[0], best[1], f
+
+
+def loop_weiss(fields, x0, radii, p):
+    """The Weiss energy radius by radius, one sphere gather per radius and field."""
+    grid = fields[0].slab.base
+    n = grid.n
+    x0 = np.asarray(x0, dtype=float)
+    dirs, wts = _hemisphere_rule(n, p.a)
+    supp = _trace_support([f.trace for f in fields], 1e-12).ravel()
+    out = []
+    for r in radii:
+        e = sum(ball_energy(f, x0, r) for f in fields)
+        inside = ((grid.node_coords() - x0[None, :]) ** 2).sum(axis=1) < r * r
+        meas = grid.h**n * int(np.sum(inside & supp))
+        pts = np.column_stack([x0[None, :] + r * dirs[:, :n], r * dirs[:, n]])
+        mag2 = np.zeros(len(dirs))
+        for f in fields:
+            gv = f.interp(pts)
+            mag2 += gv * gv
+        sphere = float(np.sum(wts * mag2)) * r**n * r**p.a
+        out.append((2.0 * e + p.lambda_tilde * meas) / r**n
+                   - 2.0 * p.s * sphere / r ** (n + 1))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("n,count", [(1, 1), (1, 2), (2, 1), (2, 2)])
+def test_batched_diagnostics_equal_their_loops(n, count):
+    p = FracParams(n, 0.3, 1.0)
+    fields = smooth_fields(n, count, p.s)
+    h = fields[0].slab.base.h
+    x0 = [0.55, 0.1][:n]  # near the edge of the support
+    for r in (6 * h, 8.5 * h):
+        bu, ref = loop_blow_up(fields, x0, r, p.s)
+        np.testing.assert_array_equal(bu.values, ref)
+        for angles in (128, 2048):  # 2048 directions take several chunks in 2d
+            eps, nu, f = flatness(fields, x0, r, p, angle_count=angles)
+            ref_eps, ref_nu, ref_f = loop_flatness(fields, x0, r, p, angles)
+            assert eps == ref_eps
+            np.testing.assert_array_equal(nu, ref_nu)
+            np.testing.assert_array_equal(f, ref_f)
+    radii = np.array([5.0, 6.0, 7.0, 8.5]) * h
+    ref = loop_weiss(fields, x0, radii, p)
+    np.testing.assert_array_equal(weiss_curve(fields, x0, radii[::-1], p).values, ref)
+    assert [weiss_energy(fields, x0, r, p) for r in radii] == ref.tolist()
+
+
+def test_flatness_returns_the_first_of_equal_directions(monkeypatch):
+    """With a direction-blind model every direction ties; the first is kept."""
+    p = FracParams(2, 0.3, 1.0)
+    fields = smooth_fields(2, 2, p.s)
+    monkeypatch.setattr(diagnostics, "one_plane_solution", lambda t, z, s: np.ones_like(t))
+    for angles in (128, 2048):
+        eps, nu, _ = flatness(fields, [0.55, 0.1], 0.3, p, angle_count=angles)
+        assert np.isfinite(eps) and nu.tolist() == [1.0, 0.0]
+
+
+def test_weiss_energy_keeps_its_guards_and_empty_support():
+    p = FracParams(2, 0.3, 1.0)
+    fields = smooth_fields(2, 1, p.s)
+    h = fields[0].slab.base.h
+    with pytest.raises(ResolutionError):
+        weiss_curve(fields, [0.0, 0.0], [0.3, 4.0 * h], p)
+    with pytest.raises(GeometryError, match="design box"):
+        weiss_curve(fields, [0.9, 0.0], [0.3, 0.35], p)
+    zero = [ExtensionField(fields[0].slab, np.zeros_like(fields[0].values))]
+    assert weiss_energy(zero, [0.0, 0.0], 0.3, p) == 0.0
+    assert weiss_curve(zero, [0.0, 0.0], [0.3, 0.4], p).values.tolist() == [0.0, 0.0]
+
+
+# -- numpy stand-ins for scipy.special and scipy.ndimage, against those and mpmath
+
+
+@pytest.mark.parametrize("s", [0.2, 0.8, 0.95])
+def test_gauss_jacobi_matches_mpmath_golub_welsch(s):
+    mpmath = pytest.importorskip("mpmath")
+    a = 1.0 - 2.0 * s
+    for alpha, beta in (((a - 1.0) / 2.0, (a - 1.0) / 2.0), (0.0, a)):  # n = 1, n = 2
+        x, w = _gauss_jacobi(48, alpha, beta)
+        with mpmath.workdps(40):
+            X, W = mpmath.gauss_quadrature(48, "jacobi", alpha, beta)
+            xr = np.array([float(v) for v in X])
+            wr = np.array([float(v) for v in W])
+        assert np.abs(x - xr).max() <= 1e-15
+        assert np.abs(w / wr - 1.0).max() <= 1e-12
+
+
+def test_free_boundary_normals_match_ndimage_smoothing():
+    ndimage = pytest.importorskip("scipy.ndimage")
+    rng = np.random.default_rng(3)
+    for n, cells in ((1, 60), (2, 30)):
+        g = BoxGrid(n, -1.0, 1.0, cells)
+        keep = np.flatnonzero(g.interior().ravel() & (rng.random(g.num_nodes) < 0.6))
+        dom = mask_from_indices(g, keep)
+        fb = free_boundary_set(dom)
+        smooth = dom.mask.astype(float)
+        for ax in range(n):
+            smooth = ndimage.correlate1d(smooth, [0.25, 0.5, 0.25], axis=ax, mode="constant")
+        grads = np.gradient(smooth, g.h, edge_order=1)
+        gvec = np.stack([gr.ravel()[fb.flat_indices] for gr in (grads if n > 1 else [grads])],
+                        axis=1)
+        norms = np.linalg.norm(gvec, axis=1)
+        ok = norms > 1e-14
+        np.testing.assert_array_equal(fb.normals[ok], -gvec[ok] / norms[ok, None])
+
+
+def test_component_sizes_match_ndimage_label():
+    ndimage = pytest.importorskip("scipy.ndimage")
+    rng = np.random.default_rng(5)
+    for shape in ((80,), (40, 40), (9, 10, 11)):
+        for density in (0.3, 0.55, 0.8):
+            m = np.pad(rng.random(shape) < density, 1)  # masks leave the outer layer empty
+            labels, count = ndimage.label(m, ndimage.generate_binary_structure(m.ndim, 1))
+            ref = np.bincount(labels.ravel())[1:]
+            assert sorted(_component_sizes(m)) == sorted(ref.tolist())
+    snake = np.zeros((15, 15), dtype=bool)  # one 61-cell path: many propagation rounds
+    snake[1::4, 1:-1] = True
+    snake[2:5, -2] = snake[6:9, 1] = snake[10:13, -2] = True
+    assert ndimage.label(snake)[1] == 1 and _component_sizes(snake).tolist() == [61]

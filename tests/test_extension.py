@@ -10,6 +10,7 @@ from fraclab.extension import (
     ExtensionField,
     SlabGrid,
     _apply_laplacian,
+    _dst1,
     _laplacian,
     _multilinear,
     _solve_dirichlet,
@@ -168,6 +169,15 @@ def test_separable_extend_matches_sparse_lu(n, cells, J, a):
     ref = _solve_dirichlet(slab, ~slab.boundary_mask(), data)
     rel = np.abs(f.values - ref).max() / np.abs(ref).max()
     assert rel <= 1e-12
+
+
+@pytest.mark.parametrize("shape,n", [((63,), 1), ((63, 7), 1), ((31, 31), 2), ((47, 47, 9), 2)])
+def test_dst1_matches_scipy_fft(shape, n):
+    fft = pytest.importorskip("scipy.fft")
+    x = np.random.default_rng(len(shape)).normal(size=shape)
+    ref = fft.dstn(x, type=1, norm="ortho", axes=tuple(range(n)))
+    assert np.abs(_dst1(x, n) - ref).max() <= 1e-14 * np.abs(ref).max()
+    np.testing.assert_allclose(_dst1(_dst1(x, n), n), x, rtol=0, atol=1e-13)
 
 
 def test_extend_at_scale_passes_residual_check():

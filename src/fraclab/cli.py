@@ -3,7 +3,8 @@
 Every run writes a RunManifest (config snapshot, seed, input/output hashes,
 phase wall-times) sufficient to replay it: pass a manifest.json as --config
 and the recorded snapshot is reused. Exit codes: 0 success, 2 usage or config
-parse error, 3 input compatibility, 4 numerical failure. The BLAS thread
+parse error, 3 input compatibility (inputs on a grid of another dimension,
+cell count or box), 4 numerical failure (LinAlgError included). The BLAS thread
 count is set by OPENBLAS_NUM_THREADS / OMP_NUM_THREADS at launch: the package
 imports numpy and scipy before main() runs, so it cannot change it.
 """
@@ -83,21 +84,82 @@ def _build_grid(cfg):
 def _build_params(cfg):
     from .constants import FracParams
 
-    n = _cfg(cfg, "n", int, required=True)
-    s = _cfg(cfg, "s", float, required=True)
-    lam = _cfg(cfg, "lambda", float, 1.0)
-    if not 0.0 < s < 1.0:
-        raise UsageError("s must lie in (0, 1)")
-    if lam <= 0:
-        raise UsageError("lambda must be positive")
-    return _checked(FracParams, n, s, lam)
+    return _checked(FracParams, _cfg(cfg, "n", int, required=True),
+                    _cfg(cfg, "s", float, required=True), _cfg(cfg, "lambda", float, 1.0))
 
 
-def _domain_from(cfg, grid, manifest):
-    from .gridio import read_mask, sha256_file
+def _require_layout(grid, other, what):
+    """CompatibilityError unless `other` has grid's dimension, cells and box."""
+    from .gridio import CompatibilityError
+
+    if not other.same_layout(grid):
+        raise CompatibilityError(f"{what}: grid {other!r} does not match {grid!r}")
+
+
+class _Run:
+    """The bookkeeping of one manifest-writing command: its config, the
+    RunManifest with the hashes of the inputs read and the outputs written
+    under --out, and the phase wall-times."""
+
+    def __init__(self, args, command):
+        from .gridio import RunManifest
+
+        self.t0 = time.perf_counter()
+        self.args = args
+        self.manifest = RunManifest(_version(), command, {})
+        self.cfg, self._recorded_seed = self.input(args.config, _load_config)
+        self.manifest.config = dict(self.cfg)
+
+    def input(self, path, read):
+        """read(path), with the file's hash recorded."""
+        from .gridio import sha256_file
+
+        value = read(path)
+        self.manifest.input_hashes[path] = sha256_file(path)
+        return value
+
+    def seed(self):
+        """--seed, else the seed of a replayed manifest, else config key
+        `seed` (default 0); recorded in the manifest."""
+        seed = self.args.seed if self.args.seed is not None else self._recorded_seed
+        self.manifest.seed = int(_cfg(self.cfg, "seed", int, 0) if seed is None else seed)
+        return self.manifest.seed
+
+    def timed(self, phase, fn, *args):
+        t1 = time.perf_counter()
+        out = fn(*args)
+        self.manifest.wall_times[phase] = round(time.perf_counter() - t1, 6)
+        return out
+
+    def output(self, name):
+        """Path of output `name` in --out, which is created; finish hashes it."""
+        os.makedirs(self.args.out, exist_ok=True)
+        self.manifest.outputs[name] = None
+        return os.path.join(self.args.out, name)
+
+    def write_text(self, name, text):
+        from .gridio import atomic_write_text
+
+        atomic_write_text(self.output(name), text)
+
+    def write_json(self, name, data):
+        self.write_text(name, json.dumps(data, indent=2, sort_keys=True) + "\n")
+
+    def finish(self, complete=True):
+        from .gridio import sha256_file
+
+        for name in self.manifest.outputs:
+            self.manifest.outputs[name] = sha256_file(os.path.join(self.args.out, name))
+        self.manifest.wall_times["total"] = round(time.perf_counter() - self.t0, 6)
+        self.manifest.complete = complete
+        self.manifest.save(os.path.join(self.args.out, "manifest.json"))
+
+
+def _domain_from(run, grid):
+    from .gridio import read_mask
     from .grids import ball_domain, interval_domain
 
-    spec = _cfg(cfg, "domain", str, required=True).split() or [""]
+    spec = _cfg(run.cfg, "domain", str, required=True).split() or [""]
     if spec[0] == "interval":
         if grid.n != 1 or len(spec) != 3:
             raise UsageError("domain = interval A B needs n=1")
@@ -111,27 +173,10 @@ def _domain_from(cfg, grid, manifest):
     if spec[0] == "mask":
         if len(spec) != 2:
             raise UsageError("domain = mask PATH")
-        dom = read_mask(spec[1])
-        manifest.input_hashes[spec[1]] = sha256_file(spec[1])
-        if dom.grid.n != grid.n or dom.grid.cells_per_axis != grid.cells_per_axis:
-            from .gridio import CompatibilityError
-
-            raise CompatibilityError(
-                f"mask grid {dom.grid.n}d/{dom.grid.cells_per_axis} cells does not "
-                f"match config grid {grid.n}d/{grid.cells_per_axis}"
-            )
+        dom = run.input(spec[1], read_mask)
+        _require_layout(grid, dom.grid, spec[1])
         return dom
     raise UsageError(f"unknown domain kind {spec[0]!r}")
-
-
-def _finish(manifest, out_dir, names, t0, complete=True):
-    from .gridio import sha256_file
-
-    for name in names:
-        manifest.outputs[name] = sha256_file(os.path.join(out_dir, name))
-    manifest.wall_times["total"] = round(time.perf_counter() - t0, 6)
-    manifest.complete = complete
-    manifest.save(os.path.join(out_dir, "manifest.json"))
 
 
 def _fmt(x):
@@ -142,15 +187,9 @@ def _fmt(x):
 
 
 def cmd_constants(args):
-    if not 0.0 < args.s < 1.0:
-        raise UsageError("s must lie in (0, 1)")
-    if args.n not in (1, 2):
-        raise UsageError("n must be 1 or 2")
-    if args.Lambda <= 0:
-        raise UsageError("Lambda must be positive")
     from .constants import FracParams, slope_constant
 
-    p = FracParams(args.n, args.s, args.Lambda)
+    p = _checked(FracParams, args.n, args.s, args.Lambda)
     out = {
         "n": args.n,
         "s": args.s,
@@ -166,102 +205,63 @@ def cmd_constants(args):
 
 def cmd_eig(args):
     from .eigen import lowest_eigenpairs
-    from .gridio import RunManifest, atomic_write_text, sha256_file, write_fields, write_mask
+    from .gridio import write_fields, write_mask
     from .nonlocal_form import assemble_form
 
-    t0 = time.perf_counter()
-    cfg, _ = _load_config(args.config)
-    manifest = RunManifest(_version(), "eig", dict(cfg))
-    manifest.input_hashes[args.config] = sha256_file(args.config)
-    grid = _build_grid(cfg)
-    params = _build_params(cfg)
-    m = _cfg(cfg, "m", int, 1)
-    dom = _domain_from(cfg, grid, manifest)
+    run = _Run(args, "eig")
+    grid = _build_grid(run.cfg)
+    params = _build_params(run.cfg)
+    m = _cfg(run.cfg, "m", int, 1)
+    dom = _domain_from(run, grid)
     if dom.cell_count == 0:
         raise UsageError("the domain contains no nodes")
     if not 1 <= m <= dom.cell_count:
         raise UsageError(f"m = {m} must lie in [1, {dom.cell_count}] (domain nodes)")
-    os.makedirs(args.out, exist_ok=True)
-    t1 = time.perf_counter()
-    form = assemble_form(dom, params)
-    manifest.wall_times["assemble"] = round(time.perf_counter() - t1, 6)
-    t1 = time.perf_counter()
-    bundle = lowest_eigenpairs(form, m)
-    manifest.wall_times["solve"] = round(time.perf_counter() - t1, 6)
-    write_mask(os.path.join(args.out, "mask.frlb"), dom)
-    names = ["mask.frlb"]
+    form = run.timed("assemble", assemble_form, dom, params)
+    bundle = run.timed("solve", lowest_eigenpairs, form, m)
+    write_mask(run.output("mask.frlb"), dom)
     for i, fld in enumerate(bundle.full_fields(), start=1):
-        name = f"v{i:02d}.frlb"
-        write_fields(os.path.join(args.out, name), grid, fld)
-        names.append(name)
-    report = {
+        write_fields(run.output(f"v{i:02d}.frlb"), grid, fld)
+    run.write_json("lambdas.json", {
         "lambdas": [float(v) for v in bundle.lambdas],
         "residuals": [float(v) for v in bundle.residuals],
         "clustered": bool(bundle.clustered),
         "measure": dom.measure,
         "m": m,
-    }
-    atomic_write_text(
-        os.path.join(args.out, "lambdas.json"),
-        json.dumps(report, indent=2, sort_keys=True) + "\n",
-    )
-    names.append("lambdas.json")
-    _finish(manifest, args.out, names, t0)
+    })
+    run.finish()
     return EXIT_OK
 
 
 def cmd_extend(args):
     from .extension import SlabGrid, extend, extension_energy, neumann_trace
-    from .gridio import (
-        RunManifest,
-        atomic_write_text,
-        read_fields,
-        sha256_file,
-        write_fields,
-        write_slab_field,
-    )
+    from .gridio import read_fields, write_fields, write_slab_field
 
-    t0 = time.perf_counter()
-    cfg, _ = _load_config(args.config)
-    manifest = RunManifest(_version(), "extend", dict(cfg))
-    manifest.input_hashes[args.config] = sha256_file(args.config)
-    params = _build_params(cfg)
-    trace_path = _cfg(cfg, "trace", str, required=True)
-    grid, fields = read_fields(trace_path)
-    manifest.input_hashes[trace_path] = sha256_file(trace_path)
-    comp = _cfg(cfg, "component", int, 0)
+    run = _Run(args, "extend")
+    params = _build_params(run.cfg)
+    trace_path = _cfg(run.cfg, "trace", str, required=True)
+    grid, fields = run.input(trace_path, read_fields)
+    comp = _cfg(run.cfg, "component", int, 0)
     if not 0 <= comp < fields.shape[0]:
         raise UsageError(f"component {comp} out of range for {trace_path}")
-    J = _cfg(cfg, "J", int, 32)
-    Y = _cfg(cfg, "Y", float, None)
-    gamma = _cfg(cfg, "gamma", float, None)
+    J = _cfg(run.cfg, "J", int, 32)
+    Y = _cfg(run.cfg, "Y", float, None)
+    gamma = _cfg(run.cfg, "gamma", float, None)
     slab = _checked(SlabGrid, grid, J, a=params.a, Y=Y, gamma=gamma)
-    t1 = time.perf_counter()
-    fld = extend(fields[comp], slab)
-    manifest.wall_times["solve"] = round(time.perf_counter() - t1, 6)
+    fld = run.timed("solve", extend, fields[comp], slab)
     energy = extension_energy(fld)
     nt, flags = neumann_trace(fld)
-    os.makedirs(args.out, exist_ok=True)
-    write_slab_field(os.path.join(args.out, "slab.frlb"), fld)
-    write_fields(os.path.join(args.out, "neumann.frlb"), grid,
-                 [nt, flags.astype(float)])
-    atomic_write_text(
-        os.path.join(args.out, "energy.json"),
-        json.dumps(
-            {
-                "energy": energy,
-                "ds_energy": params.d_s * energy,
-                "neumann_flagged": int(flags.sum()),
-                "J": J,
-                "Y": slab.Y,
-                "gamma": slab.gamma,
-            },
-            indent=2,
-            sort_keys=True,
-        )
-        + "\n",
-    )
-    _finish(manifest, args.out, ["slab.frlb", "neumann.frlb", "energy.json"], t0)
+    write_slab_field(run.output("slab.frlb"), fld)
+    write_fields(run.output("neumann.frlb"), grid, [nt, flags.astype(float)])
+    run.write_json("energy.json", {
+        "energy": energy,
+        "ds_energy": params.d_s * energy,
+        "neumann_flagged": int(flags.sum()),
+        "J": J,
+        "Y": slab.Y,
+        "gamma": slab.gamma,
+    })
+    run.finish()
     return EXIT_OK
 
 
@@ -282,19 +282,13 @@ def _trace_csv(trace, m):
 
 
 def cmd_optimize(args):
-    from .gridio import RunManifest, atomic_write_text, sha256_file, write_mask
+    from .gridio import write_mask
     from .shape_opt import OptimizerConfig, optimize
 
-    t0 = time.perf_counter()
-    cfg, recorded_seed = _load_config(args.config)
-    manifest = RunManifest(_version(), "optimize", dict(cfg))
-    manifest.input_hashes[args.config] = sha256_file(args.config)
+    run = _Run(args, "optimize")
+    cfg = run.cfg
     grid = _build_grid(cfg)
     params = _build_params(cfg)
-    seed = args.seed
-    if seed is None:
-        seed = recorded_seed if recorded_seed is not None else _cfg(cfg, "seed", int, 0)
-    manifest.seed = int(seed)
     ocfg = _checked(
         OptimizerConfig,
         m=_cfg(cfg, "m", int, 1),
@@ -305,7 +299,7 @@ def cmd_optimize(args):
         cooling=_cfg(cfg, "cooling", float, 0.97),
         steps=_cfg(cfg, "steps", int, 400),
         restarts=_cfg(cfg, "restarts", int, 1),
-        seed=int(seed),
+        seed=run.seed(),
         stale_limit=_cfg(cfg, "stale_limit", int, 200),
     )
     if ocfg.m > grid.interior().sum():
@@ -323,10 +317,10 @@ def cmd_optimize(args):
     finally:
         for sig, old in previous.items():
             signal.signal(sig, old)
-    os.makedirs(args.out, exist_ok=True)
-    atomic_write_text(os.path.join(args.out, "trace.csv"), _trace_csv(trace, ocfg.m))
-    names = ["trace.csv"]
-    summary = {
+    run.write_text("trace.csv", _trace_csv(trace, ocfg.m))
+    if trace.best_mask is not None:
+        write_mask(run.output("best_mask.frlb"), trace.best_mask)
+    run.write_json("summary.json", {
         # a run that found no finite objective has no best value (and JSON
         # has no Infinity)
         "best_objective": (trace.best_objective
@@ -341,17 +335,8 @@ def cmd_optimize(args):
         "interrupted": trace.interrupted,
         "seed": ocfg.seed,
         "restarts": ocfg.restarts,
-    }
-    if trace.best_mask is not None:
-        write_mask(os.path.join(args.out, "best_mask.frlb"), trace.best_mask)
-        names.append("best_mask.frlb")
-    atomic_write_text(
-        os.path.join(args.out, "summary.json"),
-        json.dumps(summary, indent=2, sort_keys=True) + "\n",
-    )
-    names.append("summary.json")
-    complete = not (trace.interrupted or trace.aborted)
-    _finish(manifest, args.out, names, t0, complete=complete)
+    })
+    run.finish(complete=not (trace.interrupted or trace.aborted))
     if trace.interrupted:
         return _INTERRUPT_RC
     if trace.aborted:
@@ -361,47 +346,22 @@ def cmd_optimize(args):
 
 def cmd_diagnose(args):
     from .constants import slope_constant
-    from .diagnostics import (
-        ClassifierConfig,
-        classify,
-        density_ratio,
-        free_boundary_set,
-        weiss_curve,
-    )
+    from .diagnostics import (ClassifierConfig, classify, density_ratio,
+                              free_boundary_set, weiss_curve)
     from .extension import SlabGrid, _c_tilde, extend
-    from .gridio import (
-        CompatibilityError,
-        RunManifest,
-        atomic_write_text,
-        read_fields,
-        read_mask,
-        sha256_file,
-    )
+    from .gridio import read_fields, read_mask
     import numpy as np
 
-    t0 = time.perf_counter()
-    cfg, _ = _load_config(args.config)
-    manifest = RunManifest(_version(), "diagnose", dict(cfg))
-    manifest.input_hashes[args.config] = sha256_file(args.config)
+    run = _Run(args, "diagnose")
+    cfg = run.cfg
     params = _build_params(cfg)
-    mask_path = _cfg(cfg, "mask", str, required=True)
-    dom = read_mask(mask_path)
-    manifest.input_hashes[mask_path] = sha256_file(mask_path)
-    field_paths = _cfg(cfg, "fields", str, required=True).split(",")
-    traces = []
+    dom = run.input(_cfg(cfg, "mask", str, required=True), read_mask)
     grid = dom.grid
-    for fp in field_paths:
+    traces = []
+    for fp in _cfg(cfg, "fields", str, required=True).split(","):
         fp = fp.strip()
-        fgrid, arr = read_fields(fp)
-        manifest.input_hashes[fp] = sha256_file(fp)
-        if (
-            fgrid.n != grid.n
-            or fgrid.cells_per_axis != grid.cells_per_axis
-            or abs(fgrid.h - grid.h) > 1e-14
-        ):
-            raise CompatibilityError(
-                f"{fp}: field grid {fgrid!r} does not match mask grid {grid!r}"
-            )
+        fgrid, arr = run.input(fp, read_fields)
+        _require_layout(grid, fgrid, fp)
         traces.extend(arr)
     J = _cfg(cfg, "J", int, 32)
     Y = _cfg(cfg, "Y", float, None)
@@ -454,33 +414,19 @@ def cmd_diagnose(args):
                 "slope": None if np.isnan(pc.slope) else pc.slope,
             }
         )
-    os.makedirs(args.out, exist_ok=True)
-    atomic_write_text(os.path.join(args.out, "weiss.csv"), "".join(weiss_rows))
-    atomic_write_text(os.path.join(args.out, "density.csv"), "".join(dens_rows))
-    atomic_write_text(os.path.join(args.out, "slopes.csv"), "".join(slope_rows))
-    atomic_write_text(
-        os.path.join(args.out, "classification.json"),
-        json.dumps(
-            {
-                "counts": counts,
-                "points": cls_points,
-                "tolerances": {
-                    "tol": ccfg.tol,
-                    "delta": ccfg.delta,
-                    "flat_threshold": ccfg.flat_threshold,
-                },
-            },
-            indent=2,
-            sort_keys=True,
-        )
-        + "\n",
-    )
-    _finish(
-        manifest,
-        args.out,
-        ["weiss.csv", "density.csv", "slopes.csv", "classification.json"],
-        t0,
-    )
+    run.write_text("weiss.csv", "".join(weiss_rows))
+    run.write_text("density.csv", "".join(dens_rows))
+    run.write_text("slopes.csv", "".join(slope_rows))
+    run.write_json("classification.json", {
+        "counts": counts,
+        "points": cls_points,
+        "tolerances": {
+            "tol": ccfg.tol,
+            "delta": ccfg.delta,
+            "flat_threshold": ccfg.flat_threshold,
+        },
+    })
+    run.finish()
     return EXIT_OK
 
 
@@ -611,6 +557,8 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
+    from numpy.linalg import LinAlgError
+
     from .diagnostics import GeometryError, ResolutionError
     from .gridio import CompatibilityError, ConfigError
 
@@ -628,10 +576,8 @@ def main(argv=None):
     except CompatibilityError as exc:
         print(f"incompatible inputs: {exc}", file=sys.stderr)
         return EXIT_COMPAT
-    except (GeometryError, ResolutionError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except (ArithmeticError, RuntimeError) as exc:
+    except (GeometryError, ResolutionError, LinAlgError, ArithmeticError,
+            RuntimeError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

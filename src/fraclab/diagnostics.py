@@ -17,7 +17,7 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from .constants import one_plane_solution, slope_constant, unit_ball_volume
-from .extension import _as_fields, _c_tilde, _multilinear, _trace_support, ball_energy
+from .extension import _as_fields, _c_tilde, _interp, _multilinear, _trace_support, ball_energy
 from .grids import ThinDomain, _neighbor_counts
 from .shape_opt import blow_up_rescale
 
@@ -217,8 +217,8 @@ def weiss_energy(G_ext, X0, r, params):
 
 
 def _weiss_energies(fields, X0, radii, params):
-    """weiss_energy at each of the radii: one gather per field of the sphere
-    points of all radii, ball_energy per radius."""
+    """weiss_energy at each of the radii: one interpolation of all fields at
+    the sphere points of all radii, ball_energy per radius."""
     grid, n = fields[0].slab.base, fields[0].slab.base.n
     x0 = np.atleast_1d(np.asarray(X0, dtype=float))
     for r in radii:
@@ -232,7 +232,7 @@ def _weiss_energies(fields, X0, radii, params):
     dirs, wts = _hemisphere_rule(n, params.a)
     q = (radii[:, None, None] * dirs).reshape(-1, n + 1)
     q[:, :n] += x0
-    mag2 = sum(f.interp(q) ** 2 for f in fields).reshape(len(radii), len(dirs))
+    mag2 = sum(v ** 2 for v in _interp(fields, q)).reshape(len(radii), len(dirs))
     out = np.empty(len(radii))
     for i, r in enumerate(radii):
         e = sum(ball_energy(f, x0, r) for f in fields)

@@ -226,19 +226,26 @@ class ExtensionField:
 
     def interp(self, points):
         """Multilinear interpolation at (k, n+1) points (x..., y); y may be 0."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        base = self.slab.base
-        if pts.shape[1] != base.n + 1:
-            raise ValueError("points must have n+1 columns")
-        y = pts[:, -1]
-        if np.any(y < -1e-12) or np.any(y > self.slab.Y + 1e-12):
-            raise ValueError("query points leave the slab vertically")
-        ynodes = self.slab.y_nodes
-        j = np.clip(np.searchsorted(ynodes, y, side="right") - 1, 0, self.slab.J - 1)
-        ty = (y - ynodes[j]) / (ynodes[j + 1] - ynodes[j])
-        ty = np.clip(ty, 0.0, 1.0)
-        lo, hi = _multilinear(base, self.values, pts[:, :-1], np.stack([j, j + 1]))
-        return lo * (1.0 - ty) + hi * ty
+        return _interp([self], points)[0]
+
+
+def _interp(fields, points):
+    """ExtensionField.interp of each of the fields, which share one slab
+    layout: the bounds checks, level search and cell weights are set up once,
+    then each field costs one gather."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    slab = fields[0].slab
+    if pts.shape[1] != slab.base.n + 1:
+        raise ValueError("points must have n+1 columns")
+    y = pts[:, -1]
+    if np.any(y < -1e-12) or np.any(y > slab.Y + 1e-12):
+        raise ValueError("query points leave the slab vertically")
+    ynodes = slab.y_nodes
+    j = np.clip(np.searchsorted(ynodes, y, side="right") - 1, 0, slab.J - 1)
+    ty = (y - ynodes[j]) / (ynodes[j + 1] - ynodes[j])
+    ty = np.clip(ty, 0.0, 1.0)
+    at = _multilinear_at(slab.base, pts[:, :-1], np.stack([j, j + 1]))
+    return [lo * (1.0 - ty) + hi * ty for lo, hi in (at(f.values) for f in fields)]
 
 
 def _as_fields(source, need_slab=False):
@@ -298,9 +305,15 @@ def _multilinear(grid, field, pts, *tail):
     """Multilinear interpolation of a node field at thin-space points.
 
     tail: index arrays into trailing axes of field that broadcast against
-    one entry per point; ExtensionField.interp passes the (2, points) levels
-    below and above each point and gets both interpolants in one gather.
+    one entry per point; _interp passes the (2, points) levels below and
+    above each point and gets both interpolants in one gather.
     """
+    return _multilinear_at(grid, pts, *tail)(field)
+
+
+def _multilinear_at(grid, pts, *tail):
+    """_multilinear at fixed points as a function of the node field: the
+    bounds check and cell weights are computed once for any number of fields."""
     x = (np.atleast_2d(pts) - grid.lower) / grid.h
     eps = 1e-9
     if np.any(x < -eps) or np.any(x > grid.cells_per_axis + eps):
@@ -309,19 +322,22 @@ def _multilinear(grid, field, pts, *tail):
     i0 = np.clip(x.astype(int), 0, grid.cells_per_axis - 1)
     t = x - i0
 
-    def f(*corner):
-        return field[corner + tail]
+    def at(field):
+        def f(*corner):
+            return field[corner + tail]
 
-    if grid.n == 1:
-        return f(i0[:, 0]) * (1 - t[:, 0]) + f(i0[:, 0] + 1) * t[:, 0]
-    i, k = i0[:, 0], i0[:, 1]
-    tx, ty = t[:, 0], t[:, 1]
-    return (
-        f(i, k) * (1 - tx) * (1 - ty)
-        + f(i + 1, k) * tx * (1 - ty)
-        + f(i, k + 1) * (1 - tx) * ty
-        + f(i + 1, k + 1) * tx * ty
-    )
+        if grid.n == 1:
+            return f(i0[:, 0]) * (1 - t[:, 0]) + f(i0[:, 0] + 1) * t[:, 0]
+        i, k = i0[:, 0], i0[:, 1]
+        tx, ty = t[:, 0], t[:, 1]
+        return (
+            f(i, k) * (1 - tx) * (1 - ty)
+            + f(i + 1, k) * tx * (1 - ty)
+            + f(i, k + 1) * (1 - tx) * ty
+            + f(i + 1, k + 1) * tx * ty
+        )
+
+    return at
 
 
 def _dst1(x, n):

@@ -72,10 +72,13 @@ class BoxGrid:
         return m
 
     def same_layout(self, other):
+        """Same dimension, cell count and box corners (to 1e-12 h)."""
+        tol = 1e-12 * self.h
         return (
             self.n == other.n
             and self.cells_per_axis == other.cells_per_axis
-            and abs(self.h - other.h) <= 1e-12 * self.h
+            and abs(self.lower - other.lower) <= tol
+            and abs(self.upper - other.upper) <= tol
         )
 
     def __repr__(self):

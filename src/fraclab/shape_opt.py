@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import linalg
 
-from .extension import _as_fields, _multilinear
+from .extension import _as_fields, _interp, _multilinear_at
 from .grids import BoxGrid, ThinDomain, _neighbor_counts, ball_domain
 from .nonlocal_form import kernel_table
 
@@ -55,7 +55,6 @@ class OptimizerConfig:
     seed: int = 0
     stale_limit: int = 200
     initial_mask: np.ndarray | None = None
-    spot_check_rate: float = 0.05
 
     def __post_init__(self):
         if self.Lambda <= 0:
@@ -74,8 +73,6 @@ class OptimizerConfig:
             raise ValueError("t0 must be positive")
         if self.steps < 1 or self.stale_limit < 1:
             raise ValueError("steps and stale_limit must be >= 1")
-        if not 0.0 <= self.spot_check_rate <= 1.0:
-            raise ValueError("spot_check_rate must lie in [0, 1]")
 
 
 @dataclass
@@ -314,7 +311,7 @@ def optimize(design_box, config, params, should_stop=None):
             mask = _initial_mask(design_box, config, rng, jitter=restart > 0)
             if config.schedule == "greedy":
                 stopped = _run_greedy(design_box, ev, config, mask, trace, restart,
-                                      rng, should_stop)
+                                      should_stop)
             else:
                 stopped = _run_anneal(design_box, ev, config, mask, trace, restart,
                                       rng, should_stop)
@@ -359,7 +356,7 @@ def _shortlist(scores):
     return np.flatnonzero(scores <= low + 1e-9 * max(1.0, abs(low)))
 
 
-def _run_greedy(grid, ev, config, mask, trace, restart, rng, should_stop):
+def _run_greedy(grid, ev, config, mask, trace, restart, should_stop):
     h, n = grid.h, grid.n
     kind = config.move_kind
     obj, lams = ev.objective(np.flatnonzero(mask))
@@ -390,14 +387,10 @@ def _run_greedy(grid, ev, config, mask, trace, restart, rng, should_stop):
             return False
         if scores is not None:
             _check_secular(scores[best_i], best_obj, cands[best_i])
-        if (
-            best_new.sum() < mask.sum()
-            and lams is not None
-            and best_lams is not None
-            and rng.random() < config.spot_check_rate
-        ):
-            if np.any(np.asarray(best_lams) < np.asarray(lams) - 1e-9 * np.abs(lams)):
-                raise AssertionError("eigenvalue decreased after removing a cell")
+        # removing a cell cannot lower an eigenvalue (Cauchy interlacing)
+        if (best_new.sum() < mask.sum() and lams is not None and best_lams is not None
+                and np.any(np.asarray(best_lams) < np.asarray(lams) - 1e-9 * np.abs(lams))):
+            raise AssertionError("eigenvalue decreased after removing a cell")
         mask, obj, lams = best_new, best_obj, best_lams
         _record(trace, restart, iteration, obj, mask, lams, True, h, n)
         _update_best(trace, grid, mask, obj, lams)
@@ -542,16 +535,15 @@ def blow_up_rescale(source, x0, r, s):
     else:
         y_lv = np.array([0.0])
     pts_x = xg.node_coords() * r + x0[None, :]
-    vals = np.empty((xg.num_nodes, y_lv.size, len(traces)))
     if fields is not None:
-        # every (node, level) pair, node-major, in one gather per field
+        # every (node, level) pair, node-major, in one interpolation of all fields
         q = np.column_stack([np.repeat(pts_x, y_lv.size, axis=0),
                              np.tile(y_lv * r, len(pts_x))])
-        for ci, f in enumerate(fields):
-            vals[..., ci] = f.interp(q).reshape(len(pts_x), y_lv.size)
+        comps = _interp(fields, q)
     else:
-        for ci, comp in enumerate(traces):
-            vals[:, 0, ci] = _multilinear(base, comp, pts_x)
+        at = _multilinear_at(base, pts_x)
+        comps = [at(comp) for comp in traces]
+    vals = np.stack(comps, axis=-1).reshape(len(pts_x), y_lv.size, len(traces))
     vals *= r ** (-s)
     return RescaledField(
         xgrid=xg,

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import signal
@@ -9,7 +10,8 @@ import numpy as np
 import pytest
 
 from fraclab.cli import main
-from fraclab.gridio import RunManifest, read_fields, read_mask, read_slab_field
+from fraclab.gridio import RunManifest, read_fields, read_mask, read_slab_field, write_fields
+from fraclab.grids import BoxGrid
 
 
 def write_cfg(path, **kv):
@@ -168,6 +170,69 @@ def test_diagnose_grid_mismatch(eig_out, tmp_path):
                     mask=str(eig_out / "mask.frlb"),
                     fields=str(oout / "v01.frlb"), J=8)
     assert main(["diagnose", "--config", cfg, "--out", str(tmp_path / "d")]) == 3
+
+
+def test_eig_rejects_a_mask_on_another_box(eig_out, tmp_path, capsys):
+    """Same dimension and cell count, but the mask lives on [-2, 2]."""
+    cfg = write_cfg(tmp_path / "run.cfg", **{**EIG_KEYS, "lower": -1.0, "upper": 1.0,
+                                             "domain": f"mask {eig_out / 'mask.frlb'}"})
+    assert main(["eig", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+    assert "incompatible inputs" in capsys.readouterr().err
+
+
+def test_diagnose_rejects_fields_on_a_shifted_box(eig_out, tmp_path):
+    """Same dimension, cell count and h as the mask, box shifted by 0.5."""
+    grid, arr = read_fields(eig_out / "v01.frlb")
+    shifted = BoxGrid(1, grid.lower + 0.5, grid.upper + 0.5, grid.cells_per_axis)
+    write_fields(tmp_path / "shifted.frlb", shifted, arr)
+    cfg = write_cfg(tmp_path / "diag.cfg", n=1, s=0.5, mask=str(eig_out / "mask.frlb"),
+                    fields=str(tmp_path / "shifted.frlb"), J=12, Y=4.0)
+    assert main(["diagnose", "--config", cfg, "--out", str(tmp_path / "d")]) == 3
+
+
+def _manifest_run(command, eig_out):
+    """Config keys of a small run of `command` and the input files it reads."""
+    mask, v01 = str(eig_out / "mask.frlb"), str(eig_out / "v01.frlb")
+    if command == "eig":
+        return {**EIG_KEYS, "domain": f"mask {mask}"}, [mask]
+    if command == "extend":
+        return dict(n=1, s=0.5, trace=v01, J=16, Y=4.0), [v01]
+    if command == "optimize":
+        return OPT_KEYS, []
+    v02 = str(eig_out / "v02.frlb")
+    return dict(n=1, s=0.5, mask=mask, fields=f"{v01},{v02}", J=12, Y=4.0), [mask, v01, v02]
+
+
+@pytest.mark.parametrize("command", ["eig", "extend", "optimize", "diagnose"])
+def test_manifest_hashes_every_input_and_output(eig_out, tmp_path, command):
+    def sha(path):
+        return hashlib.sha256(open(path, "rb").read()).hexdigest()
+
+    keys, inputs = _manifest_run(command, eig_out)
+    cfg = write_cfg(tmp_path / "run.cfg", **keys)
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 0
+    man = RunManifest.load(out / "manifest.json")
+    assert man.command == command and man.complete
+    assert set(man.outputs) == set(os.listdir(out)) - {"manifest.json"}
+    assert man.outputs == {name: sha(out / name) for name in man.outputs}
+    assert man.input_hashes == {path: sha(path) for path in [cfg, *inputs]}
+
+
+@pytest.mark.parametrize("command,target", [
+    ("eig", "scipy.linalg.eigh"),
+    ("diagnose", "numpy.linalg.svd"),
+])
+def test_linalg_error_is_a_numerical_failure(eig_out, tmp_path, monkeypatch, capsys,
+                                             command, target):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("forced failure")
+
+    keys, _ = _manifest_run(command, eig_out)
+    cfg = write_cfg(tmp_path / "run.cfg", **keys)
+    monkeypatch.setattr(target, fail)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 4
+    assert "numerical failure: forced failure" in capsys.readouterr().err
 
 
 # -- optimize and replay -----------------------------------------------------

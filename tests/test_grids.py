@@ -33,6 +33,14 @@ def test_boxgrid_validation():
         BoxGrid(1, 0.0, 1.0, 3)
 
 
+def test_same_layout_compares_the_box_corners():
+    g = BoxGrid(2, -1.0, 1.0, 16)
+    assert g.same_layout(BoxGrid(2, -1.0, 1.0 + 1e-14, 16))
+    assert not g.same_layout(BoxGrid(2, -0.5, 1.5, 16))  # same n, cells and h
+    assert not g.same_layout(BoxGrid(1, -1.0, 1.0, 16))
+    assert not g.same_layout(BoxGrid(2, -1.0, 1.0, 32))
+
+
 def test_interior_excludes_boundary_ring():
     g = BoxGrid(2, -1.0, 1.0, 6)
     inner = g.interior()

@@ -79,7 +79,7 @@ toward = np.sum(np.abs(lo - 0.5) <= np.maximum(np.abs(hi - 0.5), 0.1))
 print(f"  small-r trend toward 1/2: {toward}/{len(fb2)} points")
 
 print()
-print("== pixel-disk classification (about a minute) ==")
+print("== pixel-disk classification ==")
 dom3 = ball_domain(BoxGrid(2, -1.0, 1.0, 64), [0.0, 0.0], 0.6)
 bundle3 = lowest_eigenpairs(assemble_form(dom3, p2), 1)
 fields3 = [extend(v, SlabGrid(dom3.grid, 24, a=0.0, Y=4.0))

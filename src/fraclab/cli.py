@@ -18,6 +18,11 @@ import sys
 import threading
 import time
 
+import numpy as np
+
+from . import (__version__, constants, diagnostics, eigen, extension, gridio, grids,
+               nonlocal_form, shape_opt)
+
 EXIT_OK, EXIT_USAGE, EXIT_COMPAT, EXIT_NUMERIC = 0, 2, 3, 4
 _INTERRUPT_RC = 130
 
@@ -26,19 +31,11 @@ class UsageError(Exception):
     pass
 
 
-def _version():
-    from fraclab import __version__
-
-    return __version__
-
-
 # -- config plumbing ---------------------------------------------------------
 
 
 def _load_config(path):
     """Returns (config dict, recorded seed or None). Accepts manifest JSON."""
-    from .gridio import parse_config
-
     with open(path) as fh:
         text = fh.read()
     stripped = text.lstrip()
@@ -47,7 +44,7 @@ def _load_config(path):
         if not isinstance(data, dict) or "config" not in data:
             raise UsageError(f"{path}: JSON config must be a run manifest")
         return dict(data["config"]), data.get("seed")
-    return parse_config(text), None
+    return gridio.parse_config(text), None
 
 
 def _cfg(cfg, key, cast, default=None, required=False):
@@ -56,8 +53,6 @@ def _cfg(cfg, key, cast, default=None, required=False):
             raise UsageError(f"config key '{key}' is required")
         return default
     try:
-        if cast is bool:
-            return str(cfg[key]).strip().lower() in ("1", "true", "yes", "on")
         return cast(cfg[key])
     except (TypeError, ValueError) as exc:
         raise UsageError(f"config key '{key}': {exc}") from None
@@ -72,28 +67,22 @@ def _checked(build, *args, **kwargs):
 
 
 def _build_grid(cfg):
-    from .grids import BoxGrid
-
     n = _cfg(cfg, "n", int, required=True)
     cells = _cfg(cfg, "cells", int, required=True)
     lower = _cfg(cfg, "lower", float, -1.0)
     upper = _cfg(cfg, "upper", float, 1.0)
-    return _checked(BoxGrid, n, lower, upper, cells)
+    return _checked(grids.BoxGrid, n, lower, upper, cells)
 
 
 def _build_params(cfg):
-    from .constants import FracParams
-
-    return _checked(FracParams, _cfg(cfg, "n", int, required=True),
+    return _checked(constants.FracParams, _cfg(cfg, "n", int, required=True),
                     _cfg(cfg, "s", float, required=True), _cfg(cfg, "lambda", float, 1.0))
 
 
 def _require_layout(grid, other, what):
     """CompatibilityError unless `other` has grid's dimension, cells and box."""
-    from .gridio import CompatibilityError
-
     if not other.same_layout(grid):
-        raise CompatibilityError(f"{what}: grid {other!r} does not match {grid!r}")
+        raise gridio.CompatibilityError(f"{what}: grid {other!r} does not match {grid!r}")
 
 
 class _Run:
@@ -102,20 +91,16 @@ class _Run:
     under --out, and the phase wall-times."""
 
     def __init__(self, args, command):
-        from .gridio import RunManifest
-
         self.t0 = time.perf_counter()
         self.args = args
-        self.manifest = RunManifest(_version(), command, {})
+        self.manifest = gridio.RunManifest(__version__, command, {})
         self.cfg, self._recorded_seed = self.input(args.config, _load_config)
         self.manifest.config = dict(self.cfg)
 
     def input(self, path, read):
         """read(path), with the file's hash recorded."""
-        from .gridio import sha256_file
-
         value = read(path)
-        self.manifest.input_hashes[path] = sha256_file(path)
+        self.manifest.input_hashes[path] = gridio.sha256_file(path)
         return value
 
     def seed(self):
@@ -138,42 +123,35 @@ class _Run:
         return os.path.join(self.args.out, name)
 
     def write_text(self, name, text):
-        from .gridio import atomic_write_text
-
-        atomic_write_text(self.output(name), text)
+        gridio.atomic_write_text(self.output(name), text)
 
     def write_json(self, name, data):
         self.write_text(name, json.dumps(data, indent=2, sort_keys=True) + "\n")
 
     def finish(self, complete=True):
-        from .gridio import sha256_file
-
         for name in self.manifest.outputs:
-            self.manifest.outputs[name] = sha256_file(os.path.join(self.args.out, name))
+            self.manifest.outputs[name] = gridio.sha256_file(os.path.join(self.args.out, name))
         self.manifest.wall_times["total"] = round(time.perf_counter() - self.t0, 6)
         self.manifest.complete = complete
         self.manifest.save(os.path.join(self.args.out, "manifest.json"))
 
 
 def _domain_from(run, grid):
-    from .gridio import read_mask
-    from .grids import ball_domain, interval_domain
-
     spec = _cfg(run.cfg, "domain", str, required=True).split() or [""]
     if spec[0] == "interval":
         if grid.n != 1 or len(spec) != 3:
             raise UsageError("domain = interval A B needs n=1")
         a, b = _checked(lambda: [float(v) for v in spec[1:]])
-        return interval_domain(grid, a, b)
+        return grids.interval_domain(grid, a, b)
     if spec[0] == "ball":
         if len(spec) != grid.n + 2:
             raise UsageError("domain = ball CENTER... R")
         *center, radius = _checked(lambda: [float(v) for v in spec[1:]])
-        return ball_domain(grid, center, radius)
+        return grids.ball_domain(grid, center, radius)
     if spec[0] == "mask":
         if len(spec) != 2:
             raise UsageError("domain = mask PATH")
-        dom = run.input(spec[1], read_mask)
+        dom = run.input(spec[1], gridio.read_mask)
         _require_layout(grid, dom.grid, spec[1])
         return dom
     raise UsageError(f"unknown domain kind {spec[0]!r}")
@@ -187,9 +165,7 @@ def _fmt(x):
 
 
 def cmd_constants(args):
-    from .constants import FracParams, slope_constant
-
-    p = _checked(FracParams, args.n, args.s, args.Lambda)
+    p = _checked(constants.FracParams, args.n, args.s, args.Lambda)
     out = {
         "n": args.n,
         "s": args.s,
@@ -197,17 +173,13 @@ def cmd_constants(args):
         "C_ns": p.c_ns,
         "d_s": p.d_s,
         "lambda_tilde": p.lambda_tilde,
-        "slope_const": slope_constant(args.Lambda, args.s),
+        "slope_const": constants.slope_constant(args.Lambda, args.s),
     }
     print(json.dumps(out, indent=2, sort_keys=True))
     return EXIT_OK
 
 
 def cmd_eig(args):
-    from .eigen import lowest_eigenpairs
-    from .gridio import write_fields, write_mask
-    from .nonlocal_form import assemble_form
-
     run = _Run(args, "eig")
     grid = _build_grid(run.cfg)
     params = _build_params(run.cfg)
@@ -217,11 +189,11 @@ def cmd_eig(args):
         raise UsageError("the domain contains no nodes")
     if not 1 <= m <= dom.cell_count:
         raise UsageError(f"m = {m} must lie in [1, {dom.cell_count}] (domain nodes)")
-    form = run.timed("assemble", assemble_form, dom, params)
-    bundle = run.timed("solve", lowest_eigenpairs, form, m)
-    write_mask(run.output("mask.frlb"), dom)
+    form = run.timed("assemble", nonlocal_form.assemble_form, dom, params)
+    bundle = run.timed("solve", eigen.lowest_eigenpairs, form, m)
+    gridio.write_mask(run.output("mask.frlb"), dom)
     for i, fld in enumerate(bundle.full_fields(), start=1):
-        write_fields(run.output(f"v{i:02d}.frlb"), grid, fld)
+        gridio.write_fields(run.output(f"v{i:02d}.frlb"), grid, fld)
     run.write_json("lambdas.json", {
         "lambdas": [float(v) for v in bundle.lambdas],
         "residuals": [float(v) for v in bundle.residuals],
@@ -234,25 +206,22 @@ def cmd_eig(args):
 
 
 def cmd_extend(args):
-    from .extension import SlabGrid, extend, extension_energy, neumann_trace
-    from .gridio import read_fields, write_fields, write_slab_field
-
     run = _Run(args, "extend")
     params = _build_params(run.cfg)
     trace_path = _cfg(run.cfg, "trace", str, required=True)
-    grid, fields = run.input(trace_path, read_fields)
+    grid, fields = run.input(trace_path, gridio.read_fields)
     comp = _cfg(run.cfg, "component", int, 0)
     if not 0 <= comp < fields.shape[0]:
         raise UsageError(f"component {comp} out of range for {trace_path}")
     J = _cfg(run.cfg, "J", int, 32)
     Y = _cfg(run.cfg, "Y", float, None)
     gamma = _cfg(run.cfg, "gamma", float, None)
-    slab = _checked(SlabGrid, grid, J, a=params.a, Y=Y, gamma=gamma)
-    fld = run.timed("solve", extend, fields[comp], slab)
-    energy = extension_energy(fld)
-    nt, flags = neumann_trace(fld)
-    write_slab_field(run.output("slab.frlb"), fld)
-    write_fields(run.output("neumann.frlb"), grid, [nt, flags.astype(float)])
+    slab = _checked(extension.SlabGrid, grid, J, a=params.a, Y=Y, gamma=gamma)
+    fld = run.timed("solve", extension.extend, fields[comp], slab)
+    energy = extension.extension_energy(fld)
+    nt, flags = extension.neumann_trace(fld)
+    gridio.write_slab_field(run.output("slab.frlb"), fld)
+    gridio.write_fields(run.output("neumann.frlb"), grid, [nt, flags.astype(float)])
     run.write_json("energy.json", {
         "energy": energy,
         "ds_energy": params.d_s * energy,
@@ -282,15 +251,12 @@ def _trace_csv(trace, m):
 
 
 def cmd_optimize(args):
-    from .gridio import write_mask
-    from .shape_opt import OptimizerConfig, optimize
-
     run = _Run(args, "optimize")
     cfg = run.cfg
     grid = _build_grid(cfg)
     params = _build_params(cfg)
     ocfg = _checked(
-        OptimizerConfig,
+        shape_opt.OptimizerConfig,
         m=_cfg(cfg, "m", int, 1),
         Lambda=_cfg(cfg, "lambda", float, required=True),
         move_kind=_cfg(cfg, "move_kind", str, "boundary-flip"),
@@ -313,13 +279,13 @@ def cmd_optimize(args):
     for sig in (signal.SIGINT, signal.SIGTERM):
         previous[sig] = signal.signal(sig, _handler)
     try:
-        trace = optimize(grid, ocfg, params, should_stop=stop_flag.is_set)
+        trace = shape_opt.optimize(grid, ocfg, params, should_stop=stop_flag.is_set)
     finally:
         for sig, old in previous.items():
             signal.signal(sig, old)
     run.write_text("trace.csv", _trace_csv(trace, ocfg.m))
     if trace.best_mask is not None:
-        write_mask(run.output("best_mask.frlb"), trace.best_mask)
+        gridio.write_mask(run.output("best_mask.frlb"), trace.best_mask)
     run.write_json("summary.json", {
         # a run that found no finite objective has no best value (and JSON
         # has no Infinity)
@@ -345,40 +311,33 @@ def cmd_optimize(args):
 
 
 def cmd_diagnose(args):
-    from .constants import slope_constant
-    from .diagnostics import (ClassifierConfig, classify, density_ratio,
-                              free_boundary_set, weiss_curve)
-    from .extension import SlabGrid, _c_tilde, extend
-    from .gridio import read_fields, read_mask
-    import numpy as np
-
     run = _Run(args, "diagnose")
     cfg = run.cfg
     params = _build_params(cfg)
-    dom = run.input(_cfg(cfg, "mask", str, required=True), read_mask)
+    dom = run.input(_cfg(cfg, "mask", str, required=True), gridio.read_mask)
     grid = dom.grid
     traces = []
     for fp in _cfg(cfg, "fields", str, required=True).split(","):
         fp = fp.strip()
-        fgrid, arr = run.input(fp, read_fields)
+        fgrid, arr = run.input(fp, gridio.read_fields)
         _require_layout(grid, fgrid, fp)
         traces.extend(arr)
-    J = _cfg(cfg, "J", int, 32)
-    Y = _cfg(cfg, "Y", float, None)
-    slab = _checked(SlabGrid, grid, J, a=params.a, Y=Y)
-    ext_fields = [extend(tr, slab) for tr in traces]
-    c_tilde = _c_tilde(ext_fields, params)
-    fb = free_boundary_set(dom)
+    fb = diagnostics.free_boundary_set(dom)
     sel = list(range(len(fb)))
     if args.points:
-        sel = [int(v) for v in args.points.split(",")]
+        sel = _checked(lambda: [int(v) for v in args.points.split(",")])
         bad = [i for i in sel if not 0 <= i < len(fb)]
         if bad:
             raise UsageError(f"--points indices out of range: {bad}")
+    J = _cfg(cfg, "J", int, 32)
+    Y = _cfg(cfg, "Y", float, None)
+    slab = _checked(extension.SlabGrid, grid, J, a=params.a, Y=Y)
+    ext_fields = [extension.extend(tr, slab) for tr in traces]
+    c_tilde = extension._c_tilde(ext_fields, params)
     h = grid.h
     r_lo = _cfg(cfg, "r_min_cells", float, 5.0) * h
     r_hi = _cfg(cfg, "r_max_cells", float, 10.0) * h
-    ccfg = ClassifierConfig(
+    ccfg = diagnostics.ClassifierConfig(
         tol=_cfg(cfg, "class_tol", float, 0.1),
         delta=_cfg(cfg, "class_delta", float, 0.05),
         flat_threshold=_cfg(cfg, "class_flat_threshold", float, 0.2),
@@ -388,7 +347,7 @@ def cmd_diagnose(args):
     dens_rows = [f"# point,{xcols},r,ratio\n"]
     slope_rows = [f"# point,{xcols},alpha,target\n"]
     cls_points = []
-    target = slope_constant(params.lambda_penalty, params.s)
+    target = constants.slope_constant(params.lambda_penalty, params.s)
     counts = {}
     for k in sel:
         x0 = fb.points[k]
@@ -396,12 +355,12 @@ def cmd_diagnose(args):
         rmax_geo = min(np.min(x0 - grid.lower), np.min(grid.upper - x0))
         radii = [r for r in np.linspace(r_lo, r_hi, 4) if r < rmax_geo]
         for r in radii:
-            dens_rows.append(f"{k},{xs},{_fmt(r)},{_fmt(density_ratio(dom, x0, r))}\n")
+            dens_rows.append(f"{k},{xs},{_fmt(r)},{_fmt(diagnostics.density_ratio(dom, x0, r))}\n")
         if len(radii) >= 4:
-            cur = weiss_curve(ext_fields, x0, radii, params, c_tilde=c_tilde)
+            cur = diagnostics.weiss_curve(ext_fields, x0, radii, params, c_tilde=c_tilde)
             for r, w in zip(cur.radii, cur.values):
                 weiss_rows.append(f"{k},{xs},{_fmt(r)},{_fmt(w)}\n")
-        pc = classify(dom, ext_fields, x0, ccfg, params, fb.normals[k])
+        pc = diagnostics.classify(dom, ext_fields, x0, ccfg, params, fb.normals[k])
         slope_rows.append(f"{k},{xs},{_fmt(pc.slope)},{_fmt(target)}\n")
         counts[pc.label] = counts.get(pc.label, 0) + 1
         cls_points.append(
@@ -431,21 +390,6 @@ def cmd_diagnose(args):
 
 
 def cmd_verify(args):
-    import numpy as np
-
-    from .constants import (
-        FracParams,
-        extension_constant,
-        la_residual,
-        one_plane_solution,
-        one_plane_solution_polar,
-        slope_constant,
-    )
-    from .eigen import lowest_eigenpairs
-    from .extension import SlabGrid, extend, extension_energy
-    from .grids import BoxGrid, interval_domain
-    from .nonlocal_form import assemble_form, kernel_table
-
     checks = []
 
     def check(name, ok, detail=""):
@@ -453,41 +397,41 @@ def cmd_verify(args):
         print(f"{'PASS' if ok else 'FAIL'}  {name}" + (f"  ({detail})" if detail else ""))
 
     t = np.linspace(-1, 1, 101)
-    u0 = one_plane_solution(t, 0.0, 0.5)
+    u0 = constants.one_plane_solution(t, 0.0, 0.5)
     ok = np.allclose(u0, np.maximum(t, 0.0) ** 0.5, atol=1e-12)
     z = np.linspace(0.1, 1, 10)
-    ok &= np.allclose(one_plane_solution(0.0, z, 0.3), (z / 2) ** 0.3, atol=1e-12)
+    ok &= np.allclose(constants.one_plane_solution(0.0, z, 0.3), (z / 2) ** 0.3, atol=1e-12)
     r = np.full(8, 0.7)
     th = np.linspace(0, np.pi, 8)
     ok &= np.allclose(
-        one_plane_solution_polar(r, th, 0.6),
-        one_plane_solution(r * np.cos(th), r * np.sin(th), 0.6),
+        constants.one_plane_solution_polar(r, th, 0.6),
+        constants.one_plane_solution(r * np.cos(th), r * np.sin(th), 0.6),
         atol=1e-12,
     )
-    lam4 = one_plane_solution(2.0 * 0.37, 2.0 * 0.11, 0.45)
-    ok &= abs(lam4 - 2.0**0.45 * one_plane_solution(0.37, 0.11, 0.45)) < 1e-12
+    lam4 = constants.one_plane_solution(2.0 * 0.37, 2.0 * 0.11, 0.45)
+    ok &= abs(lam4 - 2.0**0.45 * constants.one_plane_solution(0.37, 0.11, 0.45)) < 1e-12
     check("one-plane profile identities", bool(ok))
 
     res = []
     for h in (0.02, 0.01):
         tt = -1.0 + h * np.arange(int(round(2.0 / h)) + 1)
         zz = h * (1 + np.arange(int(round(0.5 / h)) + 1))
-        gg = one_plane_solution(tt[:, None], zz[None, :], 0.5)
-        res.append(np.median(np.abs(la_residual(gg, 0.5, h, t0=tt[0], z0=zz[0]))))
+        gg = constants.one_plane_solution(tt[:, None], zz[None, :], 0.5)
+        res.append(np.median(np.abs(constants.la_residual(gg, 0.5, h, t0=tt[0], z0=zz[0]))))
     order = np.log2(res[0] / res[1])
     check("weighted-operator residual refinement order >= 1", order >= 1.0,
           f"order {order:.2f}")
 
-    check("extension constant d_{1/2} = 1", abs(extension_constant(0.5) - 1.0) < 1e-13)
+    check("extension constant d_{1/2} = 1", abs(constants.extension_constant(0.5) - 1.0) < 1e-13)
     check(
         "slope constant at s=1/2, Lambda=1",
-        abs(slope_constant(1.0, 0.5) - 2.0 / np.sqrt(np.pi)) < 1e-13,
+        abs(constants.slope_constant(1.0, 0.5) - 2.0 / np.sqrt(np.pi)) < 1e-13,
     )
 
-    p = FracParams(1, 0.5, 1.0)
-    g = BoxGrid(1, -2.0, 2.0, 128)
-    dom = interval_domain(g, -1.0, 1.0)
-    bundle = lowest_eigenpairs(assemble_form(dom, p), 2)
+    p = constants.FracParams(1, 0.5, 1.0)
+    g = grids.BoxGrid(1, -2.0, 2.0, 128)
+    dom = grids.interval_domain(g, -1.0, 1.0)
+    bundle = eigen.lowest_eigenpairs(nonlocal_form.assemble_form(dom, p), 2)
     lam = bundle.lambdas
     check(
         "interval spectrum: simple, positive, ordered",
@@ -495,22 +439,22 @@ def cmd_verify(args):
         f"lam1={lam[0]:.4f}",
     )
 
-    gs = BoxGrid(1, -1.0, 1.0, 64)
-    doms = interval_domain(gs, -0.5, 0.5)
-    ls = lowest_eigenpairs(assemble_form(doms, p), 1).lambdas[0]
-    g2 = BoxGrid(1, -2.0, 2.0, 64)
-    dom2 = interval_domain(g2, -1.0, 1.0)
-    l2 = lowest_eigenpairs(assemble_form(dom2, p), 1).lambdas[0]
+    gs = grids.BoxGrid(1, -1.0, 1.0, 64)
+    doms = grids.interval_domain(gs, -0.5, 0.5)
+    ls = eigen.lowest_eigenpairs(nonlocal_form.assemble_form(doms, p), 1).lambdas[0]
+    g2 = grids.BoxGrid(1, -2.0, 2.0, 64)
+    dom2 = grids.interval_domain(g2, -1.0, 1.0)
+    l2 = eigen.lowest_eigenpairs(nonlocal_form.assemble_form(dom2, p), 1).lambdas[0]
     check("scaling law exact", abs(l2 - ls / 2.0) < 1e-10 * ls, f"defect {abs(l2-ls/2):.2e}")
 
     x = g.axis_nodes()
     m = np.abs(x) < 1
     u = np.zeros_like(x)
     u[m] = np.exp(-1.0 / (1.0 - x[m] ** 2))
-    K = kernel_table(g, 0.5).stiffness(np.flatnonzero(g.interior().ravel()))
+    K = nonlocal_form.kernel_table(g, 0.5).stiffness(np.flatnonzero(g.interior().ravel()))
     q = float(u[g.interior().ravel()] @ K @ u[g.interior().ravel()])
-    slab = SlabGrid(g, 24, a=0.0, Y=4.0)
-    e = extension_energy(extend(u, slab))
+    slab = extension.SlabGrid(g, 24, a=0.0, Y=4.0)
+    e = extension.extension_energy(extension.extend(u, slab))
     rel = abs(p.d_s * e - q) / q
     check("extension energy identity within 5%", rel <= 0.05, f"mismatch {rel:.3%}")
 
@@ -535,17 +479,18 @@ def build_parser():
     c.add_argument("--Lambda", type=float, default=1.0)
     c.set_defaults(func=cmd_constants)
 
-    for name, fn, needs_points in (
-        ("eig", cmd_eig, False),
-        ("extend", cmd_extend, False),
-        ("optimize", cmd_optimize, False),
-        ("diagnose", cmd_diagnose, True),
+    for name, fn in (
+        ("eig", cmd_eig),
+        ("extend", cmd_extend),
+        ("optimize", cmd_optimize),
+        ("diagnose", cmd_diagnose),
     ):
         sp = sub.add_parser(name)
         sp.add_argument("--config", required=True)
         sp.add_argument("--out", required=True)
-        sp.add_argument("--seed", type=int, default=None)
-        if needs_points:
+        if name == "optimize":
+            sp.add_argument("--seed", type=int, default=None)
+        if name == "diagnose":
             sp.add_argument("--points", default=None,
                             help="comma-separated free-boundary point indices")
         sp.set_defaults(func=fn)
@@ -557,27 +502,22 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    from numpy.linalg import LinAlgError
-
-    from .diagnostics import GeometryError, ResolutionError
-    from .gridio import CompatibilityError, ConfigError
-
     try:
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except ConfigError as exc:
+    except gridio.ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except FileNotFoundError as exc:
         print(f"missing input: {exc}", file=sys.stderr)
         return EXIT_COMPAT
-    except CompatibilityError as exc:
+    except gridio.CompatibilityError as exc:
         print(f"incompatible inputs: {exc}", file=sys.stderr)
         return EXIT_COMPAT
-    except (GeometryError, ResolutionError, LinAlgError, ArithmeticError,
-            RuntimeError) as exc:
+    except (diagnostics.GeometryError, diagnostics.ResolutionError, np.linalg.LinAlgError,
+            ArithmeticError, RuntimeError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

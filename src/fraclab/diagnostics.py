@@ -17,7 +17,8 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from .constants import one_plane_solution, slope_constant, unit_ball_volume
-from .extension import _as_fields, _c_tilde, _interp, _multilinear, _trace_support, ball_energy
+from .extension import (_as_fields, _c_tilde, _interp, _multilinear_at, _trace_support,
+                        ball_energy)
 from .grids import ThinDomain, _neighbor_counts
 from .shape_opt import blow_up_rescale
 
@@ -87,10 +88,8 @@ def free_boundary_set(domain):
     for ax in range(domain.grid.n):
         # [1/4, 1/2, 1/4] along ax; np.roll wraps only the empty outer layer
         smooth = 0.5 * smooth + 0.25 * (np.roll(smooth, 1, ax) + np.roll(smooth, -1, ax))
-    grads = np.gradient(smooth, domain.grid.h, edge_order=1)
-    if domain.grid.n == 1:
-        grads = [grads]
-    gvec = np.stack([g.ravel()[flat] for g in grads], axis=1)
+    gvec = np.stack([np.gradient(smooth, domain.grid.h, axis=ax).ravel()[flat]
+                     for ax in range(domain.grid.n)], axis=1)
     norms = np.linalg.norm(gvec, axis=1)
     normals = np.zeros_like(gvec)
     ok = norms > 1e-14
@@ -371,7 +370,7 @@ def boundary_slope(G_fields, x0, normal, params, t_lo=3.0, t_hi=10.0):
     ok = np.all((pts >= grid.lower) & (pts <= grid.upper), axis=1)
     if ok.sum() < 4:
         raise ResolutionError("fewer than 4 slope samples inside the grid")
-    vals = _multilinear(grid, mag, pts[ok])
+    vals = _multilinear_at(grid, pts[ok])(mag)
     tk = ts[ok]
     return float(np.sum(vals * tk**params.s) / np.sum(tk ** (2.0 * params.s)))
 

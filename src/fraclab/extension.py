@@ -25,6 +25,7 @@ the assembled system up to roundoff.
 """
 
 import functools
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -118,7 +119,7 @@ class SlabGrid:
             base = self.base
             N = base.cells_per_axis
             lam1 = 2.0 - 2.0 * np.cos(np.pi * np.arange(1, N) / N)
-            mu = lam1 if base.n == 1 else np.add.outer(lam1, lam1).ravel()
+            mu = functools.reduce(np.add.outer, [lam1] * base.n).ravel()
             cv, w_cv = self._level_conductances()
             diag = cv[:-1] + cv[1:] + base.h ** (base.n - 2) * np.outer(mu, w_cv[1:-1])
             # one tridiagonal block per mode: the zero ends each block's coupling
@@ -301,19 +302,17 @@ def _c_tilde(fields, params):
     return 2.0 * unit_ball_volume(grid.n) * lam_sum / params.d_s
 
 
-def _multilinear(grid, field, pts, *tail):
-    """Multilinear interpolation of a node field at thin-space points.
-
-    tail: index arrays into trailing axes of field that broadcast against
-    one entry per point; _interp passes the (2, points) levels below and
-    above each point and gets both interpolants in one gather.
-    """
-    return _multilinear_at(grid, pts, *tail)(field)
-
-
 def _multilinear_at(grid, pts, *tail):
-    """_multilinear at fixed points as a function of the node field: the
-    bounds check and cell weights are computed once for any number of fields."""
+    """Multilinear interpolation at thin-space points, as a function of the
+    node field: the bounds check and cell weights are computed once for any
+    number of fields.
+
+    tail: index arrays into trailing axes of the field that broadcast against
+    one entry per point; _interp passes the (2, points) levels below and
+    above each point and gets both interpolants in one gather. The 2^n cell
+    corners are summed with the first axis varying fastest, each value times
+    its axis weights in axis order.
+    """
     x = (np.atleast_2d(pts) - grid.lower) / grid.h
     eps = 1e-9
     if np.any(x < -eps) or np.any(x > grid.cells_per_axis + eps):
@@ -321,21 +320,17 @@ def _multilinear_at(grid, pts, *tail):
     x = np.clip(x, 0.0, grid.cells_per_axis)
     i0 = np.clip(x.astype(int), 0, grid.cells_per_axis - 1)
     t = x - i0
+    index, weight = (i0, i0 + 1), (1 - t, t)
+    corners = [c[::-1] for c in itertools.product((0, 1), repeat=grid.n)]
 
     def at(field):
-        def f(*corner):
-            return field[corner + tail]
-
-        if grid.n == 1:
-            return f(i0[:, 0]) * (1 - t[:, 0]) + f(i0[:, 0] + 1) * t[:, 0]
-        i, k = i0[:, 0], i0[:, 1]
-        tx, ty = t[:, 0], t[:, 1]
-        return (
-            f(i, k) * (1 - tx) * (1 - ty)
-            + f(i + 1, k) * tx * (1 - ty)
-            + f(i, k + 1) * (1 - tx) * ty
-            + f(i + 1, k + 1) * tx * ty
-        )
+        terms = []
+        for corner in corners:
+            term = field[tuple(index[c][:, k] for k, c in enumerate(corner)) + tail]
+            for k, c in enumerate(corner):
+                term = term * weight[c][:, k]
+            terms.append(term)
+        return sum(terms[1:], terms[0])
 
     return at
 

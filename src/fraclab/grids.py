@@ -56,19 +56,13 @@ class BoxGrid:
 
     def node_coords(self):
         """(num_nodes, n) array of node coordinates in C order."""
-        ax = self.axis_nodes()
-        if self.n == 1:
-            return ax[:, None]
-        xx, yy = np.meshgrid(ax, ax, indexing="ij")
-        return np.column_stack([xx.ravel(), yy.ravel()])
+        axes = np.meshgrid(*[self.axis_nodes()] * self.n, indexing="ij")
+        return np.stack(axes, axis=-1).reshape(-1, self.n)
 
     def interior(self):
         """Boolean node_shape array marking nodes strictly inside D."""
         m = np.zeros(self.node_shape, dtype=bool)
-        if self.n == 1:
-            m[1:-1] = True
-        else:
-            m[1:-1, 1:-1] = True
+        m[(slice(1, -1),) * self.n] = True
         return m
 
     def same_layout(self, other):

@@ -22,6 +22,7 @@ KernelTable stores one per offset, O(N) numbers for N grid nodes, and
 gathers K from them; the neighbor sums are one FFT convolution.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -119,15 +120,14 @@ def _tail_1d(grid, s):
         tL = _pow_integral(x[i] - left_edge - 0.5 * h, x[i] - left_edge + 0.5 * h, 2.0 * s)
         tR = _pow_integral(right_edge - x[i] - 0.5 * h, right_edge - x[i] + 0.5 * h, 2.0 * s)
         tail[i] = (tL + tR) / (2.0 * s)
-    return tail, 0.0
+    return tail
 
 
 def _tail_2d(grid, s):
-    """Half-plane closed-form tail per interior node; corner overlap neglected.
+    """Half-plane closed-form tail per interior node.
 
     Summing the four half-plane integrals double-counts the four exterior
-    corner quadrants, so the assembled tail overestimates the true one by an
-    amount bounded by the reported quarter-annulus bound per corner.
+    corner quadrants, so the assembled tail overestimates the true one.
     """
     h = grid.h
     hp_const = math.sqrt(math.pi) * math.gamma(s + 0.5) / (math.gamma(s + 1.0) * 2.0 * s)
@@ -142,12 +142,7 @@ def _tail_2d(grid, s):
     tail = np.zeros(grid.num_nodes)
     walls = np.stack([dw, de, ds_, dn], axis=1)
     tail[interior] = h * h * hp_const * (walls[interior] ** (-2.0 * s)).sum(axis=1)
-    # overcount bound: each corner quadrant lies beyond radius sqrt(d1^2+d2^2)
-    corner = 0.0
-    for d1, d2 in ((dw, ds_), (dw, dn), (de, ds_), (de, dn)):
-        rho2 = d1[interior] ** 2 + d2[interior] ** 2
-        corner += float(np.max(rho2 ** (-s))) * math.pi / (4.0 * s) * h * h
-    return tail, corner
+    return tail
 
 
 # ---------------------------------------------------------------------------
@@ -175,8 +170,7 @@ class KernelTable:
         self.c_ns = normalization_constant(grid.n, s)
         n, h = grid.n, grid.h
         M = grid.cells_per_axis + 1
-        k2 = np.arange(1 - M, M) ** 2
-        ksq = k2 if n == 1 else np.add.outer(k2, k2)
+        ksq = functools.reduce(np.add.outer, [np.arange(1 - M, M) ** 2] * n)
         self.w = w = np.zeros(ksq.shape)
         np.power(ksq, -(n + 2.0 * self.s) / 2.0, out=w, where=ksq > 0)
         w *= h ** (n - 2.0 * self.s)
@@ -184,12 +178,12 @@ class KernelTable:
         near = w[(slice(c - 1, c + 2),) * n]  # offsets of touching cells
         if n == 1:
             near[:] = _near_weight_1d(self.s, h)
-            self.tail, self.tail_overcount_bound = _tail_1d(grid, self.s)
+            self.tail = _tail_1d(grid, self.s)
         else:
             beta_axis, beta_diag = _near_weights_2d(self.s, h)
             near[:] = beta_diag
             near[1, :] = near[:, 1] = beta_axis
-            self.tail, self.tail_overcount_bound = _tail_2d(grid, self.s)
+            self.tail = _tail_2d(grid, self.s)
         near[(1,) * n] = 0.0
         self.centre = int(np.ravel_multi_index((c,) * n, w.shape))
         self.key = np.ravel_multi_index(np.indices(grid.node_shape).reshape(n, -1), w.shape)
@@ -245,11 +239,7 @@ class StiffnessForm:
     K: np.ndarray
     h: float
     n: int
-    s: float
-    c_ns: float
-    flat_indices: np.ndarray
     domain: ThinDomain
-    tail_overcount_bound: float = 0.0
 
     @property
     def dim(self):
@@ -279,16 +269,11 @@ def assemble_form(domain, params):
     if params.n != domain.grid.n:
         raise ValueError("parameter dimension does not match the grid")
     table = kernel_table(domain.grid, params.s)
-    idx = domain.flat_indices
     return StiffnessForm(
-        K=table.stiffness(idx),
+        K=table.stiffness(domain.flat_indices),
         h=domain.grid.h,
         n=domain.grid.n,
-        s=params.s,
-        c_ns=table.c_ns,
-        flat_indices=idx,
         domain=domain,
-        tail_overcount_bound=table.tail_overcount_bound,
     )
 
 

@@ -190,6 +190,36 @@ def test_diagnose_rejects_fields_on_a_shifted_box(eig_out, tmp_path):
     assert main(["diagnose", "--config", cfg, "--out", str(tmp_path / "d")]) == 3
 
 
+@pytest.mark.parametrize("points", ["1,x", "0,99"])
+def test_diagnose_checks_points_before_extending(eig_out, tmp_path, monkeypatch, capsys,
+                                                 points):
+    """A malformed or out-of-range --points is a usage error, found before
+    either slab extension is solved."""
+    def fail(*args, **kwargs):
+        raise AssertionError("a slab extension ran before --points was checked")
+
+    keys, _ = _manifest_run("diagnose", eig_out)
+    cfg = write_cfg(tmp_path / "run.cfg", **keys)
+    monkeypatch.setattr("fraclab.extension.extend", fail)
+    assert main(["diagnose", "--config", cfg, "--out", str(tmp_path / "o"),
+                 "--points", points]) == 2
+    assert "usage error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["eig", "extend", "diagnose"])
+def test_seed_flag_is_for_optimize_only(eig_out, tmp_path, command):
+    keys, _ = _manifest_run(command, eig_out)
+    cfg = write_cfg(tmp_path / "run.cfg", **keys)
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", cfg, "--out", str(tmp_path / "o"), "--seed", "3"])
+    assert exc.value.code == 2
+
+
+def test_verify_passes_every_check(capsys):
+    assert main(["verify"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "7/7 checks passed"
+
+
 def _manifest_run(command, eig_out):
     """Config keys of a small run of `command` and the input files it reads."""
     mask, v01 = str(eig_out / "mask.frlb"), str(eig_out / "v01.frlb")

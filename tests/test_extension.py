@@ -12,7 +12,7 @@ from fraclab.extension import (
     _apply_laplacian,
     _dst1,
     _laplacian,
-    _multilinear,
+    _multilinear_at,
     _solve_dirichlet,
     almost_minimality_audit,
     ball_energy,
@@ -317,6 +317,38 @@ def test_interp_reproduces_multilinear_functions():
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_multilinear_at_matches_the_explicit_formulas(n):
+    """The loop over the 2^n cell corners equals the 1D and 2D multilinear
+    formulas bit for bit, on a node field and on a gather of two levels per
+    point (trailing level indices)."""
+    g = BoxGrid(n, -1.0, 1.0, 10)
+    rng = np.random.default_rng(7)
+    k = 60
+    pts = rng.uniform(-1.0, 1.0, size=(k, n))
+    pts[:2] = g.lower
+    pts[2:4] = g.upper
+    values = rng.standard_normal(g.node_shape + (6,))
+    j = rng.integers(0, 5, size=k)
+    x = np.clip((pts - g.lower) / g.h, 0.0, g.cells_per_axis)
+    i0 = np.clip(x.astype(int), 0, g.cells_per_axis - 1)
+    t = x - i0
+    for field, tail in ((values[..., 0], ()), (values, (np.stack([j, j + 1]),))):
+        def f(*corner):
+            return field[corner + tail]
+
+        if n == 1:
+            want = f(i0[:, 0]) * (1 - t[:, 0]) + f(i0[:, 0] + 1) * t[:, 0]
+        else:
+            i, m = i0[:, 0], i0[:, 1]
+            tx, ty = t[:, 0], t[:, 1]
+            want = (f(i, m) * (1 - tx) * (1 - ty) + f(i + 1, m) * tx * (1 - ty)
+                    + f(i, m + 1) * (1 - tx) * ty + f(i + 1, m + 1) * tx * ty)
+        got = _multilinear_at(g, pts, *tail)(field)
+        assert got.shape == want.shape == ((2, k) if tail else (k,))
+        assert np.array_equal(got, want)
+
+
 @pytest.mark.parametrize("n,cells", [(1, 40), (2, 12)])
 def test_interp_matches_per_level_multilinear(n, cells):
     """One gather over all levels equals interpolating each level on its own."""
@@ -336,8 +368,8 @@ def test_interp_matches_per_level_multilinear(n, cells):
         j = min(max(np.searchsorted(slab.y_nodes, y[i], side="right") - 1, 0), slab.J - 1)
         ty = min(max((y[i] - slab.y_nodes[j]) / (slab.y_nodes[j + 1] - slab.y_nodes[j]),
                      0.0), 1.0)
-        lo = _multilinear(g, f.values[..., j], x[i:i + 1])[0]
-        hi = _multilinear(g, f.values[..., j + 1], x[i:i + 1])[0]
+        lo = _multilinear_at(g, x[i:i + 1])(f.values[..., j])[0]
+        hi = _multilinear_at(g, x[i:i + 1])(f.values[..., j + 1])[0]
         want[i] = lo * (1.0 - ty) + hi * ty
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
     with pytest.raises(ValueError):

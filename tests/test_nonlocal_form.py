@@ -224,7 +224,7 @@ def test_offset_table_matches_pairwise_reference(n, cells, s):
     row_sums = W.sum(axis=1)
     assert np.abs(table.row_sums - row_sums).max() <= 1e-14 * row_sums.min()
     ii = np.flatnonzero(g.interior().ravel())
-    tail, _ = (_tail_1d if n == 1 else _tail_2d)(g, s)
+    tail = (_tail_1d if n == 1 else _tail_2d)(g, s)
     ref = -W[np.ix_(ii, ii)]
     ref[np.diag_indices(ii.size)] = row_sums[ii] + tail[ii]
     ref *= normalization_constant(n, s)

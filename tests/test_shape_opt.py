@@ -53,6 +53,32 @@ def test_greedy_benchmark_run():
     tr.check()
 
 
+# lambda_1 of (-Delta)^(1/2) on the unit interval (-1, 1) (Kwasnicki 2012)
+LAMBDA1_UNIT_INTERVAL = 1.1577738836977
+
+
+@pytest.mark.parametrize("Lambda", [2.3, 4.0])
+def test_greedy_converges_to_the_ball_optimum_in_1d(Lambda):
+    """Fractional Faber-Krahn at m = 1, s = 1/2: the minimiser of
+    lambda_1 + Lambda |Omega| is a ball of radius
+    R* = (2s lambda_1(B_1) / (n Lambda omega_n))^(1/(n+2s)) with value
+    J* = lambda_1(B_1) R*^(-2s) + Lambda omega_n R*^n. Greedy's relative error
+    falls at first order in h (at least 1.8x per halving), and its measure
+    lies within 2h of 2R*."""
+    s, n, omega_n = 0.5, 1, 2.0
+    R = (2 * s * LAMBDA1_UNIT_INTERVAL / (n * Lambda * omega_n)) ** (1 / (n + 2 * s))
+    J = LAMBDA1_UNIT_INTERVAL * R ** (-2 * s) + Lambda * omega_n * R**n
+    errors = []
+    for cells in (64, 128, 256):
+        g = BoxGrid(1, -1.0, 1.0, cells)
+        tr = optimize(g, OptimizerConfig(m=1, Lambda=Lambda), FracParams(1, s, Lambda))
+        assert tr.certified
+        assert abs(tr.best_mask.measure - 2 * R) <= 2 * g.h
+        errors.append(abs(tr.best_objective - J) / J)
+    assert all(coarse >= 1.8 * fine for coarse, fine in zip(errors, errors[1:])), errors
+    assert errors[-1] <= 3e-3
+
+
 def test_greedy_accepted_objectives_monotone():
     tr = optimize(bench_grid(), OptimizerConfig(**BENCH), bench_params())
     objs = [r["objective"] for r in tr.records if r["accepted"]]

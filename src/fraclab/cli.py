@@ -191,6 +191,10 @@ def cmd_eig(args):
         raise UsageError(f"m = {m} must lie in [1, {dom.cell_count}] (domain nodes)")
     form = run.timed("assemble", nonlocal_form.assemble_form, dom, params)
     bundle = run.timed("solve", eigen.lowest_eigenpairs, form, m)
+    try:
+        bundle.check()
+    except AssertionError as exc:
+        raise ArithmeticError(f"eigenpairs fail their check: {exc}") from None
     gridio.write_mask(run.output("mask.frlb"), dom)
     for i, fld in enumerate(bundle.full_fields(), start=1):
         gridio.write_fields(run.output(f"v{i:02d}.frlb"), grid, fld)

@@ -146,7 +146,9 @@ def one_plane_solution(t, z, s):
     s = _check_order(s)
     t = np.asarray(t, dtype=float)
     z = np.asarray(z, dtype=float)
-    base = 0.5 * (np.hypot(t, z) + t)
+    # blow-up and slab coordinates lie far inside (1e-150, 1e150), where the
+    # plain sum neither overflows nor underflows; np.hypot is ~3x slower
+    base = 0.5 * (np.sqrt(t * t + z * z) + t)
     # base >= 0 by construction; 0**s == 0 for s > 0
     out = np.power(base, s)
     if out.ndim == 0:

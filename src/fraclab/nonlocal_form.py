@@ -31,7 +31,7 @@ import numpy as np
 from .constants import normalization_constant
 from .grids import ThinDomain
 
-__all__ = ["StiffnessForm", "KernelTable", "assemble_form", "seminorm", "domain_measure"]
+__all__ = ["StiffnessForm", "KernelTable", "assemble_form", "seminorm"]
 
 # ---------------------------------------------------------------------------
 # near-field weights (touching cells, local linear model)
@@ -283,8 +283,3 @@ def seminorm(form, u):
     if u.shape != (form.dim,):
         raise ValueError(f"vector length {u.shape} does not match form dim {form.dim}")
     return float(u @ form.K @ u)
-
-
-def domain_measure(domain):
-    """Lebesgue measure of the pixel domain (h^n per cell)."""
-    return domain.measure

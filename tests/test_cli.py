@@ -265,6 +265,25 @@ def test_linalg_error_is_a_numerical_failure(eig_out, tmp_path, monkeypatch, cap
     assert "numerical failure: forced failure" in capsys.readouterr().err
 
 
+def test_eig_checks_the_bundle_before_writing(tmp_path, monkeypatch, capsys):
+    from fraclab import eigen
+
+    solve = eigen.lowest_eigenpairs
+
+    def loose(form, m):
+        bundle = solve(form, m)
+        bundle.residuals[-1] = 1e-6
+        return bundle
+
+    monkeypatch.setattr(eigen, "lowest_eigenpairs", loose)
+    cfg = write_cfg(tmp_path / "run.cfg", **EIG_KEYS)
+    out = tmp_path / "out"
+    assert main(["eig", "--config", cfg, "--out", str(out)]) == 4
+    assert "check: residual 1.00e-06 > 1e-8" in capsys.readouterr().err
+    assert not (out / "lambdas.json").exists()
+    assert not out.exists() or os.listdir(out) == []
+
+
 # -- optimize and replay -----------------------------------------------------
 
 

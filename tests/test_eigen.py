@@ -1,15 +1,17 @@
 import numpy as np
 import pytest
+from scipy import linalg
 
 from fraclab.constants import FracParams
 from fraclab.eigen import (
+    _next_block,
     gram_schmidt,
     lowest_eigenpairs,
     objective,
     sup_bound_check,
 )
 from fraclab.grids import BoxGrid, ball_domain, interval_domain, mask_from_indices
-from fraclab.nonlocal_form import assemble_form
+from fraclab.nonlocal_form import StiffnessForm, assemble_form
 
 # Ground eigenvalue of (-1,1) at s=1/2, design box (-2,2), frozen from this
 # discretization at four resolutions.  Richardson extrapolation of the ladder
@@ -187,3 +189,96 @@ def test_gram_schmidt_rejects_dependent_input():
     V[1] = 2.0 * V[0]
     with pytest.raises(ValueError, match="index 2"):
         gram_schmidt(V, 0.1)
+
+
+# -- block Lanczos against the dense LAPACK solver ------------------------------
+
+
+@pytest.mark.parametrize("s", [0.2, 0.5, 0.8])
+@pytest.mark.parametrize("kind,cells", [("interval", 128), ("interval", 1024),
+                                        ("disk", 24), ("disk", 48)])
+def test_lanczos_matches_dense_eigh(kind, cells, s):
+    if kind == "interval":
+        dom = interval_domain(BoxGrid(1, -2.0, 2.0, cells), -1.0, 1.0)
+        form, m = assemble_form(dom, FracParams(1, s, 1.0)), 3
+    else:
+        # centred: the first excited pair is exactly degenerate
+        dom = ball_domain(BoxGrid(2, -1.0, 1.0, cells), [0.0, 0.0], 0.6)
+        form, m = assemble_form(dom, FracParams(2, s, 1.0)), 4
+    K0 = form.K.copy()
+    bundle = lowest_eigenpairs(form, m)
+    assert form.K.tobytes() == K0.tobytes()
+    bundle.check()
+    assert bundle.residuals.max() < 1e-10
+    # two more reference pairs, so a cluster at the m-th pair is seen whole
+    vals, vecs = linalg.eigh(form.K, subset_by_index=[0, m + 1], driver="evr")
+    ref = vals / form.mass
+    assert np.all(np.abs(bundle.lambdas - ref[:m]) <= 1e-12 * ref[:m])
+    # vectors are defined up to rotation within a cluster: each must lie in
+    # the span of its cluster's reference vectors
+    x = bundle.vectors.T * np.sqrt(form.mass)
+    for i in range(m):
+        cluster = np.abs(ref - ref[i]) <= 1e-9 * ref[i]
+        V = vecs[:, cluster]
+        assert np.linalg.norm(x[:, i] - V @ (V.T @ x[:, i])) < 1e-8
+
+
+def test_lanczos_converges_where_roundoff_bounds_the_residual():
+    """At s = 0.8 on 1025 nodes eps ||K|| / lambda_1 is near 1e-11, which
+    even the dense solver's residual exceeds; the solve must still succeed.
+    Either solver's eigenvalues are then only good to ~eps ||K|| absolute,
+    with ||K|| <= 2 max K_ii for this diagonally dominant K."""
+    dom = interval_domain(BoxGrid(1, -2.0, 2.0, 2048), -1.0, 1.0)
+    form = assemble_form(dom, FracParams(1, 0.8, 1.0))
+    bundle = lowest_eigenpairs(form, 3)
+    bundle.check()
+    ref = linalg.eigh(form.K, subset_by_index=[0, 2], driver="evr",
+                      eigvals_only=True) / form.mass
+    roundoff = np.finfo(float).eps * 2 * form.K.diagonal().max() / form.mass
+    assert np.all(np.abs(bundle.lambdas - ref) <= 4 * roundoff)
+
+
+def test_lanczos_replays_byte_for_byte():
+    dom = ball_domain(BoxGrid(2, -1.0, 1.0, 32), [0.01, -0.02], 0.6)
+    form = assemble_form(dom, FracParams(2, 0.5, 1.0))
+    a, b = lowest_eigenpairs(form, 4), lowest_eigenpairs(form, 4)
+    for field in ("lambdas", "vectors", "residuals", "gram"):
+        assert getattr(a, field).tobytes() == getattr(b, field).tobytes()
+
+
+def test_indefinite_matrix_raises_and_keeps_k():
+    dom = ball_domain(BoxGrid(2, -1.0, 1.0, 24), [0.0, 0.0], 0.6)
+    form = assemble_form(dom, FracParams(2, 0.5, 1.0))
+    lam = lowest_eigenpairs(form, 2).lambdas * form.mass
+    # shift between the two lowest eigenvalues: one negative eigenvalue
+    K = form.K - 0.5 * (lam[0] + lam[1]) * np.eye(form.dim)
+    bad = StiffnessForm(K=K, h=form.h, n=form.n, domain=dom)
+    K0 = K.copy()
+    with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
+        lowest_eigenpairs(bad, 2)
+    assert bad.K.tobytes() == K0.tobytes()
+
+
+@pytest.mark.parametrize("cells", [8, 12, 16])
+def test_every_block_size_up_to_the_dimension(cells):
+    """d = 5, 7, 9: m need not divide d, and m = d spans everything at once."""
+    dom = interval_domain(BoxGrid(1, -2.0, 2.0, cells), -1.0, 1.0)
+    form = assemble_form(dom, FracParams(1, 0.5, 1.0))
+    ref = linalg.eigh(form.K, eigvals_only=True, driver="evr") / form.mass
+    K0 = form.K.copy()
+    for m in range(1, form.dim + 1):
+        bundle = lowest_eigenpairs(form, m)
+        bundle.check()
+        assert bundle.residuals.max() < 1e-10
+        np.testing.assert_allclose(bundle.lambdas, ref[:m], rtol=1e-12, atol=0)
+        assert form.K.tobytes() == K0.tobytes()
+
+
+def test_next_block_makes_up_for_zero_columns():
+    rng = np.random.default_rng(3)
+    Q = np.linalg.qr(rng.standard_normal((12, 4)))[0]
+    W = np.zeros((12, 3))
+    W[:, 1] = rng.standard_normal(12)
+    block = _next_block(Q, W, 3, rng)
+    basis = np.hstack([Q, block])
+    np.testing.assert_allclose(basis.T @ basis, np.eye(7), atol=1e-14)

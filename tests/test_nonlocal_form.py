@@ -15,7 +15,6 @@ from fraclab.nonlocal_form import (
     _tail_2d,
     KernelTable,
     assemble_form,
-    domain_measure,
     kernel_table,
     seminorm,
 )
@@ -133,7 +132,6 @@ def test_assemble_form_consistency():
     assert form.dim == dom.cell_count
     assert form.mass == pytest.approx(g.h)
     form.check()
-    assert domain_measure(dom) == pytest.approx(dom.measure)
 
 
 def test_seminorm_helper_matches_quadratic_form():

@@ -148,7 +148,9 @@ def one_plane_solution(t, z, s):
     z = np.asarray(z, dtype=float)
     # blow-up and slab coordinates lie far inside (1e-150, 1e150), where the
     # plain sum neither overflows nor underflows; np.hypot is ~3x slower
-    base = 0.5 * (np.sqrt(t * t + z * z) + t)
+    r = np.sqrt(t * t + z * z)
+    # r + t cancels for t < 0, where z^2 / (r - t) is the same number
+    base = 0.5 * np.divide(z * z, r - t, out=np.asarray(r + t), where=t < 0)
     # base >= 0 by construction; 0**s == 0 for s > 0
     out = np.power(base, s)
     if out.ndim == 0:

@@ -4,14 +4,15 @@ The search space is node masks on a BoxGrid with a one-cell margin. Because
 zero-extension makes the stiffness matrix of a subdomain a principal submatrix
 of the full-grid matrix, every mask's matrix is a selection from a kernel
 table assembled once. A single-cell move borders or deletes one row and
-column of that matrix, so one eigendecomposition of a mask scores any number
-of such moves through secular equations. Greedy descent (steepest, with
-deterministic tie-breaking) scores every candidate so and re-solves densely
-the few within 1e-9 of the best score; the tie rule runs on those dense
-values. Annealing (Metropolis with geometric cooling, one candidate per step)
-solves the first proposal on each mask densely and scores later ones
-secularly, re-solving densely an accepted proposal or a decision within 1e-9
-of its threshold. Both record what a dense solve of every candidate gives.
+column of that matrix, scored by a secular equation from the mask's
+Householder form K = Q T Q^T; a dense solve is that reduction and bisection
+for T's m lowest eigenvalues. Greedy descent (steepest, deterministic ties)
+scores every candidate from all pairs of T and re-solves densely the few
+within 1e-9 of the best score; the tie rule runs on those dense values.
+Annealing (Metropolis with geometric cooling, one candidate per step) scores
+each proposal from the current mask's form through T's resolvent, re-solving
+densely an accepted proposal or a decision within 1e-9 of its threshold.
+Both record what a dense solve of every candidate gives.
 Block-flip moves and the local-optimality certificate are solved densely.
 Degenerate proposals (disconnecting or emptying the mask) are admissible.
 """
@@ -20,7 +21,7 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import linalg
+from scipy.linalg import lapack
 
 from .extension import _as_fields, _interp, _multilinear_at
 from .grids import BoxGrid, ThinDomain, _neighbor_counts, ball_domain
@@ -37,9 +38,9 @@ __all__ = [
 
 _MOVE_KINDS = ("single-flip", "boundary-flip", "block-flip")
 _SCHEDULES = ("greedy", "anneal")
-# a root takes a few steps, up to ~55 midpoint steps at a bracket end; this
-# only bounds the loop
+# a root takes a few steps (at most 10 on the benchmark inputs); this bounds the loop
 _ROOT_STEPS = 128
+_EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -110,116 +111,176 @@ class OptimizationTrace:
 class _Evaluator:
     """Objective evaluation shared across moves, against one kernel table.
 
-    `objective` solves the dense eigenproblem of one mask; `move_objectives`
-    scores single-cell moves from a mask's eigendecomposition (`decompose`).
-    `counts` tallies dense subset solves, secular move scores, full
-    eigendecompositions and annealing guard-band re-solves.
+    `solve`/`objective` (a dense solve) reduce a mask's matrix to its
+    Householder form (`_Form`); `move_objectives` scores single-cell moves
+    from that form or from one with every pair of T (`decompose`). `counts`
+    tallies dense solves, secular move scores, full eigendecompositions and
+    annealing guard-band re-solves.
     """
 
     def __init__(self, grid, params, m, Lambda):
         self.table = kernel_table(grid, params.s)
-        self.h = grid.h
-        self.n = grid.n
-        self.m = m
-        self.Lambda = Lambda
+        self.h, self.n, self.m, self.Lambda = grid.h, grid.n, m, Lambda
         self.counts = {"dense": 0, "secular": 0, "full_eigh": 0, "guard": 0}
 
-    def lambdas(self, idx):
+    def solve(self, idx):
+        """(objective, lambdas, form with T's m + 1 lowest pairs); inf, Nones below m nodes."""
         if idx.size < self.m:
-            return None
-        K = self.table.stiffness(idx)
+            return np.inf, None, None
         self.counts["dense"] += 1
-        vals = linalg.eigh(
-            K, subset_by_index=(0, self.m - 1), eigvals_only=True, driver="evr"
-        )
-        return vals / self.h**self.n
+        form = _Form(self.table.stiffness(idx), idx, self.m + 1)
+        lams = form.lam[: self.m] / self.h**self.n
+        return float(np.sum(lams) + self.Lambda * self.h**self.n * idx.size), lams, form
 
     def objective(self, idx):
-        lams = self.lambdas(idx)
-        if lams is None:
-            return np.inf, None
-        meas = self.h**self.n * idx.size
-        return float(np.sum(lams) + self.Lambda * meas), lams
+        return self.solve(idx)[:2]
 
     def decompose(self, mask_flat):
-        """(mask, nodes, lam, U) with K = U diag(lam) U^T the mask's matrix."""
+        """The mask's form with every pair of T (divide and conquer, dstevd)."""
         idx = np.flatnonzero(mask_flat)
-        lam, U = linalg.eigh(self.table.stiffness(idx), driver="evd")
         self.counts["full_eigh"] += 1
-        return mask_flat, idx, lam, U
+        return _Form(self.table.stiffness(idx), idx, None)
 
-    def move_objectives(self, dec, cells):
-        """Objective after flipping each one of `cells` alone in the decomposed mask.
+    def move_objectives(self, form, cells):
+        """Objective after flipping each one of `cells` alone in the mask of `form`.
 
-        With K = U diag(lam) U^T the mask's matrix, adding a cell borders K with a
-        column b and a diagonal entry alpha, and removing the node at position
-        j deletes row and column j. The m lowest eigenvalues of the new matrix
-        are the roots of the increasing secular function
-        F(mu) = [mu - alpha] + sum_i w_i / (lam_i - mu), with w = (U^T b)^2 and
-        the bracketed term for an addition, w = U[j]^2 and no bracketed term
-        for a removal (Golub 1973); Cauchy interlacing brackets them (see
-        `_secular_roots`; the top bracket of an addition ends at
-        max(lam_d, alpha) + |U^T b|). A move that leaves fewer than m nodes
-        scores inf.
+        With K = Q T Q^T, T = S diag(lam) S^T, an added cell borders K with a
+        column b and a diagonal alpha, a removal deletes row and column j. The
+        new m lowest eigenvalues are the roots of F(mu) = [mu - alpha] +
+        sum_i w_i / (lam_i - mu), w = (S^T v)^2, v = Q^T b with the bracketed
+        term or v = Q^T e_j without it (Golub 1973; see `_secular_roots`). If
+        the form holds T's lowest pairs only, sum_i w_i / (lam_i - mu) is
+        v^T (T - mu)^-1 v. A move leaving fewer than m nodes scores inf.
         """
-        mask_flat, idx, lam, U = dec
-        m, d = self.m, idx.size
+        idx, m, d = form.idx, self.m, form.idx.size
         self.counts["secular"] += cells.size
-        add = ~mask_flat[cells]
+        add = ~np.isin(cells, idx)
+        B, alpha = self.table.border(idx, cells[add])
+        V = form.qt(np.hstack([B, np.arange(d)[:, None] == np.searchsorted(idx, cells[~add])]))
         roots = np.full((cells.size, m), np.inf)
-        if d + 1 >= m and add.any():
-            B, alpha = self.table.border(idx, cells[add])
-            z = B.T @ U  # one row U^T b per cell
-            top = np.maximum(lam.max(initial=0.0), alpha) + np.linalg.norm(z, axis=1)
-            roots[add] = _secular_roots(lam, z**2, m, alpha, top)
-        if d - 1 >= m and not add.all():
-            w = U[np.searchsorted(idx, cells[~add])] ** 2
-            roots[~add] = _secular_roots(lam, w, m)
+        for sel, v, alpha in ((add, V[:, : B.shape[1]], alpha), (~add, V[:, B.shape[1]:], None)):
+            if sel.any() and d + (1 if alpha is not None else -1) >= m:
+                res = None if form.lam.size == d else form.resolvent(v)
+                roots[sel] = _secular_roots(form.lam, (v.T @ form.S) ** 2, m, alpha, res)
         size = d + np.where(add, 1, -1)
         return roots.sum(axis=1) / self.h**self.n + self.Lambda * self.h**self.n * size
 
 
-def _secular_roots(lam, w, m, alpha=None, top=None):
+class _Form:
+    """K = Q T Q^T (dsytrd, lower; K is overwritten) and the k lowest pairs
+    (lam, S) of T by bisection and inverse iteration, or all (k None, dstevd)."""
+
+    def __init__(self, K, idx, k):
+        d, self.idx = idx.size, idx
+        self.lam, self.S = np.empty(0), np.empty((0, 0))
+        if d == 0:
+            return
+        # block size 16 (set by the workspace) beat 32 at d = 145..1200, one thread
+        c, self.diag, off, self.tau = _lapack("dsytrd", K.T, lower=1, lwork=16 * d,
+                                              overwrite_a=1)
+        # Q = diag(1, Q'), Q' the product of the reflectors below the subdiagonal
+        self.reflectors = np.asfortranarray(c[1:, :-1])
+        self.off = off if d > 1 else np.zeros(1)  # the wrappers want one entry at d = 1
+        # a bound on |T|: a solve with T - mu is exact to about eps |T| in mu
+        self.norm = np.abs(self.diag).max() + 2 * np.abs(self.off).max()
+        if k is None:
+            self.lam, self.S = _lapack("dstevd", self.diag, self.off)
+        else:
+            k, lam, block, split = _lapack("dstebz", self.diag, self.off, 2, 0.0, 0.0, 1,
+                                           min(k, d), 0.0, b"B")
+            S = _lapack("dstein", self.diag, self.off, lam[:k], block, split)[0]
+            order = np.argsort(lam[:k], kind="stable")  # a split T comes block by block
+            self.lam, self.S = lam[order], S[:, order]
+
+    def qt(self, X):
+        """Q^T X, in place, for a float array X of d rows."""
+        if X.shape[0] > 1:
+            lwork = 1 if X.shape[1] == 1 else 64 * (X.shape[1] + 65)  # blocks of 64; 1: unblocked
+            X[1:] = _lapack("dormqr", "L", "T", self.reflectors, self.tau, X[1:], lwork)[0]
+        return X
+
+    def resolvent(self, V):
+        """`_secular_roots`' resolvent for the columns v of V: its sums are v^T y
+        and y^T y for the tridiagonal solve y = (T - x)^-1 v."""
+        def sums(cand, x):
+            y = np.array([_lapack("dgtsv", self.off, self.diag - mu, self.off, V[:, c])[3]
+                          for c, mu in zip(cand, x)])
+            return np.einsum("ij,ji->i", y, V[:, cand]), np.einsum("ij,ij->i", y, y)
+        return sums, (V * V).sum(0), self.norm
+
+
+def _lapack(name, *args, **kwargs):
+    """LAPACK `name`'s outputs but info; a nonzero info raises LinAlgError."""
+    *out, info = getattr(lapack, name)(*args, **kwargs)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"LAPACK {name} failed with info {info}")
+    return out
+
+
+def _secular_roots(lam, w, m, alpha=None, resolvent=None):
     """The m lowest roots of F(mu) = [mu - alpha] + sum_i w_i / (lam_i - mu).
 
-    w has one row of weights per candidate; alpha and top (one per candidate)
-    are given for an addition only. With e = (0, lam, top), root k lies in
-    [a, b] = [e_k, e_{k+1}] for an addition (the new matrix is positive
-    definite) and in [lam_k, lam_{k+1}] for a removal. Each step matches the
-    pole sums left and right of [a, b] (the linear term counts right) in value
-    and derivative by P/(a - mu) and Q/(b - mu) plus a constant, and takes
-    that model's root in [a, b] (Bunch, Nielsen and Sorensen 1978), or the
-    midpoint of F's sign bracket if the model root leaves it. Roots at a
-    bracket end (a vanishing weight, coinciding poles) need no special code.
+    w has one row of weights per candidate; alpha (one per candidate) is given
+    for an addition only. Given resolvent = (sums, total, norm), lam and w
+    hold only the min(m + 1, d) lowest of the d > m + 1 poles, sums(cand, x)
+    gives sum_i w_i / (lam_i - x) and its derivative over all poles at one x
+    per candidate (exact to eps max(|x|, norm) in x), total the weight sums.
+
+    With e = (0, lam, top), top = max(lam_d, alpha) + |w|^(1/2) (Weyl), root k
+    lies in [a, b] = [e_k, e_{k+1}] for an addition (the new matrix is
+    positive definite) and in [lam_k, lam_{k+1}] for a removal. Each step
+    matches the pole sums left and right of [a, b] (the linear term counts
+    right) in value and derivative by P/(a - mu) and Q/(b - mu) plus a
+    constant, and takes that model's root in [a, b] (Bunch, Nielsen and
+    Sorensen 1978), or the midpoint of F's sign bracket if the model root
+    leaves it. A pole at a bracket end whose weight vanishes (at most eps
+    times the total, as on a nodal line) is deflated: the first step probes
+    a few ulps inside that end for the side of the root.
     """
+    top = None  # needed only where every pole is explicit
+    if resolvent is None:
+        def sums(cand, x, lam=lam, w=w):
+            inv = 1.0 / (lam - x[:, None])
+            t = w[cand] * inv
+            return t.sum(1), (t * inv).sum(1)
+        resolvent = sums, w.sum(1), 0.0
+        if alpha is not None:
+            top = np.maximum(lam.max(initial=0.0), alpha) + np.sqrt(w.sum(1))
+        lam, w = lam[: m + 1], w[:, : m + 1]
+    sums, total, norm = resolvent
     cand, r = np.divmod(np.arange(w.shape[0] * m), m)  # the pairs (candidate, root)
     split = r + (alpha is None)  # number of poles left of the pair's bracket
     ext = np.concatenate([[0.0], lam, [np.inf]])
     a, b = ext[split], ext[split + 1]
-    if alpha is not None:
+    if top is not None:
         b = np.where(split == lam.size, top[cand], b)
     left = np.arange(min(m, lam.size)) < split[:, None]  # left poles are among the first m
-    lo, hi, x = a.copy(), b.copy(), 0.5 * (a + b)  # (lo, hi) is F's sign bracket
+    # whether the weights of the poles at a and b vanish (an end that is no pole: inf)
+    wx = np.hstack([np.full((len(w), 1), np.inf), w, np.full((len(w), 1), np.inf)])
+    flat = wx[cand[:, None], split[:, None] + [0, 1]] <= _EPS * total[cand, None]
+    # 16 ulps: a step to a weighted pole closer than 8 ulps would count as done
+    near = np.minimum(16 * _EPS * np.maximum(np.abs(b), norm), 0.5 * (b - a))
+    x = np.select([flat[:, 0], flat[:, 1]], [a + near, b - near], 0.5 * (a + b))
+    lo, hi = a.copy(), b.copy()  # (lo, hi) is F's sign bracket
     act = np.flatnonzero((x > lo) & (x < hi))  # pairs still iterating
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for _ in range(_ROOT_STEPS):
+        for it in range(_ROOT_STEPS):
             if act.size == 0:
                 return x.reshape(-1, m)
             xa, da, db = x[act], a[act] - x[act], b[act] - x[act]
-            inv = 1.0 / (lam - xa[:, None])
-            t = w[cand[act]] * inv
-            dt = t * inv
-            fl = np.where(left[act], t[:, :left.shape[1]], 0.0).sum(1)
-            gl = np.where(left[act], dt[:, :left.shape[1]], 0.0).sum(1)
-            F, dF = t.sum(1), dt.sum(1)
+            inv = 1.0 / (lam[: left.shape[1]] - xa[:, None])
+            t = w[cand[act], : left.shape[1]] * inv
+            fl = np.where(left[act], t, 0.0).sum(1)
+            gl = np.where(left[act], t * inv, 0.0).sum(1)
+            F, dF = sums(cand[act], xa)
             # rounding error of F, chiefly from lam_i - mu (exact only to an ulp
-            # of mu, hence the |mu| F' part); a smaller |F| is a root
+            # of max(|mu|, norm), hence the F' part); a smaller |F| is a root
             noise = F - 2.0 * fl  # sum of |w_i / (lam_i - mu)|
             if alpha is not None:
                 F += xa - alpha[cand[act]]
                 dF += 1.0
                 noise += np.abs(alpha[cand[act]])
-            noise += np.abs(xa) * dF
+            noise += np.maximum(np.abs(xa), norm) * dF
             lo[act] = l = np.where(F < 0, xa, lo[act])
             hi[act] = h = np.where(F > 0, xa, hi[act])
             P, Q = gl * da * da, (dF - gl) * db * db
@@ -229,8 +290,9 @@ def _secular_roots(lam, w, m, alpha=None, top=None):
             q = B + np.copysign(np.sqrt(B * B - 4.0 * c * C), B)
             step = np.where((2 * C / q > da) & (2 * C / q < db), 2 * C / q, q / (2 * c))
             new = xa + step
-            new = np.where((new > l) & (new < h), new, 0.5 * (l + h))
-            done = np.abs(F) <= 8 * np.finfo(float).eps * noise
+            probe = flat[act].any(1) & (it == 0)  # no model step from beside a pole
+            new = np.where((new > l) & (new < h) & ~probe, new, 0.5 * (l + h))
+            done = np.abs(F) <= 8 * _EPS * noise
             x[act] = np.where(done, xa, new)
             act = act[~(done | (new <= l) | (new >= h))]
     raise AssertionError(f"secular roots did not converge in {_ROOT_STEPS} steps")
@@ -318,7 +380,7 @@ def optimize(design_box, config, params, should_stop=None):
             if stopped:
                 trace.interrupted = True
                 break
-    except linalg.LinAlgError:
+    except np.linalg.LinAlgError:
         trace.aborted = True
     trace.wall_time = time.perf_counter() - t_start
     trace.evaluations = dict(ev.counts)
@@ -416,30 +478,26 @@ def _certify(grid, ev, config, mask, obj):
 def _run_anneal(grid, ev, config, mask, trace, restart, rng, should_stop):
     h, n = grid.h, grid.n
     kind = config.move_kind
-    obj, lams = ev.objective(np.flatnonzero(mask))
+    obj, lams, form = ev.solve(np.flatnonzero(mask))
     _record(trace, restart, 0, obj, mask, lams, True, h, n)
     _update_best(trace, grid, mask, obj, lams)
     T = config.t0
     stale = 0
-    # whether a proposal on the current mask was rejected; the mask's decomposition
-    rejected, dec = False, None
+    cands = _candidates(grid, mask, kind)
     for step in range(1, config.steps + 1):
         if should_stop is not None and should_stop():
             return True
-        cands = _candidates(grid, mask, kind)
         if cands.size == 0:
             break
         c = cands[rng.integers(cands.size)]
         new = _apply_move(grid, mask, c, kind)
-        if not rejected or kind == "block-flip" or not np.isfinite(obj):
-            accept, o, lms = _metropolis(ev, new, obj, T, rng)
+        if kind == "block-flip" or form is None:
+            accept, o, lms, f = _metropolis(ev, new, obj, T, rng)
         else:
-            if dec is None:
-                dec = ev.decompose(mask)
-            accept, o, lms = _secular_metropolis(ev, dec, c, new, obj, T, rng)
-        rejected = not accept
+            accept, o, lms, f = _secular_metropolis(ev, form, c, new, obj, T, rng)
         if accept:
-            mask, obj, lams, dec = new, o, lms, None
+            mask, obj, lams, form = new, o, lms, f
+            cands = _candidates(grid, mask, kind)
         _record(trace, restart, step, obj, mask, lams, accept, h, n)
         before = trace.best_objective
         _update_best(trace, grid, mask, obj, lams)
@@ -451,34 +509,34 @@ def _run_anneal(grid, ev, config, mask, trace, restart, rng, should_stop):
 
 
 def _metropolis(ev, new, obj, T, rng, u=None):
-    """Dense Metropolis decision on the mask `new`; u is the uniform if already drawn."""
-    o, lms = ev.objective(np.flatnonzero(new))
+    """Dense Metropolis decision on `new`, and its form; u is the uniform if drawn."""
+    o, lms, form = ev.solve(np.flatnonzero(new))
     delta = o - obj
     accept = delta < 0 or (
         np.isfinite(o)
         and (rng.random() if u is None else u) < np.exp(-delta / max(T, 1e-12))
     )
-    return accept, o, lms
+    return accept, o, lms, form
 
 
-def _secular_metropolis(ev, dec, cell, new, obj, T, rng):
+def _secular_metropolis(ev, form, cell, new, obj, T, rng):
     """`_metropolis`'s decision from the secular score, which is far closer
     than eps = 1e-9·max(1, |obj|) to the dense one: below obj - eps accept;
     above obj + eps draw u as the dense rule would and let it decide unless it
     lies between the thresholds of the score -eps and +eps. That guard band and
     non-finite scores are decided densely; an accepted proposal is solved
     densely, so the recorded values are the dense ones."""
-    score = ev.move_objectives(dec, np.array([cell]))[0]
+    score = ev.move_objectives(form, np.array([cell]))[0]
     delta, eps, T = score - obj, 1e-9 * max(1.0, abs(obj)), max(T, 1e-12)
     u = rng.random() if np.isfinite(score) and delta > eps else None
     if u is not None and u >= np.exp(-(delta - eps) / T):
-        return False, None, None
+        return False, None, None, None
     if not delta < -eps and (u is None or u >= np.exp(-(delta + eps) / T)):
         ev.counts["guard"] += 1
         return _metropolis(ev, new, obj, T, rng, u)
-    o, lms = ev.objective(np.flatnonzero(new))
+    o, lms, f = ev.solve(np.flatnonzero(new))
     _check_secular(score, o, cell)
-    return True, o, lms
+    return True, o, lms, f
 
 
 # ---------------------------------------------------------------------------

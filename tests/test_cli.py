@@ -327,6 +327,25 @@ def test_optimize_without_finite_objective_is_not_certified(tmp_path):
     assert summary["best_objective"] is None
 
 
+@pytest.mark.parametrize("name,schedule", [
+    ("dsytrd", "greedy"), ("dstebz", "greedy"), ("dstein", "greedy"),
+    ("dstevd", "greedy"), ("dormqr", "greedy"), ("dgtsv", "anneal"),
+])
+def test_optimize_lapack_failure_is_a_numerical_failure(tmp_path, monkeypatch, name,
+                                                        schedule):
+    from scipy.linalg import lapack
+
+    real = getattr(lapack, name)
+    monkeypatch.setattr(lapack, name, lambda *a, **kw: (*real(*a, **kw)[:-1], 1))
+    cfg = write_cfg(tmp_path / "opt.cfg", **{**OPT_KEYS, "schedule": schedule, "steps": 20})
+    out = tmp_path / "o"
+    assert main(["optimize", "--config", cfg, "--out", str(out)]) == 4
+    summary = json.loads((out / "summary.json").read_text(),
+                         parse_constant=_reject_constant)
+    assert summary["aborted"] and not summary["certified"]
+    assert not RunManifest.load(out / "manifest.json").complete
+
+
 def test_optimize_seed_flag_overrides_config(tmp_path):
     cfg = write_cfg(tmp_path / "opt.cfg", **{**OPT_KEYS, "schedule": "anneal",
                                              "steps": 60, "stale_limit": 50})

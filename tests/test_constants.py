@@ -147,6 +147,21 @@ def test_profile_polar_matches_cartesian():
         )
 
 
+def test_profile_has_no_cancellation_behind_the_wall():
+    """For t < 0 and |z| << |t| the base (|(t, z)| + t)/2 is far below an ulp
+    of |t|; against mpmath at 50 digits it must stay exact to rounding."""
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(7)
+    t = -(10.0 ** rng.uniform(-3.0, 0.0, size=200))
+    z = -t * 10.0 ** rng.uniform(-9.0, -1.0, size=200)
+    for s in (0.2, 0.5, 0.8):
+        got = one_plane_solution(t, z, s)
+        with mpmath.workdps(50):
+            want = [float(((mpmath.sqrt(mpmath.mpf(a) ** 2 + mpmath.mpf(b) ** 2) + a) / 2) ** s)
+                    for a, b in zip(t, z)]
+        assert np.max(np.abs(got - want) / want) <= 1e-14
+
+
 def test_profile_continuous_and_monotone_in_t():
     t = np.linspace(-3, 3, 601)
     u = one_plane_solution(t, 0.3, 0.5)

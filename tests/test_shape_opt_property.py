@@ -5,7 +5,9 @@ The oracle is np.linalg.eigvalsh of the explicitly built bordered matrix
 spectra have repeated eigenvalues, and the weights include exact zeros and
 weights of order 1e-30, the two ways a root sits on a bracket end.
 _secular_roots raises AssertionError if it reaches its iteration cap, so a
-passing example also shows that the cap was not hit.
+passing example also shows that the cap was not hit. The single-move score
+from a mask's Householder form is checked against a dense solve of the
+moved mask.
 """
 
 import numpy as np
@@ -14,7 +16,9 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from fraclab.shape_opt import _secular_roots  # noqa: E402
+from fraclab.constants import FracParams  # noqa: E402
+from fraclab.grids import BoxGrid  # noqa: E402
+from fraclab.shape_opt import _Evaluator, _Form, _secular_roots  # noqa: E402
 
 
 def spectrum(rng, d, distinct):
@@ -71,8 +75,7 @@ def test_addition_roots_match_bordered_matrix(seed, d, distinct, where, data):
     z *= min(1.0, np.sqrt(0.5 * alpha / q)) if q > 0 else 1.0
     M = np.block([[np.diag(lam), z[:, None]], [z[None, :], np.array([[alpha]])]])
     want = np.linalg.eigvalsh(M)[:m]
-    top = max(lam[-1], alpha) + np.linalg.norm(z)
-    got = _secular_roots(lam, z[None] ** 2, m, np.array([alpha]), np.array([top]))[0]
+    got = _secular_roots(lam, z[None] ** 2, m, np.array([alpha]))[0]
     assert_roots_match(got, want)
 
 
@@ -86,6 +89,40 @@ def test_vanishing_weights_give_the_merged_spectrum(alpha):
     lam = np.array([1.6693463778056556, 4.318832268911055] + [4.84799285992818] * 3)
     z = np.array([-1.2729435055578035e-18, 0.0, -1.0626637717143397e-18, 0.0,
                   -9.07132007566055e-19])
-    top = max(lam[-1], alpha) + np.linalg.norm(z)
-    got = _secular_roots(lam, z[None] ** 2, lam.size + 1, np.array([alpha]), np.array([top]))[0]
+    got = _secular_roots(lam, z[None] ** 2, lam.size + 1, np.array([alpha]))[0]
     assert_roots_match(got, np.sort(np.append(lam, alpha)))
+
+
+_EVALUATORS = {}
+
+
+def _evaluator(n, s, m):
+    if (n, s, m) not in _EVALUATORS:
+        g = BoxGrid(n, -1.0, 1.0, 24 if n == 1 else 10)
+        _EVALUATORS[n, s, m] = g, _Evaluator(g, FracParams(n, s, 1.0), m, 1.7)
+    return _EVALUATORS[n, s, m]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([1, 2]), st.sampled_from([0.2, 0.5, 0.8]), st.integers(1, 3),
+       st.integers(0, 2**32 - 1), st.booleans(), st.data())
+def test_single_move_score_matches_dense_solve(n, s, m, seed, mirror, data):
+    g, ev = _evaluator(n, s, m)
+    rng = np.random.default_rng(seed)
+    interior = np.flatnonzero(g.interior().ravel())
+    d = data.draw(st.integers(max(1, m - 1), interior.size))
+    mask = np.zeros(g.node_shape, dtype=bool)
+    mask.ravel()[rng.choice(interior, size=d, replace=False)] = True
+    if mirror:  # symmetric masks put weights on zero and can split T
+        mask |= mask[..., ::-1]
+    mask = mask.ravel()
+    cell = data.draw(st.sampled_from(interior.tolist()))
+    idx = np.flatnonzero(mask)
+    got = ev.move_objectives(_Form(ev.table.stiffness(idx), idx, m + 1), np.array([cell]))[0]
+    new = mask.copy()
+    new[cell] = ~new[cell]
+    want = ev.objective(np.flatnonzero(new))[0]
+    if np.isinf(want):
+        assert np.isinf(got)
+    else:
+        assert abs(got - want) <= 1e-12 * want, (got, want)

@@ -4,7 +4,8 @@ Every run writes a RunManifest (config snapshot, seed, input/output hashes,
 phase wall-times) sufficient to replay it: pass a manifest.json as --config
 and the recorded snapshot is reused. Exit codes: 0 success, 2 usage or config
 parse error, 3 input compatibility (inputs on a grid of another dimension,
-cell count or box), 4 numerical failure (LinAlgError included). The BLAS thread
+cell count or box; a trace that is not finite or not zero on the boundary
+ring), 4 numerical failure (LinAlgError included). The BLAS thread
 count is set by OPENBLAS_NUM_THREADS / OMP_NUM_THREADS at launch: the package
 imports numpy and scipy before main() runs, so it cannot change it.
 """
@@ -38,13 +39,17 @@ def _load_config(path):
     """Returns (config dict, recorded seed or None). Accepts manifest JSON."""
     with open(path) as fh:
         text = fh.read()
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
+    if not text.lstrip().startswith("{"):
+        return gridio.parse_config(text), None
+    try:
         data = json.loads(text)
-        if not isinstance(data, dict) or "config" not in data:
-            raise UsageError(f"{path}: JSON config must be a run manifest")
-        return dict(data["config"]), data.get("seed")
-    return gridio.parse_config(text), None
+    except json.JSONDecodeError as exc:
+        raise gridio.ConfigError(f"{path}: not valid JSON ({exc})") from None
+    seed = data.get("seed")
+    if not isinstance(data.get("config"), dict) or not isinstance(seed, (int, type(None))):
+        raise gridio.ConfigError(f"{path}: JSON config must be a run manifest, with an "
+                                 "object 'config' and an integer or null 'seed'")
+    return data["config"], seed
 
 
 def _cfg(cfg, key, cast, default=None, required=False):
@@ -136,6 +141,15 @@ class _Run:
         self.manifest.save(os.path.join(self.args.out, "manifest.json"))
 
 
+def _extend(trace, slab, path):
+    """extension.extend of a trace read from `path`; a trace it rejects (not
+    finite, or nonzero on the boundary ring) is an input error."""
+    try:
+        return extension.extend(trace, slab)
+    except ValueError as exc:
+        raise gridio.CompatibilityError(f"{path}: {exc}") from None
+
+
 def _domain_from(run, grid):
     spec = _cfg(run.cfg, "domain", str, required=True).split() or [""]
     if spec[0] == "interval":
@@ -221,7 +235,7 @@ def cmd_extend(args):
     Y = _cfg(run.cfg, "Y", float, None)
     gamma = _cfg(run.cfg, "gamma", float, None)
     slab = _checked(extension.SlabGrid, grid, J, a=params.a, Y=Y, gamma=gamma)
-    fld = run.timed("solve", extension.extend, fields[comp], slab)
+    fld = run.timed("solve", _extend, fields[comp], slab, trace_path)
     energy = extension.extension_energy(fld)
     nt, flags = extension.neumann_trace(fld)
     gridio.write_slab_field(run.output("slab.frlb"), fld)
@@ -325,7 +339,7 @@ def cmd_diagnose(args):
         fp = fp.strip()
         fgrid, arr = run.input(fp, gridio.read_fields)
         _require_layout(grid, fgrid, fp)
-        traces.extend(arr)
+        traces.extend((tr, fp) for tr in arr)
     fb = diagnostics.free_boundary_set(dom)
     sel = list(range(len(fb)))
     if args.points:
@@ -336,7 +350,7 @@ def cmd_diagnose(args):
     J = _cfg(cfg, "J", int, 32)
     Y = _cfg(cfg, "Y", float, None)
     slab = _checked(extension.SlabGrid, grid, J, a=params.a, Y=Y)
-    ext_fields = [extension.extend(tr, slab) for tr in traces]
+    ext_fields = [_extend(tr, slab, fp) for tr, fp in traces]
     c_tilde = extension._c_tilde(ext_fields, params)
     h = grid.h
     r_lo = _cfg(cfg, "r_min_cells", float, 5.0) * h
@@ -451,16 +465,19 @@ def cmd_verify(args):
     l2 = eigen.lowest_eigenpairs(nonlocal_form.assemble_form(dom2, p), 1).lambdas[0]
     check("scaling law exact", abs(l2 - ls / 2.0) < 1e-10 * ls, f"defect {abs(l2-ls/2):.2e}")
 
-    x = g.axis_nodes()
-    m = np.abs(x) < 1
-    u = np.zeros_like(x)
-    u[m] = np.exp(-1.0 / (1.0 - x[m] ** 2))
-    K = nonlocal_form.kernel_table(g, 0.5).stiffness(np.flatnonzero(g.interior().ravel()))
-    q = float(u[g.interior().ravel()] @ K @ u[g.interior().ravel()])
-    slab = extension.SlabGrid(g, 24, a=0.0, Y=4.0)
-    e = extension.extension_energy(extension.extend(u, slab))
-    rel = abs(p.d_s * e - q) / q
-    check("extension energy identity within 5%", rel <= 0.05, f"mismatch {rel:.3%}")
+    rel = []
+    for cells, J, Y in ((128, 24, 4.0), (256, 48, 8.0)):  # one joint refinement
+        g = grids.BoxGrid(1, -2.0, 2.0, cells)
+        x = g.axis_nodes()
+        u, inside = np.zeros_like(x), np.abs(x) < 1
+        u[inside] = np.exp(-1.0 / (1.0 - x[inside] ** 2))
+        inner = g.interior().ravel()
+        q = float(u[inner] @ nonlocal_form.kernel_table(g, 0.5).stiffness(
+            np.flatnonzero(inner)) @ u[inner])
+        e = extension.extension_energy(extension.extend(u, extension.SlabGrid(g, J, a=0.0, Y=Y)))
+        rel.append(abs(p.d_s * e - q) / q)
+    check("extension energy identity within 5%, lower after refinement",
+          rel[0] <= 0.05 and rel[1] < rel[0], f"mismatch {rel[0]:.3%} -> {rel[1]:.3%}")
 
     ok_all = all(checks)
     print(f"{sum(checks)}/{len(checks)} checks passed")

@@ -178,28 +178,32 @@ def _gauss_jacobi(k, alpha, beta):
     return x, mu0 / math.gamma(ab + 2.0) * v[0] ** 2
 
 
+# Gauss-Jacobi nodes in the polar variable, trapezoid nodes in azimuth (n = 2)
+_K_POLAR, _K_AZIMUTH = 48, 64
+
+
 @functools.lru_cache(maxsize=8)
-def _hemisphere_rule(n, a, k_polar=48, k_azimuth=64):
+def _hemisphere_rule(n, a):
     """Quadrature nodes/weights for int_{upper half unit sphere} |y|^a f dS.
 
     Returns (directions (q, n+1), weights (q,)) with the weight |y|^a folded in.
-    Built once per argument set; the cached arrays are read-only.
+    Built once per (n, a); the cached arrays are read-only.
     """
     if n == 1:
         # x = cos(theta): int_0^pi f (sin)^a dtheta = int_-1^1 f (1-x^2)^((a-1)/2) dx
-        x, wts = _gauss_jacobi(k_polar, (a - 1.0) / 2.0, (a - 1.0) / 2.0)
+        x, wts = _gauss_jacobi(_K_POLAR, (a - 1.0) / 2.0, (a - 1.0) / 2.0)
         dirs = np.column_stack([x, np.sqrt(1.0 - x * x)])
     else:
         # n=2: t = y/r in [0,1]: dS = r^2 t^a f  dt dphi on the weight side
-        t, wt = _gauss_jacobi(k_polar, 0.0, a)
+        t, wt = _gauss_jacobi(_K_POLAR, 0.0, a)
         t = 0.5 * (t + 1.0)
         wt = wt * 0.5 ** (a + 1.0)
-        phi = 2.0 * np.pi * (np.arange(k_azimuth) + 0.5) / k_azimuth
+        phi = 2.0 * np.pi * (np.arange(_K_AZIMUTH) + 0.5) / _K_AZIMUTH
         rho = np.sqrt(np.clip(1.0 - t * t, 0.0, None))
         dirs = np.column_stack([np.outer(rho, np.cos(phi)).ravel(),
                                 np.outer(rho, np.sin(phi)).ravel(),
-                                np.repeat(t, k_azimuth)])
-        wts = np.repeat(wt * (2.0 * np.pi / k_azimuth), k_azimuth)
+                                np.repeat(t, _K_AZIMUTH)])
+        wts = np.repeat(wt * (2.0 * np.pi / _K_AZIMUTH), _K_AZIMUTH)
     dirs.setflags(write=False)
     wts.setflags(write=False)
     return dirs, wts

@@ -201,10 +201,12 @@ def _apply_laplacian(slab, g):
 
 def _check_residual(slab, free, solved):
     """Raise unless the solution g of a Dirichlet solve on the `free` nodes has
-    relative residual ||(L g)[free]|| / ||(L d)[free]|| <= 1e-10, where d is g
-    with its free entries zeroed (the boundary data alone)."""
+    a finite relative residual ||(L g)[free]|| / ||(L d)[free]|| <= 1e-10,
+    where d is g with its free entries zeroed (the boundary data alone)."""
     resid = np.linalg.norm(_apply_laplacian(slab, solved)[free])
     scale = np.linalg.norm(_apply_laplacian(slab, np.where(free, 0.0, solved))[free])
+    if not np.isfinite(resid + scale):
+        raise RuntimeError("extension solve residual is not finite")
     if scale > 0 and resid / scale > 1e-10:
         raise RuntimeError(f"extension solve residual {resid / scale:.2e} above 1e-10")
 
@@ -356,8 +358,9 @@ def extend(trace, slab):
     trace = np.asarray(trace, dtype=float)
     if trace.shape != base.node_shape:
         raise ValueError("trace shape does not match the slab footprint")
-    ring = ~base.interior()
-    if np.any(np.abs(trace[ring]) > 0):
+    if not np.all(np.isfinite(trace)):
+        raise ValueError("trace has non-finite values")
+    if np.any(trace[~base.interior()] != 0):
         raise ValueError("trace must vanish on the design-box boundary ring")
     vals = np.zeros(slab.values_shape())
     vals[..., 0] = trace

@@ -6,14 +6,16 @@ of the full-grid matrix, every mask's matrix is a selection from a kernel
 table assembled once. A single-cell move borders or deletes one row and
 column of that matrix, scored by a secular equation from the mask's
 Householder form K = Q T Q^T; a dense solve is that reduction and bisection
-for T's m lowest eigenvalues. Greedy descent (steepest, deterministic ties)
-scores every candidate from all pairs of T and re-solves densely the few
-within 1e-9 of the best score; the tie rule runs on those dense values.
+for T's m lowest eigenvalues. Both schedules carry the form of the accepted
+mask's dense solve. Greedy descent (steepest, deterministic ties) scores
+every candidate from all pairs of the carried T and re-solves densely the
+few within 1e-9 of the best score; the tie rule runs on those dense values.
 Annealing (Metropolis with geometric cooling, one candidate per step) scores
-each proposal from the current mask's form through T's resolvent, re-solving
+each proposal from the carried form through T's resolvent, re-solving
 densely an accepted proposal or a decision within 1e-9 of its threshold.
 Both record what a dense solve of every candidate gives.
-Block-flip moves and the local-optimality certificate are solved densely.
+Block-flip moves, the moves of a mask below m nodes (it has no form) and the
+local-optimality certificate are solved densely.
 Degenerate proposals (disconnecting or emptying the mask) are admissible.
 """
 
@@ -113,8 +115,8 @@ class _Evaluator:
 
     `solve`/`objective` (a dense solve) reduce a mask's matrix to its
     Householder form (`_Form`); `move_objectives` scores single-cell moves
-    from that form or from one with every pair of T (`decompose`). `counts`
-    tallies dense solves, secular move scores, full eigendecompositions and
+    from that form, or from it with every pair of T (`full_spectrum`).
+    `counts` tallies dense solves, secular move scores, full spectra of T and
     annealing guard-band re-solves.
     """
 
@@ -135,11 +137,11 @@ class _Evaluator:
     def objective(self, idx):
         return self.solve(idx)[:2]
 
-    def decompose(self, mask_flat):
-        """The mask's form with every pair of T (divide and conquer, dstevd)."""
-        idx = np.flatnonzero(mask_flat)
+    def full_spectrum(self, form):
+        """`form` with every pair of its T (divide and conquer, dstevd), in place."""
         self.counts["full_eigh"] += 1
-        return _Form(self.table.stiffness(idx), idx, None)
+        form.lam, form.S = _lapack("dstevd", form.diag, form.off)
+        return form
 
     def move_objectives(self, form, cells):
         """Objective after flipping each one of `cells` alone in the mask of `form`.
@@ -168,13 +170,10 @@ class _Evaluator:
 
 class _Form:
     """K = Q T Q^T (dsytrd, lower; K is overwritten) and the k lowest pairs
-    (lam, S) of T by bisection and inverse iteration, or all (k None, dstevd)."""
+    (lam, S) of T by bisection and inverse iteration, for d >= 1 nodes."""
 
     def __init__(self, K, idx, k):
         d, self.idx = idx.size, idx
-        self.lam, self.S = np.empty(0), np.empty((0, 0))
-        if d == 0:
-            return
         # block size 16 (set by the workspace) beat 32 at d = 145..1200, one thread
         c, self.diag, off, self.tau = _lapack("dsytrd", K.T, lower=1, lwork=16 * d,
                                               overwrite_a=1)
@@ -183,14 +182,11 @@ class _Form:
         self.off = off if d > 1 else np.zeros(1)  # the wrappers want one entry at d = 1
         # a bound on |T|: a solve with T - mu is exact to about eps |T| in mu
         self.norm = np.abs(self.diag).max() + 2 * np.abs(self.off).max()
-        if k is None:
-            self.lam, self.S = _lapack("dstevd", self.diag, self.off)
-        else:
-            k, lam, block, split = _lapack("dstebz", self.diag, self.off, 2, 0.0, 0.0, 1,
-                                           min(k, d), 0.0, b"B")
-            S = _lapack("dstein", self.diag, self.off, lam[:k], block, split)[0]
-            order = np.argsort(lam[:k], kind="stable")  # a split T comes block by block
-            self.lam, self.S = lam[order], S[:, order]
+        k, lam, block, split = _lapack("dstebz", self.diag, self.off, 2, 0.0, 0.0, 1,
+                                       min(k, d), 0.0, b"B")
+        S = _lapack("dstein", self.diag, self.off, lam[:k], block, split)[0]
+        order = np.argsort(lam[:k], kind="stable")  # a split T comes block by block
+        self.lam, self.S = lam[order], S[:, order]
 
     def qt(self, X):
         """Q^T X, in place, for a float array X of d rows."""
@@ -421,7 +417,7 @@ def _shortlist(scores):
 def _run_greedy(grid, ev, config, mask, trace, restart, should_stop):
     h, n = grid.h, grid.n
     kind = config.move_kind
-    obj, lams = ev.objective(np.flatnonzero(mask))
+    obj, lams, form = ev.solve(np.flatnonzero(mask))
     _record(trace, restart, 0, obj, mask, lams, True, h, n)
     _update_best(trace, grid, mask, obj, lams)
     iteration = 0
@@ -430,19 +426,19 @@ def _run_greedy(grid, ev, config, mask, trace, restart, should_stop):
             return True
         iteration += 1
         cands = _candidates(grid, mask, kind)
-        if kind == "block-flip":
+        if kind == "block-flip" or form is None:
             scores, near = None, range(cands.size)
         else:
             # secular scores pick the few candidates that can win; those are
             # re-solved densely so the tie rule sees exactly the dense values
-            scores = ev.move_objectives(ev.decompose(mask), cands)
+            scores = ev.move_objectives(ev.full_spectrum(form), cands)
             near = _shortlist(scores)
         best_i, best_obj, best_lams, best_new = -1, obj, lams, None
         for i in near:
             new = _apply_move(grid, mask, cands[i], kind)
-            o, lms = ev.objective(np.flatnonzero(new))
+            o, lms, f = ev.solve(np.flatnonzero(new))
             if o < best_obj - 1e-12:
-                best_i, best_obj, best_lams, best_new = i, o, lms, new
+                best_i, best_obj, best_lams, best_new, form = i, o, lms, new, f
         if best_i < 0:
             # no finite objective was found: there is no optimum to certify
             trace.certified = bool(np.isfinite(obj)) and _certify(grid, ev, config, mask, obj)

@@ -135,7 +135,7 @@ def test_extend_artifacts(eig_out, tmp_path):
                     trace=str(eig_out / "v01.frlb"), J=16, Y=4.0)
     out = tmp_path / "ext"
     assert main(["extend", "--config", cfg, "--out", str(out)]) == 0
-    energy = json.loads((out / "energy.json").read_text())
+    energy = json.loads((out / "energy.json").read_text(), parse_constant=_reject_constant)
     rep = json.loads((eig_out / "lambdas.json").read_text())
     # d_s * slab energy approximates the (unit-mass) quadratic form value
     assert energy["ds_energy"] == pytest.approx(rep["lambdas"][0], rel=0.15)
@@ -400,6 +400,36 @@ def test_bad_config_values_are_usage_errors(eig_out, tmp_path, capsys, command, 
     cfg = write_cfg(tmp_path / "bad.cfg", **keys)
     assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert "usage error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", [
+    '{"config": {', '{"config": [1]}', '{"config": "x"}', '{"config": {}, "seed": "x"}',
+    '{"seed": 1}',
+], ids=["truncated", "config-list", "config-string", "seed-string", "no-config"])
+def test_malformed_manifest_is_a_config_error(tmp_path, capsys, text):
+    path = tmp_path / "manifest.json"
+    path.write_text(text)
+    assert main(["optimize", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and str(path) in err
+
+
+@pytest.mark.parametrize("defect", ["nan", "ring"])
+@pytest.mark.parametrize("command", ["extend", "diagnose"])
+def test_bad_trace_is_an_input_error(eig_out, tmp_path, capsys, command, defect):
+    """A trace that is not finite or not zero on the boundary ring exits 3
+    and names its file; no energy with a NaN reaches energy.json."""
+    grid, arr = read_fields(eig_out / "v01.frlb")
+    arr[0, 0 if defect == "ring" else grid.num_nodes // 2] = np.nan if defect == "nan" else 0.5
+    bad = str(tmp_path / "bad.frlb")
+    write_fields(bad, grid, arr)
+    keys, _ = _manifest_run(command, eig_out)
+    keys = {**keys, "trace": bad} if command == "extend" else {**keys, "fields": bad}
+    cfg = write_cfg(tmp_path / "run.cfg", **keys)
+    out = tmp_path / "o"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 3
+    assert f"incompatible inputs: {bad}" in capsys.readouterr().err
+    assert not (out / "energy.json").exists()
 
 
 def test_missing_config_file(tmp_path):

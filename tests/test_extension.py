@@ -104,6 +104,28 @@ def test_extend_rejects_boundary_supported_trace():
         extend(tr, slab)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_extend_rejects_non_finite_trace(value):
+    g = BoxGrid(1, -1.0, 1.0, 16)
+    tr = bump_trace(g)
+    tr[8] = value
+    with pytest.raises(ValueError, match="non-finite"):
+        extend(tr, SlabGrid(g, 8, a=0.0))
+
+
+def test_extend_residual_check_rejects_a_non_finite_solve():
+    g = BoxGrid(1, -2.0, 2.0, 32)
+    slab = SlabGrid(g, 8, a=0.0)
+
+    class NanLU:
+        def solve(self, b):
+            return np.full_like(b, np.nan)
+
+    slab._lu = NanLU()
+    with pytest.raises(RuntimeError, match="not finite"):
+        extend(bump_trace(g), slab)
+
+
 def test_energy_identity_against_seminorm():
     """d_s * (slab energy) approximates the fractional seminorm of the trace."""
     for s, tol in ((0.3, 0.06), (0.5, 0.05), (0.7, 0.06)):

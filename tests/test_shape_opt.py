@@ -133,7 +133,10 @@ def test_secular_move_objectives_match_dense(n, cells, s, m):
     flips = np.flatnonzero(g.interior().ravel())  # every add and every removal
     for name, mask in _secular_cases(g, m, rng).items():
         idx = np.flatnonzero(mask)
-        got = ev.move_objectives(ev.decompose(mask), flips)
+        if idx.size == 0:
+            continue  # an empty mask has no form
+        got = ev.move_objectives(ev.full_spectrum(_Form(ev.table.stiffness(idx), idx, m + 1)),
+                                 flips)
         want = np.array([ev.objective(np.flatnonzero(_apply_move(g, mask, c, "single-flip")))[0]
                          for c in flips])
         small = np.isin(flips, idx) & (idx.size - 1 < m)
@@ -214,7 +217,7 @@ def test_vanishing_weight_poles_deflate_in_a_few_steps(monkeypatch):
     ev = _Evaluator(g, FracParams(2, 0.5, 1.0), m, 1.0)
     mask = _initial_mask(g, OptimizerConfig(m=m), None, jitter=False)
     idx = np.flatnonzero(mask)
-    dec = ev.decompose(mask)
+    dec = ev.full_spectrum(ev.solve(idx)[2])
     weights = (dec.qt(np.eye(idx.size)).T @ dec.S) ** 2  # of each removal, pole by pole
     assert np.any(weights[:, : m + 1] <= np.finfo(float).eps)
     form = ev.solve(idx)[2]
@@ -275,8 +278,59 @@ def test_greedy_equals_dense_greedy(case, kind):
     assert np.array_equal(tr.best_mask.mask.ravel(), mask)
     assert np.array_equal(tr.best_lambdas, lams)
     assert tr.certified == certified and certified
-    # one eigendecomposition per iteration, the last (no improving move) included
+    # one full spectrum of the carried T per iteration, the last (no improving
+    # move) included
     assert tr.evaluations["full_eigh"] == len(records)
+
+
+def _decompose(ev, idx):
+    """Reference for greedy's scoring form: a fresh gather of the mask's K,
+    dsytrd and every pair of T by dstevd (the form of a separate full
+    decomposition per iteration)."""
+    d = idx.size
+    form = _Form.__new__(_Form)
+    form.idx = idx
+    c, form.diag, off, form.tau, _ = lapack.dsytrd(ev.table.stiffness(idx).T, lower=1,
+                                                   lwork=16 * d, overwrite_a=1)
+    form.reflectors = np.asfortranarray(c[1:, :-1])
+    form.off = off if d > 1 else np.zeros(1)
+    form.lam, form.S, _ = lapack.dstevd(form.diag, form.off)
+    return form
+
+
+@pytest.mark.parametrize("n,cells", [(1, 40), (2, 12)])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_carried_form_spectrum_equals_a_fresh_decomposition(n, cells, m):
+    """All pairs of a dense solve's T, and the scores from them, are bit for
+    bit those of a fresh gather, reduction and dstevd of the same mask."""
+    g = BoxGrid(n, -1.0, 1.0, cells)
+    ev = _Evaluator(g, FracParams(n, 0.5, 1.0), m, 1.7)
+    rng = np.random.default_rng([n, m, 2])
+    flips = np.flatnonzero(g.interior().ravel())  # every add and every removal
+    for size in (m, m + 1, flips.size // 3, flips.size // 2):
+        idx = np.sort(rng.choice(flips, size=size, replace=False))
+        form, ref = ev.full_spectrum(ev.solve(idx)[2]), _decompose(ev, idx)
+        for name in ("diag", "off", "tau", "reflectors", "lam", "S"):
+            assert np.array_equal(getattr(form, name), getattr(ref, name)), (size, name)
+        assert np.array_equal(ev.move_objectives(form, flips),
+                              ev.move_objectives(ref, flips)), size
+
+
+@pytest.mark.parametrize("n,cells,m", [(2, 32, 2), (1, 64, 1)])
+def test_greedy_gathers_one_stiffness_per_dense_solve(monkeypatch, n, cells, m):
+    """Greedy scores from the form its last dense solve carries: every
+    stiffness gather is a dense solve (the start, the shortlists, the
+    certificate), none a separate decomposition."""
+    from fraclab.nonlocal_form import KernelTable
+
+    gathers = []
+    stiffness = KernelTable.stiffness
+    monkeypatch.setattr(KernelTable, "stiffness",
+                        lambda self, idx: gathers.append(1) or stiffness(self, idx))
+    cfg = OptimizerConfig(m=m, Lambda=10.0, schedule="greedy")
+    tr = optimize(BoxGrid(n, -1.0, 1.0, cells), cfg, FracParams(n, 0.5, 10.0))
+    assert tr.certified and tr.evaluations["full_eigh"] == len(tr.records)
+    assert len(gathers) == tr.evaluations["dense"]
 
 
 def test_block_flip_greedy_certifies():

@@ -7,9 +7,9 @@ grids          uniform box grids and pixel (node-mask) domains
 nonlocal_form  discrete fractional stiffness forms on pixel domains
 eigen          lowest-m Dirichlet eigenpairs and the shape objective
 extension      weighted slab extension, energies, Neumann traces
-shape_opt      greedy/annealed mask optimization and blow-up rescaling
-diagnostics    free-boundary diagnostics: density, Weiss energy, flatness,
-               slopes, point classification
+shape_opt      greedy/annealed mask optimization
+diagnostics    free-boundary diagnostics: perimeter, blow-up rescaling, density,
+               Weiss energy, flatness, slopes, point classification
 gridio         binary field/mask/slab files, flat configs, run manifests
 """
 
@@ -35,9 +35,10 @@ from .extension import (
     harmonic_replacement,
     neumann_trace,
 )
-from .shape_opt import OptimizerConfig, OptimizationTrace, blow_up_rescale, optimize
+from .shape_opt import OptimizerConfig, OptimizationTrace, optimize
 from .diagnostics import (
     ClassifierConfig,
+    blow_up_rescale,
     boundary_slope,
     classify,
     density_ratio,

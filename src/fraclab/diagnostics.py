@@ -1,5 +1,5 @@
-"""Free-boundary diagnostics: densities, non-degeneracy, Weiss energies,
-flatness, slopes, and point classification.
+"""Free-boundary diagnostics: perimeter, blow-up rescaling, densities,
+non-degeneracy, Weiss energies, flatness, slopes, and point classification.
 
 Ball quantities use cell-center membership; sphere integrals use Gauss-Jacobi
 quadrature in the polar variable (absorbing the |y|^a weight) and periodic
@@ -19,8 +19,7 @@ from scipy.linalg import eigh_tridiagonal
 from .constants import one_plane_solution, slope_constant, unit_ball_volume
 from .extension import (_as_fields, _c_tilde, _interp, _multilinear_at, _trace_support,
                         ball_energy)
-from .grids import ThinDomain, _neighbor_counts
-from .shape_opt import blow_up_rescale
+from .grids import BoxGrid, ThinDomain, _neighbor_counts
 
 __all__ = [
     "GeometryError",
@@ -30,6 +29,9 @@ __all__ = [
     "PointClassification",
     "ClassifierConfig",
     "free_boundary_set",
+    "perimeter_estimate",
+    "RescaledField",
+    "blow_up_rescale",
     "density_ratio",
     "nondegeneracy_scan",
     "weiss_energy",
@@ -97,6 +99,16 @@ def free_boundary_set(domain):
     if np.any(~ok):
         normals[~ok, 0] = 1.0
     return FreeBoundarySet(domain=domain, points=coords, normals=normals, flat_indices=flat)
+
+
+def perimeter_estimate(mask):
+    """h^(n-1) times the count of mask/non-mask cell interfaces inside D."""
+    if not isinstance(mask, ThinDomain):
+        raise TypeError("mask must be a ThinDomain")
+    grid = mask.grid
+    # masks never touch the ring, so each mask node has all 2n face neighbours
+    count = int(np.sum(2 * grid.n - _neighbor_counts(mask.mask)[mask.mask]))
+    return count * grid.h ** (grid.n - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -316,6 +328,76 @@ def weiss_monotonicity_audit(curve, holder_seminorm):
 
 
 # ---------------------------------------------------------------------------
+
+
+@dataclass
+class RescaledField:
+    """Blow-up sample G_{X0,r}(X) = r^{-s} G(X0 + r X) on a unit-scale grid.
+
+    values has shape xgrid.node_shape + (len(y_levels), m).
+    """
+
+    xgrid: BoxGrid
+    y_levels: np.ndarray
+    values: np.ndarray
+    r: float
+    x0: np.ndarray
+
+    @property
+    def m(self):
+        return self.values.shape[-1]
+
+    def magnitude(self):
+        return np.sqrt(np.sum(self.values**2, axis=-1))
+
+    def ball_mask(self):
+        """Boolean array over nodes with |(x, y)| <= 1."""
+        coords = self.xgrid.node_coords()
+        d2 = (coords**2).sum(axis=1)[:, None] + self.y_levels[None, :] ** 2
+        return (d2 <= 1.0 + 1e-12).reshape(self.xgrid.node_shape + (len(self.y_levels),))
+
+
+def blow_up_rescale(source, x0, r, s):
+    """Rescale a field around a thin-space point onto the unit ball scale.
+
+    source: extension fields or a (BoxGrid, node_array) trace pair, in any
+    form `_as_fields` accepts; a trace pair is sampled on y = 0 only. The
+    rescaled field has one component per field or trace.
+    """
+    base, fields, traces = _as_fields(source)
+    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
+    r = float(r)
+    if r <= 0:
+        raise ValueError("rescale radius must be positive")
+    if np.any(x0 - r < base.lower - 1e-12) or np.any(x0 + r > base.upper + 1e-12):
+        raise ValueError("blow-up window exits the field footprint")
+    cells = int(np.clip(np.round(2.0 * r / base.h), 8, 128))
+    xg = BoxGrid(base.n, -1.0, 1.0, cells)
+    if fields is not None:
+        y_native = fields[0].slab.y_nodes
+        y_lv = y_native[y_native <= r * (1 + 1e-12)] / r
+        if y_lv.size == 0 or y_lv[-1] < 1.0 - 1e-12:
+            y_lv = np.append(y_lv, 1.0)
+    else:
+        y_lv = np.array([0.0])
+    pts_x = xg.node_coords() * r + x0[None, :]
+    if fields is not None:
+        # every (node, level) pair, node-major, in one interpolation of all fields
+        q = np.column_stack([np.repeat(pts_x, y_lv.size, axis=0),
+                             np.tile(y_lv * r, len(pts_x))])
+        comps = _interp(fields, q)
+    else:
+        at = _multilinear_at(base, pts_x)
+        comps = [at(comp) for comp in traces]
+    vals = np.stack(comps, axis=-1).reshape(len(pts_x), y_lv.size, len(traces))
+    vals *= r ** (-s)
+    return RescaledField(
+        xgrid=xg,
+        y_levels=y_lv,
+        values=vals.reshape(xg.node_shape + (y_lv.size, -1)),
+        r=r,
+        x0=x0,
+    )
 
 
 def flatness(G_fields, X0, r, params, angle_count=128):

@@ -11,8 +11,9 @@ mask's dense solve. Greedy descent (steepest, deterministic ties) scores
 every candidate from all pairs of the carried T and re-solves densely the
 few within 1e-9 of the best score; the tie rule runs on those dense values.
 Annealing (Metropolis with geometric cooling, one candidate per step) scores
-each proposal from the carried form through T's resolvent, re-solving
-densely an accepted proposal or a decision within 1e-9 of its threshold.
+each proposal alone, in scalars, from the carried form's m + 1 lowest pairs
+and T's resolvent, re-solving densely an accepted proposal or a decision
+within 1e-9 of its threshold.
 Both record what a dense solve of every candidate gives.
 Block-flip moves, the moves of a mask below m nodes (it has no form) and the
 local-optimality certificate are solved densely.
@@ -25,18 +26,10 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import lapack
 
-from .extension import _as_fields, _interp, _multilinear_at
 from .grids import BoxGrid, ThinDomain, _neighbor_counts, ball_domain
 from .nonlocal_form import kernel_table
 
-__all__ = [
-    "OptimizerConfig",
-    "OptimizationTrace",
-    "optimize",
-    "blow_up_rescale",
-    "RescaledField",
-    "perimeter_estimate",
-]
+__all__ = ["OptimizerConfig", "OptimizationTrace", "optimize"]
 
 _MOVE_KINDS = ("single-flip", "boundary-flip", "block-flip")
 _SCHEDULES = ("greedy", "anneal")
@@ -116,14 +109,16 @@ class _Evaluator:
     `solve`/`objective` (a dense solve) reduce a mask's matrix to its
     Householder form (`_Form`); `move_objectives` scores single-cell moves
     from that form, or from it with every pair of T (`full_spectrum`).
-    `counts` tallies dense solves, secular move scores, full spectra of T and
-    annealing guard-band re-solves.
+    `counts` tallies dense solves, secular move scores, full spectra of T,
+    annealing guard-band re-solves, and the steps and midpoint fallbacks of
+    the secular root iterations.
     """
 
     def __init__(self, grid, params, m, Lambda):
         self.table = kernel_table(grid, params.s)
         self.h, self.n, self.m, self.Lambda = grid.h, grid.n, m, Lambda
-        self.counts = {"dense": 0, "secular": 0, "full_eigh": 0, "guard": 0}
+        self.counts = dict.fromkeys(("dense", "secular", "full_eigh", "guard", "root_steps",
+                                     "bisections"), 0)
 
     def solve(self, idx):
         """(objective, lambdas, form with T's m + 1 lowest pairs); inf, Nones below m nodes."""
@@ -150,20 +145,29 @@ class _Evaluator:
         column b and a diagonal alpha, a removal deletes row and column j. The
         new m lowest eigenvalues are the roots of F(mu) = [mu - alpha] +
         sum_i w_i / (lam_i - mu), w = (S^T v)^2, v = Q^T b with the bracketed
-        term or v = Q^T e_j without it (Golub 1973; see `_secular_roots`). If
-        the form holds T's lowest pairs only, sum_i w_i / (lam_i - mu) is
-        v^T (T - mu)^-1 v. A move leaving fewer than m nodes scores inf.
+        term or v = Q^T e_j without it (Golub 1973; see `_secular_roots`). A
+        form with every pair of T scores all cells at once; one holding T's
+        m + 1 lowest pairs only scores them one by one (`_move_roots`), where
+        sum_i w_i / (lam_i - mu) is v^T (T - mu)^-1 v. A move leaving fewer
+        than m nodes scores inf.
         """
         idx, m, d = form.idx, self.m, form.idx.size
         self.counts["secular"] += cells.size
-        add = ~np.isin(cells, idx)
+        pos = np.searchsorted(idx, cells)
+        add = idx[np.minimum(pos, d - 1)] != cells
         B, alpha = self.table.border(idx, cells[add])
-        V = form.qt(np.hstack([B, np.arange(d)[:, None] == np.searchsorted(idx, cells[~add])]))
+        V = form.qt(np.hstack([B, np.arange(d)[:, None] == pos[~add]]))
         roots = np.full((cells.size, m), np.inf)
         for sel, v, alpha in ((add, V[:, : B.shape[1]], alpha), (~add, V[:, B.shape[1]:], None)):
             if sel.any() and d + (1 if alpha is not None else -1) >= m:
-                res = None if form.lam.size == d else form.resolvent(v)
-                roots[sel] = _secular_roots(form.lam, (v.T @ form.S) ** 2, m, alpha, res)
+                w = (v.T @ form.S) ** 2
+                if form.lam.size == d:
+                    roots[sel] = _secular_roots(form.lam, w, m, alpha, self.counts)
+                else:
+                    roots[sel] = [_move_roots(form, v[:, k], w[k], m,
+                                              None if alpha is None else float(alpha[k]),
+                                              self.counts)
+                                  for k in range(len(w))]
         size = d + np.where(add, 1, -1)
         return roots.sum(axis=1) / self.h**self.n + self.Lambda * self.h**self.n * size
 
@@ -195,15 +199,6 @@ class _Form:
             X[1:] = _lapack("dormqr", "L", "T", self.reflectors, self.tau, X[1:], lwork)[0]
         return X
 
-    def resolvent(self, V):
-        """`_secular_roots`' resolvent for the columns v of V: its sums are v^T y
-        and y^T y for the tridiagonal solve y = (T - x)^-1 v."""
-        def sums(cand, x):
-            y = np.array([_lapack("dgtsv", self.off, self.diag - mu, self.off, V[:, c])[3]
-                          for c, mu in zip(cand, x)])
-            return np.einsum("ij,ji->i", y, V[:, cand]), np.einsum("ij,ij->i", y, y)
-        return sums, (V * V).sum(0), self.norm
-
 
 def _lapack(name, *args, **kwargs):
     """LAPACK `name`'s outputs but info; a nonzero info raises LinAlgError."""
@@ -213,85 +208,147 @@ def _lapack(name, *args, **kwargs):
     return out
 
 
-def _secular_roots(lam, w, m, alpha=None, resolvent=None):
+def _secular_roots(lam, w, m, alpha=None, counts=None):
     """The m lowest roots of F(mu) = [mu - alpha] + sum_i w_i / (lam_i - mu).
 
-    w has one row of weights per candidate; alpha (one per candidate) is given
-    for an addition only. Given resolvent = (sums, total, norm), lam and w
-    hold only the min(m + 1, d) lowest of the d > m + 1 poles, sums(cand, x)
-    gives sum_i w_i / (lam_i - x) and its derivative over all poles at one x
-    per candidate (exact to eps max(|x|, norm) in x), total the weight sums.
+    lam holds every pole, w one row of weights per candidate; alpha (one per
+    candidate) is given for an addition only. `counts`, if given, tallies the
+    `root_steps` and `bisections` of `_root_step`.
 
     With e = (0, lam, top), top = max(lam_d, alpha) + |w|^(1/2) (Weyl), root k
     lies in [a, b] = [e_k, e_{k+1}] for an addition (the new matrix is
-    positive definite) and in [lam_k, lam_{k+1}] for a removal. Each step
-    matches the pole sums left and right of [a, b] (the linear term counts
-    right) in value and derivative by P/(a - mu) and Q/(b - mu) plus a
-    constant, and takes that model's root in [a, b] (Bunch, Nielsen and
-    Sorensen 1978), or the midpoint of F's sign bracket if the model root
-    leaves it. A pole at a bracket end whose weight vanishes (at most eps
-    times the total, as on a nodal line) is deflated: the first step probes
-    a few ulps inside that end for the side of the root.
+    positive definite) and in [lam_k, lam_{k+1}] for a removal. Every pair
+    (candidate, root) starts at `_first_iterate` and takes `_root_step`s, all
+    pairs at once.
     """
-    top = None  # needed only where every pole is explicit
-    if resolvent is None:
-        def sums(cand, x, lam=lam, w=w):
-            inv = 1.0 / (lam - x[:, None])
-            t = w[cand] * inv
-            return t.sum(1), (t * inv).sum(1)
-        resolvent = sums, w.sum(1), 0.0
-        if alpha is not None:
-            top = np.maximum(lam.max(initial=0.0), alpha) + np.sqrt(w.sum(1))
-        lam, w = lam[: m + 1], w[:, : m + 1]
-    sums, total, norm = resolvent
+    total = w.sum(1)
+    top = None if alpha is None else np.maximum(lam.max(initial=0.0), alpha) + np.sqrt(total)
     cand, r = np.divmod(np.arange(w.shape[0] * m), m)  # the pairs (candidate, root)
     split = r + (alpha is None)  # number of poles left of the pair's bracket
-    ext = np.concatenate([[0.0], lam, [np.inf]])
+    ext = np.concatenate([[0.0], lam[: m + 1], [np.inf]])
     a, b = ext[split], ext[split + 1]
     if top is not None:
         b = np.where(split == lam.size, top[cand], b)
-    left = np.arange(min(m, lam.size)) < split[:, None]  # left poles are among the first m
+    k = min(m, lam.size)
+    left = np.arange(k) < split[:, None]  # left poles are among the first m
     # whether the weights of the poles at a and b vanish (an end that is no pole: inf)
-    wx = np.hstack([np.full((len(w), 1), np.inf), w, np.full((len(w), 1), np.inf)])
+    wx = np.hstack([np.full((len(w), 1), np.inf), w[:, : m + 1], np.full((len(w), 1), np.inf)])
     flat = wx[cand[:, None], split[:, None] + [0, 1]] <= _EPS * total[cand, None]
-    # 16 ulps: a step to a weighted pole closer than 8 ulps would count as done
-    near = np.minimum(16 * _EPS * np.maximum(np.abs(b), norm), 0.5 * (b - a))
-    x = np.select([flat[:, 0], flat[:, 1]], [a + near, b - near], 0.5 * (a + b))
+    x = _first_iterate(a, b, flat[:, 0], flat[:, 1], 0.0)
     lo, hi = a.copy(), b.copy()  # (lo, hi) is F's sign bracket
     act = np.flatnonzero((x > lo) & (x < hi))  # pairs still iterating
+    counts = dict.fromkeys(("root_steps", "bisections"), 0) if counts is None else counts
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for it in range(_ROOT_STEPS):
             if act.size == 0:
                 return x.reshape(-1, m)
-            xa, da, db = x[act], a[act] - x[act], b[act] - x[act]
-            inv = 1.0 / (lam[: left.shape[1]] - xa[:, None])
-            t = w[cand[act], : left.shape[1]] * inv
+            xa = x[act]
+            inv = 1.0 / (lam - xa[:, None])
+            t = w[cand[act]] * inv
+            F, dF = t.sum(1), (t * inv).sum(1)
+            inv = 1.0 / (lam[:k] - xa[:, None])
+            t = w[cand[act], :k] * inv
             fl = np.where(left[act], t, 0.0).sum(1)
             gl = np.where(left[act], t * inv, 0.0).sum(1)
-            F, dF = sums(cand[act], xa)
-            # rounding error of F, chiefly from lam_i - mu (exact only to an ulp
-            # of max(|mu|, norm), hence the F' part); a smaller |F| is a root
-            noise = F - 2.0 * fl  # sum of |w_i / (lam_i - mu)|
-            if alpha is not None:
-                F += xa - alpha[cand[act]]
-                dF += 1.0
-                noise += np.abs(alpha[cand[act]])
-            noise += np.maximum(np.abs(xa), norm) * dF
-            lo[act] = l = np.where(F < 0, xa, lo[act])
-            hi[act] = h = np.where(F > 0, xa, hi[act])
-            P, Q = gl * da * da, (dF - gl) * db * db
-            c = F - P / da - Q / db
-            # c y^2 - B y + C = 0 in the step y = new - x, its stable root pair
-            B, C = c * (da + db) + P + Q, F * da * db
-            q = B + np.copysign(np.sqrt(B * B - 4.0 * c * C), B)
-            step = np.where((2 * C / q > da) & (2 * C / q < db), 2 * C / q, q / (2 * c))
-            new = xa + step
-            probe = flat[act].any(1) & (it == 0)  # no model step from beside a pole
-            new = np.where((new > l) & (new < h) & ~probe, new, 0.5 * (l + h))
-            done = np.abs(F) <= 8 * _EPS * noise
+            l, h, new, done, model = _root_step(
+                xa, a[act], b[act], lo[act], hi[act], F, dF, fl, gl,
+                None if alpha is None else alpha[cand[act]], 0.0, ~flat[act].any(1) | (it > 0))
+            lo[act], hi[act] = l, h
+            counts["root_steps"] += act.size
+            counts["bisections"] += int(np.count_nonzero(~(done | model)))
             x[act] = np.where(done, xa, new)
             act = act[~(done | (new <= l) | (new >= h))]
     raise AssertionError(f"secular roots did not converge in {_ROOT_STEPS} steps")
+
+
+def _move_roots(form, v, w, m, alpha, counts):
+    """`_secular_roots` of one move from a form holding T's m + 1 lowest
+    pairs only, one root at a time in scalars. The sum over all d poles is
+    v^T y and its derivative y^T y for the tridiagonal solve y = (T - x)^-1 v,
+    exact to about eps max(|x|, norm) in x; w holds the weights of the m + 1
+    lowest poles, |v|^2 the weights' total. Every bracket ends at or below
+    lam_{m+1}, a pole of the form."""
+    lam, wl, total, norm = form.lam.tolist(), w.tolist(), float(v @ v), form.norm
+    roots = []
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for r in range(m):
+            split = r + (alpha is None)  # number of poles left of the root's bracket
+            a, b = (lam[split - 1] if split else 0.0), lam[split]
+            flat = (split > 0 and wl[split - 1] <= _EPS * total, wl[split] <= _EPS * total)
+            x, lo, hi = float(_first_iterate(a, b, *flat, norm)), a, b
+            for it in range(_ROOT_STEPS):
+                if not lo < x < hi:
+                    break
+                y = _lapack("dgtsv", form.off, form.diag - x, form.off, v)[3]
+                fl = gl = 0.0
+                for i in range(split):
+                    inv = 1.0 / (lam[i] - x)
+                    fl += wl[i] * inv
+                    gl += wl[i] * inv * inv
+                lo, hi, new, done, model = _root_step(x, a, b, lo, hi, float(y @ v),
+                                                      float(y @ y), fl, gl, alpha, norm,
+                                                      it > 0 or not any(flat))
+                counts["root_steps"] += 1
+                counts["bisections"] += not (done or model)
+                if done:
+                    break
+                x = new
+            else:
+                raise AssertionError(f"secular roots did not converge in {_ROOT_STEPS} steps")
+            roots.append(x)
+    return roots
+
+
+def _pick(cond, a, b):
+    """np.where(cond, a, b), without 0-d arrays for a scalar cond."""
+    return np.where(cond, a, b) if isinstance(cond, np.ndarray) else (a if cond else b)
+
+
+def _first_iterate(a, b, flat_a, flat_b, norm):
+    """The first iterate in a root's bracket [a, b]: the midpoint, or, where
+    the pole at an end has a vanishing weight (at most eps times the total, as
+    on a nodal line; the pole is deflated), a probe 16 ulps inside that end
+    for the side of the root. 16 ulps: a step to a weighted pole closer than
+    8 ulps would count as done."""
+    near = np.minimum(16 * _EPS * np.maximum(np.abs(b), norm), 0.5 * (b - a))
+    return _pick(flat_a, a + near, _pick(flat_b, b - near, 0.5 * (a + b)))
+
+
+def _root_step(x, a, b, lo, hi, F, dF, fl, gl, alpha, norm, free):
+    """One step at x inside F's sign bracket (lo, hi) within [a, b], for
+    arrays of roots or for one root in scalars.
+
+    F, dF are the pole sum and its derivative at x, fl, gl their parts from
+    the poles left of [a, b]; alpha is None for a removal; norm bounds |T|
+    where the pole sum comes from a solve with T - x. The step matches the
+    pole sums left and right of [a, b] (the linear term counts right) in value
+    and derivative by P/(a - mu) and Q/(b - mu) plus a constant, and takes
+    that model's root in [a, b] (Bunch, Nielsen and Sorensen 1978) where it is
+    `free` to (not on the first step from a deflated end) and the root lies in
+    the new sign bracket, else the bracket's midpoint. x is a root once |F| is
+    within 8 eps of its rounding error. Returns the new bracket, the next
+    iterate, whether x is a root and whether the model root was taken.
+    """
+    # rounding error of F, chiefly from lam_i - mu (exact only to an ulp of
+    # max(|mu|, norm), hence the F' part); a smaller |F| is a root
+    noise = F - 2.0 * fl  # sum of |w_i / (lam_i - mu)|
+    if alpha is not None:
+        F = F + (x - alpha)
+        dF = dF + 1.0
+        noise = noise + abs(alpha)
+    noise = noise + np.maximum(abs(x), norm) * dF
+    lo, hi = _pick(F < 0, x, lo), _pick(F > 0, x, hi)
+    da, db = a - x, b - x
+    P, Q = gl * da * da, (dF - gl) * db * db
+    c = F - P / da - Q / db
+    # c y^2 - B y + C = 0 in the step y = new - x, its stable root pair
+    B, C = c * (da + db) + P + Q, F * da * db
+    q = B + np.copysign(np.sqrt(B * B - 4.0 * c * C), B)
+    y = 2 * C / q
+    new = x + _pick((y > da) & (y < db), y, q / (2 * c))
+    model = (new > lo) & (new < hi) & free
+    new = _pick(model, new, 0.5 * (lo + hi))
+    return lo, hi, new, abs(F) <= 8 * _EPS * noise, model
 
 
 def _neighbor_offsets(grid):
@@ -533,86 +590,3 @@ def _secular_metropolis(ev, form, cell, new, obj, T, rng):
     o, lms, f = ev.solve(np.flatnonzero(new))
     _check_secular(score, o, cell)
     return True, o, lms, f
-
-
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class RescaledField:
-    """Blow-up sample G_{X0,r}(X) = r^{-s} G(X0 + r X) on a unit-scale grid.
-
-    values has shape xgrid.node_shape + (len(y_levels), m).
-    """
-
-    xgrid: BoxGrid
-    y_levels: np.ndarray
-    values: np.ndarray
-    r: float
-    x0: np.ndarray
-
-    @property
-    def m(self):
-        return self.values.shape[-1]
-
-    def magnitude(self):
-        return np.sqrt(np.sum(self.values**2, axis=-1))
-
-    def ball_mask(self):
-        """Boolean array over nodes with |(x, y)| <= 1."""
-        coords = self.xgrid.node_coords()
-        d2 = (coords**2).sum(axis=1)[:, None] + self.y_levels[None, :] ** 2
-        return (d2 <= 1.0 + 1e-12).reshape(self.xgrid.node_shape + (len(self.y_levels),))
-
-
-def blow_up_rescale(source, x0, r, s):
-    """Rescale a field around a thin-space point onto the unit ball scale.
-
-    source: extension fields or a (BoxGrid, node_array) trace pair, in any
-    form `_as_fields` accepts; a trace pair is sampled on y = 0 only. The
-    rescaled field has one component per field or trace.
-    """
-    base, fields, traces = _as_fields(source)
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    r = float(r)
-    if r <= 0:
-        raise ValueError("rescale radius must be positive")
-    if np.any(x0 - r < base.lower - 1e-12) or np.any(x0 + r > base.upper + 1e-12):
-        raise ValueError("blow-up window exits the field footprint")
-    cells = int(np.clip(np.round(2.0 * r / base.h), 8, 128))
-    xg = BoxGrid(base.n, -1.0, 1.0, cells)
-    if fields is not None:
-        y_native = fields[0].slab.y_nodes
-        y_lv = y_native[y_native <= r * (1 + 1e-12)] / r
-        if y_lv.size == 0 or y_lv[-1] < 1.0 - 1e-12:
-            y_lv = np.append(y_lv, 1.0)
-    else:
-        y_lv = np.array([0.0])
-    pts_x = xg.node_coords() * r + x0[None, :]
-    if fields is not None:
-        # every (node, level) pair, node-major, in one interpolation of all fields
-        q = np.column_stack([np.repeat(pts_x, y_lv.size, axis=0),
-                             np.tile(y_lv * r, len(pts_x))])
-        comps = _interp(fields, q)
-    else:
-        at = _multilinear_at(base, pts_x)
-        comps = [at(comp) for comp in traces]
-    vals = np.stack(comps, axis=-1).reshape(len(pts_x), y_lv.size, len(traces))
-    vals *= r ** (-s)
-    return RescaledField(
-        xgrid=xg,
-        y_levels=y_lv,
-        values=vals.reshape(xg.node_shape + (y_lv.size, -1)),
-        r=r,
-        x0=x0,
-    )
-
-
-def perimeter_estimate(mask):
-    """h^(n-1) times the count of mask/non-mask cell interfaces inside D."""
-    if not isinstance(mask, ThinDomain):
-        raise TypeError("mask must be a ThinDomain")
-    grid = mask.grid
-    # masks never touch the ring, so each mask node has all 2n face neighbours
-    count = int(np.sum(2 * grid.n - _neighbor_counts(mask.mask)[mask.mask]))
-    return count * grid.h ** (grid.n - 1)

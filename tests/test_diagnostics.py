@@ -8,6 +8,7 @@ from fraclab.diagnostics import (
     GeometryError,
     ResolutionError,
     WeissCurve,
+    blow_up_rescale,
     boundary_slope,
     classify,
     density_ratio,
@@ -24,7 +25,6 @@ from fraclab.eigen import lowest_eigenpairs
 from fraclab.extension import ExtensionField, SlabGrid, _trace_support, ball_energy, extend
 from fraclab.grids import BoxGrid, ball_domain, interval_domain, mask_from_indices
 from fraclab.nonlocal_form import assemble_form
-from fraclab.shape_opt import blow_up_rescale
 
 
 def exact_field(grid, J, Y, s, scale=1.0):

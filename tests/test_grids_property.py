@@ -7,8 +7,8 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 from hypothesis.extra.numpy import arrays  # noqa: E402
 
+from fraclab.diagnostics import perimeter_estimate  # noqa: E402
 from fraclab.grids import BoxGrid, ThinDomain, _neighbor_counts  # noqa: E402
-from fraclab.shape_opt import perimeter_estimate  # noqa: E402
 
 
 def brute_counts(mask):

@@ -1,7 +1,11 @@
+import ast
+import pathlib
+
 import numpy as np
 import pytest
 
 from fraclab.constants import FracParams, one_plane_solution, slope_constant
+from fraclab.diagnostics import blow_up_rescale, perimeter_estimate
 from fraclab.extension import ExtensionField, SlabGrid
 from fraclab.grids import BoxGrid, ball_domain, interval_domain
 from scipy.linalg import lapack
@@ -16,9 +20,7 @@ from fraclab.shape_opt import (
     _Evaluator,
     _initial_mask,
     _secular_metropolis,
-    blow_up_rescale,
     optimize,
-    perimeter_estimate,
 )
 
 BENCH = dict(m=1, Lambda=2.3, schedule="greedy", seed=11)
@@ -229,6 +231,56 @@ def test_vanishing_weight_poles_deflate_in_a_few_steps(monkeypatch):
     assert np.max(np.abs(single - want) / want) <= 1e-12
 
 
+@pytest.mark.parametrize("remove", [False, True])
+def test_single_move_score_raises_at_the_root_step_cap(monkeypatch, remove):
+    """A single move scored from a form with T's m + 1 lowest pairs raises
+    AssertionError once a root reaches `_ROOT_STEPS`, read at call time; the
+    property tests count on it to show that no example hit the cap."""
+    g = BoxGrid(2, -1.0, 1.0, 12)
+    ev = _Evaluator(g, FracParams(2, 0.5, 1.0), 2, 1.7)
+    mask = _initial_mask(g, OptimizerConfig(m=2), None, jitter=False)
+    idx = np.flatnonzero(mask)
+    form = ev.solve(idx)[2]
+    assert form.lam.size < idx.size
+    cells = _candidates(g, mask, "boundary-flip")
+    cell = np.array([cells[np.isin(cells, idx) == remove][0]])
+    assert np.isfinite(ev.move_objectives(form, cell)).all()
+    monkeypatch.setattr(shape_opt, "_ROOT_STEPS", 1)
+    with pytest.raises(AssertionError, match="did not converge"):
+        ev.move_objectives(form, cell)
+
+
+def test_root_counters_count_steps_and_midpoints(monkeypatch):
+    """Annealing scores one root at a time, one tridiagonal solve per step, so
+    `root_steps` is the number of dgtsv calls; three roots at s = 0.2 take
+    midpoint steps. A batch counts the steps of every (candidate, root) pair:
+    scoring all cells at once or one at a time gives the same totals."""
+    solves, lapack_call = [], shape_opt._lapack
+
+    def counted(name, *args, **kwargs):
+        solves.append(name == "dgtsv")
+        return lapack_call(name, *args, **kwargs)
+
+    monkeypatch.setattr(shape_opt, "_lapack", counted)
+    g, p = BoxGrid(2, -1.0, 1.0, 16), FracParams(2, 0.2, 4.0)
+    cfg = OptimizerConfig(m=3, Lambda=4.0, schedule="anneal", steps=150, seed=1)
+    counts = optimize(g, cfg, p).evaluations
+    assert counts["root_steps"] == sum(solves) and counts["bisections"] > 0
+    assert all(type(c) is int for c in counts.values())  # as summary.json needs
+    ev = _Evaluator(g, p, 3, 4.0)
+    mask = _initial_mask(g, cfg, None, jitter=False)
+    idx = np.flatnonzero(mask)
+    form = ev.full_spectrum(ev.solve(idx)[2])
+    flips = np.flatnonzero(g.interior().ravel())
+    ev.move_objectives(form, flips)
+    batch = dict(ev.counts)
+    for c in flips:
+        ev.move_objectives(form, np.array([c]))
+    assert batch["root_steps"] > 0
+    for key in ("root_steps", "bisections"):
+        assert ev.counts[key] == 2 * batch[key], key
+
+
 def test_seed_disk_has_a_double_eigenvalue():
     # the D4-symmetric seed puts the secular scores on repeated poles
     g = BoxGrid(2, -1.0, 1.0, 12)
@@ -379,12 +431,17 @@ def _dense_anneal(grid, cfg, params):
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 @pytest.mark.parametrize("kind", ["boundary-flip", "single-flip"])
-@pytest.mark.parametrize("case", ["1d-bench", "2d-16-lambda4", "2d-16-lambda10"])
+@pytest.mark.parametrize("case", ["1d-bench", "2d-16-lambda4", "2d-16-lambda10",
+                                  "2d-16-m3-s0.2"])
 def test_anneal_equals_dense_anneal(case, kind, seed):
     if case == "1d-bench":
         g, p = bench_grid(), bench_params()
         cfg = OptimizerConfig(m=1, Lambda=2.3, schedule="anneal", move_kind=kind,
                               t0=0.05, cooling=0.97, steps=200, seed=seed)
+    elif case == "2d-16-m3-s0.2":  # three roots per proposal
+        g, p = BoxGrid(2, -1.0, 1.0, 16), FracParams(2, 0.2, 4.0)
+        cfg = OptimizerConfig(m=3, Lambda=4.0, schedule="anneal", move_kind=kind,
+                              steps=150, seed=seed)
     else:
         lam = float(case.rsplit("lambda", 1)[1])
         g, p = BoxGrid(2, -1.0, 1.0, 16), FracParams(2, 0.5, lam)
@@ -574,3 +631,28 @@ def test_blow_up_magnitude_and_ball_mask():
     assert np.isfinite(mag).all()
     with pytest.raises(ValueError):
         blow_up_rescale(f, [0.95, 0.0], 0.25, 0.5)  # window exits the box
+
+
+def _package_imports(module):
+    """Names of the fraclab modules that `module`'s source imports."""
+    names = set()
+    for node in ast.walk(ast.parse(pathlib.Path(module.__file__).read_text())):
+        if isinstance(node, ast.Import):
+            full = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = ".".join(filter(None, ["fraclab" if node.level else "", node.module]))
+            full = [f"{base}.{a.name}" for a in node.names] if base == "fraclab" else [base]
+        else:
+            continue
+        names |= {f.split(".")[1] for f in full if f.startswith("fraclab.")}
+    return names
+
+
+def test_optimizer_imports_neither_extension_nor_diagnostics():
+    """shape_opt needs neither the slab extension nor the diagnostics, and the
+    diagnostics do not need the optimizer. fraclab/__init__ imports every
+    module, so this reads the sources, not sys.modules."""
+    from fraclab import diagnostics
+
+    assert not _package_imports(shape_opt) & {"extension", "diagnostics"}
+    assert "shape_opt" not in _package_imports(diagnostics)

@@ -14,6 +14,7 @@ import argparse
 import json
 import math
 import os
+import resource
 import signal
 import sys
 import threading
@@ -138,6 +139,9 @@ class _Run:
             self.manifest.outputs[name] = gridio.sha256_file(os.path.join(self.args.out, name))
         self.manifest.wall_times["total"] = round(time.perf_counter() - self.t0, 6)
         self.manifest.complete = complete
+        # ru_maxrss is in KiB on Linux
+        self.manifest.peak_rss_mb = round(
+            resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
         self.manifest.save(os.path.join(self.args.out, "manifest.json"))
 
 

@@ -231,6 +231,8 @@ class RunManifest:
     `environment`: the BLAS/OpenMP thread variables (None when unset), on
     which byte-identical replay depends, the Python/numpy/scipy versions, and
     the name and version of scipy's BLAS (None when its build record has none).
+    `peak_rss_mb`: the process's peak resident set size when the run finished,
+    in MiB (None until then, and in older manifests).
     """
 
     tool_version: str
@@ -242,6 +244,7 @@ class RunManifest:
     wall_times: dict = field(default_factory=dict)
     complete: bool = False
     environment: dict | None = field(default_factory=_environment)
+    peak_rss_mb: float | None = None
 
     def to_json(self):
         return json.dumps(asdict(self), indent=2, sort_keys=True) + "\n"

@@ -148,21 +148,33 @@ def _tail_2d(grid, s):
 # ---------------------------------------------------------------------------
 # kernel table and stiffness form
 
+# entries of a d x d matrix per row block, so that the gathered values of
+# `stiffness` and the temporaries of `StiffnessForm.check` stay at 512 KiB
+_BLOCK = 2**16
+
+
+def _row_blocks(dim):
+    """Slices of consecutive rows of a dim x dim matrix, each block holding at
+    most _BLOCK entries (at least one row)."""
+    rows = max(1, _BLOCK // max(dim, 1))
+    return [slice(r0, min(r0 + rows, dim)) for r0 in range(0, dim, rows)]
+
 
 class KernelTable:
-    """Pair weights of one grid and fractional order, indexed by lattice offset.
+    """Stiffness entries of one grid and fractional order, indexed by offset.
 
-    The weight between two nodes depends only on their signed offset k in
-    cells: the midpoint rule h^(2n) / |h k|^(n+2s), the near-field weights
-    at the offsets of touching cells, and zero at k = 0. ``w`` holds it for
-    every offset in the box, shape (2M-1)^n with M nodes per axis and k = 0
-    at flat position ``centre``; ``key[p]`` is node p's index tuple raveled
-    in that shape, so nodes p and q weigh ``w.flat[key[p] - key[q] + centre]``.
-    The stiffness matrix of any admissible mask is one such gather (zero
-    extension makes the form of a subdomain the principal submatrix of the
-    box's), plus the diagonal: ``row_sums`` (each node's weight sum over the
-    whole box, the valid part of the convolution of ``w`` with the box
-    indicator, by FFT) and the exterior tail potential.
+    The pair weight between two nodes depends only on their signed offset k
+    in cells: the midpoint rule h^(2n) / |h k|^(n+2s), the near-field weights
+    at the offsets of touching cells, and zero at k = 0. ``entries`` holds
+    the stiffness entry of that weight, -c_ns times it, for every offset in
+    the box, shape (2M-1)^n with M nodes per axis and k = 0 at flat position
+    ``centre``; ``key[p]`` is node p's index tuple raveled in that shape, so
+    distinct nodes p and q have the entry ``entries.flat[key[p] - key[q] +
+    centre]``. The stiffness matrix of any admissible mask is one such gather
+    (zero extension makes the form of a subdomain the principal submatrix of
+    the box's), plus the diagonal: c_ns times the sum of ``row_sums`` (each
+    node's weight sum over the whole box, the valid part of the convolution
+    of the weights with the box indicator, by FFT) and the exterior tail.
     """
 
     def __init__(self, grid, s):
@@ -171,7 +183,7 @@ class KernelTable:
         n, h = grid.n, grid.h
         M = grid.cells_per_axis + 1
         ksq = functools.reduce(np.add.outer, [np.arange(1 - M, M) ** 2] * n)
-        self.w = w = np.zeros(ksq.shape)
+        self.entries = w = np.zeros(ksq.shape)
         np.power(ksq, -(n + 2.0 * self.s) / 2.0, out=w, where=ksq > 0)
         w *= h ** (n - 2.0 * self.s)
         c = M - 1
@@ -195,18 +207,23 @@ class KernelTable:
         size, axes = (L,) * n, tuple(range(n))
         spec = np.fft.rfftn(w, size, axes) * np.fft.rfftn(np.ones(grid.node_shape), size, axes)
         self.row_sums = np.fft.irfftn(spec, size, axes)[(slice(c, c + M),) * n].ravel()
-
-    def _weights(self, rows, cols):
-        """Pair weights between the nodes `rows` and `cols`, shape (rows, cols)."""
-        return self.w.take(np.subtract.outer(self.key[rows] + self.centre, self.key[cols]))
+        # the weights become stiffness entries; w * (-c) == -(w * c) bit for bit
+        w *= -self.c_ns
 
     def stiffness(self, flat_indices):
-        """Dense stiffness matrix over the given (mask) nodes."""
+        """Dense stiffness matrix over the given (mask) nodes, the only d x d
+        array made: each block of rows (``_row_blocks``) first holds its key
+        differences as int64, then the entries they select; the diagonal last."""
         idx = np.asarray(flat_indices, dtype=int)
-        K = -self._weights(idx, idx)
-        diag = self.row_sums[idx] + self.tail[idx]
-        K[np.arange(idx.size), np.arange(idx.size)] = diag
-        K *= self.c_ns
+        keys = self.key[idx]
+        K = np.empty((idx.size, idx.size))
+        for rows in _row_blocks(idx.size):
+            # an index array of its own per block would be mapped and
+            # page-faulted anew (12 k faults for the 80^2 disk in a new process)
+            diff = K[rows].view(np.int64)
+            np.subtract.outer(keys[rows] + self.centre, keys, out=diff)
+            K[rows] = self.entries.take(diff)
+        np.fill_diagonal(K, (self.row_sums[idx] + self.tail[idx]) * self.c_ns)
         return K
 
     def border(self, flat_indices, cells):
@@ -217,7 +234,7 @@ class KernelTable:
         """
         idx = np.asarray(flat_indices, dtype=int)
         cells = np.asarray(cells, dtype=int)
-        B = -self.c_ns * self._weights(idx, cells)
+        B = self.entries.take(np.subtract.outer(self.key[idx] + self.centre, self.key[cells]))
         return B, self.c_ns * (self.row_sums[cells] + self.tail[cells])
 
 
@@ -251,15 +268,24 @@ class StiffnessForm:
         return self.h**self.n
 
     def check(self):
+        """Exact symmetry, nonpositive off-diagonal and nonnegative diagonal
+        entries, checked a block of rows at a time (no d x d temporary)."""
         K = self.K
-        if not np.array_equal(K, K.T):
+        blocks = _row_blocks(self.dim)
+        if not all(np.array_equal(K[b], K[:, b].T) for b in blocks):
             raise AssertionError("stiffness matrix is not exactly symmetric")
-        off = K - np.diag(np.diag(K))
-        if off.size and off.max() > 0:
+        if any(_positive_off_diagonal(K, b) for b in blocks):
             raise AssertionError("positive off-diagonal entry in stiffness matrix")
-        if np.diag(K).min() < 0:
+        if np.diagonal(K).min() < 0:
             raise AssertionError("negative diagonal entry in stiffness matrix")
         return True
+
+
+def _positive_off_diagonal(K, rows):
+    """Whether K has a positive entry off the diagonal in the block `rows`."""
+    positive = K[rows] > 0
+    np.fill_diagonal(positive[:, rows], False)
+    return positive.any()
 
 
 def assemble_form(domain, params):

@@ -72,6 +72,7 @@ def test_eig_artifacts(eig_out):
     assert man.complete
     assert set(man.outputs) >= {"mask.frlb", "v01.frlb", "v02.frlb", "lambdas.json"}
     assert man.wall_times["total"] > 0
+    assert 10 < man.peak_rss_mb < 10_000  # MiB, the whole process's peak
 
 
 def test_manifest_records_the_environment(tmp_path, monkeypatch):
@@ -95,9 +96,10 @@ def test_manifest_records_the_environment(tmp_path, monkeypatch):
     assert RunManifest("v", "eig", {}).environment["blas"] is None
     assert RunManifest.load(tmp_path / "out" / "manifest.json").environment == env
     older = json.loads((tmp_path / "out" / "manifest.json").read_text())
-    del older["environment"]
+    del older["environment"], older["peak_rss_mb"]
     (tmp_path / "older.json").write_text(json.dumps(older))
     assert RunManifest.load(tmp_path / "older.json").environment is None
+    assert RunManifest.load(tmp_path / "older.json").peak_rss_mb is None
 
 
 def test_cli_import_loads_only_scipy_linalg_and_sparse():

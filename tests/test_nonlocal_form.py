@@ -1,3 +1,5 @@
+import dataclasses
+import functools
 import gc
 import tracemalloc
 import weakref
@@ -11,8 +13,10 @@ from fraclab.nonlocal_form import (
     _near_moments_2d,
     _near_weight_1d,
     _near_weights_2d,
+    _row_blocks,
     _tail_1d,
     _tail_2d,
+    _BLOCK,
     KernelTable,
     assemble_form,
     kernel_table,
@@ -98,13 +102,15 @@ def test_stiffness_symmetry_and_positivity():
     assert w[0] > 0  # tail load makes the pinned form strictly positive
 
 
-@pytest.mark.parametrize("n,cells", [(1, 30), (2, 10)])
+@pytest.mark.parametrize("n,cells", [(1, 30), (2, 10), (2, 40)])
 def test_border_is_the_new_column_of_the_grown_stiffness(n, cells):
     g = BoxGrid(n, -1.0, 1.0, cells)
     table = kernel_table(g, 0.4)
     idx = ball_domain(g, np.zeros(n), 0.5).flat_indices
     outside = np.setdiff1d(np.flatnonzero(g.interior().ravel()), idx)
     B, alpha = table.border(idx, outside)
+    if cells == 40:  # the grown matrices span two row blocks of the gather
+        assert len(_row_blocks(idx.size + 1)) == 2
     for j, c in enumerate(outside):
         K = table.stiffness(np.append(idx, c))
         assert np.array_equal(K[:-1, -1], B[:, j]) and K[-1, -1] == alpha[j]
@@ -247,6 +253,97 @@ def test_offset_table_at_128_squared_stays_small():
     form = assemble_form(dom, FracParams(2, 0.5, 1.0))
     assert np.array_equal(form.K, table.stiffness(dom.flat_indices))
     assert form.check()
+
+
+def offset_weights(g, s):
+    """The pair weight of every lattice offset (not yet scaled to stiffness
+    entries), each node's key into it and the key of offset zero, by the
+    table's own formula."""
+    n, h = g.n, g.h
+    M = g.cells_per_axis + 1
+    ksq = functools.reduce(np.add.outer, [np.arange(1 - M, M) ** 2] * n)
+    w = np.zeros(ksq.shape)
+    np.power(ksq, -(n + 2.0 * s) / 2.0, out=w, where=ksq > 0)
+    w *= h ** (n - 2.0 * s)
+    near = w[(slice(M - 2, M + 1),) * n]
+    if n == 1:
+        near[:] = _near_weight_1d(s, h)
+    else:
+        beta_axis, beta_diag = _near_weights_2d(s, h)
+        near[:] = beta_diag
+        near[1, :] = near[:, 1] = beta_axis
+    near[(1,) * n] = 0.0
+    key = np.ravel_multi_index(np.indices(g.node_shape).reshape(n, -1), w.shape)
+    return w, key, int(np.ravel_multi_index((M - 1,) * n, w.shape))
+
+
+@pytest.mark.parametrize("s", [0.2, 0.5, 0.8])
+@pytest.mark.parametrize("n,cells", [(1, 1024), (2, 32)])
+def test_blocked_gather_matches_the_one_shot_gather_byte_for_byte(n, cells, s):
+    """The gather of the negated weights over all pairs at once, the diagonal
+    written in, then scaled by c_ns: K and the border equal it byte for byte,
+    on shuffled node subsets around the size where one row block stops
+    holding all of K, and on the whole interior (several blocks)."""
+    g = BoxGrid(n, -1.0, 1.0, cells)
+    table = kernel_table(g, s)
+    w, key, centre = offset_weights(g, s)
+    inner = np.random.default_rng(5).permutation(np.flatnonzero(g.interior().ravel()))
+    one_block = int(np.sqrt(_BLOCK))
+    assert len(_row_blocks(one_block)) == 1 and len(_row_blocks(one_block + 1)) == 2
+    for d in (0, 1, one_block - 1, one_block, one_block + 1, inner.size):
+        idx = inner[:d]
+        ref = -w.take(np.subtract.outer(key[idx] + centre, key[idx]))
+        ref[np.arange(d), np.arange(d)] = table.row_sums[idx] + table.tail[idx]
+        ref *= table.c_ns
+        assert table.stiffness(idx).tobytes() == ref.tobytes(), d
+        B, alpha = table.border(idx[: d // 2], idx[d // 2:])
+        assert B.tobytes() == ref[: d // 2, d // 2:].tobytes(), d
+        assert alpha.tobytes() == np.diagonal(ref)[d // 2:].tobytes(), d
+
+
+def traced_peak(fn, *args):
+    """fn(*args) and the tracemalloc peak of the call, in bytes."""
+    tracemalloc.start()
+    try:
+        return fn(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_stiffness_allocates_one_matrix_and_check_none():
+    """On the 80^2 disk of the `spectrum` benchmark the gather allocates K and
+    one row block's values; check() holds one row block's comparisons
+    (whole-matrix ways take 2 x 25 MB in either)."""
+    g = BoxGrid(2, -1.0, 1.0, 80)
+    form = assemble_form(ball_domain(g, [0.0, 0.0], 0.6), FracParams(2, 0.5, 1.0))
+    table = kernel_table(g, 0.5)
+    K, peak = traced_peak(table.stiffness, form.domain.flat_indices)
+    assert K.shape == (form.dim, form.dim) and len(_row_blocks(form.dim)) > 1
+    assert peak <= K.nbytes + 2 * 2**20
+    ok, peak = traced_peak(form.check)
+    assert ok and peak <= 2 * 2**20
+
+
+@pytest.mark.parametrize("defect,message", [
+    ("asymmetric", "not exactly symmetric"),
+    ("positive off-diagonal", "positive off-diagonal"),
+    ("negative diagonal", "negative diagonal"),
+], ids=["asymmetric", "positive-off-diagonal", "negative-diagonal"])
+def test_check_finds_a_defect_in_a_late_row_block(defect, message):
+    g = BoxGrid(2, -1.0, 1.0, 32)
+    form = assemble_form(ball_domain(g, [0.0, 0.0], 0.8), FracParams(2, 0.5, 1.0))
+    blocks = _row_blocks(form.dim)
+    assert len(blocks) >= 3 and form.check()
+    i, j = blocks[-1].start + 1, blocks[-1].start + 2
+    K = form.K.copy()
+    if defect == "asymmetric":
+        K[i, j] = np.nextafter(K[i, j], 0.0)
+    elif defect == "positive off-diagonal":
+        K[i, j] = K[j, i] = 1e-300
+    else:
+        K[i, i] = -K[i, i]
+    with pytest.raises(AssertionError, match=message):
+        dataclasses.replace(form, K=K).check()
 
 
 # The four near-field moments of _near_moments_2d, by region and integrand:

@@ -17,9 +17,9 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from .constants import one_plane_solution, slope_constant, unit_ball_volume
-from .extension import (_as_fields, _c_tilde, _interp, _multilinear_at, _trace_support,
-                        ball_energy)
-from .grids import BoxGrid, ThinDomain, _neighbor_counts
+from .extension import (_as_fields, _ball_energies, _c_tilde, _interp, _multilinear_at,
+                        _trace_support)
+from .grids import BoxGrid, ThinDomain, _neighbor_counts, _node_dist2
 
 __all__ = [
     "GeometryError",
@@ -129,9 +129,7 @@ def density_ratio(mask, x0, r):
     """Cell-counted |B_r(x0) and Omega| / (omega_n r^n), in [0, 1]."""
     grid = mask.grid
     x0 = _check_ball(grid, x0, r, floor=3)
-    coords = grid.node_coords()
-    inside = ((coords - x0[None, :]) ** 2).sum(axis=1) < r * r
-    cnt = int(np.sum(inside & mask.mask.ravel()))
+    cnt = int(np.sum((_node_dist2(grid, x0) < r * r) & mask.mask))
     vol = unit_ball_volume(grid.n) * r**grid.n
     return min(1.0, grid.h**grid.n * cnt / vol)
 
@@ -148,8 +146,7 @@ def nondegeneracy_scan(G_fields, fb, radii, params, points=None):
     fgrid, _, traces = _as_fields(G_fields)
     if not fgrid.same_layout(grid):
         raise ValueError("fields and free boundary live on different grids")
-    mag = np.sqrt(sum(tr**2 for tr in traces)).ravel()
-    coords = grid.node_coords()
+    mag = np.sqrt(sum(tr**2 for tr in traces))
     radii = np.sort(np.asarray(radii, dtype=float))
     if radii[0] < 3 * grid.h - 1e-12:
         raise ResolutionError("non-degeneracy radii below the 3h floor")
@@ -161,7 +158,7 @@ def nondegeneracy_scan(G_fields, fb, radii, params, points=None):
     consts = np.empty(len(pts))
     flags = np.zeros(len(pts), dtype=bool)
     for k, p in enumerate(pts):
-        d2 = ((coords - p[None, :]) ** 2).sum(axis=1)
+        d2 = _node_dist2(grid, p)
         consts[k] = min(mag[d2 < r * r].max(initial=0.0) / r**params.s for r in radii)
         flags[k] = tuple(np.round(p / grid.h).astype(int)) not in fbset
     return {
@@ -232,29 +229,31 @@ def weiss_energy(G_ext, X0, r, params):
 
 
 def _weiss_energies(fields, X0, radii, params):
-    """weiss_energy at each of the radii: one interpolation of all fields at
-    the sphere points of all radii, ball_energy per radius."""
+    """weiss_energy at each of the radii: the support, the node distances and
+    one interpolation of all fields at the sphere points of all radii are
+    shared, and each field's ball energies at all radii come from one window
+    (_ball_energies)."""
     grid, n = fields[0].slab.base, fields[0].slab.base.n
     x0 = np.atleast_1d(np.asarray(X0, dtype=float))
     for r in radii:
         _check_ball(grid, x0, r, floor=5)
         if r > fields[0].slab.Y:
             raise GeometryError("ball exits the slab vertically")
-    supp = _trace_support([f.trace for f in fields], 1e-12).ravel()
+    supp = _trace_support([f.trace for f in fields], 1e-12)
     if not supp.any():
         return np.zeros(len(radii))
-    d2 = ((grid.node_coords() - x0[None, :]) ** 2).sum(axis=1)
+    d2 = _node_dist2(grid, x0)
     dirs, wts = _hemisphere_rule(n, params.a)
     q = (radii[:, None, None] * dirs).reshape(-1, n + 1)
     q[:, :n] += x0
     mag2 = sum(v ** 2 for v in _interp(fields, q)).reshape(len(radii), len(dirs))
+    energies = sum(_ball_energies(f, x0, radii) for f in fields)
     out = np.empty(len(radii))
     for i, r in enumerate(radii):
-        e = sum(ball_energy(f, x0, r) for f in fields)
         meas = grid.h**n * int(np.sum((d2 < r * r) & supp))
         # the |y|^a factor is inside the rule's weights: (y/r)^a there, scale back
         sphere = float(np.sum(wts * mag2[i])) * r**n * r**params.a
-        out[i] = ((2.0 * e + params.lambda_tilde * meas) / r**n
+        out[i] = ((2.0 * energies[i] + params.lambda_tilde * meas) / r**n
                   - 2.0 * params.s * sphere / r ** (n + 1))
     return out
 

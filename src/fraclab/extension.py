@@ -26,6 +26,7 @@ the assembled system up to roundoff.
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +34,7 @@ from scipy import sparse
 from scipy.sparse import linalg as sla
 
 from .constants import unit_ball_volume
-from .grids import BoxGrid
+from .grids import BoxGrid, _node_dist2
 
 __all__ = [
     "SlabGrid",
@@ -309,11 +310,13 @@ def _multilinear_at(grid, pts, *tail):
     node field: the bounds check and cell weights are computed once for any
     number of fields.
 
-    tail: index arrays into trailing axes of the field that broadcast against
-    one entry per point; _interp passes the (2, points) levels below and
-    above each point and gets both interpolants in one gather. The 2^n cell
-    corners are summed with the first axis varying fastest, each value times
-    its axis weights in axis order.
+    tail: index arrays into the trailing axes of the field, one per axis, that
+    broadcast against one entry per point; _interp passes the (2, points)
+    levels below and above each point and gets both interpolants in one
+    gather. Each corner's values are one take from the field's C-order ravel,
+    at a flat index built once per field shape and shared by the fields of
+    that shape. The 2^n cell corners are summed with the first axis varying
+    fastest, each value times its axis weights in axis order.
     """
     x = (np.atleast_2d(pts) - grid.lower) / grid.h
     eps = 1e-9
@@ -322,13 +325,29 @@ def _multilinear_at(grid, pts, *tail):
     x = np.clip(x, 0.0, grid.cells_per_axis)
     i0 = np.clip(x.astype(int), 0, grid.cells_per_axis - 1)
     t = x - i0
-    index, weight = (i0, i0 + 1), (1 - t, t)
+    weight = (1 - t, t)
     corners = [c[::-1] for c in itertools.product((0, 1), repeat=grid.n)]
+    flats = {}  # field shape -> the flat index of each corner
+
+    def flat_indices(shape):
+        # the low corner's C-order index (Horner), then each corner's offset
+        # by the strides of the node axes
+        index = [*i0.T, *tail]
+        if len(index) != len(shape):
+            raise ValueError("tail must index every trailing axis of the field")
+        low = index[0]
+        for i, m in zip(index[1:], shape[1:]):
+            low = low * m + i
+        strides = [math.prod(shape[k + 1:]) for k in range(grid.n)]
+        return [low + sum(c * s for c, s in zip(corner, strides)) for corner in corners]
 
     def at(field):
+        if field.shape not in flats:
+            flats[field.shape] = flat_indices(field.shape)
+        values = field.reshape(-1)
         terms = []
-        for corner in corners:
-            term = field[tuple(index[c][:, k] for k, c in enumerate(corner)) + tail]
+        for corner, flat in zip(corners, flats[field.shape]):
+            term = values.take(flat)
             for k, c in enumerate(corner):
                 term = term * weight[c][:, k]
             terms.append(term)
@@ -426,8 +445,7 @@ def harmonic_replacement(field, center, radius):
         raise ValueError("replacement ball exits the slab footprint")
     if radius > slab.Y:
         raise ValueError("replacement ball exits the slab vertically")
-    d2 = ((base.node_coords() - center[None, :]) ** 2).sum(axis=1)
-    inside = d2.reshape(base.node_shape)[..., None] + slab.y_nodes**2 < radius**2
+    inside = _node_dist2(base, center)[..., None] + slab.y_nodes**2 < radius**2
     # free nodes must not touch the outer Dirichlet shell of the slab itself
     # (the top level y = Y >= radius is outside); y=0 nodes in the ball are free
     inside &= base.interior()[..., None]
@@ -443,14 +461,25 @@ def harmonic_replacement(field, center, radius):
 
 def ball_energy(field, center, radius):
     """Edge-quadrature energy of the upper half-ball at a thin-space center:
-    the sum of c * (dg)^2 over the edges whose midpoints lie in the open ball.
+    the sum of c * (dg)^2 over the edges whose midpoints lie in the open ball."""
+    return float(_ball_energies(field, center, [radius])[0])
 
-    Only the ball's index window is read: such an edge joins x-nodes within
-    r + h of the center, at levels up to the first one with y >= r.
+
+def _ball_energies(field, center, radii):
+    """ball_energy at each of the radii of one center, from one index window.
+
+    The window is the largest radius's: an edge in a ball of radius r joins
+    x-nodes within r + h of the center, at levels up to the first one with
+    y >= r. Per axis, c * (dg)^2 and the squared distances of the edge
+    midpoints are formed once on it, and each radius sums the entries with
+    d2 < r^2. In C order those are the entries of its own smaller window, so
+    each sum is that window's bit for bit.
     """
     slab = field.slab
     base = slab.base
     center = np.atleast_1d(np.asarray(center, dtype=float))
+    radii = np.asarray(radii, dtype=float)
+    radius = radii.max(initial=0.0)
     at = (center - base.lower) / base.h  # the center in index units
     lo = np.maximum(np.floor(at - radius / base.h).astype(int) - 1, 0)
     hi = np.maximum(np.ceil(at + radius / base.h).astype(int) + 2, 0)
@@ -460,7 +489,7 @@ def ball_energy(field, center, radius):
     # per axis: node coordinates and the center, with y the last axis
     coords = [base.axis_nodes()[w] for w in window[:-1]] + [slab.y_nodes[:top]]
     origin = list(center) + [0.0]
-    total = 0.0
+    out = np.zeros(len(radii))
     for axis, c in enumerate(_conductances(slab)):
         d2 = 0.0
         for k, x in enumerate(coords):
@@ -469,8 +498,9 @@ def ball_energy(field, center, radius):
             shape = [-1 if m == k else 1 for m in range(g.ndim)]
             d2 = d2 + ((x - origin[k]) ** 2).reshape(shape)
         d = np.diff(g, axis=axis)
-        total += np.sum((c[: d.shape[-1]] * d * d)[d2 < radius**2])
-    return float(total)
+        e = c[: d.shape[-1]] * d * d
+        out += [np.sum(e[d2 < r**2]) for r in radii]
+    return out
 
 
 def _node_volumes(slab):
@@ -493,7 +523,6 @@ def almost_minimality_audit(fields, mask, params, centers, radii, support_tol=1e
     """
     base, fields, _ = _as_fields(fields, need_slab=True)
     h = base.h
-    coords = base.node_coords()
     vols = _node_volumes(fields[0].slab).ravel()
     c_tilde = _c_tilde(fields, params)
     rows = []
@@ -501,8 +530,9 @@ def almost_minimality_audit(fields, mask, params, centers, radii, support_tol=1e
     mask_flat = mask.mask.ravel()
     for center in centers:
         center = np.atleast_1d(np.asarray(center, dtype=float))
+        d2 = _node_dist2(base, center).ravel()
         for r in radii:
-            ball_thin = ((coords - center[None, :]) ** 2).sum(axis=1) < r**2
+            ball_thin = d2 < r**2
             reps = [harmonic_replacement(f, center, r) for f in fields]
             e_g = sum(ball_energy(f, center, r) for f in fields)
             e_t = sum(ball_energy(f, center, r) for f in reps)

@@ -12,6 +12,7 @@ Conventions used throughout the package:
   outermost node layer, so the domain stays compactly inside D.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -165,6 +166,13 @@ def _neighbor_counts(mask):
         counts[tuple(lo)] += mask[tuple(hi)]
         counts[tuple(hi)] += mask[tuple(lo)]
     return counts
+
+
+def _node_dist2(grid, x0):
+    """Squared distance from the thin-space point x0 to every node, as a
+    node_shape array: the per-axis squared offsets summed by outer addition."""
+    x = grid.axis_nodes()
+    return functools.reduce(np.add.outer, [(x - c) ** 2 for c in x0])
 
 
 def mask_from_indices(grid, flat_indices):

@@ -276,7 +276,7 @@ class StiffnessForm:
             raise AssertionError("stiffness matrix is not exactly symmetric")
         if any(_positive_off_diagonal(K, b) for b in blocks):
             raise AssertionError("positive off-diagonal entry in stiffness matrix")
-        if np.diagonal(K).min() < 0:
+        if np.any(np.diagonal(K) < 0):
             raise AssertionError("negative diagonal entry in stiffness matrix")
         return True
 

@@ -163,6 +163,33 @@ def test_diagnose_artifacts(eig_out, tmp_path):
     assert header == "# point,x0,r,W"
 
 
+def test_diagnose_points_run_alone_as_in_the_full_run(tmp_path):
+    """Each point's rows and classification entry are the same, byte for
+    byte, whether `--points` selects it or the run covers every point."""
+    eig_cfg = write_cfg(tmp_path / "eig.cfg", n=2, cells=24, lower=-1.0, upper=1.0,
+                        s=0.5, domain="ball 0.02 -0.01 0.45", m=2)
+    assert main(["eig", "--config", eig_cfg, "--out", str(tmp_path / "eig")]) == 0
+    cfg = write_cfg(tmp_path / "diag.cfg", n=2, s=0.5, **{"lambda": 10},
+                    mask=str(tmp_path / "eig" / "mask.frlb"),
+                    fields=f"{tmp_path / 'eig' / 'v01.frlb'},{tmp_path / 'eig' / 'v02.frlb'}",
+                    J=8, r_min_cells=5, r_max_cells=6)
+    full, some = tmp_path / "full", tmp_path / "some"
+    assert main(["diagnose", "--config", cfg, "--out", str(full)]) == 0
+    count = len(json.loads((full / "classification.json").read_text())["points"])
+    picked = (3, count - 2)
+    assert main(["diagnose", "--config", cfg, "--out", str(some),
+                 "--points", ",".join(map(str, picked))]) == 0
+    for name in ("weiss.csv", "density.csv", "slopes.csv"):
+        want = [ln for ln in (full / name).read_text().splitlines(keepends=True)
+                if ln.startswith("#") or int(ln.split(",")[0]) in picked]
+        assert len(want) > 1 + len(picked) or name == "slopes.csv"
+        assert (some / name).read_text() == "".join(want), name
+    entries = [json.loads((out / "classification.json").read_text())["points"]
+               for out in (full, some)]
+    assert [json.dumps(p) for p in entries[1]] == [
+        json.dumps(p) for p in entries[0] if p["point"] in picked]
+
+
 def test_diagnose_grid_mismatch(eig_out, tmp_path):
     other = write_cfg(tmp_path / "o.cfg", n=1, cells=32, lower=-2.0,
                       upper=2.0, s=0.5, domain="interval -1 1")

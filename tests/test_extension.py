@@ -10,6 +10,7 @@ from fraclab.extension import (
     ExtensionField,
     SlabGrid,
     _apply_laplacian,
+    _ball_energies,
     _dst1,
     _laplacian,
     _multilinear_at,
@@ -371,6 +372,47 @@ def test_multilinear_at_matches_the_explicit_formulas(n):
         assert np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_flat_gather_matches_advanced_indexing(n):
+    """The flat-index gather of _multilinear_at equals the advanced-indexing
+    formula bit for bit on C-ordered slab values, on the strided trace view
+    and on a Fortran-ordered copy; one interpolant serves fields of either
+    layout."""
+    g = BoxGrid(n, -1.0, 1.0, 9)
+    slab = SlabGrid(g, 7, a=-0.3)
+    rng = np.random.default_rng(11)
+    f = ExtensionField(slab, rng.standard_normal(slab.values_shape()))
+    k = 50
+    pts = rng.uniform(-1.0, 1.0, size=(k, n))
+    pts[:2] = g.lower
+    pts[2:4] = g.upper
+    j = rng.integers(0, slab.J, size=k)
+    levels = np.stack([j, j + 1])
+    x = np.clip((pts - g.lower) / g.h, 0.0, g.cells_per_axis)
+    i0 = np.clip(x.astype(int), 0, g.cells_per_axis - 1)
+    t = x - i0
+
+    def advanced(field, *tail):
+        terms = []
+        for corner in [c[::-1] for c in itertools.product((0, 1), repeat=n)]:
+            term = field[tuple(i0[:, m] + c for m, c in enumerate(corner)) + tail]
+            for m, c in enumerate(corner):
+                term = term * (t[:, m] if c else 1 - t[:, m])
+            terms.append(term)
+        return sum(terms[1:], terms[0])
+
+    fortran = np.asfortranarray(f.values)
+    assert not f.trace.flags.c_contiguous and fortran.flags.f_contiguous
+    at = _multilinear_at(g, pts, levels)
+    for field in (f.values, fortran):
+        np.testing.assert_array_equal(at(field), advanced(field, levels))
+    at = _multilinear_at(g, pts)
+    for field in (f.trace, np.asfortranarray(f.trace)):
+        np.testing.assert_array_equal(at(field), advanced(field))
+    with pytest.raises(ValueError, match="every trailing axis"):
+        at(f.values)
+
+
 @pytest.mark.parametrize("n,cells", [(1, 40), (2, 12)])
 def test_interp_matches_per_level_multilinear(n, cells):
     """One gather over all levels equals interpolating each level on its own."""
@@ -521,12 +563,38 @@ def test_replacement_changes_profile_on_kink_ball():
 
 
 def test_ball_energy_splits_total():
-    g = BoxGrid(1, -2.0, 2.0, 128)
-    slab = SlabGrid(g, 32, a=0.0, Y=4.0)
-    f = extend(bump_trace(g), slab)
-    e_ball = ball_energy(f, [0.0], 0.5)
-    e_tot = extension_energy(f)
-    assert 0.0 < e_ball < e_tot
+    """Multi-radius ball energies equal one-radius calls bit for bit, for
+    unsorted and repeated radii, and the sum over every slab edge whose
+    midpoint lies in the open ball, in 1D and 2D: inside the footprint, clipped
+    by the box's lower corner, and tall enough that the window takes the top
+    level (and the whole footprint)."""
+    cases = (
+        (BoxGrid(1, -2.0, 2.0, 32), 4.0, [(0.1, [0.5, 0.2, 0.5, 0.35]),
+                                          (-1.9, [0.3, 0.15, 0.3]),
+                                          (0.0, [3.0, 1.0])]),
+        (BoxGrid(2, -1.0, 1.0, 10), 3.0, [([0.1, -0.2], [0.45, 0.3, 0.45, 0.21]),
+                                          ([-0.9, -0.85], [0.4, 0.25, 0.4]),
+                                          ([0.05, 0.0], [2.5, 0.6])]),
+    )
+    for g, Y, balls in cases:
+        slab = SlabGrid(g, 5, a=0.2, Y=Y)
+        vals = np.random.default_rng(g.n).normal(size=slab.values_shape())
+        f = ExtensionField(slab, vals)
+        v = vals.ravel()
+        edges = oracle_edges(slab)
+        e_tot = extension_energy(f)
+        for center, radii in balls:
+            center = np.atleast_1d(center)
+            got = _ball_energies(f, center, radii)
+            assert got.tolist() == [ball_energy(f, center, r) for r in radii]
+            for r, e in zip(radii, got):
+                want = sum(c * (v[p] - v[q]) ** 2 for p, q, c, mid in edges
+                           if sum((m - o) ** 2 for m, o in zip(mid, [*center, 0.0])) < r * r)
+                assert 0.0 < e <= e_tot * (1 + 1e-13)
+                assert e == pytest.approx(want, rel=1e-13)
+        # the tall ball's window holds every level: its radius passes y[J-1]
+        assert balls[-1][1][0] > slab.y_nodes[-2]
+        assert balls[-1][1][0] < slab.Y
 
 
 # -- almost-minimality audit -------------------------------------------------

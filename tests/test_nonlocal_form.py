@@ -18,6 +18,7 @@ from fraclab.nonlocal_form import (
     _tail_2d,
     _BLOCK,
     KernelTable,
+    StiffnessForm,
     assemble_form,
     kernel_table,
     seminorm,
@@ -344,6 +345,13 @@ def test_check_finds_a_defect_in_a_late_row_block(defect, message):
         K[i, i] = -K[i, i]
     with pytest.raises(AssertionError, match=message):
         dataclasses.replace(form, K=K).check()
+
+
+def test_check_accepts_an_empty_form():
+    """A 0 x 0 form breaks no symmetry, sign or diagonal rule."""
+    g = BoxGrid(2, -1.0, 1.0, 8)
+    form = StiffnessForm(np.empty((0, 0)), g.h, 2, mask_from_indices(g, []))
+    assert form.dim == 0 and form.check()
 
 
 # The four near-field moments of _near_moments_2d, by region and integrand:

@@ -11,12 +11,12 @@ shape_opt      greedy/annealed mask optimization
 diagnostics    free-boundary diagnostics: perimeter, blow-up rescaling, density,
                Weiss energy, flatness, slopes, point classification
 gridio         binary field/mask/slab files, flat configs, run manifests
+checks         acceptance checks shared by `fraclab verify` and the tests
 """
 
 __version__ = "0.1.0"
 
 from .constants import (
-    ConstantTable,
     FracParams,
     extension_constant,
     normalization_constant,
@@ -51,7 +51,6 @@ from .gridio import RunManifest, read_fields, read_mask, write_fields, write_mas
 
 __all__ = [
     "__version__",
-    "ConstantTable",
     "FracParams",
     "extension_constant",
     "normalization_constant",

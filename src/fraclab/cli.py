@@ -22,7 +22,7 @@ import time
 
 import numpy as np
 
-from . import (__version__, constants, diagnostics, eigen, extension, gridio, grids,
+from . import (__version__, checks, constants, diagnostics, eigen, extension, gridio, grids,
                nonlocal_form, shape_opt)
 
 EXIT_OK, EXIT_USAGE, EXIT_COMPAT, EXIT_NUMERIC = 0, 2, 3, 4
@@ -351,19 +351,22 @@ def cmd_diagnose(args):
         bad = [i for i in sel if not 0 <= i < len(fb)]
         if bad:
             raise UsageError(f"--points indices out of range: {bad}")
-    J = _cfg(cfg, "J", int, 32)
-    Y = _cfg(cfg, "Y", float, None)
-    slab = _checked(extension.SlabGrid, grid, J, a=params.a, Y=Y)
-    ext_fields = [_extend(tr, slab, fp) for tr, fp in traces]
-    c_tilde = extension._c_tilde(ext_fields, params)
-    h = grid.h
-    r_lo = _cfg(cfg, "r_min_cells", float, 5.0) * h
-    r_hi = _cfg(cfg, "r_max_cells", float, 10.0) * h
+    floor = diagnostics.WEISS_FLOOR_CELLS
+    r_min_cells = _cfg(cfg, "r_min_cells", float, floor)
+    if not r_min_cells >= floor:
+        raise UsageError(f"r_min_cells = {r_min_cells} is below the Weiss floor, {floor} cells")
+    r_lo = r_min_cells * grid.h
+    r_hi = _cfg(cfg, "r_max_cells", float, 10.0) * grid.h
     ccfg = diagnostics.ClassifierConfig(
         tol=_cfg(cfg, "class_tol", float, 0.1),
         delta=_cfg(cfg, "class_delta", float, 0.05),
         flat_threshold=_cfg(cfg, "class_flat_threshold", float, 0.2),
     )
+    J = _cfg(cfg, "J", int, 32)
+    Y = _cfg(cfg, "Y", float, None)
+    slab = _checked(extension.SlabGrid, grid, J, a=params.a, Y=Y)
+    ext_fields = [_extend(tr, slab, fp) for tr, fp in traces]
+    c_tilde = extension._c_tilde(ext_fields, params)
     xcols = ",".join(f"x{i}" for i in range(grid.n))
     weiss_rows = [f"# point,{xcols},r,W\n"]
     dens_rows = [f"# point,{xcols},r,ratio\n"]
@@ -412,80 +415,38 @@ def cmd_diagnose(args):
 
 
 def cmd_verify(args):
-    checks = []
-
-    def check(name, ok, detail=""):
-        checks.append(ok)
-        print(f"{'PASS' if ok else 'FAIL'}  {name}" + (f"  ({detail})" if detail else ""))
-
-    t = np.linspace(-1, 1, 101)
-    u0 = constants.one_plane_solution(t, 0.0, 0.5)
-    ok = np.allclose(u0, np.maximum(t, 0.0) ** 0.5, atol=1e-12)
-    z = np.linspace(0.1, 1, 10)
-    ok &= np.allclose(constants.one_plane_solution(0.0, z, 0.3), (z / 2) ** 0.3, atol=1e-12)
-    r = np.full(8, 0.7)
-    th = np.linspace(0, np.pi, 8)
-    ok &= np.allclose(
-        constants.one_plane_solution_polar(r, th, 0.6),
-        constants.one_plane_solution(r * np.cos(th), r * np.sin(th), 0.6),
-        atol=1e-12,
-    )
-    lam4 = constants.one_plane_solution(2.0 * 0.37, 2.0 * 0.11, 0.45)
-    ok &= abs(lam4 - 2.0**0.45 * constants.one_plane_solution(0.37, 0.11, 0.45)) < 1e-12
-    check("one-plane profile identities", bool(ok))
-
-    res = []
-    for h in (0.02, 0.01):
-        tt = -1.0 + h * np.arange(int(round(2.0 / h)) + 1)
-        zz = h * (1 + np.arange(int(round(0.5 / h)) + 1))
-        gg = constants.one_plane_solution(tt[:, None], zz[None, :], 0.5)
-        res.append(np.median(np.abs(constants.la_residual(gg, 0.5, h, t0=tt[0], z0=zz[0]))))
-    order = np.log2(res[0] / res[1])
-    check("weighted-operator residual refinement order >= 1", order >= 1.0,
-          f"order {order:.2f}")
-
-    check("extension constant d_{1/2} = 1", abs(constants.extension_constant(0.5) - 1.0) < 1e-13)
-    check(
-        "slope constant at s=1/2, Lambda=1",
-        abs(constants.slope_constant(1.0, 0.5) - 2.0 / np.sqrt(np.pi)) < 1e-13,
-    )
-
-    p = constants.FracParams(1, 0.5, 1.0)
-    g = grids.BoxGrid(1, -2.0, 2.0, 128)
-    dom = grids.interval_domain(g, -1.0, 1.0)
-    bundle = eigen.lowest_eigenpairs(nonlocal_form.assemble_form(dom, p), 2)
-    lam = bundle.lambdas
-    check(
-        "interval spectrum: simple, positive, ordered",
-        lam[0] > 0 and lam[1] > lam[0] * 1.01 and float(bundle.vectors[0].min()) >= 0,
-        f"lam1={lam[0]:.4f}",
-    )
-
-    gs = grids.BoxGrid(1, -1.0, 1.0, 64)
-    doms = grids.interval_domain(gs, -0.5, 0.5)
-    ls = eigen.lowest_eigenpairs(nonlocal_form.assemble_form(doms, p), 1).lambdas[0]
-    g2 = grids.BoxGrid(1, -2.0, 2.0, 64)
-    dom2 = grids.interval_domain(g2, -1.0, 1.0)
-    l2 = eigen.lowest_eigenpairs(nonlocal_form.assemble_form(dom2, p), 1).lambdas[0]
-    check("scaling law exact", abs(l2 - ls / 2.0) < 1e-10 * ls, f"defect {abs(l2-ls/2):.2e}")
-
-    rel = []
+    """The acceptance criteria's check functions (fraclab.checks) at small
+    sizes, one row each: name, measured value, pass rule, detail format."""
+    t, z = np.meshgrid(np.linspace(-1.0, 1.0, 21), np.linspace(0.1, 1.0, 10))
+    energy = []
     for cells, J, Y in ((128, 24, 4.0), (256, 48, 8.0)):  # one joint refinement
         g = grids.BoxGrid(1, -2.0, 2.0, cells)
-        x = g.axis_nodes()
-        u, inside = np.zeros_like(x), np.abs(x) < 1
-        u[inside] = np.exp(-1.0 / (1.0 - x[inside] ** 2))
-        inner = g.interior().ravel()
-        q = float(u[inner] @ nonlocal_form.kernel_table(g, 0.5).stiffness(
-            np.flatnonzero(inner)) @ u[inner])
-        e = extension.extension_energy(extension.extend(u, extension.SlabGrid(g, J, a=0.0, Y=Y)))
-        rel.append(abs(p.d_s * e - q) / q)
-    check("extension energy identity within 5%, lower after refinement",
-          rel[0] <= 0.05 and rel[1] < rel[0], f"mismatch {rel[0]:.3%} -> {rel[1]:.3%}")
-
-    ok_all = all(checks)
-    print(f"{sum(checks)}/{len(checks)} checks passed")
-    return EXIT_OK if ok_all else EXIT_NUMERIC
+        slab = extension.SlabGrid(g, J, a=0.0, Y=Y)
+        energy.extend(checks.energy_mismatch([checks.bump(g.axis_nodes())], slab, 0.5))
+    profile = max(checks.profile_identity_defect(s, t, z) for s in (0.3, 0.5, 0.7))
+    rows = [
+        ("one-plane profile identities", profile, lambda d: d <= 1e-12, ""),
+        ("weighted-operator residual refinement order >= 1", checks.residual_order(0.5),
+         lambda order: order >= 1.0, "  (order {:.2f})"),
+        ("extension constant d_{1/2} = 1", constants.extension_constant(0.5),
+         lambda d: abs(d - 1.0) < 1e-13, ""),
+        ("slope constant at s=1/2, Lambda=1", constants.slope_constant(1.0, 0.5),
+         lambda c: abs(c - 2.0 / np.sqrt(np.pi)) < 1e-13, ""),
+        ("interval spectrum: simple, positive, ordered", checks.interval_bundle(0.5, 128, 2),
+         lambda b: b.lambdas[0] > 0 and b.lambdas[1] > 1.01 * b.lambdas[0]
+         and b.vectors[0].min() >= 0, "  (lam1={0.lambdas[0]:.4f})"),
+        ("scaling law exact", checks.scaling_defect(0.3, 64, 1, half=0.5),
+         lambda d: d <= 1e-10, "  (defect {:.2e})"),
+        ("extension energy identity within 5%, lower after refinement", energy,
+         lambda rel: rel[0] <= 0.05 and rel[1] < rel[0], "  (mismatch {0[0]:.3%} -> {0[1]:.3%})"),
+    ]
+    passed = 0
+    for name, value, rule, detail in rows:
+        ok = bool(rule(value))
+        passed += ok
+        print(f"{'PASS' if ok else 'FAIL'}  {name}{detail.format(value)}")
+    print(f"{passed}/{len(rows)} checks passed")
+    return EXIT_OK if passed == len(rows) else EXIT_NUMERIC
 
 
 # -- parser ------------------------------------------------------------------

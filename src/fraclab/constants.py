@@ -12,7 +12,6 @@ import numpy as np
 
 __all__ = [
     "FracParams",
-    "ConstantTable",
     "normalization_constant",
     "extension_constant",
     "unit_ball_volume",
@@ -108,33 +107,6 @@ class FracParams:
     @property
     def c_ns(self):
         return normalization_constant(self.n, self.s)
-
-
-@dataclass(frozen=True)
-class ConstantTable:
-    """Snapshot of the closed-form constants for one parameter set."""
-
-    c_ns: float
-    d_s: float
-    omega_n: float
-    slope_const: float
-
-    @classmethod
-    def from_params(cls, params):
-        return cls(
-            c_ns=normalization_constant(params.n, params.s),
-            d_s=extension_constant(params.s),
-            omega_n=unit_ball_volume(params.n),
-            slope_const=slope_constant(params.lambda_penalty, params.s),
-        )
-
-    def as_dict(self):
-        return {
-            "c_ns": self.c_ns,
-            "d_s": self.d_s,
-            "omega_n": self.omega_n,
-            "slope_const": self.slope_const,
-        }
 
 
 def one_plane_solution(t, z, s):

@@ -43,6 +43,8 @@ __all__ = [
     "support_coincidence",
 ]
 
+WEISS_FLOOR_CELLS = 5  # the smallest Weiss radius, in cells
+
 
 class GeometryError(ValueError):
     """Ball or window leaves the region where the quantity is defined."""
@@ -236,7 +238,7 @@ def _weiss_energies(fields, X0, radii, params):
     grid, n = fields[0].slab.base, fields[0].slab.base.n
     x0 = np.atleast_1d(np.asarray(X0, dtype=float))
     for r in radii:
-        _check_ball(grid, x0, r, floor=5)
+        _check_ball(grid, x0, r, floor=WEISS_FLOOR_CELLS)
         if r > fields[0].slab.Y:
             raise GeometryError("ball exits the slab vertically")
     supp = _trace_support([f.trace for f in fields], 1e-12)

@@ -85,7 +85,8 @@ def _open(path, kind, meta):
 
     meta is the struct format of the values that follow the common header.
     """
-    blob = memoryview(open(path, "rb").read())
+    with open(path, "rb") as fh:
+        blob = memoryview(fh.read())
     if len(blob) < _HDR.size:
         raise CompatibilityError(f"{path}: truncated header")
     magic, ver, found, n, cells, lower, upper = _HDR.unpack_from(blob, 0)
@@ -182,7 +183,8 @@ def read_slab_field(path):
 
 
 def sha256_file(path):
-    return hashlib.sha256(open(path, "rb").read()).hexdigest()
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +193,8 @@ def sha256_file(path):
 def parse_config(text_or_path):
     """Parse KEY = VALUE lines (#-comments allowed) into an ordered dict."""
     if "\n" not in str(text_or_path) and os.path.exists(text_or_path):
-        text = open(text_or_path).read()
+        with open(text_or_path) as fh:
+            text = fh.read()
     else:
         text = str(text_or_path)
     out = {}
@@ -254,5 +257,5 @@ class RunManifest:
 
     @classmethod
     def load(cls, path):
-        data = json.loads(open(path).read())
-        return cls(**{"environment": None, **data})  # older manifests record none
+        with open(path) as fh:  # older manifests record no environment
+            return cls(**{"environment": None, **json.load(fh)})

@@ -13,12 +13,15 @@ import numpy as np
 import pytest
 from scipy import linalg
 
-from fraclab.constants import (
-    FracParams,
-    la_residual,
-    one_plane_solution,
-    slope_constant,
+from fraclab.checks import (
+    bump,
+    energy_mismatch,
+    interval_bundle,
+    profile_identity_defect,
+    residual_order,
+    scaling_defect,
 )
+from fraclab.constants import FracParams, one_plane_solution, slope_constant
 from fraclab.diagnostics import (
     boundary_slope,
     density_ratio,
@@ -28,20 +31,16 @@ from fraclab.diagnostics import (
     weiss_monotonicity_audit,
 )
 from fraclab.eigen import lowest_eigenpairs, sup_bound_check
-from fraclab.extension import ExtensionField, SlabGrid, extend, extension_energy
-from fraclab.grids import BoxGrid, interval_domain, mask_from_indices
+from fraclab.extension import ExtensionField, SlabGrid, extend
+from fraclab.grids import BoxGrid, mask_from_indices
 from fraclab.nonlocal_form import assemble_form, kernel_table
 from fraclab.shape_opt import OptimizerConfig, optimize
 
 
 def bump_trace(x, seed):
     """Smooth compactly supported trace on (-1, 1) with seeded coefficients."""
-    rng = np.random.default_rng(seed)
-    c = rng.normal(size=3)
-    core = np.zeros_like(x)
-    m = np.abs(x) < 1.0
-    core[m] = np.exp(-1.0 / (1.0 - x[m] ** 2))
-    return core * (c[0] + c[1] * x + 0.5 * c[2] * np.sin(3.0 * x))
+    c = np.random.default_rng(seed).normal(size=3)
+    return bump(x) * (c[0] + c[1] * x + 0.5 * c[2] * np.sin(3.0 * x))
 
 
 def holder_estimate(grid, values, s):
@@ -70,19 +69,11 @@ def test_criterion_01_extension_energy_matches_seminorm():
     t_start = time.perf_counter()
     resolutions = ((512, 64, 4.0), (1024, 128, 8.0))
     for s in (0.3, 0.5, 0.7):
-        p = FracParams(1, s, 1.0)
         mismatch = np.empty((10, 2))
         for rj, (cells, J, Y) in enumerate(resolutions):
             g = BoxGrid(1, -2.0, 2.0, cells)
-            x = g.axis_nodes()
-            ii = np.flatnonzero(g.interior().ravel())
-            K = kernel_table(g, s).stiffness(ii)
-            slab = SlabGrid(g, J, a=p.a, Y=Y)  # shared LU across traces
-            for seed in range(10):
-                u = bump_trace(x, seed)
-                q = float(u[ii] @ K @ u[ii])
-                E = extension_energy(extend(u, slab))
-                mismatch[seed, rj] = abs(p.d_s * E - q) / q
+            traces = [bump_trace(g.axis_nodes(), seed) for seed in range(10)]
+            mismatch[:, rj] = energy_mismatch(traces, SlabGrid(g, J, a=1.0 - 2.0 * s, Y=Y), s)
         assert mismatch[:, 0].max() <= 0.05, f"s={s}: {mismatch[:, 0].max():.4f}"
         assert np.all(mismatch[:, 1] < mismatch[:, 0]), f"s={s}: not decreasing"
     assert time.perf_counter() - t_start <= 120.0
@@ -221,40 +212,17 @@ def test_criterion_06_boundary_density_ratios_2d():
 
 
 def test_criterion_07_model_profile_identities_and_residual_order():
-    """Closed-form identities of the model profile hold to 1e-12 and its
-    equation residual shrinks with at least first order under refinement."""
+    """Closed-form identities of the model profile (trace, axis, homogeneity
+    under random dilations, polar form) hold to 1e-13 and its equation
+    residual shrinks with at least first order from h = 0.02 to 0.01."""
     rng = np.random.default_rng(0)
     t = rng.uniform(-2.0, 2.0, size=200)
     z = rng.uniform(-2.0, 2.0, size=200)
     for s in (0.3, 0.5, 0.7):
-        u = one_plane_solution(t, np.zeros_like(t), s)
-        np.testing.assert_allclose(u, np.maximum(t, 0.0) ** s, atol=1e-12)
-        u0 = one_plane_solution(np.zeros_like(z), z, s)
-        np.testing.assert_allclose(u0, (np.abs(z) / 2.0) ** s, atol=1e-12)
         lam = rng.uniform(0.1, 3.0, size=t.shape)
-        np.testing.assert_allclose(
-            one_plane_solution(lam * t, lam * z, s),
-            lam**s * one_plane_solution(t, z, s),
-            rtol=1e-12, atol=1e-13,
-        )
-        # polar form: on the upper half-plane the profile depends on the
-        # angle through cos(theta/2)^(2s) times rho^s
-        rho = np.hypot(t, np.abs(z))
-        theta = np.arctan2(np.abs(z), t)
-        np.testing.assert_allclose(
-            one_plane_solution(t, z, s),
-            rho**s * np.cos(theta / 2.0) ** (2.0 * s),
-            rtol=1e-12, atol=1e-13,
-        )
-
-        meds = []
-        for h in (0.02, 0.01):
-            tt = -1.0 + h * np.arange(int(round(2.0 / h)) + 1)
-            zz = h * (1 + np.arange(int(round(0.5 / h)) + 1))
-            field = one_plane_solution(tt[:, None], zz[None, :], s)
-            r = la_residual(field, s, h, t0=tt[0], z0=zz[0])
-            meds.append(np.median(np.abs(r)))
-        order = np.log2(meds[0] / meds[1])
+        defect = profile_identity_defect(s, t, z, lam)
+        assert defect <= 1e-13, f"s={s}: identity defect {defect:.2e}"
+        order = residual_order(s)
         assert order >= 1.0, f"s={s}: residual order {order:.2f}"
 
 
@@ -265,9 +233,7 @@ def test_criterion_08_spectral_structure():
     p = FracParams(1, 0.5, 1.0)
     ratios = []
     for cells in (128, 256):
-        g = BoxGrid(1, -2.0, 2.0, cells)
-        dom = interval_domain(g, -1.0, 1.0)
-        bundle = lowest_eigenpairs(assemble_form(dom, p), 3)
+        bundle = interval_bundle(0.5, cells, 3)
         gap = (bundle.lambdas[1] - bundle.lambdas[0]) / bundle.lambdas[0]
         assert gap > 0.1
         assert not bundle.clustered
@@ -292,13 +258,9 @@ def test_criterion_09_exact_spectral_scaling():
     """lambda_i(t * Omega) = t^(-2s) lambda_i(Omega) to 1e-10 when grid and
     domain are dilated together."""
     for s in (0.3, 0.5, 0.7):
-        p = FracParams(1, s, 1.0)
-        g1 = BoxGrid(1, -2.0, 2.0, 256)
-        lam1 = lowest_eigenpairs(assemble_form(interval_domain(g1, -1.0, 1.0), p), 3).lambdas
-        t = 2.0
-        g2 = BoxGrid(1, -4.0, 4.0, 256)
-        lam2 = lowest_eigenpairs(assemble_form(interval_domain(g2, -2.0, 2.0), p), 3).lambdas
-        np.testing.assert_allclose(lam2, lam1 / t ** (2 * s), rtol=1e-10)
+        # (-1, 1) on [-2, 2] against (-2, 2) on [-4, 4], 256 cells each
+        defect = scaling_defect(s, 256, 3, half=1.0)
+        assert defect <= 1e-10, f"s={s}: scaling defect {defect:.2e}"
 
 
 def test_criterion_10_manifest_replay_byte_identical(tmp_path):

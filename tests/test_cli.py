@@ -235,6 +235,20 @@ def test_diagnose_checks_points_before_extending(eig_out, tmp_path, monkeypatch,
     assert "usage error" in capsys.readouterr().err
 
 
+def test_diagnose_rejects_radii_below_the_weiss_floor(eig_out, tmp_path, monkeypatch, capsys):
+    """r_min_cells < 5 is a usage error naming the key, found before either
+    slab extension is solved; nothing is written."""
+    def fail(*args, **kwargs):
+        raise AssertionError("a slab extension ran before r_min_cells was checked")
+
+    keys, _ = _manifest_run("diagnose", eig_out)
+    cfg = write_cfg(tmp_path / "run.cfg", **keys, r_min_cells=3)
+    monkeypatch.setattr("fraclab.extension.extend", fail)
+    assert main(["diagnose", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "usage error: r_min_cells" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "manifest.json").exists()
+
+
 @pytest.mark.parametrize("command", ["eig", "extend", "diagnose"])
 def test_seed_flag_is_for_optimize_only(eig_out, tmp_path, command):
     keys, _ = _manifest_run(command, eig_out)
@@ -246,7 +260,20 @@ def test_seed_flag_is_for_optimize_only(eig_out, tmp_path, command):
 
 def test_verify_passes_every_check(capsys):
     assert main(["verify"]) == 0
-    assert capsys.readouterr().out.splitlines()[-1] == "7/7 checks passed"
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == "7/7 checks passed"
+    assert all(ln.startswith("PASS  ") for ln in lines[:-1])
+    defect = float(next(ln for ln in lines if "scaling law" in ln).split()[-1].rstrip(")"))
+    assert 0.0 < defect <= 1e-10  # grids whose K differ (s != 1/2 in 1D)
+
+
+def test_verify_reports_a_failing_check(capsys, monkeypatch):
+    monkeypatch.setattr("fraclab.checks.scaling_defect", lambda *args, **kwargs: 1e-3)
+    assert main(["verify"]) == 4
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == "6/7 checks passed"
+    assert [ln for ln in lines if ln.startswith("FAIL")] == [
+        "FAIL  scaling law exact  (defect 1.00e-03)"]
 
 
 def _manifest_run(command, eig_out):
@@ -265,7 +292,8 @@ def _manifest_run(command, eig_out):
 @pytest.mark.parametrize("command", ["eig", "extend", "optimize", "diagnose"])
 def test_manifest_hashes_every_input_and_output(eig_out, tmp_path, command):
     def sha(path):
-        return hashlib.sha256(open(path, "rb").read()).hexdigest()
+        with open(path, "rb") as fh:
+            return hashlib.sha256(fh.read()).hexdigest()
 
     keys, inputs = _manifest_run(command, eig_out)
     cfg = write_cfg(tmp_path / "run.cfg", **keys)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from fraclab.constants import (
-    ConstantTable,
     FracParams,
     extension_constant,
     la_residual,
@@ -95,16 +94,6 @@ def test_frac_params_validation():
         FracParams(1, 0.5, 0.0)
 
 
-def test_constant_table_roundtrip():
-    p = FracParams(2, 0.6, 3.0)
-    tab = ConstantTable.from_params(p)
-    d = tab.as_dict()
-    assert d["omega_n"] == pytest.approx(math.pi)
-    assert d["c_ns"] == p.c_ns
-    assert d["d_s"] == p.d_s
-    assert d["slope_const"] == slope_constant(3.0, 0.6)
-
-
 # -- one-plane profile -------------------------------------------------------
 
 
@@ -167,22 +156,6 @@ def test_profile_continuous_and_monotone_in_t():
     u = one_plane_solution(t, 0.3, 0.5)
     assert np.all(np.diff(u) > 0)
     assert np.all(u > 0)
-
-
-def _residual_median(s, h):
-    t = -1.0 + h * np.arange(int(round(2.0 / h)) + 1)
-    z = h * (1 + np.arange(int(round(0.5 / h)) + 1))
-    g = one_plane_solution(t[:, None], z[None, :], s)
-    return np.median(np.abs(la_residual(g, s, h, t0=t[0], z0=z[0])))
-
-
-def test_profile_solves_weighted_equation_under_refinement():
-    """Median conservative residual of the exact profile refines at order >= 1."""
-    for s in (0.3, 0.5, 0.7):
-        r1 = _residual_median(s, 0.02)
-        r2 = _residual_median(s, 0.01)
-        order = math.log2(r1 / r2)
-        assert order >= 1.0, f"s={s}: order {order:.2f}"
 
 
 def test_profile_residual_sup_away_from_degenerate_line():

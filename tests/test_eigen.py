@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy import linalg
 
+from fraclab.checks import interval_bundle, scaling_defect
 from fraclab.constants import FracParams
 from fraclab.eigen import (
     _next_block,
@@ -25,16 +26,9 @@ LAM1_LADDER = {
 LAM1_CONTINUUM = 1.15777
 
 
-def interval_bundle(cells, s=0.5, m=1):
-    g = BoxGrid(1, -2.0, 2.0, cells)
-    dom = interval_domain(g, -1.0, 1.0)
-    p = FracParams(1, s, 1.0)
-    return lowest_eigenpairs(assemble_form(dom, p), m), dom, p
-
-
 def test_ground_eigenvalue_ladder():
     for cells, ref in LAM1_LADDER.items():
-        bundle, _, _ = interval_bundle(cells)
+        bundle = interval_bundle(0.5, cells, 1)
         assert bundle.lambdas[0] == pytest.approx(ref, abs=1e-9)
 
 
@@ -47,7 +41,7 @@ def test_ladder_extrapolates_to_continuum():
 
 
 def test_bundle_invariants():
-    bundle, _, _ = interval_bundle(128, m=3)
+    bundle = interval_bundle(0.5, 128, 3)
     bundle.check()
     assert np.all(np.diff(bundle.lambdas) > 0)
     assert bundle.residuals.max() < 1e-10
@@ -58,7 +52,7 @@ def test_bundle_invariants():
 
 
 def test_orthonormality_in_discrete_l2():
-    bundle, _, _ = interval_bundle(128, m=4)
+    bundle = interval_bundle(0.5, 128, 4)
     G = bundle.h * bundle.vectors @ bundle.vectors.T
     np.testing.assert_allclose(G, np.eye(4), atol=1e-10)
 
@@ -67,14 +61,8 @@ def test_scaling_law_exact():
     """lambda(t*Omega) = t^(-2s) lambda(Omega) when grid and domain scale
     together (identical index pattern), to 1e-10 relative."""
     for s in (0.3, 0.5, 0.7):
-        p = FracParams(1, s, 1.0)
-        g1 = BoxGrid(1, -1.0, 1.0, 64)
-        d1 = interval_domain(g1, -0.5, 0.5)
-        g2 = BoxGrid(1, -2.0, 2.0, 64)
-        d2 = interval_domain(g2, -1.0, 1.0)
-        l1 = lowest_eigenpairs(assemble_form(d1, p), 1).lambdas[0]
-        l2 = lowest_eigenpairs(assemble_form(d2, p), 1).lambdas[0]
-        assert l2 == pytest.approx(l1 * 2.0 ** (-2 * s), rel=1e-10)
+        # (-1/2, 1/2) on [-1, 1] against (-1, 1) on [-2, 2], 64 cells each
+        assert scaling_defect(s, 64, 1, half=0.5) <= 1e-10
 
 
 def test_monotonicity_under_inclusion():
@@ -126,7 +114,8 @@ def test_symmetric_two_intervals_split_by_nonlocal_coupling():
 
 
 def test_magnitude_field_is_rotation_invariant():
-    bundle, dom, _ = interval_bundle(128, m=2)
+    bundle = interval_bundle(0.5, 128, 2)
+    dom = bundle.domain
     mag = bundle.magnitude_field()
     th = 0.7
     Q = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
@@ -152,8 +141,8 @@ def test_ball_ground_state_2d():
 def test_sup_bound_report_shape_and_stability():
     rows_by_res = []
     for cells in (128, 256):
-        bundle, _, p = interval_bundle(cells, m=2)
-        rows = sup_bound_check(bundle, p, prefactor=4.0)
+        rows = sup_bound_check(interval_bundle(0.5, cells, 2), FracParams(1, 0.5, 1.0),
+                               prefactor=4.0)
         assert [r["index"] for r in rows] == [1, 2]
         assert all(np.isfinite(r["sup"]) and np.isfinite(r["ratio"]) for r in rows)
         rows_by_res.append(rows)

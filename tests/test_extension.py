@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from fraclab.checks import bump, energy_mismatch
 from fraclab.constants import FracParams, one_plane_solution
 from fraclab.eigen import lowest_eigenpairs
 from fraclab.extension import (
@@ -23,19 +24,15 @@ from fraclab.extension import (
     neumann_trace,
 )
 from fraclab.grids import BoxGrid, interval_domain
-from fraclab.nonlocal_form import assemble_form, kernel_table
+from fraclab.nonlocal_form import assemble_form
 
 
 def bump_trace(grid, seed=None):
     x = grid.axis_nodes()
-    core = np.zeros_like(x)
-    m = np.abs(x) < 1.0
-    core[m] = np.exp(-1.0 / (1.0 - x[m] ** 2))
     if seed is None:
-        return core
-    rng = np.random.default_rng(seed)
-    c = rng.normal(size=3)
-    return core * (c[0] + c[1] * x + 0.5 * c[2] * np.sin(3.0 * x))
+        return bump(x)
+    c = np.random.default_rng(seed).normal(size=3)
+    return bump(x) * (c[0] + c[1] * x + 0.5 * c[2] * np.sin(3.0 * x))
 
 
 def exact_profile_field(grid, J, Y, s, scale=1.0):
@@ -43,12 +40,6 @@ def exact_profile_field(grid, J, Y, s, scale=1.0):
     X, Yv = np.meshgrid(grid.axis_nodes(), slab.y_nodes, indexing="ij")
     U = scale * one_plane_solution(X, Yv, s)
     return ExtensionField(slab, U.reshape(slab.values_shape()))
-
-
-def seminorm_of(grid, u, s):
-    ii = np.flatnonzero(grid.interior().ravel())
-    K = kernel_table(grid, s).stiffness(ii)
-    return float(u.ravel()[ii] @ K @ u.ravel()[ii])
 
 
 # -- slab geometry -----------------------------------------------------------
@@ -130,25 +121,16 @@ def test_extend_residual_check_rejects_a_non_finite_solve():
 def test_energy_identity_against_seminorm():
     """d_s * (slab energy) approximates the fractional seminorm of the trace."""
     for s, tol in ((0.3, 0.06), (0.5, 0.05), (0.7, 0.06)):
-        p = FracParams(1, s, 1.0)
         g = BoxGrid(1, -2.0, 2.0, 256)
-        u = bump_trace(g)
-        q = seminorm_of(g, u, s)
-        slab = SlabGrid(g, 32, a=p.a, Y=4.0)
-        f = extend(u, slab)
-        rel = abs(p.d_s * extension_energy(f) - q) / q
+        (rel,) = energy_mismatch([bump_trace(g)], SlabGrid(g, 32, a=1.0 - 2.0 * s, Y=4.0), s)
         assert rel <= tol, f"s={s}: mismatch {rel:.3%}"
 
 
 def test_energy_identity_improves_under_refinement():
-    p = FracParams(1, 0.5, 1.0)
     rels = []
     for cells, J, Y in ((256, 32, 4.0), (512, 64, 4.0)):
         g = BoxGrid(1, -2.0, 2.0, cells)
-        u = bump_trace(g, seed=7)
-        q = seminorm_of(g, u, 0.5)
-        f = extend(u, SlabGrid(g, J, a=0.0, Y=Y))
-        rels.append(abs(p.d_s * extension_energy(f) - q) / q)
+        rels.extend(energy_mismatch([bump_trace(g, seed=7)], SlabGrid(g, J, a=0.0, Y=Y), 0.5))
     assert rels[1] < rels[0]
 
 

@@ -1,5 +1,7 @@
+import gc
 import json
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -281,3 +283,22 @@ def test_atomic_write_overwrites_and_leaves_no_temps(tmp_path):
     assert path.read_bytes() == b"second"
     leftovers = [q.name for q in tmp_path.iterdir() if q.name.startswith(".tmp-")]
     assert leftovers == []
+
+
+def test_readers_close_every_file(tmp_path):
+    """No reader leaves its file to the garbage collector (a ResourceWarning)."""
+    g = BoxGrid(1, -2.0, 2.0, 16)
+    dom = interval_domain(g, -1.0, 1.0)
+    write_mask(tmp_path / "m.frlb", dom)
+    write_fields(tmp_path / "f.frlb", g, dom.mask.astype(float))
+    write_slab_field(tmp_path / "s.frlb", extend(dom.mask.astype(float), SlabGrid(g, 8, a=0.0)))
+    (tmp_path / "run.cfg").write_text("n = 1\n")
+    RunManifest("0.1.0", "eig", {}).save(tmp_path / "manifest.json")
+    for read, name in ((read_mask, "m.frlb"), (read_fields, "f.frlb"),
+                       (read_slab_field, "s.frlb"), (sha256_file, "m.frlb"),
+                       (parse_config, "run.cfg"), (RunManifest.load, "manifest.json")):
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            read(str(tmp_path / name))
+            gc.collect()
+        assert not [w for w in seen if issubclass(w.category, ResourceWarning)], name

@@ -7,6 +7,7 @@ import weakref
 import numpy as np
 import pytest
 
+from fraclab.checks import bump
 from fraclab.constants import FracParams, normalization_constant
 from fraclab.grids import BoxGrid, ball_domain, interval_domain, mask_from_indices
 from fraclab.nonlocal_form import (
@@ -34,13 +35,6 @@ BUMP_SEMINORM = {0.3: 0.14692186344749, 0.5: 0.17930836271941, 0.7: 0.2365192080
 
 def hat(x):
     return np.maximum(0.0, 1.0 - np.abs(x))
-
-
-def bump(x):
-    v = np.zeros_like(x)
-    m = np.abs(x) < 1.0
-    v[m] = np.exp(-1.0 / (1.0 - x[m] ** 2))
-    return v
 
 
 def quad_form(u_fn, s, cells, box=2.0):

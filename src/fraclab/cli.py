@@ -220,6 +220,7 @@ def cmd_eig(args):
         "lambdas": [float(v) for v in bundle.lambdas],
         "residuals": [float(v) for v in bundle.residuals],
         "clustered": bool(bundle.clustered),
+        "lanczos_blocks": bundle.lanczos_blocks,
         "measure": dom.measure,
         "m": m,
     })

@@ -133,15 +133,15 @@ def one_plane_solution(t, z, s):
 def one_plane_solution_polar(r, theta, s):
     """Polar form r^s * cos(theta/2)^(2s) of the one-plane profile.
 
-    At theta = +-pi the cosine vanishes and the power is taken through the
-    Cartesian formula, which is continuous there.
+    On the wall theta = +-pi the profile is exactly 0, as the Cartesian
+    formula gives at (t, z) = (-r, 0).
     """
     s = _check_order(s)
     r = np.asarray(r, dtype=float)
     theta = np.asarray(theta, dtype=float)
-    c = np.cos(0.5 * theta)
-    # cos(theta/2) can go negative by rounding just past +-pi; clamp at 0
-    c = np.maximum(c, 0.0)
+    # the float cos(pi/2) is 6.1e-17, not 0, and cos(theta/2) can go negative
+    # by rounding just past +-pi: both read 0
+    c = np.where(np.abs(theta) >= np.pi, 0.0, np.maximum(np.cos(0.5 * theta), 0.0))
     out = np.power(r, s) * np.power(c, 2.0 * s)
     if out.ndim == 0:
         return float(out)

@@ -10,22 +10,20 @@ Math. Comp. 35, 1980): the m lowest eigenpairs of K are the m highest of
 K^-1, so block Lanczos on K^-1 converges at a rate set by the ratios
 lambda_m / lambda_(m+1), not by the h^(-2s) conditioning of K.
 
-* K is factored once by Cholesky (LAPACK dpotrf), in place in the lower
-  triangle of ``form.K``; each step solves for one block of m vectors
-  (dpotrs).
+* The solver gathers its own copy of K's lower triangle in rectangular full
+  packed storage (``KernelTable.packed``, d(d+1)/2 entries) and factors it
+  in place by Cholesky (LAPACK dpftrf); each step solves for one block of m
+  vectors (dpftrs). No d x d array is made, and the form is not touched.
 * K^-1 times each block is orthogonalized twice against the whole basis;
   the coefficients of both passes make up the Rayleigh-Ritz matrix
   Q^T K^-1 Q.
 * The iteration stops when every true residual ||K x - lambda x|| / ||K x||
   is at most 1e-11, or at the roundoff floor ~eps ||K|| / lambda where that
-  is higher. Products with K use its intact strict upper triangle (dsymm)
-  and its saved diagonal.
+  is higher. Products with K are FFT convolutions on the kernel table
+  (``KernelTable.product``), independent of the factor.
 * The basis grows to the dimension at most, where the projection is exact;
   a residual still above the tolerance there, or a K that is not positive
   definite, raises ``np.linalg.LinAlgError``.
-* K's lower triangle is copied back from the upper one, a block of rows at
-  a time, before the call returns or raises: ``form.K`` leaves bit for bit
-  as it came, and no second d x d array is made.
 
 The start block is seeded, so a solve repeats byte for byte at equal BLAS
 thread count. Results agree with a dense LAPACK solve (``eigh``, driver
@@ -36,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import linalg
-from scipy.linalg import blas, lapack
+from scipy.linalg import lapack
 
 from .nonlocal_form import assemble_form
 
@@ -45,7 +43,6 @@ __all__ = ["EigenBundle", "lowest_eigenpairs", "gram_schmidt", "sup_bound_check"
 _CLUSTER_GAP = 1e-10
 _TOL = 1e-11  # relative residual at which the Lanczos iteration stops
 _ROUNDOFF = 32 * np.finfo(float).eps
-_ROWS = 128  # rows per block of the in-place restore of K
 
 
 @dataclass
@@ -60,6 +57,8 @@ class EigenBundle:
     residuals : per-pair relative residuals ||K v - lambda M v|| / ||K v||.
     clustered : True when some consecutive gap is below the clustering floor,
         in which case individual eigenvectors are defined only up to rotation.
+    lanczos_blocks : number of blocks the Lanczos basis took (solves with
+        the Cholesky factor).
     """
 
     lambdas: np.ndarray
@@ -69,6 +68,7 @@ class EigenBundle:
     clustered: bool
     domain: object
     h: float
+    lanczos_blocks: int
 
     @property
     def m(self):
@@ -104,9 +104,8 @@ def lowest_eigenpairs(form, m):
 
     The mass matrix is the constant diagonal h^n, so the generalized problem
     is the ordinary symmetric one for K / h^n, solved by block Lanczos on
-    K^-1 (module docstring). K is factored in place in ``form.K`` and
-    restored before the call returns or raises; it must be exactly
-    symmetric, as ``assemble_form`` builds it.
+    K^-1 (module docstring) on a packed Cholesky factor the solver gathers
+    and discards; the form is left as it is.
     """
     m = int(m)
     dim = form.dim
@@ -114,18 +113,12 @@ def lowest_eigenpairs(form, m):
         raise ValueError("need m >= 1")
     if m > dim:
         raise ValueError(f"m={m} exceeds the domain dimension {dim}")
-    K = form.K
-    diag = K.diagonal().copy()
-    try:
-        # K.T is K's memory in Fortran order: dpotrf's upper factor lands in
-        # K's lower triangle and leaves the strict upper one as it was
-        R, info = lapack.dpotrf(K.T, lower=0, clean=0, overwrite_a=1)
-        if info != 0:
-            raise np.linalg.LinAlgError(
-                f"stiffness matrix is not positive definite (dpotrf info {info})")
-        lam, X, residuals = _block_lanczos(R, diag, m)
-    finally:
-        _restore_lower(K, diag)
+    idx = form.domain.flat_indices
+    L, info = lapack.dpftrf(dim, form.table.packed(idx), transr="N", uplo="L", overwrite_a=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(
+            f"stiffness matrix is not positive definite (dpftrf info {info})")
+    lam, X, residuals, blocks = _block_lanczos(L, form.table, idx, m)
     mass = form.mass
     lam = lam / mass
     # Euclidean-orthonormal columns, rescaled to unit L2 norm
@@ -145,29 +138,38 @@ def lowest_eigenpairs(form, m):
         clustered=clustered,
         domain=form.domain,
         h=form.h,
+        lanczos_blocks=blocks,
     )
 
 
-def _block_lanczos(R, diag, m):
-    """The m lowest eigenpairs of K from its Cholesky factor R (upper, in R's
-    upper triangle), K's strict upper triangle (R's strict lower one, Fortran
-    order) and K's diagonal: (ascending eigenvalues, (dim, m) Euclidean-
-    orthonormal vectors, relative residuals ||K x - lambda x|| / ||K x||)."""
-    dim = R.shape[0]
-    fix = diag - R.diagonal()  # dsymm reads R's diagonal where K's belongs
+def _block_lanczos(L, table, idx, m):
+    """The m lowest eigenpairs of the stiffness matrix K of `table` over the
+    nodes `idx`, from its Cholesky factor L (RFP, lower): (ascending
+    eigenvalues, (dim, m) Euclidean-orthonormal vectors, relative residuals
+    ||K x - lambda x|| / ||K x||, number of blocks)."""
+    dim = idx.size
+    kmax = table.diagonal(idx).max()
     rng = np.random.default_rng(0)
-    Q = _next_block(np.empty((dim, 0)), rng.standard_normal((dim, m)), m, rng)
-    block = Q
+    # the basis Q, stored as the rows of Qt, grows in place (ndarray.resize,
+    # a realloc), so no step holds the old and the new basis at once; resize
+    # needs that no view of Qt outlives the statement that makes it
+    Qt = np.empty((0, dim))
+    W = rng.standard_normal((dim, m))
     T = np.empty((0, 0))
+    blocks = 0
     while True:
-        W, _ = lapack.dpotrs(R, block, lower=0)
+        k, b = Qt.shape[0], min(m, dim - Qt.shape[0])
+        Qt.resize((k + b, dim))
+        Qt[k:] = _next_block(Qt[:k].T, W, b, rng).T
+        k += b
+        W, _ = lapack.dpftrs(dim, L, Qt[k - b:].T, transr="N", uplo="L")
+        blocks += 1
         # projections of K^-1 block on the whole basis, two passes; together
         # they are the block's columns of the Rayleigh-Ritz matrix Q^T K^-1 Q
-        H = Q.T @ W
-        W -= Q @ H
-        H2 = Q.T @ W
-        W -= Q @ H2
-        k, b = Q.shape[1], block.shape[1]
+        H = Qt @ W
+        W -= Qt.T @ H
+        H2 = Qt @ W
+        W -= Qt.T @ H2
         T = np.pad(T, ((0, b), (0, b)))
         T[:, k - b:] = H + H2
         theta, Y = linalg.eigh(T, lower=False, subset_by_index=[k - m, k - 1],
@@ -175,21 +177,25 @@ def _block_lanczos(R, diag, m):
         lam, Y = 1.0 / theta[::-1], Y[:, ::-1]
         # roundoff bounds a residual below by ~ eps ||K|| / lambda, and
         # max K_ii <= ||K|| <= 2 max K_ii for these diagonally dominant K
-        tol = np.maximum(_TOL, _ROUNDOFF * diag.max() / lam)
+        tol = np.maximum(_TOL, _ROUNDOFF * kmax / lam)
         # W y is K^-1 x - theta x, and ||K x - lambda x|| / ||K x|| is about
         # lambda_1 ||W y|| or more: skip the product with K until that can pass
         if k == dim or np.all(lam[0] * np.linalg.norm(W @ Y[k - b:], axis=0) <= 2 * tol):
-            X = Q @ Y
-            KX = blas.dsymm(1.0, R, X, lower=1) + fix[:, None] * X
-            residuals = np.linalg.norm(KX - lam * X, axis=0) / np.linalg.norm(KX, axis=0)
+            # one Ritz vector x at a time, so that the FFT product's
+            # temporaries sit beside one vector, not beside all m
+            residuals = np.array([_residual(table.product(idx, x), l, x)
+                                  for l, x in zip(lam, (Qt.T @ y for y in Y.T))])
             if np.all(residuals <= tol):
-                return lam, X, residuals
+                return lam, Qt.T @ Y, residuals, blocks
             if k == dim:
                 raise np.linalg.LinAlgError(
                     f"block Lanczos residual {residuals.max():.2e} above its tolerance "
                     f"with the basis spanning all {dim} dimensions")
-        block = _next_block(Q, W, min(m, dim - k), rng)
-        Q = np.hstack([Q, block])
+
+
+def _residual(kx, lam, x):
+    """||K x - lambda x|| / ||K x||, given K x."""
+    return np.linalg.norm(kx - lam * x) / np.linalg.norm(kx)
 
 
 def _next_block(Q, W, b, rng):
@@ -210,19 +216,6 @@ def _next_block(Q, W, b, rng):
         if norms[1] > 0.5 * norms[0]:
             new.append(w / norms[1])
     return np.asfortranarray(np.column_stack(new))
-
-
-def _restore_lower(K, diag):
-    """Copy K's strict upper triangle onto its lower one and put the diagonal
-    back, a block of rows at a time so no whole-matrix temporary is made."""
-    dim = K.shape[0]
-    for r0 in range(0, dim, _ROWS):
-        r1 = min(r0 + _ROWS, dim)
-        K[r0:r1, :r0] = K[:r0, r0:r1].T
-        block = K[r0:r1, r0:r1]
-        low = np.tril_indices(r1 - r0, -1)
-        block[low] = block.T[low]
-    np.fill_diagonal(K, diag)
 
 
 def gram_schmidt(v_tilde, mass):

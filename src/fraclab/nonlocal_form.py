@@ -148,16 +148,34 @@ def _tail_2d(grid, s):
 # ---------------------------------------------------------------------------
 # kernel table and stiffness form
 
-# entries of a d x d matrix per row block, so that the gathered values of
-# `stiffness` and the temporaries of `StiffnessForm.check` stay at 512 KiB
+# entries per row block of a gathered matrix, so that the gathered values of
+# `stiffness` and `packed` and the temporaries of `StiffnessForm.check` stay
+# at 512 KiB
 _BLOCK = 2**16
 
 
-def _row_blocks(dim):
-    """Slices of consecutive rows of a dim x dim matrix, each block holding at
-    most _BLOCK entries (at least one row)."""
-    rows = max(1, _BLOCK // max(dim, 1))
+def _row_blocks(dim, width=None):
+    """Slices of consecutive rows of a dim x width matrix (width = dim by
+    default), each block holding at most _BLOCK entries (at least one row)."""
+    rows = max(1, _BLOCK // max(dim if width is None else width, 1))
     return [slice(r0, min(r0 + rows, dim)) for r0 in range(0, dim, rows)]
+
+
+def _valid_convolution(w, field):
+    """out[p] = sum_q w[p - q + centre] field[q] for an offset array w of
+    shape (2 b_a - 1) along axis a, centre its middle, and a field of shape
+    (b_a): the valid part of their convolution, by FFT. A circular
+    convolution of length L >= 2 b_a - 1 wraps nothing into the valid part; a
+    5-smooth L avoids the slower, less exact prime lengths."""
+    size = []
+    for L in w.shape:
+        while L // math.gcd(L, 60**40) > 1:
+            L += 1
+        size.append(L)
+    axes = tuple(range(w.ndim))
+    spec = np.fft.rfftn(w, size, axes)
+    spec *= np.fft.rfftn(field, size, axes)
+    return np.fft.irfftn(spec, size, axes)[tuple(slice(b // 2, b) for b in w.shape)]
 
 
 class KernelTable:
@@ -174,7 +192,8 @@ class KernelTable:
     (zero extension makes the form of a subdomain the principal submatrix of
     the box's), plus the diagonal: c_ns times the sum of ``row_sums`` (each
     node's weight sum over the whole box, the valid part of the convolution
-    of the weights with the box indicator, by FFT) and the exterior tail.
+    of the weights with the box indicator) and the exterior tail. The same
+    convolution of ``entries`` with a zero-extended vector is K times it.
     """
 
     def __init__(self, grid, s):
@@ -199,16 +218,19 @@ class KernelTable:
         near[(1,) * n] = 0.0
         self.centre = int(np.ravel_multi_index((c,) * n, w.shape))
         self.key = np.ravel_multi_index(np.indices(grid.node_shape).reshape(n, -1), w.shape)
-        # a circular convolution of length L >= 2M-1 wraps nothing into the
-        # valid part; a 5-smooth L avoids the slower, less exact prime lengths
-        L = 2 * M - 1
-        while L // math.gcd(L, 60**40) > 1:
-            L += 1
-        size, axes = (L,) * n, tuple(range(n))
-        spec = np.fft.rfftn(w, size, axes) * np.fft.rfftn(np.ones(grid.node_shape), size, axes)
-        self.row_sums = np.fft.irfftn(spec, size, axes)[(slice(c, c + M),) * n].ravel()
+        self.row_sums = _valid_convolution(w, np.ones(grid.node_shape)).ravel()
         # the weights become stiffness entries; w * (-c) == -(w * c) bit for bit
         w *= -self.c_ns
+
+    def diagonal(self, flat_indices):
+        """The diagonal stiffness entries of the given nodes."""
+        return (self.row_sums[flat_indices] + self.tail[flat_indices]) * self.c_ns
+
+    def block(self, rows, cols):
+        """The off-diagonal stiffness entries between nodes `rows` and `cols`
+        (where a row and a column node coincide it holds -0.0, not K's
+        diagonal entry)."""
+        return self.entries.take(np.subtract.outer(self.key[rows] + self.centre, self.key[cols]))
 
     def stiffness(self, flat_indices):
         """Dense stiffness matrix over the given (mask) nodes, the only d x d
@@ -223,8 +245,56 @@ class KernelTable:
             diff = K[rows].view(np.int64)
             np.subtract.outer(keys[rows] + self.centre, keys, out=diff)
             K[rows] = self.entries.take(diff)
-        np.fill_diagonal(K, (self.row_sums[idx] + self.tail[idx]) * self.c_ns)
+        np.fill_diagonal(K, self.diagonal(idx))
         return K
+
+    def packed(self, flat_indices):
+        """The lower triangle of ``stiffness(flat_indices)`` in rectangular full
+        packed storage (LAPACK RFP, TRANSR='N', UPLO='L'), d(d+1)/2 entries.
+
+        RFP is a Fortran W x k array, k = ceil(d/2), W = d + 1 - (d mod 2);
+        as the C-order (k, W) array A returned flat, row c of A is K's lower
+        triangle in row r = k + c - (d mod 2) from column k to r, then in
+        column c from row c to d - 1. Rows of A are gathered a block at a
+        time into A itself, through int64 key differences, as in `stiffness`.
+        """
+        idx = np.asarray(flat_indices, dtype=int)
+        keys = self.key[idx]
+        d = idx.size
+        odd = d % 2
+        k, W = (d + 1) // 2, d + 1 - odd
+        A = np.empty((k, W))
+        # the row node of A's entry (c, t) in the column-c part, t >= c + 1 -
+        # odd, is t - 1 + odd; t = 0 at even d lies in the row part
+        low = keys[np.arange(odd - 1, d)] + self.centre
+        t = np.arange(k - odd)
+        for rows in _row_blocks(k, W):
+            c = np.arange(rows.start, rows.stop)
+            diff = A[rows].view(np.int64)
+            np.add.outer(-keys[c], low, out=diff)
+            np.copyto(diff[:, : t.size],
+                      np.subtract.outer(keys[k + c - odd] + self.centre, keys[k:k + t.size]),
+                      where=t < (c + 1 - odd)[:, None])
+            A[rows] = self.entries.take(diff)
+        c = np.arange(k)
+        diag = self.diagonal(idx)
+        A[c, c + 1 - odd] = diag[:k]
+        A[c[odd:], c[odd:] - odd] = diag[k:]
+        return A.ravel()
+
+    def product(self, flat_indices, x):
+        """K x for the stiffness matrix K over the given nodes, without K: the
+        diagonal term plus the valid convolution (``_valid_convolution``) of
+        the entries at the offsets within the nodes' bounding box with x
+        zero-extended to that box."""
+        idx = np.asarray(flat_indices, dtype=int)
+        x = np.asarray(x, dtype=float)
+        c = (self.entries.shape[0] - 1) // 2
+        at = tuple(a - a.min() for a in np.unravel_index(idx, (c + 1,) * self.entries.ndim))
+        field = np.zeros(tuple(a.max() + 1 for a in at))
+        field[at] = x
+        w = self.entries[tuple(slice(c + 1 - b, c + b) for b in field.shape)]
+        return _valid_convolution(w, field)[at] + self.diagonal(idx) * x
 
     def border(self, flat_indices, cells):
         """What adding one of `cells` to a mask appends to its stiffness matrix.
@@ -232,10 +302,7 @@ class KernelTable:
         Returns (B, alpha): column j of B holds the entries between the mask
         nodes and cells[j], alpha[j] the diagonal entry of cells[j].
         """
-        idx = np.asarray(flat_indices, dtype=int)
-        cells = np.asarray(cells, dtype=int)
-        B = self.entries.take(np.subtract.outer(self.key[idx] + self.centre, self.key[cells]))
-        return B, self.c_ns * (self.row_sums[cells] + self.tail[cells])
+        return self.block(flat_indices, cells), self.diagonal(cells)
 
 
 def kernel_table(grid, s):
@@ -247,43 +314,57 @@ def kernel_table(grid, s):
 class StiffnessForm:
     """Stiffness matrix of the fractional form restricted to a pixel domain.
 
-    K acts on vectors indexed by the domain's nodes; the mass matrix is the
-    constant diagonal h^n. Off-diagonal entries are nonpositive (the kernel
-    is positive), and the diagonal carries the neighbor sums plus the
-    exterior tail, so K is strictly positive definite.
+    The form is the grid's kernel table and the domain; K, which acts on
+    vectors indexed by the domain's nodes, is gathered from them when asked
+    for (``K``, a new d x d array on each access) and never stored. The mass
+    matrix is the constant diagonal h^n. Off-diagonal entries are nonpositive
+    (the kernel is positive), and the diagonal carries the neighbor sums plus
+    the exterior tail, so K is strictly positive definite.
     """
 
-    K: np.ndarray
-    h: float
-    n: int
+    table: KernelTable
     domain: ThinDomain
 
     @property
+    def h(self):
+        return self.domain.grid.h
+
+    @property
+    def n(self):
+        return self.domain.grid.n
+
+    @property
     def dim(self):
-        return self.K.shape[0]
+        return self.domain.cell_count
 
     @property
     def mass(self):
         """Diagonal mass entry (constant h^n)."""
         return self.h**self.n
 
+    @property
+    def K(self):
+        """The dense stiffness matrix, gathered anew."""
+        return self.table.stiffness(self.domain.flat_indices)
+
     def check(self):
         """Exact symmetry, nonpositive off-diagonal and nonnegative diagonal
-        entries, checked a block of rows at a time (no d x d temporary)."""
-        K = self.K
-        blocks = _row_blocks(self.dim)
-        if not all(np.array_equal(K[b], K[:, b].T) for b in blocks):
+        entries, checked on gathered blocks of rows (no d x d array)."""
+        table, idx = self.table, self.domain.flat_indices
+        blocks = _row_blocks(idx.size)
+        if not all(np.array_equal(table.block(idx[b], idx), table.block(idx, idx[b]).T)
+                   for b in blocks):
             raise AssertionError("stiffness matrix is not exactly symmetric")
-        if any(_positive_off_diagonal(K, b) for b in blocks):
+        if any(_positive_off_diagonal(table.block(idx[b], idx), b) for b in blocks):
             raise AssertionError("positive off-diagonal entry in stiffness matrix")
-        if np.any(np.diagonal(K) < 0):
+        if np.any(table.diagonal(idx) < 0):
             raise AssertionError("negative diagonal entry in stiffness matrix")
         return True
 
 
-def _positive_off_diagonal(K, rows):
-    """Whether K has a positive entry off the diagonal in the block `rows`."""
-    positive = K[rows] > 0
+def _positive_off_diagonal(rows_of_k, rows):
+    """Whether the block `rows` of K's rows has a positive entry off K's diagonal."""
+    positive = rows_of_k > 0
     np.fill_diagonal(positive[:, rows], False)
     return positive.any()
 
@@ -294,18 +375,13 @@ def assemble_form(domain, params):
         raise ValueError("cannot assemble the form of an empty domain")
     if params.n != domain.grid.n:
         raise ValueError("parameter dimension does not match the grid")
-    table = kernel_table(domain.grid, params.s)
-    return StiffnessForm(
-        K=table.stiffness(domain.flat_indices),
-        h=domain.grid.h,
-        n=domain.grid.n,
-        domain=domain,
-    )
+    return StiffnessForm(table=kernel_table(domain.grid, params.s), domain=domain)
 
 
 def seminorm(form, u):
-    """Quadratic form value u^T K u (the discrete squared seminorm)."""
+    """Quadratic form value u^T K u (the discrete squared seminorm), with K u
+    taken by FFT (``KernelTable.product``)."""
     u = np.asarray(u, dtype=float)
     if u.shape != (form.dim,):
         raise ValueError(f"vector length {u.shape} does not match form dim {form.dim}")
-    return float(u @ form.K @ u)
+    return float(u @ form.table.product(form.domain.flat_indices, u))

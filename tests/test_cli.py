@@ -62,6 +62,8 @@ def test_eig_artifacts(eig_out):
     assert rep["m"] == 2
     assert rep["lambdas"][0] < rep["lambdas"][1]
     assert max(rep["residuals"]) < 1e-8
+    # one solve with the factor per block, at least one block per pair
+    assert isinstance(rep["lanczos_blocks"], int) and rep["lanczos_blocks"] >= 1
     assert rep["measure"] == pytest.approx(2.0, abs=0.1)
     dom = read_mask(eig_out / "mask.frlb")
     assert dom.grid.cells_per_axis == 64

@@ -134,6 +134,13 @@ def test_profile_polar_matches_cartesian():
             one_plane_solution(r * np.cos(th), r * np.sin(th), s),
             atol=1e-12,
         )
+    # on the wall theta = +-pi both forms are exactly 0, even at small s where
+    # cos(pi/2)^(2s) is 5.7e-4
+    for s in (0.1, 0.3, 0.5):
+        for wall in (np.pi, -np.pi):
+            got = one_plane_solution_polar(r, np.full_like(r, wall), s)
+            assert np.array_equal(got, one_plane_solution(-r, np.zeros_like(r), s))
+            assert not got.any() and one_plane_solution_polar(1.0, wall, s) == 0.0
 
 
 def test_profile_has_no_cancellation_behind_the_wall():

@@ -1,3 +1,7 @@
+import copy
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import linalg
@@ -12,7 +16,7 @@ from fraclab.eigen import (
     sup_bound_check,
 )
 from fraclab.grids import BoxGrid, ball_domain, interval_domain, mask_from_indices
-from fraclab.nonlocal_form import StiffnessForm, assemble_form
+from fraclab.nonlocal_form import assemble_form
 
 # Ground eigenvalue of (-1,1) at s=1/2, design box (-2,2), frozen from this
 # discretization at four resolutions.  Richardson extrapolation of the ladder
@@ -239,13 +243,34 @@ def test_indefinite_matrix_raises_and_keeps_k():
     dom = ball_domain(BoxGrid(2, -1.0, 1.0, 24), [0.0, 0.0], 0.6)
     form = assemble_form(dom, FracParams(2, 0.5, 1.0))
     lam = lowest_eigenpairs(form, 2).lambdas * form.mass
-    # shift between the two lowest eigenvalues: one negative eigenvalue
-    K = form.K - 0.5 * (lam[0] + lam[1]) * np.eye(form.dim)
-    bad = StiffnessForm(K=K, h=form.h, n=form.n, domain=dom)
-    K0 = K.copy()
+    # a lower exterior tail shifts K's diagonal to between its two lowest
+    # eigenvalues: one negative eigenvalue
+    table = copy.copy(form.table)
+    table.tail = table.tail - 0.5 * (lam[0] + lam[1]) / table.c_ns
+    bad = dataclasses.replace(form, table=table)
+    K0 = bad.K
+    assert np.array_equal(K0 - form.K, np.diag(np.diagonal(K0 - form.K)))
     with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
         lowest_eigenpairs(bad, 2)
     assert bad.K.tobytes() == K0.tobytes()
+
+
+def test_eig_holds_one_packed_triangle_and_no_dense_matrix():
+    """From the domain to the eigenpairs on the 80^2 disk of the `spectrum`
+    benchmark, the largest array is the packed factor, d(d+1)/2 doubles; the
+    basis, the FFT products and the kernel table fit in 2 MiB beside it (a
+    dense K alone is 2 x that factor)."""
+    dom = ball_domain(BoxGrid(2, -1.0, 1.0, 80), [0.0, 0.0], 0.6)
+    params = FracParams(2, 0.5, 1.0)
+    tracemalloc.start()
+    try:
+        bundle = lowest_eigenpairs(assemble_form(dom, params), 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    d = dom.cell_count
+    assert bundle.residuals.max() < 1e-10 and bundle.lanczos_blocks > 1
+    assert peak <= 8 * d * (d + 1) // 2 + 2 * 2**20
 
 
 @pytest.mark.parametrize("cells", [8, 12, 16])

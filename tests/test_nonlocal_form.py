@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import functools
 import gc
@@ -6,6 +7,7 @@ import weakref
 
 import numpy as np
 import pytest
+from scipy.linalg import lapack
 
 from fraclab.checks import bump
 from fraclab.constants import FracParams, normalization_constant
@@ -296,6 +298,40 @@ def test_blocked_gather_matches_the_one_shot_gather_byte_for_byte(n, cells, s):
         assert alpha.tobytes() == np.diagonal(ref)[d // 2:].tobytes(), d
 
 
+@pytest.mark.parametrize("n,cells", [(1, 1024), (2, 32)])
+def test_packed_is_the_rfp_form_of_the_stiffness_matrix_byte_for_byte(n, cells):
+    """LAPACK's own conversion (dtrttf, TRANSR='N', UPLO='L') of the dense
+    gather is the packed gather, at odd and even d and, on the whole
+    interior, over several row blocks of the (k, W) array."""
+    g = BoxGrid(n, -1.0, 1.0, cells)
+    table = kernel_table(g, 0.3)
+    inner = np.random.default_rng(4).permutation(np.flatnonzero(g.interior().ravel()))
+    assert len(_row_blocks((inner.size + 1) // 2, inner.size + 1)) > 1
+    for d in (1, 2, 3, 4, 7, 40, 41, inner.size):
+        ref, info = lapack.dtrttf(table.stiffness(inner[:d]), transr="N", uplo="L")
+        assert info == 0
+        assert table.packed(inner[:d]).tobytes() == ref.tobytes(), d
+
+
+@pytest.mark.parametrize("case", ["interval-0.2", "interval-0.8", "disk-0.5"])
+def test_fft_product_matches_the_dense_product(case):
+    """K x by FFT on the nodes' bounding box against the gathered K, within
+    1e-13 of the largest |K| |x|: on the 2048-cell interval, where s = 0.8
+    makes K's diagonal dominate, and on an off-centre 48^2 disk."""
+    kind, s = case.split("-")
+    if kind == "interval":
+        dom = interval_domain(BoxGrid(1, -2.0, 2.0, 2048), -1.0, 1.0)
+    else:
+        dom = ball_domain(BoxGrid(2, -1.0, 1.0, 48), [0.13, -0.07], 0.6)
+    form = assemble_form(dom, FracParams(dom.grid.n, float(s), 1.0))
+    K = form.K
+    rng = np.random.default_rng(6)
+    X = np.column_stack([rng.standard_normal(form.dim), np.ones(form.dim),
+                         np.cos(np.arange(form.dim))])
+    got = np.column_stack([form.table.product(dom.flat_indices, x) for x in X.T])
+    assert np.abs(got - K @ X).max() <= 1e-13 * (np.abs(K) @ np.abs(X)).max()
+
+
 def traced_peak(fn, *args):
     """fn(*args) and the tracemalloc peak of the call, in bytes."""
     tracemalloc.start()
@@ -319,32 +355,51 @@ def test_stiffness_allocates_one_matrix_and_check_none():
     assert ok and peak <= 2 * 2**20
 
 
+def late_pair_form():
+    """A form whose last row block holds a node pair (i, j) = (d - 2, d - 1)
+    at an offset no other pair of its nodes has: a disk, then two nodes on
+    one grid row above it, farther apart than the disk is wide."""
+    g = BoxGrid(2, -1.0, 1.0, 32)
+    disk = ball_domain(g, [0.0, 0.0], 0.8).flat_indices
+    pair = np.ravel_multi_index(([30, 30], [1, 31]), g.node_shape)
+    form = StiffnessForm(kernel_table(g, 0.5), mask_from_indices(g, np.append(disk, pair)))
+    return form, form.dim - 2, form.dim - 1
+
+
 @pytest.mark.parametrize("defect,message", [
     ("asymmetric", "not exactly symmetric"),
     ("positive off-diagonal", "positive off-diagonal"),
     ("negative diagonal", "negative diagonal"),
 ], ids=["asymmetric", "positive-off-diagonal", "negative-diagonal"])
 def test_check_finds_a_defect_in_a_late_row_block(defect, message):
-    g = BoxGrid(2, -1.0, 1.0, 32)
-    form = assemble_form(ball_domain(g, [0.0, 0.0], 0.8), FracParams(2, 0.5, 1.0))
+    """Each defect is put into a copy of the kernel table, where it reaches
+    K only inside the last row block."""
+    form, i, j = late_pair_form()
     blocks = _row_blocks(form.dim)
-    assert len(blocks) >= 3 and form.check()
-    i, j = blocks[-1].start + 1, blocks[-1].start + 2
-    K = form.K.copy()
+    assert len(blocks) >= 3 and form.check() and i >= blocks[-1].start
+    table = copy.copy(form.table)
+    table.entries, table.tail = table.entries.copy(), table.tail.copy()
+    key, p = table.key[form.domain.flat_indices], form.domain.flat_indices[i]
+    at = table.centre + key[i] - key[j]
     if defect == "asymmetric":
-        K[i, j] = np.nextafter(K[i, j], 0.0)
+        table.entries.flat[at] = np.nextafter(table.entries.flat[at], 0.0)
     elif defect == "positive off-diagonal":
-        K[i, j] = K[j, i] = 1e-300
+        table.entries.flat[[at, 2 * table.centre - at]] = 1e-300
     else:
-        K[i, i] = -K[i, i]
+        table.tail[p] -= 2.0 * (table.row_sums[p] + table.tail[p])
+    bad = dataclasses.replace(form, table=table)
+    K = bad.K
+    changed = np.argwhere(K != form.K)
+    assert changed.size and changed.min() >= blocks[-1].start
     with pytest.raises(AssertionError, match=message):
-        dataclasses.replace(form, K=K).check()
+        bad.check()
+    assert bad.K.tobytes() == K.tobytes()
 
 
 def test_check_accepts_an_empty_form():
     """A 0 x 0 form breaks no symmetry, sign or diagonal rule."""
     g = BoxGrid(2, -1.0, 1.0, 8)
-    form = StiffnessForm(np.empty((0, 0)), g.h, 2, mask_from_indices(g, []))
+    form = StiffnessForm(kernel_table(g, 0.5), mask_from_indices(g, []))
     assert form.dim == 0 and form.check()
 
 

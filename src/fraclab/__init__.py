@@ -8,8 +8,8 @@ nonlocal_form  discrete fractional stiffness forms on pixel domains
 eigen          lowest-m Dirichlet eigenpairs and the shape objective
 extension      weighted slab extension, energies, Neumann traces
 shape_opt      greedy/annealed mask optimization
-diagnostics    free-boundary diagnostics: perimeter, blow-up rescaling, density,
-               Weiss energy, flatness, slopes, point classification
+diagnostics    free-boundary diagnostics: blow-up rescaling, density, Weiss
+               energy, flatness, slopes, point classification
 gridio         binary field/mask/slab files, flat configs, run manifests
 checks         acceptance checks shared by `fraclab verify` and the tests
 """
@@ -32,7 +32,6 @@ from .extension import (
     SlabGrid,
     extend,
     extension_energy,
-    harmonic_replacement,
     neumann_trace,
 )
 from .shape_opt import OptimizerConfig, OptimizationTrace, optimize
@@ -73,7 +72,6 @@ __all__ = [
     "SlabGrid",
     "extend",
     "extension_energy",
-    "harmonic_replacement",
     "neumann_trace",
     "OptimizerConfig",
     "OptimizationTrace",

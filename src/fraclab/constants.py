@@ -2,13 +2,16 @@
 
 Everything downstream (form assembly, extension solves, free-boundary
 diagnostics) consults this module for the kernel normalization C(n, s), the
-extension energy constant d_s, and the one-plane profile U.
+extension energy constant d_s, and the one-plane profile U. It also holds the
+Gauss-Jacobi rule that the 2d exterior tail and the diagnostics' hemisphere
+quadrature share.
 """
 
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import eigh_tridiagonal
 
 __all__ = [
     "FracParams",
@@ -63,6 +66,21 @@ def slope_constant(lambda_penalty, s):
     if lambda_penalty < 0:
         raise ValueError("volume penalty must be nonnegative")
     return math.sqrt(lambda_penalty) / math.gamma(1.0 + s)
+
+
+def _gauss_jacobi(k, alpha, beta):
+    """k-point Gauss rule for the weight (1-x)^alpha (1+x)^beta on [-1, 1] by
+    Golub-Welsch (1969): nodes from the Jacobi matrix, weights mu_0 v_0^2."""
+    ab = alpha + beta
+    i = np.arange(1.0, k)
+    t = 2.0 * i + ab
+    diag = np.append((beta - alpha) / (ab + 2.0), (beta**2 - alpha**2) / (t * (t + 2.0)))
+    # q = (i+ab)/(t-1) in the off-diagonal^2; it is 1 at i = 1 (0/0 if ab = -1)
+    q = np.append(1.0, (i[1:] + ab) / (t[1:] - 1.0))
+    x, v = eigh_tridiagonal(diag, np.sqrt(4.0 * i * (i + alpha) * (i + beta) * q
+                                          / (t * t * (t + 1.0))))
+    mu0 = 2.0 ** (ab + 1.0) * math.gamma(alpha + 1.0) * math.gamma(beta + 1.0)
+    return x, mu0 / math.gamma(ab + 2.0) * v[0] ** 2
 
 
 @dataclass(frozen=True)

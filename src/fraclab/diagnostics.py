@@ -1,5 +1,5 @@
-"""Free-boundary diagnostics: perimeter, blow-up rescaling, densities,
-non-degeneracy, Weiss energies, flatness, slopes, and point classification.
+"""Free-boundary diagnostics: blow-up rescaling, densities, Weiss energies,
+flatness, slopes, and point classification.
 
 Ball quantities use cell-center membership; sphere integrals use Gauss-Jacobi
 quadrature in the polar variable (absorbing the |y|^a weight) and periodic
@@ -10,13 +10,11 @@ curve records that normalization.
 """
 
 import functools
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
-from .constants import one_plane_solution, slope_constant, unit_ball_volume
+from .constants import _gauss_jacobi, one_plane_solution, slope_constant, unit_ball_volume
 from .extension import (_as_fields, _ball_energies, _c_tilde, _interp, _multilinear_at,
                         _trace_support)
 from .grids import BoxGrid, ThinDomain, _neighbor_counts, _node_dist2
@@ -29,18 +27,15 @@ __all__ = [
     "PointClassification",
     "ClassifierConfig",
     "free_boundary_set",
-    "perimeter_estimate",
     "RescaledField",
     "blow_up_rescale",
     "density_ratio",
-    "nondegeneracy_scan",
     "weiss_energy",
     "weiss_curve",
     "weiss_monotonicity_audit",
     "flatness",
     "boundary_slope",
     "classify",
-    "support_coincidence",
 ]
 
 WEISS_FLOOR_CELLS = 5  # the smallest Weiss radius, in cells
@@ -103,16 +98,6 @@ def free_boundary_set(domain):
     return FreeBoundarySet(domain=domain, points=coords, normals=normals, flat_indices=flat)
 
 
-def perimeter_estimate(mask):
-    """h^(n-1) times the count of mask/non-mask cell interfaces inside D."""
-    if not isinstance(mask, ThinDomain):
-        raise TypeError("mask must be a ThinDomain")
-    grid = mask.grid
-    # masks never touch the ring, so each mask node has all 2n face neighbours
-    count = int(np.sum(2 * grid.n - _neighbor_counts(mask.mask)[mask.mask]))
-    return count * grid.h ** (grid.n - 1)
-
-
 # ---------------------------------------------------------------------------
 
 
@@ -136,57 +121,7 @@ def density_ratio(mask, x0, r):
     return min(1.0, grid.h**grid.n * cnt / vol)
 
 
-def nondegeneracy_scan(G_fields, fb, radii, params, points=None):
-    """Empirical non-degeneracy constants c(X0) = min_r r^-s sup_{B_r} |G|.
-
-    G_fields: extension fields or a (grid, traces) pair on fb's grid, in any
-    form `_as_fields` accepts; only the traces are used.
-    Returns a dict with per-point constants and summary statistics; points not
-    on the free boundary are flagged, not rejected.
-    """
-    grid = fb.domain.grid
-    fgrid, _, traces = _as_fields(G_fields)
-    if not fgrid.same_layout(grid):
-        raise ValueError("fields and free boundary live on different grids")
-    mag = np.sqrt(sum(tr**2 for tr in traces))
-    radii = np.sort(np.asarray(radii, dtype=float))
-    if radii[0] < 3 * grid.h - 1e-12:
-        raise ResolutionError("non-degeneracy radii below the 3h floor")
-    if points is None:
-        pts = fb.points
-    else:
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-    fbset = {tuple(np.round(p / grid.h).astype(int)) for p in fb.points}
-    consts = np.empty(len(pts))
-    flags = np.zeros(len(pts), dtype=bool)
-    for k, p in enumerate(pts):
-        d2 = _node_dist2(grid, p)
-        consts[k] = min(mag[d2 < r * r].max(initial=0.0) / r**params.s for r in radii)
-        flags[k] = tuple(np.round(p / grid.h).astype(int)) not in fbset
-    return {
-        "constants": consts,
-        "not_on_boundary": flags,
-        "min": float(consts[~flags].min()) if np.any(~flags) else float("nan"),
-        "median": float(np.median(consts[~flags])) if np.any(~flags) else float("nan"),
-    }
-
-
 # ---------------------------------------------------------------------------
-
-
-def _gauss_jacobi(k, alpha, beta):
-    """k-point Gauss rule for the weight (1-x)^alpha (1+x)^beta on [-1, 1] by
-    Golub-Welsch (1969): nodes from the Jacobi matrix, weights mu_0 v_0^2."""
-    ab = alpha + beta
-    i = np.arange(1.0, k)
-    t = 2.0 * i + ab
-    diag = np.append((beta - alpha) / (ab + 2.0), (beta**2 - alpha**2) / (t * (t + 2.0)))
-    # q = (i+ab)/(t-1) in the off-diagonal^2; it is 1 at i = 1 (0/0 if ab = -1)
-    q = np.append(1.0, (i[1:] + ab) / (t[1:] - 1.0))
-    x, v = eigh_tridiagonal(diag, np.sqrt(4.0 * i * (i + alpha) * (i + beta) * q
-                                          / (t * t * (t + 1.0))))
-    mu0 = 2.0 ** (ab + 1.0) * math.gamma(alpha + 1.0) * math.gamma(beta + 1.0)
-    return x, mu0 / math.gamma(ab + 2.0) * v[0] ** 2
 
 
 # Gauss-Jacobi nodes in the polar variable, trapezoid nodes in azimuth (n = 2)
@@ -544,28 +479,3 @@ def classify(mask, G_fields, x0, config=None, params=None, normal=None):
         radii=radii,
         ratios=ratios,
     )
-
-
-def support_coincidence(bundle, mask):
-    """Fraction of mask cells where each eigenfunction is numerically silent.
-
-    Returns (fractions, low_resolution flag); the flag marks masks with a
-    connected component smaller than 4 cells.
-    """
-    fractions = np.empty(bundle.m)
-    for i in range(bundle.m):
-        v = bundle.vectors[i]
-        fractions[i] = float(np.mean(np.abs(v) < 1e-10 * np.abs(v).max()))
-    return fractions, bool(np.any(_component_sizes(mask.mask) < 4))
-
-
-def _component_sizes(m):
-    """Cell counts of the face-connected components of m (outer layer empty):
-    each cell takes the least flat index of itself and its neighbours in m."""
-    lab, old = np.where(m, np.arange(m.size).reshape(m.shape), m.size), None
-    while not np.array_equal(lab, old):
-        old = lab
-        lab = np.minimum.reduce([old] + [np.roll(old, k, ax) for ax in range(m.ndim)
-                                         for k in (1, -1)])
-        lab[~m] = m.size
-    return np.unique(lab[m], return_counts=True)[1]

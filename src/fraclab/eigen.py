@@ -38,7 +38,7 @@ from scipy.linalg import lapack
 
 from .nonlocal_form import assemble_form
 
-__all__ = ["EigenBundle", "lowest_eigenpairs", "gram_schmidt", "sup_bound_check", "objective"]
+__all__ = ["EigenBundle", "lowest_eigenpairs", "objective"]
 
 _CLUSTER_GAP = 1e-10
 _TOL = 1e-11  # relative residual at which the Lanczos iteration stops
@@ -216,56 +216,6 @@ def _next_block(Q, W, b, rng):
         if norms[1] > 0.5 * norms[0]:
             new.append(w / norms[1])
     return np.asfortranarray(np.column_stack(new))
-
-
-def gram_schmidt(v_tilde, mass):
-    """Orthonormalize vectors in the discrete L2 inner product <u,v> = mass * u.v.
-
-    The first output is the normalized first input; each later vector has the
-    projections onto the previous outputs removed before normalization.
-    Raises on near-dependence, naming the offending (1-based) index.
-    """
-    V = np.asarray(v_tilde, dtype=float)
-    if V.ndim != 2:
-        raise ValueError("expected a (m, dim) array of vectors")
-    mass = float(mass)
-    gram_in = mass * V @ V.T
-    svals = np.linalg.svd(gram_in, compute_uv=False)
-    if svals[-1] <= 1e-10:
-        # locate the first vector that is (numerically) dependent on its precursors
-        for i in range(1, len(V) + 1):
-            sub = np.linalg.svd(gram_in[:i, :i], compute_uv=False)
-            if sub[-1] <= 1e-10:
-                raise ValueError(f"input vectors nearly dependent at index {i}")
-        raise ValueError("input vectors nearly dependent")
-    W = np.empty_like(V)
-    for i in range(len(V)):
-        w = V[i].copy()
-        for j in range(i):
-            w -= (mass * V[i] @ W[j]) * W[j]
-        norm = np.sqrt(mass * w @ w)
-        if norm <= 1e-10 * np.sqrt(mass * V[i] @ V[i]):
-            raise ValueError(f"input vectors nearly dependent at index {i + 1}")
-        W[i] = w / norm
-    return W
-
-
-def sup_bound_check(bundle, params, prefactor):
-    """Report sup-norm ratios against the (prefactor * lambda)^(n/(4s)) bound.
-
-    The sharp prefactor has no closed form here, so it is supplied by
-    configuration; the report carries the per-eigenfunction ratio and a pass
-    flag, never raising.
-    """
-    n, s = params.n, params.s
-    rows = []
-    for i in range(bundle.m):
-        sup = float(np.abs(bundle.vectors[i]).max())
-        bound = (prefactor * bundle.lambdas[i]) ** (n / (4.0 * s))
-        ratio = sup / bound if bound > 0 else np.inf
-        rows.append({"index": i + 1, "sup": sup, "bound": bound,
-                     "ratio": ratio, "passes": bool(sup <= bound)})
-    return rows
 
 
 def objective(domain, params, m):

@@ -9,8 +9,7 @@ lists the edge differences of that axis. The conductances depend only on the
 axis and the level: a vertical edge between levels j and j+1 has the exact
 resistance integral of the weight (so pure powers of y are reproduced
 exactly), and a lateral edge on level j has the cell-averaged weight of that
-level. The discrete energy is the sum over axes of c * np.diff(values)^2,
-which makes harmonic replacement an exact discrete energy minimizer.
+level. The discrete energy is the sum over axes of c * np.diff(values)^2.
 
 The extension solve is separable. On the free nodes (interior x-nodes times
 levels 1..J-1) the operator is h^(n-2) L_x (x) diag(w) + I (x) T_y, with L_x the
@@ -34,7 +33,7 @@ from scipy import sparse
 from scipy.sparse import linalg as sla
 
 from .constants import unit_ball_volume
-from .grids import BoxGrid, _node_dist2
+from .grids import BoxGrid
 
 __all__ = [
     "SlabGrid",
@@ -42,9 +41,7 @@ __all__ = [
     "extend",
     "extension_energy",
     "neumann_trace",
-    "harmonic_replacement",
     "ball_energy",
-    "almost_minimality_audit",
 ]
 
 
@@ -152,40 +149,6 @@ def _conductances(slab):
     """
     cv, w_cv = slab._level_conductances()
     return [w_cv * slab.base.h ** (slab.base.n - 2)] * slab.base.n + [cv]
-
-
-def _laplacian(slab, keep):
-    """System matrix A over the `keep` nodes and coupling B to the rest, so
-    that A g[keep] = B g[~keep] is the weighted Laplace equation on `keep`.
-
-    `keep` masks the values array or a window of it from level 0; a node
-    whose neighbours all lie in the window gets its whole-slab row.
-    The graph Laplacian is the sum over axes of D^T diag(c) D, with D the
-    difference matrix along that axis (a Kronecker product of one path-graph
-    difference and identities) and c its conductances.
-    """
-    shape = keep.shape
-    L = sparse.csr_matrix((keep.size, keep.size))
-    for axis, c in enumerate(_conductances(slab)):
-        factors = [sparse.identity(m, format="csr") for m in shape]
-        factors[axis] = sparse.diags([-1.0, 1.0], [0, 1], (shape[axis] - 1, shape[axis]))
-        D = functools.reduce(sparse.kron, factors).tocsr()
-        edge_shape = shape[:axis] + (shape[axis] - 1,) + shape[axis + 1:]
-        c = np.broadcast_to(c[: edge_shape[-1]], edge_shape)
-        L = L + D.T @ sparse.diags(c.ravel()) @ D
-    keep = keep.ravel()
-    rows = L.tocsr()[keep]
-    return rows[:, keep], -rows[:, ~keep]
-
-
-def _solve_dirichlet(slab, keep, boundary_values):
-    """Solve the weighted Laplace system on the `keep` nodes of
-    `boundary_values` (shaped as `keep`, see _laplacian), the rest as data."""
-    out = boundary_values.copy()
-    A, B = _laplacian(slab, keep)
-    out[keep] = sla.splu(A.tocsc()).solve(B @ boundary_values[~keep])
-    _check_residual(slab, keep, out)
-    return out
 
 
 def _apply_laplacian(slab, g):
@@ -427,38 +390,6 @@ def neumann_trace(field):
     return -grad, flagged
 
 
-def harmonic_replacement(field, center, radius):
-    """Replace the field inside the half-ball at a thin-space center by the
-    weighted-harmonic fill-in with the same outside values.
-
-    Nodes on y=0 inside the ball become free with the natural (zero weighted
-    flux) condition, matching the even reflection; the discrete energy inside
-    never exceeds the original's.
-    """
-    slab = field.slab
-    base = slab.base
-    center = np.atleast_1d(np.asarray(center, dtype=float))
-    if center.shape != (base.n,):
-        raise ValueError("center must be a thin-space point")
-    lo, hi = base.lower, base.upper
-    if np.any(center - radius < lo - 1e-12) or np.any(center + radius > hi + 1e-12):
-        raise ValueError("replacement ball exits the slab footprint")
-    if radius > slab.Y:
-        raise ValueError("replacement ball exits the slab vertically")
-    inside = _node_dist2(base, center)[..., None] + slab.y_nodes**2 < radius**2
-    # free nodes must not touch the outer Dirichlet shell of the slab itself
-    # (the top level y = Y >= radius is outside); y=0 nodes in the ball are free
-    inside &= base.interior()[..., None]
-    values = field.values.copy()
-    if inside.any():
-        # solve on the free nodes' bounding box plus one node per side (their
-        # neighbours), from level 0: the rows of the free nodes are whole there
-        at = np.nonzero(inside)
-        window = tuple(slice(max(k.min() - 1, 0), k.max() + 2) for k in at)
-        values[window] = _solve_dirichlet(slab, inside[window], values[window])
-    return ExtensionField(slab, values)
-
-
 def ball_energy(field, center, radius):
     """Edge-quadrature energy of the upper half-ball at a thin-space center:
     the sum of c * (dg)^2 over the edges whose midpoints lie in the open ball."""
@@ -501,62 +432,3 @@ def _ball_energies(field, center, radii):
         e = c[: d.shape[-1]] * d * d
         out += [np.sum(e[d2 < r**2]) for r in radii]
     return out
-
-
-def _node_volumes(slab):
-    """Lebesgue control-volume sizes (upper half, per slab node)."""
-    dv = np.diff(slab.control_bounds()) * slab.base.h**slab.base.n
-    return np.broadcast_to(dv, (slab.base.num_nodes, slab.J + 1))
-
-
-def almost_minimality_audit(fields, mask, params, centers, radii, support_tol=1e-10):
-    """Fit the smallest sigma making the energy-vs-replacement inequality hold.
-
-    For each sampled ball, builds the componentwise harmonic replacement Gt of
-    the vector field G and compares the penalized local energies
-    J(F, B) = 2 * sum_i E_half(F_i, B) + lambda_tilde * meas({|trace F| > 0} in B).
-    The fitted sigma is the smallest value with
-    J(G, B) <= J(Gt, B) + sigma * C * ||Gt - G||_L1(B) over the sample, where
-    C = 2 * omega_n * (sum_i lambda_i) / d_s comes from the Rayleigh quotients
-    of the traces (see _c_tilde). Report-only: returns a dict per ball plus the
-    overall sigma.
-    """
-    base, fields, _ = _as_fields(fields, need_slab=True)
-    h = base.h
-    vols = _node_volumes(fields[0].slab).ravel()
-    c_tilde = _c_tilde(fields, params)
-    rows = []
-    sigma = 0.0
-    mask_flat = mask.mask.ravel()
-    for center in centers:
-        center = np.atleast_1d(np.asarray(center, dtype=float))
-        d2 = _node_dist2(base, center).ravel()
-        for r in radii:
-            ball_thin = d2 < r**2
-            reps = [harmonic_replacement(f, center, r) for f in fields]
-            e_g = sum(ball_energy(f, center, r) for f in fields)
-            e_t = sum(ball_energy(f, center, r) for f in reps)
-            supp_t = _trace_support([f.trace for f in reps], support_tol).ravel()
-            meas_g = h**base.n * np.sum(ball_thin & mask_flat)
-            meas_t = h**base.n * np.sum(ball_thin & supp_t)
-            j_g = 2.0 * e_g + params.lambda_tilde * meas_g
-            j_t = 2.0 * e_t + params.lambda_tilde * meas_t
-            dv = 0.0
-            for f, g in zip(fields, reps):
-                dv += np.sum(np.abs(g.values.ravel() - f.values.ravel()) * vols)
-            l1 = 2.0 * float(dv)  # reflected volume
-            s_ball = 0.0
-            if j_g > j_t and l1 > 0:
-                s_ball = (j_g - j_t) / (c_tilde * l1)
-            sigma = max(sigma, s_ball)
-            rows.append(
-                {
-                    "center": center.tolist(),
-                    "r": float(r),
-                    "J_field": float(j_g),
-                    "J_replacement": float(j_t),
-                    "l1_distance": float(l1),
-                    "sigma_ball": float(s_ball),
-                }
-            )
-    return {"sigma_fit": float(sigma), "c_tilde": float(c_tilde), "balls": rows}

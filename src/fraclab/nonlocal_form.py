@@ -12,7 +12,9 @@ is discretized by a cell-pair quadrature on the node-cell partition:
   moments are taken in polar coordinates about the singular corner, with
   exact radial power integrals and Gauss-Legendre quadrature in the angle;
 * the exterior of the box (where functions vanish identically) contributes a
-  closed-form tail potential to each diagonal entry.
+  tail potential to each diagonal entry: exact cell integrals in 1d, and in
+  2d the potential at the node, half-planes in closed form less the corner
+  quadrants they cover twice.
 
 The resulting matrix K is symmetric, has nonpositive off-diagonal entries,
 and is positive definite for any nonempty admissible mask.
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import normalization_constant
+from .constants import _gauss_jacobi, normalization_constant
 from .grids import ThinDomain
 
 __all__ = ["StiffnessForm", "KernelTable", "assemble_form", "seminorm"]
@@ -123,26 +125,57 @@ def _tail_1d(grid, s):
     return tail
 
 
-def _tail_2d(grid, s):
-    """Half-plane closed-form tail per interior node.
+# Gauss-Jacobi points of the corner integrals' angular factor, which is
+# analytic: 8 points reach roundoff for s in [0.01, 0.99]
+_K_CORNER = 10
 
-    Summing the four half-plane integrals double-counts the four exterior
-    corner quadrants, so the assembled tail overestimates the true one.
+
+def _corner_integrals(N, s):
+    """Q(a, b), the integral of |z|^(-2-2s) over x > a, y > b, at a = p + 1/2
+    along axis 0 and b = q + 1/2 along axis 1 for p, q = 1..N-1 (in cells).
+
+    In polar form Q = [b^(-2s) G(t) + a^(-2s) G(pi/2 - t)] / (2s), where
+    t = atan(b/a) and G(phi), the integral of sin^(2s) over [0, phi], is
+    phi^(2s+1) times the integral over [0, 1] of u^(2s) (sin(phi u) / (phi u))^(2s);
+    Gauss-Jacobi with the weight u^(2s) takes the analytic second factor.
+    G(pi/2 - t(a, b)) = G(t(b, a)) is the transposed table of G(t).
     """
-    h = grid.h
-    hp_const = math.sqrt(math.pi) * math.gamma(s + 0.5) / (math.gamma(s + 1.0) * 2.0 * s)
-    coords = grid.node_coords()
-    lo = grid.lower - 0.5 * h
-    hi = grid.upper + 0.5 * h
-    dw = coords[:, 0] - lo
-    de = hi - coords[:, 0]
-    ds_ = coords[:, 1] - lo
-    dn = hi - coords[:, 1]
-    interior = grid.interior().ravel()
-    tail = np.zeros(grid.num_nodes)
-    walls = np.stack([dw, de, ds_, dn], axis=1)
-    tail[interior] = h * h * hp_const * (walls[interior] ** (-2.0 * s)).sum(axis=1)
-    return tail
+    x, w = _gauss_jacobi(_K_CORNER, 0.0, 2.0 * s)
+    u = 0.5 * (x + 1.0)
+    w = w * 0.5 ** (2.0 * s + 1.0)
+    d = np.arange(1, N) + 0.5
+    phi = np.arctan2(d, d[:, None])
+    g = np.zeros_like(phi)
+    for uk, wk in zip(u, w):
+        arg = phi * uk
+        g += wk * (np.sin(arg) / arg) ** (2.0 * s)
+    g *= phi ** (2.0 * s + 1.0)
+    p = d ** (-2.0 * s)
+    return (p * g + p[:, None] * g.T) / (2.0 * s)
+
+
+def _tail_2d(grid, s):
+    """h^2 times the integral of |x - z|^(-2-2s) over the z outside the box's
+    cells, at every interior node x (2d).
+
+    The exterior is four half-planes beyond the walls, each integral in closed
+    form, less the four corner quadrants, each of which two half-planes cover.
+    An interior node's distance to a wall is (i + 1/2) h at node index i from
+    that wall, and its corner integrals depend only on those distances, so one
+    table of them (``_corner_integrals``) flipped along each axis holds all
+    four corners.
+    """
+    N = grid.cells_per_axis
+    d = np.arange(1, N) + 0.5
+    # a half-plane at distance d gives B(s+1/2, 1/2) d^-2s / (2s); two walls per axis
+    c = math.sqrt(math.pi) * math.gamma(s + 0.5) / (math.gamma(s + 1.0) * 2.0 * s)
+    half = c * (d ** (-2.0 * s) + d[::-1] ** (-2.0 * s))
+    corners = _corner_integrals(N, s)
+    corners = corners + corners[::-1]
+    corners = corners + corners[:, ::-1]
+    tail = np.zeros(grid.node_shape)
+    tail[1:-1, 1:-1] = grid.h ** (2.0 - 2.0 * s) * (half[:, None] + half - corners)
+    return tail.ravel()
 
 
 # ---------------------------------------------------------------------------

@@ -107,11 +107,15 @@ def test_manifest_records_the_environment(tmp_path, monkeypatch):
 def test_cli_import_loads_only_scipy_linalg_and_sparse():
     """The near-field moments need no scipy.integrate (13.7 MB, 0.14 s); the
     kernel table, the extension's DST, the quadrature and the diagnostics need
-    no scipy.fft, scipy.special or scipy.ndimage (about 0.13 s per command)."""
+    no scipy.fft, scipy.special or scipy.ndimage (about 0.13 s per command).
+    The process also builds a 2D kernel table, so an import inside a function
+    (the exterior tail's corner integrals, say) is caught too."""
     import fraclab
 
     src = os.path.dirname(os.path.dirname(os.path.abspath(fraclab.__file__)))
-    code = ("import json, sys, fraclab.cli; print(json.dumps(sorted({m.split('.')[1]"
+    code = ("import json, sys, fraclab.cli; from fraclab import BoxGrid, kernel_table;"
+            " kernel_table(BoxGrid(2, -1.0, 1.0, 8), 0.3);"
+            " print(json.dumps(sorted({m.split('.')[1]"
             " for m in sys.modules if m.startswith('scipy.')})))")
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
@@ -119,6 +123,20 @@ def test_cli_import_loads_only_scipy_linalg_and_sparse():
     loaded = set(json.loads(out))
     assert loaded >= {"linalg", "sparse"}
     assert not loaded & {"integrate", "fft", "special", "ndimage"}
+
+
+def test_every_public_name_resolves():
+    """Each name in fraclab.__all__ and in every submodule's __all__ exists."""
+    import importlib
+    import pkgutil
+
+    import fraclab
+
+    modules = [fraclab] + [importlib.import_module(f"fraclab.{m.name}")
+                           for m in pkgutil.iter_modules(fraclab.__path__)]
+    missing = [f"{mod.__name__}.{name}" for mod in modules
+               for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)]
+    assert not missing
 
 
 def test_eig_beyond_the_former_node_cap(tmp_path):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fraclab import diagnostics
-from fraclab.constants import FracParams, one_plane_solution, slope_constant
+from fraclab.constants import FracParams, _gauss_jacobi, one_plane_solution, slope_constant
 from fraclab.diagnostics import (
     ClassifierConfig,
     GeometryError,
@@ -14,13 +14,11 @@ from fraclab.diagnostics import (
     density_ratio,
     flatness,
     free_boundary_set,
-    nondegeneracy_scan,
-    support_coincidence,
     weiss_curve,
     weiss_energy,
     weiss_monotonicity_audit,
 )
-from fraclab.diagnostics import _component_sizes, _gauss_jacobi, _hemisphere_rule
+from fraclab.diagnostics import _hemisphere_rule
 from fraclab.eigen import lowest_eigenpairs
 from fraclab.extension import ExtensionField, SlabGrid, _trace_support, ball_energy, extend
 from fraclab.grids import BoxGrid, ball_domain, interval_domain, mask_from_indices
@@ -245,30 +243,6 @@ def test_boundary_slope_needs_enough_window():
         boundary_slope(f, [0.93], [1.0], p)  # window falls off the grid
 
 
-# -- nondegeneracy -----------------------------------------------------------
-
-
-def test_nondegeneracy_scan_structure():
-    p = FracParams(1, 0.5, 1.0)
-    g = BoxGrid(1, -2.0, 2.0, 128)
-    dom = interval_domain(g, -1.0, 1.0)
-    bundle = lowest_eigenpairs(assemble_form(dom, p), 1)
-    fb = free_boundary_set(dom)
-    radii = [6 * g.h, 9 * g.h, 12 * g.h]
-    rep = nondegeneracy_scan((g, bundle.full_fields()), fb, radii, p)
-    assert set(rep) >= {"constants", "not_on_boundary", "min", "median"}
-    arr = np.asarray(rep["constants"])
-    assert arr.shape == (fb.points.shape[0],)
-    assert rep["min"] > 0.0
-    assert rep["median"] >= rep["min"]
-    with pytest.raises(ResolutionError):
-        nondegeneracy_scan((g, bundle.full_fields()), fb, [2.0 * g.h], p)
-    # off-boundary points are flagged, not rejected
-    rep2 = nondegeneracy_scan((g, bundle.full_fields()), fb, radii, p,
-                              points=[[0.33 * g.h + 0.5]])
-    assert rep2["not_on_boundary"].all()
-
-
 # -- classification ----------------------------------------------------------
 
 
@@ -325,32 +299,6 @@ def test_classify_respects_threshold_override():
     assert loose.label == "regular"
 
 
-# -- support coincidence -----------------------------------------------------
-
-
-def test_support_coincidence_full_support():
-    p = FracParams(1, 0.5, 1.0)
-    g = BoxGrid(1, -2.0, 2.0, 128)
-    dom = interval_domain(g, -1.0, 1.0)
-    bundle = lowest_eigenpairs(assemble_form(dom, p), 2)
-    fracs, low = support_coincidence(bundle, dom)
-    assert fracs.shape == (2,)
-    assert np.all(fracs < 0.05)
-    assert not low
-
-
-def test_support_coincidence_flags_tiny_component():
-    p = FracParams(1, 0.5, 1.0)
-    g = BoxGrid(1, -2.0, 2.0, 64)
-    x = g.axis_nodes()
-    keep = ((x > -1.0) & (x < 0.2)) | ((x > 1.45) & (x < 1.58))  # 2-cell island
-    keep &= g.interior()
-    dom = mask_from_indices(g, np.flatnonzero(keep))
-    bundle = lowest_eigenpairs(assemble_form(dom, p), 1)
-    _, low = support_coincidence(bundle, dom)
-    assert low
-
-
 # -- fields arguments --------------------------------------------------------
 
 
@@ -358,18 +306,15 @@ def test_field_arguments_give_identical_results_in_every_form():
     p = FracParams(1, 0.5, 1.0)
     g = BoxGrid(1, -1.0, 1.0, 64)
     f = exact_field(g, 24, 4.0, 0.5, scale=slope_constant(1.0, 0.5))
-    fb = free_boundary_set(half_line_domain(g))
     calls = {
         "weiss_energy": lambda G: weiss_energy(G, [0.0], 0.2, p),
         "weiss_curve": lambda G: (lambda c: np.append(c.values, c.c_tilde))(
             weiss_curve(G, [0.0], [0.2, 0.25, 0.3, 0.35], p)),
         "flatness": lambda G: flatness(G, [0.0], 0.25, p)[0],
         "boundary_slope": lambda G: boundary_slope(G, [0.0], [1.0], p),
-        "nondegeneracy_scan": lambda G: nondegeneracy_scan(
-            G, fb, [6 * g.h, 9 * g.h], p)["constants"],
         "blow_up_rescale": lambda G: blow_up_rescale(G, [0.0], 0.25, 0.5).values,
     }
-    trace_only = {"boundary_slope", "nondegeneracy_scan"}
+    trace_only = {"boundary_slope"}
     for name, call in calls.items():
         ref = call(f)
         np.testing.assert_array_equal(call([f]), ref, err_msg=name)
@@ -561,18 +506,3 @@ def test_free_boundary_normals_match_ndimage_smoothing():
         norms = np.linalg.norm(gvec, axis=1)
         ok = norms > 1e-14
         np.testing.assert_array_equal(fb.normals[ok], -gvec[ok] / norms[ok, None])
-
-
-def test_component_sizes_match_ndimage_label():
-    ndimage = pytest.importorskip("scipy.ndimage")
-    rng = np.random.default_rng(5)
-    for shape in ((80,), (40, 40), (9, 10, 11)):
-        for density in (0.3, 0.55, 0.8):
-            m = np.pad(rng.random(shape) < density, 1)  # masks leave the outer layer empty
-            labels, count = ndimage.label(m, ndimage.generate_binary_structure(m.ndim, 1))
-            ref = np.bincount(labels.ravel())[1:]
-            assert sorted(_component_sizes(m)) == sorted(ref.tolist())
-    snake = np.zeros((15, 15), dtype=bool)  # one 61-cell path: many propagation rounds
-    snake[1::4, 1:-1] = True
-    snake[2:5, -2] = snake[6:9, 1] = snake[10:13, -2] = True
-    assert ndimage.label(snake)[1] == 1 and _component_sizes(snake).tolist() == [61]

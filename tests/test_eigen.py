@@ -8,13 +8,7 @@ from scipy import linalg
 
 from fraclab.checks import interval_bundle, scaling_defect
 from fraclab.constants import FracParams
-from fraclab.eigen import (
-    _next_block,
-    gram_schmidt,
-    lowest_eigenpairs,
-    objective,
-    sup_bound_check,
-)
+from fraclab.eigen import _next_block, lowest_eigenpairs, objective
 from fraclab.grids import BoxGrid, ball_domain, interval_domain, mask_from_indices
 from fraclab.nonlocal_form import assemble_form
 
@@ -142,18 +136,6 @@ def test_ball_ground_state_2d():
     np.testing.assert_allclose(v, v.T, atol=1e-7 * v.max())
 
 
-def test_sup_bound_report_shape_and_stability():
-    rows_by_res = []
-    for cells in (128, 256):
-        rows = sup_bound_check(interval_bundle(0.5, cells, 2), FracParams(1, 0.5, 1.0),
-                               prefactor=4.0)
-        assert [r["index"] for r in rows] == [1, 2]
-        assert all(np.isfinite(r["sup"]) and np.isfinite(r["ratio"]) for r in rows)
-        rows_by_res.append(rows)
-    for r_coarse, r_fine in zip(*rows_by_res):
-        assert r_fine["ratio"] == pytest.approx(r_coarse["ratio"], rel=0.1)
-
-
 def test_objective_combines_spectrum_and_measure():
     g = BoxGrid(1, -2.0, 2.0, 64)
     dom = interval_domain(g, -1.0, 1.0)
@@ -163,25 +145,6 @@ def test_objective_combines_spectrum_and_measure():
     assert val == pytest.approx(bundle.lambdas.sum() + 2.5 * dom.measure, rel=1e-12)
     with pytest.raises(ValueError):
         objective(dom, p, dom.cell_count + 1)
-
-
-def test_gram_schmidt_orthonormalizes():
-    rng = np.random.default_rng(5)
-    V = rng.normal(size=(3, 40))
-    h = 0.05
-    W = gram_schmidt(V, h)
-    G = h * W @ W.T
-    np.testing.assert_allclose(G, np.eye(3), atol=1e-12)
-    # first vector keeps its direction
-    c = h * W[0] @ V[0]
-    np.testing.assert_allclose(W[0] * c, V[0], rtol=1e-10)
-
-
-def test_gram_schmidt_rejects_dependent_input():
-    V = np.ones((2, 10))
-    V[1] = 2.0 * V[0]
-    with pytest.raises(ValueError, match="index 2"):
-        gram_schmidt(V, 0.1)
 
 
 # -- block Lanczos against the dense LAPACK solver ------------------------------

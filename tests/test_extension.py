@@ -1,8 +1,11 @@
+import functools
 import itertools
 import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import sparse
+from scipy.sparse import linalg as sla
 
 from fraclab.checks import bump, energy_mismatch
 from fraclab.constants import FracParams, one_plane_solution
@@ -12,15 +15,13 @@ from fraclab.extension import (
     SlabGrid,
     _apply_laplacian,
     _ball_energies,
+    _check_residual,
+    _conductances,
     _dst1,
-    _laplacian,
     _multilinear_at,
-    _solve_dirichlet,
-    almost_minimality_audit,
     ball_energy,
     extend,
     extension_energy,
-    harmonic_replacement,
     neumann_trace,
 )
 from fraclab.grids import BoxGrid, interval_domain
@@ -150,6 +151,44 @@ def test_extension_maximum_principle_and_linearity():
     assert np.all(fsum.values >= f1.values - 1e-12)
     # linearity is exact (same sparse solve)
     np.testing.assert_allclose(fsum.values, f1.values + f2.values, atol=1e-9)
+
+
+# The sparse reference for the separable solve and the stencil: the slab's
+# weighted Laplace system assembled as a Kronecker sum and solved by sparse LU.
+
+
+def _laplacian(slab, keep):
+    """System matrix A over the `keep` nodes and coupling B to the rest, so
+    that A g[keep] = B g[~keep] is the weighted Laplace equation on `keep`.
+
+    `keep` masks the values array or a window of it from level 0; a node
+    whose neighbours all lie in the window gets its whole-slab row.
+    The graph Laplacian is the sum over axes of D^T diag(c) D, with D the
+    difference matrix along that axis (a Kronecker product of one path-graph
+    difference and identities) and c its conductances.
+    """
+    shape = keep.shape
+    L = sparse.csr_matrix((keep.size, keep.size))
+    for axis, c in enumerate(_conductances(slab)):
+        factors = [sparse.identity(m, format="csr") for m in shape]
+        factors[axis] = sparse.diags([-1.0, 1.0], [0, 1], (shape[axis] - 1, shape[axis]))
+        D = functools.reduce(sparse.kron, factors).tocsr()
+        edge_shape = shape[:axis] + (shape[axis] - 1,) + shape[axis + 1:]
+        c = np.broadcast_to(c[: edge_shape[-1]], edge_shape)
+        L = L + D.T @ sparse.diags(c.ravel()) @ D
+    keep = keep.ravel()
+    rows = L.tocsr()[keep]
+    return rows[:, keep], -rows[:, ~keep]
+
+
+def _solve_dirichlet(slab, keep, boundary_values):
+    """Solve the weighted Laplace system on the `keep` nodes of
+    `boundary_values` (shaped as `keep`, see _laplacian), the rest as data."""
+    out = boundary_values.copy()
+    A, B = _laplacian(slab, keep)
+    out[keep] = sla.splu(A.tocsc()).solve(B @ boundary_values[~keep])
+    _check_residual(slab, keep, out)
+    return out
 
 
 def random_interior_trace(grid, seed):
@@ -476,74 +515,6 @@ def test_neumann_trace_of_exact_profile():
     assert np.abs(nt[sel]).max() <= 0.05 * scale
 
 
-# -- harmonic replacement ----------------------------------------------------
-
-
-def test_replacement_never_increases_energy():
-    g = BoxGrid(1, -2.0, 2.0, 128)
-    slab = SlabGrid(g, 32, a=0.0, Y=4.0)
-    rng = np.random.default_rng(11)
-    for _ in range(5):
-        u = bump_trace(g, seed=int(rng.integers(1 << 30)))
-        f = extend(u, slab)
-        e0 = extension_energy(f)
-        center = [float(rng.uniform(-1.0, 1.0))]
-        rep = harmonic_replacement(f, center=center, radius=0.4)
-        e1 = extension_energy(rep)
-        assert e1 <= e0 + 1e-12 * max(e0, 1.0)
-        # values agree outside the replacement ball
-        X, Yv = np.meshgrid(g.axis_nodes(), slab.y_nodes, indexing="ij")
-        outside = (X - center[0]) ** 2 + Yv**2 > 0.45**2
-        np.testing.assert_allclose(
-            rep.values.reshape(X.shape)[outside],
-            f.values.reshape(X.shape)[outside],
-            atol=1e-12,
-        )
-
-
-@pytest.mark.parametrize("n,cells,J,center,r", [
-    (1, 128, 32, [0.3], 0.4), (1, 64, 16, [-0.6], 0.4),
-    (2, 32, 16, [0.2, -0.1], 0.5), (2, 24, 12, [0.7, -0.45], 0.3),
-])
-def test_windowed_replacement_matches_whole_slab_solve(n, cells, J, center, r):
-    """The replacement solves on the ball's index window only; the same
-    Dirichlet problem assembled over the whole slab gives the same field."""
-    g = BoxGrid(n, -1.0, 1.0, cells)
-    slab = SlabGrid(g, J, a=0.3)
-    f = extend(random_interior_trace(g, seed=cells), slab)
-    rep = harmonic_replacement(f, center, r)
-    d2 = ((g.node_coords() - np.array(center)) ** 2).sum(axis=1)
-    free = d2.reshape(g.node_shape)[..., None] + slab.y_nodes**2 < r * r
-    free &= g.interior()[..., None]
-    ref = _solve_dirichlet(slab, free, f.values)
-    assert np.abs(rep.values - ref).max() <= 1e-13 * np.abs(ref).max()
-    assert np.abs(rep.values - f.values).max() > 1e-3
-
-
-def test_replacement_reproduces_exact_profile_inside_positivity_set():
-    """Replacing U on a ball inside {t>0} returns U up to O(h^2)-type error."""
-    errs = []
-    for cells, J in ((64, 16), (128, 32), (256, 64)):
-        g = BoxGrid(1, -2.0, 2.0, cells)
-        f0 = exact_profile_field(g, J, 4.0, 0.5)
-        rep = harmonic_replacement(f0, center=[0.5], radius=0.3)
-        X, Yv = np.meshgrid(g.axis_nodes(), f0.slab.y_nodes, indexing="ij")
-        U = one_plane_solution(X, Yv, 0.5)
-        sel = (X - 0.5) ** 2 + Yv**2 < 0.3**2
-        errs.append(np.abs(rep.values.reshape(X.shape) - U)[sel].max())
-    assert errs[2] < errs[1] < errs[0]
-    assert errs[2] < 1e-3
-
-
-def test_replacement_changes_profile_on_kink_ball():
-    """A ball crossing the free boundary sees the kink: the replacement (with
-    its natural bottom condition) must differ from U there."""
-    g = BoxGrid(1, -2.0, 2.0, 256)
-    f0 = exact_profile_field(g, 64, 4.0, 0.5)
-    rep = harmonic_replacement(f0, center=[0.0], radius=0.3)
-    assert np.abs(rep.values - f0.values).max() > 1e-3
-
-
 def test_ball_energy_splits_total():
     """Multi-radius ball energies equal one-radius calls bit for bit, for
     unsorted and repeated radii, and the sum over every slab edge whose
@@ -577,28 +548,3 @@ def test_ball_energy_splits_total():
         # the tall ball's window holds every level: its radius passes y[J-1]
         assert balls[-1][1][0] > slab.y_nodes[-2]
         assert balls[-1][1][0] < slab.Y
-
-
-# -- almost-minimality audit -------------------------------------------------
-
-
-def test_almost_minimality_audit_structure():
-    p = FracParams(1, 0.5, 1.0)
-    g = BoxGrid(1, -2.0, 2.0, 128)
-    dom = interval_domain(g, -1.0, 1.0)
-    bundle = lowest_eigenpairs(assemble_form(dom, p), 1)
-    f = extend(bundle.full_fields()[0], SlabGrid(g, 32, a=p.a, Y=4.0))
-    report = almost_minimality_audit(
-        [f], dom, p, centers=[[-1.0], [0.0], [1.0]], radii=[0.2, 0.3]
-    )
-    assert set(report) >= {"sigma_fit", "c_tilde", "balls"}
-    assert np.isfinite(report["sigma_fit"]) and report["sigma_fit"] >= 0.0
-    assert report["c_tilde"] > 0.0
-    assert len(report["balls"]) == 6
-    for row in report["balls"]:
-        assert row["J_field"] >= 0.0
-        assert row["J_replacement"] >= 0.0
-        assert row["l1_distance"] >= 0.0
-        # replacement is the energy minimizer: pure-energy excess of the
-        # field is nonnegative up to the measure term differences
-        assert row["sigma_ball"] >= 0.0

@@ -7,8 +7,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 from hypothesis.extra.numpy import arrays  # noqa: E402
 
-from fraclab.diagnostics import perimeter_estimate  # noqa: E402
-from fraclab.grids import BoxGrid, ThinDomain, _neighbor_counts  # noqa: E402
+from fraclab.grids import _neighbor_counts  # noqa: E402
 
 
 def brute_counts(mask):
@@ -34,19 +33,3 @@ shapes = st.one_of(
 def test_neighbor_counts_match_brute_force(data):
     mask = data.draw(arrays(bool, data.draw(shapes)))
     np.testing.assert_array_equal(_neighbor_counts(mask), brute_counts(mask))
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.integers(1, 2), st.integers(4, 9), st.data())
-def test_perimeter_counts_every_mask_interface(n, cells, data):
-    grid = BoxGrid(n, 0.0, 1.0, cells)
-    mask = data.draw(arrays(bool, grid.node_shape)) & grid.interior()
-    interfaces = 0
-    for idx in np.ndindex(mask.shape):
-        for ax in range(n):
-            j = list(idx)
-            j[ax] += 1
-            if j[ax] < mask.shape[ax] and mask[idx] != mask[tuple(j)]:
-                interfaces += 1
-    expected = interfaces * grid.h ** (n - 1)
-    assert perimeter_estimate(ThinDomain(grid, mask)) == pytest.approx(expected, rel=1e-14)

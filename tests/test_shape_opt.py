@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from fraclab.constants import FracParams, one_plane_solution, slope_constant
-from fraclab.diagnostics import blow_up_rescale, perimeter_estimate
+from fraclab.diagnostics import blow_up_rescale
 from fraclab.extension import ExtensionField, SlabGrid
 from fraclab.grids import BoxGrid, ball_domain, interval_domain
 from scipy.linalg import lapack
@@ -582,18 +582,6 @@ def test_multi_eigenvalue_objective_runs():
     assert tr.certified
     assert len(tr.best_lambdas) == 2
     assert tr.best_lambdas[1] > tr.best_lambdas[0]
-
-
-def test_perimeter_estimate_rectangle_exact():
-    g = BoxGrid(2, -1.0, 1.0, 32)
-    x = g.axis_nodes()
-    mask = (np.abs(x[:, None]) <= 0.5 + 1e-12) & (np.abs(x[None, :]) <= 0.25 + 1e-12)
-    from fraclab.grids import ThinDomain
-
-    dom = ThinDomain(g, mask)
-    a = 0.5 * 2 + g.h  # node-cell convention: 17 nodes cover 17h of length
-    b = 0.25 * 2 + g.h
-    assert perimeter_estimate(dom) == pytest.approx(2 * (a + b), rel=1e-12)
 
 
 def test_blow_up_scale_invariance_on_exact_profile():

@@ -356,8 +356,11 @@ def cmd_diagnose(args):
     r_min_cells = _cfg(cfg, "r_min_cells", float, floor)
     if not r_min_cells >= floor:
         raise UsageError(f"r_min_cells = {r_min_cells} is below the Weiss floor, {floor} cells")
-    r_lo = r_min_cells * grid.h
-    r_hi = _cfg(cfg, "r_max_cells", float, 10.0) * grid.h
+    r_max_cells = _cfg(cfg, "r_max_cells", float, 10.0)
+    if not (math.isfinite(r_max_cells) and r_max_cells >= r_min_cells):
+        raise UsageError(f"r_max_cells = {r_max_cells} must be finite and at least "
+                         f"r_min_cells = {r_min_cells}")
+    r_lo, r_hi = r_min_cells * grid.h, r_max_cells * grid.h
     ccfg = diagnostics.ClassifierConfig(
         tol=_cfg(cfg, "class_tol", float, 0.1),
         delta=_cfg(cfg, "class_delta", float, 0.05),
@@ -386,19 +389,22 @@ def cmd_diagnose(args):
             cur = diagnostics.weiss_curve(ext_fields, x0, radii, params, c_tilde=c_tilde)
             for r, w in zip(cur.radii, cur.values):
                 weiss_rows.append(f"{k},{xs},{_fmt(r)},{_fmt(w)}\n")
-        pc = diagnostics.classify(dom, ext_fields, x0, ccfg, params, fb.normals[k])
-        slope_rows.append(f"{k},{xs},{_fmt(pc.slope)},{_fmt(target)}\n")
-        counts[pc.label] = counts.get(pc.label, 0) + 1
-        cls_points.append(
-            {
-                "point": int(k),
-                "x": [float(v) for v in x0],
-                "density_limit": pc.density_limit,
-                "label": pc.label,
-                "flatness": None if np.isnan(pc.flatness) else pc.flatness,
-                "slope": None if np.isnan(pc.slope) else pc.slope,
-            }
-        )
+        entry = {"point": int(k), "x": [float(v) for v in x0]}
+        slope = float("nan")
+        try:
+            pc = diagnostics.classify(dom, ext_fields, x0, ccfg, params, fb.normals[k])
+        except diagnostics.GeometryError as exc:
+            # too near the box wall for a radius ladder: this point alone
+            entry.update(density_limit=None, label="undetermined", flatness=None,
+                         reason=str(exc))
+        else:
+            slope = pc.slope
+            entry.update(density_limit=pc.density_limit, label=pc.label,
+                         flatness=pc.flatness)
+        entry["slope"] = None if np.isnan(slope) else slope
+        slope_rows.append(f"{k},{xs},{_fmt(slope)},{_fmt(target)}\n")
+        counts[entry["label"]] = counts.get(entry["label"], 0) + 1
+        cls_points.append(entry)
     run.write_text("weiss.csv", "".join(weiss_rows))
     run.write_text("density.csv", "".join(dens_rows))
     run.write_text("slopes.csv", "".join(slope_rows))

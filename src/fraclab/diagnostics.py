@@ -15,8 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .constants import _gauss_jacobi, one_plane_solution, slope_constant, unit_ball_volume
-from .extension import (_as_fields, _ball_energies, _c_tilde, _interp, _multilinear_at,
-                        _trace_support)
+from .extension import ExtensionField, _ball_energies, _c_tilde, _interp, _multilinear_at
 from .grids import BoxGrid, ThinDomain, _neighbor_counts, _node_dist2
 
 __all__ = [
@@ -30,7 +29,6 @@ __all__ = [
     "RescaledField",
     "blow_up_rescale",
     "density_ratio",
-    "weiss_energy",
     "weiss_curve",
     "weiss_monotonicity_audit",
     "flatness",
@@ -101,6 +99,26 @@ def free_boundary_set(domain):
 # ---------------------------------------------------------------------------
 
 
+def _as_fields(source):
+    """The fields argument as a list: source is one ExtensionField, or a
+    non-empty list or tuple of them on one slab layout."""
+    fields = [source] if isinstance(source, ExtensionField) else source
+    if (not isinstance(fields, (list, tuple)) or not fields
+            or not all(isinstance(f, ExtensionField) for f in fields)):
+        raise ValueError("fields must be an ExtensionField or a non-empty list of them")
+    first = fields[0]
+    if any(f.values.shape != first.values.shape
+           or not np.array_equal(f.slab.y_nodes, first.slab.y_nodes) for f in fields):
+        raise ValueError("extension fields must share one slab layout")
+    return list(fields)
+
+
+def _trace_support(traces, tol):
+    """Nodes where |G| = sqrt(sum_i trace_i^2) exceeds tol * max |G|."""
+    sup = np.sqrt(sum(tr**2 for tr in traces))
+    return sup > tol * max(sup.max(), 1e-300)
+
+
 def _check_ball(grid, x0, r, floor):
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     if x0.shape != (grid.n,):
@@ -155,21 +173,15 @@ def _hemisphere_rule(n, a):
     return dirs, wts
 
 
-def weiss_energy(G_ext, X0, r, params):
-    """Weiss energy W(X0, G, r) of extension fields at one radius.
+def _weiss_energies(fields, X0, radii, params):
+    """Weiss energy W(X0, G, r) of the extension fields at each of the radii:
 
     W = r^-n [2 sum_i E_half(g_i, B_r) + lambda_tilde meas({|G|>0} in B_r)]
         - s r^-(n+1) * 2 * int_{upper hemisphere} |y|^a |G|^2 dS.
-    """
-    _, fields, _ = _as_fields(G_ext, need_slab=True)
-    return float(_weiss_energies(fields, X0, np.array([r], dtype=float), params)[0])
 
-
-def _weiss_energies(fields, X0, radii, params):
-    """weiss_energy at each of the radii: the support, the node distances and
-    one interpolation of all fields at the sphere points of all radii are
-    shared, and each field's ball energies at all radii come from one window
-    (_ball_energies)."""
+    The support, the node distances and one interpolation of all fields at
+    the sphere points of all radii are shared, and each field's ball energies
+    at all radii come from one window (_ball_energies)."""
     grid, n = fields[0].slab.base, fields[0].slab.base.n
     x0 = np.atleast_1d(np.asarray(X0, dtype=float))
     for r in radii:
@@ -220,7 +232,7 @@ class WeissCurve:
 
 def weiss_curve(G_ext, X0, radii, params, c_tilde=None):
     """Evaluate the Weiss energy across radii and package as a WeissCurve."""
-    _, fields, _ = _as_fields(G_ext, need_slab=True)
+    fields = _as_fields(G_ext)
     radii = np.sort(np.asarray(radii, dtype=float))
     vals = _weiss_energies(fields, X0, radii, params)
     if c_tilde is None:
@@ -294,13 +306,10 @@ class RescaledField:
 
 
 def blow_up_rescale(source, x0, r, s):
-    """Rescale a field around a thin-space point onto the unit ball scale.
-
-    source: extension fields or a (BoxGrid, node_array) trace pair, in any
-    form `_as_fields` accepts; a trace pair is sampled on y = 0 only. The
-    rescaled field has one component per field or trace.
-    """
-    base, fields, traces = _as_fields(source)
+    """Rescale extension fields around a thin-space point onto the unit ball
+    scale; the rescaled field has one component per field."""
+    fields = _as_fields(source)
+    base = fields[0].slab.base
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     r = float(r)
     if r <= 0:
@@ -309,23 +318,15 @@ def blow_up_rescale(source, x0, r, s):
         raise ValueError("blow-up window exits the field footprint")
     cells = int(np.clip(np.round(2.0 * r / base.h), 8, 128))
     xg = BoxGrid(base.n, -1.0, 1.0, cells)
-    if fields is not None:
-        y_native = fields[0].slab.y_nodes
-        y_lv = y_native[y_native <= r * (1 + 1e-12)] / r
-        if y_lv.size == 0 or y_lv[-1] < 1.0 - 1e-12:
-            y_lv = np.append(y_lv, 1.0)
-    else:
-        y_lv = np.array([0.0])
+    y_native = fields[0].slab.y_nodes
+    y_lv = y_native[y_native <= r * (1 + 1e-12)] / r
+    if y_lv.size == 0 or y_lv[-1] < 1.0 - 1e-12:
+        y_lv = np.append(y_lv, 1.0)
     pts_x = xg.node_coords() * r + x0[None, :]
-    if fields is not None:
-        # every (node, level) pair, node-major, in one interpolation of all fields
-        q = np.column_stack([np.repeat(pts_x, y_lv.size, axis=0),
-                             np.tile(y_lv * r, len(pts_x))])
-        comps = _interp(fields, q)
-    else:
-        at = _multilinear_at(base, pts_x)
-        comps = [at(comp) for comp in traces]
-    vals = np.stack(comps, axis=-1).reshape(len(pts_x), y_lv.size, len(traces))
+    # every (node, level) pair, node-major, in one interpolation of all fields
+    q = np.column_stack([np.repeat(pts_x, y_lv.size, axis=0),
+                         np.tile(y_lv * r, len(pts_x))])
+    vals = np.stack(_interp(fields, q), axis=-1).reshape(len(pts_x), y_lv.size, len(fields))
     vals *= r ** (-s)
     return RescaledField(
         xgrid=xg,
@@ -341,7 +342,7 @@ def flatness(G_fields, X0, r, params, angle_count=128):
 
     Minimizes sup_{|X|<=1} |G_{X0,r}(X) - slope_const * U(<x, nu>, y) f| over
     a grid of unit directions nu and the dominant component direction f.
-    A (grid, trace) pair is compared on y = 0 only. Returns (epsilon, nu, f).
+    Returns (epsilon, nu, f).
     """
     bu = blow_up_rescale(G_fields, X0, r, params.s)
     n = bu.xgrid.n
@@ -381,8 +382,9 @@ def boundary_slope(G_fields, x0, normal, params, t_lo=3.0, t_hi=10.0):
     pass the inward normal (pointing into the positivity set). Needs at least
     4 in-grid samples, else raises ResolutionError.
     """
-    grid, _, traces = _as_fields(G_fields)
-    mag = np.sqrt(sum(tr**2 for tr in traces))
+    fields = _as_fields(G_fields)
+    grid = fields[0].slab.base
+    mag = np.sqrt(sum(f.trace**2 for f in fields))
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     nu = np.atleast_1d(np.asarray(normal, dtype=float))
     nu = nu / np.linalg.norm(nu)
@@ -423,49 +425,39 @@ class PointClassification:
         return True
 
 
-def classify(mask, G_fields, x0, config=None, params=None, normal=None):
+def classify(mask, G_fields, x0, config, params, normal):
     """Classify a free-boundary point as regular / singular / undetermined.
 
-    Density ratios on a decreasing radius ladder are extrapolated linearly in
-    r to a density limit; regular additionally requires small flatness of the
-    blow-up at the finest radius (needs G_fields, in any form `_as_fields`
-    accepts, and params).
+    Density ratios on a radius ladder from 5h to config.r_max (default 12h),
+    clipped to 0.95 times the distance to the box wall, are extrapolated
+    linearly in r to a density limit; regular additionally requires small
+    flatness of the blow-up of the extension fields at the finest radius.
+    Raises GeometryError when no ladder above 5h fits.
 
     normal is the outward unit normal at x0 (pointing out of the positivity
-    set), the orientation of FreeBoundarySet.normals, which supplies it when
-    omitted; the slope is taken along its negative, the inward direction that
-    boundary_slope expects.
+    set), the orientation of FreeBoundarySet.normals; the slope is taken
+    along its negative, the inward direction that boundary_slope expects.
     """
-    if config is None:
-        config = ClassifierConfig()
     grid = mask.grid
     x0v = np.atleast_1d(np.asarray(x0, dtype=float))
     h = grid.h
-    r_hi = config.r_max
-    if r_hi is None:
-        r_hi = min(np.min(x0v - grid.lower), np.min(grid.upper - x0v))
-        r_hi = min(0.95 * r_hi, 12.0 * h)
+    wall = min(np.min(x0v - grid.lower), np.min(grid.upper - x0v))
     r_lo = 5.0 * h
-    if r_hi <= r_lo:
-        r_hi = r_lo * 1.5
+    r_hi = min(12.0 * h if config.r_max is None else config.r_max, 0.95 * wall)
+    if not r_hi > r_lo:
+        raise GeometryError(f"no radius ladder above 5h = {r_lo:g} fits: "
+                            f"the largest radius is {r_hi:g}")
     radii = np.geomspace(r_lo, r_hi, config.num_radii)
     ratios = np.array([density_ratio(mask, x0v, r) for r in radii])
     A = np.column_stack([np.ones_like(radii), radii])
     coef, *_ = np.linalg.lstsq(A, ratios, rcond=None)
     gamma = float(coef[0])
-    eps = float("nan")
-    slope = float("nan")
-    if G_fields is not None and params is not None:
-        eps, _, _ = flatness(G_fields, x0v, radii[0], params)
-        if normal is None:
-            fb = free_boundary_set(mask)
-            k = int(np.argmin(((fb.points - x0v[None, :]) ** 2).sum(axis=1)))
-            normal = fb.normals[k]
-        try:
-            slope = boundary_slope(G_fields, x0v, -np.asarray(normal), params)
-        except ResolutionError:
-            slope = float("nan")
-    if abs(gamma - 0.5) <= config.tol and (np.isnan(eps) or eps < config.flat_threshold):
+    eps, _, _ = flatness(G_fields, x0v, radii[0], params)
+    try:
+        slope = boundary_slope(G_fields, x0v, -np.asarray(normal), params)
+    except ResolutionError:
+        slope = float("nan")
+    if abs(gamma - 0.5) <= config.tol and eps < config.flat_threshold:
         label = "regular"
     elif gamma >= 0.5 + config.delta:
         label = "singular"

@@ -33,7 +33,6 @@ from scipy import sparse
 from scipy.sparse import linalg as sla
 
 from .constants import unit_ball_volume
-from .grids import BoxGrid
 
 __all__ = [
     "SlabGrid",
@@ -41,7 +40,6 @@ __all__ = [
     "extend",
     "extension_energy",
     "neumann_trace",
-    "ball_energy",
 ]
 
 
@@ -215,44 +213,6 @@ def _interp(fields, points):
     return [lo * (1.0 - ty) + hi * ty for lo, hi in (at(f.values) for f in fields)]
 
 
-def _as_fields(source, need_slab=False):
-    """Normalize a "fields" argument to (grid, fields, traces).
-
-    source is one ExtensionField, a non-empty list or tuple of them on one
-    slab layout, or a (BoxGrid, array) trace pair whose array is one node
-    field or a stack of them. grid is the thin-space grid, traces the y=0
-    node arrays, and fields the ExtensionFields, or None for a trace pair,
-    which need_slab=True rejects.
-    """
-    if isinstance(source, ExtensionField):
-        source = [source]
-    if not isinstance(source, (list, tuple)) or not source:
-        raise ValueError("fields must be ExtensionFields or a (BoxGrid, array) pair")
-    if all(isinstance(f, ExtensionField) for f in source):
-        first = source[0]
-        if any(f.values.shape != first.values.shape
-               or not np.array_equal(f.slab.y_nodes, first.slab.y_nodes) for f in source):
-            raise ValueError("extension fields must share one slab layout")
-        return first.slab.base, list(source), [f.trace for f in source]
-    if len(source) != 2 or not isinstance(source[0], BoxGrid):
-        raise ValueError("fields must be ExtensionFields or a (BoxGrid, array) pair")
-    if need_slab:
-        raise ValueError("this quantity needs extension fields, not a (grid, trace) pair")
-    grid, arr = source
-    arr = np.asarray(arr, dtype=float)
-    if arr.shape == grid.node_shape:
-        arr = arr[None]
-    if arr.shape[1:] != grid.node_shape or len(arr) == 0:
-        raise ValueError("trace array does not match the grid's node shape")
-    return grid, None, list(arr)
-
-
-def _trace_support(traces, tol):
-    """Nodes where |G| = sqrt(sum_i trace_i^2) exceeds tol * max |G|."""
-    sup = np.sqrt(sum(tr**2 for tr in traces))
-    return sup > tol * max(sup.max(), 1e-300)
-
-
 def _c_tilde(fields, params):
     """C = 2 omega_n (sum_i lambda_i) / d_s from the Rayleigh quotients
     lambda_i = d_s E(g_i) / ||trace g_i||^2 of the fields; fields with a zero
@@ -390,14 +350,10 @@ def neumann_trace(field):
     return -grad, flagged
 
 
-def ball_energy(field, center, radius):
-    """Edge-quadrature energy of the upper half-ball at a thin-space center:
-    the sum of c * (dg)^2 over the edges whose midpoints lie in the open ball."""
-    return float(_ball_energies(field, center, [radius])[0])
-
-
 def _ball_energies(field, center, radii):
-    """ball_energy at each of the radii of one center, from one index window.
+    """Edge-quadrature energy of the upper half-ball at a thin-space center,
+    at each of the radii: the sum of c * (dg)^2 over the edges whose midpoints
+    lie in the open ball, from one index window.
 
     The window is the largest radius's: an edge in a ball of radius r joins
     x-nodes within r + h of the center, at levels up to the first one with

@@ -142,6 +142,8 @@ def write_fields(path, grid, fields):
         arr = arr[None]
     if arr.shape[1:] != grid.node_shape:
         raise ValueError("field shape does not match the grid")
+    if len(arr) == 0:
+        raise ValueError("a fields file holds at least one field")
     payload = (
         _header(_KIND_FIELDS, grid)
         + struct.pack("<I", arr.shape[0])
@@ -152,6 +154,8 @@ def write_fields(path, grid, fields):
 
 def read_fields(path):
     grid, (m,), buf = _open(path, _KIND_FIELDS, "<I")
+    if m == 0:
+        raise CompatibilityError(f"{path}: holds no fields")
     arr = _payload(buf, "<f8", m * grid.num_nodes, path)
     return grid, arr.reshape((m,) + grid.node_shape).copy()
 

@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import signal
+import struct
 import subprocess
 import sys
 import time
@@ -208,6 +209,24 @@ def test_diagnose_points_run_alone_as_in_the_full_run(tmp_path):
                for out in (full, some)]
     assert [json.dumps(p) for p in entries[1]] == [
         json.dumps(p) for p in entries[0] if p["point"] in picked]
+
+
+def test_diagnose_marks_a_point_near_the_wall_undetermined(tmp_path):
+    """A free-boundary point 5h from the box wall has no radius ladder above
+    5h inside the box: it alone is undetermined, with a reason, and the run
+    succeeds."""
+    eig_cfg = write_cfg(tmp_path / "eig.cfg", n=2, cells=32, lower=-1.0, upper=1.0,
+                        s=0.5, domain="ball 0.3 0 0.39", m=1)
+    assert main(["eig", "--config", eig_cfg, "--out", str(tmp_path / "eig")]) == 0
+    cfg = write_cfg(tmp_path / "diag.cfg", n=2, s=0.5, mask=str(tmp_path / "eig" / "mask.frlb"),
+                    fields=str(tmp_path / "eig" / "v01.frlb"), J=8)
+    assert main(["diagnose", "--config", cfg, "--out", str(tmp_path / "d")]) == 0
+    points = json.loads((tmp_path / "d" / "classification.json").read_text())["points"]
+    near = [p for p in points if "reason" in p]
+    assert [p["x"][0] for p in near] == [0.6875]  # 5h from the wall x = 1
+    assert near[0]["label"] == "undetermined" and "no radius ladder" in near[0]["reason"]
+    assert near[0]["density_limit"] is near[0]["flatness"] is near[0]["slope"] is None
+    assert all(p["density_limit"] is not None for p in points if "reason" not in p)
 
 
 def test_diagnose_grid_mismatch(eig_out, tmp_path):
@@ -466,8 +485,11 @@ def test_missing_required_key(tmp_path, capsys):
     ("extend", {"n": 1, "s": 0.5, "J": 2}),
     ("extend", {"n": 1, "s": 0.5, "Y": 1.0}),
     ("diagnose", {"n": 1, "s": 0.5, "J": 2}),
+    ("diagnose", {"n": 1, "s": 0.5, "r_max_cells": 2}),
+    ("diagnose", {"n": 1, "s": 0.5, "r_max_cells": "nan"}),
 ], ids=["n3", "cells2", "m0", "m-too-large", "empty-interval", "bad-number",
-        "schedule-foo", "cooling2", "optimize-m-too-large", "J2", "Y-below-diameter", "diagnose-J2"])
+        "schedule-foo", "cooling2", "optimize-m-too-large", "J2", "Y-below-diameter", "diagnose-J2",
+        "r_max_cells2", "r_max_cells-nan"])
 def test_bad_config_values_are_usage_errors(eig_out, tmp_path, capsys, command, keys):
     keys = dict(keys)
     if command == "extend":
@@ -491,15 +513,24 @@ def test_malformed_manifest_is_a_config_error(tmp_path, capsys, text):
     assert "config error" in err and str(path) in err
 
 
-@pytest.mark.parametrize("defect", ["nan", "ring"])
+@pytest.mark.parametrize("defect", ["nan", "ring", "empty"])
 @pytest.mark.parametrize("command", ["extend", "diagnose"])
 def test_bad_trace_is_an_input_error(eig_out, tmp_path, capsys, command, defect):
-    """A trace that is not finite or not zero on the boundary ring exits 3
-    and names its file; no energy with a NaN reaches energy.json."""
+    """A trace that is not finite or not zero on the boundary ring, or a
+    fields file that holds no fields, exits 3 and names its file; no energy
+    with a NaN reaches energy.json."""
     grid, arr = read_fields(eig_out / "v01.frlb")
-    arr[0, 0 if defect == "ring" else grid.num_nodes // 2] = np.nan if defect == "nan" else 0.5
     bad = str(tmp_path / "bad.frlb")
-    write_fields(bad, grid, arr)
+    if defect == "empty":
+        # write_fields refuses m = 0: the header of v01.frlb with m = 0 and
+        # no payload
+        data = (eig_out / "v01.frlb").read_bytes()
+        head = len(data) - 8 * grid.num_nodes - 4
+        (tmp_path / "bad.frlb").write_bytes(data[:head] + struct.pack("<I", 0))
+    else:
+        arr[0, 0 if defect == "ring" else grid.num_nodes // 2] = (
+            np.nan if defect == "nan" else 0.5)
+        write_fields(bad, grid, arr)
     keys, _ = _manifest_run(command, eig_out)
     keys = {**keys, "trace": bad} if command == "extend" else {**keys, "fields": bad}
     cfg = write_cfg(tmp_path / "run.cfg", **keys)

@@ -15,12 +15,11 @@ from fraclab.diagnostics import (
     flatness,
     free_boundary_set,
     weiss_curve,
-    weiss_energy,
     weiss_monotonicity_audit,
 )
-from fraclab.diagnostics import _hemisphere_rule
+from fraclab.diagnostics import _hemisphere_rule, _trace_support
 from fraclab.eigen import lowest_eigenpairs
-from fraclab.extension import ExtensionField, SlabGrid, _trace_support, ball_energy, extend
+from fraclab.extension import ExtensionField, SlabGrid, _ball_energies, extend
 from fraclab.grids import BoxGrid, ball_domain, interval_domain, mask_from_indices
 from fraclab.nonlocal_form import assemble_form
 
@@ -131,9 +130,9 @@ def test_weiss_energy_guards():
     g = BoxGrid(1, -1.0, 1.0, 64)
     f = exact_field(g, 16, 4.0, 0.5)
     with pytest.raises(ResolutionError):
-        weiss_energy(f, [0.0], 3.0 * g.h, p)  # below the 5h floor
+        weiss_curve(f, [0.0], [3.0 * g.h], p)  # below the 5h floor
     with pytest.raises(GeometryError):
-        weiss_energy(f, [0.9], 0.5, p)
+        weiss_curve(f, [0.9], [0.5], p)
 
 
 def test_weiss_curve_requires_enough_radii():
@@ -275,8 +274,10 @@ def test_classify_slit_point_singular():
     dom = mask_from_indices(g, np.flatnonzero(inner.ravel()))
     bundle = lowest_eigenpairs(assemble_form(dom, p), 1)
     f = [extend(v, SlabGrid(g, 16, a=0.0, Y=4.0)) for v in bundle.full_fields()]
+    fb = free_boundary_set(dom)
     for X0 in ([0.25, 0.0], [0.5, 0.0]):
-        pc = classify(dom, f, X0, ClassifierConfig(), p, None)
+        k = int(np.argmin(((fb.points - X0) ** 2).sum(axis=1)))
+        pc = classify(dom, f, X0, ClassifierConfig(), p, fb.normals[k])
         assert pc.label == "singular"
         assert pc.density_limit > 0.55
 
@@ -299,6 +300,22 @@ def test_classify_respects_threshold_override():
     assert loose.label == "regular"
 
 
+def test_classify_clips_its_ladder_to_the_box():
+    """The ladder's top radius, r_max included, stays 0.95 of the distance to
+    the wall; a point with no ladder above 5h raises GeometryError."""
+    p = FracParams(1, 0.5, 1.0)
+    g = BoxGrid(1, -1.0, 1.0, 64)
+    f = exact_field(g, 24, 4.0, 0.5, scale=slope_constant(1.0, 0.5))
+    dom = half_line_domain(g)
+    for r_max in (None, 0.5):
+        pc = classify(dom, f, [1.0 - 8 * g.h], ClassifierConfig(r_max=r_max), p, [1.0])
+        assert pc.radii[0] == 5 * g.h
+        assert pc.radii[-1] == pytest.approx(0.95 * 8 * g.h, rel=1e-12)
+    for x0, r_max in (([1.0 - 5 * g.h], None), ([0.0], 4 * g.h)):
+        with pytest.raises(GeometryError, match="no radius ladder"):
+            classify(dom, f, x0, ClassifierConfig(r_max=r_max), p, [-1.0])
+
+
 # -- fields arguments --------------------------------------------------------
 
 
@@ -307,50 +324,38 @@ def test_field_arguments_give_identical_results_in_every_form():
     g = BoxGrid(1, -1.0, 1.0, 64)
     f = exact_field(g, 24, 4.0, 0.5, scale=slope_constant(1.0, 0.5))
     calls = {
-        "weiss_energy": lambda G: weiss_energy(G, [0.0], 0.2, p),
         "weiss_curve": lambda G: (lambda c: np.append(c.values, c.c_tilde))(
             weiss_curve(G, [0.0], [0.2, 0.25, 0.3, 0.35], p)),
         "flatness": lambda G: flatness(G, [0.0], 0.25, p)[0],
         "boundary_slope": lambda G: boundary_slope(G, [0.0], [1.0], p),
         "blow_up_rescale": lambda G: blow_up_rescale(G, [0.0], 0.25, 0.5).values,
     }
-    trace_only = {"boundary_slope"}
     for name, call in calls.items():
         ref = call(f)
         np.testing.assert_array_equal(call([f]), ref, err_msg=name)
         np.testing.assert_array_equal(call((f,)), ref, err_msg=name)
-        if name in trace_only:
-            np.testing.assert_array_equal(call((g, f.trace)), ref, err_msg=name)
-            np.testing.assert_array_equal(call((g, f.trace[None])), ref, err_msg=name)
-    for name in ("weiss_energy", "weiss_curve"):
-        with pytest.raises(ValueError, match="needs extension fields"):
-            calls[name]((g, f.trace))
-    for bad in ([], [f.trace], (g, np.zeros(5))):
+    other = exact_field(g, 12, 4.0, 0.5)
+    for bad in ([], [f.trace], [f, other]):
         with pytest.raises(ValueError):
             boundary_slope(bad, [0.0], [1.0], p)
 
 
-def test_trace_pair_is_the_y0_slice_of_the_blow_up():
-    g = BoxGrid(1, -1.0, 1.0, 64)
-    f = exact_field(g, 24, 4.0, 0.5)
-    full = blow_up_rescale(f, [0.0], 0.25, 0.5)
-    pair = blow_up_rescale((g, f.trace), [0.0], 0.25, 0.5)
-    assert pair.y_levels.tolist() == [0.0]
-    np.testing.assert_allclose(pair.values[:, 0], full.values[:, 0], rtol=0, atol=1e-15)
-
-
-def test_flatness_and_classify_accept_a_trace_pair():
+def test_a_trace_pair_is_not_a_fields_argument():
+    """Every function that takes fields rejects a (grid, trace) pair: the
+    diagnostics act on the extension, not on its y = 0 trace."""
     p = FracParams(1, 0.5, 1.0)
-    g = BoxGrid(1, -1.0, 1.0, 256)
-    f = exact_field(g, 64, 4.0, 0.5, scale=slope_constant(1.0, 0.5))
-    pair = (g, f.trace)
-    eps, nu, fvec = flatness(pair, [0.0], 0.25, p)
-    assert eps <= 0.05 and nu.tolist() == [1.0] and fvec.tolist() == [1.0]
-    cfg = ClassifierConfig(r_max=0.5, num_radii=6)
-    pc = classify(half_line_domain(g), pair, [0.0], cfg, p, [-1.0])  # outward normal
-    assert pc.label == "regular"
-    assert pc.flatness == flatness(pair, [0.0], pc.radii[0], p)[0]
-    assert pc.slope == boundary_slope(f, [0.0], [1.0], p) > 0
+    g = BoxGrid(1, -1.0, 1.0, 64)
+    pair = (g, exact_field(g, 24, 4.0, 0.5).trace)
+    calls = (
+        lambda G: weiss_curve(G, [0.0], [0.2, 0.25, 0.3, 0.35], p),
+        lambda G: flatness(G, [0.0], 0.25, p),
+        lambda G: boundary_slope(G, [0.0], [1.0], p),
+        lambda G: blow_up_rescale(G, [0.0], 0.25, 0.5),
+        lambda G: classify(half_line_domain(g), G, [0.0], ClassifierConfig(), p, [-1.0]),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match="fields must be an ExtensionField"):
+            call(pair)
 
 
 # -- batched evaluation against per-direction, per-level and per-radius loops
@@ -414,7 +419,7 @@ def loop_weiss(fields, x0, radii, p):
     supp = _trace_support([f.trace for f in fields], 1e-12).ravel()
     out = []
     for r in radii:
-        e = sum(ball_energy(f, x0, r) for f in fields)
+        e = sum(_ball_energies(f, x0, [r])[0] for f in fields)
         inside = ((grid.node_coords() - x0[None, :]) ** 2).sum(axis=1) < r * r
         meas = grid.h**n * int(np.sum(inside & supp))
         pts = np.column_stack([x0[None, :] + r * dirs[:, :n], r * dirs[:, n]])
@@ -446,7 +451,7 @@ def test_batched_diagnostics_equal_their_loops(n, count):
     radii = np.array([5.0, 6.0, 7.0, 8.5]) * h
     ref = loop_weiss(fields, x0, radii, p)
     np.testing.assert_array_equal(weiss_curve(fields, x0, radii[::-1], p).values, ref)
-    assert [weiss_energy(fields, x0, r, p) for r in radii] == ref.tolist()
+    assert [weiss_curve(fields, x0, [r], p).values[0] for r in radii] == ref.tolist()
 
 
 def test_flatness_returns_the_first_of_equal_directions(monkeypatch):
@@ -468,7 +473,7 @@ def test_weiss_energy_keeps_its_guards_and_empty_support():
     with pytest.raises(GeometryError, match="design box"):
         weiss_curve(fields, [0.9, 0.0], [0.3, 0.35], p)
     zero = [ExtensionField(fields[0].slab, np.zeros_like(fields[0].values))]
-    assert weiss_energy(zero, [0.0, 0.0], 0.3, p) == 0.0
+    assert weiss_curve(zero, [0.0, 0.0], [0.3], p).values.tolist() == [0.0]
     assert weiss_curve(zero, [0.0, 0.0], [0.3, 0.4], p).values.tolist() == [0.0, 0.0]
 
 

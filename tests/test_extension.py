@@ -19,7 +19,6 @@ from fraclab.extension import (
     _conductances,
     _dst1,
     _multilinear_at,
-    ball_energy,
     extend,
     extension_energy,
     neumann_trace,
@@ -329,7 +328,7 @@ def test_stencil_matches_edge_by_edge_oracle(n, cells, J, a):
             if sum((m - o) ** 2 for m, o in zip(mid, center + [0.0])) < r * r
         )
         assert want > 0
-        assert ball_energy(f, center, r) == pytest.approx(want, rel=1e-13)
+        assert _ball_energies(f, center, [r])[0] == pytest.approx(want, rel=1e-13)
 
 
 def test_trace_property_roundtrip():
@@ -539,7 +538,7 @@ def test_ball_energy_splits_total():
         for center, radii in balls:
             center = np.atleast_1d(center)
             got = _ball_energies(f, center, radii)
-            assert got.tolist() == [ball_energy(f, center, r) for r in radii]
+            assert got.tolist() == [_ball_energies(f, center, [r])[0] for r in radii]
             for r, e in zip(radii, got):
                 want = sum(c * (v[p] - v[q]) ** 2 for p, q, c, mid in edges
                            if sum((m - o) ** 2 for m, o in zip(mid, [*center, 0.0])) < r * r)

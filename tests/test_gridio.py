@@ -81,6 +81,19 @@ def test_fields_shape_mismatch_raises(tmp_path):
         write_fields(tmp_path / "bad.frlb", g, np.zeros(7))
 
 
+def test_a_fields_file_holds_at_least_one_field(tmp_path):
+    """write_fields refuses m = 0, and read_fields rejects such a file."""
+    g = BoxGrid(1, 0.0, 1.0, 16)
+    path = tmp_path / "f.frlb"
+    with pytest.raises(ValueError, match="at least one field"):
+        write_fields(path, g, np.zeros((0,) + g.node_shape))
+    assert not path.exists()
+    write_fields(path, g, np.zeros(g.node_shape))
+    path.write_bytes(path.read_bytes()[: -8 * g.num_nodes - 4] + struct.pack("<I", 0))
+    with pytest.raises(CompatibilityError, match="holds no fields"):
+        read_fields(path)
+
+
 def test_slab_roundtrip(tmp_path):
     p = FracParams(1, 0.5, 1.0)
     g = BoxGrid(1, -2.0, 2.0, 24)

@@ -5,7 +5,7 @@ Submodules
 constants      closed-form kernel/extension constants and the one-plane profile
 grids          uniform box grids and pixel (node-mask) domains
 nonlocal_form  discrete fractional stiffness forms on pixel domains
-eigen          lowest-m Dirichlet eigenpairs and the shape objective
+eigen          lowest-m Dirichlet eigenpairs
 extension      weighted slab extension, energies, Neumann traces
 shape_opt      greedy/annealed mask optimization
 diagnostics    free-boundary diagnostics: blow-up rescaling, density, Weiss
@@ -26,7 +26,7 @@ from .constants import (
 )
 from .grids import BoxGrid, ThinDomain, ball_domain, interval_domain, mask_from_indices
 from .nonlocal_form import StiffnessForm, assemble_form, kernel_table, seminorm
-from .eigen import EigenBundle, lowest_eigenpairs, objective
+from .eigen import EigenBundle, lowest_eigenpairs
 from .extension import (
     ExtensionField,
     SlabGrid,
@@ -67,7 +67,6 @@ __all__ = [
     "seminorm",
     "EigenBundle",
     "lowest_eigenpairs",
-    "objective",
     "ExtensionField",
     "SlabGrid",
     "extend",

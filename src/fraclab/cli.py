@@ -33,6 +33,19 @@ class UsageError(Exception):
     pass
 
 
+_GRID_KEYS = ("n", "cells", "lower", "upper")
+_PARAM_KEYS = ("n", "s", "lambda")
+# the config keys each command reads; any other key is a usage error
+_KEYS = {
+    "eig": {*_GRID_KEYS, *_PARAM_KEYS, "m", "domain"},
+    "extend": {*_PARAM_KEYS, "trace", "component", "J", "Y", "gamma"},
+    "optimize": {*_GRID_KEYS, *_PARAM_KEYS, "m", "move_kind", "schedule", "t0", "cooling",
+                 "steps", "restarts", "seed", "stale_limit"},
+    "diagnose": {*_PARAM_KEYS, "mask", "fields", "r_min_cells", "r_max_cells", "class_tol",
+                 "class_delta", "class_flat_threshold", "J", "Y"},
+}
+
+
 # -- config plumbing ---------------------------------------------------------
 
 
@@ -101,6 +114,9 @@ class _Run:
         self.args = args
         self.manifest = gridio.RunManifest(__version__, command, {})
         self.cfg, self._recorded_seed = self.input(args.config, _load_config)
+        unknown = sorted(set(self.cfg) - _KEYS[command])
+        if unknown:
+            raise UsageError(f"config keys unknown to {command}: {', '.join(unknown)}")
         self.manifest.config = dict(self.cfg)
 
     def input(self, path, read):
@@ -381,11 +397,13 @@ def cmd_diagnose(args):
     for k in sel:
         x0 = fb.points[k]
         xs = ",".join(_fmt(v) for v in x0)
-        rmax_geo = min(np.min(x0 - grid.lower), np.min(grid.upper - x0))
-        radii = [r for r in np.linspace(r_lo, r_hi, 4) if r < rmax_geo]
+        # the ladder's top is clipped as in `classify`; a point too near the
+        # wall for any ladder from r_min gets no rows
+        top = min(r_hi, 0.95 * min(np.min(x0 - grid.lower), np.min(grid.upper - x0)))
+        radii = np.linspace(r_lo, top, 4) if top >= r_lo else []
         for r in radii:
             dens_rows.append(f"{k},{xs},{_fmt(r)},{_fmt(diagnostics.density_ratio(dom, x0, r))}\n")
-        if len(radii) >= 4:
+        if len(radii):
             cur = diagnostics.weiss_curve(ext_fields, x0, radii, params, c_tilde=c_tilde)
             for r, w in zip(cur.radii, cur.values):
                 weiss_rows.append(f"{k},{xs},{_fmt(r)},{_fmt(w)}\n")

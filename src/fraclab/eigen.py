@@ -36,9 +36,7 @@ import numpy as np
 from scipy import linalg
 from scipy.linalg import lapack
 
-from .nonlocal_form import assemble_form
-
-__all__ = ["EigenBundle", "lowest_eigenpairs", "objective"]
+__all__ = ["EigenBundle", "lowest_eigenpairs"]
 
 _CLUSTER_GAP = 1e-10
 _TOL = 1e-11  # relative residual at which the Lanczos iteration stops
@@ -216,14 +214,3 @@ def _next_block(Q, W, b, rng):
         if norms[1] > 0.5 * norms[0]:
             new.append(w / norms[1])
     return np.asfortranarray(np.column_stack(new))
-
-
-def objective(domain, params, m):
-    """Shape objective: sum of the m lowest eigenvalues plus Lambda * measure."""
-    if domain.cell_count == 0:
-        raise ValueError("objective undefined on an empty domain")
-    if m > domain.cell_count:
-        raise ValueError("m exceeds the number of domain cells")
-    form = assemble_form(domain, params)
-    bundle = lowest_eigenpairs(form, m)
-    return float(bundle.lambdas.sum() + params.lambda_penalty * domain.measure)

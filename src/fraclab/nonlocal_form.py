@@ -329,14 +329,6 @@ class KernelTable:
         w = self.entries[tuple(slice(c + 1 - b, c + b) for b in field.shape)]
         return _valid_convolution(w, field)[at] + self.diagonal(idx) * x
 
-    def border(self, flat_indices, cells):
-        """What adding one of `cells` to a mask appends to its stiffness matrix.
-
-        Returns (B, alpha): column j of B holds the entries between the mask
-        nodes and cells[j], alpha[j] the diagonal entry of cells[j].
-        """
-        return self.block(flat_indices, cells), self.diagonal(cells)
-
 
 def kernel_table(grid, s):
     """A new KernelTable of the grid and order (a build takes milliseconds)."""

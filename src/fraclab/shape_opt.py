@@ -14,9 +14,9 @@ Annealing (Metropolis with geometric cooling, one candidate per step) scores
 each proposal alone, in scalars, from the carried form's m + 1 lowest pairs
 and T's resolvent, re-solving densely an accepted proposal or a decision
 within 1e-9 of its threshold.
-Both record what a dense solve of every candidate gives.
-Block-flip moves, the moves of a mask below m nodes (it has no form) and the
-local-optimality certificate are solved densely.
+Both record what a dense solve of every candidate gives. The local-optimality
+certificate is solved densely. A start mask below m nodes has no form and no
+finite objective: the run records it and ends aborted.
 Degenerate proposals (disconnecting or emptying the mask) are admissible.
 """
 
@@ -31,7 +31,7 @@ from .nonlocal_form import kernel_table
 
 __all__ = ["OptimizerConfig", "OptimizationTrace", "optimize"]
 
-_MOVE_KINDS = ("single-flip", "boundary-flip", "block-flip")
+_MOVE_KINDS = ("single-flip", "boundary-flip")
 _SCHEDULES = ("greedy", "anneal")
 # a root takes a few steps (at most 10 on the benchmark inputs); this bounds the loop
 _ROOT_STEPS = 128
@@ -106,9 +106,9 @@ class OptimizationTrace:
 class _Evaluator:
     """Objective evaluation shared across moves, against one kernel table.
 
-    `solve`/`objective` (a dense solve) reduce a mask's matrix to its
-    Householder form (`_Form`); `move_objectives` scores single-cell moves
-    from that form, or from it with every pair of T (`full_spectrum`).
+    `solve` (a dense solve) reduces a mask's matrix to its Householder form
+    (`_Form`); `move_objectives` scores single-cell moves from that form, or
+    from it with every pair of T (`full_spectrum`).
     `counts` tallies dense solves, secular move scores, full spectra of T,
     annealing guard-band re-solves, and the steps and midpoint fallbacks of
     the secular root iterations.
@@ -128,9 +128,6 @@ class _Evaluator:
         form = _Form(self.table.stiffness(idx), idx, self.m + 1)
         lams = form.lam[: self.m] / self.h**self.n
         return float(np.sum(lams) + self.Lambda * self.h**self.n * idx.size), lams, form
-
-    def objective(self, idx):
-        return self.solve(idx)[:2]
 
     def full_spectrum(self, form):
         """`form` with every pair of its T (divide and conquer, dstevd), in place."""
@@ -155,7 +152,7 @@ class _Evaluator:
         self.counts["secular"] += cells.size
         pos = np.searchsorted(idx, cells)
         add = idx[np.minimum(pos, d - 1)] != cells
-        B, alpha = self.table.border(idx, cells[add])
+        B, alpha = self.table.block(idx, cells[add]), self.table.diagonal(cells[add])
         V = form.qt(np.hstack([B, np.arange(d)[:, None] == pos[~add]]))
         roots = np.full((cells.size, m), np.inf)
         for sel, v, alpha in ((add, V[:, : B.shape[1]], alpha), (~add, V[:, B.shape[1]:], None)):
@@ -351,14 +348,6 @@ def _root_step(x, a, b, lo, hi, F, dF, fl, gl, alpha, norm, free):
     return lo, hi, new, abs(F) <= 8 * _EPS * noise, model
 
 
-def _neighbor_offsets(grid):
-    """Flat-index offsets of the 2n face neighbours of a node."""
-    stride = np.ones(grid.n, dtype=int)
-    for ax in range(grid.n - 2, -1, -1):
-        stride[ax] = stride[ax + 1] * grid.node_shape[ax + 1]
-    return np.stack([stride, -stride], axis=1).ravel()
-
-
 def _candidates(grid, mask_flat, kind):
     """Seed cells of admissible moves, sorted by flat index."""
     interior = grid.interior().ravel()
@@ -370,20 +359,10 @@ def _candidates(grid, mask_flat, kind):
     return np.flatnonzero(add | rem)
 
 
-def _apply_move(grid, mask_flat, seed_cell, kind):
+def _apply_move(mask_flat, cell):
+    """The mask with `cell` flipped."""
     new = mask_flat.copy()
-    if kind in ("single-flip", "boundary-flip"):
-        new[seed_cell] = ~new[seed_cell]
-        return new
-    offs = _neighbor_offsets(grid)
-    target = ~mask_flat[seed_cell]
-    interior = grid.interior().ravel()
-    block = [seed_cell]
-    for o in offs:
-        j = seed_cell + o
-        if 0 <= j < new.size and interior[j]:
-            block.append(j)
-    new[np.array(block)] = target
+    new[cell] = ~new[cell]
     return new
 
 
@@ -404,7 +383,7 @@ def _initial_mask(grid, config, rng, jitter):
         flips = edge[rng.random(edge.size) < 0.3]
         start[flips] = ~start[flips]
         start &= grid.interior().ravel()
-        if not start.any():
+        if start.sum() < config.m:
             start = unjittered
     return start
 
@@ -430,15 +409,13 @@ def optimize(design_box, config, params, should_stop=None):
             else:
                 stopped = _run_anneal(design_box, ev, config, mask, trace, restart,
                                       rng, should_stop)
-            if stopped:
-                trace.interrupted = True
+            trace.interrupted = stopped
+            if stopped or trace.aborted:
                 break
     except np.linalg.LinAlgError:
         trace.aborted = True
     trace.wall_time = time.perf_counter() - t_start
     trace.evaluations = dict(ev.counts)
-    if trace.best_mask is None and trace.records:
-        trace.aborted = True
     return trace
 
 
@@ -459,7 +436,7 @@ def _update_best(trace, design_box, mask_flat, obj, lams):
     if obj < trace.best_objective - 1e-15:
         trace.best_objective = float(obj)
         trace.best_mask = ThinDomain(design_box, mask_flat.reshape(design_box.node_shape).copy())
-        trace.best_lambdas = None if lams is None else np.array(lams)
+        trace.best_lambdas = np.array(lams)
 
 
 def _shortlist(scores):
@@ -471,40 +448,42 @@ def _shortlist(scores):
     return np.flatnonzero(scores <= low + 1e-9 * max(1.0, abs(low)))
 
 
+def _start(grid, ev, mask, trace, restart):
+    """The start mask's dense solve, recorded as iteration 0. A start below
+    m nodes has no form (and objective inf): the run is aborted."""
+    obj, lams, form = ev.solve(np.flatnonzero(mask))
+    _record(trace, restart, 0, obj, mask, lams, True, grid.h, grid.n)
+    _update_best(trace, grid, mask, obj, lams)
+    trace.aborted = form is None
+    return obj, lams, form
+
+
 def _run_greedy(grid, ev, config, mask, trace, restart, should_stop):
     h, n = grid.h, grid.n
-    kind = config.move_kind
-    obj, lams, form = ev.solve(np.flatnonzero(mask))
-    _record(trace, restart, 0, obj, mask, lams, True, h, n)
-    _update_best(trace, grid, mask, obj, lams)
+    obj, lams, form = _start(grid, ev, mask, trace, restart)
+    if form is None:
+        return False
     iteration = 0
     while True:
         if should_stop is not None and should_stop():
             return True
         iteration += 1
-        cands = _candidates(grid, mask, kind)
-        if kind == "block-flip" or form is None:
-            scores, near = None, range(cands.size)
-        else:
-            # secular scores pick the few candidates that can win; those are
-            # re-solved densely so the tie rule sees exactly the dense values
-            scores = ev.move_objectives(ev.full_spectrum(form), cands)
-            near = _shortlist(scores)
+        cands = _candidates(grid, mask, config.move_kind)
+        # secular scores pick the few candidates that can win; those are
+        # re-solved densely so the tie rule sees exactly the dense values
+        scores = ev.move_objectives(ev.full_spectrum(form), cands)
         best_i, best_obj, best_lams, best_new = -1, obj, lams, None
-        for i in near:
-            new = _apply_move(grid, mask, cands[i], kind)
+        for i in _shortlist(scores):
+            new = _apply_move(mask, cands[i])
             o, lms, f = ev.solve(np.flatnonzero(new))
             if o < best_obj - 1e-12:
                 best_i, best_obj, best_lams, best_new, form = i, o, lms, new, f
         if best_i < 0:
-            # no finite objective was found: there is no optimum to certify
-            trace.certified = bool(np.isfinite(obj)) and _certify(grid, ev, config, mask, obj)
+            trace.certified = _certify(grid, ev, config, mask, obj)
             return False
-        if scores is not None:
-            _check_secular(scores[best_i], best_obj, cands[best_i])
+        _check_secular(scores[best_i], best_obj, cands[best_i])
         # removing a cell cannot lower an eigenvalue (Cauchy interlacing)
-        if (best_new.sum() < mask.sum() and lams is not None and best_lams is not None
-                and np.any(np.asarray(best_lams) < np.asarray(lams) - 1e-9 * np.abs(lams))):
+        if best_new.sum() < mask.sum() and np.any(best_lams < lams - 1e-9 * np.abs(lams)):
             raise AssertionError("eigenvalue decreased after removing a cell")
         mask, obj, lams = best_new, best_obj, best_lams
         _record(trace, restart, iteration, obj, mask, lams, True, h, n)
@@ -519,8 +498,8 @@ def _check_secular(score, dense, cell):
 
 def _certify(grid, ev, config, mask, obj):
     for c in _candidates(grid, mask, config.move_kind):
-        new = _apply_move(grid, mask, c, config.move_kind)
-        o, _ = ev.objective(np.flatnonzero(new))
+        new = _apply_move(mask, c)
+        o = ev.solve(np.flatnonzero(new))[0]
         if o < obj - 1e-10:
             raise AssertionError(
                 f"local optimality certificate failed: cell {c} improves by {obj - o:.3e}"
@@ -531,9 +510,9 @@ def _certify(grid, ev, config, mask, obj):
 def _run_anneal(grid, ev, config, mask, trace, restart, rng, should_stop):
     h, n = grid.h, grid.n
     kind = config.move_kind
-    obj, lams, form = ev.solve(np.flatnonzero(mask))
-    _record(trace, restart, 0, obj, mask, lams, True, h, n)
-    _update_best(trace, grid, mask, obj, lams)
+    obj, lams, form = _start(grid, ev, mask, trace, restart)
+    if form is None:
+        return False
     T = config.t0
     stale = 0
     cands = _candidates(grid, mask, kind)
@@ -543,11 +522,8 @@ def _run_anneal(grid, ev, config, mask, trace, restart, rng, should_stop):
         if cands.size == 0:
             break
         c = cands[rng.integers(cands.size)]
-        new = _apply_move(grid, mask, c, kind)
-        if kind == "block-flip" or form is None:
-            accept, o, lms, f = _metropolis(ev, new, obj, T, rng)
-        else:
-            accept, o, lms, f = _secular_metropolis(ev, form, c, new, obj, T, rng)
+        new = _apply_move(mask, c)
+        accept, o, lms, f = _secular_metropolis(ev, form, c, new, obj, T, rng)
         if accept:
             mask, obj, lams, form = new, o, lms, f
             cands = _candidates(grid, mask, kind)

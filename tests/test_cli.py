@@ -227,6 +227,12 @@ def test_diagnose_marks_a_point_near_the_wall_undetermined(tmp_path):
     assert near[0]["label"] == "undetermined" and "no radius ladder" in near[0]["reason"]
     assert near[0]["density_limit"] is near[0]["flatness"] is near[0]["slope"] is None
     assert all(p["density_limit"] is not None for p in points if "reason" not in p)
+    # every other point gets its whole ladder, clipped to 0.95 of its wall
+    # distance as the classifier's is; the point with the reason gets no rows
+    for name in ("density.csv", "weiss.csv"):
+        rows = (tmp_path / "d" / name).read_text().splitlines()[1:]
+        per_point = [sum(r.startswith(f"{p['point']},") for r in rows) for p in points]
+        assert per_point == [0 if "reason" in p else 4 for p in points], name
 
 
 def test_diagnose_grid_mismatch(eig_out, tmp_path):
@@ -482,13 +488,14 @@ def test_missing_required_key(tmp_path, capsys):
     ("optimize", {**OPT_KEYS, "schedule": "foo"}),
     ("optimize", {**OPT_KEYS, "cooling": 2}),
     ("optimize", {**OPT_KEYS, "m": 40}),
+    ("optimize", {**OPT_KEYS, "move_kind": "block-flip"}),
     ("extend", {"n": 1, "s": 0.5, "J": 2}),
     ("extend", {"n": 1, "s": 0.5, "Y": 1.0}),
     ("diagnose", {"n": 1, "s": 0.5, "J": 2}),
     ("diagnose", {"n": 1, "s": 0.5, "r_max_cells": 2}),
     ("diagnose", {"n": 1, "s": 0.5, "r_max_cells": "nan"}),
 ], ids=["n3", "cells2", "m0", "m-too-large", "empty-interval", "bad-number",
-        "schedule-foo", "cooling2", "optimize-m-too-large", "J2", "Y-below-diameter", "diagnose-J2",
+        "schedule-foo", "cooling2", "optimize-m-too-large", "block-flip", "J2", "Y-below-diameter", "diagnose-J2",
         "r_max_cells2", "r_max_cells-nan"])
 def test_bad_config_values_are_usage_errors(eig_out, tmp_path, capsys, command, keys):
     keys = dict(keys)
@@ -499,6 +506,41 @@ def test_bad_config_values_are_usage_errors(eig_out, tmp_path, capsys, command, 
     cfg = write_cfg(tmp_path / "bad.cfg", **keys)
     assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert "usage error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["bogus_key", "stale_limt"])
+@pytest.mark.parametrize("command", ["eig", "extend", "optimize", "diagnose"])
+def test_unknown_config_key_is_a_usage_error(eig_out, tmp_path, monkeypatch, capsys,
+                                             command, key):
+    """A key the command does not read exits 2 and names the key, before any
+    solve and with nothing written under --out."""
+    def fail(*args, **kwargs):
+        raise AssertionError("a solve ran before the config keys were checked")
+
+    for target in ("fraclab.eigen.lowest_eigenpairs", "fraclab.extension.extend",
+                   "fraclab.shape_opt.optimize"):
+        monkeypatch.setattr(target, fail)
+    keys, _ = _manifest_run(command, eig_out)
+    cfg = write_cfg(tmp_path / "run.cfg", **keys, **{key: 3})
+    out = tmp_path / "o"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert f"usage error: config keys unknown to {command}: {key}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["eig", "extend", "optimize", "diagnose"])
+def test_accepted_config_keys_are_the_keys_read(eig_out, tmp_path, monkeypatch, command):
+    """The keys a command accepts are exactly those its run looks up."""
+    from fraclab import cli
+
+    read = set()
+    cfg_lookup = cli._cfg
+    monkeypatch.setattr(cli, "_cfg", lambda cfg, key, *a, **kw: read.add(key)
+                        or cfg_lookup(cfg, key, *a, **kw))
+    keys, _ = _manifest_run(command, eig_out)
+    cfg = write_cfg(tmp_path / "run.cfg", **keys)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    assert read == cli._KEYS[command]
 
 
 @pytest.mark.parametrize("text", [

@@ -8,7 +8,7 @@ from scipy import linalg
 
 from fraclab.checks import interval_bundle, scaling_defect
 from fraclab.constants import FracParams
-from fraclab.eigen import _next_block, lowest_eigenpairs, objective
+from fraclab.eigen import _next_block, lowest_eigenpairs
 from fraclab.grids import BoxGrid, ball_domain, interval_domain, mask_from_indices
 from fraclab.nonlocal_form import assemble_form
 
@@ -134,17 +134,6 @@ def test_ball_ground_state_2d():
     v = dom.full_field(bundle.vectors[0])
     np.testing.assert_allclose(v, v[::-1, :], atol=1e-7 * v.max())
     np.testing.assert_allclose(v, v.T, atol=1e-7 * v.max())
-
-
-def test_objective_combines_spectrum_and_measure():
-    g = BoxGrid(1, -2.0, 2.0, 64)
-    dom = interval_domain(g, -1.0, 1.0)
-    p = FracParams(1, 0.5, 2.5)
-    bundle = lowest_eigenpairs(assemble_form(dom, p), 2)
-    val = objective(dom, p, 2)
-    assert val == pytest.approx(bundle.lambdas.sum() + 2.5 * dom.measure, rel=1e-12)
-    with pytest.raises(ValueError):
-        objective(dom, p, dom.cell_count + 1)
 
 
 # -- block Lanczos against the dense LAPACK solver ------------------------------

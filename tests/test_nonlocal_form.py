@@ -107,7 +107,7 @@ def test_border_is_the_new_column_of_the_grown_stiffness(n, cells):
     table = kernel_table(g, 0.4)
     idx = ball_domain(g, np.zeros(n), 0.5).flat_indices
     outside = np.setdiff1d(np.flatnonzero(g.interior().ravel()), idx)
-    B, alpha = table.border(idx, outside)
+    B, alpha = table.block(idx, outside), table.diagonal(outside)
     if cells == 40:  # the grown matrices span two row blocks of the gather
         assert len(_row_blocks(idx.size + 1)) == 2
     for j, c in enumerate(outside):
@@ -280,7 +280,8 @@ def offset_weights(g, s):
 @pytest.mark.parametrize("n,cells", [(1, 1024), (2, 32)])
 def test_blocked_gather_matches_the_one_shot_gather_byte_for_byte(n, cells, s):
     """The gather of the negated weights over all pairs at once, the diagonal
-    written in, then scaled by c_ns: K and the border equal it byte for byte,
+    written in, then scaled by c_ns: K, an off-diagonal block and the
+    diagonal entries of its columns' nodes equal it byte for byte,
     on shuffled node subsets around the size where one row block stops
     holding all of K, and on the whole interior (several blocks)."""
     g = BoxGrid(n, -1.0, 1.0, cells)
@@ -295,7 +296,7 @@ def test_blocked_gather_matches_the_one_shot_gather_byte_for_byte(n, cells, s):
         ref[np.arange(d), np.arange(d)] = table.row_sums[idx] + table.tail[idx]
         ref *= table.c_ns
         assert table.stiffness(idx).tobytes() == ref.tobytes(), d
-        B, alpha = table.border(idx[: d // 2], idx[d // 2:])
+        B, alpha = table.block(idx[: d // 2], idx[d // 2:]), table.diagonal(idx[d // 2:])
         assert B.tobytes() == ref[: d // 2, d // 2:].tobytes(), d
         assert alpha.tobytes() == np.diagonal(ref)[d // 2:].tobytes(), d
 

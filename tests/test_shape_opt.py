@@ -106,7 +106,7 @@ def test_certificate_rejects_suboptimal_mask():
     ev = _Evaluator(g, p, cfg.m, cfg.Lambda)
     small = interval_domain(g, -0.2, 0.2)  # far short of the optimum
     flat = small.mask.ravel().copy()
-    obj, _ = ev.objective(np.flatnonzero(flat))
+    obj = ev.solve(np.flatnonzero(flat))[0]
     with pytest.raises(AssertionError):
         _certify(g, ev, cfg, flat, obj)
 
@@ -139,7 +139,7 @@ def test_secular_move_objectives_match_dense(n, cells, s, m):
             continue  # an empty mask has no form
         got = ev.move_objectives(ev.full_spectrum(_Form(ev.table.stiffness(idx), idx, m + 1)),
                                  flips)
-        want = np.array([ev.objective(np.flatnonzero(_apply_move(g, mask, c, "single-flip")))[0]
+        want = np.array([ev.solve(np.flatnonzero(_apply_move(mask, c)))[0]
                          for c in flips])
         small = np.isin(flips, idx) & (idx.size - 1 < m)
         assert np.all(np.isinf(want[small])) and np.all(np.isinf(got[small])), name
@@ -200,7 +200,7 @@ def test_single_move_score_matches_dense(n, cells, s, m):
             continue
         form = _Form(ev.table.stiffness(idx), idx, m + 1)
         got = np.array([ev.move_objectives(form, np.array([c]))[0] for c in flips])
-        want = np.array([ev.objective(np.flatnonzero(_apply_move(g, mask, c, "single-flip")))[0]
+        want = np.array([ev.solve(np.flatnonzero(_apply_move(mask, c)))[0]
                          for c in flips])
         small = np.isin(flips, idx) & (idx.size - 1 < m)
         assert np.all(np.isinf(want[small])) and np.all(np.isinf(got[small])), name
@@ -226,7 +226,7 @@ def test_vanishing_weight_poles_deflate_in_a_few_steps(monkeypatch):
     monkeypatch.setattr(shape_opt, "_ROOT_STEPS", 10)
     batch = ev.move_objectives(dec, idx)
     single = np.array([ev.move_objectives(form, np.array([c]))[0] for c in idx])
-    want = np.array([ev.objective(np.setdiff1d(idx, [c]))[0] for c in idx])
+    want = np.array([ev.solve(np.setdiff1d(idx, [c]))[0] for c in idx])
     assert np.max(np.abs(batch - want) / want) <= 1e-12
     assert np.max(np.abs(single - want) / want) <= 1e-12
 
@@ -286,7 +286,7 @@ def test_seed_disk_has_a_double_eigenvalue():
     g = BoxGrid(2, -1.0, 1.0, 12)
     ev = _Evaluator(g, FracParams(2, 0.5, 1.0), 3, 1.0)
     seed = _initial_mask(g, OptimizerConfig(m=3), None, jitter=False)
-    lam = ev.objective(np.flatnonzero(seed))[1]
+    lam = ev.solve(np.flatnonzero(seed))[1]
     assert lam[2] - lam[1] < 1e-12 * lam[1] < lam[1] - lam[0]
 
 
@@ -295,7 +295,7 @@ def _dense_greedy(grid, cfg, params):
     ev = _Evaluator(grid, params, cfg.m, cfg.Lambda)
     h, n = grid.h, grid.n
     mask = _initial_mask(grid, cfg, None, jitter=False)
-    obj, lams = ev.objective(np.flatnonzero(mask))
+    obj, lams, _ = ev.solve(np.flatnonzero(mask))
     records = []
     while True:
         records.append({"restart": 0, "iteration": len(records), "objective": obj,
@@ -303,8 +303,8 @@ def _dense_greedy(grid, cfg, params):
                         "lambdas": tuple(float(v) for v in lams), "accepted": True})
         best, lowest = (obj, lams, None), obj
         for c in _candidates(grid, mask, cfg.move_kind):
-            new = _apply_move(grid, mask, c, cfg.move_kind)
-            o, lms = ev.objective(np.flatnonzero(new))
+            new = _apply_move(mask, c)
+            o, lms, _ = ev.solve(np.flatnonzero(new))
             lowest = min(lowest, o)
             if o < best[0] - 1e-12:
                 best = (o, lms, new)
@@ -385,21 +385,13 @@ def test_greedy_gathers_one_stiffness_per_dense_solve(monkeypatch, n, cells, m):
     assert len(gathers) == tr.evaluations["dense"]
 
 
-def test_block_flip_greedy_certifies():
-    cfg = OptimizerConfig(m=2, Lambda=10.0, schedule="greedy", move_kind="block-flip")
-    tr = optimize(BoxGrid(2, -1.0, 1.0, 16), cfg, FracParams(2, 0.5, 10.0))
-    assert tr.certified and len(tr.records) > 1
-    assert tr.evaluations["secular"] == 0 and tr.evaluations["full_eigh"] == 0
-    tr.check()
-
-
 def _dense_anneal(grid, cfg, params):
     """Reference annealing loop: every proposal solved densely."""
     ev = _Evaluator(grid, params, cfg.m, cfg.Lambda)
     h, n = grid.h, grid.n
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0]))
     mask = _initial_mask(grid, cfg, rng, jitter=False)
-    obj, lams = ev.objective(np.flatnonzero(mask))
+    obj, lams, _ = ev.solve(np.flatnonzero(mask))
     records, best = [], (np.inf, None, None)
     T, stale = cfg.t0, 0
     for step in range(cfg.steps + 1):
@@ -407,8 +399,8 @@ def _dense_anneal(grid, cfg, params):
             cands = _candidates(grid, mask, cfg.move_kind)
             if cands.size == 0:
                 break
-            new = _apply_move(grid, mask, cands[rng.integers(cands.size)], cfg.move_kind)
-            o, lms = ev.objective(np.flatnonzero(new))
+            new = _apply_move(mask, cands[rng.integers(cands.size)])
+            o, lms, _ = ev.solve(np.flatnonzero(new))
             delta = o - obj
             accept = delta < 0 or (np.isfinite(o)
                                    and rng.random() < np.exp(-delta / max(T, 1e-12)))
@@ -461,14 +453,6 @@ def test_anneal_equals_dense_anneal(case, kind, seed):
     assert accepted + 1 <= ev["dense"] <= accepted + ev["guard"] + 1, (ev, accepted)
 
 
-def test_block_flip_anneal_stays_dense():
-    cfg = OptimizerConfig(m=2, Lambda=10.0, schedule="anneal", move_kind="block-flip",
-                          steps=80, seed=0)
-    tr = optimize(BoxGrid(2, -1.0, 1.0, 16), cfg, FracParams(2, 0.5, 10.0))
-    assert not all(r["accepted"] for r in tr.records)
-    assert tr.evaluations["secular"] == 0 and tr.evaluations["full_eigh"] == 0
-
-
 class _FixedDraw:
     """Stand-in generator whose every uniform draw is `u`; counts the draws."""
 
@@ -490,8 +474,8 @@ def test_guard_band_is_decided_densely(gap, u_scale, accepted):
     ev = _Evaluator(g, FracParams(2, 0.5, 4.0), 2, 4.0)
     mask = _initial_mask(g, OptimizerConfig(m=2), None, jitter=False)
     cell = _candidates(g, mask, "boundary-flip")[0]
-    new = _apply_move(g, mask, cell, "boundary-flip")
-    o, lms = ev.objective(np.flatnonzero(new))
+    new = _apply_move(mask, cell)
+    o, lms, _ = ev.solve(np.flatnonzero(new))
     obj = o - gap  # the current objective the proposal is measured against
     rng = _FixedDraw(np.exp(-(o - obj) / T) * u_scale)
     got = _secular_metropolis(ev, ev.solve(np.flatnonzero(mask))[2], cell, new, obj, T, rng)
@@ -533,12 +517,11 @@ def test_anneal_trace_has_rejections():
 
 
 def test_move_kinds_run():
-    for kind in ("single-flip", "block-flip"):
-        cfg = OptimizerConfig(m=1, Lambda=2.3, schedule="anneal", move_kind=kind,
-                              steps=60, seed=0, stale_limit=100)
-        tr = optimize(bench_grid(), cfg, bench_params())
-        assert np.isfinite(tr.best_objective)
-        assert tr.best_mask.cell_count > 0
+    cfg = OptimizerConfig(m=1, Lambda=2.3, schedule="anneal", move_kind="single-flip",
+                          steps=60, seed=0, stale_limit=100)
+    tr = optimize(bench_grid(), cfg, bench_params())
+    assert np.isfinite(tr.best_objective)
+    assert tr.best_mask.cell_count > 0
 
 
 def test_restarts_explore_and_keep_best():
@@ -574,6 +557,45 @@ def test_initial_mask_override_used():
     tr = optimize(g, cfg, bench_params())
     first = tr.records[0]
     assert first["measure"] == pytest.approx(g.h * init.sum())
+
+
+def _two_node_mask(g):
+    init = np.zeros(g.node_shape, dtype=bool)
+    init[6, 6] = init[6, 7] = True
+    return init
+
+
+@pytest.mark.parametrize("schedule", ["greedy", "anneal"])
+def test_start_below_m_nodes_aborts_at_once(schedule):
+    """A start below m nodes has no form: it is recorded with objective inf,
+    the run is aborted before any move, and no restart follows. Its solve
+    returns before a dense reduction, so no dense solve is counted."""
+    g = BoxGrid(2, -1.0, 1.0, 12)
+    cfg = OptimizerConfig(m=3, Lambda=4.0, schedule=schedule, restarts=2, steps=50,
+                          initial_mask=_two_node_mask(g))
+    tr = optimize(g, cfg, FracParams(2, 0.5, 4.0))
+    assert len(tr.records) == 1 and tr.records[0]["objective"] == np.inf
+    assert tr.aborted and not tr.certified and tr.best_mask is None
+    assert tr.evaluations["dense"] == 0 and tr.evaluations["secular"] == 0
+
+
+def test_jittered_restart_below_m_nodes_uses_the_unjittered_start():
+    g = BoxGrid(2, -1.0, 1.0, 12)
+    init = _two_node_mask(g)
+    cfg = OptimizerConfig(m=2, Lambda=4.0, schedule="greedy", seed=20, restarts=2,
+                          initial_mask=init)
+    # the jitter of restart 1 at seed 20 leaves one node of the two
+    rng = np.random.default_rng(np.random.SeedSequence([20, 1]))
+    edge = _candidates(g, init.ravel(), "boundary-flip")
+    jittered = init.ravel() ^ np.isin(np.arange(init.size), edge[rng.random(edge.size) < 0.3])
+    assert (jittered & g.interior().ravel()).sum() == 1
+    rng = np.random.default_rng(np.random.SeedSequence([20, 1]))
+    assert np.array_equal(_initial_mask(g, cfg, rng, jitter=True), init.ravel())
+    tr = optimize(g, cfg, FracParams(2, 0.5, 4.0))
+    assert not tr.aborted and tr.certified
+    starts = [r for r in tr.records if r["iteration"] == 0]
+    assert [r["restart"] for r in starts] == [0, 1]
+    assert starts[1] == {**starts[0], "restart": 1}
 
 
 def test_multi_eigenvalue_objective_runs():

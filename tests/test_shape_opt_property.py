@@ -121,7 +121,7 @@ def test_single_move_score_matches_dense_solve(n, s, m, seed, mirror, data):
     got = ev.move_objectives(_Form(ev.table.stiffness(idx), idx, m + 1), np.array([cell]))[0]
     new = mask.copy()
     new[cell] = ~new[cell]
-    want = ev.objective(np.flatnonzero(new))[0]
+    want = ev.solve(np.flatnonzero(new))[0]
     if np.isinf(want):
         assert np.isinf(got)
     else:

@@ -13,7 +13,7 @@ from fraclab.constants import FracParams
 from fraclab.eigen import lowest_eigenpairs
 from fraclab.extension import SlabGrid, extend, extension_energy, neumann_trace
 from fraclab.grids import BoxGrid, interval_domain
-from fraclab.nonlocal_form import assemble_form, kernel_table
+from fraclab.nonlocal_form import KernelTable, assemble_form
 
 
 def bump(x, seed=7):
@@ -33,8 +33,9 @@ for s in (0.3, 0.5, 0.7):
         x = g.axis_nodes()
         u = bump(x)
         ii = np.flatnonzero(g.interior().ravel())
-        q = float(u[ii] @ kernel_table(g, s).stiffness(ii) @ u[ii])
-        E = extension_energy(extend(u, SlabGrid(g, J, a=p.a, Y=Y)))
+        q = float(u[ii] @ KernelTable(g, s).product(ii, u[ii]))
+        (f,) = extend([u], SlabGrid(g, J, a=p.a, Y=Y))
+        E = extension_energy(f)
         print(f"  cells={cells:5d} J={J:3d} Y={Y}: q={q:.6f} "
               f"d_s E={p.d_s * E:.6f}  mismatch {abs(p.d_s * E - q) / q:7.4%}")
 
@@ -45,7 +46,7 @@ g = BoxGrid(1, -2.0, 2.0, 256)
 dom = interval_domain(g, -1.0, 1.0)
 bundle = lowest_eigenpairs(assemble_form(dom, p), 1)
 v1 = bundle.full_fields()[0]
-f = extend(v1, SlabGrid(g, 48, a=0.0, Y=4.0))
+(f,) = extend([v1], SlabGrid(g, 48, a=0.0, Y=4.0))
 nt, flags = neumann_trace(f)
 target = (bundle.lambdas[0] / p.d_s) * v1
 on = dom.mask.ravel()

@@ -46,7 +46,7 @@ for Lam in (1.5, 2.3, 3.5):
     tr = optimize(g, OptimizerConfig(m=1, Lambda=Lam, schedule="greedy", seed=3), p)
     dom = tr.best_mask
     bundle = lowest_eigenpairs(assemble_form(dom, p), 1)
-    f = extend(bundle.full_fields()[0], SlabGrid(g, 96, a=p.a, Y=4.0))
+    (f,) = extend(bundle.full_fields()[:1], SlabGrid(g, 96, a=p.a, Y=4.0))
     fb = free_boundary_set(dom)
     H = holder_estimate(g, np.abs(f.trace), s)
     target = slope_constant(Lam, s)
@@ -82,8 +82,7 @@ print()
 print("== pixel-disk classification ==")
 dom3 = ball_domain(BoxGrid(2, -1.0, 1.0, 64), [0.0, 0.0], 0.6)
 bundle3 = lowest_eigenpairs(assemble_form(dom3, p2), 1)
-fields3 = [extend(v, SlabGrid(dom3.grid, 24, a=0.0, Y=4.0))
-           for v in bundle3.full_fields()]
+fields3 = extend(bundle3.full_fields(), SlabGrid(dom3.grid, 24, a=0.0, Y=4.0))
 fb3 = free_boundary_set(dom3)
 cfg = ClassifierConfig(flat_threshold=1.0)  # flatness floor ~sqrt(h/r) here
 counts = {}

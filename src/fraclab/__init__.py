@@ -25,7 +25,7 @@ from .constants import (
     unit_ball_volume,
 )
 from .grids import BoxGrid, ThinDomain, ball_domain, interval_domain, mask_from_indices
-from .nonlocal_form import StiffnessForm, assemble_form, kernel_table, seminorm
+from .nonlocal_form import KernelTable, StiffnessForm, assemble_form, seminorm
 from .eigen import EigenBundle, lowest_eigenpairs
 from .extension import (
     ExtensionField,
@@ -61,9 +61,9 @@ __all__ = [
     "ball_domain",
     "interval_domain",
     "mask_from_indices",
+    "KernelTable",
     "StiffnessForm",
     "assemble_form",
-    "kernel_table",
     "seminorm",
     "EigenBundle",
     "lowest_eigenpairs",

@@ -53,11 +53,11 @@ def scaling_defect(s, cells, m, half=1.0):
 
 def energy_mismatch(traces, slab, s):
     """Relative mismatch |d_s E - q| / q of each trace: E the energy of its
-    extension into `slab`, q its discrete form u^T K u. The traces share the
-    slab's factorization and one stiffness matrix."""
+    extension into `slab`, q its discrete form u^T K u. The traces are
+    extended in one call, and K u is the kernel table's FFT product."""
     inner = np.flatnonzero(slab.base.interior().ravel())
-    K = nonlocal_form.kernel_table(slab.base, s).stiffness(inner)
-    traces = [np.asarray(u, dtype=float) for u in traces]
-    q = np.array([u.ravel()[inner] @ K @ u.ravel()[inner] for u in traces])
-    E = np.array([extension.extension_energy(extension.extend(u, slab)) for u in traces])
+    table = nonlocal_form.KernelTable(slab.base, s)
+    u = [np.asarray(t, dtype=float).ravel()[inner] for t in traces]
+    q = np.array([ui @ table.product(inner, ui) for ui in u])
+    E = np.array([extension.extension_energy(f) for f in extension.extend(traces, slab)])
     return np.abs(constants.extension_constant(s) * E - q) / q

@@ -161,13 +161,15 @@ class _Run:
         self.manifest.save(os.path.join(self.args.out, "manifest.json"))
 
 
-def _extend(trace, slab, path):
-    """extension.extend of a trace read from `path`; a trace it rejects (not
-    finite, or nonzero on the boundary ring) is an input error."""
-    try:
-        return extension.extend(trace, slab)
-    except ValueError as exc:
-        raise gridio.CompatibilityError(f"{path}: {exc}") from None
+def _extend(traces, slab):
+    """extension.extend of (trace, path) pairs in one call; a trace it would reject
+    (not finite, or nonzero on the boundary ring) is an input error naming its file."""
+    for trace, path in traces:
+        try:
+            extension._check_trace(trace, slab.base)
+        except ValueError as exc:
+            raise gridio.CompatibilityError(f"{path}: {exc}") from None
+    return extension.extend([trace for trace, _ in traces], slab)
 
 
 def _domain_from(run, grid):
@@ -256,7 +258,7 @@ def cmd_extend(args):
     Y = _cfg(run.cfg, "Y", float, None)
     gamma = _cfg(run.cfg, "gamma", float, None)
     slab = _checked(extension.SlabGrid, grid, J, a=params.a, Y=Y, gamma=gamma)
-    fld = run.timed("solve", _extend, fields[comp], slab, trace_path)
+    (fld,) = run.timed("solve", _extend, [(fields[comp], trace_path)], slab)
     energy = extension.extension_energy(fld)
     nt, flags = extension.neumann_trace(fld)
     gridio.write_slab_field(run.output("slab.frlb"), fld)
@@ -307,8 +309,9 @@ def cmd_optimize(args):
         seed=run.seed(),
         stale_limit=_cfg(cfg, "stale_limit", int, 200),
     )
-    if ocfg.m > grid.interior().sum():
-        raise UsageError(f"m = {ocfg.m} exceeds the design box's interior nodes")
+    start = int(shape_opt._initial_mask(grid, ocfg, None, jitter=False).sum())
+    if ocfg.m > start:
+        raise UsageError(f"m = {ocfg.m} exceeds the {start} nodes of the start mask")
     stop_flag = threading.Event()
     previous = {}
 
@@ -385,7 +388,7 @@ def cmd_diagnose(args):
     J = _cfg(cfg, "J", int, 32)
     Y = _cfg(cfg, "Y", float, None)
     slab = _checked(extension.SlabGrid, grid, J, a=params.a, Y=Y)
-    ext_fields = [_extend(tr, slab, fp) for tr, fp in traces]
+    ext_fields = _extend(traces, slab)
     c_tilde = extension._c_tilde(ext_fields, params)
     xcols = ",".join(f"x{i}" for i in range(grid.n))
     weiss_rows = [f"# point,{xcols},r,W\n"]
@@ -397,9 +400,8 @@ def cmd_diagnose(args):
     for k in sel:
         x0 = fb.points[k]
         xs = ",".join(_fmt(v) for v in x0)
-        # the ladder's top is clipped as in `classify`; a point too near the
-        # wall for any ladder from r_min gets no rows
-        top = min(r_hi, 0.95 * min(np.min(x0 - grid.lower), np.min(grid.upper - x0)))
+        # a point too near the wall for any ladder from r_min gets no rows
+        top = diagnostics._ladder_top(grid, x0, r_hi)
         radii = np.linspace(r_lo, top, 4) if top >= r_lo else []
         for r in radii:
             dens_rows.append(f"{k},{xs},{_fmt(r)},{_fmt(diagnostics.density_ratio(dom, x0, r))}\n")

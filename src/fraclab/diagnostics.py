@@ -425,6 +425,12 @@ class PointClassification:
         return True
 
 
+def _ladder_top(grid, x0, r_max):
+    """A radius ladder's top at x0: r_max, clipped to 0.95 of the wall distance."""
+    wall = min(np.min(x0 - grid.lower), np.min(grid.upper - x0))
+    return min(r_max, 0.95 * wall)
+
+
 def classify(mask, G_fields, x0, config, params, normal):
     """Classify a free-boundary point as regular / singular / undetermined.
 
@@ -441,11 +447,10 @@ def classify(mask, G_fields, x0, config, params, normal):
     grid = mask.grid
     x0v = np.atleast_1d(np.asarray(x0, dtype=float))
     h = grid.h
-    wall = min(np.min(x0v - grid.lower), np.min(grid.upper - x0v))
-    r_lo = 5.0 * h
-    r_hi = min(12.0 * h if config.r_max is None else config.r_max, 0.95 * wall)
+    r_lo = WEISS_FLOOR_CELLS * h
+    r_hi = _ladder_top(grid, x0v, 12.0 * h if config.r_max is None else config.r_max)
     if not r_hi > r_lo:
-        raise GeometryError(f"no radius ladder above 5h = {r_lo:g} fits: "
+        raise GeometryError(f"no radius ladder above {WEISS_FLOOR_CELLS}h = {r_lo:g} fits: "
                             f"the largest radius is {r_hi:g}")
     radii = np.geomspace(r_lo, r_hi, config.num_radii)
     ratios = np.array([density_ratio(mask, x0v, r) for r in radii])

@@ -15,12 +15,12 @@ The extension solve is separable. On the free nodes (interior x-nodes times
 levels 1..J-1) the operator is h^(n-2) L_x (x) diag(w) + I (x) T_y, with L_x the
 Dirichlet lattice Laplacian and T_y the tridiagonal vertical part. The
 orthonormal DST-I diagonalises L_x, so in sine coordinates the operator splits
-into one tridiagonal block per mode. The block-diagonal matrix is factored
-once per slab by one sparse LU in natural order, whose fill is about four
-entries per unknown; each extend is then a DST of the trace, one LU solve and
-an inverse DST (sine-matrix products, O(N M) for N slab nodes and M nodes per
-axis). The method is exact: the result agrees with a direct sparse solve of
-the assembled system up to roundoff.
+into one tridiagonal block per mode. Each extend call factors it once for all
+its traces by one sparse LU in natural order (fill about four per unknown);
+each trace then costs a DST, one LU solve and an inverse DST (sine-matrix
+products, O(N M) for N slab nodes and M nodes per axis). The slab holds only
+geometry. The method is exact: the result agrees with a direct sparse solve
+of the assembled system up to roundoff.
 """
 
 import functools
@@ -83,11 +83,6 @@ class SlabGrid:
         self.gamma = float(gamma)
         self.a = a
         self.y_nodes = self.Y * (np.arange(J + 1) / J) ** self.gamma
-        self._lu = None
-
-    @property
-    def num_nodes(self):
-        return self.base.num_nodes * (self.J + 1)
 
     def values_shape(self):
         return self.base.node_shape + (self.J + 1,)
@@ -104,26 +99,6 @@ class SlabGrid:
         w_cv = (y_half[1:] ** (1.0 + a) - y_half[:-1] ** (1.0 + a)) / (1.0 + a)
         return self.base.h**self.base.n / res, w_cv
 
-    def _modal_lu(self):
-        """LU of the extension operator in DST-I coordinates, built on first use.
-
-        Unknowns are ordered mode-major, level-minor (levels 1..J-1); mode k
-        of the Dirichlet lattice Laplacian on the interior x-nodes has the
-        eigenvalue sum over axes of 2 - 2 cos(pi k / cells_per_axis).
-        """
-        if self._lu is None:
-            base = self.base
-            N = base.cells_per_axis
-            lam1 = 2.0 - 2.0 * np.cos(np.pi * np.arange(1, N) / N)
-            mu = functools.reduce(np.add.outer, [lam1] * base.n).ravel()
-            cv, w_cv = self._level_conductances()
-            diag = cv[:-1] + cv[1:] + base.h ** (base.n - 2) * np.outer(mu, w_cv[1:-1])
-            # one tridiagonal block per mode: the zero ends each block's coupling
-            off = np.tile(np.append(-cv[1:-1], 0.0), mu.size)[:-1]
-            A = sparse.diags([diag.ravel(), off, off], [0, -1, 1], format="csc")
-            self._lu = sla.splu(A, permc_spec="NATURAL")
-        return self._lu
-
     def control_bounds(self):
         """Control-volume bounds in y: midpoints between levels, closed at 0 and Y."""
         y = self.y_nodes
@@ -135,6 +110,25 @@ class SlabGrid:
         mask[..., 0] = mask[..., -1] = True
         mask[~self.base.interior()] = True
         return mask
+
+
+def _modal_lu(slab):
+    """LU of the slab's extension operator in DST-I coordinates.
+
+    Unknowns are ordered mode-major, level-minor (levels 1..J-1); mode k
+    of the Dirichlet lattice Laplacian on the interior x-nodes has the
+    eigenvalue sum over axes of 2 - 2 cos(pi k / cells_per_axis).
+    """
+    base = slab.base
+    N = base.cells_per_axis
+    lam1 = 2.0 - 2.0 * np.cos(np.pi * np.arange(1, N) / N)
+    mu = functools.reduce(np.add.outer, [lam1] * base.n).ravel()
+    cv, w_cv = slab._level_conductances()
+    diag = cv[:-1] + cv[1:] + base.h ** (base.n - 2) * np.outer(mu, w_cv[1:-1])
+    # one tridiagonal block per mode: the zero ends each block's coupling
+    off = np.tile(np.append(-cv[1:-1], 0.0), mu.size)[:-1]
+    A = sparse.diags([diag.ravel(), off, off], [0, -1, 1], format="csc")
+    return sla.splu(A, permc_spec="NATURAL")
 
 
 def _conductances(slab):
@@ -189,15 +183,12 @@ class ExtensionField:
     def trace(self):
         return self.values[..., 0]
 
-    def interp(self, points):
-        """Multilinear interpolation at (k, n+1) points (x..., y); y may be 0."""
-        return _interp([self], points)[0]
-
 
 def _interp(fields, points):
-    """ExtensionField.interp of each of the fields, which share one slab
-    layout: the bounds checks, level search and cell weights are set up once,
-    then each field costs one gather."""
+    """Multilinear interpolation of each of the fields, which share one slab
+    layout, at (k, n+1) points (x..., y); y may be 0. The bounds checks,
+    level search and cell weights are set up once, then each field costs one
+    gather."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     slab = fields[0].slab
     if pts.shape[1] != slab.base.n + 1:
@@ -289,14 +280,8 @@ def _dst1(x, n):
     return x
 
 
-def extend(trace, slab):
-    """Extend thin-space Dirichlet data into the slab.
-
-    trace : full node array on slab.base (must vanish on the lateral ring).
-    Returns the ExtensionField; an identically-zero trace short-circuits to
-    the zero field.
-    """
-    base = slab.base
+def _check_trace(trace, base):
+    """The trace as a float array; ValueError unless finite, on `base`, zero on its ring."""
     trace = np.asarray(trace, dtype=float)
     if trace.shape != base.node_shape:
         raise ValueError("trace shape does not match the slab footprint")
@@ -304,18 +289,30 @@ def extend(trace, slab):
         raise ValueError("trace has non-finite values")
     if np.any(trace[~base.interior()] != 0):
         raise ValueError("trace must vanish on the design-box boundary ring")
-    vals = np.zeros(slab.values_shape())
-    vals[..., 0] = trace
-    if not np.any(trace):
-        return ExtensionField(slab, vals)
-    inner = (slice(1, -1),) * base.n
+    return trace
+
+
+def extend(traces, slab):
+    """One ExtensionField per trace: each a full node array on slab.base that
+    vanishes on the lateral ring, all checked before anything is solved. The
+    operator is factored once per call, and only if some trace is nonzero; a
+    zero trace short-circuits to the zero field."""
+    traces = [_check_trace(trace, slab.base) for trace in traces]
+    n, inner = slab.base.n, (slice(1, -1),) * slab.base.n
     cv, _ = slab._level_conductances()
-    rhs = np.zeros(trace[inner].shape + (slab.J - 1,))
-    rhs[..., 0] = cv[0] * _dst1(trace[inner], base.n)
-    z = slab._modal_lu().solve(rhs.ravel()).reshape(rhs.shape)
-    vals[inner + (slice(1, -1),)] = _dst1(z, base.n)
-    _check_residual(slab, ~slab.boundary_mask(), vals)
-    return ExtensionField(slab, vals)
+    lu = _modal_lu(slab) if any(map(np.any, traces)) else None
+    fields = []
+    for trace in traces:
+        vals = np.zeros(slab.values_shape())
+        vals[..., 0] = trace
+        if np.any(trace):
+            rhs = np.zeros(trace[inner].shape + (slab.J - 1,))
+            rhs[..., 0] = cv[0] * _dst1(trace[inner], n)
+            z = lu.solve(rhs.ravel()).reshape(rhs.shape)
+            vals[inner + (slice(1, -1),)] = _dst1(z, n)
+            _check_residual(slab, ~slab.boundary_mask(), vals)
+        fields.append(ExtensionField(slab, vals))
+    return fields
 
 
 def extension_energy(field):

@@ -182,7 +182,7 @@ def _tail_2d(grid, s):
 # kernel table and stiffness form
 
 # entries per row block of a gathered matrix, so that the gathered values of
-# `stiffness` and `packed` and the temporaries of `StiffnessForm.check` stay
+# `block` and `packed` and the temporaries of `StiffnessForm.check` stay
 # at 512 KiB
 _BLOCK = 2**16
 
@@ -262,23 +262,23 @@ class KernelTable:
     def block(self, rows, cols):
         """The off-diagonal stiffness entries between nodes `rows` and `cols`
         (where a row and a column node coincide it holds -0.0, not K's
-        diagonal entry)."""
-        return self.entries.take(np.subtract.outer(self.key[rows] + self.centre, self.key[cols]))
+        diagonal entry), the only full-size array made: each block of rows
+        (``_row_blocks``) first holds its key differences as int64, then the
+        entries they select. An index array of its own per block would be
+        mapped and page-faulted anew (12 k faults for the 80^2 disk)."""
+        low, keys = self.key[rows] + self.centre, self.key[cols]
+        B = np.empty((low.size, keys.size))
+        for r in _row_blocks(low.size, keys.size):
+            diff = B[r].view(np.int64)
+            np.subtract.outer(low[r], keys, out=diff)
+            B[r] = self.entries.take(diff)
+        return B
 
     def stiffness(self, flat_indices):
-        """Dense stiffness matrix over the given (mask) nodes, the only d x d
-        array made: each block of rows (``_row_blocks``) first holds its key
-        differences as int64, then the entries they select; the diagonal last."""
-        idx = np.asarray(flat_indices, dtype=int)
-        keys = self.key[idx]
-        K = np.empty((idx.size, idx.size))
-        for rows in _row_blocks(idx.size):
-            # an index array of its own per block would be mapped and
-            # page-faulted anew (12 k faults for the 80^2 disk in a new process)
-            diff = K[rows].view(np.int64)
-            np.subtract.outer(keys[rows] + self.centre, keys, out=diff)
-            K[rows] = self.entries.take(diff)
-        np.fill_diagonal(K, self.diagonal(idx))
+        """Dense stiffness matrix over the given (mask) nodes: their ``block``
+        with the diagonal filled in."""
+        K = self.block(flat_indices, flat_indices)
+        np.fill_diagonal(K, self.diagonal(flat_indices))
         return K
 
     def packed(self, flat_indices):
@@ -289,7 +289,7 @@ class KernelTable:
         as the C-order (k, W) array A returned flat, row c of A is K's lower
         triangle in row r = k + c - (d mod 2) from column k to r, then in
         column c from row c to d - 1. Rows of A are gathered a block at a
-        time into A itself, through int64 key differences, as in `stiffness`.
+        time into A itself, through int64 key differences, as in `block`.
         """
         idx = np.asarray(flat_indices, dtype=int)
         keys = self.key[idx]
@@ -328,11 +328,6 @@ class KernelTable:
         field[at] = x
         w = self.entries[tuple(slice(c + 1 - b, c + b) for b in field.shape)]
         return _valid_convolution(w, field)[at] + self.diagonal(idx) * x
-
-
-def kernel_table(grid, s):
-    """A new KernelTable of the grid and order (a build takes milliseconds)."""
-    return KernelTable(grid, s)
 
 
 @dataclass(frozen=True)
@@ -400,7 +395,7 @@ def assemble_form(domain, params):
         raise ValueError("cannot assemble the form of an empty domain")
     if params.n != domain.grid.n:
         raise ValueError("parameter dimension does not match the grid")
-    return StiffnessForm(table=kernel_table(domain.grid, params.s), domain=domain)
+    return StiffnessForm(table=KernelTable(domain.grid, params.s), domain=domain)
 
 
 def seminorm(form, u):

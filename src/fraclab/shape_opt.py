@@ -27,7 +27,7 @@ import numpy as np
 from scipy.linalg import lapack
 
 from .grids import BoxGrid, ThinDomain, _neighbor_counts, ball_domain
-from .nonlocal_form import kernel_table
+from .nonlocal_form import KernelTable
 
 __all__ = ["OptimizerConfig", "OptimizationTrace", "optimize"]
 
@@ -115,7 +115,7 @@ class _Evaluator:
     """
 
     def __init__(self, grid, params, m, Lambda):
-        self.table = kernel_table(grid, params.s)
+        self.table = KernelTable(grid, params.s)
         self.h, self.n, self.m, self.Lambda = grid.h, grid.n, m, Lambda
         self.counts = dict.fromkeys(("dense", "secular", "full_eigh", "guard", "root_steps",
                                      "bisections"), 0)

@@ -32,7 +32,7 @@ from fraclab.diagnostics import (
 from fraclab.eigen import lowest_eigenpairs
 from fraclab.extension import ExtensionField, SlabGrid, extend
 from fraclab.grids import BoxGrid, mask_from_indices
-from fraclab.nonlocal_form import assemble_form, kernel_table
+from fraclab.nonlocal_form import KernelTable, assemble_form
 from fraclab.shape_opt import OptimizerConfig, optimize
 
 
@@ -89,7 +89,7 @@ def test_criterion_02_single_interval_minimizes_among_splits():
     assert tr.certified
     assert 0.8 <= tr.best_mask.measure <= 1.2
 
-    kt = kernel_table(g, 0.5)
+    kt = KernelTable(g, 0.5)
     interior = np.flatnonzero(g.interior().ravel())
     lo, hi = interior[0], interior[-1]
 
@@ -154,7 +154,7 @@ def test_criterion_04_monotonicity_deficit_stable_under_refinement():
             )
             dom = tr.best_mask
             bundle = lowest_eigenpairs(assemble_form(dom, p), 1)
-            f = extend(bundle.full_fields()[0], SlabGrid(g, J, a=p.a, Y=4.0))
+            (f,) = extend(bundle.full_fields()[:1], SlabGrid(g, J, a=p.a, Y=4.0))
             fb = free_boundary_set(dom)
             H = holder_estimate(g, np.abs(f.trace), 0.5)
             sigs = []
@@ -180,7 +180,7 @@ def test_criterion_05_endpoint_slope_matches_model_constant():
     tr = optimize(g, OptimizerConfig(m=1, Lambda=2.3, schedule="greedy", seed=3), p)
     dom = tr.best_mask
     bundle = lowest_eigenpairs(assemble_form(dom, p), 1)
-    f = extend(bundle.full_fields()[0], SlabGrid(g, 128, a=p.a, Y=4.0))
+    (f,) = extend(bundle.full_fields()[:1], SlabGrid(g, 128, a=p.a, Y=4.0))
     fb = free_boundary_set(dom)
     assert len(fb) == 2
     target = slope_constant(2.3, 0.5)

@@ -114,8 +114,8 @@ def test_cli_import_loads_only_scipy_linalg_and_sparse():
     import fraclab
 
     src = os.path.dirname(os.path.dirname(os.path.abspath(fraclab.__file__)))
-    code = ("import json, sys, fraclab.cli; from fraclab import BoxGrid, kernel_table;"
-            " kernel_table(BoxGrid(2, -1.0, 1.0, 8), 0.3);"
+    code = ("import json, sys, fraclab.cli; from fraclab import BoxGrid, KernelTable;"
+            " KernelTable(BoxGrid(2, -1.0, 1.0, 8), 0.3);"
             " print(json.dumps(sorted({m.split('.')[1]"
             " for m in sys.modules if m.startswith('scipy.')})))")
     env = {**os.environ, "PYTHONPATH": src}
@@ -416,17 +416,19 @@ def _reject_constant(name):
     raise ValueError(f"{name} is not valid JSON")
 
 
-def test_optimize_without_finite_objective_is_not_certified(tmp_path):
-    # m = 20 exceeds the nodes of every ball the greedy search can reach from
-    # its start, so every objective is infinite and nothing may be certified
+def test_optimize_without_finite_objective_is_not_certified(tmp_path, monkeypatch, capsys):
+    """m = 20 exceeds the 11 nodes of the start mask, so no objective could
+    be finite: a usage error naming both counts, found before the optimizer
+    runs, with nothing written."""
+    def fail(*args, **kwargs):
+        raise AssertionError("the optimizer ran on a start below m nodes")
+
+    monkeypatch.setattr("fraclab.shape_opt.optimize", fail)
     cfg = write_cfg(tmp_path / "opt.cfg", **{**OPT_KEYS, "m": 20, "lambda": 10})
     out = tmp_path / "o"
-    assert main(["optimize", "--config", cfg, "--out", str(out)]) == 4
-    summary = json.loads((out / "summary.json").read_text(),
-                         parse_constant=_reject_constant)
-    assert summary["aborted"]
-    assert not summary["certified"]
-    assert summary["best_objective"] is None
+    assert main(["optimize", "--config", cfg, "--out", str(out)]) == 2
+    assert "m = 20 exceeds the 11 nodes of the start mask" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("name,schedule", [
@@ -580,6 +582,25 @@ def test_bad_trace_is_an_input_error(eig_out, tmp_path, capsys, command, defect)
     assert main([command, "--config", cfg, "--out", str(out)]) == 3
     assert f"incompatible inputs: {bad}" in capsys.readouterr().err
     assert not (out / "energy.json").exists()
+
+
+def test_diagnose_factors_once_for_all_fields_files(tmp_path, monkeypatch):
+    """diagnose extends the fields of both files in one call: one LU."""
+    from scipy.sparse import linalg as sla
+
+    eig_cfg = write_cfg(tmp_path / "eig.cfg", n=2, cells=24, lower=-1.0, upper=1.0,
+                        s=0.5, domain="ball 0.02 -0.01 0.45", m=2)
+    assert main(["eig", "--config", eig_cfg, "--out", str(tmp_path / "eig")]) == 0
+    calls = []
+    splu = sla.splu
+    monkeypatch.setattr(sla, "splu", lambda *a, **kw: calls.append(1) or splu(*a, **kw))
+    cfg = write_cfg(tmp_path / "diag.cfg", n=2, s=0.5, **{"lambda": 10},
+                    mask=str(tmp_path / "eig" / "mask.frlb"),
+                    fields=f"{tmp_path / 'eig' / 'v01.frlb'},{tmp_path / 'eig' / 'v02.frlb'}",
+                    J=8, r_min_cells=5, r_max_cells=6)
+    assert main(["diagnose", "--config", cfg, "--out", str(tmp_path / "d"),
+                 "--points", "0"]) == 0
+    assert len(calls) == 1
 
 
 def test_missing_config_file(tmp_path):

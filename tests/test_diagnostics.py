@@ -19,7 +19,7 @@ from fraclab.diagnostics import (
 )
 from fraclab.diagnostics import _hemisphere_rule, _trace_support
 from fraclab.eigen import lowest_eigenpairs
-from fraclab.extension import ExtensionField, SlabGrid, _ball_energies, extend
+from fraclab.extension import ExtensionField, SlabGrid, _ball_energies, _interp, extend
 from fraclab.grids import BoxGrid, ball_domain, interval_domain, mask_from_indices
 from fraclab.nonlocal_form import assemble_form
 
@@ -273,7 +273,7 @@ def test_classify_slit_point_singular():
     inner[x >= -1e-12, iy0] = False
     dom = mask_from_indices(g, np.flatnonzero(inner.ravel()))
     bundle = lowest_eigenpairs(assemble_form(dom, p), 1)
-    f = [extend(v, SlabGrid(g, 16, a=0.0, Y=4.0)) for v in bundle.full_fields()]
+    f = extend(bundle.full_fields(), SlabGrid(g, 16, a=0.0, Y=4.0))
     fb = free_boundary_set(dom)
     for X0 in ([0.25, 0.0], [0.5, 0.0]):
         k = int(np.argmin(((fb.points - X0) ** 2).sum(axis=1)))
@@ -368,7 +368,7 @@ def smooth_fields(n, count, s):
     x = g.node_coords()
     bump = np.sqrt(np.clip(0.5 - (x**2).sum(axis=1), 0.0, None))
     traces = [bump, bump * (x[:, 0] + 0.3)][:count]
-    return [extend(t.reshape(g.node_shape), slab) for t in traces]
+    return extend([t.reshape(g.node_shape) for t in traces], slab)
 
 
 def loop_blow_up(fields, x0, r, s):
@@ -379,7 +379,7 @@ def loop_blow_up(fields, x0, r, s):
     for k, yl in enumerate(bu.y_levels):
         q = np.column_stack([pts_x, np.full(len(pts_x), yl * r)])
         for ci, f in enumerate(fields):
-            vals[:, k, ci] = f.interp(q)
+            vals[:, k, ci] = _interp([f], q)[0]
     vals *= r ** (-s)
     return bu, vals.reshape(bu.values.shape)
 
@@ -425,7 +425,7 @@ def loop_weiss(fields, x0, radii, p):
         pts = np.column_stack([x0[None, :] + r * dirs[:, :n], r * dirs[:, n]])
         mag2 = np.zeros(len(dirs))
         for f in fields:
-            gv = f.interp(pts)
+            gv = _interp([f], pts)[0]
             mag2 += gv * gv
         sphere = float(np.sum(wts * mag2)) * r**n * r**p.a
         out.append((2.0 * e + p.lambda_tilde * meas) / r**n

@@ -10,6 +10,7 @@ from scipy.sparse import linalg as sla
 from fraclab.checks import bump, energy_mismatch
 from fraclab.constants import FracParams, one_plane_solution
 from fraclab.eigen import lowest_eigenpairs
+from fraclab import extension
 from fraclab.extension import (
     ExtensionField,
     SlabGrid,
@@ -18,6 +19,8 @@ from fraclab.extension import (
     _check_residual,
     _conductances,
     _dst1,
+    _interp,
+    _modal_lu,
     _multilinear_at,
     extend,
     extension_energy,
@@ -82,7 +85,7 @@ def test_slab_grid_validation():
 def test_zero_trace_extends_to_zero():
     g = BoxGrid(1, -1.0, 1.0, 16)
     slab = SlabGrid(g, 8, a=0.0)
-    f = extend(np.zeros(g.node_shape), slab)
+    (f,) = extend([np.zeros(g.node_shape)], slab)
     assert np.all(f.values == 0.0)
     assert extension_energy(f) == 0.0
 
@@ -93,7 +96,7 @@ def test_extend_rejects_boundary_supported_trace():
     tr = np.zeros(g.node_shape)
     tr[0] = 1.0
     with pytest.raises(ValueError):
-        extend(tr, slab)
+        extend([tr], slab)
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf])
@@ -102,10 +105,10 @@ def test_extend_rejects_non_finite_trace(value):
     tr = bump_trace(g)
     tr[8] = value
     with pytest.raises(ValueError, match="non-finite"):
-        extend(tr, SlabGrid(g, 8, a=0.0))
+        extend([tr], SlabGrid(g, 8, a=0.0))
 
 
-def test_extend_residual_check_rejects_a_non_finite_solve():
+def test_extend_residual_check_rejects_a_non_finite_solve(monkeypatch):
     g = BoxGrid(1, -2.0, 2.0, 32)
     slab = SlabGrid(g, 8, a=0.0)
 
@@ -113,9 +116,9 @@ def test_extend_residual_check_rejects_a_non_finite_solve():
         def solve(self, b):
             return np.full_like(b, np.nan)
 
-    slab._lu = NanLU()
+    monkeypatch.setattr(extension, "_modal_lu", lambda slab: NanLU())
     with pytest.raises(RuntimeError, match="not finite"):
-        extend(bump_trace(g), slab)
+        extend([bump_trace(g)], slab)
 
 
 def test_energy_identity_against_seminorm():
@@ -140,13 +143,12 @@ def test_extension_maximum_principle_and_linearity():
     u1 = bump_trace(g)
     u2 = np.roll(u1, 7)
     u2[:7] = 0.0
-    f1 = extend(u1, slab)
-    f2 = extend(u2, slab)
+    f1, f2 = extend([u1, u2], slab)
     # nonnegative trace -> nonnegative extension, bounded by the trace sup
     assert f1.values.min() >= -1e-12
     assert f1.values.max() <= u1.max() + 1e-12
     # comparison: ordered traces give ordered extensions
-    fsum = extend(u1 + u2, slab)
+    (fsum,) = extend([u1 + u2], slab)
     assert np.all(fsum.values >= f1.values - 1e-12)
     # linearity is exact (same sparse solve)
     np.testing.assert_allclose(fsum.values, f1.values + f2.values, atol=1e-9)
@@ -206,12 +208,51 @@ def test_separable_extend_matches_sparse_lu(n, cells, J, a):
     g = BoxGrid(n, -1.0, 1.0, cells)
     slab = SlabGrid(g, J, a=a)
     tr = random_interior_trace(g, seed=cells + J)
-    f = extend(tr, slab)
+    (f,) = extend([tr], slab)
     data = np.zeros(slab.values_shape())
     data[..., 0] = tr
     ref = _solve_dirichlet(slab, ~slab.boundary_mask(), data)
     rel = np.abs(f.values - ref).max() / np.abs(ref).max()
     assert rel <= 1e-12
+
+
+@pytest.mark.parametrize("n,cells", [(1, 64), (2, 16)])
+def test_extend_of_a_sequence_equals_single_calls(n, cells):
+    """k traces in one call, a zero trace among them, give the fields of k
+    one-trace calls byte for byte; the slab's attributes are unchanged."""
+    g = BoxGrid(n, -1.0, 1.0, cells)
+    slab = SlabGrid(g, 12, a=0.3)
+    before = {k: np.copy(v) if isinstance(v, np.ndarray) else v for k, v in vars(slab).items()}
+    traces = [random_interior_trace(g, seed=1), np.zeros(g.node_shape),
+              random_interior_trace(g, seed=2)]
+    fields = extend(traces, slab)
+    assert len(fields) == 3 and all(f.slab is slab for f in fields)
+    for f, tr in zip(fields, traces):
+        (one,) = extend([tr], slab)
+        assert f.values.tobytes() == one.values.tobytes()
+    assert not np.any(fields[1].values)
+    assert vars(slab).keys() == before.keys()
+    for k, v in vars(slab).items():
+        assert np.array_equal(v, before[k]) if isinstance(v, np.ndarray) else v is before[k]
+
+
+def test_extend_checks_every_trace_before_factoring(monkeypatch):
+    """A bad trace anywhere in the sequence raises before the factorization,
+    and a call whose traces are all zero factors nothing."""
+    def fail(slab):
+        raise AssertionError("the operator was factored")
+
+    monkeypatch.setattr(extension, "_modal_lu", fail)
+    g = BoxGrid(1, -1.0, 1.0, 16)
+    slab = SlabGrid(g, 8, a=0.0)
+    bad = bump_trace(g)
+    bad[3] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        extend([bump_trace(g), bad], slab)
+    zero = [np.zeros(g.node_shape)] * 2
+    assert [f.values.tobytes() for f in extend(zero, slab)] == [
+        np.zeros(slab.values_shape()).tobytes()] * 2
+    assert extend([], slab) == []
 
 
 @pytest.mark.parametrize("shape,n", [((63,), 1), ((63, 7), 1), ((31, 31), 2), ((47, 47, 9), 2)])
@@ -232,7 +273,7 @@ def test_extend_at_scale_passes_residual_check():
     u = np.maximum(0.0, 0.5 - r2)
     tracemalloc.start()
     try:
-        f = extend(u, slab)
+        (f,) = extend([u], slab)
         extension_energy(f)
         resident = tracemalloc.get_traced_memory()[0]
     finally:
@@ -242,22 +283,22 @@ def test_extend_at_scale_passes_residual_check():
     np.testing.assert_array_equal(f.trace, u)
     assert f.values.min() >= -1e-12 and f.values.max() <= u.max() + 1e-12
     # one tridiagonal block per mode: the LU fill stays linear in the unknowns
-    lu = slab._modal_lu()
+    lu = _modal_lu(slab)
     assert lu.L.nnz + lu.U.nnz <= 4 * 127**2 * 47
 
 
-def test_extend_residual_check_rejects_a_wrong_solve():
+def test_extend_residual_check_rejects_a_wrong_solve(monkeypatch):
     g = BoxGrid(1, -2.0, 2.0, 32)
     slab = SlabGrid(g, 8, a=0.0)
-    lu = slab._modal_lu()
+    lu = _modal_lu(slab)
 
     class PerturbedLU:
         def solve(self, b):
             return 1.0001 * lu.solve(b)
 
-    slab._lu = PerturbedLU()
+    monkeypatch.setattr(extension, "_modal_lu", lambda slab: PerturbedLU())
     with pytest.raises(RuntimeError, match="residual"):
-        extend(bump_trace(g), slab)
+        extend([bump_trace(g)], slab)
 
 
 def oracle_edges(slab):
@@ -335,7 +376,7 @@ def test_trace_property_roundtrip():
     g = BoxGrid(1, -2.0, 2.0, 64)
     slab = SlabGrid(g, 16, a=0.0, Y=4.0)
     u = bump_trace(g)
-    f = extend(u, slab)
+    (f,) = extend([u], slab)
     np.testing.assert_allclose(f.trace, u, atol=1e-12)
 
 
@@ -355,7 +396,7 @@ def test_interp_reproduces_multilinear_functions():
             rng.uniform(0.0, slab.Y * 0.9, size=30),
         ]
     )
-    got = f.interp(pts)
+    (got,) = _interp([f], pts)
     want = 1.0 + 2.0 * pts[:, 0] - 0.5 * pts[:, 1] + 0.25 * pts[:, 2]
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
@@ -446,7 +487,7 @@ def test_interp_matches_per_level_multilinear(n, cells):
     x = rng.uniform(-1.0, 1.0, size=(k, n))
     x[:3] = g.lower  # footprint corners and edges
     x[3:6] = g.upper
-    got = f.interp(np.column_stack([x, y]))
+    (got,) = _interp([f], np.column_stack([x, y]))
     want = np.empty(k)
     for i in range(k):
         j = min(max(np.searchsorted(slab.y_nodes, y[i], side="right") - 1, 0), slab.J - 1)
@@ -457,7 +498,7 @@ def test_interp_matches_per_level_multilinear(n, cells):
         want[i] = lo * (1.0 - ty) + hi * ty
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
     with pytest.raises(ValueError):
-        f.interp(np.column_stack([x[:1] + 3.0, y[:1]]))
+        _interp([f], np.column_stack([x[:1] + 3.0, y[:1]]))
 
 
 # -- Neumann trace -----------------------------------------------------------
@@ -473,7 +514,7 @@ def test_neumann_trace_matches_eigenvalue_condition():
         bundle = lowest_eigenpairs(assemble_form(dom, p), 1)
         lam = bundle.lambdas[0]
         v = bundle.full_fields()[0]
-        f = extend(v, SlabGrid(g, 48, a=p.a, Y=4.0))
+        (f,) = extend([v], SlabGrid(g, 48, a=p.a, Y=4.0))
         nt, flags = neumann_trace(f)
         om = dom.flat_indices
         target = (lam / p.d_s) * v.ravel()[om]
@@ -492,7 +533,7 @@ def test_neumann_trace_interior_accuracy_at_large_s():
     dom = interval_domain(g, -1.0, 1.0)
     bundle = lowest_eigenpairs(assemble_form(dom, p), 1)
     v = bundle.full_fields()[0]
-    f = extend(v, SlabGrid(g, 96, a=p.a, Y=4.0))
+    (f,) = extend([v], SlabGrid(g, 96, a=p.a, Y=4.0))
     nt, _ = neumann_trace(f)
     om = dom.flat_indices
     x = g.axis_nodes()[om]

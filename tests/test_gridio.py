@@ -100,7 +100,7 @@ def test_slab_roundtrip(tmp_path):
     dom = interval_domain(g, -1.0, 1.0)
     x = g.node_coords()[:, 0]
     tr = np.where(dom.mask.ravel(), np.cos(0.5 * np.pi * x), 0.0)
-    f = extend(tr, SlabGrid(g, 12, a=0.0, Y=4.0))
+    (f,) = extend([tr], SlabGrid(g, 12, a=0.0, Y=4.0))
     path = tmp_path / "s.frlb"
     write_slab_field(path, f)
     back = read_slab_field(path)
@@ -166,7 +166,7 @@ def _frlb_files(tmp_path):
     dom = interval_domain(g, -1.0, 1.0)
     write_mask(tmp_path / "m.frlb", dom)
     write_fields(tmp_path / "f.frlb", g, np.stack([dom.mask * 1.0, dom.mask * 2.0]))
-    write_slab_field(tmp_path / "s.frlb", extend(dom.mask * 1.0, SlabGrid(g, 6, a=0.0)))
+    write_slab_field(tmp_path / "s.frlb", extend([dom.mask * 1.0], SlabGrid(g, 6, a=0.0))[0])
     return [(tmp_path / "m.frlb", read_mask), (tmp_path / "f.frlb", read_fields),
             (tmp_path / "s.frlb", read_slab_field)]
 
@@ -304,7 +304,8 @@ def test_readers_close_every_file(tmp_path):
     dom = interval_domain(g, -1.0, 1.0)
     write_mask(tmp_path / "m.frlb", dom)
     write_fields(tmp_path / "f.frlb", g, dom.mask.astype(float))
-    write_slab_field(tmp_path / "s.frlb", extend(dom.mask.astype(float), SlabGrid(g, 8, a=0.0)))
+    (f,) = extend([dom.mask.astype(float)], SlabGrid(g, 8, a=0.0))
+    write_slab_field(tmp_path / "s.frlb", f)
     (tmp_path / "run.cfg").write_text("n = 1\n")
     RunManifest("0.1.0", "eig", {}).save(tmp_path / "manifest.json")
     for read, name in ((read_mask, "m.frlb"), (read_fields, "f.frlb"),

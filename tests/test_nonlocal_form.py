@@ -25,7 +25,6 @@ from fraclab.nonlocal_form import (
     KernelTable,
     StiffnessForm,
     assemble_form,
-    kernel_table,
     seminorm,
 )
 
@@ -45,7 +44,7 @@ def quad_form(u_fn, s, cells, box=2.0):
     g = BoxGrid(1, -box, box, cells)
     u = u_fn(g.axis_nodes())
     ii = np.flatnonzero(g.interior().ravel())
-    K = kernel_table(g, s).stiffness(ii)
+    K = KernelTable(g, s).stiffness(ii)
     return float(u[ii] @ K @ u[ii])
 
 
@@ -80,7 +79,7 @@ def test_far_field_entries_are_literal_midpoint_weights():
         s = 0.4
         c = normalization_constant(n, s)
         ii = np.flatnonzero(g.interior().ravel())
-        K = kernel_table(g, s).stiffness(ii)
+        K = KernelTable(g, s).stiffness(ii)
         coords = g.node_coords()[ii]
         rng = np.random.default_rng(1)
         for _ in range(40):
@@ -95,7 +94,7 @@ def test_far_field_entries_are_literal_midpoint_weights():
 def test_stiffness_symmetry_and_positivity():
     g = BoxGrid(2, -1.0, 1.0, 24)
     dom = ball_domain(g, [0.0, 0.0], 0.6)
-    K = kernel_table(g, 0.5).stiffness(dom.flat_indices)
+    K = KernelTable(g, 0.5).stiffness(dom.flat_indices)
     assert np.abs(K - K.T).max() < 1e-12 * np.abs(K).max()
     w = np.linalg.eigvalsh(K)
     assert w[0] > 0  # tail load makes the pinned form strictly positive
@@ -104,7 +103,7 @@ def test_stiffness_symmetry_and_positivity():
 @pytest.mark.parametrize("n,cells", [(1, 30), (2, 10), (2, 40)])
 def test_border_is_the_new_column_of_the_grown_stiffness(n, cells):
     g = BoxGrid(n, -1.0, 1.0, cells)
-    table = kernel_table(g, 0.4)
+    table = KernelTable(g, 0.4)
     idx = ball_domain(g, np.zeros(n), 0.5).flat_indices
     outside = np.setdiff1d(np.flatnonzero(g.interior().ravel()), idx)
     B, alpha = table.block(idx, outside), table.diagonal(outside)
@@ -124,8 +123,8 @@ def test_quadratic_form_scaling_homogeneity():
             g2 = BoxGrid(n, -2.0, 2.0, cells)
             ii = np.flatnonzero(g1.interior().ravel())
             u = rng.normal(size=ii.size)
-            q1 = u @ kernel_table(g1, s).stiffness(ii) @ u
-            q2 = u @ kernel_table(g2, s).stiffness(ii) @ u
+            q1 = u @ KernelTable(g1, s).stiffness(ii) @ u
+            q2 = u @ KernelTable(g2, s).stiffness(ii) @ u
             assert q2 == pytest.approx(2.0 ** (n - 2 * s) * q1, rel=1e-12)
 
 
@@ -157,8 +156,8 @@ def test_monotonicity_under_domain_inclusion():
     g = BoxGrid(1, -1.0, 1.0, 64)
     big = interval_domain(g, -0.8, 0.8)
     small = interval_domain(g, -0.5, 0.5)
-    Kb = kernel_table(g, 0.5).stiffness(big.flat_indices)
-    Ks = kernel_table(g, 0.5).stiffness(small.flat_indices)
+    Kb = KernelTable(g, 0.5).stiffness(big.flat_indices)
+    Ks = KernelTable(g, 0.5).stiffness(small.flat_indices)
     # embed a vector supported on the small set
     u_small = np.cos(np.pi * small.coords()[:, 0] / 1.0)
     pos = np.searchsorted(big.flat_indices, small.flat_indices)
@@ -182,7 +181,7 @@ def test_kernel_table_is_freed_with_its_grid():
     reference cycle, so it is freed with its last reference."""
     g = BoxGrid(1, -1.0, 1.0, 8)
     before = dict(vars(g))
-    ref = weakref.ref(kernel_table(g, 0.5))
+    ref = weakref.ref(KernelTable(g, 0.5))
     gc.disable()
     try:
         assert ref() is None
@@ -222,7 +221,7 @@ def test_offset_table_matches_pairwise_reference(n, cells, s):
     (the reference's own distances carry up to 3e-14 relative rounding at 200
     cells), and K is exactly symmetric."""
     g = BoxGrid(n, -1.0, 1.0, cells)
-    table = kernel_table(g, s)
+    table = KernelTable(g, s)
     W = pairwise_weights(g, s)
     row_sums = W.sum(axis=1)
     assert np.abs(table.row_sums - row_sums).max() <= 1e-14 * row_sums.min()
@@ -285,7 +284,7 @@ def test_blocked_gather_matches_the_one_shot_gather_byte_for_byte(n, cells, s):
     on shuffled node subsets around the size where one row block stops
     holding all of K, and on the whole interior (several blocks)."""
     g = BoxGrid(n, -1.0, 1.0, cells)
-    table = kernel_table(g, s)
+    table = KernelTable(g, s)
     w, key, centre = offset_weights(g, s)
     inner = np.random.default_rng(5).permutation(np.flatnonzero(g.interior().ravel()))
     one_block = int(np.sqrt(_BLOCK))
@@ -307,7 +306,7 @@ def test_packed_is_the_rfp_form_of_the_stiffness_matrix_byte_for_byte(n, cells):
     gather is the packed gather, at odd and even d and, on the whole
     interior, over several row blocks of the (k, W) array."""
     g = BoxGrid(n, -1.0, 1.0, cells)
-    table = kernel_table(g, 0.3)
+    table = KernelTable(g, 0.3)
     inner = np.random.default_rng(4).permutation(np.flatnonzero(g.interior().ravel()))
     assert len(_row_blocks((inner.size + 1) // 2, inner.size + 1)) > 1
     for d in (1, 2, 3, 4, 7, 40, 41, inner.size):
@@ -350,7 +349,7 @@ def test_stiffness_allocates_one_matrix_and_check_none():
     (whole-matrix ways take 2 x 25 MB in either)."""
     g = BoxGrid(2, -1.0, 1.0, 80)
     form = assemble_form(ball_domain(g, [0.0, 0.0], 0.6), FracParams(2, 0.5, 1.0))
-    table = kernel_table(g, 0.5)
+    table = KernelTable(g, 0.5)
     K, peak = traced_peak(table.stiffness, form.domain.flat_indices)
     assert K.shape == (form.dim, form.dim) and len(_row_blocks(form.dim)) > 1
     assert peak <= K.nbytes + 2 * 2**20
@@ -365,7 +364,7 @@ def late_pair_form():
     g = BoxGrid(2, -1.0, 1.0, 32)
     disk = ball_domain(g, [0.0, 0.0], 0.8).flat_indices
     pair = np.ravel_multi_index(([30, 30], [1, 31]), g.node_shape)
-    form = StiffnessForm(kernel_table(g, 0.5), mask_from_indices(g, np.append(disk, pair)))
+    form = StiffnessForm(KernelTable(g, 0.5), mask_from_indices(g, np.append(disk, pair)))
     return form, form.dim - 2, form.dim - 1
 
 
@@ -402,7 +401,7 @@ def test_check_finds_a_defect_in_a_late_row_block(defect, message):
 def test_check_accepts_an_empty_form():
     """A 0 x 0 form breaks no symmetry, sign or diagonal rule."""
     g = BoxGrid(2, -1.0, 1.0, 8)
-    form = StiffnessForm(kernel_table(g, 0.5), mask_from_indices(g, []))
+    form = StiffnessForm(KernelTable(g, 0.5), mask_from_indices(g, []))
     assert form.dim == 0 and form.check()
 
 

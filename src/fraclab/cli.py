@@ -388,7 +388,7 @@ def cmd_diagnose(args):
     J = _cfg(cfg, "J", int, 32)
     Y = _cfg(cfg, "Y", float, None)
     slab = _checked(extension.SlabGrid, grid, J, a=params.a, Y=Y)
-    ext_fields = _extend(traces, slab)
+    ext_fields = run.timed("extend", _extend, traces, slab)
     c_tilde = extension._c_tilde(ext_fields, params)
     xcols = ",".join(f"x{i}" for i in range(grid.n))
     weiss_rows = [f"# point,{xcols},r,W\n"]
@@ -397,6 +397,7 @@ def cmd_diagnose(args):
     cls_points = []
     target = constants.slope_constant(params.lambda_penalty, params.s)
     counts = {}
+    t_points = time.perf_counter()
     for k in sel:
         x0 = fb.points[k]
         xs = ",".join(_fmt(v) for v in x0)
@@ -425,6 +426,7 @@ def cmd_diagnose(args):
         slope_rows.append(f"{k},{xs},{_fmt(slope)},{_fmt(target)}\n")
         counts[entry["label"]] = counts.get(entry["label"], 0) + 1
         cls_points.append(entry)
+    run.manifest.wall_times["points"] = round(time.perf_counter() - t_points, 6)
     run.write_text("weiss.csv", "".join(weiss_rows))
     run.write_text("density.csv", "".join(dens_rows))
     run.write_text("slopes.csv", "".join(slope_rows))

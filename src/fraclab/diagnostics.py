@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .constants import _gauss_jacobi, one_plane_solution, slope_constant, unit_ball_volume
-from .extension import ExtensionField, _ball_energies, _c_tilde, _interp, _multilinear_at
+from .extension import (ExtensionField, _ball_energies, _c_tilde, _gather, _multilinear_at,
+                        _placement, _slab_stencil)
 from .grids import BoxGrid, ThinDomain, _neighbor_counts, _node_dist2
 
 __all__ = [
@@ -173,15 +174,23 @@ def _hemisphere_rule(n, a):
     return dirs, wts
 
 
+@functools.lru_cache(maxsize=4)
+def _sphere_stencil(layout, radii, f, a):
+    """The slab stencil of the hemisphere rule at the radii about a point f cells off a node."""
+    n, h = layout[0], layout[2]
+    q = (np.array(radii)[:, None, None] * _hemisphere_rule(n, a)[0]).reshape(-1, n + 1)
+    return _slab_stencil(layout, q[:, :n] / h + f, q[:, n])
+
+
 def _weiss_energies(fields, X0, radii, params):
     """Weiss energy W(X0, G, r) of the extension fields at each of the radii:
 
     W = r^-n [2 sum_i E_half(g_i, B_r) + lambda_tilde meas({|G|>0} in B_r)]
         - s r^-(n+1) * 2 * int_{upper hemisphere} |y|^a |G|^2 dS.
 
-    The support, the node distances and one interpolation of all fields at
-    the sphere points of all radii are shared, and each field's ball energies
-    at all radii come from one window (_ball_energies)."""
+    The support, the node distances and one gather of all fields at the
+    sphere points of all radii (_sphere_stencil) are shared, and each field's
+    ball energies at all radii come from one window (_ball_energies)."""
     grid, n = fields[0].slab.base, fields[0].slab.base.n
     x0 = np.atleast_1d(np.asarray(X0, dtype=float))
     for r in radii:
@@ -192,10 +201,10 @@ def _weiss_energies(fields, X0, radii, params):
     if not supp.any():
         return np.zeros(len(radii))
     d2 = _node_dist2(grid, x0)
-    dirs, wts = _hemisphere_rule(n, params.a)
-    q = (radii[:, None, None] * dirs).reshape(-1, n + 1)
-    q[:, :n] += x0
-    mag2 = sum(v ** 2 for v in _interp(fields, q)).reshape(len(radii), len(dirs))
+    wts = _hemisphere_rule(n, params.a)[1]
+    layout, node, off = _placement(fields[0].slab, x0)
+    stencil = _sphere_stencil(layout, tuple(radii.tolist()), off, params.a)
+    mag2 = sum(v ** 2 for v in _gather(fields, stencil, node)).reshape(len(radii), len(wts))
     energies = sum(_ball_energies(f, x0, radii) for f in fields)
     out = np.empty(len(radii))
     for i, r in enumerate(radii):
@@ -305,9 +314,23 @@ class RescaledField:
         return (d2 <= 1.0 + 1e-12).reshape(self.xgrid.node_shape + (len(self.y_levels),))
 
 
+@functools.lru_cache(maxsize=4)
+def _blow_up_stencil(layout, r, f):
+    """(cells per axis, y / r levels (read-only), slab stencil of every (node, level)
+    pair, node-major) of a blow-up at radius r on a slab layout, f cells off a node."""
+    n, h, y_native = layout[0], layout[2], np.frombuffer(layout[5])
+    xg = BoxGrid(n, -1.0, 1.0, int(np.clip(np.round(2.0 * r / h), 8, 128)))
+    y_lv = y_native[y_native <= r * (1 + 1e-12)] / r
+    if y_lv.size == 0 or y_lv[-1] < 1.0 - 1e-12:
+        y_lv = np.append(y_lv, 1.0)
+    y_lv.setflags(write=False)
+    x = np.repeat(xg.node_coords() * r / h + f, y_lv.size, axis=0)
+    return xg.cells_per_axis, y_lv, _slab_stencil(layout, x, np.tile(y_lv * r, xg.num_nodes))
+
+
 def blow_up_rescale(source, x0, r, s):
     """Rescale extension fields around a thin-space point onto the unit ball
-    scale; the rescaled field has one component per field."""
+    scale (_blow_up_stencil); the rescaled field has one component per field."""
     fields = _as_fields(source)
     base = fields[0].slab.base
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
@@ -316,25 +339,23 @@ def blow_up_rescale(source, x0, r, s):
         raise ValueError("rescale radius must be positive")
     if np.any(x0 - r < base.lower - 1e-12) or np.any(x0 + r > base.upper + 1e-12):
         raise ValueError("blow-up window exits the field footprint")
-    cells = int(np.clip(np.round(2.0 * r / base.h), 8, 128))
+    layout, node, off = _placement(fields[0].slab, x0)
+    cells, y_lv, stencil = _blow_up_stencil(layout, r, off)
     xg = BoxGrid(base.n, -1.0, 1.0, cells)
-    y_native = fields[0].slab.y_nodes
-    y_lv = y_native[y_native <= r * (1 + 1e-12)] / r
-    if y_lv.size == 0 or y_lv[-1] < 1.0 - 1e-12:
-        y_lv = np.append(y_lv, 1.0)
-    pts_x = xg.node_coords() * r + x0[None, :]
-    # every (node, level) pair, node-major, in one interpolation of all fields
-    q = np.column_stack([np.repeat(pts_x, y_lv.size, axis=0),
-                         np.tile(y_lv * r, len(pts_x))])
-    vals = np.stack(_interp(fields, q), axis=-1).reshape(len(pts_x), y_lv.size, len(fields))
-    vals *= r ** (-s)
-    return RescaledField(
-        xgrid=xg,
-        y_levels=y_lv,
-        values=vals.reshape(xg.node_shape + (y_lv.size, -1)),
-        r=r,
-        x0=x0,
-    )
+    vals = np.stack(_gather(fields, stencil, node), axis=-1) * r ** (-s)
+    return RescaledField(xg, y_lv, vals.reshape(xg.node_shape + (y_lv.size, -1)), r, x0)
+
+
+@functools.lru_cache(maxsize=4)
+def _one_plane_model(pts_x, pts_y, s, lambda_penalty, nus):
+    """Read-only slope_const * U(<x, nu>, y) for each nu in the tuple nus, at the
+    blow-up points whose x (k, n) and y are given by the bytes pts_x and pts_y."""
+    nus = np.array(nus)
+    x = np.frombuffer(pts_x).reshape(-1, nus.shape[1])
+    model = slope_constant(lambda_penalty, s) * one_plane_solution(
+        (x @ nus[..., None])[..., 0], np.frombuffer(pts_y), s)
+    model.setflags(write=False)
+    return model
 
 
 def flatness(G_fields, X0, r, params, angle_count=128):
@@ -345,31 +366,24 @@ def flatness(G_fields, X0, r, params, angle_count=128):
     Returns (epsilon, nu, f).
     """
     bu = blow_up_rescale(G_fields, X0, r, params.s)
-    n = bu.xgrid.n
     mask = bu.ball_mask().ravel()
     M = bu.values.reshape(-1, bu.m)[mask]
-    # dominant component direction
-    _, _, vt = np.linalg.svd(M, full_matrices=False)
-    f = vt[0]
+    f = np.linalg.svd(M, full_matrices=False)[2][0]  # dominant component direction
     if np.sum(M @ f) < 0:
         f = -f
-    c = slope_constant(params.lambda_penalty, params.s)
-    coords = bu.xgrid.node_coords()
-    y = bu.y_levels
-    pts_x = np.repeat(coords, len(y), axis=0)[mask]
-    pts_y = np.tile(y, len(coords))[mask]
-    if n == 1:
-        nus = np.array([[1.0], [-1.0]])
-    else:
-        ang = 2.0 * np.pi * np.arange(angle_count) / angle_count
-        nus = np.column_stack([np.cos(ang), np.sin(ang)])
+    pts_x = np.repeat(bu.xgrid.node_coords(), len(bu.y_levels), axis=0)[mask]
+    pts_y = np.tile(bu.y_levels, bu.xgrid.num_nodes)[mask]
+    count = angle_count if bu.xgrid.n == 2 else 2  # +-1 in 1D
+    ang = 2.0 * np.pi * np.arange(count) / count
+    nus = np.column_stack([np.cos(ang), np.sin(ang)])[:, :bu.xgrid.n]
     # all directions at once, in chunks of ~2^21 entries: the stacked product is
     # one matrix-vector product per direction; components lead for fast sums
+    key = (pts_x.tobytes(), pts_y.tobytes(), params.s, params.lambda_penalty)
     eps = []
     for nu in np.array_split(nus, max(1, nus.size * M.size >> 21)):
-        model = c * one_plane_solution((pts_x @ nu[..., None])[..., 0], pts_y, params.s)
-        dev = M.T[:, None] - f[:, None, None] * model
-        eps.append(np.sqrt((dev * dev).sum(axis=0)).max(axis=-1))
+        dev = M.T[:, None] - f[:, None, None] * _one_plane_model(*key, tuple(map(tuple, nu)))
+        # sqrt is monotone, so only the maxima need it
+        eps.append(np.sqrt(np.square(dev, out=dev).sum(axis=0).max(axis=-1)))
     eps = np.concatenate(eps)
     k = int(np.argmin(eps))  # the first of equal minima
     return float(eps[k]), nus[k], f

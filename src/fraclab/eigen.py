@@ -148,16 +148,16 @@ def _block_lanczos(L, table, idx, m):
     dim = idx.size
     kmax = table.diagonal(idx).max()
     rng = np.random.default_rng(0)
-    # the basis Q, stored as the rows of Qt, grows in place (ndarray.resize,
-    # a realloc), so no step holds the old and the new basis at once; resize
-    # needs that no view of Qt outlives the statement that makes it
+    # the basis Q, stored as the rows of Qt, grows in place (ndarray.resize, a realloc),
+    # so no step holds the old and the new basis at once. No view of Qt outlives its
+    # statement, and a trace or profile hook holds Qt itself, so refcheck is off
     Qt = np.empty((0, dim))
     W = rng.standard_normal((dim, m))
     T = np.empty((0, 0))
     blocks = 0
     while True:
         k, b = Qt.shape[0], min(m, dim - Qt.shape[0])
-        Qt.resize((k + b, dim))
+        Qt.resize((k + b, dim), refcheck=False)
         Qt[k:] = _next_block(Qt[:k].T, W, b, rng).T
         k += b
         W, _ = lapack.dpftrs(dim, L, Qt[k - b:].T, transr="N", uplo="L")

@@ -26,6 +26,7 @@ of the assembled system up to roundoff.
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -184,24 +185,52 @@ class ExtensionField:
         return self.values[..., 0]
 
 
-def _interp(fields, points):
-    """Multilinear interpolation of each of the fields, which share one slab
-    layout, at (k, n+1) points (x..., y); y may be 0. The bounds checks,
-    level search and cell weights are set up once, then each field costs one
-    gather."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    slab = fields[0].slab
-    if pts.shape[1] != slab.base.n + 1:
-        raise ValueError("points must have n+1 columns")
-    y = pts[:, -1]
-    if np.any(y < -1e-12) or np.any(y > slab.Y + 1e-12):
+def _placement(slab, x0):
+    """(layout, node, f): the slab's layout as a hashable value, the node nearest
+    the thin-space point x0, and x0's offset from it in cells (0 within 1e-12)."""
+    b = slab.base
+    u = (np.atleast_1d(np.asarray(x0, dtype=float)) - b.lower) / b.h
+    f = u - np.rint(u)
+    return ((b.n, b.cells_per_axis, b.h, slab.J, slab.Y, slab.y_nodes.tobytes()),
+            np.rint(u).astype(int), tuple(np.where(np.abs(f) <= 1e-12, 0.0, f).tolist()))
+
+
+def _slab_stencil(layout, x, y):
+    """The read-only stencil on a slab layout of samples at cell coordinates x (k, n) from a
+    node and heights y: the cell stencil of the levels around each, ty of the way up, x, y."""
+    n, cells, _, J, Y, ynodes = *layout[:5], np.frombuffer(layout[5])
+    if np.any(y < -1e-12) or np.any(y > Y + 1e-12):
         raise ValueError("query points leave the slab vertically")
-    ynodes = slab.y_nodes
-    j = np.clip(np.searchsorted(ynodes, y, side="right") - 1, 0, slab.J - 1)
-    ty = (y - ynodes[j]) / (ynodes[j + 1] - ynodes[j])
-    ty = np.clip(ty, 0.0, 1.0)
-    at = _multilinear_at(slab.base, pts[:, :-1], np.stack([j, j + 1]))
-    return [lo * (1.0 - ty) + hi * ty for lo, hi in (at(f.values) for f in fields)]
+    j = np.clip(np.searchsorted(ynodes, y, side="right") - 1, 0, J - 1)
+    ty = np.clip((y - ynodes[j]) / (ynodes[j + 1] - ynodes[j]), 0.0, 1.0)
+    out = _cell_stencil(x, cells, (cells + 1,) * n + (J + 1,), np.stack([j, j + 1])) + (ty, x, y)
+    for arr in out[:2] + out[3:]:  # all but first, an int
+        arr.setflags(write=False)
+    return out
+
+
+def _gather(fields, stencil, node):
+    """The fields at a slab stencil's samples placed at the node index `node`, one take per
+    corner and field; if the stencil reaches past the footprint there, _interp of them."""
+    flat, weight, first, reach, ty, x, y = stencil
+    slab = fields[0].slab
+    if np.any(node + reach[0] < 0) or np.any(node + reach[1] > slab.base.cells_per_axis):
+        return _interp(fields, np.column_stack([slab.base.lower + (x + node) * slab.base.h, y]))
+    first += np.ravel_multi_index((*node, 0), slab.values_shape())
+    at = (_apply(f.values, flat, weight, first) for f in fields)
+    return [below * (1.0 - ty) + above * ty for below, above in at]
+
+
+def _interp(fields, points):
+    """Multilinear interpolation of the fields, which share one slab layout, at
+    (k, n+1) points (x..., y), y >= 0: their slab stencil about node 0."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    base = fields[0].slab.base
+    if pts.shape[1] != base.n + 1:
+        raise ValueError("points must have n+1 columns")
+    layout, node, _ = _placement(fields[0].slab, [base.lower] * base.n)
+    x = _in_footprint((pts[:, :-1] - base.lower) / base.h, base.cells_per_axis)
+    return _gather(fields, _slab_stencil(layout, x, pts[:, -1]), node)
 
 
 def _c_tilde(fields, params):
@@ -219,55 +248,50 @@ def _c_tilde(fields, params):
     return 2.0 * unit_ball_volume(grid.n) * lam_sum / params.d_s
 
 
-def _multilinear_at(grid, pts, *tail):
-    """Multilinear interpolation at thin-space points, as a function of the
-    node field: the bounds check and cell weights are computed once for any
-    number of fields.
-
-    tail: index arrays into the trailing axes of the field, one per axis, that
-    broadcast against one entry per point; _interp passes the (2, points)
-    levels below and above each point and gets both interpolants in one
-    gather. Each corner's values are one take from the field's C-order ravel,
-    at a flat index built once per field shape and shared by the fields of
-    that shape. The 2^n cell corners are summed with the first axis varying
-    fastest, each value times its axis weights in axis order.
-    """
-    x = (np.atleast_2d(pts) - grid.lower) / grid.h
-    eps = 1e-9
-    if np.any(x < -eps) or np.any(x > grid.cells_per_axis + eps):
+def _in_footprint(x, cells):
+    """Cell coordinates x clipped to [0, cells]; ValueError if one lies more than 1e-9 outside."""
+    if np.any(x < -1e-9) or np.any(x > cells + 1e-9):
         raise ValueError("query points leave the grid footprint")
-    x = np.clip(x, 0.0, grid.cells_per_axis)
-    i0 = np.clip(x.astype(int), 0, grid.cells_per_axis - 1)
-    t = x - i0
-    weight = (1 - t, t)
-    corners = [c[::-1] for c in itertools.product((0, 1), repeat=grid.n)]
-    flats = {}  # field shape -> the flat index of each corner
+    return np.clip(x, 0.0, cells)
 
-    def flat_indices(shape):
-        # the low corner's C-order index (Horner), then each corner's offset
-        # by the strides of the node axes
-        index = [*i0.T, *tail]
-        if len(index) != len(shape):
-            raise ValueError("tail must index every trailing axis of the field")
-        low = index[0]
-        for i, m in zip(index[1:], shape[1:]):
-            low = low * m + i
-        strides = [math.prod(shape[k + 1:]) for k in range(grid.n)]
-        return [low + sum(c * s for c, s in zip(corner, strides)) for corner in corners]
 
-    def at(field):
-        if field.shape not in flats:
-            flats[field.shape] = flat_indices(field.shape)
-        values = field.reshape(-1)
-        terms = []
-        for corner, flat in zip(corners, flats[field.shape]):
-            term = values.take(flat)
-            for k, c in enumerate(corner):
-                term = term * weight[c][:, k]
-            terms.append(term)
-        return sum(terms[1:], terms[0])
+def _cell_stencil(x, cells, shape, *tail):
+    """The multilinear stencil (flat, weight, first, reach) of points at cell coordinates
+    x (k, n) from a node, on fields of `shape` with tail index arrays into the trailing
+    axes, in cells with low corners i0 = min(floor(x), cells - 1). Per corner, first
+    axis fastest: flat, C-order offsets from the node minus first = min(0, their
+    minimum); weight, (1 - t or t) per axis, t = x - i0. reach bounds corners and x."""
+    i0 = np.minimum(np.floor(x), cells - 1).astype(int)
+    index = [*i0.T, *tail]
+    if len(index) != len(shape):
+        raise ValueError("tail must index every trailing axis of the field")
+    low = index[0]  # the low corner's C-order index (Horner)
+    for i, m in zip(index[1:], shape[1:]):
+        low = low * m + i
+    corners = [c[::-1] for c in itertools.product((0, 1), repeat=x.shape[1])]
+    flat = np.stack([low + sum(c * math.prod(shape[k + 1:]) for k, c in enumerate(corner))
+                     for corner in corners])
+    first = int(flat.min(initial=0))
+    w = (1 - (x - i0), x - i0)
+    weight = np.array([[w[c][:, k] for k, c in enumerate(corner)] for corner in corners])
+    reach = [i0.min(axis=0), np.maximum(i0.max(axis=0) + 1, np.ceil(x.max(axis=0)))]
+    return flat - first, weight, first, np.array(reach, dtype=int)
 
-    return at
+
+def _apply(field, flat, weight, first):
+    """A float field at a cell stencil's points: per corner one take from C-order index
+    `first` on, times the axis weights in order, in place; the corners summed in order."""
+    values = field.reshape(-1)[first:]
+    terms = (functools.reduce(operator.imul, w, values.take(fl)) for fl, w in zip(flat, weight))
+    return functools.reduce(operator.iadd, terms)
+
+
+def _multilinear_at(grid, pts, *tail):
+    """Multilinear interpolation at thin-space points, as a function of the node
+    field: their cell stencil about node 0 for the field's shape."""
+    cells = grid.cells_per_axis
+    x = _in_footprint((np.atleast_2d(pts) - grid.lower) / grid.h, cells)
+    return lambda field: _apply(field, *_cell_stencil(x, cells, field.shape, *tail)[:3])
 
 
 def _dst1(x, n):

@@ -182,6 +182,9 @@ def test_diagnose_artifacts(eig_out, tmp_path):
     assert labels <= {"regular", "singular", "undetermined"}
     header = (out / "weiss.csv").read_text().splitlines()[0]
     assert header == "# point,x0,r,W"
+    times = RunManifest.load(out / "manifest.json").wall_times
+    assert times["extend"] > 0 and times["points"] > 0
+    assert times["extend"] + times["points"] <= times["total"]
 
 
 def test_diagnose_points_run_alone_as_in_the_full_run(tmp_path):
@@ -209,6 +212,30 @@ def test_diagnose_points_run_alone_as_in_the_full_run(tmp_path):
                for out in (full, some)]
     assert [json.dumps(p) for p in entries[1]] == [
         json.dumps(p) for p in entries[0] if p["point"] in picked]
+
+
+def test_diagnose_outputs_do_not_depend_on_the_stencil_caches(tmp_path):
+    """Two diagnose runs in one process, the first on cold stencil caches,
+    the second on warm ones, write the same bytes, also after a run on
+    another slab layout in between."""
+    from fraclab import diagnostics
+
+    eig_cfg = write_cfg(tmp_path / "eig.cfg", n=2, cells=24, lower=-1.0, upper=1.0,
+                        s=0.5, domain="ball 0.02 -0.01 0.45", m=2)
+    assert main(["eig", "--config", eig_cfg, "--out", str(tmp_path / "eig")]) == 0
+    keys = dict(n=2, s=0.5, mask=str(tmp_path / "eig" / "mask.frlb"), r_max_cells=6,
+                fields=f"{tmp_path / 'eig' / 'v01.frlb'},{tmp_path / 'eig' / 'v02.frlb'}")
+    for cache in (diagnostics._sphere_stencil, diagnostics._blow_up_stencil,
+                  diagnostics._one_plane_model):
+        cache.cache_clear()
+    outs = []
+    for run, J in enumerate((8, 8, 10, 8)):
+        cfg = write_cfg(tmp_path / f"diag{run}.cfg", J=J, **keys)
+        assert main(["diagnose", "--config", cfg, "--out", str(tmp_path / f"d{run}")]) == 0
+        outs.append({name: (tmp_path / f"d{run}" / name).read_bytes() for name in
+                     ("weiss.csv", "density.csv", "slopes.csv", "classification.json")})
+    assert outs[0] == outs[1] == outs[3] != outs[2]
+    assert diagnostics._sphere_stencil.cache_info().hits > 0
 
 
 def test_diagnose_marks_a_point_near_the_wall_undetermined(tmp_path):

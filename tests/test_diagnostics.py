@@ -1,7 +1,10 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
-from fraclab import diagnostics
+from fraclab import diagnostics, extension
 from fraclab.constants import FracParams, _gauss_jacobi, one_plane_solution, slope_constant
 from fraclab.diagnostics import (
     ClassifierConfig,
@@ -19,7 +22,8 @@ from fraclab.diagnostics import (
 )
 from fraclab.diagnostics import _hemisphere_rule, _trace_support
 from fraclab.eigen import lowest_eigenpairs
-from fraclab.extension import ExtensionField, SlabGrid, _ball_energies, _interp, extend
+from fraclab.extension import (ExtensionField, SlabGrid, _ball_energies, _gather, _interp,
+                               _placement, _slab_stencil, extend)
 from fraclab.grids import BoxGrid, ball_domain, interval_domain, mask_from_indices
 from fraclab.nonlocal_form import assemble_form
 
@@ -371,15 +375,26 @@ def smooth_fields(n, count, s):
     return extend([t.reshape(g.node_shape) for t in traces], slab)
 
 
-def loop_blow_up(fields, x0, r, s):
-    """blow_up_rescale's values from one interp per level and field."""
+def relative_samples(fields, x0, offsets, y):
+    """The fields at thin-space offsets (k, n) from x0 and heights y, through
+    the node-relative stencil placed at the node nearest x0."""
+    layout, node, off = _placement(fields[0].slab, x0)
+    return _gather(fields, _slab_stencil(layout, offsets / layout[2] + off, y), node)
+
+
+def absolute_samples(fields, x0, offsets, y):
+    """The same samples from their absolute positions (_interp)."""
+    return _interp(fields, np.column_stack([np.asarray(x0, dtype=float) + offsets, y]))
+
+
+def loop_blow_up(fields, x0, r, s, samples=relative_samples):
+    """blow_up_rescale's values from one gather per level and field."""
     bu = blow_up_rescale(fields, x0, r, s)
-    pts_x = bu.xgrid.node_coords() * r + np.asarray(x0, dtype=float)
-    vals = np.empty((len(pts_x), bu.y_levels.size, len(fields)))
+    offsets = bu.xgrid.node_coords() * r
+    vals = np.empty((len(offsets), bu.y_levels.size, len(fields)))
     for k, yl in enumerate(bu.y_levels):
-        q = np.column_stack([pts_x, np.full(len(pts_x), yl * r)])
         for ci, f in enumerate(fields):
-            vals[:, k, ci] = _interp([f], q)[0]
+            vals[:, k, ci] = samples([f], x0, offsets, np.full(len(offsets), yl * r))[0]
     vals *= r ** (-s)
     return bu, vals.reshape(bu.values.shape)
 
@@ -410,7 +425,7 @@ def loop_flatness(fields, x0, r, p, angle_count):
     return best[0], best[1], f
 
 
-def loop_weiss(fields, x0, radii, p):
+def loop_weiss(fields, x0, radii, p, samples=relative_samples):
     """The Weiss energy radius by radius, one sphere gather per radius and field."""
     grid = fields[0].slab.base
     n = grid.n
@@ -422,10 +437,9 @@ def loop_weiss(fields, x0, radii, p):
         e = sum(_ball_energies(f, x0, [r])[0] for f in fields)
         inside = ((grid.node_coords() - x0[None, :]) ** 2).sum(axis=1) < r * r
         meas = grid.h**n * int(np.sum(inside & supp))
-        pts = np.column_stack([x0[None, :] + r * dirs[:, :n], r * dirs[:, n]])
         mag2 = np.zeros(len(dirs))
         for f in fields:
-            gv = _interp([f], pts)[0]
+            gv = samples([f], x0, r * dirs[:, :n], r * dirs[:, n])[0]
             mag2 += gv * gv
         sphere = float(np.sum(wts * mag2)) * r**n * r**p.a
         out.append((2.0 * e + p.lambda_tilde * meas) / r**n
@@ -454,11 +468,73 @@ def test_batched_diagnostics_equal_their_loops(n, count):
     assert [weiss_curve(fields, x0, [r], p).values[0] for r in radii] == ref.tolist()
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_node_relative_stencils_match_absolute_interpolation(n):
+    """Weiss values and blow-up values from the node-relative stencils agree
+    with sampling the absolute points (_interp) to 1e-14 relative, at a node
+    center and off a node."""
+    p = FracParams(n, 0.3, 1.0)
+    fields = smooth_fields(n, 2, p.s)
+    base = fields[0].slab.base
+    h = base.h
+    node = base.axis_nodes()[[int(0.75 * base.cells_per_axis), 20][:n]]
+    radii = np.array([5.0, 6.0, 7.0, 8.5]) * h
+    for x0, on_node in ((node, True), (node + np.array([0.37, -0.21])[:n] * h, False)):
+        assert (_placement(fields[0].slab, x0)[2] == (0.0,) * n) == on_node
+        want = loop_weiss(fields, x0, radii, p, samples=absolute_samples)
+        got = weiss_curve(fields, x0, radii, p).values
+        assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
+        for r in (6 * h, 8.5 * h):
+            _, want = loop_blow_up(fields, x0, r, p.s, samples=absolute_samples)
+            got = blow_up_rescale(fields, x0, r, p.s).values
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_a_blow_up_window_on_the_wall_is_sampled_at_its_points(n, monkeypatch):
+    """A blow-up window that touches the box wall reaches past the footprint
+    from its node, so its samples are interpolated from their absolute points."""
+    p = FracParams(n, 0.3, 1.0)
+    fields = smooth_fields(n, 2, p.s)
+    x0, r = np.array([0.75, 0.0])[:n], 0.25  # x0 + r = 1, offsets whole cells
+    calls = []
+    monkeypatch.setattr(extension, "_interp", lambda *a: calls.append(1) or _interp(*a))
+    got = blow_up_rescale(fields, x0, r, p.s).values
+    assert calls == [1]
+    _, want = loop_blow_up(fields, x0, r, p.s, samples=absolute_samples)
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def test_stencil_caches_hold_no_slab_and_key_the_levels():
+    """The stencil caches keep no slab alive, and a slab whose y_nodes differ
+    (as gridio.read_slab_field may set them) gets its own stencils."""
+    p = FracParams(2, 0.3, 1.0)
+    fields = smooth_fields(2, 1, p.s)
+    h = fields[0].slab.base.h
+    x0, radii = [0.55, 0.1], np.array([5.0, 6.0, 7.0, 8.5]) * h
+    weiss_curve(fields, x0, radii, p)
+    flatness(fields, x0, 6 * h, p)
+    slab = SlabGrid(fields[0].slab.base, 16, a=p.a, Y=4.0)
+    slab.y_nodes = slab.y_nodes * (1.0 + 0.01 * np.arange(slab.J + 1) / slab.J)
+    moved = [ExtensionField(slab, fields[0].values)]
+    np.testing.assert_array_equal(weiss_curve(moved, x0, radii, p).values,
+                                  loop_weiss(moved, x0, radii, p))
+    want = loop_weiss(moved, x0, radii, p, samples=absolute_samples)
+    assert np.all(np.abs(weiss_curve(moved, x0, radii, p).values - want) <= 1e-14 * np.abs(want))
+    alive = weakref.ref(fields[0].slab), weakref.ref(slab)
+    del fields, moved, slab
+    gc.collect()
+    assert alive[0]() is None and alive[1]() is None
+
+
 def test_flatness_returns_the_first_of_equal_directions(monkeypatch):
-    """With a direction-blind model every direction ties; the first is kept."""
+    """With a direction-blind model every direction ties; the first is kept.
+    The cached model is replaced, not the profile inside it, so no stale
+    model outlives the test."""
     p = FracParams(2, 0.3, 1.0)
     fields = smooth_fields(2, 2, p.s)
-    monkeypatch.setattr(diagnostics, "one_plane_solution", lambda t, z, s: np.ones_like(t))
+    model = diagnostics._one_plane_model
+    monkeypatch.setattr(diagnostics, "_one_plane_model", lambda *key: np.ones_like(model(*key)))
     for angles in (128, 2048):
         eps, nu, _ = flatness(fields, [0.55, 0.1], 0.3, p, angle_count=angles)
         assert np.isfinite(eps) and nu.tolist() == [1.0, 0.0]

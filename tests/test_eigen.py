@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import sys
 import tracemalloc
 
 import numpy as np
@@ -189,6 +190,22 @@ def test_lanczos_replays_byte_for_byte():
     a, b = lowest_eigenpairs(form, 4), lowest_eigenpairs(form, 4)
     for field in ("lambdas", "vectors", "residuals", "gram"):
         assert getattr(a, field).tobytes() == getattr(b, field).tobytes()
+
+
+@pytest.mark.parametrize("hook", [sys.settrace, sys.setprofile])
+def test_eig_runs_under_a_trace_or_profile_hook(hook):
+    """A no-op trace or profile hook holds the solver's frame locals, the
+    growing basis among them; the solve runs as it does without the hook."""
+    form = assemble_form(interval_domain(BoxGrid(1, -2.0, 2.0, 64), -1.0, 1.0),
+                         FracParams(1, 0.5, 1.0))
+    want = lowest_eigenpairs(form, 2)
+    hook(lambda *args: None)
+    try:
+        got = lowest_eigenpairs(form, 2)
+    finally:
+        hook(None)
+    assert got.lambdas.tobytes() == want.lambdas.tobytes()
+    assert got.vectors.tobytes() == want.vectors.tobytes()
 
 
 def test_indefinite_matrix_raises_and_keeps_k():

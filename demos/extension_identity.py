@@ -13,7 +13,7 @@ from fraclab.constants import FracParams
 from fraclab.eigen import lowest_eigenpairs
 from fraclab.extension import SlabGrid, extend, extension_energy, neumann_trace
 from fraclab.grids import BoxGrid, interval_domain
-from fraclab.nonlocal_form import KernelTable, assemble_form
+from fraclab.nonlocal_form import KernelTable
 
 
 def bump(x, seed=7):
@@ -44,7 +44,7 @@ print("Neumann trace of the ground-state extension vs (lambda_1/d_s) v_1:")
 p = FracParams(1, 0.5, 1.0)
 g = BoxGrid(1, -2.0, 2.0, 256)
 dom = interval_domain(g, -1.0, 1.0)
-bundle = lowest_eigenpairs(assemble_form(dom, p), 1)
+bundle = lowest_eigenpairs(KernelTable(g, p.s), dom, 1)
 v1 = bundle.full_fields()[0]
 (f,) = extend([v1], SlabGrid(g, 48, a=0.0, Y=4.0))
 nt, flags = neumann_trace(f)

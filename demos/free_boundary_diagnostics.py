@@ -23,7 +23,7 @@ from fraclab.diagnostics import (
 from fraclab.eigen import lowest_eigenpairs
 from fraclab.extension import SlabGrid, extend
 from fraclab.grids import BoxGrid, ball_domain
-from fraclab.nonlocal_form import assemble_form
+from fraclab.nonlocal_form import KernelTable
 from fraclab.shape_opt import OptimizerConfig, optimize
 
 
@@ -45,7 +45,7 @@ for Lam in (1.5, 2.3, 3.5):
     g = BoxGrid(1, -1.0, 1.0, 256)
     tr = optimize(g, OptimizerConfig(m=1, Lambda=Lam, schedule="greedy", seed=3), p)
     dom = tr.best_mask
-    bundle = lowest_eigenpairs(assemble_form(dom, p), 1)
+    bundle = lowest_eigenpairs(KernelTable(g, s), dom, 1)
     (f,) = extend(bundle.full_fields()[:1], SlabGrid(g, 96, a=p.a, Y=4.0))
     fb = free_boundary_set(dom)
     H = holder_estimate(g, np.abs(f.trace), s)
@@ -81,7 +81,7 @@ print(f"  small-r trend toward 1/2: {toward}/{len(fb2)} points")
 print()
 print("== pixel-disk classification ==")
 dom3 = ball_domain(BoxGrid(2, -1.0, 1.0, 64), [0.0, 0.0], 0.6)
-bundle3 = lowest_eigenpairs(assemble_form(dom3, p2), 1)
+bundle3 = lowest_eigenpairs(KernelTable(dom3.grid, p2.s), dom3, 1)
 fields3 = extend(bundle3.full_fields(), SlabGrid(dom3.grid, 24, a=0.0, Y=4.0))
 fb3 = free_boundary_set(dom3)
 cfg = ClassifierConfig(flat_threshold=1.0)  # flatness floor ~sqrt(h/r) here

@@ -4,7 +4,7 @@ Submodules
 ----------
 constants      closed-form kernel/extension constants and the one-plane profile
 grids          uniform box grids and pixel (node-mask) domains
-nonlocal_form  discrete fractional stiffness forms on pixel domains
+nonlocal_form  kernel tables: the discrete fractional stiffness of pixel domains
 eigen          lowest-m Dirichlet eigenpairs
 extension      weighted slab extension, energies, Neumann traces
 shape_opt      greedy/annealed mask optimization
@@ -25,7 +25,7 @@ from .constants import (
     unit_ball_volume,
 )
 from .grids import BoxGrid, ThinDomain, ball_domain, interval_domain, mask_from_indices
-from .nonlocal_form import KernelTable, StiffnessForm, assemble_form, seminorm
+from .nonlocal_form import KernelTable
 from .eigen import EigenBundle, lowest_eigenpairs
 from .extension import (
     ExtensionField,
@@ -62,9 +62,6 @@ __all__ = [
     "interval_domain",
     "mask_from_indices",
     "KernelTable",
-    "StiffnessForm",
-    "assemble_form",
-    "seminorm",
     "EigenBundle",
     "lowest_eigenpairs",
     "ExtensionField",

@@ -39,9 +39,9 @@ def residual_order(s):
 
 def interval_bundle(s, cells, m, half=1.0):
     """The m lowest eigenpairs of (-half, half) on a grid of [-2 half, 2 half]."""
-    dom = grids.interval_domain(grids.BoxGrid(1, -2.0 * half, 2.0 * half, cells), -half, half)
-    return eigen.lowest_eigenpairs(nonlocal_form.assemble_form(
-        dom, constants.FracParams(1, s, 1.0)), m)
+    grid = grids.BoxGrid(1, -2.0 * half, 2.0 * half, cells)
+    return eigen.lowest_eigenpairs(nonlocal_form.KernelTable(grid, s),
+                                   grids.interval_domain(grid, -half, half), m)
 
 
 def scaling_defect(s, cells, m, half=1.0):

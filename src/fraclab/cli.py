@@ -35,14 +35,18 @@ class UsageError(Exception):
 
 _GRID_KEYS = ("n", "cells", "lower", "upper")
 _PARAM_KEYS = ("n", "s", "lambda")
+# optional config keys that set a config object's field of the same name (less
+# the "class_" prefix), with their casts; a key left out keeps the field's default
+_OPTIMIZER_CASTS = {"m": int, "move_kind": str, "schedule": str, "t0": float,
+                    "cooling": float, "steps": int, "restarts": int, "stale_limit": int}
+_CLASSIFIER_CASTS = {"class_tol": float, "class_delta": float, "class_flat_threshold": float}
 # the config keys each command reads; any other key is a usage error
 _KEYS = {
     "eig": {*_GRID_KEYS, *_PARAM_KEYS, "m", "domain"},
     "extend": {*_PARAM_KEYS, "trace", "component", "J", "Y", "gamma"},
-    "optimize": {*_GRID_KEYS, *_PARAM_KEYS, "m", "move_kind", "schedule", "t0", "cooling",
-                 "steps", "restarts", "seed", "stale_limit"},
-    "diagnose": {*_PARAM_KEYS, "mask", "fields", "r_min_cells", "r_max_cells", "class_tol",
-                 "class_delta", "class_flat_threshold", "J", "Y"},
+    "optimize": {*_GRID_KEYS, *_PARAM_KEYS, *_OPTIMIZER_CASTS, "seed"},
+    "diagnose": {*_PARAM_KEYS, *_CLASSIFIER_CASTS, "mask", "fields", "r_min_cells",
+                 "r_max_cells", "J", "Y"},
 }
 
 
@@ -75,6 +79,14 @@ def _cfg(cfg, key, cast, default=None, required=False):
         return cast(cfg[key])
     except (TypeError, ValueError) as exc:
         raise UsageError(f"config key '{key}': {exc}") from None
+
+
+def _given(cfg, casts):
+    """{field name: cast value} for the keys of `casts` that cfg holds, the
+    field name being the key less a "class_" prefix. Every key is looked up
+    through `_cfg`, whose None marks a key left out (no cast returns None)."""
+    values = {key.removeprefix("class_"): _cfg(cfg, key, cast) for key, cast in casts.items()}
+    return {name: value for name, value in values.items() if value is not None}
 
 
 def _checked(build, *args, **kwargs):
@@ -225,8 +237,8 @@ def cmd_eig(args):
         raise UsageError("the domain contains no nodes")
     if not 1 <= m <= dom.cell_count:
         raise UsageError(f"m = {m} must lie in [1, {dom.cell_count}] (domain nodes)")
-    form = run.timed("assemble", nonlocal_form.assemble_form, dom, params)
-    bundle = run.timed("solve", eigen.lowest_eigenpairs, form, m)
+    table = run.timed("assemble", nonlocal_form.KernelTable, dom.grid, params.s)
+    bundle = run.timed("solve", eigen.lowest_eigenpairs, table, dom, m)
     try:
         bundle.check()
     except AssertionError as exc:
@@ -296,19 +308,8 @@ def cmd_optimize(args):
     cfg = run.cfg
     grid = _build_grid(cfg)
     params = _build_params(cfg)
-    ocfg = _checked(
-        shape_opt.OptimizerConfig,
-        m=_cfg(cfg, "m", int, 1),
-        Lambda=_cfg(cfg, "lambda", float, required=True),
-        move_kind=_cfg(cfg, "move_kind", str, "boundary-flip"),
-        schedule=_cfg(cfg, "schedule", str, "greedy"),
-        t0=_cfg(cfg, "t0", float, 0.1),
-        cooling=_cfg(cfg, "cooling", float, 0.97),
-        steps=_cfg(cfg, "steps", int, 400),
-        restarts=_cfg(cfg, "restarts", int, 1),
-        seed=run.seed(),
-        stale_limit=_cfg(cfg, "stale_limit", int, 200),
-    )
+    ocfg = _checked(shape_opt.OptimizerConfig, **_given(cfg, _OPTIMIZER_CASTS),
+                    Lambda=_cfg(cfg, "lambda", float, required=True), seed=run.seed())
     start = int(shape_opt._initial_mask(grid, ocfg, None, jitter=False).sum())
     if ocfg.m > start:
         raise UsageError(f"m = {ocfg.m} exceeds the {start} nodes of the start mask")
@@ -380,11 +381,7 @@ def cmd_diagnose(args):
         raise UsageError(f"r_max_cells = {r_max_cells} must be finite and at least "
                          f"r_min_cells = {r_min_cells}")
     r_lo, r_hi = r_min_cells * grid.h, r_max_cells * grid.h
-    ccfg = diagnostics.ClassifierConfig(
-        tol=_cfg(cfg, "class_tol", float, 0.1),
-        delta=_cfg(cfg, "class_delta", float, 0.05),
-        flat_threshold=_cfg(cfg, "class_flat_threshold", float, 0.2),
-    )
+    ccfg = diagnostics.ClassifierConfig(**_given(cfg, _CLASSIFIER_CASTS))
     J = _cfg(cfg, "J", int, 32)
     Y = _cfg(cfg, "Y", float, None)
     slab = _checked(extension.SlabGrid, grid, J, a=params.a, Y=Y)
@@ -422,6 +419,8 @@ def cmd_diagnose(args):
             slope = pc.slope
             entry.update(density_limit=pc.density_limit, label=pc.label,
                          flatness=pc.flatness)
+            if pc.reason is not None:
+                entry["reason"] = pc.reason
         entry["slope"] = None if np.isnan(slope) else slope
         slope_rows.append(f"{k},{xs},{_fmt(slope)},{_fmt(target)}\n")
         counts[entry["label"]] = counts.get(entry["label"], 0) + 1

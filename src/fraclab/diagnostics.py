@@ -424,12 +424,16 @@ class ClassifierConfig:
 
 @dataclass
 class PointClassification:
+    """A point's label and the measurements behind it; `reason` says why
+    `slope` is nan (boundary_slope's ResolutionError), else it is None."""
+
     density_limit: float
     label: str
     flatness: float
     slope: float
     radii: np.ndarray = field(default=None)
     ratios: np.ndarray = field(default=None)
+    reason: str | None = None
 
     def check(self, config):
         if self.label == "regular" and abs(self.density_limit - 0.5) > config.tol:
@@ -472,10 +476,11 @@ def classify(mask, G_fields, x0, config, params, normal):
     coef, *_ = np.linalg.lstsq(A, ratios, rcond=None)
     gamma = float(coef[0])
     eps, _, _ = flatness(G_fields, x0v, radii[0], params)
+    reason = None
     try:
         slope = boundary_slope(G_fields, x0v, -np.asarray(normal), params)
-    except ResolutionError:
-        slope = float("nan")
+    except ResolutionError as exc:
+        slope, reason = float("nan"), str(exc)
     if abs(gamma - 0.5) <= config.tol and eps < config.flat_threshold:
         label = "regular"
     elif gamma >= 0.5 + config.delta:
@@ -489,4 +494,5 @@ def classify(mask, G_fields, x0, config, params, normal):
         slope=slope,
         radii=radii,
         ratios=ratios,
+        reason=reason,
     )

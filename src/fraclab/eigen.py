@@ -13,7 +13,7 @@ lambda_m / lambda_(m+1), not by the h^(-2s) conditioning of K.
 * The solver gathers its own copy of K's lower triangle in rectangular full
   packed storage (``KernelTable.packed``, d(d+1)/2 entries) and factors it
   in place by Cholesky (LAPACK dpftrf); each step solves for one block of m
-  vectors (dpftrs). No d x d array is made, and the form is not touched.
+  vectors (dpftrs). No d x d array is made, and the table is not touched.
 * K^-1 times each block is orthogonalized twice against the whole basis;
   the coefficients of both passes make up the Rayleigh-Ritz matrix
   Q^T K^-1 Q.
@@ -97,27 +97,32 @@ class EigenBundle:
         return True
 
 
-def lowest_eigenpairs(form, m):
-    """Solve K v = lambda M v for the m smallest eigenvalues.
+def lowest_eigenpairs(table, domain, m):
+    """Solve K v = lambda M v for the m smallest eigenvalues, K the stiffness
+    matrix of the kernel table `table` over the nodes of `domain`, a domain
+    on the table's grid layout.
 
     The mass matrix is the constant diagonal h^n, so the generalized problem
     is the ordinary symmetric one for K / h^n, solved by block Lanczos on
     K^-1 (module docstring) on a packed Cholesky factor the solver gathers
-    and discards; the form is left as it is.
+    and discards; the table is left as it is.
     """
     m = int(m)
-    dim = form.dim
+    dim = domain.cell_count
+    if not domain.grid.same_layout(table.grid):
+        raise ValueError(f"domain grid {domain.grid!r} does not match the kernel table's "
+                         f"grid {table.grid!r}")
     if m < 1:
         raise ValueError("need m >= 1")
     if m > dim:
         raise ValueError(f"m={m} exceeds the domain dimension {dim}")
-    idx = form.domain.flat_indices
-    L, info = lapack.dpftrf(dim, form.table.packed(idx), transr="N", uplo="L", overwrite_a=1)
+    idx = domain.flat_indices
+    L, info = lapack.dpftrf(dim, table.packed(idx), transr="N", uplo="L", overwrite_a=1)
     if info != 0:
         raise np.linalg.LinAlgError(
             f"stiffness matrix is not positive definite (dpftrf info {info})")
-    lam, X, residuals, blocks = _block_lanczos(L, form.table, idx, m)
-    mass = form.mass
+    lam, X, residuals, blocks = _block_lanczos(L, table, idx, m)
+    mass = domain.grid.h**domain.grid.n
     lam = lam / mass
     # Euclidean-orthonormal columns, rescaled to unit L2 norm
     vectors = (X / np.sqrt(mass)).T.copy()
@@ -134,8 +139,8 @@ def lowest_eigenpairs(form, m):
         gram=gram,
         residuals=residuals,
         clustered=clustered,
-        domain=form.domain,
-        h=form.h,
+        domain=domain,
+        h=domain.grid.h,
         lanczos_blocks=blocks,
     )
 

@@ -177,6 +177,9 @@ def read_slab_field(path):
     grid, (a, gamma, J), buf = _open(path, _KIND_SLAB, "<ddI")
     data = _payload(buf, "<f8", (J + 1) * (1 + grid.num_nodes), path)
     y = data[: J + 1].copy()
+    if not (np.all(np.isfinite(y)) and y[0] == 0.0 and np.all(np.diff(y) > 0.0)):
+        raise CompatibilityError(f"{path}: slab y-levels must be finite, start at 0 and "
+                                 "strictly increase")
     try:
         slab = SlabGrid(grid, J, a=a, Y=float(y[-1]), gamma=gamma)
     except ValueError as exc:
@@ -194,13 +197,9 @@ def sha256_file(path):
 # ---------------------------------------------------------------------------
 
 
-def parse_config(text_or_path):
-    """Parse KEY = VALUE lines (#-comments allowed) into an ordered dict."""
-    if "\n" not in str(text_or_path) and os.path.exists(text_or_path):
-        with open(text_or_path) as fh:
-            text = fh.read()
-    else:
-        text = str(text_or_path)
+def parse_config(text):
+    """Parse the text of KEY = VALUE lines (#-comments allowed) into an
+    ordered dict."""
     out = {}
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()

@@ -26,14 +26,12 @@ gathers K from them; the neighbor sums are one FFT convolution.
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .constants import _gauss_jacobi, normalization_constant
-from .grids import ThinDomain
 
-__all__ = ["StiffnessForm", "KernelTable", "assemble_form", "seminorm"]
+__all__ = ["KernelTable"]
 
 # ---------------------------------------------------------------------------
 # near-field weights (touching cells, local linear model)
@@ -179,10 +177,10 @@ def _tail_2d(grid, s):
 
 
 # ---------------------------------------------------------------------------
-# kernel table and stiffness form
+# kernel table
 
 # entries per row block of a gathered matrix, so that the gathered values of
-# `block` and `packed` and the temporaries of `StiffnessForm.check` stay
+# `block` and `packed` and the temporaries of `KernelTable.check` stay
 # at 512 KiB
 _BLOCK = 2**16
 
@@ -227,9 +225,12 @@ class KernelTable:
     node's weight sum over the whole box, the valid part of the convolution
     of the weights with the box indicator) and the exterior tail. The same
     convolution of ``entries`` with a zero-extended vector is K times it.
+    ``grid`` is the grid the table was built on; the mass matrix of every
+    mask on it is the constant diagonal grid.h^grid.n.
     """
 
     def __init__(self, grid, s):
+        self.grid = grid
         self.s = float(s)
         self.c_ns = normalization_constant(grid.n, s)
         n, h = grid.n, grid.h
@@ -329,55 +330,18 @@ class KernelTable:
         w = self.entries[tuple(slice(c + 1 - b, c + b) for b in field.shape)]
         return _valid_convolution(w, field)[at] + self.diagonal(idx) * x
 
-
-@dataclass(frozen=True)
-class StiffnessForm:
-    """Stiffness matrix of the fractional form restricted to a pixel domain.
-
-    The form is the grid's kernel table and the domain; K, which acts on
-    vectors indexed by the domain's nodes, is gathered from them when asked
-    for (``K``, a new d x d array on each access) and never stored. The mass
-    matrix is the constant diagonal h^n. Off-diagonal entries are nonpositive
-    (the kernel is positive), and the diagonal carries the neighbor sums plus
-    the exterior tail, so K is strictly positive definite.
-    """
-
-    table: KernelTable
-    domain: ThinDomain
-
-    @property
-    def h(self):
-        return self.domain.grid.h
-
-    @property
-    def n(self):
-        return self.domain.grid.n
-
-    @property
-    def dim(self):
-        return self.domain.cell_count
-
-    @property
-    def mass(self):
-        """Diagonal mass entry (constant h^n)."""
-        return self.h**self.n
-
-    @property
-    def K(self):
-        """The dense stiffness matrix, gathered anew."""
-        return self.table.stiffness(self.domain.flat_indices)
-
-    def check(self):
+    def check(self, flat_indices):
         """Exact symmetry, nonpositive off-diagonal and nonnegative diagonal
-        entries, checked on gathered blocks of rows (no d x d array)."""
-        table, idx = self.table, self.domain.flat_indices
+        entries of the stiffness matrix over the given nodes, checked on
+        gathered blocks of rows (no d x d array)."""
+        idx = np.asarray(flat_indices, dtype=int)
         blocks = _row_blocks(idx.size)
-        if not all(np.array_equal(table.block(idx[b], idx), table.block(idx, idx[b]).T)
+        if not all(np.array_equal(self.block(idx[b], idx), self.block(idx, idx[b]).T)
                    for b in blocks):
             raise AssertionError("stiffness matrix is not exactly symmetric")
-        if any(_positive_off_diagonal(table.block(idx[b], idx), b) for b in blocks):
+        if any(_positive_off_diagonal(self.block(idx[b], idx), b) for b in blocks):
             raise AssertionError("positive off-diagonal entry in stiffness matrix")
-        if np.any(table.diagonal(idx) < 0):
+        if np.any(self.diagonal(idx) < 0):
             raise AssertionError("negative diagonal entry in stiffness matrix")
         return True
 
@@ -387,21 +351,3 @@ def _positive_off_diagonal(rows_of_k, rows):
     positive = rows_of_k > 0
     np.fill_diagonal(positive[:, rows], False)
     return positive.any()
-
-
-def assemble_form(domain, params):
-    """Build the StiffnessForm of a domain for the given parameters."""
-    if domain.cell_count == 0:
-        raise ValueError("cannot assemble the form of an empty domain")
-    if params.n != domain.grid.n:
-        raise ValueError("parameter dimension does not match the grid")
-    return StiffnessForm(table=KernelTable(domain.grid, params.s), domain=domain)
-
-
-def seminorm(form, u):
-    """Quadratic form value u^T K u (the discrete squared seminorm), with K u
-    taken by FFT (``KernelTable.product``)."""
-    u = np.asarray(u, dtype=float)
-    if u.shape != (form.dim,):
-        raise ValueError(f"vector length {u.shape} does not match form dim {form.dim}")
-    return float(u @ form.table.product(form.domain.flat_indices, u))

@@ -32,7 +32,7 @@ from fraclab.diagnostics import (
 from fraclab.eigen import lowest_eigenpairs
 from fraclab.extension import ExtensionField, SlabGrid, extend
 from fraclab.grids import BoxGrid, mask_from_indices
-from fraclab.nonlocal_form import KernelTable, assemble_form
+from fraclab.nonlocal_form import KernelTable
 from fraclab.shape_opt import OptimizerConfig, optimize
 
 
@@ -153,7 +153,7 @@ def test_criterion_04_monotonicity_deficit_stable_under_refinement():
                 g, OptimizerConfig(m=1, Lambda=Lam, schedule="greedy", seed=3), p
             )
             dom = tr.best_mask
-            bundle = lowest_eigenpairs(assemble_form(dom, p), 1)
+            bundle = lowest_eigenpairs(KernelTable(dom.grid, p.s), dom, 1)
             (f,) = extend(bundle.full_fields()[:1], SlabGrid(g, J, a=p.a, Y=4.0))
             fb = free_boundary_set(dom)
             H = holder_estimate(g, np.abs(f.trace), 0.5)
@@ -179,7 +179,7 @@ def test_criterion_05_endpoint_slope_matches_model_constant():
     g = BoxGrid(1, -1.0, 1.0, 512)
     tr = optimize(g, OptimizerConfig(m=1, Lambda=2.3, schedule="greedy", seed=3), p)
     dom = tr.best_mask
-    bundle = lowest_eigenpairs(assemble_form(dom, p), 1)
+    bundle = lowest_eigenpairs(KernelTable(dom.grid, p.s), dom, 1)
     (f,) = extend(bundle.full_fields()[:1], SlabGrid(g, 128, a=p.a, Y=4.0))
     fb = free_boundary_set(dom)
     assert len(fb) == 2
@@ -249,7 +249,7 @@ def test_criterion_08_spectral_structure():
     x = g.axis_nodes()
     keep = (((x > -1.5) & (x < -0.3)) | ((x > 0.4) & (x < 1.2))) & g.interior()
     dom2 = mask_from_indices(g, np.flatnonzero(keep))
-    bundle2 = lowest_eigenpairs(assemble_form(dom2, p), 3)
+    bundle2 = lowest_eigenpairs(KernelTable(dom2.grid, p.s), dom2, 3)
     labels, count = ndimage.label(dom2.mask)
     assert count == 2 and np.bincount(labels.ravel())[1:].min() >= 4
     v = np.abs(bundle2.vectors)

@@ -262,6 +262,25 @@ def test_diagnose_marks_a_point_near_the_wall_undetermined(tmp_path):
         assert per_point == [0 if "reason" in p else 4 for p in points], name
 
 
+def test_diagnose_says_why_a_slope_is_missing(tmp_path):
+    """On (0.4, 0.9) in [-1, 1] with h = 0.1 the left endpoint is 6h from
+    the wall x = 1, and its inward ray keeps fewer than 4 slope samples in
+    the grid (x0 + 6h rounds above 1): its entry has a null slope and says
+    why, while the right endpoint, 1h from the wall, has no ladder."""
+    eig_cfg = write_cfg(tmp_path / "eig.cfg", n=1, cells=20, lower=-1.0, upper=1.0,
+                        s=0.5, domain="interval 0.35 0.95", m=1)
+    assert main(["eig", "--config", eig_cfg, "--out", str(tmp_path / "eig")]) == 0
+    cfg = write_cfg(tmp_path / "diag.cfg", n=1, s=0.5, mask=str(tmp_path / "eig" / "mask.frlb"),
+                    fields=str(tmp_path / "eig" / "v01.frlb"), J=8)
+    assert main(["diagnose", "--config", cfg, "--out", str(tmp_path / "d")]) == 0
+    left, right = json.loads((tmp_path / "d" / "classification.json").read_text())["points"]
+    assert left["x"] == [pytest.approx(0.4)] and left["slope"] is None
+    assert left["reason"] == "fewer than 4 slope samples inside the grid"
+    assert left["density_limit"] is not None and left["flatness"] is not None
+    assert "no radius ladder" in right["reason"]
+    assert (tmp_path / "d" / "slopes.csv").read_text().splitlines()[1].split(",")[2] == "nan"
+
+
 def test_diagnose_grid_mismatch(eig_out, tmp_path):
     other = write_cfg(tmp_path / "o.cfg", n=1, cells=32, lower=-2.0,
                       upper=2.0, s=0.5, domain="interval -1 1")
@@ -399,8 +418,8 @@ def test_eig_checks_the_bundle_before_writing(tmp_path, monkeypatch, capsys):
 
     solve = eigen.lowest_eigenpairs
 
-    def loose(form, m):
-        bundle = solve(form, m)
+    def loose(table, domain, m):
+        bundle = solve(table, domain, m)
         bundle.residuals[-1] = 1e-6
         return bundle
 
@@ -518,14 +537,16 @@ def test_missing_required_key(tmp_path, capsys):
     ("optimize", {**OPT_KEYS, "cooling": 2}),
     ("optimize", {**OPT_KEYS, "m": 40}),
     ("optimize", {**OPT_KEYS, "move_kind": "block-flip"}),
+    ("optimize", {**OPT_KEYS, "steps": "ten"}),
     ("extend", {"n": 1, "s": 0.5, "J": 2}),
     ("extend", {"n": 1, "s": 0.5, "Y": 1.0}),
     ("diagnose", {"n": 1, "s": 0.5, "J": 2}),
     ("diagnose", {"n": 1, "s": 0.5, "r_max_cells": 2}),
     ("diagnose", {"n": 1, "s": 0.5, "r_max_cells": "nan"}),
+    ("diagnose", {"n": 1, "s": 0.5, "class_tol": "abc"}),
 ], ids=["n3", "cells2", "m0", "m-too-large", "empty-interval", "bad-number",
-        "schedule-foo", "cooling2", "optimize-m-too-large", "block-flip", "J2", "Y-below-diameter", "diagnose-J2",
-        "r_max_cells2", "r_max_cells-nan"])
+        "schedule-foo", "cooling2", "optimize-m-too-large", "block-flip", "steps-ten", "J2",
+        "Y-below-diameter", "diagnose-J2", "r_max_cells2", "r_max_cells-nan", "class_tol-abc"])
 def test_bad_config_values_are_usage_errors(eig_out, tmp_path, capsys, command, keys):
     keys = dict(keys)
     if command == "extend":

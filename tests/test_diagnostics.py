@@ -25,7 +25,7 @@ from fraclab.eigen import lowest_eigenpairs
 from fraclab.extension import (ExtensionField, SlabGrid, _ball_energies, _gather, _interp,
                                _placement, _slab_stencil, extend)
 from fraclab.grids import BoxGrid, ball_domain, interval_domain, mask_from_indices
-from fraclab.nonlocal_form import assemble_form
+from fraclab.nonlocal_form import KernelTable
 
 
 def exact_field(grid, J, Y, s, scale=1.0):
@@ -276,7 +276,7 @@ def test_classify_slit_point_singular():
     iy0 = int(np.argmin(np.abs(x)))
     inner[x >= -1e-12, iy0] = False
     dom = mask_from_indices(g, np.flatnonzero(inner.ravel()))
-    bundle = lowest_eigenpairs(assemble_form(dom, p), 1)
+    bundle = lowest_eigenpairs(KernelTable(dom.grid, p.s), dom, 1)
     f = extend(bundle.full_fields(), SlabGrid(g, 16, a=0.0, Y=4.0))
     fb = free_boundary_set(dom)
     for X0 in ([0.25, 0.0], [0.5, 0.0]):
@@ -318,6 +318,19 @@ def test_classify_clips_its_ladder_to_the_box():
     for x0, r_max in (([1.0 - 5 * g.h], None), ([0.0], 4 * g.h)):
         with pytest.raises(GeometryError, match="no radius ladder"):
             classify(dom, f, x0, ClassifierConfig(r_max=r_max), p, [-1.0])
+
+
+def test_classify_says_why_a_slope_is_missing():
+    """5.5h from the wall a ladder above 5h fits, but the inward ray toward
+    that wall keeps only its samples at 3h, 4h and 5h in the grid: the slope
+    is nan and the classification carries boundary_slope's reason."""
+    p = FracParams(1, 0.5, 1.0)
+    g = BoxGrid(1, -1.0, 1.0, 64)
+    f = exact_field(g, 24, 4.0, 0.5, scale=slope_constant(1.0, 0.5))
+    dom = half_line_domain(g)
+    pc = classify(dom, f, [1.0 - 5.5 * g.h], ClassifierConfig(), p, [-1.0])
+    assert np.isnan(pc.slope) and pc.reason == "fewer than 4 slope samples inside the grid"
+    assert classify(dom, f, [1.0 - 5.5 * g.h], ClassifierConfig(), p, [1.0]).reason is None
 
 
 # -- fields arguments --------------------------------------------------------

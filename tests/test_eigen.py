@@ -1,5 +1,4 @@
 import copy
-import dataclasses
 import sys
 import tracemalloc
 
@@ -8,10 +7,9 @@ import pytest
 from scipy import linalg
 
 from fraclab.checks import interval_bundle, scaling_defect
-from fraclab.constants import FracParams
 from fraclab.eigen import _next_block, lowest_eigenpairs
 from fraclab.grids import BoxGrid, ball_domain, interval_domain, mask_from_indices
-from fraclab.nonlocal_form import assemble_form
+from fraclab.nonlocal_form import KernelTable
 
 # Ground eigenvalue of (-1,1) at s=1/2, design box (-2,2), frozen from this
 # discretization at four resolutions.  Richardson extrapolation of the ladder
@@ -66,9 +64,9 @@ def test_scaling_law_exact():
 
 def test_monotonicity_under_inclusion():
     g = BoxGrid(1, -2.0, 2.0, 128)
-    p = FracParams(1, 0.5, 1.0)
-    lam_big = lowest_eigenpairs(assemble_form(interval_domain(g, -1.2, 1.2), p), 1).lambdas[0]
-    lam_small = lowest_eigenpairs(assemble_form(interval_domain(g, -0.8, 0.8), p), 1).lambdas[0]
+    table = KernelTable(g, 0.5)
+    lam_big = lowest_eigenpairs(table, interval_domain(g, -1.2, 1.2), 1).lambdas[0]
+    lam_small = lowest_eigenpairs(table, interval_domain(g, -0.8, 0.8), 1).lambdas[0]
     assert lam_small > lam_big
 
 
@@ -77,8 +75,7 @@ def test_two_interval_domain_components_both_active():
     x = g.axis_nodes()
     mask = ((x > -1.5) & (x < -0.3)) | ((x > 0.5) & (x < 1.3))
     dom = mask_from_indices(g, np.flatnonzero(mask))
-    p = FracParams(1, 0.5, 1.0)
-    bundle = lowest_eigenpairs(assemble_form(dom, p), 3)
+    bundle = lowest_eigenpairs(KernelTable(g, 0.5), dom, 3)
     left = x[dom.flat_indices] < 0
     for i in range(3):
         v = bundle.vectors[i]
@@ -93,7 +90,7 @@ def test_degenerate_pair_flags_clustering():
     """The 2d ball's first excited pair is exactly degenerate by symmetry."""
     g = BoxGrid(2, -1.0, 1.0, 40)
     dom = ball_domain(g, [0.0, 0.0], 0.6)
-    bundle = lowest_eigenpairs(assemble_form(dom, FracParams(2, 0.5, 1.0)), 3)
+    bundle = lowest_eigenpairs(KernelTable(g, 0.5), dom, 3)
     gap = (bundle.lambdas[2] - bundle.lambdas[1]) / bundle.lambdas[1]
     assert gap < 1e-12
     assert bundle.clustered
@@ -106,7 +103,7 @@ def test_symmetric_two_intervals_split_by_nonlocal_coupling():
     x = g.axis_nodes()
     mask = ((x > -1.4) & (x < -0.4)) | ((x > 0.4) & (x < 1.4))
     dom = mask_from_indices(g, np.flatnonzero(mask))
-    bundle = lowest_eigenpairs(assemble_form(dom, FracParams(1, 0.5, 1.0)), 2)
+    bundle = lowest_eigenpairs(KernelTable(g, 0.5), dom, 2)
     gap = (bundle.lambdas[1] - bundle.lambdas[0]) / bundle.lambdas[0]
     assert 1e-3 < gap < 0.2
     assert not bundle.clustered
@@ -127,8 +124,7 @@ def test_magnitude_field_is_rotation_invariant():
 def test_ball_ground_state_2d():
     g = BoxGrid(2, -1.0, 1.0, 48)
     dom = ball_domain(g, [0.0, 0.0], 0.6)
-    p = FracParams(2, 0.5, 1.0)
-    bundle = lowest_eigenpairs(assemble_form(dom, p), 2)
+    bundle = lowest_eigenpairs(KernelTable(g, 0.5), dom, 2)
     bundle.check()
     assert bundle.lambdas[1] > bundle.lambdas[0] * 1.05
     # radial symmetry of the ground state
@@ -145,24 +141,23 @@ def test_ball_ground_state_2d():
                                         ("disk", 24), ("disk", 48)])
 def test_lanczos_matches_dense_eigh(kind, cells, s):
     if kind == "interval":
-        dom = interval_domain(BoxGrid(1, -2.0, 2.0, cells), -1.0, 1.0)
-        form, m = assemble_form(dom, FracParams(1, s, 1.0)), 3
+        dom, m = interval_domain(BoxGrid(1, -2.0, 2.0, cells), -1.0, 1.0), 3
     else:
         # centred: the first excited pair is exactly degenerate
-        dom = ball_domain(BoxGrid(2, -1.0, 1.0, cells), [0.0, 0.0], 0.6)
-        form, m = assemble_form(dom, FracParams(2, s, 1.0)), 4
-    K0 = form.K.copy()
-    bundle = lowest_eigenpairs(form, m)
-    assert form.K.tobytes() == K0.tobytes()
+        dom, m = ball_domain(BoxGrid(2, -1.0, 1.0, cells), [0.0, 0.0], 0.6), 4
+    table, mass = KernelTable(dom.grid, s), dom.grid.h**dom.grid.n
+    K0 = table.stiffness(dom.flat_indices)
+    bundle = lowest_eigenpairs(table, dom, m)
+    assert table.stiffness(dom.flat_indices).tobytes() == K0.tobytes()
     bundle.check()
     assert bundle.residuals.max() < 1e-10
     # two more reference pairs, so a cluster at the m-th pair is seen whole
-    vals, vecs = linalg.eigh(form.K, subset_by_index=[0, m + 1], driver="evr")
-    ref = vals / form.mass
+    vals, vecs = linalg.eigh(K0, subset_by_index=[0, m + 1], driver="evr")
+    ref = vals / mass
     assert np.all(np.abs(bundle.lambdas - ref[:m]) <= 1e-12 * ref[:m])
     # vectors are defined up to rotation within a cluster: each must lie in
     # the span of its cluster's reference vectors
-    x = bundle.vectors.T * np.sqrt(form.mass)
+    x = bundle.vectors.T * np.sqrt(mass)
     for i in range(m):
         cluster = np.abs(ref - ref[i]) <= 1e-9 * ref[i]
         V = vecs[:, cluster]
@@ -175,19 +170,19 @@ def test_lanczos_converges_where_roundoff_bounds_the_residual():
     Either solver's eigenvalues are then only good to ~eps ||K|| absolute,
     with ||K|| <= 2 max K_ii for this diagonally dominant K."""
     dom = interval_domain(BoxGrid(1, -2.0, 2.0, 2048), -1.0, 1.0)
-    form = assemble_form(dom, FracParams(1, 0.8, 1.0))
-    bundle = lowest_eigenpairs(form, 3)
+    table, mass = KernelTable(dom.grid, 0.8), dom.grid.h
+    bundle = lowest_eigenpairs(table, dom, 3)
     bundle.check()
-    ref = linalg.eigh(form.K, subset_by_index=[0, 2], driver="evr",
-                      eigvals_only=True) / form.mass
-    roundoff = np.finfo(float).eps * 2 * form.K.diagonal().max() / form.mass
+    K = table.stiffness(dom.flat_indices)
+    ref = linalg.eigh(K, subset_by_index=[0, 2], driver="evr", eigvals_only=True) / mass
+    roundoff = np.finfo(float).eps * 2 * K.diagonal().max() / mass
     assert np.all(np.abs(bundle.lambdas - ref) <= 4 * roundoff)
 
 
 def test_lanczos_replays_byte_for_byte():
     dom = ball_domain(BoxGrid(2, -1.0, 1.0, 32), [0.01, -0.02], 0.6)
-    form = assemble_form(dom, FracParams(2, 0.5, 1.0))
-    a, b = lowest_eigenpairs(form, 4), lowest_eigenpairs(form, 4)
+    table = KernelTable(dom.grid, 0.5)
+    a, b = lowest_eigenpairs(table, dom, 4), lowest_eigenpairs(table, dom, 4)
     for field in ("lambdas", "vectors", "residuals", "gram"):
         assert getattr(a, field).tobytes() == getattr(b, field).tobytes()
 
@@ -196,12 +191,12 @@ def test_lanczos_replays_byte_for_byte():
 def test_eig_runs_under_a_trace_or_profile_hook(hook):
     """A no-op trace or profile hook holds the solver's frame locals, the
     growing basis among them; the solve runs as it does without the hook."""
-    form = assemble_form(interval_domain(BoxGrid(1, -2.0, 2.0, 64), -1.0, 1.0),
-                         FracParams(1, 0.5, 1.0))
-    want = lowest_eigenpairs(form, 2)
+    dom = interval_domain(BoxGrid(1, -2.0, 2.0, 64), -1.0, 1.0)
+    table = KernelTable(dom.grid, 0.5)
+    want = lowest_eigenpairs(table, dom, 2)
     hook(lambda *args: None)
     try:
-        got = lowest_eigenpairs(form, 2)
+        got = lowest_eigenpairs(table, dom, 2)
     finally:
         hook(None)
     assert got.lambdas.tobytes() == want.lambdas.tobytes()
@@ -210,18 +205,35 @@ def test_eig_runs_under_a_trace_or_profile_hook(hook):
 
 def test_indefinite_matrix_raises_and_keeps_k():
     dom = ball_domain(BoxGrid(2, -1.0, 1.0, 24), [0.0, 0.0], 0.6)
-    form = assemble_form(dom, FracParams(2, 0.5, 1.0))
-    lam = lowest_eigenpairs(form, 2).lambdas * form.mass
+    good, idx = KernelTable(dom.grid, 0.5), dom.flat_indices
+    lam = lowest_eigenpairs(good, dom, 2).lambdas * dom.grid.h**2
     # a lower exterior tail shifts K's diagonal to between its two lowest
     # eigenvalues: one negative eigenvalue
-    table = copy.copy(form.table)
-    table.tail = table.tail - 0.5 * (lam[0] + lam[1]) / table.c_ns
-    bad = dataclasses.replace(form, table=table)
-    K0 = bad.K
-    assert np.array_equal(K0 - form.K, np.diag(np.diagonal(K0 - form.K)))
+    bad = copy.copy(good)
+    bad.tail = bad.tail - 0.5 * (lam[0] + lam[1]) / bad.c_ns
+    K0 = bad.stiffness(idx)
+    shift = K0 - good.stiffness(idx)
+    assert np.array_equal(shift, np.diag(np.diagonal(shift)))
     with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
-        lowest_eigenpairs(bad, 2)
-    assert bad.K.tobytes() == K0.tobytes()
+        lowest_eigenpairs(bad, dom, 2)
+    assert bad.stiffness(idx).tobytes() == K0.tobytes()
+
+
+def test_table_and_domain_on_different_boxes_are_rejected():
+    """A table of another box with the same cell count gives a stiffness
+    matrix of the same size and wrong entries; the solver refuses it."""
+    dom = interval_domain(BoxGrid(1, -2.0, 2.0, 64), -1.0, 1.0)
+    for other in (BoxGrid(1, -1.0, 1.0, 64), BoxGrid(1, -2.0, 3.0, 64)):
+        with pytest.raises(ValueError, match="does not match the kernel table"):
+            lowest_eigenpairs(KernelTable(other, 0.5), dom, 1)
+
+
+def test_empty_domain_rejected_by_the_eigensolver():
+    g = BoxGrid(1, -1.0, 1.0, 16)
+    empty = mask_from_indices(g, [])
+    assert empty.cell_count == 0 and empty.measure == 0.0
+    with pytest.raises(ValueError, match="exceeds the domain dimension 0"):
+        lowest_eigenpairs(KernelTable(g, 0.5), empty, 1)
 
 
 def test_eig_holds_one_packed_triangle_and_no_dense_matrix():
@@ -230,10 +242,9 @@ def test_eig_holds_one_packed_triangle_and_no_dense_matrix():
     basis, the FFT products and the kernel table fit in 2 MiB beside it (a
     dense K alone is 2 x that factor)."""
     dom = ball_domain(BoxGrid(2, -1.0, 1.0, 80), [0.0, 0.0], 0.6)
-    params = FracParams(2, 0.5, 1.0)
     tracemalloc.start()
     try:
-        bundle = lowest_eigenpairs(assemble_form(dom, params), 4)
+        bundle = lowest_eigenpairs(KernelTable(dom.grid, 0.5), dom, 4)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -246,15 +257,15 @@ def test_eig_holds_one_packed_triangle_and_no_dense_matrix():
 def test_every_block_size_up_to_the_dimension(cells):
     """d = 5, 7, 9: m need not divide d, and m = d spans everything at once."""
     dom = interval_domain(BoxGrid(1, -2.0, 2.0, cells), -1.0, 1.0)
-    form = assemble_form(dom, FracParams(1, 0.5, 1.0))
-    ref = linalg.eigh(form.K, eigvals_only=True, driver="evr") / form.mass
-    K0 = form.K.copy()
-    for m in range(1, form.dim + 1):
-        bundle = lowest_eigenpairs(form, m)
+    table = KernelTable(dom.grid, 0.5)
+    K0 = table.stiffness(dom.flat_indices)
+    ref = linalg.eigh(K0, eigvals_only=True, driver="evr") / dom.grid.h
+    for m in range(1, dom.cell_count + 1):
+        bundle = lowest_eigenpairs(table, dom, m)
         bundle.check()
         assert bundle.residuals.max() < 1e-10
         np.testing.assert_allclose(bundle.lambdas, ref[:m], rtol=1e-12, atol=0)
-        assert form.K.tobytes() == K0.tobytes()
+        assert table.stiffness(dom.flat_indices).tobytes() == K0.tobytes()
 
 
 def test_next_block_makes_up_for_zero_columns():

@@ -27,7 +27,7 @@ from fraclab.extension import (
     neumann_trace,
 )
 from fraclab.grids import BoxGrid, interval_domain
-from fraclab.nonlocal_form import assemble_form
+from fraclab.nonlocal_form import KernelTable
 
 
 def bump_trace(grid, seed=None):
@@ -511,7 +511,7 @@ def test_neumann_trace_matches_eigenvalue_condition():
         p = FracParams(1, s, 1.0)
         g = BoxGrid(1, -2.0, 2.0, 256)
         dom = interval_domain(g, -1.0, 1.0)
-        bundle = lowest_eigenpairs(assemble_form(dom, p), 1)
+        bundle = lowest_eigenpairs(KernelTable(dom.grid, p.s), dom, 1)
         lam = bundle.lambdas[0]
         v = bundle.full_fields()[0]
         (f,) = extend([v], SlabGrid(g, 48, a=p.a, Y=4.0))
@@ -531,7 +531,7 @@ def test_neumann_trace_interior_accuracy_at_large_s():
     p = FracParams(1, s, 1.0)
     g = BoxGrid(1, -2.0, 2.0, 512)
     dom = interval_domain(g, -1.0, 1.0)
-    bundle = lowest_eigenpairs(assemble_form(dom, p), 1)
+    bundle = lowest_eigenpairs(KernelTable(dom.grid, p.s), dom, 1)
     v = bundle.full_fields()[0]
     (f,) = extend([v], SlabGrid(g, 96, a=p.a, Y=4.0))
     nt, _ = neumann_trace(f)

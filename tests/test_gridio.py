@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from fraclab.cli import _load_config
 from fraclab.constants import FracParams
 from fraclab.extension import SlabGrid, extend
 from fraclab.grids import BoxGrid, ball_domain, interval_domain
@@ -113,6 +114,28 @@ def test_slab_roundtrip(tmp_path):
     np.testing.assert_array_equal(back.values, f.values)
 
 
+@pytest.mark.parametrize("corrupt", ["swapped", "nonzero-first", "nan"])
+def test_slab_with_corrupt_y_levels_rejected(tmp_path, corrupt):
+    """Stored y-levels that are not finite, do not start at 0 or do not
+    strictly increase would give negative vertical conductances or nan
+    energies; the reader names the file instead."""
+    g = BoxGrid(1, -2.0, 2.0, 16)
+    (f,) = extend([np.where(interval_domain(g, -1.0, 1.0).mask, 1.0, 0.0)],
+                  SlabGrid(g, 8, a=0.0, Y=4.0))
+    y = f.slab.y_nodes.copy()
+    if corrupt == "swapped":
+        y[[3, 4]] = y[[4, 3]]
+    elif corrupt == "nonzero-first":
+        y[0] = 0.5 * y[1]
+    else:
+        y[5] = np.nan
+    f.slab.y_nodes = y
+    path = tmp_path / "s.frlb"
+    write_slab_field(path, f)
+    with pytest.raises(CompatibilityError, match=r"s\.frlb: slab y-levels must be finite"):
+        read_slab_field(path)
+
+
 # -- header rejection --------------------------------------------------------
 
 
@@ -218,7 +241,7 @@ def test_bad_header_grid_rejected(tmp_path):
 # -- config files ------------------------------------------------------------
 
 
-def test_parse_config_text_and_file(tmp_path):
+def test_parse_config_text_and_file():
     text = (
         "# run setup\n"
         "n = 1\n"
@@ -226,11 +249,7 @@ def test_parse_config_text_and_file(tmp_path):
         "s = 0.5   # order\n"
         "domain = interval -1 1\n"
     )
-    cfg = parse_config(text)
-    assert cfg == {"n": "1", "s": "0.5", "domain": "interval -1 1"}
-    path = tmp_path / "run.cfg"
-    path.write_text(text)
-    assert parse_config(str(path)) == cfg
+    assert parse_config(text) == {"n": "1", "s": "0.5", "domain": "interval -1 1"}
 
 
 def test_parse_config_errors_name_the_line():
@@ -310,7 +329,7 @@ def test_readers_close_every_file(tmp_path):
     RunManifest("0.1.0", "eig", {}).save(tmp_path / "manifest.json")
     for read, name in ((read_mask, "m.frlb"), (read_fields, "f.frlb"),
                        (read_slab_field, "s.frlb"), (sha256_file, "m.frlb"),
-                       (parse_config, "run.cfg"), (RunManifest.load, "manifest.json")):
+                       (_load_config, "run.cfg"), (RunManifest.load, "manifest.json")):
         with warnings.catch_warnings(record=True) as seen:
             warnings.simplefilter("always")
             read(str(tmp_path / name))

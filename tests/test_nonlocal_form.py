@@ -1,5 +1,4 @@
 import copy
-import dataclasses
 import functools
 import gc
 import math
@@ -11,7 +10,7 @@ import pytest
 from scipy.linalg import lapack
 
 from fraclab.checks import bump
-from fraclab.constants import FracParams, normalization_constant
+from fraclab.constants import normalization_constant
 from fraclab.grids import BoxGrid, ball_domain, interval_domain, mask_from_indices
 from fraclab.nonlocal_form import (
     _corner_integrals,
@@ -23,9 +22,6 @@ from fraclab.nonlocal_form import (
     _tail_2d,
     _BLOCK,
     KernelTable,
-    StiffnessForm,
-    assemble_form,
-    seminorm,
 )
 
 # Fractional seminorms of two reference traces supported on (-1,1), computed
@@ -128,26 +124,13 @@ def test_quadratic_form_scaling_homogeneity():
             assert q2 == pytest.approx(2.0 ** (n - 2 * s) * q1, rel=1e-12)
 
 
-def test_assemble_form_consistency():
+def test_kernel_table_stiffness_of_an_interval():
     g = BoxGrid(1, -2.0, 2.0, 64)
     dom = interval_domain(g, -1.0, 1.0)
-    p = FracParams(1, 0.5, 1.0)
-    form = assemble_form(dom, p)
-    assert form.dim == dom.cell_count
-    assert form.mass == pytest.approx(g.h)
-    form.check()
-
-
-def test_seminorm_helper_matches_quadratic_form():
-    g = BoxGrid(1, -2.0, 2.0, 64)
-    dom = interval_domain(g, -1.0, 1.0)
-    p = FracParams(1, 0.5, 1.0)
-    form = assemble_form(dom, p)
-    rng = np.random.default_rng(0)
-    u = rng.normal(size=form.dim)
-    assert seminorm(form, u) == pytest.approx(float(u @ form.K @ u), rel=1e-14)
-    with pytest.raises(ValueError):
-        seminorm(form, u[:-1])
+    table = KernelTable(g, 0.5)
+    assert table.grid is g
+    assert table.stiffness(dom.flat_indices).shape == (dom.cell_count,) * 2
+    assert table.check(dom.flat_indices)
 
 
 def test_monotonicity_under_domain_inclusion():
@@ -166,14 +149,6 @@ def test_monotonicity_under_domain_inclusion():
     qb = float(u_big @ Kb @ u_big)
     qs = float(u_small @ Ks @ u_small)
     assert qs == pytest.approx(qb, rel=1e-12)
-
-
-def test_empty_domain_rejected_by_assembly():
-    g = BoxGrid(1, -1.0, 1.0, 16)
-    empty = mask_from_indices(g, [])
-    assert empty.cell_count == 0 and empty.measure == 0.0
-    with pytest.raises(ValueError):
-        assemble_form(empty, FracParams(1, 0.5, 1.0))
 
 
 def test_kernel_table_is_freed_with_its_grid():
@@ -248,9 +223,7 @@ def test_offset_table_at_128_squared_stays_small():
         tracemalloc.stop()
     assert peak < 16 * 2**20
     dom = ball_domain(g, [0.1, -0.2], 0.15)
-    form = assemble_form(dom, FracParams(2, 0.5, 1.0))
-    assert np.array_equal(form.K, table.stiffness(dom.flat_indices))
-    assert form.check()
+    assert table.check(dom.flat_indices)
 
 
 def offset_weights(g, s):
@@ -325,12 +298,12 @@ def test_fft_product_matches_the_dense_product(case):
         dom = interval_domain(BoxGrid(1, -2.0, 2.0, 2048), -1.0, 1.0)
     else:
         dom = ball_domain(BoxGrid(2, -1.0, 1.0, 48), [0.13, -0.07], 0.6)
-    form = assemble_form(dom, FracParams(dom.grid.n, float(s), 1.0))
-    K = form.K
+    table = KernelTable(dom.grid, float(s))
+    K = table.stiffness(dom.flat_indices)
     rng = np.random.default_rng(6)
-    X = np.column_stack([rng.standard_normal(form.dim), np.ones(form.dim),
-                         np.cos(np.arange(form.dim))])
-    got = np.column_stack([form.table.product(dom.flat_indices, x) for x in X.T])
+    d = dom.cell_count
+    X = np.column_stack([rng.standard_normal(d), np.ones(d), np.cos(np.arange(d))])
+    got = np.column_stack([table.product(dom.flat_indices, x) for x in X.T])
     assert np.abs(got - K @ X).max() <= 1e-13 * (np.abs(K) @ np.abs(X)).max()
 
 
@@ -348,24 +321,25 @@ def test_stiffness_allocates_one_matrix_and_check_none():
     one row block's values; check() holds one row block's comparisons
     (whole-matrix ways take 2 x 25 MB in either)."""
     g = BoxGrid(2, -1.0, 1.0, 80)
-    form = assemble_form(ball_domain(g, [0.0, 0.0], 0.6), FracParams(2, 0.5, 1.0))
+    idx = ball_domain(g, [0.0, 0.0], 0.6).flat_indices
     table = KernelTable(g, 0.5)
-    K, peak = traced_peak(table.stiffness, form.domain.flat_indices)
-    assert K.shape == (form.dim, form.dim) and len(_row_blocks(form.dim)) > 1
+    K, peak = traced_peak(table.stiffness, idx)
+    assert K.shape == (idx.size, idx.size) and len(_row_blocks(idx.size)) > 1
     assert peak <= K.nbytes + 2 * 2**20
-    ok, peak = traced_peak(form.check)
+    ok, peak = traced_peak(table.check, idx)
     assert ok and peak <= 2 * 2**20
 
 
-def late_pair_form():
-    """A form whose last row block holds a node pair (i, j) = (d - 2, d - 1)
-    at an offset no other pair of its nodes has: a disk, then two nodes on
-    one grid row above it, farther apart than the disk is wide."""
+def late_pair_nodes():
+    """A kernel table and a node set whose last row block holds a node pair
+    (i, j) = (d - 2, d - 1) at an offset no other pair of its nodes has: a
+    disk, then two nodes on one grid row above it, farther apart than the
+    disk is wide."""
     g = BoxGrid(2, -1.0, 1.0, 32)
     disk = ball_domain(g, [0.0, 0.0], 0.8).flat_indices
     pair = np.ravel_multi_index(([30, 30], [1, 31]), g.node_shape)
-    form = StiffnessForm(KernelTable(g, 0.5), mask_from_indices(g, np.append(disk, pair)))
-    return form, form.dim - 2, form.dim - 1
+    idx = mask_from_indices(g, np.append(disk, pair)).flat_indices
+    return KernelTable(g, 0.5), idx, idx.size - 2, idx.size - 1
 
 
 @pytest.mark.parametrize("defect,message", [
@@ -376,12 +350,12 @@ def late_pair_form():
 def test_check_finds_a_defect_in_a_late_row_block(defect, message):
     """Each defect is put into a copy of the kernel table, where it reaches
     K only inside the last row block."""
-    form, i, j = late_pair_form()
-    blocks = _row_blocks(form.dim)
-    assert len(blocks) >= 3 and form.check() and i >= blocks[-1].start
-    table = copy.copy(form.table)
+    good, idx, i, j = late_pair_nodes()
+    blocks = _row_blocks(idx.size)
+    assert len(blocks) >= 3 and good.check(idx) and i >= blocks[-1].start
+    table = copy.copy(good)
     table.entries, table.tail = table.entries.copy(), table.tail.copy()
-    key, p = table.key[form.domain.flat_indices], form.domain.flat_indices[i]
+    key, p = table.key[idx], idx[i]
     at = table.centre + key[i] - key[j]
     if defect == "asymmetric":
         table.entries.flat[at] = np.nextafter(table.entries.flat[at], 0.0)
@@ -389,20 +363,20 @@ def test_check_finds_a_defect_in_a_late_row_block(defect, message):
         table.entries.flat[[at, 2 * table.centre - at]] = 1e-300
     else:
         table.tail[p] -= 2.0 * (table.row_sums[p] + table.tail[p])
-    bad = dataclasses.replace(form, table=table)
-    K = bad.K
-    changed = np.argwhere(K != form.K)
+    K = table.stiffness(idx)
+    changed = np.argwhere(K != good.stiffness(idx))
     assert changed.size and changed.min() >= blocks[-1].start
     with pytest.raises(AssertionError, match=message):
-        bad.check()
-    assert bad.K.tobytes() == K.tobytes()
+        table.check(idx)
+    assert table.stiffness(idx).tobytes() == K.tobytes()
 
 
 def test_check_accepts_an_empty_form():
-    """A 0 x 0 form breaks no symmetry, sign or diagonal rule."""
+    """The 0 x 0 stiffness matrix of an empty node set breaks no symmetry,
+    sign or diagonal rule."""
     g = BoxGrid(2, -1.0, 1.0, 8)
-    form = StiffnessForm(KernelTable(g, 0.5), mask_from_indices(g, []))
-    assert form.dim == 0 and form.check()
+    empty = mask_from_indices(g, [])
+    assert empty.cell_count == 0 and KernelTable(g, 0.5).check(empty.flat_indices)
 
 
 # The four near-field moments of _near_moments_2d, by region and integrand:
@@ -506,8 +480,8 @@ def torsion_error(dom, centre, R, s):
     with |x - c| <= R/2, where kappa = 4^s Gamma(1+s) Gamma(n/2+s) / Gamma(n/2)
     (Getoor 1961; Dyda 2012, Fract. Calc. Appl. Anal. 15)."""
     n = dom.grid.n
-    form = assemble_form(dom, FracParams(n, s, 1.0))
-    u = np.linalg.solve(form.K, np.full(form.dim, form.mass))
+    K = KernelTable(dom.grid, s).stiffness(dom.flat_indices)
+    u = np.linalg.solve(K, np.full(dom.cell_count, dom.grid.h**n))
     r2 = ((dom.coords() - centre) ** 2).sum(axis=1)
     near = r2 <= (R / 2) ** 2
     kappa = 4**s * math.gamma(1 + s) * math.gamma(n / 2 + s) / math.gamma(n / 2)

@@ -145,10 +145,13 @@ class _Run:
         return self.manifest.seed
 
     def timed(self, phase, fn, *args):
+        """fn(*args); its wall time is added to the phase's, also when it raises."""
         t1 = time.perf_counter()
-        out = fn(*args)
-        self.manifest.wall_times[phase] = round(time.perf_counter() - t1, 6)
-        return out
+        try:
+            return fn(*args)
+        finally:
+            times = self.manifest.wall_times
+            times[phase] = round(times.get(phase, 0.0) + time.perf_counter() - t1, 6)
 
     def output(self, name):
         """Path of output `name` in --out, which is created; finish hashes it."""
@@ -401,16 +404,18 @@ def cmd_diagnose(args):
         # a point too near the wall for any ladder from r_min gets no rows
         top = diagnostics._ladder_top(grid, x0, r_hi)
         radii = np.linspace(r_lo, top, 4) if top >= r_lo else []
-        for r in radii:
-            dens_rows.append(f"{k},{xs},{_fmt(r)},{_fmt(diagnostics.density_ratio(dom, x0, r))}\n")
         if len(radii):
-            cur = diagnostics.weiss_curve(ext_fields, x0, radii, params, c_tilde=c_tilde)
+            for r, q in zip(radii, diagnostics.density_ratio(dom, x0, radii)):
+                dens_rows.append(f"{k},{xs},{_fmt(r)},{_fmt(q)}\n")
+            cur = run.timed("weiss", diagnostics.weiss_curve, ext_fields, x0, radii, params,
+                            c_tilde)
             for r, w in zip(cur.radii, cur.values):
                 weiss_rows.append(f"{k},{xs},{_fmt(r)},{_fmt(w)}\n")
         entry = {"point": int(k), "x": [float(v) for v in x0]}
         slope = float("nan")
         try:
-            pc = diagnostics.classify(dom, ext_fields, x0, ccfg, params, fb.normals[k])
+            pc = run.timed("classify", diagnostics.classify, dom, ext_fields, x0, ccfg, params,
+                           fb.normals[k])
         except diagnostics.GeometryError as exc:
             # too near the box wall for a radius ladder: this point alone
             entry.update(density_limit=None, label="undetermined", flatness=None,

@@ -17,7 +17,7 @@ import numpy as np
 from .constants import _gauss_jacobi, one_plane_solution, slope_constant, unit_ball_volume
 from .extension import (ExtensionField, _ball_energies, _c_tilde, _gather, _multilinear_at,
                         _placement, _slab_stencil)
-from .grids import BoxGrid, ThinDomain, _neighbor_counts, _node_dist2
+from .grids import BoxGrid, ThinDomain, _in_ball, _neighbor_counts, _node_dist2
 
 __all__ = [
     "GeometryError",
@@ -120,24 +120,27 @@ def _trace_support(traces, tol):
     return sup > tol * max(sup.max(), 1e-300)
 
 
-def _check_ball(grid, x0, r, floor):
+def _check_ball(grid, x0, radii, floor):
+    """x0 as an array; raises unless its balls of the radii (one or an array) fit."""
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
+    r_lo, r_hi = np.min(radii), np.max(radii)
     if x0.shape != (grid.n,):
         raise GeometryError("center must be a thin-space point of the grid dimension")
-    if r < floor * grid.h - 1e-12:
-        raise ResolutionError(f"radius {r} below the {floor}h resolution floor")
-    if np.any(x0 - r < grid.lower - 1e-12) or np.any(x0 + r > grid.upper + 1e-12):
+    if r_lo < floor * grid.h - 1e-12:
+        raise ResolutionError(f"radius {r_lo} below the {floor}h resolution floor")
+    if np.any(x0 - r_hi < grid.lower - 1e-12) or np.any(x0 + r_hi > grid.upper + 1e-12):
         raise GeometryError("ball exits the design box")
     return x0
 
 
 def density_ratio(mask, x0, r):
-    """Cell-counted |B_r(x0) and Omega| / (omega_n r^n), in [0, 1]."""
-    grid = mask.grid
-    x0 = _check_ball(grid, x0, r, floor=3)
-    cnt = int(np.sum((_node_dist2(grid, x0) < r * r) & mask.mask))
-    vol = unit_ball_volume(grid.n) * r**grid.n
-    return min(1.0, grid.h**grid.n * cnt / vol)
+    """Node-counted |B_r(x0) and Omega| / (omega_n r^n), in [0, 1] (_in_ball); for a
+    1-D array of radii r, the array of them from one node-distance array."""
+    grid, radii = mask.grid, np.asarray(r, dtype=float)
+    d2 = _node_dist2(grid, _check_ball(grid, x0, radii, floor=3))
+    out = np.array([min(1.0, grid.h**grid.n * np.count_nonzero(_in_ball(d2, q) & mask.mask)
+                        / (unit_ball_volume(grid.n) * q**grid.n)) for q in radii.ravel()])
+    return out if radii.ndim else float(out[0])
 
 
 # ---------------------------------------------------------------------------
@@ -189,14 +192,13 @@ def _weiss_energies(fields, X0, radii, params):
         - s r^-(n+1) * 2 * int_{upper hemisphere} |y|^a |G|^2 dS.
 
     The support, the node distances and one gather of all fields at the
-    sphere points of all radii (_sphere_stencil) are shared, and each field's
-    ball energies at all radii come from one window (_ball_energies)."""
+    sphere points of all radii (_sphere_stencil) are shared, and the ball
+    energies of all fields and radii come from one window (_ball_energies)."""
     grid, n = fields[0].slab.base, fields[0].slab.base.n
     x0 = np.atleast_1d(np.asarray(X0, dtype=float))
-    for r in radii:
-        _check_ball(grid, x0, r, floor=WEISS_FLOOR_CELLS)
-        if r > fields[0].slab.Y:
-            raise GeometryError("ball exits the slab vertically")
+    _check_ball(grid, x0, radii, floor=WEISS_FLOOR_CELLS)
+    if radii.max() > fields[0].slab.Y:
+        raise GeometryError("ball exits the slab vertically")
     supp = _trace_support([f.trace for f in fields], 1e-12)
     if not supp.any():
         return np.zeros(len(radii))
@@ -205,10 +207,10 @@ def _weiss_energies(fields, X0, radii, params):
     layout, node, off = _placement(fields[0].slab, x0)
     stencil = _sphere_stencil(layout, tuple(radii.tolist()), off, params.a)
     mag2 = sum(v ** 2 for v in _gather(fields, stencil, node)).reshape(len(radii), len(wts))
-    energies = sum(_ball_energies(f, x0, radii) for f in fields)
+    energies = sum(_ball_energies(fields, x0, radii))
     out = np.empty(len(radii))
     for i, r in enumerate(radii):
-        meas = grid.h**n * int(np.sum((d2 < r * r) & supp))
+        meas = grid.h**n * np.count_nonzero(_in_ball(d2, r) & supp)
         # the |y|^a factor is inside the rule's weights: (y/r)^a there, scale back
         sphere = float(np.sum(wts * mag2[i])) * r**n * r**params.a
         out[i] = ((2.0 * energies[i] + params.lambda_tilde * meas) / r**n
@@ -328,9 +330,8 @@ def _blow_up_stencil(layout, r, f):
     return xg.cells_per_axis, y_lv, _slab_stencil(layout, x, np.tile(y_lv * r, xg.num_nodes))
 
 
-def blow_up_rescale(source, x0, r, s):
-    """Rescale extension fields around a thin-space point onto the unit ball
-    scale (_blow_up_stencil); the rescaled field has one component per field."""
+def _blow_up_window(source, x0, r):
+    """(fields, x0, r, *_placement) of a blow-up window checked to lie in the footprint."""
     fields = _as_fields(source)
     base = fields[0].slab.base
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
@@ -339,23 +340,39 @@ def blow_up_rescale(source, x0, r, s):
         raise ValueError("rescale radius must be positive")
     if np.any(x0 - r < base.lower - 1e-12) or np.any(x0 + r > base.upper + 1e-12):
         raise ValueError("blow-up window exits the field footprint")
-    layout, node, off = _placement(fields[0].slab, x0)
+    return (fields, x0, r, *_placement(fields[0].slab, x0))
+
+
+def blow_up_rescale(source, x0, r, s):
+    """Rescale extension fields around a thin-space point onto the unit ball
+    scale (_blow_up_stencil); the rescaled field has one component per field."""
+    fields, x0, r, layout, node, off = _blow_up_window(source, x0, r)
     cells, y_lv, stencil = _blow_up_stencil(layout, r, off)
-    xg = BoxGrid(base.n, -1.0, 1.0, cells)
+    xg = BoxGrid(fields[0].slab.base.n, -1.0, 1.0, cells)
     vals = np.stack(_gather(fields, stencil, node), axis=-1) * r ** (-s)
     return RescaledField(xg, y_lv, vals.reshape(xg.node_shape + (y_lv.size, -1)), r, x0)
 
 
 @functools.lru_cache(maxsize=4)
-def _one_plane_model(pts_x, pts_y, s, lambda_penalty, nus):
-    """Read-only slope_const * U(<x, nu>, y) for each nu in the tuple nus, at the
-    blow-up points whose x (k, n) and y are given by the bytes pts_x and pts_y."""
-    nus = np.array(nus)
-    x = np.frombuffer(pts_x).reshape(-1, nus.shape[1])
+def _blow_up_model(layout, r, f, s, lambda_penalty, angle_count):
+    """Read-only (the blow-up stencil of its unit-ball (node, level) pairs, with the
+    whole window's reach; the directions nu (k, n); slope_const * U(<x, nu>, y) at
+    those points (k, points), one matrix-vector product per direction)."""
+    cells, y_lv, stencil = _blow_up_stencil(layout, r, f)
+    xg = BoxGrid(layout[0], -1.0, 1.0, cells)
+    pts_x = np.repeat(xg.node_coords(), y_lv.size, axis=0)
+    pts_y = np.tile(y_lv, xg.num_nodes)
+    mask = (pts_x**2).sum(axis=1) + pts_y**2 <= 1.0 + 1e-12  # RescaledField.ball_mask
+    count = angle_count if xg.n == 2 else 2  # +-1 in 1D
+    ang = 2.0 * np.pi * np.arange(count) / count
+    nus = np.column_stack([np.cos(ang), np.sin(ang)])[:, :xg.n]
     model = slope_constant(lambda_penalty, s) * one_plane_solution(
-        (x @ nus[..., None])[..., 0], np.frombuffer(pts_y), s)
-    model.setflags(write=False)
-    return model
+        (pts_x[mask] @ nus[..., None])[..., 0], pts_y[mask], s)
+    flat, weight, first, reach, ty, x, y = stencil
+    ball = (flat[..., mask], weight[..., mask], first, reach, ty[mask], x[mask], y[mask])
+    for arr in ball[:2] + ball[3:] + (nus, model):
+        arr.setflags(write=False)
+    return ball, nus, model
 
 
 def flatness(G_fields, X0, r, params, angle_count=128):
@@ -365,28 +382,27 @@ def flatness(G_fields, X0, r, params, angle_count=128):
     a grid of unit directions nu and the dominant component direction f.
     Returns (epsilon, nu, f).
     """
-    bu = blow_up_rescale(G_fields, X0, r, params.s)
-    mask = bu.ball_mask().ravel()
-    M = bu.values.reshape(-1, bu.m)[mask]
+    fields, x0, r, layout, node, off = _blow_up_window(G_fields, X0, r)
+    ball, nus, model = _blow_up_model(layout, r, off, params.s, params.lambda_penalty,
+                                      angle_count)
+    # blow_up_rescale's values at the ball points: the same samples and arithmetic
+    M = np.stack(_gather(fields, ball, node), axis=-1) * r ** (-params.s)
     f = np.linalg.svd(M, full_matrices=False)[2][0]  # dominant component direction
     if np.sum(M @ f) < 0:
         f = -f
-    pts_x = np.repeat(bu.xgrid.node_coords(), len(bu.y_levels), axis=0)[mask]
-    pts_y = np.tile(bu.y_levels, bu.xgrid.num_nodes)[mask]
-    count = angle_count if bu.xgrid.n == 2 else 2  # +-1 in 1D
-    ang = 2.0 * np.pi * np.arange(count) / count
-    nus = np.column_stack([np.cos(ang), np.sin(ang)])[:, :bu.xgrid.n]
-    # all directions at once, in chunks of ~2^21 entries: the stacked product is
-    # one matrix-vector product per direction; components lead for fast sums
-    key = (pts_x.tobytes(), pts_y.tobytes(), params.s, params.lambda_penalty)
-    eps = []
-    for nu in np.array_split(nus, max(1, nus.size * M.size >> 21)):
-        dev = M.T[:, None] - f[:, None, None] * _one_plane_model(*key, tuple(map(tuple, nu)))
-        # sqrt is monotone, so only the maxima need it
-        eps.append(np.sqrt(np.square(dev, out=dev).sum(axis=0).max(axis=-1)))
-    eps = np.concatenate(eps)
-    k = int(np.argmin(eps))  # the first of equal minima
-    return float(eps[k]), nus[k], f
+    def sup(model, M):  # max |M - f model| per direction, the squares summed in place
+        dev2, dev = np.zeros_like(model), np.empty_like(model)
+        for fi, mi in zip(f, M.T):
+            dev2 += np.square(np.subtract(mi, np.multiply(fi, model, out=dev), out=dev), out=dev)
+        return np.sqrt(dev2.max(axis=1))  # sqrt is monotone, so only the maxima need it
+    # the sup over the 32 points of largest |M| bounds each direction's from below, so
+    # only directions bounded by the best one's sup can hold the first of equal minima
+    sub = np.argsort(np.square(M).sum(axis=1))[-32:]
+    low = sup(model[:, sub], M[sub])
+    near = np.flatnonzero(low <= sup(model[[np.argmin(low)]], M)[0])
+    eps = sup(model[near], M)
+    k = int(np.argmin(eps))
+    return float(eps[k]), nus[near[k]], f
 
 
 def boundary_slope(G_fields, x0, normal, params, t_lo=3.0, t_hi=10.0):
@@ -394,7 +410,7 @@ def boundary_slope(G_fields, x0, normal, params, t_lo=3.0, t_hi=10.0):
 
     Fits |G|(x0 + t * normal, 0) ~ alpha * t^s over t in [t_lo*h, t_hi*h];
     pass the inward normal (pointing into the positivity set). Needs at least
-    4 in-grid samples, else raises ResolutionError.
+    4 samples in the grid, 1e-12 past the wall included, else ResolutionError.
     """
     fields = _as_fields(G_fields)
     grid = fields[0].slab.base
@@ -405,7 +421,7 @@ def boundary_slope(G_fields, x0, normal, params, t_lo=3.0, t_hi=10.0):
     h = grid.h
     ts = np.arange(np.ceil(t_lo), np.floor(t_hi) + 1) * h
     pts = x0[None, :] + ts[:, None] * nu[None, :]
-    ok = np.all((pts >= grid.lower) & (pts <= grid.upper), axis=1)
+    ok = np.all((pts >= grid.lower - 1e-12) & (pts <= grid.upper + 1e-12), axis=1)
     if ok.sum() < 4:
         raise ResolutionError("fewer than 4 slope samples inside the grid")
     vals = _multilinear_at(grid, pts[ok])(mag)
@@ -471,7 +487,7 @@ def classify(mask, G_fields, x0, config, params, normal):
         raise GeometryError(f"no radius ladder above {WEISS_FLOOR_CELLS}h = {r_lo:g} fits: "
                             f"the largest radius is {r_hi:g}")
     radii = np.geomspace(r_lo, r_hi, config.num_radii)
-    ratios = np.array([density_ratio(mask, x0v, r) for r in radii])
+    ratios = density_ratio(mask, x0v, radii)
     A = np.column_stack([np.ones_like(radii), radii])
     coef, *_ = np.linalg.lstsq(A, ratios, rcond=None)
     gamma = float(coef[0])

@@ -129,7 +129,8 @@ def _modal_lu(slab):
     # one tridiagonal block per mode: the zero ends each block's coupling
     off = np.tile(np.append(-cv[1:-1], 0.0), mu.size)[:-1]
     A = sparse.diags([diag.ravel(), off, off], [0, -1, 1], format="csc")
-    return sla.splu(A, permc_spec="NATURAL")
+    # supernodes buy nothing on a tridiagonal: one-column panels, no relaxation
+    return sla.splu(A, permc_spec="NATURAL", panel_size=1, relax=1)
 
 
 def _conductances(slab):
@@ -371,19 +372,19 @@ def neumann_trace(field):
     return -grad, flagged
 
 
-def _ball_energies(field, center, radii):
-    """Edge-quadrature energy of the upper half-ball at a thin-space center,
-    at each of the radii: the sum of c * (dg)^2 over the edges whose midpoints
-    lie in the open ball, from one index window.
+def _ball_energies(fields, center, radii):
+    """Edge-quadrature energy of the upper half-ball at a thin-space center, per
+    field (rows) of fields on one slab layout and radius (columns): the sum of
+    c * (dg)^2 over the edges whose midpoints lie in the open ball.
 
-    The window is the largest radius's: an edge in a ball of radius r joins
-    x-nodes within r + h of the center, at levels up to the first one with
-    y >= r. Per axis, c * (dg)^2 and the squared distances of the edge
-    midpoints are formed once on it, and each radius sums the entries with
-    d2 < r^2. In C order those are the entries of its own smaller window, so
-    each sum is that window's bit for bit.
+    One index window serves all: the largest radius's, as an edge in a ball of
+    radius r joins x-nodes within r + h of the center, at levels up to the first
+    with y >= r. Per axis, the midpoints' squared distances d2 and each radius's
+    mask d2 < r^2 are formed once, and per field c * (dg)^2; each radius sums
+    its masked entries, in C order those of its own smaller window, so each sum
+    is that window's bit for bit and a field's row is what it gets alone.
     """
-    slab = field.slab
+    slab = fields[0].slab
     base = slab.base
     center = np.atleast_1d(np.asarray(center, dtype=float))
     radii = np.asarray(radii, dtype=float)
@@ -393,19 +394,21 @@ def _ball_energies(field, center, radii):
     hi = np.maximum(np.ceil(at + radius / base.h).astype(int) + 2, 0)
     top = int(np.searchsorted(slab.y_nodes, radius)) + 1
     window = tuple(slice(i, k) for i, k in zip(lo, hi)) + (slice(0, top),)
-    g = field.values[window]
+    gs = [f.values[window] for f in fields]
     # per axis: node coordinates and the center, with y the last axis
     coords = [base.axis_nodes()[w] for w in window[:-1]] + [slab.y_nodes[:top]]
     origin = list(center) + [0.0]
-    out = np.zeros(len(radii))
+    out = np.zeros((len(fields), len(radii)))
     for axis, c in enumerate(_conductances(slab)):
         d2 = 0.0
         for k, x in enumerate(coords):
             if k == axis:
                 x = 0.5 * (x[:-1] + x[1:])
-            shape = [-1 if m == k else 1 for m in range(g.ndim)]
+            shape = [-1 if m == k else 1 for m in range(gs[0].ndim)]
             d2 = d2 + ((x - origin[k]) ** 2).reshape(shape)
-        d = np.diff(g, axis=axis)
-        e = c[: d.shape[-1]] * d * d
-        out += [np.sum(e[d2 < r**2]) for r in radii]
+        inside = [d2 < r**2 for r in radii]
+        for row, g in zip(out, gs):
+            d = np.diff(g, axis=axis)
+            e = c[: d.shape[-1]] * d * d
+            row += [e[m].sum() for m in inside]
     return out

@@ -175,6 +175,12 @@ def _node_dist2(grid, x0):
     return functools.reduce(np.add.outer, [(x - c) ** 2 for c in x0])
 
 
+def _in_ball(d2, r):
+    """Nodes strictly inside B_r at squared distances d2; a node within 1e-12 r^2 of
+    the sphere is outside, as in exact arithmetic on lattice ties (3-4-5 at 5h)."""
+    return d2 < r * r * (1.0 - 1e-12)
+
+
 def mask_from_indices(grid, flat_indices):
     mask = np.zeros(grid.num_nodes, dtype=bool)
     mask[np.asarray(flat_indices, dtype=int)] = True

@@ -185,6 +185,9 @@ def test_diagnose_artifacts(eig_out, tmp_path):
     times = RunManifest.load(out / "manifest.json").wall_times
     assert times["extend"] > 0 and times["points"] > 0
     assert times["extend"] + times["points"] <= times["total"]
+    # the Weiss curves and classifications, summed over the points, inside `points`
+    assert times["weiss"] > 0 and times["classify"] > 0
+    assert times["weiss"] + times["classify"] <= times["points"]
 
 
 def test_diagnose_points_run_alone_as_in_the_full_run(tmp_path):
@@ -226,7 +229,7 @@ def test_diagnose_outputs_do_not_depend_on_the_stencil_caches(tmp_path):
     keys = dict(n=2, s=0.5, mask=str(tmp_path / "eig" / "mask.frlb"), r_max_cells=6,
                 fields=f"{tmp_path / 'eig' / 'v01.frlb'},{tmp_path / 'eig' / 'v02.frlb'}")
     for cache in (diagnostics._sphere_stencil, diagnostics._blow_up_stencil,
-                  diagnostics._one_plane_model):
+                  diagnostics._blow_up_model):
         cache.cache_clear()
     outs = []
     for run, J in enumerate((8, 8, 10, 8)):
@@ -263,10 +266,10 @@ def test_diagnose_marks_a_point_near_the_wall_undetermined(tmp_path):
 
 
 def test_diagnose_says_why_a_slope_is_missing(tmp_path):
-    """On (0.4, 0.9) in [-1, 1] with h = 0.1 the left endpoint is 6h from
-    the wall x = 1, and its inward ray keeps fewer than 4 slope samples in
-    the grid (x0 + 6h rounds above 1): its entry has a null slope and says
-    why, while the right endpoint, 1h from the wall, has no ladder."""
+    """On (0.4, 0.9) in [-1, 1] with h = 0.1 the right endpoint, 1h from the
+    wall x = 1, has no ladder: its entry has a null slope and says why. The
+    left endpoint is 6h from that wall, and its inward ray keeps its sample
+    on the wall (x0 + 6h rounds above 1 by 2e-16), so it gets its slope."""
     eig_cfg = write_cfg(tmp_path / "eig.cfg", n=1, cells=20, lower=-1.0, upper=1.0,
                         s=0.5, domain="interval 0.35 0.95", m=1)
     assert main(["eig", "--config", eig_cfg, "--out", str(tmp_path / "eig")]) == 0
@@ -274,11 +277,11 @@ def test_diagnose_says_why_a_slope_is_missing(tmp_path):
                     fields=str(tmp_path / "eig" / "v01.frlb"), J=8)
     assert main(["diagnose", "--config", cfg, "--out", str(tmp_path / "d")]) == 0
     left, right = json.loads((tmp_path / "d" / "classification.json").read_text())["points"]
-    assert left["x"] == [pytest.approx(0.4)] and left["slope"] is None
-    assert left["reason"] == "fewer than 4 slope samples inside the grid"
-    assert left["density_limit"] is not None and left["flatness"] is not None
-    assert "no radius ladder" in right["reason"]
-    assert (tmp_path / "d" / "slopes.csv").read_text().splitlines()[1].split(",")[2] == "nan"
+    assert left["x"] == [pytest.approx(0.4)] and left["x"][0] + 6 * 0.1 > 1.0
+    assert left["slope"] > 0 and "reason" not in left
+    assert right["slope"] is None and "no radius ladder" in right["reason"]
+    rows = (tmp_path / "d" / "slopes.csv").read_text().splitlines()
+    assert float(rows[1].split(",")[2]) == left["slope"] and rows[2].split(",")[2] == "nan"
 
 
 def test_diagnose_grid_mismatch(eig_out, tmp_path):

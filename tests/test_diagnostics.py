@@ -24,7 +24,7 @@ from fraclab.diagnostics import _hemisphere_rule, _trace_support
 from fraclab.eigen import lowest_eigenpairs
 from fraclab.extension import (ExtensionField, SlabGrid, _ball_energies, _gather, _interp,
                                _placement, _slab_stencil, extend)
-from fraclab.grids import BoxGrid, ball_domain, interval_domain, mask_from_indices
+from fraclab.grids import BoxGrid, ThinDomain, ball_domain, interval_domain, mask_from_indices
 from fraclab.nonlocal_form import KernelTable
 
 
@@ -93,6 +93,52 @@ def test_density_ratio_guards():
         density_ratio(dom, [0.0, 0.0], 2.0 * g.h)  # below the 3h floor
     with pytest.raises(GeometryError):
         density_ratio(dom, [0.9, 0.9], 0.5)  # ball exits the box
+    for radii in ([2.0 * g.h, 5.0 * g.h], [5.0 * g.h, 0.5]):  # a ladder is checked whole
+        with pytest.raises((ResolutionError, GeometryError)):
+            density_ratio(dom, [0.9, 0.0], np.array(radii))
+
+
+def test_density_ladder_equals_its_radii_one_by_one():
+    g = BoxGrid(2, -1.0, 1.0, 30)
+    dom = ball_domain(g, [0.03, -0.02], 0.55)
+    pts = free_boundary_set(dom).points
+    x0 = pts[np.argmin(((pts - [0.55, 0.0]) ** 2).sum(axis=1))]
+    radii = np.geomspace(3 * g.h, 6 * g.h, 6)
+    got = density_ratio(dom, x0, radii)
+    assert isinstance(got, np.ndarray) and got.tolist() == [density_ratio(dom, x0, r) for r in radii]
+    assert type(density_ratio(dom, x0, radii[2])) is float
+
+
+@pytest.mark.parametrize("cells", [20, 30, 48])
+def test_node_counts_leave_lattice_ties_outside(cells):
+    """At whole-cell radii lattice nodes lie on the circle (12 of them at 5h:
+    3-4-5); a node count leaves them outside at every node, whether or not h
+    is exact in binary, as the exact lattice count does."""
+    g = BoxGrid(2, -1.0, 1.0, cells)
+    full = ThinDomain(g, g.interior())  # every node the balls reach
+    radii = np.array([5.0, 6.0, 7.0, 8.0]) * g.h
+    x = g.axis_nodes()
+    counts = {tuple(np.rint(density_ratio(full, [x[i], x[j]], radii) * np.pi * radii**2
+                            / g.h**2).astype(int).tolist())
+              for i in range(8, cells - 7) for j in range(8, cells - 7)}
+    assert counts == {(69, 109, 145, 193)}
+
+
+def test_density_limit_is_the_same_along_a_straight_edge():
+    """On 30 cells (h inexact) every node of a straight edge whose default
+    ladder the walls do not clip sees the same density limit."""
+    p = FracParams(2, 0.5, 1.0)
+    g = BoxGrid(2, -1.0, 1.0, 30)
+    x = g.axis_nodes()
+    keep = (x[:, None] > 1e-12) & g.interior()
+    dom = mask_from_indices(g, np.flatnonzero(keep.ravel()))
+    slab = SlabGrid(g, 8, a=p.a, Y=4.0)
+    U = one_plane_solution(x[:, None, None], slab.y_nodes[None, None, :], p.s)
+    f = ExtensionField(slab, np.broadcast_to(U, slab.values_shape()).copy())
+    edge = [[x[16], x[j]] for j in range(13, 18)]  # 12.6h or more from every wall
+    limits = {classify(dom, f, x0, ClassifierConfig(), p, [-1.0, 0.0]).density_limit
+              for x0 in edge}
+    assert len(limits) == 1
 
 
 # -- Weiss energy ------------------------------------------------------------
@@ -236,6 +282,20 @@ def test_boundary_slope_exact_profile():
     f = exact_field(g, 64, 4.0, 0.5, scale=c)
     al = boundary_slope(f, [0.0], [1.0], p)  # inward = +e1 here
     assert al == pytest.approx(c, rel=1e-6)
+
+
+def test_boundary_slope_keeps_a_sample_on_the_wall():
+    """On 20 cells of [-1, 1] the node 0.4 is 6h from the wall and 0.4 + 6h
+    rounds to 1 + 2e-16: that sample is kept, so the ray has its 4 samples."""
+    p = FracParams(1, 0.5, 1.0)
+    g = BoxGrid(1, -1.0, 1.0, 20)
+    x0 = g.axis_nodes()[14]
+    assert x0 + 6 * g.h > 1.0
+    c = slope_constant(1.0, 0.5)
+    slab = SlabGrid(g, 8, a=0.0, Y=4.0)
+    X, Yv = np.meshgrid(g.axis_nodes(), slab.y_nodes, indexing="ij")
+    f = ExtensionField(slab, c * one_plane_solution(X - x0, Yv, 0.5))
+    assert boundary_slope(f, [x0], [1.0], p) == pytest.approx(c, rel=1e-12)
 
 
 def test_boundary_slope_needs_enough_window():
@@ -447,8 +507,9 @@ def loop_weiss(fields, x0, radii, p, samples=relative_samples):
     supp = _trace_support([f.trace for f in fields], 1e-12).ravel()
     out = []
     for r in radii:
-        e = sum(_ball_energies(f, x0, [r])[0] for f in fields)
-        inside = ((grid.node_coords() - x0[None, :]) ** 2).sum(axis=1) < r * r
+        e = sum(_ball_energies([f], x0, [r])[0, 0] for f in fields)
+        d2 = ((grid.node_coords() - x0[None, :]) ** 2).sum(axis=1)
+        inside = (d2 < r * r) & ~np.isclose(d2, r * r, rtol=1e-12, atol=0.0)  # ties outside
         meas = grid.h**n * int(np.sum(inside & supp))
         mag2 = np.zeros(len(dirs))
         for f in fields:
@@ -540,14 +601,40 @@ def test_stencil_caches_hold_no_slab_and_key_the_levels():
     assert alive[0]() is None and alive[1]() is None
 
 
+def test_cached_flatness_equals_its_loop_across_layouts_and_parameters(monkeypatch):
+    """From cold caches: two blow-up radii, on and off a node, then the same
+    blow-ups under a new s and a new Lambda, and last a window on the wall,
+    whose ball points are interpolated from their absolute positions: the
+    cached model is rebuilt for each, and flatness equals the per-direction
+    loop bit for bit."""
+    fields = smooth_fields(2, 2, 0.3)
+    h = fields[0].slab.base.h
+    diagnostics._blow_up_model.cache_clear()
+    cases = [(p, x0, r) for p in (FracParams(2, 0.3, 1.0), FracParams(2, 0.45, 1.0),
+                                  FracParams(2, 0.45, 2.5))
+             for x0 in ([0.55, 0.1], [0.55 + 0.3 * h, 0.1]) for r in (6 * h, 8.5 * h)]
+    calls = []
+    monkeypatch.setattr(extension, "_interp", lambda *a: calls.append(1) or _interp(*a))
+    for p, x0, r in cases + [(FracParams(2, 0.3, 1.0), [0.75, 0.0], 0.25)]:
+        before = len(calls)
+        eps, nu, f = flatness(fields, x0, r, p)
+        assert (len(calls) > before) == (x0 == [0.75, 0.0])  # the wall window alone
+        ref_eps, ref_nu, ref_f = loop_flatness(fields, x0, r, p, 128)
+        assert eps == ref_eps
+        np.testing.assert_array_equal(nu, ref_nu)
+        np.testing.assert_array_equal(f, ref_f)
+    assert diagnostics._blow_up_model.cache_info().misses == 13
+
+
 def test_flatness_returns_the_first_of_equal_directions(monkeypatch):
     """With a direction-blind model every direction ties; the first is kept.
     The cached model is replaced, not the profile inside it, so no stale
     model outlives the test."""
     p = FracParams(2, 0.3, 1.0)
     fields = smooth_fields(2, 2, p.s)
-    model = diagnostics._one_plane_model
-    monkeypatch.setattr(diagnostics, "_one_plane_model", lambda *key: np.ones_like(model(*key)))
+    cached = diagnostics._blow_up_model
+    monkeypatch.setattr(diagnostics, "_blow_up_model", lambda *key: (
+        lambda mask, nus, model: (mask, nus, np.ones_like(model)))(*cached(*key)))
     for angles in (128, 2048):
         eps, nu, _ = flatness(fields, [0.55, 0.1], 0.3, p, angle_count=angles)
         assert np.isfinite(eps) and nu.tolist() == [1.0, 0.0]

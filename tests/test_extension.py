@@ -369,7 +369,7 @@ def test_stencil_matches_edge_by_edge_oracle(n, cells, J, a):
             if sum((m - o) ** 2 for m, o in zip(mid, center + [0.0])) < r * r
         )
         assert want > 0
-        assert _ball_energies(f, center, [r])[0] == pytest.approx(want, rel=1e-13)
+        assert _ball_energies([f], center, [r])[0, 0] == pytest.approx(want, rel=1e-13)
 
 
 def test_trace_property_roundtrip():
@@ -555,6 +555,22 @@ def test_neumann_trace_of_exact_profile():
     assert np.abs(nt[sel]).max() <= 0.05 * scale
 
 
+def test_ball_energies_of_two_fields_equal_their_one_field_calls():
+    """One window for two fields gives each field's row of one-field calls bit
+    for bit, inside the footprint and on windows clipped by the box wall."""
+    for g, centers in ((BoxGrid(1, -1.0, 1.0, 40), ([0.1], [-0.95], [0.9])),
+                       (BoxGrid(2, -1.0, 1.0, 16), ([0.1, -0.2], [-0.9, 0.85], [0.95, 0.0]))):
+        slab = SlabGrid(g, 6, a=-0.3, Y=3.0)
+        rng = np.random.default_rng(7)
+        fields = [ExtensionField(slab, rng.normal(size=slab.values_shape())) for _ in range(2)]
+        radii = np.array([0.3, 0.15, 0.45, 0.3])
+        for center in centers:
+            got = _ball_energies(fields, center, radii)
+            assert got.shape == (2, 4)
+            for row, f in zip(got, fields):
+                assert row.tolist() == _ball_energies([f], center, radii)[0].tolist()
+
+
 def test_ball_energy_splits_total():
     """Multi-radius ball energies equal one-radius calls bit for bit, for
     unsorted and repeated radii, and the sum over every slab edge whose
@@ -578,8 +594,8 @@ def test_ball_energy_splits_total():
         e_tot = extension_energy(f)
         for center, radii in balls:
             center = np.atleast_1d(center)
-            got = _ball_energies(f, center, radii)
-            assert got.tolist() == [_ball_energies(f, center, [r])[0] for r in radii]
+            (got,) = _ball_energies([f], center, radii)
+            assert got.tolist() == [_ball_energies([f], center, [r])[0, 0] for r in radii]
             for r, e in zip(radii, got):
                 want = sum(c * (v[p] - v[q]) ** 2 for p, q, c, mid in edges
                            if sum((m - o) ** 2 for m, o in zip(mid, [*center, 0.0])) < r * r)

@@ -10,14 +10,15 @@ curve records that normalization.
 """
 
 import functools
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .constants import _gauss_jacobi, one_plane_solution, slope_constant, unit_ball_volume
-from .extension import (ExtensionField, _ball_energies, _c_tilde, _gather, _multilinear_at,
+from .extension import (ExtensionField, _ball_energies, _c_tilde, _gather, _in_footprint,
                         _placement, _slab_stencil)
-from .grids import BoxGrid, ThinDomain, _in_ball, _neighbor_counts, _node_dist2
+from .grids import BoxGrid, ThinDomain, _ball_counts, _neighbor_counts
 
 __all__ = [
     "GeometryError",
@@ -53,11 +54,12 @@ class ResolutionError(ValueError):
 
 @dataclass
 class FreeBoundarySet:
-    """Mask cells adjacent to the complement, with smoothed outward normals."""
+    """Mask cells adjacent to the complement, with smoothed outward normals; a point
+    where the smoothed mask's gradient vanishes (a one-node feature) has none."""
 
     domain: ThinDomain
     points: np.ndarray  # (k, n) cell centers
-    normals: np.ndarray  # (k, n) outward unit vectors
+    normals: np.ndarray  # (k, n) outward unit vectors, nan rows where there is none
     flat_indices: np.ndarray
 
     def __len__(self):
@@ -65,7 +67,7 @@ class FreeBoundarySet:
 
     def check(self):
         norms = np.linalg.norm(self.normals, axis=1)
-        if np.any(np.abs(norms - 1.0) > 1e-12):
+        if not np.all((np.abs(norms - 1.0) <= 1e-12) | np.isnan(self.normals).all(axis=1)):
             raise AssertionError("free-boundary normals are not unit length")
         m = self.domain.mask
         counts = _neighbor_counts(m)
@@ -89,11 +91,9 @@ def free_boundary_set(domain):
     gvec = np.stack([np.gradient(smooth, domain.grid.h, axis=ax).ravel()[flat]
                      for ax in range(domain.grid.n)], axis=1)
     norms = np.linalg.norm(gvec, axis=1)
-    normals = np.zeros_like(gvec)
+    normals = np.full_like(gvec, np.nan)
     ok = norms > 1e-14
     normals[ok] = -gvec[ok] / norms[ok, None]
-    if np.any(~ok):
-        normals[~ok, 0] = 1.0
     return FreeBoundarySet(domain=domain, points=coords, normals=normals, flat_indices=flat)
 
 
@@ -135,11 +135,12 @@ def _check_ball(grid, x0, radii, floor):
 
 def density_ratio(mask, x0, r):
     """Node-counted |B_r(x0) and Omega| / (omega_n r^n), in [0, 1] (_in_ball); for a
-    1-D array of radii r, the array of them from one node-distance array."""
+    1-D array of radii r, the array of them from one gather of the mask (_ball_counts)."""
     grid, radii = mask.grid, np.asarray(r, dtype=float)
-    d2 = _node_dist2(grid, _check_ball(grid, x0, radii, floor=3))
-    out = np.array([min(1.0, grid.h**grid.n * np.count_nonzero(_in_ball(d2, q) & mask.mask)
-                        / (unit_ball_volume(grid.n) * q**grid.n)) for q in radii.ravel()])
+    x0 = _check_ball(grid, x0, radii, floor=3)
+    counts = _ball_counts(grid, x0, radii.ravel().tolist(), mask.mask)
+    out = np.array([min(1.0, grid.h**grid.n * k / (unit_ball_volume(grid.n) * q**grid.n))
+                    for k, q in zip(counts.tolist(), radii.ravel())])
     return out if radii.ndim else float(out[0])
 
 
@@ -178,11 +179,28 @@ def _hemisphere_rule(n, a):
 
 
 @functools.lru_cache(maxsize=4)
-def _sphere_stencil(layout, radii, f, a):
-    """The slab stencil of the hemisphere rule at the radii about a point f cells off a node."""
-    n, h = layout[0], layout[2]
-    q = (np.array(radii)[:, None, None] * _hemisphere_rule(n, a)[0]).reshape(-1, n + 1)
-    return _slab_stencil(layout, q[:, :n] / h + f, q[:, n])
+def _sphere_forms(layout, radii, f, a):
+    """Read-only per-cell quadratic forms of the hemisphere rule at the radii about a
+    point f cells off a node: (per slab cell holding samples, the offsets of its K =
+    2^(n+1) corners from the node's level-0 index (K, cells) and sum_q w_q phi_q phi_q^T
+    over its samples q, phi_q their corner weights (K, K, cells); each radius's first
+    cell). The samples lie inside the ball, so a ball in the box keeps them in the footprint."""
+    (dirs, wts), parts = _hemisphere_rule(layout[0], a), []
+    for q in (r * dirs for r in radii):  # one radius's temporaries at a time
+        flat, weight, first, _, ty, *_ = _slab_stencil(layout, q[:, :-1] / layout[2] + f, q[:, -1])
+        phi = (weight.prod(axis=1)[:, None] * np.stack([1.0 - ty, ty])).reshape(-1, ty.size)
+        flat, k = flat.reshape(len(phi), -1) + first, len(phi)
+        cell, at, inv = np.unique(flat[0], return_index=True, return_inverse=True)
+        forms, wphi = np.empty((k, k, len(cell))), wts * phi  # cells named by low corner
+        for i, j in itertools.combinations_with_replacement(range(k), 2):
+            forms[i, j] = forms[j, i] = np.bincount(inv, phi[i] * wphi[j], len(cell))
+        parts.append((flat[:, at], forms, len(cell)))
+    offsets, forms, counts = zip(*parts)
+    out = (np.concatenate(offsets, axis=1), np.concatenate(forms, axis=2),
+           np.cumsum((0,) + counts[:-1]))
+    for arr in out:
+        arr.setflags(write=False)
+    return out
 
 
 def _weiss_energies(fields, X0, radii, params):
@@ -191,9 +209,10 @@ def _weiss_energies(fields, X0, radii, params):
     W = r^-n [2 sum_i E_half(g_i, B_r) + lambda_tilde meas({|G|>0} in B_r)]
         - s r^-(n+1) * 2 * int_{upper hemisphere} |y|^a |G|^2 dS.
 
-    The support, the node distances and one gather of all fields at the
-    sphere points of all radii (_sphere_stencil) are shared, and the ball
-    energies of all fields and radii come from one window (_ball_energies)."""
+    All radii share the support and, from index sets cached per layout, radii and
+    offset of X0 from its node, one gather of the support for the node counts
+    (_ball_counts), the ball energies (_ball_energies), and one gather per field at
+    the sphere forms' cell corners (_sphere_forms)."""
     grid, n = fields[0].slab.base, fields[0].slab.base.n
     x0 = np.atleast_1d(np.asarray(X0, dtype=float))
     _check_ball(grid, x0, radii, floor=WEISS_FLOOR_CELLS)
@@ -202,17 +221,19 @@ def _weiss_energies(fields, X0, radii, params):
     supp = _trace_support([f.trace for f in fields], 1e-12)
     if not supp.any():
         return np.zeros(len(radii))
-    d2 = _node_dist2(grid, x0)
-    wts = _hemisphere_rule(n, params.a)[1]
     layout, node, off = _placement(fields[0].slab, x0)
-    stencil = _sphere_stencil(layout, tuple(radii.tolist()), off, params.a)
-    mag2 = sum(v ** 2 for v in _gather(fields, stencil, node)).reshape(len(radii), len(wts))
+    offsets, forms, starts = _sphere_forms(layout, tuple(radii.tolist()), off, params.a)
+    at = offsets + np.ravel_multi_index((*node, 0), fields[0].slab.values_shape())
+    # per radius, u^T M u summed over the cells and fields, u a field at a cell's corners
+    sums = np.add.reduceat(sum(np.einsum("klc,lc,kc->c", forms, u, u) for u in (
+        fld.values.reshape(-1).take(at) for fld in fields)), starts)
+    counts = _ball_counts(grid, x0, radii.tolist(), supp)
     energies = sum(_ball_energies(fields, x0, radii))
     out = np.empty(len(radii))
     for i, r in enumerate(radii):
-        meas = grid.h**n * np.count_nonzero(_in_ball(d2, r) & supp)
+        meas = grid.h**n * counts[i]
         # the |y|^a factor is inside the rule's weights: (y/r)^a there, scale back
-        sphere = float(np.sum(wts * mag2[i])) * r**n * r**params.a
+        sphere = float(sums[i]) * r**n * r**params.a
         out[i] = ((2.0 * energies[i] + params.lambda_tilde * meas) / r**n
                   - 2.0 * params.s * sphere / r ** (n + 1))
     return out
@@ -414,7 +435,6 @@ def boundary_slope(G_fields, x0, normal, params, t_lo=3.0, t_hi=10.0):
     """
     fields = _as_fields(G_fields)
     grid = fields[0].slab.base
-    mag = np.sqrt(sum(f.trace**2 for f in fields))
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     nu = np.atleast_1d(np.asarray(normal, dtype=float))
     nu = nu / np.linalg.norm(nu)
@@ -424,7 +444,13 @@ def boundary_slope(G_fields, x0, normal, params, t_lo=3.0, t_hi=10.0):
     ok = np.all((pts >= grid.lower - 1e-12) & (pts <= grid.upper + 1e-12), axis=1)
     if ok.sum() < 4:
         raise ResolutionError("fewer than 4 slope samples inside the grid")
-    vals = _multilinear_at(grid, pts[ok])(mag)
+    x = _in_footprint((pts[ok] - grid.lower) / h, grid.cells_per_axis)  # as _cell_stencil
+    i0 = np.minimum(np.floor(x), grid.cells_per_axis - 1).astype(int)
+    corners = np.array([c[::-1] for c in itertools.product((0, 1), repeat=grid.n)])[:, None]
+    mag = np.sqrt(sum(f.trace[tuple(np.moveaxis(i0 + corners, -1, 0))] ** 2 for f in fields))
+    # |G| at the corners times the axis weights in order, the corners summed in order: _apply
+    weights = np.moveaxis(np.where(corners == 1, x - i0, 1 - (x - i0)), -1, 0)
+    vals = functools.reduce(np.multiply, weights, mag).sum(axis=0)
     tk = ts[ok]
     return float(np.sum(vals * tk**params.s) / np.sum(tk ** (2.0 * params.s)))
 
@@ -441,7 +467,7 @@ class ClassifierConfig:
 @dataclass
 class PointClassification:
     """A point's label and the measurements behind it; `reason` says why
-    `slope` is nan (boundary_slope's ResolutionError), else it is None."""
+    `slope` is nan (no normal, or boundary_slope's ResolutionError), else it is None."""
 
     density_limit: float
     label: str
@@ -477,6 +503,7 @@ def classify(mask, G_fields, x0, config, params, normal):
     normal is the outward unit normal at x0 (pointing out of the positivity
     set), the orientation of FreeBoundarySet.normals; the slope is taken
     along its negative, the inward direction that boundary_slope expects.
+    A nan normal (none, as at a one-node feature) gets no slope.
     """
     grid = mask.grid
     x0v = np.atleast_1d(np.asarray(x0, dtype=float))
@@ -492,11 +519,12 @@ def classify(mask, G_fields, x0, config, params, normal):
     coef, *_ = np.linalg.lstsq(A, ratios, rcond=None)
     gamma = float(coef[0])
     eps, _, _ = flatness(G_fields, x0v, radii[0], params)
-    reason = None
-    try:
-        slope = boundary_slope(G_fields, x0v, -np.asarray(normal), params)
-    except ResolutionError as exc:
-        slope, reason = float("nan"), str(exc)
+    slope, reason = float("nan"), "no normal: the smoothed mask's gradient vanishes here"
+    if not np.isnan(normal).any():
+        try:
+            slope, reason = boundary_slope(G_fields, x0v, -np.asarray(normal), params), None
+        except ResolutionError as exc:
+            reason = str(exc)
     if abs(gamma - 0.5) <= config.tol and eps < config.flat_threshold:
         label = "regular"
     elif gamma >= 0.5 + config.delta:

@@ -34,6 +34,7 @@ from scipy import sparse
 from scipy.sparse import linalg as sla
 
 from .constants import unit_ball_volume
+from .grids import _nearest_node
 
 __all__ = [
     "SlabGrid",
@@ -188,12 +189,10 @@ class ExtensionField:
 
 def _placement(slab, x0):
     """(layout, node, f): the slab's layout as a hashable value, the node nearest
-    the thin-space point x0, and x0's offset from it in cells (0 within 1e-12)."""
+    the thin-space point x0, and x0's offset from it in cells (_nearest_node)."""
     b = slab.base
-    u = (np.atleast_1d(np.asarray(x0, dtype=float)) - b.lower) / b.h
-    f = u - np.rint(u)
     return ((b.n, b.cells_per_axis, b.h, slab.J, slab.Y, slab.y_nodes.tobytes()),
-            np.rint(u).astype(int), tuple(np.where(np.abs(f) <= 1e-12, 0.0, f).tolist()))
+            *_nearest_node(b, x0))
 
 
 def _slab_stencil(layout, x, y):
@@ -287,14 +286,6 @@ def _apply(field, flat, weight, first):
     return functools.reduce(operator.iadd, terms)
 
 
-def _multilinear_at(grid, pts, *tail):
-    """Multilinear interpolation at thin-space points, as a function of the node
-    field: their cell stencil about node 0 for the field's shape."""
-    cells = grid.cells_per_axis
-    x = _in_footprint((np.atleast_2d(pts) - grid.lower) / grid.h, cells)
-    return lambda field: _apply(field, *_cell_stencil(x, cells, field.shape, *tail)[:3])
-
-
 def _dst1(x, n):
     """Orthonormal DST-I along the first n axes of x, its own inverse: the
     symmetric sine matrix sqrt(2/N) sin(pi j k / N), j, k = 1..N-1, per axis."""
@@ -372,43 +363,58 @@ def neumann_trace(field):
     return -grad, flagged
 
 
+@functools.lru_cache(maxsize=8)
+def _ball_edges(layout, radii, f):
+    """Read-only (the reach (2, n) of their cells; per axis, in C order, the offsets of
+    both ends from the node's level-0 index (2, m), the low ends' cells (n, m) and
+    levels, and per radius the positions with d2 < r^2) of the slab edges whose
+    midpoints lie in the open ball of the largest radius about a point f cells off a node."""
+    n, cells, h, J, _, y = *layout[:5], np.frombuffer(layout[5])
+    strides = [math.prod(((cells + 1,) * n + (J + 1,))[ax + 1:]) for ax in range(n + 1)]
+    top = max(radii, default=0.0)
+    o, axes = np.arange(-int(top / h) - 1, int(top / h) + 2), []
+    for step in np.eye(n + 1, dtype=int):
+        mid = [((o + 0.5 * step[ax] - c) * h) ** 2 for ax, c in enumerate(f)]
+        ys = 0.5 * (y[:-1] + y[1:]) if step[n] else y
+        d2 = functools.reduce(np.add.outer, mid + [ys**2])
+        idx = np.nonzero(d2 < top * top)
+        cell = o[np.array(idx[:n])]
+        low = np.dot(strides, [*cell, idx[n]])
+        axes.append((np.stack([low, low + np.dot(strides, step)]), cell, idx[n],
+                     *(np.flatnonzero(d2[idx] < r * r) for r in radii)))
+    every = np.concatenate([cell for _, cell, *_ in axes], axis=1)
+    reach = np.array([every.min(axis=1, initial=0), every.max(axis=1, initial=0) + 1])
+    for arr in itertools.chain([reach], *axes):
+        arr.setflags(write=False)
+    return reach, tuple(axes)
+
+
 def _ball_energies(fields, center, radii):
     """Edge-quadrature energy of the upper half-ball at a thin-space center, per
     field (rows) of fields on one slab layout and radius (columns): the sum of
     c * (dg)^2 over the edges whose midpoints lie in the open ball.
 
-    One index window serves all: the largest radius's, as an edge in a ball of
-    radius r joins x-nodes within r + h of the center, at levels up to the first
-    with y >= r. Per axis, the midpoints' squared distances d2 and each radius's
-    mask d2 < r^2 are formed once, and per field c * (dg)^2; each radius sums
-    its masked entries, in C order those of its own smaller window, so each sum
-    is that window's bit for bit and a field's row is what it gets alone.
+    Per axis and field, two gathers at the center's node give dg on a cached edge
+    set (_ball_edges), and each radius sums its entries of c * (dg)^2 in C order, but
+    for edges past the footprint: the entries a window of the values array selects,
+    in its order, so each sum is the window's bit for bit, and a row what it is alone.
     """
-    slab = fields[0].slab
-    base = slab.base
-    center = np.atleast_1d(np.asarray(center, dtype=float))
-    radii = np.asarray(radii, dtype=float)
-    radius = radii.max(initial=0.0)
-    at = (center - base.lower) / base.h  # the center in index units
-    lo = np.maximum(np.floor(at - radius / base.h).astype(int) - 1, 0)
-    hi = np.maximum(np.ceil(at + radius / base.h).astype(int) + 2, 0)
-    top = int(np.searchsorted(slab.y_nodes, radius)) + 1
-    window = tuple(slice(i, k) for i, k in zip(lo, hi)) + (slice(0, top),)
-    gs = [f.values[window] for f in fields]
-    # per axis: node coordinates and the center, with y the last axis
-    coords = [base.axis_nodes()[w] for w in window[:-1]] + [slab.y_nodes[:top]]
-    origin = list(center) + [0.0]
+    slab, cells = fields[0].slab, fields[0].slab.base.cells_per_axis
+    layout, node, f = _placement(slab, center)
+    radii = tuple(np.asarray(radii, dtype=float).tolist())
+    reach, edges = _ball_edges(layout, radii, f)
+    at = np.ravel_multi_index((*node, 0), slab.values_shape())
     out = np.zeros((len(fields), len(radii)))
-    for axis, c in enumerate(_conductances(slab)):
-        d2 = 0.0
-        for k, x in enumerate(coords):
-            if k == axis:
-                x = 0.5 * (x[:-1] + x[1:])
-            shape = [-1 if m == k else 1 for m in range(gs[0].ndim)]
-            d2 = d2 + ((x - origin[k]) ** 2).reshape(shape)
-        inside = [d2 < r**2 for r in radii]
-        for row, g in zip(out, gs):
-            d = np.diff(g, axis=axis)
-            e = c[: d.shape[-1]] * d * d
-            row += [e[m].sum() for m in inside]
+    for axis, (c, (ends, cell, levels, *picks)) in enumerate(zip(_conductances(slab), edges)):
+        if np.any(node + reach[0] < 0) or np.any(node + reach[1] > cells):
+            # the ball passes the wall: the gathers clip, and no sum takes an edge past it
+            low = node[:, None] + cell
+            keep = np.all((low >= 0) & (low + (np.arange(len(node)) == axis)[:, None] <= cells), 0)
+            picks = [i[keep[i]] for i in picks]
+        ce, ends = c[levels], ends + at
+        for row, fld in zip(out, fields):
+            lo, hi = fld.values.reshape(-1).take(ends, mode="clip")
+            d = hi - lo
+            e = ce * d * d
+            row += [e.take(i).sum() for i in picks]
     return out

@@ -168,17 +168,40 @@ def _neighbor_counts(mask):
     return counts
 
 
-def _node_dist2(grid, x0):
-    """Squared distance from the thin-space point x0 to every node, as a
-    node_shape array: the per-axis squared offsets summed by outer addition."""
-    x = grid.axis_nodes()
-    return functools.reduce(np.add.outer, [(x - c) ** 2 for c in x0])
-
-
 def _in_ball(d2, r):
     """Nodes strictly inside B_r at squared distances d2; a node within 1e-12 r^2 of
     the sphere is outside, as in exact arithmetic on lattice ties (3-4-5 at 5h)."""
     return d2 < r * r * (1.0 - 1e-12)
+
+
+def _nearest_node(grid, x0):
+    """(node, f): the node nearest the point x0, x0's offset from it in cells (0 within 1e-12)."""
+    u = (np.atleast_1d(np.asarray(x0, dtype=float)) - grid.lower) / grid.h
+    f = u - np.rint(u)
+    return np.rint(u).astype(int), tuple(np.where(np.abs(f) <= 1e-12, 0.0, f).tolist())
+
+
+@functools.lru_cache(maxsize=8)
+def _ball_nodes(n, cells, h, radii, f):
+    """Read-only C-order offsets of the nodes of an n-D grid (cells, h) in the ball of the
+    largest radius about a point f cells off a node, and per radius their _in_ball mask."""
+    o = np.arange(-1 - int(max(radii) / h), 2 + int(max(radii) / h))
+    d2 = functools.reduce(np.add.outer, [((o - c) * h) ** 2 for c in f])
+    idx = np.nonzero(_in_ball(d2, max(radii)))
+    offsets = np.dot((cells + 1) ** np.arange(n - 1, -1, -1), o[np.array(idx)])
+    out = offsets, np.array([_in_ball(d2[idx], r) for r in radii])
+    for arr in out:
+        arr.setflags(write=False)
+    return out
+
+
+def _ball_counts(grid, x0, radii, flags):
+    """Per radius, the flagged nodes (a node_shape bool array) in the ball about x0
+    (_in_ball), which must lie in the box: one gather at x0's nearest node."""
+    node, f = _nearest_node(grid, x0)
+    offsets, inside = _ball_nodes(grid.n, grid.cells_per_axis, grid.h, tuple(radii), f)
+    at = offsets + np.ravel_multi_index(tuple(node), grid.node_shape)
+    return np.count_nonzero(inside & flags.reshape(-1).take(at), axis=1)
 
 
 def mask_from_indices(grid, flat_indices):

@@ -11,8 +11,9 @@ import numpy as np
 import pytest
 
 from fraclab.cli import main
-from fraclab.gridio import RunManifest, read_fields, read_mask, read_slab_field, write_fields
-from fraclab.grids import BoxGrid
+from fraclab.gridio import (RunManifest, read_fields, read_mask, read_slab_field, write_fields,
+                            write_mask)
+from fraclab.grids import BoxGrid, ThinDomain
 
 
 def write_cfg(path, **kv):
@@ -217,28 +218,57 @@ def test_diagnose_points_run_alone_as_in_the_full_run(tmp_path):
         json.dumps(p) for p in entries[0] if p["point"] in picked]
 
 
-def test_diagnose_outputs_do_not_depend_on_the_stencil_caches(tmp_path):
-    """Two diagnose runs in one process, the first on cold stencil caches,
-    the second on warm ones, write the same bytes, also after a run on
-    another slab layout in between."""
-    from fraclab import diagnostics
-
+def test_diagnose_outputs_do_not_depend_on_the_stencil_caches(tmp_path, clear_caches):
+    """Two diagnose runs in one process, the first on cold caches (every
+    lru_cache of diagnostics, extension and grids), the second on warm ones,
+    write the same bytes, also after a run on another slab layout in between;
+    the warm run builds nothing (no cache misses), and the runs use at least six
+    of the caches."""
     eig_cfg = write_cfg(tmp_path / "eig.cfg", n=2, cells=24, lower=-1.0, upper=1.0,
                         s=0.5, domain="ball 0.02 -0.01 0.45", m=2)
     assert main(["eig", "--config", eig_cfg, "--out", str(tmp_path / "eig")]) == 0
     keys = dict(n=2, s=0.5, mask=str(tmp_path / "eig" / "mask.frlb"), r_max_cells=6,
                 fields=f"{tmp_path / 'eig' / 'v01.frlb'},{tmp_path / 'eig' / 'v02.frlb'}")
-    for cache in (diagnostics._sphere_stencil, diagnostics._blow_up_stencil,
-                  diagnostics._blow_up_model):
-        cache.cache_clear()
-    outs = []
+    caches = clear_caches()
+    outs, misses = [], []
     for run, J in enumerate((8, 8, 10, 8)):
         cfg = write_cfg(tmp_path / f"diag{run}.cfg", J=J, **keys)
         assert main(["diagnose", "--config", cfg, "--out", str(tmp_path / f"d{run}")]) == 0
         outs.append({name: (tmp_path / f"d{run}" / name).read_bytes() for name in
                      ("weiss.csv", "density.csv", "slopes.csv", "classification.json")})
+        misses.append([cache.cache_info().misses for cache in caches])
     assert outs[0] == outs[1] == outs[3] != outs[2]
-    assert diagnostics._sphere_stencil.cache_info().hits > 0
+    assert misses[1] == misses[0] and sum(map(bool, misses[0])) >= 6
+
+
+def test_diagnose_gives_one_node_features_no_normal_and_no_slope(tmp_path):
+    """A 32^2 mask of a disk, a one-node-wide filament and an isolated node:
+    where the smoothed mask's gradient vanishes (the filament's inner nodes and
+    the isolated node) a point has no normal, so it gets no slope, a reason,
+    and a nan row in slopes.csv; its density and flatness are still measured."""
+    g = BoxGrid(2, -1.0, 1.0, 32)
+    X, Y = np.meshgrid(g.axis_nodes(), g.axis_nodes(), indexing="ij")
+    mask = (X + 0.35) ** 2 + Y**2 <= 0.3**2
+    mask |= (np.abs(Y - 0.3125) < 1e-9) & (X > 0.05) & (X < 0.45)
+    mask |= (np.abs(X - 0.375) < 1e-9) & (np.abs(Y + 0.375) < 1e-9)
+    write_mask(str(tmp_path / "mask.frlb"), ThinDomain(g, mask))
+    eig_cfg = write_cfg(tmp_path / "eig.cfg", n=2, cells=32, s=0.5, m=1,
+                        domain=f"mask {tmp_path / 'mask.frlb'}")
+    assert main(["eig", "--config", eig_cfg, "--out", str(tmp_path / "eig")]) == 0
+    cfg = write_cfg(tmp_path / "diag.cfg", n=2, s=0.5, mask=str(tmp_path / "mask.frlb"),
+                    fields=str(tmp_path / "eig" / "v01.frlb"), J=8, r_max_cells=6)
+    assert main(["diagnose", "--config", cfg, "--out", str(tmp_path / "d")]) == 0
+    points = json.loads((tmp_path / "d" / "classification.json").read_text())["points"]
+    bare = [p for p in points if "no normal" in p.get("reason", "")]
+    assert [p["x"] for p in bare] == [[0.1875, 0.3125], [0.25, 0.3125], [0.3125, 0.3125],
+                                      [0.375, -0.375]]
+    assert len(points) == 34
+    assert all(p["slope"] is None and p["density_limit"] is not None
+               and p["flatness"] is not None for p in bare)
+    assert all(p["slope"] is not None for p in points if p not in bare)
+    rows = (tmp_path / "d" / "slopes.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[3] for row in rows if int(row.split(",")[0]) in
+            [p["point"] for p in bare]] == ["nan"] * 4
 
 
 def test_diagnose_marks_a_point_near_the_wall_undetermined(tmp_path):

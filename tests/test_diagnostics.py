@@ -1,3 +1,4 @@
+import functools
 import gc
 import weakref
 
@@ -24,7 +25,8 @@ from fraclab.diagnostics import _hemisphere_rule, _trace_support
 from fraclab.eigen import lowest_eigenpairs
 from fraclab.extension import (ExtensionField, SlabGrid, _ball_energies, _gather, _interp,
                                _placement, _slab_stencil, extend)
-from fraclab.grids import BoxGrid, ThinDomain, ball_domain, interval_domain, mask_from_indices
+from fraclab.grids import (BoxGrid, ThinDomain, _ball_counts, _in_ball, ball_domain,
+                           interval_domain, mask_from_indices)
 from fraclab.nonlocal_form import KernelTable
 
 
@@ -70,6 +72,28 @@ def test_free_boundary_of_interval():
     assert xs[1] == pytest.approx(0.5, abs=g.h)
     signs = fb.normals[np.argsort(fb.points[:, 0]), 0]
     assert signs[0] < 0 < signs[1]
+
+
+def test_a_point_without_a_normal_gets_no_slope():
+    """An isolated node's smoothed gradient vanishes: it gets a nan normal, which
+    FreeBoundarySet.check accepts, and classify takes no slope there but gives
+    the reason; its density and flatness are still measured."""
+    g = BoxGrid(2, -1.0, 1.0, 20)
+    mask = ball_domain(g, [-0.3, 0.0], 0.3).mask.copy()
+    mask[14, 10] = True  # the node (0.4, 0)
+    dom = ThinDomain(g, mask)
+    fb = free_boundary_set(dom)
+    fb.check()
+    bare = np.flatnonzero(np.isnan(fb.normals).any(axis=1))
+    assert fb.flat_indices[bare].tolist() == [14 * 21 + 10]
+    assert np.isnan(fb.normals[bare]).all()
+    p = FracParams(2, 0.5, 1.0)
+    fields = extend([dom.mask * 1.0], SlabGrid(g, 8, a=p.a, Y=4.0))
+    for k in (bare[0], bare[0] - 1):
+        pc = classify(dom, fields, fb.points[k], ClassifierConfig(), p, fb.normals[k])
+        assert np.isfinite(pc.density_limit) and np.isfinite(pc.flatness)
+        assert (pc.reason is not None and "no normal" in pc.reason) == (k == bare[0])
+        assert np.isnan(pc.slope) == (k == bare[0])
 
 
 # -- density -----------------------------------------------------------------
@@ -538,8 +562,9 @@ def test_batched_diagnostics_equal_their_loops(n, count):
             np.testing.assert_array_equal(f, ref_f)
     radii = np.array([5.0, 6.0, 7.0, 8.5]) * h
     ref = loop_weiss(fields, x0, radii, p)
-    np.testing.assert_array_equal(weiss_curve(fields, x0, radii[::-1], p).values, ref)
-    assert [weiss_curve(fields, x0, [r], p).values[0] for r in radii] == ref.tolist()
+    got = weiss_curve(fields, x0, radii[::-1], p).values  # the sphere forms regroup sums
+    assert np.all(np.abs(got - ref) <= 1e-14 * np.abs(ref))
+    assert [weiss_curve(fields, x0, [r], p).values[0] for r in radii] == got.tolist()
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -579,26 +604,86 @@ def test_a_blow_up_window_on_the_wall_is_sampled_at_its_points(n, monkeypatch):
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
-def test_stencil_caches_hold_no_slab_and_key_the_levels():
-    """The stencil caches keep no slab alive, and a slab whose y_nodes differ
-    (as gridio.read_slab_field may set them) gets its own stencils."""
+def test_stencil_caches_hold_no_slab_and_key_the_levels(clear_caches):
+    """The caches (every lru_cache of diagnostics, extension and grids, cleared
+    first) keep no slab alive, a slab whose y_nodes differ (as
+    gridio.read_slab_field may set them) gets its own index sets, and a second
+    evaluation on a layout builds nothing."""
+    caches = clear_caches()
     p = FracParams(2, 0.3, 1.0)
     fields = smooth_fields(2, 1, p.s)
     h = fields[0].slab.base.h
     x0, radii = [0.55, 0.1], np.array([5.0, 6.0, 7.0, 8.5]) * h
-    weiss_curve(fields, x0, radii, p)
-    flatness(fields, x0, 6 * h, p)
+    misses = []
+    for _ in range(2):
+        weiss_curve(fields, x0, radii, p)
+        flatness(fields, x0, 6 * h, p)
+        misses.append([cache.cache_info().misses for cache in caches])
+    assert misses[0] == misses[1] and sum(map(bool, misses[0])) >= 6
     slab = SlabGrid(fields[0].slab.base, 16, a=p.a, Y=4.0)
     slab.y_nodes = slab.y_nodes * (1.0 + 0.01 * np.arange(slab.J + 1) / slab.J)
     moved = [ExtensionField(slab, fields[0].values)]
-    np.testing.assert_array_equal(weiss_curve(moved, x0, radii, p).values,
-                                  loop_weiss(moved, x0, radii, p))
-    want = loop_weiss(moved, x0, radii, p, samples=absolute_samples)
-    assert np.all(np.abs(weiss_curve(moved, x0, radii, p).values - want) <= 1e-14 * np.abs(want))
+    for samples in (relative_samples, absolute_samples):
+        want = loop_weiss(moved, x0, radii, p, samples=samples)
+        assert np.all(np.abs(weiss_curve(moved, x0, radii, p).values - want)
+                      <= 1e-14 * np.abs(want))
     alive = weakref.ref(fields[0].slab), weakref.ref(slab)
     del fields, moved, slab
     gc.collect()
     assert alive[0]() is None and alive[1]() is None
+
+
+def test_weiss_from_the_sphere_forms_equals_the_per_sample_sums(monkeypatch):
+    """On one slab layout (its levels graded alike) under two weight exponents,
+    Weiss values equal the per-sample sums of loop_weiss to 1e-14 relative, on a
+    node, off one, and on a ladder whose largest sphere touches the box wall. The
+    rule's samples lie strictly inside the ball, so that ladder's forms stay in
+    the footprint and nothing is interpolated from absolute points; the
+    ball-edge sets, which hold no conductance, serve both exponents."""
+    g = BoxGrid(2, -1.0, 1.0, 40)
+    x = g.node_coords()
+    bump = np.sqrt(np.clip(0.5 - (x**2).sum(axis=1), 0.0, None))
+    traces = [bump.reshape(g.node_shape), (bump * (x[:, 0] + 0.3)).reshape(g.node_shape)]
+    ladders = [([0.55, 0.1], 8.5 * g.h), ([0.55 + 0.3 * g.h, 0.1 - 0.2 * g.h], 8.5 * g.h),
+               ([0.6, 0.1], 0.4)]  # 0.6 + 0.4 = 1: the wall
+    calls = []
+    monkeypatch.setattr(extension, "_interp", lambda *a: calls.append(1) or _interp(*a))
+    extension._ball_edges.cache_clear()
+    cases = []
+    for s in (0.3, 0.6):
+        p = FracParams(2, s, 1.0)
+        fields = extend(traces, SlabGrid(g, 16, a=p.a, Y=4.0, gamma=2.5))
+        for x0, top in ladders:
+            radii = np.linspace(5 * g.h, top, 4)
+            cases.append((fields, x0, radii, p, weiss_curve(fields, x0, radii, p).values))
+    assert calls == [] and extension._ball_edges.cache_info()[:2] == (3, 3)  # hits, misses
+    assert len({case[0][0].slab.a for case in cases}) == 2
+    for fields, x0, radii, p, got in cases:
+        for samples in (relative_samples, absolute_samples):
+            want = loop_weiss(fields, x0, radii, p, samples=samples)
+            assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
+
+
+@pytest.mark.parametrize("n,cells", [(2, 20), (2, 29), (2, 30), (2, 48), (1, 30)])
+def test_ball_node_counts_equal_brute_force_at_every_node(n, cells):
+    """Node counts from the cached node sets (_ball_counts) equal _in_ball counts
+    over every node's distance, for a ladder with lattice ties (5h: 3-4-5), at
+    every node whose ladder fits in the box and at points off a node. On 29
+    cells the node-relative squared distances of the ties round below (5h)^2,
+    so there the tie rule decides."""
+    g = BoxGrid(n, -1.0, 1.0, cells)
+    rng = np.random.default_rng(cells)
+    flags = rng.random(g.node_shape) < 0.6
+    radii = [5.0 * g.h, 3.0 * g.h, 4.5 * g.h, 5.0 * g.h, 3.7 * g.h]
+    nodes = g.node_coords()
+    fits = np.all((nodes - 5 * g.h >= g.lower - 1e-12)
+                  & (nodes + 5 * g.h <= g.upper + 1e-12), axis=1)
+    off = nodes[fits] + rng.uniform(-0.5, 0.5, (np.count_nonzero(fits), n)) * g.h
+    off = off[np.all((off - 5 * g.h >= g.lower) & (off + 5 * g.h <= g.upper), axis=1)]
+    for x0 in np.concatenate([nodes[fits], off]):
+        d2 = functools.reduce(np.add.outer, [(g.axis_nodes() - c) ** 2 for c in x0])
+        want = [np.count_nonzero(_in_ball(d2, r) & flags) for r in radii]
+        assert _ball_counts(g, x0, radii, flags).tolist() == want
 
 
 def test_cached_flatness_equals_its_loop_across_layouts_and_parameters(monkeypatch):

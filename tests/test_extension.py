@@ -20,14 +20,24 @@ from fraclab.extension import (
     _conductances,
     _dst1,
     _interp,
+    _apply,
+    _cell_stencil,
+    _in_footprint,
     _modal_lu,
-    _multilinear_at,
     extend,
     extension_energy,
     neumann_trace,
 )
 from fraclab.grids import BoxGrid, interval_domain
 from fraclab.nonlocal_form import KernelTable
+
+
+def _multilinear_at(grid, pts, *tail):
+    """Multilinear interpolation at thin-space points, as a function of the node
+    field: their cell stencil about node 0 for the field's shape."""
+    x = _in_footprint((np.atleast_2d(pts) - grid.lower) / grid.h, grid.cells_per_axis)
+    return lambda field: _apply(field, *_cell_stencil(x, grid.cells_per_axis, field.shape,
+                                                      *tail)[:3])
 
 
 def bump_trace(grid, seed=None):
@@ -604,3 +614,68 @@ def test_ball_energy_splits_total():
         # the tall ball's window holds every level: its radius passes y[J-1]
         assert balls[-1][1][0] > slab.y_nodes[-2]
         assert balls[-1][1][0] < slab.Y
+
+
+def windowed_ball_energies(fields, center, radii):
+    """The ball energies as one index window of the values array computed them
+    before the cached edge sets: per axis, the midpoints' squared distances d2 over
+    the largest radius's window, each radius's mask d2 < r^2, and per field the
+    masked entries of c * (dg)^2 summed in C order."""
+    slab = fields[0].slab
+    base = slab.base
+    center = np.atleast_1d(np.asarray(center, dtype=float))
+    radii = np.asarray(radii, dtype=float)
+    radius = radii.max(initial=0.0)
+    at = (center - base.lower) / base.h  # the center in index units
+    lo = np.maximum(np.floor(at - radius / base.h).astype(int) - 1, 0)
+    hi = np.maximum(np.ceil(at + radius / base.h).astype(int) + 2, 0)
+    top = int(np.searchsorted(slab.y_nodes, radius)) + 1
+    window = tuple(slice(i, k) for i, k in zip(lo, hi)) + (slice(0, top),)
+    gs = [f.values[window] for f in fields]
+    coords = [base.axis_nodes()[w] for w in window[:-1]] + [slab.y_nodes[:top]]
+    origin = list(center) + [0.0]
+    out = np.zeros((len(fields), len(radii)))
+    for axis, c in enumerate(_conductances(slab)):
+        d2 = 0.0
+        for k, x in enumerate(coords):
+            if k == axis:
+                x = 0.5 * (x[:-1] + x[1:])
+            shape = [-1 if m == k else 1 for m in range(gs[0].ndim)]
+            d2 = d2 + ((x - origin[k]) ** 2).reshape(shape)
+        inside = [d2 < r**2 for r in radii]
+        for row, g in zip(out, gs):
+            d = np.diff(g, axis=axis)
+            e = c[: d.shape[-1]] * d * d
+            row += [e[m].sum() for m in inside]
+    return out
+
+
+@pytest.mark.parametrize("n,cells,J", [(1, 40, 9), (2, 16, 7)])
+def test_ball_energies_equal_the_windowed_reference(n, cells, J):
+    """The cached edge sets give the windowed code's sums bit for bit: centres on
+    a node and off one, inside the footprint and clipped by the box wall, with
+    unsorted and repeated radii, for one and two fields; each sum also matches
+    the edge-by-edge oracle. Half a cell off a node, lateral midpoints lie on the
+    spheres of whole-cell radii, where rounding decides membership in either
+    code, so that centre takes radii off those ties."""
+    g = BoxGrid(n, -1.0, 1.0, cells)
+    slab = SlabGrid(g, J, a=0.35, Y=3.0)
+    rng = np.random.default_rng(cells)
+    fields = [ExtensionField(slab, rng.normal(size=slab.values_shape())) for _ in range(2)]
+    node = g.axis_nodes()[[cells // 2 + 1, cells // 3][:n]]
+    radii_sets = ([0.3, 0.12, 0.3, 0.21], [0.45], [5.5 * g.h, 5.0 * g.h, 8.0 * g.h, 6.5 * g.h])
+    cases = [(center, radii) for center in (
+        node, node + np.array([0.31, -0.27])[:n] * g.h,  # on and off a node
+        np.array([-0.93, 0.88])[:n], np.array([0.97, -1.0])[:n])  # by the wall
+        for radii in radii_sets]
+    cases += [(node + 0.5 * g.h, [6.3 * g.h, 5.2 * g.h, 6.3 * g.h])]  # f = -0.5 (rint to even)
+    v = fields[0].values.ravel()
+    edges = oracle_edges(slab)
+    for center, radii in cases:
+        got = _ball_energies(fields, center, radii)
+        assert got.tolist() == windowed_ball_energies(fields, center, radii).tolist()
+        assert got[:1].tolist() == _ball_energies(fields[:1], center, radii).tolist()
+        for r, e in zip(radii, got[0]):
+            want = sum(c * (v[p] - v[q]) ** 2 for p, q, c, mid in edges
+                       if sum((m - o) ** 2 for m, o in zip(mid, [*center, 0.0])) < r * r)
+            assert e == pytest.approx(want, rel=1e-13)

@@ -16,9 +16,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .constants import _gauss_jacobi, one_plane_solution, slope_constant, unit_ball_volume
-from .extension import (ExtensionField, _ball_energies, _c_tilde, _gather, _in_footprint,
-                        _placement, _slab_stencil)
-from .grids import BoxGrid, ThinDomain, _ball_counts, _neighbor_counts
+from .extension import (ExtensionField, _apply, _ball_energies, _c_tilde, _cell_stencil,
+                        _gather, _in_footprint, _placement, _slab_stencil)
+from .grids import BoxGrid, ThinDomain, _ball_counts, _neighbor_counts, _read_only
 
 __all__ = [
     "GeometryError",
@@ -54,8 +54,7 @@ class ResolutionError(ValueError):
 
 @dataclass
 class FreeBoundarySet:
-    """Mask cells adjacent to the complement, with smoothed outward normals; a point
-    where the smoothed mask's gradient vanishes (a one-node feature) has none."""
+    """Mask cells adjacent to the complement, with smoothed outward normals (nan where none)."""
 
     domain: ThinDomain
     points: np.ndarray  # (k, n) cell centers
@@ -137,8 +136,7 @@ def density_ratio(mask, x0, r):
     """Node-counted |B_r(x0) and Omega| / (omega_n r^n), in [0, 1] (_in_ball); for a
     1-D array of radii r, the array of them from one gather of the mask (_ball_counts)."""
     grid, radii = mask.grid, np.asarray(r, dtype=float)
-    x0 = _check_ball(grid, x0, radii, floor=3)
-    counts = _ball_counts(grid, x0, radii.ravel().tolist(), mask.mask)
+    counts = _ball_counts(grid, _check_ball(grid, x0, radii, floor=3), radii.ravel(), mask.mask)
     out = np.array([min(1.0, grid.h**grid.n * k / (unit_ball_volume(grid.n) * q**grid.n))
                     for k, q in zip(counts.tolist(), radii.ravel())])
     return out if radii.ndim else float(out[0])
@@ -173,18 +171,15 @@ def _hemisphere_rule(n, a):
                                 np.outer(rho, np.sin(phi)).ravel(),
                                 np.repeat(t, _K_AZIMUTH)])
         wts = np.repeat(wt * (2.0 * np.pi / _K_AZIMUTH), _K_AZIMUTH)
-    dirs.setflags(write=False)
-    wts.setflags(write=False)
-    return dirs, wts
+    return _read_only(dirs, wts)
 
 
-@functools.lru_cache(maxsize=4)
+@functools.lru_cache(maxsize=8)
 def _sphere_forms(layout, radii, f, a):
-    """Read-only per-cell quadratic forms of the hemisphere rule at the radii about a
-    point f cells off a node: (per slab cell holding samples, the offsets of its K =
-    2^(n+1) corners from the node's level-0 index (K, cells) and sum_q w_q phi_q phi_q^T
-    over its samples q, phi_q their corner weights (K, K, cells); each radius's first
-    cell). The samples lie inside the ball, so a ball in the box keeps them in the footprint."""
+    """The hemisphere rule at the radii about a point f cells off a node as read-only forms,
+    radius after radius: per slab cell holding samples q, the offsets of its K = 2^(n+1)
+    corners from the node's level-0 index (K, cells), sum_q w_q phi_q phi_q^T with phi_q their
+    corner weights (K, K, cells); each radius's first cell. The samples lie in the ball."""
     (dirs, wts), parts = _hemisphere_rule(layout[0], a), []
     for q in (r * dirs for r in radii):  # one radius's temporaries at a time
         flat, weight, first, _, ty, *_ = _slab_stencil(layout, q[:, :-1] / layout[2] + f, q[:, -1])
@@ -196,11 +191,8 @@ def _sphere_forms(layout, radii, f, a):
             forms[i, j] = forms[j, i] = np.bincount(inv, phi[i] * wphi[j], len(cell))
         parts.append((flat[:, at], forms, len(cell)))
     offsets, forms, counts = zip(*parts)
-    out = (np.concatenate(offsets, axis=1), np.concatenate(forms, axis=2),
-           np.cumsum((0,) + counts[:-1]))
-    for arr in out:
-        arr.setflags(write=False)
-    return out
+    return _read_only(np.concatenate(offsets, axis=1), np.concatenate(forms, axis=2),
+                      np.cumsum((0,) + counts[:-1]))
 
 
 def _weiss_energies(fields, X0, radii, params):
@@ -209,10 +201,9 @@ def _weiss_energies(fields, X0, radii, params):
     W = r^-n [2 sum_i E_half(g_i, B_r) + lambda_tilde meas({|G|>0} in B_r)]
         - s r^-(n+1) * 2 * int_{upper hemisphere} |y|^a |G|^2 dS.
 
-    All radii share the support and, from index sets cached per layout, radii and
-    offset of X0 from its node, one gather of the support for the node counts
-    (_ball_counts), the ball energies (_ball_energies), and one gather per field at
-    the sphere forms' cell corners (_sphere_forms)."""
+    All radii share the support; the node counts (_ball_counts), the ball energies
+    (_ball_energies) and the sphere sums (_sphere_forms, one gather per field)
+    reduce index sets cached per layout, radii and offset of X0 from its node."""
     grid, n = fields[0].slab.base, fields[0].slab.base.n
     x0 = np.atleast_1d(np.asarray(X0, dtype=float))
     _check_ball(grid, x0, radii, floor=WEISS_FLOOR_CELLS)
@@ -227,16 +218,13 @@ def _weiss_energies(fields, X0, radii, params):
     # per radius, u^T M u summed over the cells and fields, u a field at a cell's corners
     sums = np.add.reduceat(sum(np.einsum("klc,lc,kc->c", forms, u, u) for u in (
         fld.values.reshape(-1).take(at) for fld in fields)), starts)
-    counts = _ball_counts(grid, x0, radii.tolist(), supp)
-    energies = sum(_ball_energies(fields, x0, radii))
-    out = np.empty(len(radii))
-    for i, r in enumerate(radii):
-        meas = grid.h**n * counts[i]
-        # the |y|^a factor is inside the rule's weights: (y/r)^a there, scale back
-        sphere = float(sums[i]) * r**n * r**params.a
-        out[i] = ((2.0 * energies[i] + params.lambda_tilde * meas) / r**n
-                  - 2.0 * params.s * sphere / r ** (n + 1))
-    return out
+    out = []
+    for r, count, energy, total in zip(radii, _ball_counts(grid, x0, radii, supp),
+                                       sum(_ball_energies(fields, x0, radii)), sums):
+        sphere = float(total) * r**n * r**params.a  # the rule's weights hold (y/r)^a: scale back
+        out.append((2.0 * energy + params.lambda_tilde * (grid.h**n * count)) / r**n
+                   - 2.0 * params.s * sphere / r ** (n + 1))
+    return np.array(out)
 
 
 @dataclass
@@ -269,13 +257,8 @@ def weiss_curve(G_ext, X0, radii, params, c_tilde=None):
     vals = _weiss_energies(fields, X0, radii, params)
     if c_tilde is None:
         c_tilde = _c_tilde(fields, params)
-    return WeissCurve(
-        center=np.atleast_1d(np.asarray(X0, dtype=float)),
-        radii=radii,
-        values=vals,
-        s=params.s,
-        c_tilde=float(c_tilde),
-    )
+    return WeissCurve(center=np.atleast_1d(np.asarray(X0, dtype=float)), radii=radii,
+                      values=vals, s=params.s, c_tilde=float(c_tilde))
 
 
 def weiss_monotonicity_audit(curve, holder_seminorm):
@@ -346,7 +329,7 @@ def _blow_up_stencil(layout, r, f):
     y_lv = y_native[y_native <= r * (1 + 1e-12)] / r
     if y_lv.size == 0 or y_lv[-1] < 1.0 - 1e-12:
         y_lv = np.append(y_lv, 1.0)
-    y_lv.setflags(write=False)
+    _read_only(y_lv)
     x = np.repeat(xg.node_coords() * r / h + f, y_lv.size, axis=0)
     return xg.cells_per_axis, y_lv, _slab_stencil(layout, x, np.tile(y_lv * r, xg.num_nodes))
 
@@ -391,8 +374,7 @@ def _blow_up_model(layout, r, f, s, lambda_penalty, angle_count):
         (pts_x[mask] @ nus[..., None])[..., 0], pts_y[mask], s)
     flat, weight, first, reach, ty, x, y = stencil
     ball = (flat[..., mask], weight[..., mask], first, reach, ty[mask], x[mask], y[mask])
-    for arr in ball[:2] + ball[3:] + (nus, model):
-        arr.setflags(write=False)
+    _read_only(*ball[:2], *ball[3:], nus, model)
     return ball, nus, model
 
 
@@ -430,13 +412,15 @@ def boundary_slope(G_fields, x0, normal, params, t_lo=3.0, t_hi=10.0):
     """Least-squares power-law slope of |G| along a ray from a boundary point.
 
     Fits |G|(x0 + t * normal, 0) ~ alpha * t^s over t in [t_lo*h, t_hi*h];
-    pass the inward normal (pointing into the positivity set). Needs at least
-    4 samples in the grid, 1e-12 past the wall included, else ResolutionError.
+    pass the inward normal (pointing into the positivity set). Needs a normal (not nan)
+    and at least 4 samples in the grid, 1e-12 past the wall included, else ResolutionError.
     """
     fields = _as_fields(G_fields)
     grid = fields[0].slab.base
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     nu = np.atleast_1d(np.asarray(normal, dtype=float))
+    if np.isnan(nu).any():
+        raise ResolutionError("no normal: the smoothed mask's gradient vanishes here")
     nu = nu / np.linalg.norm(nu)
     h = grid.h
     ts = np.arange(np.ceil(t_lo), np.floor(t_hi) + 1) * h
@@ -444,13 +428,11 @@ def boundary_slope(G_fields, x0, normal, params, t_lo=3.0, t_hi=10.0):
     ok = np.all((pts >= grid.lower - 1e-12) & (pts <= grid.upper + 1e-12), axis=1)
     if ok.sum() < 4:
         raise ResolutionError("fewer than 4 slope samples inside the grid")
-    x = _in_footprint((pts[ok] - grid.lower) / h, grid.cells_per_axis)  # as _cell_stencil
-    i0 = np.minimum(np.floor(x), grid.cells_per_axis - 1).astype(int)
-    corners = np.array([c[::-1] for c in itertools.product((0, 1), repeat=grid.n)])[:, None]
-    mag = np.sqrt(sum(f.trace[tuple(np.moveaxis(i0 + corners, -1, 0))] ** 2 for f in fields))
-    # |G| at the corners times the axis weights in order, the corners summed in order: _apply
-    weights = np.moveaxis(np.where(corners == 1, x - i0, 1 - (x - i0)), -1, 0)
-    vals = functools.reduce(np.multiply, weights, mag).sum(axis=0)
+    x = _in_footprint((pts[ok] - grid.lower) / h, grid.cells_per_axis)
+    flat, weight, first, _ = _cell_stencil(x, grid.cells_per_axis, grid.node_shape)
+    # |G| at the samples' cell corners only, then interpolated as _apply does
+    mag = np.sqrt(sum(f.trace.reshape(-1)[first:].take(flat) ** 2 for f in fields))
+    vals = _apply(mag, np.arange(mag.size).reshape(mag.shape), weight, 0)
     tk = ts[ok]
     return float(np.sum(vals * tk**params.s) / np.sum(tk ** (2.0 * params.s)))
 
@@ -503,7 +485,6 @@ def classify(mask, G_fields, x0, config, params, normal):
     normal is the outward unit normal at x0 (pointing out of the positivity
     set), the orientation of FreeBoundarySet.normals; the slope is taken
     along its negative, the inward direction that boundary_slope expects.
-    A nan normal (none, as at a one-node feature) gets no slope.
     """
     grid = mask.grid
     x0v = np.atleast_1d(np.asarray(x0, dtype=float))
@@ -519,24 +500,16 @@ def classify(mask, G_fields, x0, config, params, normal):
     coef, *_ = np.linalg.lstsq(A, ratios, rcond=None)
     gamma = float(coef[0])
     eps, _, _ = flatness(G_fields, x0v, radii[0], params)
-    slope, reason = float("nan"), "no normal: the smoothed mask's gradient vanishes here"
-    if not np.isnan(normal).any():
-        try:
-            slope, reason = boundary_slope(G_fields, x0v, -np.asarray(normal), params), None
-        except ResolutionError as exc:
-            reason = str(exc)
+    reason = None
+    try:
+        slope = boundary_slope(G_fields, x0v, -np.asarray(normal), params)
+    except ResolutionError as exc:
+        slope, reason = float("nan"), str(exc)
     if abs(gamma - 0.5) <= config.tol and eps < config.flat_threshold:
         label = "regular"
     elif gamma >= 0.5 + config.delta:
         label = "singular"
     else:
         label = "undetermined"
-    return PointClassification(
-        density_limit=gamma,
-        label=label,
-        flatness=eps,
-        slope=slope,
-        radii=radii,
-        ratios=ratios,
-        reason=reason,
-    )
+    return PointClassification(density_limit=gamma, label=label, flatness=eps, slope=slope,
+                               radii=radii, ratios=ratios, reason=reason)

@@ -34,7 +34,7 @@ from scipy import sparse
 from scipy.sparse import linalg as sla
 
 from .constants import unit_ball_volume
-from .grids import _nearest_node
+from .grids import _in_ball, _nearest_node, _read_only
 
 __all__ = [
     "SlabGrid",
@@ -204,8 +204,7 @@ def _slab_stencil(layout, x, y):
     j = np.clip(np.searchsorted(ynodes, y, side="right") - 1, 0, J - 1)
     ty = np.clip((y - ynodes[j]) / (ynodes[j + 1] - ynodes[j]), 0.0, 1.0)
     out = _cell_stencil(x, cells, (cells + 1,) * n + (J + 1,), np.stack([j, j + 1])) + (ty, x, y)
-    for arr in out[:2] + out[3:]:  # all but first, an int
-        arr.setflags(write=False)
+    _read_only(*out[:2], *out[3:])  # all but first, an int
     return out
 
 
@@ -365,10 +364,10 @@ def neumann_trace(field):
 
 @functools.lru_cache(maxsize=8)
 def _ball_edges(layout, radii, f):
-    """Read-only (the reach (2, n) of their cells; per axis, in C order, the offsets of
-    both ends from the node's level-0 index (2, m), the low ends' cells (n, m) and
-    levels, and per radius the positions with d2 < r^2) of the slab edges whose
-    midpoints lie in the open ball of the largest radius about a point f cells off a node."""
+    """Read-only (the reach (2, n) of their cells; per axis, in C order, both ends' offsets
+    from the node's level-0 index (2, m), the low ends' cells (n, m) and levels, and per
+    radius the positions in its ball) of the slab edges whose midpoints lie in the open
+    ball (_in_ball) of the largest radius about a point f cells off a node."""
     n, cells, h, J, _, y = *layout[:5], np.frombuffer(layout[5])
     strides = [math.prod(((cells + 1,) * n + (J + 1,))[ax + 1:]) for ax in range(n + 1)]
     top = max(radii, default=0.0)
@@ -377,28 +376,24 @@ def _ball_edges(layout, radii, f):
         mid = [((o + 0.5 * step[ax] - c) * h) ** 2 for ax, c in enumerate(f)]
         ys = 0.5 * (y[:-1] + y[1:]) if step[n] else y
         d2 = functools.reduce(np.add.outer, mid + [ys**2])
-        idx = np.nonzero(d2 < top * top)
+        idx = np.nonzero(_in_ball(d2, top))
         cell = o[np.array(idx[:n])]
         low = np.dot(strides, [*cell, idx[n]])
         axes.append((np.stack([low, low + np.dot(strides, step)]), cell, idx[n],
-                     *(np.flatnonzero(d2[idx] < r * r) for r in radii)))
+                     *(np.flatnonzero(_in_ball(d2[idx], r)) for r in radii)))
     every = np.concatenate([cell for _, cell, *_ in axes], axis=1)
     reach = np.array([every.min(axis=1, initial=0), every.max(axis=1, initial=0) + 1])
-    for arr in itertools.chain([reach], *axes):
-        arr.setflags(write=False)
+    _read_only(reach, *itertools.chain(*axes))
     return reach, tuple(axes)
 
 
 def _ball_energies(fields, center, radii):
     """Edge-quadrature energy of the upper half-ball at a thin-space center, per
     field (rows) of fields on one slab layout and radius (columns): the sum of
-    c * (dg)^2 over the edges whose midpoints lie in the open ball.
-
-    Per axis and field, two gathers at the center's node give dg on a cached edge
-    set (_ball_edges), and each radius sums its entries of c * (dg)^2 in C order, but
-    for edges past the footprint: the entries a window of the values array selects,
-    in its order, so each sum is the window's bit for bit, and a row what it is alone.
-    """
+    c * (dg)^2 over the edges whose midpoints lie in the open ball (_in_ball).
+    Per axis and field, two gathers at the center's node give dg on the cached edges
+    (_ball_edges); each radius sums its entries in C order, those past the footprint
+    left out, as a window of the values array selects them; a row is what it is alone."""
     slab, cells = fields[0].slab, fields[0].slab.base.cells_per_axis
     layout, node, f = _placement(slab, center)
     radii = tuple(np.asarray(radii, dtype=float).tolist())

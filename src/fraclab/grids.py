@@ -168,9 +168,16 @@ def _neighbor_counts(mask):
     return counts
 
 
+def _read_only(*arrays):
+    """The arrays, made read-only: caches hand them to every caller."""
+    for arr in arrays:
+        arr.setflags(write=False)
+    return arrays
+
+
 def _in_ball(d2, r):
-    """Nodes strictly inside B_r at squared distances d2; a node within 1e-12 r^2 of
-    the sphere is outside, as in exact arithmetic on lattice ties (3-4-5 at 5h)."""
+    """Points strictly inside B_r at squared distances d2; one within 1e-12 r^2 of the
+    sphere is outside, as in exact arithmetic on lattice ties (3-4-5 at 5h)."""
     return d2 < r * r * (1.0 - 1e-12)
 
 
@@ -182,24 +189,21 @@ def _nearest_node(grid, x0):
 
 
 @functools.lru_cache(maxsize=8)
-def _ball_nodes(n, cells, h, radii, f):
-    """Read-only C-order offsets of the nodes of an n-D grid (cells, h) in the ball of the
-    largest radius about a point f cells off a node, and per radius their _in_ball mask."""
+def _ball_nodes(cells, h, radii, f):
+    """Read-only C-order offsets of the nodes of a grid (cells, h) in the ball of the largest
+    radius about a point f cells off a node, and per radius their _in_ball mask."""
     o = np.arange(-1 - int(max(radii) / h), 2 + int(max(radii) / h))
     d2 = functools.reduce(np.add.outer, [((o - c) * h) ** 2 for c in f])
     idx = np.nonzero(_in_ball(d2, max(radii)))
-    offsets = np.dot((cells + 1) ** np.arange(n - 1, -1, -1), o[np.array(idx)])
-    out = offsets, np.array([_in_ball(d2[idx], r) for r in radii])
-    for arr in out:
-        arr.setflags(write=False)
-    return out
+    offsets = np.dot((cells + 1) ** np.arange(len(f) - 1, -1, -1), o[np.array(idx)])
+    return _read_only(offsets, np.array([_in_ball(d2[idx], r) for r in radii]))
 
 
 def _ball_counts(grid, x0, radii, flags):
     """Per radius, the flagged nodes (a node_shape bool array) in the ball about x0
     (_in_ball), which must lie in the box: one gather at x0's nearest node."""
     node, f = _nearest_node(grid, x0)
-    offsets, inside = _ball_nodes(grid.n, grid.cells_per_axis, grid.h, tuple(radii), f)
+    offsets, inside = _ball_nodes(grid.cells_per_axis, grid.h, tuple(np.ravel(radii).tolist()), f)
     at = offsets + np.ravel_multi_index(tuple(node), grid.node_shape)
     return np.count_nonzero(inside & flags.reshape(-1).take(at), axis=1)
 

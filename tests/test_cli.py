@@ -10,6 +10,7 @@ import time
 import numpy as np
 import pytest
 
+from fraclab import diagnostics, extension
 from fraclab.cli import main
 from fraclab.gridio import (RunManifest, read_fields, read_mask, read_slab_field, write_fields,
                             write_mask)
@@ -271,17 +272,27 @@ def test_diagnose_gives_one_node_features_no_normal_and_no_slope(tmp_path):
             [p["point"] for p in bare]] == ["nan"] * 4
 
 
-def test_diagnose_marks_a_point_near_the_wall_undetermined(tmp_path):
+def test_diagnose_marks_a_point_near_the_wall_undetermined(tmp_path, clear_caches):
     """A free-boundary point 5h from the box wall has no radius ladder above
     5h inside the box: it alone is undetermined, with a reason, and the run
-    succeeds."""
+    succeeds. The ladders clipped at the wall depend only on the points' whole-
+    cell wall distance, so the points share them: the run builds the sphere
+    forms and ball edges once per distinct Weiss ladder."""
     eig_cfg = write_cfg(tmp_path / "eig.cfg", n=2, cells=32, lower=-1.0, upper=1.0,
                         s=0.5, domain="ball 0.3 0 0.39", m=1)
     assert main(["eig", "--config", eig_cfg, "--out", str(tmp_path / "eig")]) == 0
     cfg = write_cfg(tmp_path / "diag.cfg", n=2, s=0.5, mask=str(tmp_path / "eig" / "mask.frlb"),
                     fields=str(tmp_path / "eig" / "v01.frlb"), J=8)
+    clear_caches()
     assert main(["diagnose", "--config", cfg, "--out", str(tmp_path / "d")]) == 0
     points = json.loads((tmp_path / "d" / "classification.json").read_text())["points"]
+    ladders = {}
+    for row in (tmp_path / "d" / "weiss.csv").read_text().splitlines()[1:]:
+        ladders.setdefault(row.split(",")[0], []).append(row.split(",")[3])
+    distinct = len(set(map(tuple, ladders.values())))
+    assert 2 < distinct < len(ladders) // 4
+    for cache in (diagnostics._sphere_forms, extension._ball_edges):
+        assert cache.cache_info().misses == distinct
     near = [p for p in points if "reason" in p]
     assert [p["x"][0] for p in near] == [0.6875]  # 5h from the wall x = 1
     assert near[0]["label"] == "undetermined" and "no radius ladder" in near[0]["reason"]

@@ -76,8 +76,9 @@ def test_free_boundary_of_interval():
 
 def test_a_point_without_a_normal_gets_no_slope():
     """An isolated node's smoothed gradient vanishes: it gets a nan normal, which
-    FreeBoundarySet.check accepts, and classify takes no slope there but gives
-    the reason; its density and flatness are still measured."""
+    FreeBoundarySet.check accepts; boundary_slope raises ResolutionError for it,
+    so classify takes no slope there but gives the reason; its density and
+    flatness are still measured."""
     g = BoxGrid(2, -1.0, 1.0, 20)
     mask = ball_domain(g, [-0.3, 0.0], 0.3).mask.copy()
     mask[14, 10] = True  # the node (0.4, 0)
@@ -94,6 +95,8 @@ def test_a_point_without_a_normal_gets_no_slope():
         assert np.isfinite(pc.density_limit) and np.isfinite(pc.flatness)
         assert (pc.reason is not None and "no normal" in pc.reason) == (k == bare[0])
         assert np.isnan(pc.slope) == (k == bare[0])
+    with pytest.raises(ResolutionError, match="no normal"):
+        boundary_slope(fields, fb.points[bare[0]], -fb.normals[bare[0]], p)
 
 
 # -- density -----------------------------------------------------------------

@@ -28,7 +28,7 @@ from fraclab.extension import (
     extension_energy,
     neumann_trace,
 )
-from fraclab.grids import BoxGrid, interval_domain
+from fraclab.grids import BoxGrid, _in_ball, interval_domain
 from fraclab.nonlocal_form import KernelTable
 
 
@@ -656,8 +656,9 @@ def test_ball_energies_equal_the_windowed_reference(n, cells, J):
     a node and off one, inside the footprint and clipped by the box wall, with
     unsorted and repeated radii, for one and two fields; each sum also matches
     the edge-by-edge oracle. Half a cell off a node, lateral midpoints lie on the
-    spheres of whole-cell radii, where rounding decides membership in either
-    code, so that centre takes radii off those ties."""
+    spheres of whole-cell radii (3-4-5 at 5h in 2D), where the windowed code's
+    bare d2 < r^2 let rounding decide; there both the edge sets and the oracle
+    take the tie rule of _in_ball, so a midpoint on the sphere is outside."""
     g = BoxGrid(n, -1.0, 1.0, cells)
     slab = SlabGrid(g, J, a=0.35, Y=3.0)
     rng = np.random.default_rng(cells)
@@ -669,13 +670,19 @@ def test_ball_energies_equal_the_windowed_reference(n, cells, J):
         np.array([-0.93, 0.88])[:n], np.array([0.97, -1.0])[:n])  # by the wall
         for radii in radii_sets]
     cases += [(node + 0.5 * g.h, [6.3 * g.h, 5.2 * g.h, 6.3 * g.h])]  # f = -0.5 (rint to even)
+    half = node + np.array([0.5, 0.0])[:n] * g.h  # midpoints on the spheres of 5h and 6h
     v = fields[0].values.ravel()
     edges = oracle_edges(slab)
-    for center, radii in cases:
+    for tie, (center, radii) in [(False, case) for case in cases] + [
+            (True, (half, [6.0 * g.h, 5.0 * g.h]))]:
         got = _ball_energies(fields, center, radii)
-        assert got.tolist() == windowed_ball_energies(fields, center, radii).tolist()
+        if not tie:
+            assert got.tolist() == windowed_ball_energies(fields, center, radii).tolist()
         assert got[:1].tolist() == _ball_energies(fields[:1], center, radii).tolist()
         for r, e in zip(radii, got[0]):
-            want = sum(c * (v[p] - v[q]) ** 2 for p, q, c, mid in edges
-                       if sum((m - o) ** 2 for m, o in zip(mid, [*center, 0.0])) < r * r)
+            d2 = np.array([sum((m - o) ** 2 for m, o in zip(mid, [*center, 0.0]))
+                           for *_, mid in edges])
+            assert not tie or np.any(np.abs(d2 - r * r) <= 1e-9 * r * r)
+            want = sum(c * (v[p] - v[q]) ** 2 for (p, q, c, _), inside in
+                       zip(edges, _in_ball(d2, r)) if inside)
             assert e == pytest.approx(want, rel=1e-13)

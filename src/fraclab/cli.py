@@ -76,9 +76,12 @@ def _cfg(cfg, key, cast, default=None, required=False):
             raise UsageError(f"config key '{key}' is required")
         return default
     try:
-        return cast(cfg[key])
+        value = cast(cfg[key])
     except (TypeError, ValueError) as exc:
         raise UsageError(f"config key '{key}': {exc}") from None
+    if isinstance(value, float) and not math.isfinite(value):
+        raise UsageError(f"config key '{key}': {value} is not finite")
+    return value
 
 
 def _given(cfg, casts):
@@ -380,9 +383,8 @@ def cmd_diagnose(args):
     if not r_min_cells >= floor:
         raise UsageError(f"r_min_cells = {r_min_cells} is below the Weiss floor, {floor} cells")
     r_max_cells = _cfg(cfg, "r_max_cells", float, 10.0)
-    if not (math.isfinite(r_max_cells) and r_max_cells >= r_min_cells):
-        raise UsageError(f"r_max_cells = {r_max_cells} must be finite and at least "
-                         f"r_min_cells = {r_min_cells}")
+    if not r_max_cells >= r_min_cells:
+        raise UsageError(f"r_max_cells = {r_max_cells} is below r_min_cells = {r_min_cells}")
     r_lo, r_hi = r_min_cells * grid.h, r_max_cells * grid.h
     ccfg = diagnostics.ClassifierConfig(**_given(cfg, _CLASSIFIER_CASTS))
     J = _cfg(cfg, "J", int, 32)

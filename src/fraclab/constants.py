@@ -111,8 +111,8 @@ class FracParams:
         if self.n not in (1, 2):
             raise ValueError(f"dimension n must be 1 or 2, got {self.n}")
         _check_order(self.s)
-        if not self.lambda_penalty > 0:
-            raise ValueError("lambda_penalty must be > 0")
+        if not 0 < self.lambda_penalty < math.inf:
+            raise ValueError("lambda_penalty must be finite and > 0")
         object.__setattr__(self, "a", 1.0 - 2.0 * self.s)
         object.__setattr__(
             self, "lambda_tilde", 2.0 * self.lambda_penalty / extension_constant(self.s)

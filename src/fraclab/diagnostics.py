@@ -5,8 +5,7 @@ Ball quantities use cell-center membership; sphere integrals use Gauss-Jacobi
 quadrature in the polar variable (absorbing the |y|^a weight) and periodic
 trapezoid in azimuth. Volume integrals are doubled for the even reflection.
 The penalized local energy J carries the rescaled penalty lambda_tilde; Weiss
-values are comparable to densities after dividing by lambda_tilde, and every
-curve records that normalization.
+values are comparable to densities after dividing by lambda_tilde.
 """
 
 import functools
@@ -231,8 +230,8 @@ def _weiss_energies(fields, X0, radii, params):
 class WeissCurve:
     """Weiss energies of one center across radii, with audit metadata.
 
-    normalization records that the volume term carries lambda_tilde; divide
-    values by lambda_tilde before comparing with densities.
+    The volume term carries lambda_tilde; divide values by lambda_tilde before
+    comparing with densities.
     """
 
     center: np.ndarray
@@ -240,7 +239,6 @@ class WeissCurve:
     values: np.ndarray
     s: float
     c_tilde: float = 1.0
-    normalization: str = "J-includes-lambda-tilde"
 
     def check(self):
         if not np.all(np.diff(self.radii) > 0):
@@ -320,30 +318,26 @@ class RescaledField:
         return (d2 <= 1.0 + 1e-12).reshape(self.xgrid.node_shape + (len(self.y_levels),))
 
 
-@functools.lru_cache(maxsize=4)
 def _blow_up_stencil(layout, r, f):
-    """(cells per axis, y / r levels (read-only), slab stencil of every (node, level)
-    pair, node-major) of a blow-up at radius r on a slab layout, f cells off a node."""
+    """(unit grid on [-1, 1]^n, y / r levels, slab stencil of every (node, level) pair,
+    node-major) of a blow-up at radius r on a slab layout, f cells off a node."""
     n, h, y_native = layout[0], layout[2], np.frombuffer(layout[5])
     xg = BoxGrid(n, -1.0, 1.0, int(np.clip(np.round(2.0 * r / h), 8, 128)))
     y_lv = y_native[y_native <= r * (1 + 1e-12)] / r
     if y_lv.size == 0 or y_lv[-1] < 1.0 - 1e-12:
         y_lv = np.append(y_lv, 1.0)
-    _read_only(y_lv)
     x = np.repeat(xg.node_coords() * r / h + f, y_lv.size, axis=0)
-    return xg.cells_per_axis, y_lv, _slab_stencil(layout, x, np.tile(y_lv * r, xg.num_nodes))
+    return xg, y_lv, _slab_stencil(layout, x, np.tile(y_lv * r, xg.num_nodes))
 
 
 def _blow_up_window(source, x0, r):
-    """(fields, x0, r, *_placement) of a blow-up window checked to lie in the footprint."""
+    """(fields, x0, r, *_placement) of a blow-up window, a ball that must fit in the box
+    (_check_ball)."""
     fields = _as_fields(source)
-    base = fields[0].slab.base
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     r = float(r)
     if r <= 0:
         raise ValueError("rescale radius must be positive")
-    if np.any(x0 - r < base.lower - 1e-12) or np.any(x0 + r > base.upper + 1e-12):
-        raise ValueError("blow-up window exits the field footprint")
+    x0 = _check_ball(fields[0].slab.base, x0, r, floor=0)
     return (fields, x0, r, *_placement(fields[0].slab, x0))
 
 
@@ -351,8 +345,7 @@ def blow_up_rescale(source, x0, r, s):
     """Rescale extension fields around a thin-space point onto the unit ball
     scale (_blow_up_stencil); the rescaled field has one component per field."""
     fields, x0, r, layout, node, off = _blow_up_window(source, x0, r)
-    cells, y_lv, stencil = _blow_up_stencil(layout, r, off)
-    xg = BoxGrid(fields[0].slab.base.n, -1.0, 1.0, cells)
+    xg, y_lv, stencil = _blow_up_stencil(layout, r, off)
     vals = np.stack(_gather(fields, stencil, node), axis=-1) * r ** (-s)
     return RescaledField(xg, y_lv, vals.reshape(xg.node_shape + (y_lv.size, -1)), r, x0)
 
@@ -362,8 +355,7 @@ def _blow_up_model(layout, r, f, s, lambda_penalty, angle_count):
     """Read-only (the blow-up stencil of its unit-ball (node, level) pairs, with the
     whole window's reach; the directions nu (k, n); slope_const * U(<x, nu>, y) at
     those points (k, points), one matrix-vector product per direction)."""
-    cells, y_lv, stencil = _blow_up_stencil(layout, r, f)
-    xg = BoxGrid(layout[0], -1.0, 1.0, cells)
+    xg, y_lv, stencil = _blow_up_stencil(layout, r, f)
     pts_x = np.repeat(xg.node_coords(), y_lv.size, axis=0)
     pts_y = np.tile(y_lv, xg.num_nodes)
     mask = (pts_x**2).sum(axis=1) + pts_y**2 <= 1.0 + 1e-12  # RescaledField.ball_mask

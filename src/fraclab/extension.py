@@ -70,12 +70,13 @@ class SlabGrid:
         diam = (base.upper - base.lower) * np.sqrt(base.n)
         if Y is None:
             Y = 2.0 * diam
-        if Y < diam - 1e-12:
-            raise ValueError(f"slab height Y={Y} below the footprint diameter {diam}")
+        if not diam - 1e-12 <= Y < np.inf:
+            raise ValueError(f"slab height Y={Y} must be finite and at least the footprint "
+                             f"diameter {diam}")
         if gamma is None:
             gamma = 2.0 / (1.0 - a)
-        if gamma < 1.0:
-            raise ValueError("grading exponent must be >= 1")
+        if not 1.0 <= gamma < np.inf:
+            raise ValueError("grading exponent must be finite and >= 1")
         J = int(J)
         if J < 4:
             raise ValueError("need at least 4 vertical cells")
@@ -88,23 +89,6 @@ class SlabGrid:
 
     def values_shape(self):
         return self.base.node_shape + (self.J + 1,)
-
-    def _level_conductances(self):
-        """(cv, w_cv): vertical edge conductances between levels j and j+1,
-        the exact resistance integral of y^-a times h^n, and the control-volume
-        weight integral of y^a per level; a lateral edge on level j has
-        conductance w_cv[j] * h^(n-2).
-        """
-        a, y = self.a, self.y_nodes
-        res = (y[1:] ** (1.0 - a) - y[:-1] ** (1.0 - a)) / (1.0 - a)
-        y_half = self.control_bounds()
-        w_cv = (y_half[1:] ** (1.0 + a) - y_half[:-1] ** (1.0 + a)) / (1.0 + a)
-        return self.base.h**self.base.n / res, w_cv
-
-    def control_bounds(self):
-        """Control-volume bounds in y: midpoints between levels, closed at 0 and Y."""
-        y = self.y_nodes
-        return np.concatenate([[0.0], 0.5 * (y[:-1] + y[1:]), [y[-1]]])
 
     def boundary_mask(self):
         """Mask of Dirichlet nodes for the extension solve, values-shaped."""
@@ -125,8 +109,8 @@ def _modal_lu(slab):
     N = base.cells_per_axis
     lam1 = 2.0 - 2.0 * np.cos(np.pi * np.arange(1, N) / N)
     mu = functools.reduce(np.add.outer, [lam1] * base.n).ravel()
-    cv, w_cv = slab._level_conductances()
-    diag = cv[:-1] + cv[1:] + base.h ** (base.n - 2) * np.outer(mu, w_cv[1:-1])
+    *lateral, cv = _conductances(slab)
+    diag = cv[:-1] + cv[1:] + np.outer(mu, lateral[0][1:-1])
     # one tridiagonal block per mode: the zero ends each block's coupling
     off = np.tile(np.append(-cv[1:-1], 0.0), mu.size)[:-1]
     A = sparse.diags([diag.ravel(), off, off], [0, -1, 1], format="csc")
@@ -137,13 +121,18 @@ def _modal_lu(slab):
 def _conductances(slab):
     """Edge conductances per axis of the values array, indexed by level.
 
-    Entry k < n holds the lateral conductances w_cv[j] * h^(n-2) of the edges
-    along x-axis k on level j (length J+1); entry n holds the vertical ones cv
-    (length J). Either broadcasts against d = np.diff(values, axis=k); on a
-    window of the lowest levels, c[:d.shape[-1]] does.
+    Entry n holds the vertical ones between levels j and j+1 (length J): h^n over
+    the exact resistance integral of y^-a. Entry k < n holds the lateral ones of
+    the edges along x-axis k on level j (length J+1): h^(n-2) times the integral
+    of y^a over the level's control volume, whose bounds are the midpoints between
+    levels, closed at 0 and Y. Either broadcasts against d = np.diff(values,
+    axis=k); on a window of the lowest levels, c[:d.shape[-1]] does.
     """
-    cv, w_cv = slab._level_conductances()
-    return [w_cv * slab.base.h ** (slab.base.n - 2)] * slab.base.n + [cv]
+    a, y, h, n = slab.a, slab.y_nodes, slab.base.h, slab.base.n
+    res = (y[1:] ** (1.0 - a) - y[:-1] ** (1.0 - a)) / (1.0 - a)
+    bounds = np.concatenate([[0.0], 0.5 * (y[:-1] + y[1:]), [y[-1]]])
+    w_cv = (bounds[1:] ** (1.0 + a) - bounds[:-1] ** (1.0 + a)) / (1.0 + a)
+    return [w_cv * h ** (n - 2)] * n + [h**n / res]
 
 
 def _apply_laplacian(slab, g):
@@ -196,16 +185,14 @@ def _placement(slab, x0):
 
 
 def _slab_stencil(layout, x, y):
-    """The read-only stencil on a slab layout of samples at cell coordinates x (k, n) from a
-    node and heights y: the cell stencil of the levels around each, ty of the way up, x, y."""
+    """The stencil on a slab layout of samples at cell coordinates x (k, n) from a node and
+    heights y: the cell stencil of the levels around each, ty of the way up, x, y."""
     n, cells, _, J, Y, ynodes = *layout[:5], np.frombuffer(layout[5])
     if np.any(y < -1e-12) or np.any(y > Y + 1e-12):
         raise ValueError("query points leave the slab vertically")
     j = np.clip(np.searchsorted(ynodes, y, side="right") - 1, 0, J - 1)
     ty = np.clip((y - ynodes[j]) / (ynodes[j + 1] - ynodes[j]), 0.0, 1.0)
-    out = _cell_stencil(x, cells, (cells + 1,) * n + (J + 1,), np.stack([j, j + 1])) + (ty, x, y)
-    _read_only(*out[:2], *out[3:])  # all but first, an int
-    return out
+    return _cell_stencil(x, cells, (cells + 1,) * n + (J + 1,), np.stack([j, j + 1])) + (ty, x, y)
 
 
 def _gather(fields, stencil, node):
@@ -314,7 +301,7 @@ def extend(traces, slab):
     zero trace short-circuits to the zero field."""
     traces = [_check_trace(trace, slab.base) for trace in traces]
     n, inner = slab.base.n, (slice(1, -1),) * slab.base.n
-    cv, _ = slab._level_conductances()
+    cv = _conductances(slab)[-1]
     lu = _modal_lu(slab) if any(map(np.any, traces)) else None
     fields = []
     for trace in traces:

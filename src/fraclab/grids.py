@@ -38,6 +38,8 @@ class BoxGrid:
             raise ValueError(f"dimension n must be 1 or 2, got {n}")
         lower = float(lower)
         upper = float(upper)
+        if not np.isfinite([lower, upper]).all():
+            raise ValueError("box corners must be finite")
         if not upper > lower:
             raise ValueError("upper must exceed lower")
         cells_per_axis = int(cells_per_axis)

@@ -53,8 +53,8 @@ class OptimizerConfig:
     initial_mask: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.Lambda <= 0:
-            raise ValueError("Lambda must be positive")
+        if not 0 < self.Lambda < np.inf:
+            raise ValueError("Lambda must be positive and finite")
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
         if self.m < 1:
@@ -65,8 +65,8 @@ class OptimizerConfig:
             raise ValueError(f"schedule must be one of {_SCHEDULES}")
         if not 0.0 < self.cooling <= 1.0:
             raise ValueError("cooling must lie in (0, 1]")
-        if self.t0 <= 0:
-            raise ValueError("t0 must be positive")
+        if not 0 < self.t0 < np.inf:
+            raise ValueError("t0 must be positive and finite")
         if self.steps < 1 or self.stale_limit < 1:
             raise ValueError("steps and stale_limit must be >= 1")
 
@@ -242,11 +242,10 @@ def _secular_roots(lam, w, m, alpha=None, counts=None):
             xa = x[act]
             inv = 1.0 / (lam - xa[:, None])
             t = w[cand[act]] * inv
-            F, dF = t.sum(1), (t * inv).sum(1)
-            inv = 1.0 / (lam[:k] - xa[:, None])
-            t = w[cand[act], :k] * inv
-            fl = np.where(left[act], t, 0.0).sum(1)
-            gl = np.where(left[act], t * inv, 0.0).sum(1)
+            dt = t * inv
+            F, dF = t.sum(1), dt.sum(1)
+            fl = np.where(left[act], t[:, :k], 0.0).sum(1)
+            gl = np.where(left[act], dt[:, :k], 0.0).sum(1)
             l, h, new, done, model = _root_step(
                 xa, a[act], b[act], lo[act], hi[act], F, dF, fl, gl,
                 None if alpha is None else alpha[cand[act]], 0.0, ~flat[act].any(1) | (it > 0))

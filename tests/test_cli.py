@@ -10,7 +10,6 @@ import time
 import numpy as np
 import pytest
 
-from fraclab import diagnostics, extension
 from fraclab.cli import main
 from fraclab.gridio import (RunManifest, read_fields, read_mask, read_slab_field, write_fields,
                             write_mask)
@@ -223,7 +222,7 @@ def test_diagnose_outputs_do_not_depend_on_the_stencil_caches(tmp_path, clear_ca
     """Two diagnose runs in one process, the first on cold caches (every
     lru_cache of diagnostics, extension and grids), the second on warm ones,
     write the same bytes, also after a run on another slab layout in between;
-    the warm run builds nothing (no cache misses), and the runs use at least six
+    the warm run builds nothing (no cache misses), and the runs use at least five
     of the caches."""
     eig_cfg = write_cfg(tmp_path / "eig.cfg", n=2, cells=24, lower=-1.0, upper=1.0,
                         s=0.5, domain="ball 0.02 -0.01 0.45", m=2)
@@ -239,7 +238,7 @@ def test_diagnose_outputs_do_not_depend_on_the_stencil_caches(tmp_path, clear_ca
                      ("weiss.csv", "density.csv", "slopes.csv", "classification.json")})
         misses.append([cache.cache_info().misses for cache in caches])
     assert outs[0] == outs[1] == outs[3] != outs[2]
-    assert misses[1] == misses[0] and sum(map(bool, misses[0])) >= 6
+    assert misses[1] == misses[0] and sum(map(bool, misses[0])) >= 5
 
 
 def test_diagnose_gives_one_node_features_no_normal_and_no_slope(tmp_path):
@@ -272,27 +271,41 @@ def test_diagnose_gives_one_node_features_no_normal_and_no_slope(tmp_path):
             [p["point"] for p in bare]] == ["nan"] * 4
 
 
-def test_diagnose_marks_a_point_near_the_wall_undetermined(tmp_path, clear_caches):
-    """A free-boundary point 5h from the box wall has no radius ladder above
-    5h inside the box: it alone is undetermined, with a reason, and the run
-    succeeds. The ladders clipped at the wall depend only on the points' whole-
-    cell wall distance, so the points share them: the run builds the sphere
-    forms and ball edges once per distinct Weiss ladder."""
+@pytest.fixture
+def wall_run(tmp_path, clear_caches):
+    """A diagnose run, from cold caches, on a 32^2 disk mask whose boundary comes
+    within 5h of the box wall; returns every cache's hit/miss counts after it."""
     eig_cfg = write_cfg(tmp_path / "eig.cfg", n=2, cells=32, lower=-1.0, upper=1.0,
                         s=0.5, domain="ball 0.3 0 0.39", m=1)
     assert main(["eig", "--config", eig_cfg, "--out", str(tmp_path / "eig")]) == 0
     cfg = write_cfg(tmp_path / "diag.cfg", n=2, s=0.5, mask=str(tmp_path / "eig" / "mask.frlb"),
                     fields=str(tmp_path / "eig" / "v01.frlb"), J=8)
-    clear_caches()
+    caches = clear_caches()
     assert main(["diagnose", "--config", cfg, "--out", str(tmp_path / "d")]) == 0
+    return {cache.__name__: cache.cache_info() for cache in caches}
+
+
+def test_every_cache_is_reused_on_a_run_near_the_wall(wall_run):
+    """Each of the five caches of diagnostics, extension and grids is hit on the
+    run: a cache that no run reuses only costs its bookkeeping."""
+    assert {name: info.hits for name, info in wall_run.items() if info.hits == 0} == {}
+    assert len(wall_run) == 5
+
+
+def test_diagnose_marks_a_point_near_the_wall_undetermined(tmp_path, wall_run):
+    """A free-boundary point 5h from the box wall has no radius ladder above
+    5h inside the box: it alone is undetermined, with a reason, and the run
+    succeeds. The ladders clipped at the wall depend only on the points' whole-
+    cell wall distance, so the points share them: the run builds the sphere
+    forms and ball edges once per distinct Weiss ladder."""
     points = json.loads((tmp_path / "d" / "classification.json").read_text())["points"]
     ladders = {}
     for row in (tmp_path / "d" / "weiss.csv").read_text().splitlines()[1:]:
         ladders.setdefault(row.split(",")[0], []).append(row.split(",")[3])
     distinct = len(set(map(tuple, ladders.values())))
     assert 2 < distinct < len(ladders) // 4
-    for cache in (diagnostics._sphere_forms, extension._ball_edges):
-        assert cache.cache_info().misses == distinct
+    for name in ("_sphere_forms", "_ball_edges"):
+        assert wall_run[name].misses == distinct
     near = [p for p in points if "reason" in p]
     assert [p["x"][0] for p in near] == [0.6875]  # 5h from the wall x = 1
     assert near[0]["label"] == "undetermined" and "no radius ladder" in near[0]["reason"]
@@ -588,9 +601,18 @@ def test_missing_required_key(tmp_path, capsys):
     ("diagnose", {"n": 1, "s": 0.5, "r_max_cells": 2}),
     ("diagnose", {"n": 1, "s": 0.5, "r_max_cells": "nan"}),
     ("diagnose", {"n": 1, "s": 0.5, "class_tol": "abc"}),
+    ("optimize", {**OPT_KEYS, "lambda": "inf"}),
+    ("optimize", {**OPT_KEYS, "schedule": "anneal", "t0": "nan"}),
+    ("diagnose", {"n": 1, "s": 0.5, "lambda": "inf"}),
+    ("diagnose", {"n": 1, "s": 0.5, "class_delta": "nan"}),
+    ("eig", {**EIG_KEYS, "upper": "inf"}),
+    ("extend", {"n": 1, "s": 0.5, "Y": "inf"}),
+    ("extend", {"n": 1, "s": 0.5, "gamma": "nan"}),
 ], ids=["n3", "cells2", "m0", "m-too-large", "empty-interval", "bad-number",
         "schedule-foo", "cooling2", "optimize-m-too-large", "block-flip", "steps-ten", "J2",
-        "Y-below-diameter", "diagnose-J2", "r_max_cells2", "r_max_cells-nan", "class_tol-abc"])
+        "Y-below-diameter", "diagnose-J2", "r_max_cells2", "r_max_cells-nan", "class_tol-abc",
+        "optimize-lambda-inf", "t0-nan", "diagnose-lambda-inf", "class_delta-nan", "upper-inf",
+        "Y-inf", "gamma-nan"])
 def test_bad_config_values_are_usage_errors(eig_out, tmp_path, capsys, command, keys):
     keys = dict(keys)
     if command == "extend":

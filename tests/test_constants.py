@@ -92,6 +92,9 @@ def test_frac_params_validation():
         FracParams(1, 1.2, 1.0)
     with pytest.raises(ValueError):
         FracParams(1, 0.5, 0.0)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            FracParams(1, 0.5, bad)
 
 
 # -- one-plane profile -------------------------------------------------------

@@ -607,6 +607,21 @@ def test_a_blow_up_window_on_the_wall_is_sampled_at_its_points(n, monkeypatch):
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_a_blow_up_window_obeys_the_ball_rule(n):
+    """A blow-up window is a ball and fits in the box as every ball must
+    (_check_ball): one past the wall, by more than 1e-12, and one about a center
+    of the wrong dimension raise GeometryError for flatness and blow_up_rescale."""
+    p = FracParams(n, 0.3, 1.0)
+    fields = smooth_fields(n, 1, p.s)
+    for x0, r in ((np.array([0.75, 0.0])[:n], 0.25 + 1e-9), (np.zeros(n + 1), 0.25)):
+        reason = "design box" if len(x0) == n else "dimension"
+        with pytest.raises(GeometryError, match=reason):
+            flatness(fields, x0, r, p)
+        with pytest.raises(GeometryError, match=reason):
+            blow_up_rescale(fields, x0, r, p.s)
+
+
 def test_stencil_caches_hold_no_slab_and_key_the_levels(clear_caches):
     """The caches (every lru_cache of diagnostics, extension and grids, cleared
     first) keep no slab alive, a slab whose y_nodes differ (as
@@ -622,7 +637,7 @@ def test_stencil_caches_hold_no_slab_and_key_the_levels(clear_caches):
         weiss_curve(fields, x0, radii, p)
         flatness(fields, x0, 6 * h, p)
         misses.append([cache.cache_info().misses for cache in caches])
-    assert misses[0] == misses[1] and sum(map(bool, misses[0])) >= 6
+    assert misses[0] == misses[1] and sum(map(bool, misses[0])) >= 5
     slab = SlabGrid(fields[0].slab.base, 16, a=p.a, Y=4.0)
     slab.y_nodes = slab.y_nodes * (1.0 + 0.01 * np.arange(slab.J + 1) / slab.J)
     moved = [ExtensionField(slab, fields[0].values)]

@@ -87,6 +87,11 @@ def test_slab_grid_validation():
         SlabGrid(g, 16, a=0.0, Y=1.0)  # shallower than the base diameter
     with pytest.raises(ValueError):
         SlabGrid(g, 16, a=0.0, gamma=0.5)
+    for bad in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="finite"):
+            SlabGrid(g, 16, a=0.0, Y=bad)
+        with pytest.raises(ValueError, match="finite"):
+            SlabGrid(g, 16, a=0.0, gamma=bad)
 
 
 # -- extension solve ---------------------------------------------------------

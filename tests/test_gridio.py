@@ -238,6 +238,14 @@ def test_bad_header_grid_rejected(tmp_path):
         read_mask(path)
 
 
+def test_non_finite_header_corner_rejected(tmp_path):
+    hdr = struct.Struct("<4sIIII dd").pack(b"FRLB", 1, 2, 1, 8, -1.0, float("inf"))
+    path = tmp_path / "inf.frlb"
+    path.write_bytes(hdr + bytes(9))
+    with pytest.raises(CompatibilityError, match="bad grid in header: box corners must be finite"):
+        read_mask(path)
+
+
 # -- config files ------------------------------------------------------------
 
 

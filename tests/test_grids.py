@@ -31,6 +31,9 @@ def test_boxgrid_validation():
         BoxGrid(1, 1.0, 0.0, 8)
     with pytest.raises(ValueError):
         BoxGrid(1, 0.0, 1.0, 3)
+    for lower, upper in ((0.0, np.inf), (-np.inf, 1.0), (0.0, np.nan), (np.nan, 1.0)):
+        with pytest.raises(ValueError, match="finite"):
+            BoxGrid(1, lower, upper, 8)
 
 
 def test_same_layout_compares_the_box_corners():

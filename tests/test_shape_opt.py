@@ -45,6 +45,11 @@ def test_config_validation():
         OptimizerConfig(m=1, Lambda=1.0, schedule="tabu")
     with pytest.raises(ValueError):
         OptimizerConfig(m=1, Lambda=1.0, cooling=1.5)
+    for bad in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="finite"):
+            OptimizerConfig(m=1, Lambda=bad)
+        with pytest.raises(ValueError, match="finite"):
+            OptimizerConfig(m=1, Lambda=1.0, t0=bad)
 
 
 def test_greedy_benchmark_run():

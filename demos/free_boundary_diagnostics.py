@@ -70,8 +70,8 @@ tr2 = optimize(g2, OptimizerConfig(m=1, Lambda=7.0, schedule="greedy", seed=5), 
 dom2 = tr2.best_mask
 fb2 = free_boundary_set(dom2)
 h2 = g2.h
-lo = np.array([density_ratio(dom2, q, 5 * h2) for q in fb2.points])
-hi = np.array([density_ratio(dom2, q, 10 * h2) for q in fb2.points])
+lo = density_ratio(dom2, fb2.points, 5 * h2)  # one call for the stack of points
+hi = density_ratio(dom2, fb2.points, 10 * h2)
 print(f"  measure {dom2.measure:.4f}, {len(fb2)} boundary points")
 print(f"  density at 5h : min {lo.min():.3f} max {lo.max():.3f}")
 print(f"  density at 10h: min {hi.min():.3f} max {hi.max():.3f}")
@@ -86,7 +86,6 @@ fields3 = extend(bundle3.full_fields(), SlabGrid(dom3.grid, 24, a=0.0, Y=4.0))
 fb3 = free_boundary_set(dom3)
 cfg = ClassifierConfig(flat_threshold=1.0)  # flatness floor ~sqrt(h/r) here
 counts = {}
-for k in range(len(fb3)):
-    pc = classify(dom3, fields3, fb3.points[k], cfg, p2, fb3.normals[k])
+for pc in classify(dom3, fields3, fb3.points, cfg, p2, fb3.normals):  # all points at once
     counts[pc.label] = counts.get(pc.label, 0) + 1
 print(f"  labels over {len(fb3)} boundary points: {counts}")

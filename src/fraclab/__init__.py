@@ -37,7 +37,6 @@ from .extension import (
 from .shape_opt import OptimizerConfig, OptimizationTrace, optimize
 from .diagnostics import (
     ClassifierConfig,
-    blow_up_rescale,
     boundary_slope,
     classify,
     density_ratio,
@@ -71,7 +70,6 @@ __all__ = [
     "neumann_trace",
     "OptimizerConfig",
     "OptimizationTrace",
-    "blow_up_rescale",
     "optimize",
     "ClassifierConfig",
     "boundary_slope",

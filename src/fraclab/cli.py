@@ -190,17 +190,28 @@ def _extend(traces, slab):
     return extension.extend([trace for trace, _ in traces], slab)
 
 
+def _domain_numbers(words):
+    """The numbers of the `domain` key's spec; a usage error naming the key unless
+    each is a finite float."""
+    try:
+        values = [float(v) for v in words]
+    except ValueError as exc:
+        raise UsageError(f"config key 'domain': {exc}") from None
+    if not all(map(math.isfinite, values)):
+        raise UsageError(f"config key 'domain': {' '.join(words)} holds a non-finite number")
+    return values
+
+
 def _domain_from(run, grid):
     spec = _cfg(run.cfg, "domain", str, required=True).split() or [""]
     if spec[0] == "interval":
         if grid.n != 1 or len(spec) != 3:
             raise UsageError("domain = interval A B needs n=1")
-        a, b = _checked(lambda: [float(v) for v in spec[1:]])
-        return grids.interval_domain(grid, a, b)
+        return grids.interval_domain(grid, *_domain_numbers(spec[1:]))
     if spec[0] == "ball":
         if len(spec) != grid.n + 2:
             raise UsageError("domain = ball CENTER... R")
-        *center, radius = _checked(lambda: [float(v) for v in spec[1:]])
+        *center, radius = _domain_numbers(spec[1:])
         return grids.ball_domain(grid, center, radius)
     if spec[0] == "mask":
         if len(spec) != 2:
@@ -400,24 +411,33 @@ def cmd_diagnose(args):
     target = constants.slope_constant(params.lambda_penalty, params.s)
     counts = {}
     t_points = time.perf_counter()
-    for k in sel:
-        x0 = fb.points[k]
-        xs = ",".join(_fmt(v) for v in x0)
-        # a point too near the wall for any ladder from r_min gets no rows
-        top = diagnostics._ladder_top(grid, x0, r_hi)
-        radii = np.linspace(r_lo, top, 4) if top >= r_lo else []
-        if len(radii):
-            for r, q in zip(radii, diagnostics.density_ratio(dom, x0, radii)):
-                dens_rows.append(f"{k},{xs},{_fmt(r)},{_fmt(q)}\n")
-            cur = run.timed("weiss", diagnostics.weiss_curve, ext_fields, x0, radii, params,
-                            c_tilde)
-            for r, w in zip(cur.radii, cur.values):
-                weiss_rows.append(f"{k},{xs},{_fmt(r)},{_fmt(w)}\n")
-        entry = {"point": int(k), "x": [float(v) for v in x0]}
+    X, normals = fb.points[sel], fb.normals[sel]
+    # the Weiss ladders, one call per group of points that share one; a point too near
+    # the wall for any ladder from r_min gets no rows
+    dens, weiss = [[] for _ in sel], [[] for _ in sel]
+    for top, idx in grids._groups(diagnostics._ladder_top(grid, X, r_hi).tolist()):
+        if top >= r_lo:
+            radii = np.linspace(r_lo, top, 4)
+            for i, q in zip(idx, diagnostics.density_ratio(dom, X[idx], radii)):
+                dens[i] = zip(radii, q)
+            curves = run.timed("weiss", diagnostics.weiss_curve, ext_fields, X[idx], radii,
+                               params, c_tilde)
+            for i, cur in zip(idx, curves):
+                weiss[i] = zip(cur.radii, cur.values)
+    # one classify call for the points with a ladder; alone, each other point raises
+    fits = diagnostics._classifier_tops(grid, X, ccfg) > diagnostics.WEISS_FLOOR_CELLS * grid.h
+    pcs = dict(zip(np.flatnonzero(fits), run.timed(
+        "classify", diagnostics.classify, dom, ext_fields, X[fits], ccfg, params,
+        normals[fits]))) if fits.any() else {}
+    for i, k in enumerate(sel):
+        xs = ",".join(_fmt(v) for v in X[i])
+        dens_rows.extend(f"{k},{xs},{_fmt(r)},{_fmt(q)}\n" for r, q in dens[i])
+        weiss_rows.extend(f"{k},{xs},{_fmt(r)},{_fmt(w)}\n" for r, w in weiss[i])
+        entry = {"point": int(k), "x": [float(v) for v in X[i]]}
         slope = float("nan")
         try:
-            pc = run.timed("classify", diagnostics.classify, dom, ext_fields, x0, ccfg, params,
-                           fb.normals[k])
+            pc = pcs.get(i) or run.timed("classify", diagnostics.classify, dom, ext_fields,
+                                         X[i], ccfg, params, normals[i])
         except diagnostics.GeometryError as exc:
             # too near the box wall for a radius ladder: this point alone
             entry.update(density_limit=None, label="undetermined", flatness=None,

@@ -17,7 +17,8 @@ import numpy as np
 from .constants import _gauss_jacobi, one_plane_solution, slope_constant, unit_ball_volume
 from .extension import (ExtensionField, _apply, _ball_energies, _c_tilde, _cell_stencil,
                         _gather, _in_footprint, _placement, _slab_stencil)
-from .grids import BoxGrid, ThinDomain, _ball_counts, _neighbor_counts, _read_only
+from .grids import (BoxGrid, ThinDomain, _ball_counts, _chunks, _groups, _neighbor_counts,
+                    _read_only)
 
 __all__ = [
     "GeometryError",
@@ -27,8 +28,6 @@ __all__ = [
     "PointClassification",
     "ClassifierConfig",
     "free_boundary_set",
-    "RescaledField",
-    "blow_up_rescale",
     "density_ratio",
     "weiss_curve",
     "weiss_monotonicity_audit",
@@ -118,12 +117,19 @@ def _trace_support(traces, tol):
     return sup > tol * max(sup.max(), 1e-300)
 
 
-def _check_ball(grid, x0, radii, floor):
-    """x0 as an array; raises unless its balls of the radii (one or an array) fit."""
+def _as_points(grid, x0):
+    """x0, one thin-space point (n,) or a (k, n) stack of them, as a (k, n) array."""
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    r_lo, r_hi = np.min(radii), np.max(radii)
-    if x0.shape != (grid.n,):
+    if x0.ndim > 2 or x0.shape[-1] != grid.n:
         raise GeometryError("center must be a thin-space point of the grid dimension")
+    return x0.reshape(-1, grid.n)
+
+
+def _check_ball(grid, x0, radii, floor):
+    """x0 as a (k, n) stack (_as_points); raises unless the balls of the radii (one or an
+    array) about each point fit."""
+    x0 = _as_points(grid, x0)
+    r_lo, r_hi = np.min(radii), np.max(radii)
     if r_lo < floor * grid.h - 1e-12:
         raise ResolutionError(f"radius {r_lo} below the {floor}h resolution floor")
     if np.any(x0 - r_hi < grid.lower - 1e-12) or np.any(x0 + r_hi > grid.upper + 1e-12):
@@ -132,13 +138,17 @@ def _check_ball(grid, x0, radii, floor):
 
 
 def density_ratio(mask, x0, r):
-    """Node-counted |B_r(x0) and Omega| / (omega_n r^n), in [0, 1] (_in_ball); for a
-    1-D array of radii r, the array of them from one gather of the mask (_ball_counts)."""
+    """Node-counted |B_r(x0) and Omega| / (omega_n r^n), in [0, 1] (_in_ball). A 1-D array
+    of radii r gives the array of them, and a (k, n) stack of points a leading axis of k:
+    one gather of the mask per point (_ball_counts)."""
     grid, radii = mask.grid, np.asarray(r, dtype=float)
-    counts = _ball_counts(grid, _check_ball(grid, x0, radii, floor=3), radii.ravel(), mask.mask)
-    out = np.array([min(1.0, grid.h**grid.n * k / (unit_ball_volume(grid.n) * q**grid.n))
-                    for k, q in zip(counts.tolist(), radii.ravel())])
-    return out if radii.ndim else float(out[0])
+    pts = _check_ball(grid, x0, radii, floor=3)
+    counts = _ball_counts(grid, pts, radii.ravel(), mask.mask)
+    volumes = np.array([unit_ball_volume(grid.n) * q**grid.n for q in radii.ravel()])
+    out = np.minimum(1.0, grid.h**grid.n * counts / volumes)
+    if np.ndim(x0) < 2 and not radii.ndim:
+        return float(out[0, 0])
+    return out.reshape(pts.shape[:np.ndim(x0) - 1] + radii.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -173,57 +183,67 @@ def _hemisphere_rule(n, a):
     return _read_only(dirs, wts)
 
 
-@functools.lru_cache(maxsize=8)
 def _sphere_forms(layout, radii, f, a):
-    """The hemisphere rule at the radii about a point f cells off a node as read-only forms,
-    radius after radius: per slab cell holding samples q, the offsets of its K = 2^(n+1)
-    corners from the node's level-0 index (K, cells), sum_q w_q phi_q phi_q^T with phi_q their
-    corner weights (K, K, cells); each radius's first cell. The samples lie in the ball."""
+    """The hemisphere rule at the radii about a point f cells off a node as forms, radius
+    after radius: per slab cell holding samples q, the offsets of its K = 2^(n+1) corners
+    from the node's level-0 index (cells, K), sum_q w_q phi_q phi_q^T with phi_q their
+    corner weights (cells, K, K); each radius's first cell. The samples lie in the ball."""
     (dirs, wts), parts = _hemisphere_rule(layout[0], a), []
     for q in (r * dirs for r in radii):  # one radius's temporaries at a time
         flat, weight, first, _, ty, *_ = _slab_stencil(layout, q[:, :-1] / layout[2] + f, q[:, -1])
         phi = (weight.prod(axis=1)[:, None] * np.stack([1.0 - ty, ty])).reshape(-1, ty.size)
         flat, k = flat.reshape(len(phi), -1) + first, len(phi)
         cell, at, inv = np.unique(flat[0], return_index=True, return_inverse=True)
-        forms, wphi = np.empty((k, k, len(cell))), wts * phi  # cells named by low corner
+        forms, wphi = np.empty((len(cell), k, k)), wts * phi  # cells named by low corner
         for i, j in itertools.combinations_with_replacement(range(k), 2):
-            forms[i, j] = forms[j, i] = np.bincount(inv, phi[i] * wphi[j], len(cell))
-        parts.append((flat[:, at], forms, len(cell)))
+            forms[:, i, j] = forms[:, j, i] = np.bincount(inv, phi[i] * wphi[j], len(cell))
+        parts.append((flat[:, at].T, forms, len(cell)))
     offsets, forms, counts = zip(*parts)
-    return _read_only(np.concatenate(offsets, axis=1), np.concatenate(forms, axis=2),
-                      np.cumsum((0,) + counts[:-1]))
+    return np.concatenate(offsets), np.concatenate(forms), np.cumsum((0,) + counts[:-1])
+
+
+def _quadratic(forms, u):
+    """Per cell u^T M u of the forms M (cells, K, K) at u (cells, K, points): (cells, points)."""
+    mu = forms @ u
+    mu *= u
+    return mu.sum(axis=1)
 
 
 def _weiss_energies(fields, X0, radii, params):
-    """Weiss energy W(X0, G, r) of the extension fields at each of the radii:
+    """Weiss energy W(X0, G, r) of the extension fields at each of the radii, for each
+    point of X0 (one point, or a (k, n) stack); (k, radii):
 
     W = r^-n [2 sum_i E_half(g_i, B_r) + lambda_tilde meas({|G|>0} in B_r)]
         - s r^-(n+1) * 2 * int_{upper hemisphere} |y|^a |G|^2 dS.
 
-    All radii share the support; the node counts (_ball_counts), the ball energies
-    (_ball_energies) and the sphere sums (_sphere_forms, one gather per field)
-    reduce index sets cached per layout, radii and offset of X0 from its node."""
-    grid, n = fields[0].slab.base, fields[0].slab.base.n
-    x0 = np.atleast_1d(np.asarray(X0, dtype=float))
-    _check_ball(grid, x0, radii, floor=WEISS_FLOOR_CELLS)
-    if radii.max() > fields[0].slab.Y:
+    All radii share the support. Per group of points with one offset from their nodes,
+    the node counts (_ball_counts), the ball energies (_ball_energies) and the sphere
+    sums (_sphere_forms) reduce one index set each, in chunks of points."""
+    slab = fields[0].slab
+    grid, n = slab.base, slab.base.n
+    x0 = _check_ball(grid, X0, radii, floor=WEISS_FLOOR_CELLS)
+    if radii.max() > slab.Y:
         raise GeometryError("ball exits the slab vertically")
     supp = _trace_support([f.trace for f in fields], 1e-12)
     if not supp.any():
-        return np.zeros(len(radii))
-    layout, node, off = _placement(fields[0].slab, x0)
-    offsets, forms, starts = _sphere_forms(layout, tuple(radii.tolist()), off, params.a)
-    at = offsets + np.ravel_multi_index((*node, 0), fields[0].slab.values_shape())
-    # per radius, u^T M u summed over the cells and fields, u a field at a cell's corners
-    sums = np.add.reduceat(sum(np.einsum("klc,lc,kc->c", forms, u, u) for u in (
-        fld.values.reshape(-1).take(at) for fld in fields)), starts)
-    out = []
-    for r, count, energy, total in zip(radii, _ball_counts(grid, x0, radii, supp),
-                                       sum(_ball_energies(fields, x0, radii)), sums):
-        sphere = float(total) * r**n * r**params.a  # the rule's weights hold (y/r)^a: scale back
-        out.append((2.0 * energy + params.lambda_tilde * (grid.h**n * count)) / r**n
-                   - 2.0 * params.s * sphere / r ** (n + 1))
-    return np.array(out)
+        return np.zeros((len(x0), len(radii)))
+    layout, nodes, offs = _placement(slab, x0)
+    base = np.ravel_multi_index((*nodes.T, 0), slab.values_shape())
+    sums = np.empty((len(x0), len(radii)))
+    for f, idx in _groups(offs):
+        offsets, forms, starts = _sphere_forms(layout, tuple(radii.tolist()), f, params.a)
+        for part in _chunks(idx, 3 * offsets.nbytes):  # at, u and M u per point
+            # numpy takes a one-column product through gemv, which orders its sums unlike
+            # gemm: a lone point goes twice, so no point's sums depend on its chunk
+            at = offsets[..., None] + base[part if len(part) > 1 else np.repeat(part, 2)]
+            cells = sum(_quadratic(forms, fld.values.reshape(-1).take(at)) for fld in fields)
+            sums[part] = np.add.reduceat(cells, starts).T[:len(part)]
+    # per radius r^n, r^a and r^(n+1); the rule's weights hold (y/r)^a: scale back
+    rn, ra, rn1 = (np.array(v) for v in zip(*[(r**n, r**params.a, r ** (n + 1)) for r in radii]))
+    energies = sum(_ball_energies(fields, x0, radii))
+    counts = _ball_counts(grid, x0, radii, supp)
+    return ((2.0 * energies + params.lambda_tilde * (grid.h**n * counts)) / rn
+            - 2.0 * params.s * (sums * rn * ra) / rn1)
 
 
 @dataclass
@@ -249,14 +269,17 @@ class WeissCurve:
 
 
 def weiss_curve(G_ext, X0, radii, params, c_tilde=None):
-    """Evaluate the Weiss energy across radii and package as a WeissCurve."""
+    """Evaluate the Weiss energy across radii and package as a WeissCurve; for a (k, n)
+    stack of centers X0, the list of their curves on the one ladder, each what it is alone."""
     fields = _as_fields(G_ext)
     radii = np.sort(np.asarray(radii, dtype=float))
     vals = _weiss_energies(fields, X0, radii, params)
     if c_tilde is None:
         c_tilde = _c_tilde(fields, params)
-    return WeissCurve(center=np.atleast_1d(np.asarray(X0, dtype=float)), radii=radii,
-                      values=vals, s=params.s, c_tilde=float(c_tilde))
+    curves = [WeissCurve(center=x, radii=radii.copy(), values=v, s=params.s,
+                         c_tilde=float(c_tilde))
+              for x, v in zip(_as_points(fields[0].slab.base, X0).copy(), vals)]
+    return curves if np.ndim(X0) == 2 else curves[0]
 
 
 def weiss_monotonicity_audit(curve, holder_seminorm):
@@ -291,33 +314,6 @@ def weiss_monotonicity_audit(curve, holder_seminorm):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class RescaledField:
-    """Blow-up sample G_{X0,r}(X) = r^{-s} G(X0 + r X) on a unit-scale grid.
-
-    values has shape xgrid.node_shape + (len(y_levels), m).
-    """
-
-    xgrid: BoxGrid
-    y_levels: np.ndarray
-    values: np.ndarray
-    r: float
-    x0: np.ndarray
-
-    @property
-    def m(self):
-        return self.values.shape[-1]
-
-    def magnitude(self):
-        return np.sqrt(np.sum(self.values**2, axis=-1))
-
-    def ball_mask(self):
-        """Boolean array over nodes with |(x, y)| <= 1."""
-        coords = self.xgrid.node_coords()
-        d2 = (coords**2).sum(axis=1)[:, None] + self.y_levels[None, :] ** 2
-        return (d2 <= 1.0 + 1e-12).reshape(self.xgrid.node_shape + (len(self.y_levels),))
-
-
 def _blow_up_stencil(layout, r, f):
     """(unit grid on [-1, 1]^n, y / r levels, slab stencil of every (node, level) pair,
     node-major) of a blow-up at radius r on a slab layout, f cells off a node."""
@@ -331,8 +327,8 @@ def _blow_up_stencil(layout, r, f):
 
 
 def _blow_up_window(source, x0, r):
-    """(fields, x0, r, *_placement) of a blow-up window, a ball that must fit in the box
-    (_check_ball)."""
+    """(fields, x0 as a (k, n) stack, r, *_placement) of blow-up windows, balls that must
+    fit in the box (_check_ball)."""
     fields = _as_fields(source)
     r = float(r)
     if r <= 0:
@@ -341,24 +337,14 @@ def _blow_up_window(source, x0, r):
     return (fields, x0, r, *_placement(fields[0].slab, x0))
 
 
-def blow_up_rescale(source, x0, r, s):
-    """Rescale extension fields around a thin-space point onto the unit ball
-    scale (_blow_up_stencil); the rescaled field has one component per field."""
-    fields, x0, r, layout, node, off = _blow_up_window(source, x0, r)
-    xg, y_lv, stencil = _blow_up_stencil(layout, r, off)
-    vals = np.stack(_gather(fields, stencil, node), axis=-1) * r ** (-s)
-    return RescaledField(xg, y_lv, vals.reshape(xg.node_shape + (y_lv.size, -1)), r, x0)
-
-
-@functools.lru_cache(maxsize=4)
 def _blow_up_model(layout, r, f, s, lambda_penalty, angle_count):
-    """Read-only (the blow-up stencil of its unit-ball (node, level) pairs, with the
-    whole window's reach; the directions nu (k, n); slope_const * U(<x, nu>, y) at
-    those points (k, points), one matrix-vector product per direction)."""
+    """(the blow-up stencil of its unit-ball (node, level) pairs, with the whole window's
+    reach; the directions nu (k, n); slope_const * U(<x, nu>, y) at those points
+    (k, points), one matrix-vector product per direction)."""
     xg, y_lv, stencil = _blow_up_stencil(layout, r, f)
     pts_x = np.repeat(xg.node_coords(), y_lv.size, axis=0)
     pts_y = np.tile(y_lv, xg.num_nodes)
-    mask = (pts_x**2).sum(axis=1) + pts_y**2 <= 1.0 + 1e-12  # RescaledField.ball_mask
+    mask = (pts_x**2).sum(axis=1) + pts_y**2 <= 1.0 + 1e-12  # the closed unit ball
     count = angle_count if xg.n == 2 else 2  # +-1 in 1D
     ang = 2.0 * np.pi * np.arange(count) / count
     nus = np.column_stack([np.cos(ang), np.sin(ang)])[:, :xg.n]
@@ -366,8 +352,18 @@ def _blow_up_model(layout, r, f, s, lambda_penalty, angle_count):
         (pts_x[mask] @ nus[..., None])[..., 0], pts_y[mask], s)
     flat, weight, first, reach, ty, x, y = stencil
     ball = (flat[..., mask], weight[..., mask], first, reach, ty[mask], x[mask], y[mask])
-    _read_only(*ball[:2], *ball[3:], nus, model)
     return ball, nus, model
+
+
+def _sup(model, M, f):
+    """max over the points of |M - f model|, the squares summed in place component by
+    component: model (..., points), M (..., points, m), f (..., m), broadcast."""
+    dev2 = np.zeros(np.broadcast_shapes(model.shape, M.shape[:-1]))
+    dev = np.empty_like(dev2)
+    for fi, mi in zip(np.moveaxis(f, -1, 0), np.moveaxis(M, -1, 0)):
+        dev2 += np.square(np.subtract(mi, np.multiply(fi[..., None], model, out=dev), out=dev),
+                          out=dev)
+    return np.sqrt(dev2.max(axis=-1))  # sqrt is monotone, so only the maxima need it
 
 
 def flatness(G_fields, X0, r, params, angle_count=128):
@@ -375,29 +371,33 @@ def flatness(G_fields, X0, r, params, angle_count=128):
 
     Minimizes sup_{|X|<=1} |G_{X0,r}(X) - slope_const * U(<x, nu>, y) f| over
     a grid of unit directions nu and the dominant component direction f.
-    Returns (epsilon, nu, f).
+    Returns (epsilon, nu, f); for a (k, n) stack of centers X0, the (k,), (k, n)
+    and (k, m) arrays of them, each row what it is alone.
     """
-    fields, x0, r, layout, node, off = _blow_up_window(G_fields, X0, r)
-    ball, nus, model = _blow_up_model(layout, r, off, params.s, params.lambda_penalty,
-                                      angle_count)
-    # blow_up_rescale's values at the ball points: the same samples and arithmetic
-    M = np.stack(_gather(fields, ball, node), axis=-1) * r ** (-params.s)
-    f = np.linalg.svd(M, full_matrices=False)[2][0]  # dominant component direction
-    if np.sum(M @ f) < 0:
-        f = -f
-    def sup(model, M):  # max |M - f model| per direction, the squares summed in place
-        dev2, dev = np.zeros_like(model), np.empty_like(model)
-        for fi, mi in zip(f, M.T):
-            dev2 += np.square(np.subtract(mi, np.multiply(fi, model, out=dev), out=dev), out=dev)
-        return np.sqrt(dev2.max(axis=1))  # sqrt is monotone, so only the maxima need it
-    # the sup over the 32 points of largest |M| bounds each direction's from below, so
-    # only directions bounded by the best one's sup can hold the first of equal minima
-    sub = np.argsort(np.square(M).sum(axis=1))[-32:]
-    low = sup(model[:, sub], M[sub])
-    near = np.flatnonzero(low <= sup(model[[np.argmin(low)]], M)[0])
-    eps = sup(model[near], M)
-    k = int(np.argmin(eps))
-    return float(eps[k]), nus[near[k]], f
+    fields, x0, r, layout, nodes, offs = _blow_up_window(G_fields, X0, r)
+    eps, nu, f = np.empty(len(x0)), np.empty(x0.shape), np.empty((len(x0), len(fields)))
+    for off, idx in _groups(offs):
+        ball, nus, model = _blow_up_model(layout, r, off, params.s, params.lambda_penalty,
+                                          angle_count)
+        for part in _chunks(idx, 3 * 8 * 32 * len(nus)):  # the bounds: 32 points a direction
+            # the blow-up's values at the ball points, (points of part, ball points, m)
+            M = np.stack(_gather(fields, ball, nodes[part]), axis=-1) * r ** (-params.s)
+            F = np.linalg.svd(M, full_matrices=False)[2][:, 0]  # dominant component directions
+            F[np.sum(M @ F[..., None], axis=(1, 2)) < 0] *= -1.0
+            # the sup over the 32 points of largest |M| bounds each direction's from below, so
+            # only directions bounded by the best one's sup can hold the first of equal minima
+            rows = np.arange(len(part))
+            sub = np.argsort(np.square(M).sum(axis=-1), axis=-1)[:, -32:]
+            low = _sup(np.moveaxis(model[:, sub], 0, 1), M[rows[:, None], sub][:, None], F[:, None])
+            best = _sup(model[np.argmin(low, axis=1)], M, F)
+            pt, dr = np.nonzero(low <= best[:, None])  # point by point, directions ascending
+            e = np.empty(len(pt))
+            for q in _chunks(np.arange(len(pt)), (3 + M.shape[-1]) * M[0, :, 0].nbytes):
+                e[q] = _sup(model[dr[q]], M[pt[q]], F[pt[q]])
+            hit = np.flatnonzero(e == np.minimum.reduceat(e, np.searchsorted(pt, rows))[pt])
+            first = hit[np.searchsorted(pt[hit], rows)]  # each point's first minimum
+            eps[part], nu[part], f[part] = e[first], nus[dr[first]], F
+    return (eps, nu, f) if np.ndim(X0) == 2 else (float(eps[0]), nu[0], f[0])
 
 
 def boundary_slope(G_fields, x0, normal, params, t_lo=3.0, t_hi=10.0):
@@ -406,27 +406,37 @@ def boundary_slope(G_fields, x0, normal, params, t_lo=3.0, t_hi=10.0):
     Fits |G|(x0 + t * normal, 0) ~ alpha * t^s over t in [t_lo*h, t_hi*h];
     pass the inward normal (pointing into the positivity set). Needs a normal (not nan)
     and at least 4 samples in the grid, 1e-12 past the wall included, else ResolutionError.
+    For a (k, n) stack of points and normals, the (k,) slopes, nan where a point has
+    none, each what it is alone: one stencil for every sample, one fit per sample set.
     """
     fields = _as_fields(G_fields)
-    grid = fields[0].slab.base
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    nu = np.atleast_1d(np.asarray(normal, dtype=float))
-    if np.isnan(nu).any():
+    grid, h = fields[0].slab.base, fields[0].slab.base.h
+    pts = _as_points(grid, x0)
+    nu = np.reshape(np.asarray(normal, dtype=float), pts.shape)
+    missing = np.isnan(nu).any(axis=1)
+    if np.ndim(x0) < 2 and missing[0]:
         raise ResolutionError("no normal: the smoothed mask's gradient vanishes here")
-    nu = nu / np.linalg.norm(nu)
-    h = grid.h
+    nu = nu / np.array([np.linalg.norm(v) for v in nu])[:, None]
     ts = np.arange(np.ceil(t_lo), np.floor(t_hi) + 1) * h
-    pts = x0[None, :] + ts[:, None] * nu[None, :]
-    ok = np.all((pts >= grid.lower - 1e-12) & (pts <= grid.upper + 1e-12), axis=1)
-    if ok.sum() < 4:
+    pts = pts[:, None, :] + ts[:, None] * nu[:, None, :]
+    ok = np.all((pts >= grid.lower - 1e-12) & (pts <= grid.upper + 1e-12), axis=2)
+    ok[missing | (ok.sum(axis=1) < 4)] = False
+    if np.ndim(x0) < 2 and not ok.any():
         raise ResolutionError("fewer than 4 slope samples inside the grid")
-    x = _in_footprint((pts[ok] - grid.lower) / h, grid.cells_per_axis)
-    flat, weight, first, _ = _cell_stencil(x, grid.cells_per_axis, grid.node_shape)
-    # |G| at the samples' cell corners only, then interpolated as _apply does
-    mag = np.sqrt(sum(f.trace.reshape(-1)[first:].take(flat) ** 2 for f in fields))
-    vals = _apply(mag, np.arange(mag.size).reshape(mag.shape), weight, 0)
-    tk = ts[ok]
-    return float(np.sum(vals * tk**params.s) / np.sum(tk ** (2.0 * params.s)))
+    vals = np.zeros(ok.shape)
+    if ok.any():
+        x = _in_footprint((pts[ok] - grid.lower) / h, grid.cells_per_axis)
+        flat, weight, first, _ = _cell_stencil(x, grid.cells_per_axis, grid.node_shape)
+        # |G| at the samples' cell corners only, then interpolated as _apply does
+        mag = np.sqrt(sum(f.trace.reshape(-1)[first:].take(flat) ** 2 for f in fields))
+        vals[ok] = _apply(mag, np.arange(mag.size).reshape(mag.shape), weight, 0)
+    slopes = np.full(len(ok), np.nan)
+    for _, rows in _groups(map(bytes, ok)):  # points whose samples sit at the same t
+        if ok[rows[0]].any():
+            tk = ts[ok[rows[0]]]
+            slopes[rows] = ((vals[np.ix_(rows, ok[rows[0]])] * tk**params.s).sum(axis=1)
+                            / np.sum(tk ** (2.0 * params.s)))
+    return slopes if np.ndim(x0) == 2 else float(slopes[0])
 
 
 @dataclass(frozen=True)
@@ -460,9 +470,18 @@ class PointClassification:
 
 
 def _ladder_top(grid, x0, r_max):
-    """A radius ladder's top at x0: r_max, clipped to 0.95 of the wall distance."""
-    wall = min(np.min(x0 - grid.lower), np.min(grid.upper - x0))
-    return min(r_max, 0.95 * wall)
+    """A radius ladder's top at the point x0, or at each of a (k, n) stack: r_max,
+    clipped to 0.95 of the wall distance."""
+    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
+    wall = np.minimum(np.min(x0 - grid.lower, axis=-1), np.min(grid.upper - x0, axis=-1))
+    return np.minimum(r_max, 0.95 * wall)
+
+
+def _classifier_tops(grid, x0, config):
+    """The top of classify's ladder at each point of x0: config.r_max (default 12h),
+    clipped to the wall as _ladder_top does; a ladder fits if it exceeds the floor
+    WEISS_FLOOR_CELLS * h."""
+    return _ladder_top(grid, x0, 12.0 * grid.h if config.r_max is None else config.r_max)
 
 
 def classify(mask, G_fields, x0, config, params, normal):
@@ -477,31 +496,46 @@ def classify(mask, G_fields, x0, config, params, normal):
     normal is the outward unit normal at x0 (pointing out of the positivity
     set), the orientation of FreeBoundarySet.normals; the slope is taken
     along its negative, the inward direction that boundary_slope expects.
+
+    For a (k, n) stack of points and normals, the list of their classifications,
+    each what it is alone: one density call and one fit per ladder, one flatness
+    and one slope call for all; GeometryError if any point has no ladder.
     """
     grid = mask.grid
-    x0v = np.atleast_1d(np.asarray(x0, dtype=float))
-    h = grid.h
-    r_lo = WEISS_FLOOR_CELLS * h
-    r_hi = _ladder_top(grid, x0v, 12.0 * h if config.r_max is None else config.r_max)
-    if not r_hi > r_lo:
+    pts = _as_points(grid, x0)
+    normals = np.reshape(np.asarray(normal, dtype=float), pts.shape)
+    r_lo = WEISS_FLOOR_CELLS * grid.h
+    tops = _classifier_tops(grid, pts, config)
+    short = np.flatnonzero(~(tops > r_lo))
+    if short.size:
         raise GeometryError(f"no radius ladder above {WEISS_FLOOR_CELLS}h = {r_lo:g} fits: "
-                            f"the largest radius is {r_hi:g}")
-    radii = np.geomspace(r_lo, r_hi, config.num_radii)
-    ratios = density_ratio(mask, x0v, radii)
-    A = np.column_stack([np.ones_like(radii), radii])
-    coef, *_ = np.linalg.lstsq(A, ratios, rcond=None)
-    gamma = float(coef[0])
-    eps, _, _ = flatness(G_fields, x0v, radii[0], params)
-    reason = None
-    try:
-        slope = boundary_slope(G_fields, x0v, -np.asarray(normal), params)
-    except ResolutionError as exc:
-        slope, reason = float("nan"), str(exc)
-    if abs(gamma - 0.5) <= config.tol and eps < config.flat_threshold:
-        label = "regular"
-    elif gamma >= 0.5 + config.delta:
-        label = "singular"
-    else:
-        label = "undetermined"
-    return PointClassification(density_limit=gamma, label=label, flatness=eps, slope=slope,
-                               radii=radii, ratios=ratios, reason=reason)
+                            f"the largest radius is {tops[short[0]]:g}")
+    ladders, ratios, gamma = [None] * len(pts), np.empty((len(pts), config.num_radii)), {}
+    for top, idx in _groups(tops.tolist()):
+        radii = np.geomspace(r_lo, top, config.num_radii)
+        ratios[idx] = density_ratio(mask, pts[idx], radii)
+        A = np.column_stack([np.ones_like(radii), radii])
+        coef = np.linalg.lstsq(A, ratios[idx].T, rcond=None)[0]  # one column per point
+        gamma.update(zip(idx.tolist(), coef[0].tolist()))
+        for i in idx:
+            ladders[i] = radii.copy()
+    eps = flatness(G_fields, pts, r_lo, params)[0]
+    slopes = boundary_slope(G_fields, pts, -normals, params)
+    out = []
+    for i in range(len(pts)):
+        reason = None
+        if np.isnan(slopes[i]):  # the point alone raises the ResolutionError that says why
+            try:
+                boundary_slope(G_fields, pts[i], -normals[i], params)
+            except ResolutionError as exc:
+                reason = str(exc)
+        if abs(gamma[i] - 0.5) <= config.tol and eps[i] < config.flat_threshold:
+            label = "regular"
+        elif gamma[i] >= 0.5 + config.delta:
+            label = "singular"
+        else:
+            label = "undetermined"
+        out.append(PointClassification(density_limit=gamma[i], label=label,
+                                       flatness=float(eps[i]), slope=float(slopes[i]),
+                                       radii=ladders[i], ratios=ratios[i], reason=reason))
+    return out if np.ndim(x0) == 2 else out[0]

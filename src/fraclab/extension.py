@@ -34,7 +34,7 @@ from scipy import sparse
 from scipy.sparse import linalg as sla
 
 from .constants import unit_ball_volume
-from .grids import _in_ball, _nearest_node, _read_only
+from .grids import _chunks, _groups, _in_ball, _nearest_node
 
 __all__ = [
     "SlabGrid",
@@ -178,7 +178,8 @@ class ExtensionField:
 
 def _placement(slab, x0):
     """(layout, node, f): the slab's layout as a hashable value, the node nearest
-    the thin-space point x0, and x0's offset from it in cells (_nearest_node)."""
+    the thin-space point x0, and x0's offset from it in cells (_nearest_node; for a
+    (k, n) stack of points, the (k, n) nodes and the list of offsets)."""
     b = slab.base
     return ((b.n, b.cells_per_axis, b.h, slab.J, slab.Y, slab.y_nodes.tobytes()),
             *_nearest_node(b, x0))
@@ -197,14 +198,23 @@ def _slab_stencil(layout, x, y):
 
 def _gather(fields, stencil, node):
     """The fields at a slab stencil's samples placed at the node index `node`, one take per
-    corner and field; if the stencil reaches past the footprint there, _interp of them."""
+    corner and field; where the stencil reaches past the footprint, _interp of them. For a
+    (k, n) stack of nodes, each field's (k, samples) values, row by row the same."""
     flat, weight, first, reach, ty, x, y = stencil
-    slab = fields[0].slab
-    if np.any(node + reach[0] < 0) or np.any(node + reach[1] > slab.base.cells_per_axis):
-        return _interp(fields, np.column_stack([slab.base.lower + (x + node) * slab.base.h, y]))
-    first += np.ravel_multi_index((*node, 0), slab.values_shape())
-    at = (_apply(f.values, flat, weight, first) for f in fields)
-    return [below * (1.0 - ty) + above * ty for below, above in at]
+    base, shape = fields[0].slab.base, fields[0].slab.values_shape()
+    nodes = np.reshape(node, (-1, base.n))
+    out = [np.empty((len(nodes), ty.size)) for _ in fields]
+    past = np.any((nodes + reach[0] < 0) | (nodes + reach[1] > base.cells_per_axis), axis=1)
+    for k in np.flatnonzero(past):
+        pts = np.column_stack([base.lower + (x + nodes[k]) * base.h, y])
+        for row, values in zip(out, _interp(fields, pts)):
+            row[k] = values
+    if not past.all():
+        at = first + np.ravel_multi_index((*nodes[~past].T, 0), shape)
+        for row, f in zip(out, fields):
+            below, above = np.moveaxis(_apply(f.values, flat, weight, at), -2, 0)
+            row[~past] = below * (1.0 - ty) + above * ty
+    return out if np.ndim(node) == 2 else [row[0] for row in out]
 
 
 def _interp(fields, points):
@@ -266,9 +276,11 @@ def _cell_stencil(x, cells, shape, *tail):
 
 def _apply(field, flat, weight, first):
     """A float field at a cell stencil's points: per corner one take from C-order index
-    `first` on, times the axis weights in order, in place; the corners summed in order."""
-    values = field.reshape(-1)[first:]
-    terms = (functools.reduce(operator.imul, w, values.take(fl)) for fl, w in zip(flat, weight))
+    `first` on, times the axis weights in order, in place; the corners summed in order.
+    For an array of indices `first`, one such result per index, stacked in front."""
+    values, first = field.reshape(-1), np.reshape(first, np.shape(first) + (1,) * (flat.ndim - 1))
+    terms = (functools.reduce(operator.imul, w, values.take(first + fl))
+             for fl, w in zip(flat, weight))
     return functools.reduce(operator.iadd, terms)
 
 
@@ -349,12 +361,11 @@ def neumann_trace(field):
     return -grad, flagged
 
 
-@functools.lru_cache(maxsize=8)
 def _ball_edges(layout, radii, f):
-    """Read-only (the reach (2, n) of their cells; per axis, in C order, both ends' offsets
-    from the node's level-0 index (2, m), the low ends' cells (n, m) and levels, and per
-    radius the positions in its ball) of the slab edges whose midpoints lie in the open
-    ball (_in_ball) of the largest radius about a point f cells off a node."""
+    """(the reach (2, n) of their cells; per axis, in C order, both ends' offsets from the
+    node's level-0 index (2, m), the low ends' cells (n, m) and levels, and per radius the
+    positions in its ball) of the slab edges whose midpoints lie in the open ball
+    (_in_ball) of the largest radius about a point f cells off a node."""
     n, cells, h, J, _, y = *layout[:5], np.frombuffer(layout[5])
     strides = [math.prod(((cells + 1,) * n + (J + 1,))[ax + 1:]) for ax in range(n + 1)]
     top = max(radii, default=0.0)
@@ -370,33 +381,48 @@ def _ball_edges(layout, radii, f):
                      *(np.flatnonzero(_in_ball(d2[idx], r)) for r in radii)))
     every = np.concatenate([cell for _, cell, *_ in axes], axis=1)
     reach = np.array([every.min(axis=1, initial=0), every.max(axis=1, initial=0) + 1])
-    _read_only(reach, *itertools.chain(*axes))
     return reach, tuple(axes)
+
+
+def _edge_sums(values, at, ce, picks):
+    """Per point, the sums of c * dg^2 over each pick of edges, dg = values at the
+    edges' high ends (at[1]) less the low ends (at[0]), clipped; (points, picks)."""
+    lo, hi = values.reshape(-1).take(at, mode="clip")
+    d = hi - lo
+    e = ce * d
+    e *= d
+    return np.stack([e.take(i, axis=-1).sum(axis=-1) for i in picks], axis=-1)
 
 
 def _ball_energies(fields, center, radii):
     """Edge-quadrature energy of the upper half-ball at a thin-space center, per
     field (rows) of fields on one slab layout and radius (columns): the sum of
     c * (dg)^2 over the edges whose midpoints lie in the open ball (_in_ball).
-    Per axis and field, two gathers at the center's node give dg on the cached edges
-    (_ball_edges); each radius sums its entries in C order, those past the footprint
-    left out, as a window of the values array selects them; a row is what it is alone."""
+    For a (k, n) stack of centers, (fields, k, radii). Per group of centers with one
+    offset from their nodes, the edges are found once (_ball_edges); per axis, field
+    and chunk of centers, two gathers give dg on them, and each radius sums its
+    entries in C order, those past the footprint left out, as a window of the values
+    array selects them; a row is what it is alone."""
     slab, cells = fields[0].slab, fields[0].slab.base.cells_per_axis
-    layout, node, f = _placement(slab, center)
+    center = np.asarray(center, dtype=float)
+    layout, nodes, offs = _placement(slab, center.reshape(-1, slab.base.n))
     radii = tuple(np.asarray(radii, dtype=float).tolist())
-    reach, edges = _ball_edges(layout, radii, f)
-    at = np.ravel_multi_index((*node, 0), slab.values_shape())
-    out = np.zeros((len(fields), len(radii)))
-    for axis, (c, (ends, cell, levels, *picks)) in enumerate(zip(_conductances(slab), edges)):
-        if np.any(node + reach[0] < 0) or np.any(node + reach[1] > cells):
-            # the ball passes the wall: the gathers clip, and no sum takes an edge past it
-            low = node[:, None] + cell
-            keep = np.all((low >= 0) & (low + (np.arange(len(node)) == axis)[:, None] <= cells), 0)
-            picks = [i[keep[i]] for i in picks]
-        ce, ends = c[levels], ends + at
-        for row, fld in zip(out, fields):
-            lo, hi = fld.values.reshape(-1).take(ends, mode="clip")
-            d = hi - lo
-            e = ce * d * d
-            row += [e.take(i).sum() for i in picks]
-    return out
+    base = np.ravel_multi_index((*nodes.T, 0), slab.values_shape())
+    out = np.zeros((len(fields), len(nodes), len(radii)))
+    for f, idx in _groups(offs):
+        reach, edges = _ball_edges(layout, radii, f)
+        # where the ball passes the wall the gathers clip, and no sum takes an edge past it
+        past = np.any((nodes + reach[0] < 0) | (nodes + reach[1] > cells), axis=1)
+        for axis, (c, (ends, cell, levels, *picks)) in enumerate(zip(_conductances(slab), edges)):
+            ce = c[levels]
+            for part in _chunks(idx, 4 * ends.nbytes):  # at, its gathers, dg and c dg^2
+                at = ends[:, None, :] + base[part, None]
+                for row, fld in zip(out, fields):
+                    sums = _edge_sums(fld.values, at, ce, picks)
+                    for j in np.flatnonzero(past[part]):
+                        low = nodes[part[j], :, None] + cell
+                        keep = np.all((low >= 0) & (low + (np.arange(len(low)) == axis)[:, None]
+                                                    <= cells), 0)
+                        sums[j] = _edge_sums(fld.values, at[:, j], ce, [i[keep[i]] for i in picks])
+                    row[part] += sums
+    return out if center.ndim == 2 else out[:, 0]

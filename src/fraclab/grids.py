@@ -184,10 +184,33 @@ def _in_ball(d2, r):
 
 
 def _nearest_node(grid, x0):
-    """(node, f): the node nearest the point x0, x0's offset from it in cells (0 within 1e-12)."""
+    """(node, f): the node nearest the point x0, x0's offset from it in cells (0 within 1e-12);
+    for a (k, n) stack of points, the (k, n) nodes and a list of the k offsets."""
     u = (np.atleast_1d(np.asarray(x0, dtype=float)) - grid.lower) / grid.h
     f = u - np.rint(u)
-    return np.rint(u).astype(int), tuple(np.where(np.abs(f) <= 1e-12, 0.0, f).tolist())
+    f = np.where(np.abs(f) <= 1e-12, 0.0, f).tolist()
+    return np.rint(u).astype(int), (tuple(f) if u.ndim == 1 else list(map(tuple, f)))
+
+
+# a chunk's batched temporaries together, about: a stack of points is reduced in
+# chunks, so that the reductions add no more to the peak memory than per point
+_CHUNK_BYTES = 1 << 20
+
+
+def _chunks(idx, point_bytes):
+    """The index array idx in consecutive parts, few enough points each that
+    temporaries of point_bytes per point stay within about _CHUNK_BYTES."""
+    step = max(1, _CHUNK_BYTES // max(int(point_bytes), 1))
+    return [idx[i:i + step] for i in range(0, len(idx), step)]
+
+
+def _groups(keys):
+    """[(key, index array of its positions)] of a sequence of hashable keys, in
+    order of first appearance."""
+    groups = {}
+    for i, key in enumerate(keys):
+        groups.setdefault(key, []).append(i)
+    return [(key, np.array(idx)) for key, idx in groups.items()]
 
 
 @functools.lru_cache(maxsize=8)
@@ -202,12 +225,21 @@ def _ball_nodes(cells, h, radii, f):
 
 
 def _ball_counts(grid, x0, radii, flags):
-    """Per radius, the flagged nodes (a node_shape bool array) in the ball about x0
-    (_in_ball), which must lie in the box: one gather at x0's nearest node."""
-    node, f = _nearest_node(grid, x0)
-    offsets, inside = _ball_nodes(grid.cells_per_axis, grid.h, tuple(np.ravel(radii).tolist()), f)
-    at = offsets + np.ravel_multi_index(tuple(node), grid.node_shape)
-    return np.count_nonzero(inside & flags.reshape(-1).take(at), axis=1)
+    """Per radius, the flagged nodes (a node_shape bool array) in the ball about the point
+    x0 (_in_ball), which must lie in the box; for a (k, n) stack of points, a (k, radii)
+    array. Per group of points with one offset from their nodes, one gather at each
+    point's nearest node."""
+    x0 = np.asarray(x0, dtype=float)
+    nodes, offs = _nearest_node(grid, x0.reshape(-1, grid.n))
+    radii = tuple(np.ravel(radii).tolist())
+    base = np.ravel_multi_index(tuple(nodes.T), grid.node_shape)
+    out = np.empty((len(nodes), len(radii)), dtype=int)
+    for f, idx in _groups(offs):
+        offsets, inside = _ball_nodes(grid.cells_per_axis, grid.h, radii, f)
+        for part in _chunks(idx, offsets.nbytes + inside.nbytes):
+            at = offsets + base[part, None]
+            out[part] = np.count_nonzero(inside & flags.reshape(-1).take(at)[:, None], axis=2)
+    return out if x0.ndim == 2 else out[0]
 
 
 def mask_from_indices(grid, flat_indices):

@@ -10,6 +10,7 @@ import time
 import numpy as np
 import pytest
 
+from fraclab import diagnostics, extension
 from fraclab.cli import main
 from fraclab.gridio import (RunManifest, read_fields, read_mask, read_slab_field, write_fields,
                             write_mask)
@@ -222,8 +223,7 @@ def test_diagnose_outputs_do_not_depend_on_the_stencil_caches(tmp_path, clear_ca
     """Two diagnose runs in one process, the first on cold caches (every
     lru_cache of diagnostics, extension and grids), the second on warm ones,
     write the same bytes, also after a run on another slab layout in between;
-    the warm run builds nothing (no cache misses), and the runs use at least five
-    of the caches."""
+    the warm run misses no cache, and the runs use both caches."""
     eig_cfg = write_cfg(tmp_path / "eig.cfg", n=2, cells=24, lower=-1.0, upper=1.0,
                         s=0.5, domain="ball 0.02 -0.01 0.45", m=2)
     assert main(["eig", "--config", eig_cfg, "--out", str(tmp_path / "eig")]) == 0
@@ -238,7 +238,7 @@ def test_diagnose_outputs_do_not_depend_on_the_stencil_caches(tmp_path, clear_ca
                      ("weiss.csv", "density.csv", "slopes.csv", "classification.json")})
         misses.append([cache.cache_info().misses for cache in caches])
     assert outs[0] == outs[1] == outs[3] != outs[2]
-    assert misses[1] == misses[0] and sum(map(bool, misses[0])) >= 5
+    assert misses[1] == misses[0] and sum(map(bool, misses[0])) >= 2
 
 
 def test_diagnose_gives_one_node_features_no_normal_and_no_slope(tmp_path):
@@ -272,24 +272,31 @@ def test_diagnose_gives_one_node_features_no_normal_and_no_slope(tmp_path):
 
 
 @pytest.fixture
-def wall_run(tmp_path, clear_caches):
+def wall_run(tmp_path, clear_caches, monkeypatch):
     """A diagnose run, from cold caches, on a 32^2 disk mask whose boundary comes
-    within 5h of the box wall; returns every cache's hit/miss counts after it."""
+    within 5h of the box wall; returns every cache's hit/miss counts after it, and
+    the number of sphere-form and ball-edge builds under "builds"."""
     eig_cfg = write_cfg(tmp_path / "eig.cfg", n=2, cells=32, lower=-1.0, upper=1.0,
                         s=0.5, domain="ball 0.3 0 0.39", m=1)
     assert main(["eig", "--config", eig_cfg, "--out", str(tmp_path / "eig")]) == 0
     cfg = write_cfg(tmp_path / "diag.cfg", n=2, s=0.5, mask=str(tmp_path / "eig" / "mask.frlb"),
                     fields=str(tmp_path / "eig" / "v01.frlb"), J=8)
+    builds = {}
+    for module, name in ((diagnostics, "_sphere_forms"), (extension, "_ball_edges")):
+        build = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *key, name=name, build=build: (
+            builds.__setitem__(name, builds.get(name, 0) + 1) or build(*key)))
     caches = clear_caches()
     assert main(["diagnose", "--config", cfg, "--out", str(tmp_path / "d")]) == 0
-    return {cache.__name__: cache.cache_info() for cache in caches}
+    return {"builds": builds, **{cache.__name__: cache.cache_info() for cache in caches}}
 
 
 def test_every_cache_is_reused_on_a_run_near_the_wall(wall_run):
-    """Each of the five caches of diagnostics, extension and grids is hit on the
+    """Each of the two caches of diagnostics, extension and grids is hit on the
     run: a cache that no run reuses only costs its bookkeeping."""
-    assert {name: info.hits for name, info in wall_run.items() if info.hits == 0} == {}
-    assert len(wall_run) == 5
+    caches = {name: info for name, info in wall_run.items() if name != "builds"}
+    assert {name: info.hits for name, info in caches.items() if info.hits == 0} == {}
+    assert sorted(caches) == ["_ball_nodes", "_hemisphere_rule"]
 
 
 def test_diagnose_marks_a_point_near_the_wall_undetermined(tmp_path, wall_run):
@@ -297,15 +304,14 @@ def test_diagnose_marks_a_point_near_the_wall_undetermined(tmp_path, wall_run):
     5h inside the box: it alone is undetermined, with a reason, and the run
     succeeds. The ladders clipped at the wall depend only on the points' whole-
     cell wall distance, so the points share them: the run builds the sphere
-    forms and ball edges once per distinct Weiss ladder."""
+    forms and ball edges once per distinct Weiss ladder, one call per ladder."""
     points = json.loads((tmp_path / "d" / "classification.json").read_text())["points"]
     ladders = {}
     for row in (tmp_path / "d" / "weiss.csv").read_text().splitlines()[1:]:
         ladders.setdefault(row.split(",")[0], []).append(row.split(",")[3])
     distinct = len(set(map(tuple, ladders.values())))
     assert 2 < distinct < len(ladders) // 4
-    for name in ("_sphere_forms", "_ball_edges"):
-        assert wall_run[name].misses == distinct
+    assert wall_run["builds"] == {"_sphere_forms": distinct, "_ball_edges": distinct}
     near = [p for p in points if "reason" in p]
     assert [p["x"][0] for p in near] == [0.6875]  # 5h from the wall x = 1
     assert near[0]["label"] == "undetermined" and "no radius ladder" in near[0]["reason"]
@@ -622,6 +628,20 @@ def test_bad_config_values_are_usage_errors(eig_out, tmp_path, capsys, command, 
     cfg = write_cfg(tmp_path / "bad.cfg", **keys)
     assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert "usage error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("keys", [
+    {**EIG_KEYS, "domain": "interval -inf 1"},
+    {**EIG_KEYS, "n": 2, "cells": 16, "domain": "ball nan 0 0.3"},
+    {**EIG_KEYS, "n": 2, "cells": 16, "domain": "ball 0 0 inf"},
+], ids=["interval-inf", "ball-nan-center", "ball-inf-radius"])
+def test_non_finite_domain_numbers_are_usage_errors(tmp_path, capsys, keys):
+    """A domain spec with an infinite or nan number exits 2 naming `domain`, not
+    with every node selected or as a domain without nodes."""
+    cfg = write_cfg(tmp_path / "bad.cfg", **keys)
+    assert main(["eig", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "usage error: config key 'domain'" in err and "non-finite" in err
 
 
 @pytest.mark.parametrize("key", ["bogus_key", "stale_limt"])

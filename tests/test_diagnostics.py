@@ -12,7 +12,6 @@ from fraclab.diagnostics import (
     GeometryError,
     ResolutionError,
     WeissCurve,
-    blow_up_rescale,
     boundary_slope,
     classify,
     density_ratio,
@@ -28,6 +27,8 @@ from fraclab.extension import (ExtensionField, SlabGrid, _ball_energies, _gather
 from fraclab.grids import (BoxGrid, ThinDomain, _ball_counts, _in_ball, ball_domain,
                            interval_domain, mask_from_indices)
 from fraclab.nonlocal_form import KernelTable
+
+from references import blow_up_rescale, windowed_ball_energies
 
 
 def exact_field(grid, J, Y, s, scale=1.0):
@@ -626,7 +627,7 @@ def test_stencil_caches_hold_no_slab_and_key_the_levels(clear_caches):
     """The caches (every lru_cache of diagnostics, extension and grids, cleared
     first) keep no slab alive, a slab whose y_nodes differ (as
     gridio.read_slab_field may set them) gets its own index sets, and a second
-    evaluation on a layout builds nothing."""
+    evaluation on a layout misses no cache."""
     caches = clear_caches()
     p = FracParams(2, 0.3, 1.0)
     fields = smooth_fields(2, 1, p.s)
@@ -637,7 +638,7 @@ def test_stencil_caches_hold_no_slab_and_key_the_levels(clear_caches):
         weiss_curve(fields, x0, radii, p)
         flatness(fields, x0, 6 * h, p)
         misses.append([cache.cache_info().misses for cache in caches])
-    assert misses[0] == misses[1] and sum(map(bool, misses[0])) >= 5
+    assert misses[0] == misses[1] and sum(map(bool, misses[0])) >= 2
     slab = SlabGrid(fields[0].slab.base, 16, a=p.a, Y=4.0)
     slab.y_nodes = slab.y_nodes * (1.0 + 0.01 * np.arange(slab.J + 1) / slab.J)
     moved = [ExtensionField(slab, fields[0].values)]
@@ -656,17 +657,19 @@ def test_weiss_from_the_sphere_forms_equals_the_per_sample_sums(monkeypatch):
     Weiss values equal the per-sample sums of loop_weiss to 1e-14 relative, on a
     node, off one, and on a ladder whose largest sphere touches the box wall. The
     rule's samples lie strictly inside the ball, so that ladder's forms stay in
-    the footprint and nothing is interpolated from absolute points; the
-    ball-edge sets, which hold no conductance, serve both exponents."""
+    the footprint and nothing is interpolated from absolute points. Each curve
+    finds its ball edges once, and the edge sets hold no conductance, so both
+    exponents ask for the same three."""
     g = BoxGrid(2, -1.0, 1.0, 40)
     x = g.node_coords()
     bump = np.sqrt(np.clip(0.5 - (x**2).sum(axis=1), 0.0, None))
     traces = [bump.reshape(g.node_shape), (bump * (x[:, 0] + 0.3)).reshape(g.node_shape)]
     ladders = [([0.55, 0.1], 8.5 * g.h), ([0.55 + 0.3 * g.h, 0.1 - 0.2 * g.h], 8.5 * g.h),
                ([0.6, 0.1], 0.4)]  # 0.6 + 0.4 = 1: the wall
-    calls = []
+    calls, builds, ball_edges = [], [], extension._ball_edges
     monkeypatch.setattr(extension, "_interp", lambda *a: calls.append(1) or _interp(*a))
-    extension._ball_edges.cache_clear()
+    monkeypatch.setattr(extension, "_ball_edges", lambda *key: builds.append(key)
+                        or ball_edges(*key))
     cases = []
     for s in (0.3, 0.6):
         p = FracParams(2, s, 1.0)
@@ -674,7 +677,7 @@ def test_weiss_from_the_sphere_forms_equals_the_per_sample_sums(monkeypatch):
         for x0, top in ladders:
             radii = np.linspace(5 * g.h, top, 4)
             cases.append((fields, x0, radii, p, weiss_curve(fields, x0, radii, p).values))
-    assert calls == [] and extension._ball_edges.cache_info()[:2] == (3, 3)  # hits, misses
+    assert calls == [] and len(builds) == 6 and len(set(builds)) == 3
     assert len({case[0][0].slab.a for case in cases}) == 2
     for fields, x0, radii, p, got in cases:
         for samples in (relative_samples, absolute_samples):
@@ -704,15 +707,16 @@ def test_ball_node_counts_equal_brute_force_at_every_node(n, cells):
         assert _ball_counts(g, x0, radii, flags).tolist() == want
 
 
-def test_cached_flatness_equals_its_loop_across_layouts_and_parameters(monkeypatch):
-    """From cold caches: two blow-up radii, on and off a node, then the same
-    blow-ups under a new s and a new Lambda, and last a window on the wall,
-    whose ball points are interpolated from their absolute positions: the
-    cached model is rebuilt for each, and flatness equals the per-direction
-    loop bit for bit."""
+def test_flatness_equals_its_loop_across_layouts_and_parameters(monkeypatch):
+    """Two blow-up radii, on and off a node, then the same blow-ups under a new s
+    and a new Lambda, and last a window on the wall, whose ball points are
+    interpolated from their absolute positions: each call builds its model once,
+    and flatness equals the per-direction loop bit for bit."""
     fields = smooth_fields(2, 2, 0.3)
     h = fields[0].slab.base.h
-    diagnostics._blow_up_model.cache_clear()
+    builds, model = [], diagnostics._blow_up_model
+    monkeypatch.setattr(diagnostics, "_blow_up_model", lambda *key: builds.append(key)
+                        or model(*key))
     cases = [(p, x0, r) for p in (FracParams(2, 0.3, 1.0), FracParams(2, 0.45, 1.0),
                                   FracParams(2, 0.45, 2.5))
              for x0 in ([0.55, 0.1], [0.55 + 0.3 * h, 0.1]) for r in (6 * h, 8.5 * h)]
@@ -726,21 +730,91 @@ def test_cached_flatness_equals_its_loop_across_layouts_and_parameters(monkeypat
         assert eps == ref_eps
         np.testing.assert_array_equal(nu, ref_nu)
         np.testing.assert_array_equal(f, ref_f)
-    assert diagnostics._blow_up_model.cache_info().misses == 13
+    assert len(builds) == 13
 
 
 def test_flatness_returns_the_first_of_equal_directions(monkeypatch):
-    """With a direction-blind model every direction ties; the first is kept.
-    The cached model is replaced, not the profile inside it, so no stale
-    model outlives the test."""
+    """With a direction-blind model every direction ties; the first is kept."""
     p = FracParams(2, 0.3, 1.0)
     fields = smooth_fields(2, 2, p.s)
-    cached = diagnostics._blow_up_model
+    build = diagnostics._blow_up_model
     monkeypatch.setattr(diagnostics, "_blow_up_model", lambda *key: (
-        lambda mask, nus, model: (mask, nus, np.ones_like(model)))(*cached(*key)))
+        lambda mask, nus, model: (mask, nus, np.ones_like(model)))(*build(*key)))
     for angles in (128, 2048):
         eps, nu, _ = flatness(fields, [0.55, 0.1], 0.3, p, angle_count=angles)
         assert np.isfinite(eps) and nu.tolist() == [1.0, 0.0]
+
+
+@pytest.fixture(scope="module", params=["disk", "wall"])
+def diagnose_case(request):
+    """A mask, its two lowest eigenfunctions' extension fields and its free
+    boundary, as diagnose meets them on 32^2: a disk with a seeded wavy boundary
+    (the diagnose benchmark's kind), or a disk within 5h of the box wall."""
+    g = BoxGrid(2, -1.0, 1.0, 32)
+    if request.param == "disk":
+        rng = np.random.default_rng(5)
+        X, Y = np.meshgrid(g.axis_nodes(), g.axis_nodes(), indexing="ij")
+        theta = np.arctan2(Y, X)
+        wave = sum(a * np.cos(k * theta + ph) for k, a, ph in
+                   zip((2, 3, 4), rng.uniform(-0.02, 0.02, 3), rng.uniform(0, 2 * np.pi, 3)))
+        dom = ThinDomain(g, (X**2 + Y**2 <= (0.42 * (1 + wave)) ** 2) & g.interior())
+    else:
+        dom = ball_domain(g, [0.3, 0.0], 0.39)
+    p = FracParams(2, 0.5, 10.0)
+    fields = extend(lowest_eigenpairs(KernelTable(g, p.s), dom, 2).full_fields(),
+                    SlabGrid(g, 8, a=p.a))
+    return dom, fields, free_boundary_set(dom), p
+
+
+def test_a_batch_equals_its_points_alone_and_the_references(diagnose_case):
+    """Every point of a batch, grouped by Weiss ladder as diagnose groups them
+    (plus a group moved off the nodes, one offset each), gets bit for bit what it
+    gets alone: Weiss values, ball energies, densities, flatness, slopes and the
+    classification; the ball energies equal the windowed reference bit for bit,
+    the Weiss values the per-sample sphere quadrature from absolute points
+    (_interp) to 1e-14, and flatness, on every third point, the per-direction
+    loop over the blow_up_rescale reference bit for bit."""
+    dom, fields, fb, p = diagnose_case
+    g, h = dom.grid, dom.grid.h
+    X, normals = fb.points, fb.normals
+    tops = diagnostics._ladder_top(g, X, 8 * h)
+    inner = np.flatnonzero(tops == 8 * h)[:4]
+    moved = X[inner] + np.random.default_rng(1).uniform(-0.4, 0.4, (len(inner), 2)) * h
+    groups = [(X[idx], np.linspace(5 * h, top, 4)) for top, idx in
+              diagnostics._groups(tops.tolist()) if top >= 5 * h]
+    assert len(groups) > (dom.grid.upper - np.abs(X).max() < 8 * h)
+    for pts, radii in groups + [(moved, np.linspace(5 * h, 7 * h, 4))]:
+        curves = weiss_curve(fields, pts, radii, p)
+        energies = _ball_energies(fields, pts, radii)
+        ratios = density_ratio(dom, pts, radii)
+        for x, cur, e, q in zip(pts, curves, energies.transpose(1, 0, 2), ratios):
+            assert cur.values.tolist() == weiss_curve(fields, x, radii, p).values.tolist()
+            want = loop_weiss(fields, x, radii, p, samples=absolute_samples)
+            assert np.all(np.abs(cur.values - want) <= 1e-14 * np.abs(want))
+            assert e.tolist() == windowed_ball_energies(fields, x, radii).tolist()
+            assert q.tolist() == density_ratio(dom, x, radii).tolist()
+    eps, nus, fs = flatness(fields, X, 5 * h, p)
+    slopes = boundary_slope(fields, X, -normals, p)
+    fits = diagnostics._classifier_tops(g, X, ClassifierConfig()) > 5 * h
+    labels = classify(dom, fields, X[fits], ClassifierConfig(), p, normals[fits])
+    for k, (x, nu) in enumerate(zip(X, normals)):
+        alone = flatness(fields, x, 5 * h, p)
+        assert (eps[k], nus[k].tolist(), fs[k].tolist()) == (
+            alone[0], alone[1].tolist(), alone[2].tolist())
+        if k % 3 == 0:
+            ref = loop_flatness(fields, x, 5 * h, p, 128)
+            assert (eps[k], nus[k].tolist(), fs[k].tolist()) == (
+                ref[0], ref[1].tolist(), ref[2].tolist())
+        try:
+            assert slopes[k] == boundary_slope(fields, x, -nu, p)
+        except ResolutionError:
+            assert np.isnan(slopes[k])
+    for x, nu, pc in zip(X[fits], normals[fits], labels):
+        alone = classify(dom, fields, x, ClassifierConfig(), p, nu)
+        assert (pc.label, pc.density_limit, pc.flatness, pc.reason, pc.ratios.tolist(),
+                pc.radii.tolist()) == (alone.label, alone.density_limit, alone.flatness,
+                                       alone.reason, alone.ratios.tolist(), alone.radii.tolist())
+        assert pc.slope == alone.slope or np.isnan(pc.slope) and np.isnan(alone.slope)
 
 
 def test_weiss_energy_keeps_its_guards_and_empty_support():

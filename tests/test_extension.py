@@ -31,6 +31,8 @@ from fraclab.extension import (
 from fraclab.grids import BoxGrid, _in_ball, interval_domain
 from fraclab.nonlocal_form import KernelTable
 
+from references import windowed_ball_energies
+
 
 def _multilinear_at(grid, pts, *tail):
     """Multilinear interpolation at thin-space points, as a function of the node
@@ -621,46 +623,12 @@ def test_ball_energy_splits_total():
         assert balls[-1][1][0] < slab.Y
 
 
-def windowed_ball_energies(fields, center, radii):
-    """The ball energies as one index window of the values array computed them
-    before the cached edge sets: per axis, the midpoints' squared distances d2 over
-    the largest radius's window, each radius's mask d2 < r^2, and per field the
-    masked entries of c * (dg)^2 summed in C order."""
-    slab = fields[0].slab
-    base = slab.base
-    center = np.atleast_1d(np.asarray(center, dtype=float))
-    radii = np.asarray(radii, dtype=float)
-    radius = radii.max(initial=0.0)
-    at = (center - base.lower) / base.h  # the center in index units
-    lo = np.maximum(np.floor(at - radius / base.h).astype(int) - 1, 0)
-    hi = np.maximum(np.ceil(at + radius / base.h).astype(int) + 2, 0)
-    top = int(np.searchsorted(slab.y_nodes, radius)) + 1
-    window = tuple(slice(i, k) for i, k in zip(lo, hi)) + (slice(0, top),)
-    gs = [f.values[window] for f in fields]
-    coords = [base.axis_nodes()[w] for w in window[:-1]] + [slab.y_nodes[:top]]
-    origin = list(center) + [0.0]
-    out = np.zeros((len(fields), len(radii)))
-    for axis, c in enumerate(_conductances(slab)):
-        d2 = 0.0
-        for k, x in enumerate(coords):
-            if k == axis:
-                x = 0.5 * (x[:-1] + x[1:])
-            shape = [-1 if m == k else 1 for m in range(gs[0].ndim)]
-            d2 = d2 + ((x - origin[k]) ** 2).reshape(shape)
-        inside = [d2 < r**2 for r in radii]
-        for row, g in zip(out, gs):
-            d = np.diff(g, axis=axis)
-            e = c[: d.shape[-1]] * d * d
-            row += [e[m].sum() for m in inside]
-    return out
-
-
 @pytest.mark.parametrize("n,cells,J", [(1, 40, 9), (2, 16, 7)])
 def test_ball_energies_equal_the_windowed_reference(n, cells, J):
-    """The cached edge sets give the windowed code's sums bit for bit: centres on
-    a node and off one, inside the footprint and clipped by the box wall, with
-    unsorted and repeated radii, for one and two fields; each sum also matches
-    the edge-by-edge oracle. Half a cell off a node, lateral midpoints lie on the
+    """The edge sets give the windowed code's sums bit for bit: centres on a node
+    and off one, inside the footprint and clipped by the box wall, with unsorted
+    and repeated radii, for one and two fields, alone and as a stack; each sum
+    also matches the edge-by-edge oracle. Half a cell off a node, lateral midpoints lie on the
     spheres of whole-cell radii (3-4-5 at 5h in 2D), where the windowed code's
     bare d2 < r^2 let rounding decide; there both the edge sets and the oracle
     take the tie rule of _in_ball, so a midpoint on the sphere is outside."""
@@ -691,3 +659,11 @@ def test_ball_energies_equal_the_windowed_reference(n, cells, J):
             want = sum(c * (v[p] - v[q]) ** 2 for (p, q, c, _), inside in
                        zip(edges, _in_ball(d2, r)) if inside)
             assert e == pytest.approx(want, rel=1e-13)
+    # a stack of the centers, on and off a node and by the wall, gives each center's
+    # sums bit for bit: per offset from the nodes one edge set, chunks of centers
+    for radii in radii_sets:
+        centers = np.array([center for center, r in cases if r is radii])
+        got = _ball_energies(fields, centers, radii)
+        assert got.shape == (2, len(centers), len(radii))
+        for k, center in enumerate(centers):
+            assert got[:, k].tolist() == windowed_ball_energies(fields, center, radii).tolist()

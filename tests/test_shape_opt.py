@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 from fraclab.constants import FracParams, one_plane_solution, slope_constant
-from fraclab.diagnostics import blow_up_rescale
 from fraclab.extension import ExtensionField, SlabGrid
 from fraclab.grids import BoxGrid, ball_domain, interval_domain
 from scipy.linalg import lapack
+
+from references import blow_up_rescale
 
 from fraclab import shape_opt
 from fraclab.shape_opt import (

@@ -424,8 +424,9 @@ def cmd_diagnose(args):
                                params, c_tilde)
             for i, cur in zip(idx, curves):
                 weiss[i] = zip(cur.radii, cur.values)
-    # one classify call for the points with a ladder; alone, each other point raises
-    fits = diagnostics._classifier_tops(grid, X, ccfg) > diagnostics.WEISS_FLOOR_CELLS * grid.h
+    # one classify call for the points with a ladder; the others are too near the wall
+    tops = diagnostics._classifier_tops(grid, X, ccfg)
+    fits = tops > diagnostics.WEISS_FLOOR_CELLS * grid.h
     pcs = dict(zip(np.flatnonzero(fits), run.timed(
         "classify", diagnostics.classify, dom, ext_fields, X[fits], ccfg, params,
         normals[fits]))) if fits.any() else {}
@@ -434,14 +435,10 @@ def cmd_diagnose(args):
         dens_rows.extend(f"{k},{xs},{_fmt(r)},{_fmt(q)}\n" for r, q in dens[i])
         weiss_rows.extend(f"{k},{xs},{_fmt(r)},{_fmt(w)}\n" for r, w in weiss[i])
         entry = {"point": int(k), "x": [float(v) for v in X[i]]}
-        slope = float("nan")
-        try:
-            pc = pcs.get(i) or run.timed("classify", diagnostics.classify, dom, ext_fields,
-                                         X[i], ccfg, params, normals[i])
-        except diagnostics.GeometryError as exc:
-            # too near the box wall for a radius ladder: this point alone
+        slope, pc = float("nan"), pcs.get(i)
+        if pc is None:
             entry.update(density_limit=None, label="undetermined", flatness=None,
-                         reason=str(exc))
+                         reason=diagnostics._no_ladder(grid, tops[i]))
         else:
             slope = pc.slope
             entry.update(density_limit=pc.density_limit, label=pc.label,

@@ -484,6 +484,12 @@ def _classifier_tops(grid, x0, config):
     return _ladder_top(grid, x0, 12.0 * grid.h if config.r_max is None else config.r_max)
 
 
+def _no_ladder(grid, top):
+    """Why classify has no ladder at a point whose ladder top is `top`."""
+    return (f"no radius ladder above {WEISS_FLOOR_CELLS}h = {WEISS_FLOOR_CELLS * grid.h:g} "
+            f"fits: the largest radius is {top:g}")
+
+
 def classify(mask, G_fields, x0, config, params, normal):
     """Classify a free-boundary point as regular / singular / undetermined.
 
@@ -508,8 +514,7 @@ def classify(mask, G_fields, x0, config, params, normal):
     tops = _classifier_tops(grid, pts, config)
     short = np.flatnonzero(~(tops > r_lo))
     if short.size:
-        raise GeometryError(f"no radius ladder above {WEISS_FLOOR_CELLS}h = {r_lo:g} fits: "
-                            f"the largest radius is {tops[short[0]]:g}")
+        raise GeometryError(_no_ladder(grid, tops[short[0]]))
     ladders, ratios, gamma = [None] * len(pts), np.empty((len(pts), config.num_radii)), {}
     for top, idx in _groups(tops.tolist()):
         radii = np.geomspace(r_lo, top, config.num_radii)

@@ -102,24 +102,18 @@ def _near_weights_2d(s, h):
 # exterior tail potentials
 
 
-def _pow_integral(dm, dp, q):
-    # int_dm^dp tau^(-q) dtau for 0 < dm < dp
-    if abs(q - 1.0) < 1e-13:
-        return math.log(dp / dm)
-    return (dp ** (1.0 - q) - dm ** (1.0 - q)) / (1.0 - q)
-
-
 def _tail_1d(grid, s):
-    """Exact cell-integrated tail potential for every interior node (1d)."""
-    h = grid.h
-    x = grid.axis_nodes()
-    left_edge = grid.lower - 0.5 * h
-    right_edge = grid.upper + 0.5 * h
+    """Exact cell-integrated tail potential for every interior node (1d): the
+    integral of tau^(-2s) over [jh, (j+1)h], j = 1..N-1 the node's distance in
+    cells from each end node, divided by 2s. In cells that is h^e g(j) with
+    e = 1 - 2s and g(j) = j^e expm1(e log1p(1/j)) / e (log1p(1/j) at e = 0),
+    which does not cancel as ((j+1)^e - j^e) / e does far from the walls."""
+    N, e = grid.cells_per_axis, 1.0 - 2.0 * s
+    j = np.arange(1.0, N)
+    L = np.log1p(1.0 / j)
+    g = L if e == 0.0 else j**e * np.expm1(e * L) / e
     tail = np.zeros(grid.num_nodes)
-    for i in range(1, grid.cells_per_axis):
-        tL = _pow_integral(x[i] - left_edge - 0.5 * h, x[i] - left_edge + 0.5 * h, 2.0 * s)
-        tR = _pow_integral(right_edge - x[i] - 0.5 * h, right_edge - x[i] + 0.5 * h, 2.0 * s)
-        tail[i] = (tL + tR) / (2.0 * s)
+    tail[1:N] = grid.h**e * (g + g[::-1]) / (2.0 * s)
     return tail
 
 

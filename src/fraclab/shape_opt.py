@@ -13,15 +13,19 @@ few within 1e-9 of the best score; the tie rule runs on those dense values.
 Annealing (Metropolis with geometric cooling, one candidate per step) scores
 each proposal alone, in scalars, from the carried form's m + 1 lowest pairs
 and T's resolvent, re-solving densely an accepted proposal or a decision
-within 1e-9 of its threshold.
+within 1e-9 of its threshold. A proposal's roots step in turn and stop as soon
+as the low ends of their sign brackets reject it; only a proposal that may be
+accepted, falls in the guard band or scores inf is converged.
 Both record what a dense solve of every candidate gives. The local-optimality
 certificate is solved densely. A start mask below m nodes has no form and no
 finite objective: the run records it and ends aborted.
 Degenerate proposals (disconnecting or emptying the mask) are admissible.
 """
 
+import math
 import time
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 from scipy.linalg import lapack
@@ -35,7 +39,12 @@ _MOVE_KINDS = ("single-flip", "boundary-flip")
 _SCHEDULES = ("greedy", "anneal")
 # a root takes a few steps (at most 10 on the benchmark inputs); this bounds the loop
 _ROOT_STEPS = 128
-_EPS = np.finfo(float).eps
+_EPS = float(np.finfo(float).eps)
+# numpy's functions in `_first_iterate` and `_root_step`, for one root in Python floats;
+# a division by zero gives nan, which fails every bracket test as inf does
+_SCALAR = SimpleNamespace(
+    where=lambda c, a, b: a if c else b, maximum=max, minimum=min, copysign=math.copysign,
+    sqrt=lambda t: math.sqrt(t) if t >= 0 else math.nan, divide=lambda p, q: p / q if q else math.nan)
 
 
 @dataclass(frozen=True)
@@ -110,15 +119,16 @@ class _Evaluator:
     (`_Form`); `move_objectives` scores single-cell moves from that form, or
     from it with every pair of T (`full_spectrum`).
     `counts` tallies dense solves, secular move scores, full spectra of T,
-    annealing guard-band re-solves, and the steps and midpoint fallbacks of
-    the secular root iterations.
+    annealing guard-band re-solves, annealing proposals rejected before their
+    roots converged, and the steps and midpoint fallbacks of the secular root
+    iterations.
     """
 
     def __init__(self, grid, params, m, Lambda):
         self.table = KernelTable(grid, params.s)
         self.h, self.n, self.m, self.Lambda = grid.h, grid.n, m, Lambda
-        self.counts = dict.fromkeys(("dense", "secular", "full_eigh", "guard", "root_steps",
-                                     "bisections"), 0)
+        self.counts = dict.fromkeys(("dense", "secular", "full_eigh", "guard", "early",
+                                     "root_steps", "bisections"), 0)
 
     def solve(self, idx):
         """(objective, lambdas, form with T's m + 1 lowest pairs); inf, Nones below m nodes."""
@@ -144,11 +154,12 @@ class _Evaluator:
         sum_i w_i / (lam_i - mu), w = (S^T v)^2, v = Q^T b with the bracketed
         term or v = Q^T e_j without it (Golub 1973; see `_secular_roots`). A
         form with every pair of T scores all cells at once; one holding T's
-        m + 1 lowest pairs only scores them one by one (`_move_roots`), where
-        sum_i w_i / (lam_i - mu) is v^T (T - mu)^-1 v. A move leaving fewer
-        than m nodes scores inf.
+        m + 1 lowest pairs only scores them one by one (`move_objective`). A
+        move leaving fewer than m nodes scores inf.
         """
         idx, m, d = form.idx, self.m, form.idx.size
+        if form.lam.size < d:
+            return np.array([self.move_objective(form, c) for c in cells])
         self.counts["secular"] += cells.size
         pos = np.searchsorted(idx, cells)
         add = idx[np.minimum(pos, d - 1)] != cells
@@ -157,16 +168,37 @@ class _Evaluator:
         roots = np.full((cells.size, m), np.inf)
         for sel, v, alpha in ((add, V[:, : B.shape[1]], alpha), (~add, V[:, B.shape[1]:], None)):
             if sel.any() and d + (1 if alpha is not None else -1) >= m:
-                w = (v.T @ form.S) ** 2
-                if form.lam.size == d:
-                    roots[sel] = _secular_roots(form.lam, w, m, alpha, self.counts)
-                else:
-                    roots[sel] = [_move_roots(form, v[:, k], w[k], m,
-                                              None if alpha is None else float(alpha[k]),
-                                              self.counts)
-                                  for k in range(len(w))]
-        size = d + np.where(add, 1, -1)
-        return roots.sum(axis=1) / self.h**self.n + self.Lambda * self.h**self.n * size
+                roots[sel] = _secular_roots(form.lam, (v.T @ form.S) ** 2, m, alpha, self.counts)
+        return self._score(roots.T, d + np.where(add, 1, -1))
+
+    def move_objective(self, form, cell, settled=None):
+        """`move_objectives` of one cell from a form holding T's m + 1 lowest
+        pairs only, where sum_i w_i / (lam_i - mu) is v^T (T - mu)^-1 v
+        (`_move_roots`). `settled`, given, is called with a lower bound of the
+        objective before every root step; once it returns True the objective
+        is left nan."""
+        idx, d = form.idx, form.idx.size
+        self.counts["secular"] += 1
+        j = int(np.searchsorted(idx, cell))
+        add = j == d or idx[j] != cell
+        size = d + 1 if add else d - 1
+        if size < self.m:
+            return math.inf
+        if add:
+            V, alpha = self.table.block(idx, [cell]), float(self.table.diagonal(cell))
+        else:
+            V, alpha = np.zeros((d, 1)), None
+            V[j] = 1.0
+        V = form.qt(V)
+        bound = None if settled is None else (lambda low: settled(self._score(low, size)))
+        roots = _move_roots(form, V[:, 0], ((V.T @ form.S) ** 2)[0], self.m, alpha,
+                            self.counts, bound)
+        return self._score(roots, size)
+
+    def _score(self, roots, size):
+        """The objective from the m roots (floats, or arrays over moves) summed in
+        order, so that lower bounds of the roots give one of the objective."""
+        return sum(roots) / self.h**self.n + self.Lambda * self.h**self.n * size
 
 
 class _Form:
@@ -257,62 +289,81 @@ def _secular_roots(lam, w, m, alpha=None, counts=None):
     raise AssertionError(f"secular roots did not converge in {_ROOT_STEPS} steps")
 
 
-def _move_roots(form, v, w, m, alpha, counts):
+def _move_roots(form, v, w, m, alpha, counts, settled=None):
     """`_secular_roots` of one move from a form holding T's m + 1 lowest
-    pairs only, one root at a time in scalars. The sum over all d poles is
-    v^T y and its derivative y^T y for the tridiagonal solve y = (T - x)^-1 v,
-    exact to about eps max(|x|, norm) in x; w holds the weights of the m + 1
-    lowest poles, |v|^2 the weights' total. Every bracket ends at or below
-    lam_{m+1}, a pole of the form."""
-    lam, wl, total, norm = form.lam.tolist(), w.tolist(), float(v @ v), form.norm
-    roots = []
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for r in range(m):
-            split = r + (alpha is None)  # number of poles left of the root's bracket
-            a, b = (lam[split - 1] if split else 0.0), lam[split]
-            flat = (split > 0 and wl[split - 1] <= _EPS * total, wl[split] <= _EPS * total)
-            x, lo, hi = float(_first_iterate(a, b, *flat, norm)), a, b
-            for it in range(_ROOT_STEPS):
-                if not lo < x < hi:
-                    break
-                y = _lapack("dgtsv", form.off, form.diag - x, form.off, v)[3]
-                fl = gl = 0.0
-                for i in range(split):
-                    inv = 1.0 / (lam[i] - x)
-                    fl += wl[i] * inv
-                    gl += wl[i] * inv * inv
-                lo, hi, new, done, model = _root_step(x, a, b, lo, hi, float(y @ v),
-                                                      float(y @ y), fl, gl, alpha, norm,
-                                                      it > 0 or not any(flat))
-                counts["root_steps"] += 1
-                counts["bisections"] += not (done or model)
-                if done:
-                    break
-                x = new
-            else:
-                raise AssertionError(f"secular roots did not converge in {_ROOT_STEPS} steps")
-            roots.append(x)
-    return roots
+    pairs only, in scalars, the roots taking a step each in turn. The sum over
+    all d poles is v^T y and its derivative y^T y for the tridiagonal solve
+    y = (T - x)^-1 v, exact to about eps max(|x|, norm) in x; w holds the
+    weights of the m + 1 lowest poles, |v|^2 the weights' total. Every bracket
+    ends at or below lam_{m+1}, a pole of the form. A root whose bracket has no
+    deflated end starts from one step on the form's model: those m + 1 poles,
+    and the rest of |v|^2 at norm >= |T|, which needs no solve.
+
+    `settled`, if given, is called before every step with a lower bound of
+    each root, its sign bracket's low end (the root once found); once it
+    returns True the roots are nan and `early` counts the stop."""
+    lam, wl, total, norm = form.lam.tolist(), w.tolist(), float(v @ v), float(form.norm)
+    model = lam + [norm], wl + [max(total - sum(wl), 0.0)]
+    k = [r + (alpha is None) for r in range(m)]  # poles left of each root's bracket
+    a, b = [lam[j - 1] if j else 0.0 for j in k], [lam[j] for j in k]
+    # whether the poles at a and b have vanishing weights (are deflated)
+    flat = [(j > 0 and wl[j - 1] <= _EPS * total, wl[j] <= _EPS * total) for j in k]
+    x = []
+    for r, j in enumerate(k):
+        mid, guess = 0.5 * (a[r] + b[r]), None
+        if not any(flat[r]) and a[r] < mid < b[r]:  # the model's step from the midpoint
+            new, done = _root_step(mid, a[r], b[r], a[r], b[r], *_pole_sums(*model, mid),
+                                   *_pole_sums(lam[:j], wl[:j], mid), alpha, norm, True)[2:4]
+            guess = mid if done else new
+        x.append(_first_iterate(a[r], b[r], *flat[r], norm, guess))
+    lo, hi = a[:], b[:]  # a found root's bracket closes on it
+    for it in range(_ROOT_STEPS + 1):
+        act = [r for r in range(m) if lo[r] < x[r] < hi[r]]
+        if not act or it == _ROOT_STEPS:
+            break
+        for r in act:
+            if settled is not None and settled(lo):
+                counts["early"] += 1
+                return [math.nan] * m
+            y = _lapack("dgtsv", form.off, form.diag - x[r], form.off, v)[3]
+            lo[r], hi[r], new, done, model_root = _root_step(
+                x[r], a[r], b[r], lo[r], hi[r], float(y @ v), float(y @ y),
+                *_pole_sums(lam[: k[r]], wl[: k[r]], x[r]), alpha, norm,
+                it > 0 or not any(flat[r]))
+            counts["root_steps"] += 1
+            counts["bisections"] += not (done or model_root)
+            lo[r], hi[r], x[r] = (x[r], x[r], x[r]) if done else (lo[r], hi[r], new)
+    if act:
+        raise AssertionError(f"secular roots did not converge in {_ROOT_STEPS} steps")
+    return x
 
 
-def _pick(cond, a, b):
-    """np.where(cond, a, b), without 0-d arrays for a scalar cond."""
-    return np.where(cond, a, b) if isinstance(cond, np.ndarray) else (a if cond else b)
+def _pole_sums(lam, w, x):
+    """sum_i w_i / (lam_i - x) and its derivative, summed in order, in Python floats."""
+    f = g = 0.0
+    for li, wi in zip(lam, w):
+        inv = 1.0 / (li - x)
+        f += wi * inv
+        g += wi * inv * inv
+    return f, g
 
 
-def _first_iterate(a, b, flat_a, flat_b, norm):
-    """The first iterate in a root's bracket [a, b]: the midpoint, or, where
+def _first_iterate(a, b, flat_a, flat_b, norm, guess=None):
+    """The first iterate in a root's bracket [a, b], arrays or one root in
+    scalars: the midpoint, or `guess` kept 16 ulps inside [a, b], or, where
     the pole at an end has a vanishing weight (at most eps times the total, as
     on a nodal line; the pole is deflated), a probe 16 ulps inside that end
-    for the side of the root. 16 ulps: a step to a weighted pole closer than
-    8 ulps would count as done."""
-    near = np.minimum(16 * _EPS * np.maximum(np.abs(b), norm), 0.5 * (b - a))
-    return _pick(flat_a, a + near, _pick(flat_b, b - near, 0.5 * (a + b)))
+    for the side of the root. 16 ulps: an iterate closer than 8 ulps to a
+    weighted pole would count as a root."""
+    xp = np if isinstance(a, np.ndarray) else _SCALAR
+    near = xp.minimum(16 * _EPS * xp.maximum(abs(b), norm), 0.5 * (b - a))
+    inner = 0.5 * (a + b) if guess is None else xp.minimum(xp.maximum(guess, a + near), b - near)
+    return xp.where(flat_a, a + near, xp.where(flat_b, b - near, inner))
 
 
 def _root_step(x, a, b, lo, hi, F, dF, fl, gl, alpha, norm, free):
     """One step at x inside F's sign bracket (lo, hi) within [a, b], for
-    arrays of roots or for one root in scalars.
+    arrays of roots or for one root in Python floats.
 
     F, dF are the pole sum and its derivative at x, fl, gl their parts from
     the poles left of [a, b]; alpha is None for a removal; norm bounds |T|
@@ -325,6 +376,7 @@ def _root_step(x, a, b, lo, hi, F, dF, fl, gl, alpha, norm, free):
     within 8 eps of its rounding error. Returns the new bracket, the next
     iterate, whether x is a root and whether the model root was taken.
     """
+    xp = np if isinstance(x, np.ndarray) else _SCALAR
     # rounding error of F, chiefly from lam_i - mu (exact only to an ulp of
     # max(|mu|, norm), hence the F' part); a smaller |F| is a root
     noise = F - 2.0 * fl  # sum of |w_i / (lam_i - mu)|
@@ -332,18 +384,18 @@ def _root_step(x, a, b, lo, hi, F, dF, fl, gl, alpha, norm, free):
         F = F + (x - alpha)
         dF = dF + 1.0
         noise = noise + abs(alpha)
-    noise = noise + np.maximum(abs(x), norm) * dF
-    lo, hi = _pick(F < 0, x, lo), _pick(F > 0, x, hi)
+    noise = noise + xp.maximum(abs(x), norm) * dF
+    lo, hi = xp.where(F < 0, x, lo), xp.where(F > 0, x, hi)
     da, db = a - x, b - x
     P, Q = gl * da * da, (dF - gl) * db * db
     c = F - P / da - Q / db
     # c y^2 - B y + C = 0 in the step y = new - x, its stable root pair
     B, C = c * (da + db) + P + Q, F * da * db
-    q = B + np.copysign(np.sqrt(B * B - 4.0 * c * C), B)
-    y = 2 * C / q
-    new = x + _pick((y > da) & (y < db), y, q / (2 * c))
+    q = B + xp.copysign(xp.sqrt(B * B - 4.0 * c * C), B)
+    y = xp.divide(2 * C, q)
+    new = x + xp.where((y > da) & (y < db), y, xp.divide(q, 2 * c))
     model = (new > lo) & (new < hi) & free
-    new = _pick(model, new, 0.5 * (lo + hi))
+    new = xp.where(model, new, 0.5 * (lo + hi))
     return lo, hi, new, abs(F) <= 8 * _EPS * noise, model
 
 
@@ -553,12 +605,21 @@ def _secular_metropolis(ev, form, cell, new, obj, T, rng):
     above obj + eps draw u as the dense rule would and let it decide unless it
     lies between the thresholds of the score -eps and +eps. That guard band and
     non-finite scores are decided densely; an accepted proposal is solved
-    densely, so the recorded values are the dense ones."""
-    score = ev.move_objectives(form, np.array([cell]))[0]
-    delta, eps, T = score - obj, 1e-9 * max(1.0, abs(obj)), max(T, 1e-12)
-    u = rng.random() if np.isfinite(score) and delta > eps else None
-    if u is not None and u >= np.exp(-(delta - eps) / T):
+    densely, so the recorded values are the dense ones. The roots stop once a
+    lower bound of the score rejects: rounding is monotone, so the bound draws
+    u at the score's point of the random stream and rejects what it would."""
+    eps, T, u = 1e-9 * max(1.0, abs(obj)), max(T, 1e-12), None
+
+    def rejects(score):
+        nonlocal u
+        if u is None and math.isfinite(score) and score - obj > eps:
+            u = rng.random()
+        return u is not None and u >= np.exp(-(score - obj - eps) / T)
+
+    score = ev.move_objective(form, cell, rejects)
+    if math.isnan(score) or rejects(score):
         return False, None, None, None
+    delta = score - obj
     if not delta < -eps and (u is None or u >= np.exp(-(delta + eps) / T)):
         ev.counts["guard"] += 1
         return _metropolis(ev, new, obj, T, rng, u)

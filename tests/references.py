@@ -1,11 +1,14 @@
-"""Slow references the tests hold the diagnostics to: the blow-up of extension
+"""Slow references the tests hold the code to: the blow-up of extension
 fields on a unit-scale grid (once public API), whose values flatness gathers at
-the unit-ball points, and the ball energies as one index window computed them."""
+the unit-ball points, the ball energies as one index window computed them, and
+an anneal that converges every proposal's roots before deciding."""
 
 from dataclasses import dataclass
+from unittest import mock
 
 import numpy as np
 
+from fraclab import shape_opt
 from fraclab.diagnostics import _blow_up_stencil, _blow_up_window
 from fraclab.extension import _conductances, _gather
 from fraclab.grids import BoxGrid
@@ -79,3 +82,12 @@ def windowed_ball_energies(fields, center, radii):
             e = c[: d.shape[-1]] * d * d
             row += [e[m].sum() for m in inside]
     return out
+
+
+def converged_anneal(grid, config, params):
+    """`optimize` whose annealing proposals converge every root before the
+    Metropolis test: `move_objective` without the early stop it is handed."""
+    score = shape_opt._Evaluator.move_objective
+    with mock.patch.object(shape_opt._Evaluator, "move_objective",
+                           lambda self, form, cell, settled=None: score(self, form, cell)):
+        return shape_opt.optimize(grid, config, params)

@@ -456,6 +456,28 @@ def test_near_field_moments_match_mpmath_at_s_095():
 # -- exterior tail: corner integrals and the torsion oracle ----------------------
 
 
+@pytest.mark.parametrize("s", [0.2, 0.5, 0.8])
+def test_interval_tail_matches_mpmath(s):
+    """The 1D tail at every node of the 2048-cell box of `fraclab eig`'s
+    interval benchmark against its integrals in 30 digits: h^e ((j+1)^e -
+    j^e) / e, e = 1 - 2s (log((j+1)/j) at e = 0), from both end nodes, over
+    2s. Powers subtracted in doubles were up to 2e-13 off far from the walls."""
+    mp = pytest.importorskip("mpmath")
+    g = BoxGrid(1, -2.0, 2.0, 2048)
+    N = g.cells_per_axis
+    with mp.workdps(30):
+        e, h = 1 - 2 * mp.mpf(s), mp.mpf(g.h)
+
+        def cell(j):
+            return mp.log(mp.mpf(j + 1) / j) if e == 0 else ((j + 1) ** e - mp.mpf(j) ** e) / e
+
+        want = np.array([float(h**e * (cell(i) + cell(N - i)) / (2 * mp.mpf(s)))
+                         for i in range(1, N)])
+    got = _tail_1d(g, s)
+    assert got[0] == got[N] == 0.0
+    assert np.max(np.abs(got[1:N] / want - 1.0)) <= 1e-15
+
+
 @pytest.mark.parametrize("s", [0.05, 0.2, 0.5, 0.8, 0.95])
 def test_corner_integrals_match_the_incomplete_beta_form(s):
     """Q(a, b) = B(s+1/2, 1/2) [I_{sin^2 t}(s+1/2, 1/2) b^(-2s)

@@ -9,7 +9,7 @@ from fraclab.extension import ExtensionField, SlabGrid
 from fraclab.grids import BoxGrid, ball_domain, interval_domain
 from scipy.linalg import lapack
 
-from references import blow_up_rescale
+from references import blow_up_rescale, converged_anneal
 
 from fraclab import shape_opt
 from fraclab.shape_opt import (
@@ -257,9 +257,9 @@ def test_single_move_score_raises_at_the_root_step_cap(monkeypatch, remove):
 
 
 def test_root_counters_count_steps_and_midpoints(monkeypatch):
-    """Annealing scores one root at a time, one tridiagonal solve per step, so
-    `root_steps` is the number of dgtsv calls; three roots at s = 0.2 take
-    midpoint steps. A batch counts the steps of every (candidate, root) pair:
+    """Annealing steps its roots in scalars, one tridiagonal solve per step
+    and none for the model start, so `root_steps` is the number of dgtsv
+    calls; three roots at s = 0.2 take midpoint steps. A batch counts the steps of every (candidate, root) pair:
     scoring all cells at once or one at a time gives the same totals."""
     solves, lapack_call = [], shape_opt._lapack
 
@@ -427,24 +427,26 @@ def _dense_anneal(grid, cfg, params):
     return records, best[2], best[1]
 
 
+def _anneal_case(case, kind, seed):
+    """(grid, params, config) of an annealing test case."""
+    if case == "1d-bench":
+        return bench_grid(), bench_params(), OptimizerConfig(
+            m=1, Lambda=2.3, schedule="anneal", move_kind=kind, t0=0.05, cooling=0.97,
+            steps=200, seed=seed)
+    if case == "2d-16-m3-s0.2":  # three roots per proposal
+        return BoxGrid(2, -1.0, 1.0, 16), FracParams(2, 0.2, 4.0), OptimizerConfig(
+            m=3, Lambda=4.0, schedule="anneal", move_kind=kind, steps=150, seed=seed)
+    lam = float(case.rsplit("lambda", 1)[1])
+    return BoxGrid(2, -1.0, 1.0, 16), FracParams(2, 0.5, lam), OptimizerConfig(
+        m=2, Lambda=lam, schedule="anneal", move_kind=kind, steps=150, seed=seed)
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 @pytest.mark.parametrize("kind", ["boundary-flip", "single-flip"])
 @pytest.mark.parametrize("case", ["1d-bench", "2d-16-lambda4", "2d-16-lambda10",
                                   "2d-16-m3-s0.2"])
 def test_anneal_equals_dense_anneal(case, kind, seed):
-    if case == "1d-bench":
-        g, p = bench_grid(), bench_params()
-        cfg = OptimizerConfig(m=1, Lambda=2.3, schedule="anneal", move_kind=kind,
-                              t0=0.05, cooling=0.97, steps=200, seed=seed)
-    elif case == "2d-16-m3-s0.2":  # three roots per proposal
-        g, p = BoxGrid(2, -1.0, 1.0, 16), FracParams(2, 0.2, 4.0)
-        cfg = OptimizerConfig(m=3, Lambda=4.0, schedule="anneal", move_kind=kind,
-                              steps=150, seed=seed)
-    else:
-        lam = float(case.rsplit("lambda", 1)[1])
-        g, p = BoxGrid(2, -1.0, 1.0, 16), FracParams(2, 0.5, lam)
-        cfg = OptimizerConfig(m=2, Lambda=lam, schedule="anneal", move_kind=kind,
-                              steps=150, seed=seed)
+    g, p, cfg = _anneal_case(case, kind, seed)
     records, mask, lams = _dense_anneal(g, cfg, p)
     tr = optimize(g, cfg, p)
     assert tr.records == records
@@ -457,6 +459,22 @@ def test_anneal_equals_dense_anneal(case, kind, seed):
     accepted = sum(r["accepted"] for r in records[1:])
     assert ev["full_eigh"] == 0 and ev["secular"] == len(records) - 1
     assert accepted + 1 <= ev["dense"] <= accepted + ev["guard"] + 1, (ev, accepted)
+
+
+@pytest.mark.parametrize("case", ["1d-bench", "2d-16-m3-s0.2"])
+def test_early_stop_records_what_the_converged_anneal_records(case):
+    """Stopping a proposal's roots once their brackets reject it records
+    what converging every root first records, in fewer root steps."""
+    g, p, cfg = _anneal_case(case, "boundary-flip", 0)
+    ref, tr = converged_anneal(g, cfg, p), optimize(g, cfg, p)
+    assert tr.records == ref.records
+    assert np.array_equal(tr.best_mask.mask, ref.best_mask.mask)
+    assert np.array_equal(tr.best_lambdas, ref.best_lambdas)
+    ev, ref_ev = tr.evaluations, ref.evaluations
+    assert ev["early"] > 0 == ref_ev["early"]
+    assert ev["root_steps"] < ref_ev["root_steps"], (ev, ref_ev)
+    for key in ("dense", "secular", "full_eigh", "guard"):
+        assert ev[key] == ref_ev[key], key
 
 
 class _FixedDraw:
@@ -474,6 +492,7 @@ class _FixedDraw:
     (1e-2, 1 - 1e-12, True),   # u just under exp(-delta/T): within the band
     (1e-2, 1 + 1e-12, False),  # just over
     (0.0, 0.5, True),          # |delta| within eps: decided densely before any draw
+    (5e-2, 1.5, False),        # far over: the root brackets reject before they converge
 ])
 def test_guard_band_is_decided_densely(gap, u_scale, accepted):
     g, T = BoxGrid(2, -1.0, 1.0, 12), 0.1
@@ -484,18 +503,25 @@ def test_guard_band_is_decided_densely(gap, u_scale, accepted):
     o, lms, _ = ev.solve(np.flatnonzero(new))
     obj = o - gap  # the current objective the proposal is measured against
     rng = _FixedDraw(np.exp(-(o - obj) / T) * u_scale)
-    got = _secular_metropolis(ev, ev.solve(np.flatnonzero(mask))[2], cell, new, obj, T, rng)
+    band = rng.u < np.exp(-(o - obj - 1e-9 * max(1.0, abs(obj))) / T)
+    form = ev.solve(np.flatnonzero(mask))[2]
+    dense = ev.counts["dense"]
+    got = _secular_metropolis(ev, form, cell, new, obj, T, rng)
     assert got[0] == accepted and rng.draws == 1
-    assert ev.counts["guard"] == 1
+    assert ev.counts["guard"] == band and ev.counts["early"] == (not band)
+    assert ev.counts["dense"] - dense == band  # a rejection outside the band is not solved
     if accepted:
         assert got[1] == o and np.array_equal(got[2], lms)
 
 
 @pytest.mark.parametrize("schedule", ["greedy", "anneal"])
 def test_secular_score_off_its_dense_value_raises(schedule, monkeypatch):
-    score = _Evaluator.move_objectives
-    monkeypatch.setattr(_Evaluator, "move_objectives",
-                        lambda self, form, cells: score(self, form, cells) * (1 - 1e-8))
+    """Greedy scores through `move_objectives`, annealing one proposal at a
+    time through `move_objective`, passing its early stop on."""
+    name = "move_objectives" if schedule == "greedy" else "move_objective"
+    score = getattr(_Evaluator, name)
+    monkeypatch.setattr(_Evaluator, name,
+                        lambda self, *args: score(self, *args) * (1 - 1e-8))
     cfg = OptimizerConfig(m=2, Lambda=4.0, schedule=schedule, steps=150, seed=0)
     with pytest.raises(AssertionError, match="secular objective"):
         optimize(BoxGrid(2, -1.0, 1.0, 12), cfg, FracParams(2, 0.5, 4.0))

@@ -203,10 +203,10 @@ def _sphere_forms(layout, radii, f, a):
 
 
 def _quadratic(forms, u):
-    """Per cell u^T M u of the forms M (cells, K, K) at u (cells, K, points): (cells, points)."""
-    mu = forms @ u
-    mu *= u
-    return mu.sum(axis=1)
+    """Per cell u^T M u of the forms M (cells, K, K) at u (cells, points, K): (cells, points)."""
+    um = u @ forms
+    um *= u
+    return um.sum(axis=-1)
 
 
 def _weiss_energies(fields, X0, radii, params):
@@ -232,10 +232,10 @@ def _weiss_energies(fields, X0, radii, params):
     sums = np.empty((len(x0), len(radii)))
     for f, idx in _groups(offs):
         offsets, forms, starts = _sphere_forms(layout, tuple(radii.tolist()), f, params.a)
-        for part in _chunks(idx, 3 * offsets.nbytes):  # at, u and M u per point
-            # numpy takes a one-column product through gemv, which orders its sums unlike
+        for part in _chunks(idx, 3 * offsets.nbytes):  # at, u and u M per point
+            # numpy takes a one-row product through gemv, which orders its sums unlike
             # gemm: a lone point goes twice, so no point's sums depend on its chunk
-            at = offsets[..., None] + base[part if len(part) > 1 else np.repeat(part, 2)]
+            at = offsets[:, None] + base[part if len(part) > 1 else np.repeat(part, 2), None]
             cells = sum(_quadratic(forms, fld.values.reshape(-1).take(at)) for fld in fields)
             sums[part] = np.add.reduceat(cells, starts).T[:len(part)]
     # per radius r^n, r^a and r^(n+1); the rule's weights hold (y/r)^a: scale back

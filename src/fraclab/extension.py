@@ -15,12 +15,14 @@ The extension solve is separable. On the free nodes (interior x-nodes times
 levels 1..J-1) the operator is h^(n-2) L_x (x) diag(w) + I (x) T_y, with L_x the
 Dirichlet lattice Laplacian and T_y the tridiagonal vertical part. The
 orthonormal DST-I diagonalises L_x, so in sine coordinates the operator splits
-into one tridiagonal block per mode. Each extend call factors it once for all
-its traces by one sparse LU in natural order (fill about four per unknown);
-each trace then costs a DST, one LU solve and an inverse DST (sine-matrix
-products, O(N M) for N slab nodes and M nodes per axis). The slab holds only
-geometry. The method is exact: the result agrees with a direct sparse solve
-of the assembled system up to roundoff.
+into one tridiagonal block T_mu per mode, which depends on the mode only through
+its eigenvalue mu. A trace's right-hand side lies on level 1 alone, so a mode's
+solution is the trace's DST coefficient times the profile T_mu^-1 e_1. Each extend
+call finds the profiles once for all its traces, by one sparse LU in natural order
+of the blocks of the distinct mu; each trace then costs two DSTs (sine-matrix
+products, O(N M) for N slab nodes and M nodes per axis) and a product. The method
+is exact: the result agrees with a direct sparse solve of the assembled system up
+to roundoff.
 """
 
 import functools
@@ -98,24 +100,24 @@ class SlabGrid:
         return mask
 
 
-def _modal_lu(slab):
-    """LU of the slab's extension operator in DST-I coordinates.
-
-    Unknowns are ordered mode-major, level-minor (levels 1..J-1); mode k
-    of the Dirichlet lattice Laplacian on the interior x-nodes has the
-    eigenvalue sum over axes of 2 - 2 cos(pi k / cells_per_axis).
-    """
+def _modal_profiles(slab):
+    """The profile T_mu^-1 e_1 over levels 1..J-1 of each DST-I mode, (N-1,)*n + (J-1,):
+    one LU of the blocks of the distinct mu, mode k's mu the sum over axes of
+    2 - 2 cos(pi k / N)."""
     base = slab.base
     N = base.cells_per_axis
     lam1 = 2.0 - 2.0 * np.cos(np.pi * np.arange(1, N) / N)
-    mu = functools.reduce(np.add.outer, [lam1] * base.n).ravel()
+    mu = functools.reduce(np.add.outer, [lam1] * base.n)
+    distinct, mode = np.unique(mu, return_inverse=True)  # mirror modes' sums are equal
     *lateral, cv = _conductances(slab)
-    diag = cv[:-1] + cv[1:] + np.outer(mu, lateral[0][1:-1])
-    # one tridiagonal block per mode: the zero ends each block's coupling
-    off = np.tile(np.append(-cv[1:-1], 0.0), mu.size)[:-1]
+    diag = cv[:-1] + cv[1:] + np.outer(distinct, lateral[0][1:-1])
+    # one tridiagonal block per distinct mu: the zero ends each block's coupling
+    off = np.tile(np.append(-cv[1:-1], 0.0), distinct.size)[:-1]
     A = sparse.diags([diag.ravel(), off, off], [0, -1, 1], format="csc")
+    e1 = np.repeat(np.eye(1, slab.J - 1), distinct.size, axis=0)
     # supernodes buy nothing on a tridiagonal: one-column panels, no relaxation
-    return sla.splu(A, permc_spec="NATURAL", panel_size=1, relax=1)
+    lu = sla.splu(A, permc_spec="NATURAL", panel_size=1, relax=1)
+    return lu.solve(e1.ravel()).reshape(diag.shape)[mode.reshape(mu.shape)]
 
 
 def _conductances(slab):
@@ -309,20 +311,18 @@ def _check_trace(trace, base):
 def extend(traces, slab):
     """One ExtensionField per trace: each a full node array on slab.base that
     vanishes on the lateral ring, all checked before anything is solved. The
-    operator is factored once per call, and only if some trace is nonzero; a
+    profiles are found once per call, and only if some trace is nonzero; a
     zero trace short-circuits to the zero field."""
     traces = [_check_trace(trace, slab.base) for trace in traces]
     n, inner = slab.base.n, (slice(1, -1),) * slab.base.n
     cv = _conductances(slab)[-1]
-    lu = _modal_lu(slab) if any(map(np.any, traces)) else None
+    profiles = _modal_profiles(slab) if any(map(np.any, traces)) else None
     fields = []
     for trace in traces:
         vals = np.zeros(slab.values_shape())
         vals[..., 0] = trace
         if np.any(trace):
-            rhs = np.zeros(trace[inner].shape + (slab.J - 1,))
-            rhs[..., 0] = cv[0] * _dst1(trace[inner], n)
-            z = lu.solve(rhs.ravel()).reshape(rhs.shape)
+            z = profiles * (cv[0] * _dst1(trace[inner], n))[..., None]
             vals[inner + (slice(1, -1),)] = _dst1(z, n)
             _check_residual(slab, ~slab.boundary_mask(), vals)
         fields.append(ExtensionField(slab, vals))

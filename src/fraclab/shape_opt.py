@@ -210,8 +210,8 @@ class _Form:
         # block size 16 (set by the workspace) beat 32 at d = 145..1200, one thread
         c, self.diag, off, self.tau = _lapack("dsytrd", K.T, lower=1, lwork=16 * d,
                                               overwrite_a=1)
-        # Q = diag(1, Q'), Q' the product of the reflectors below the subdiagonal
-        self.reflectors = np.asfortranarray(c[1:, :-1])
+        # Q = diag(1, Q'), Q' from the reflectors below the subdiagonal: c viewed with lda d
+        self.reflectors = c.ravel(order="F")[1:1 + d * (d - 1)].reshape((d, d - 1), order="F")
         self.off = off if d > 1 else np.zeros(1)  # the wrappers want one entry at d = 1
         # a bound on |T|: a solve with T - mu is exact to about eps |T| in mu
         self.norm = np.abs(self.diag).max() + 2 * np.abs(self.off).max()

@@ -817,6 +817,27 @@ def test_a_batch_equals_its_points_alone_and_the_references(diagnose_case):
         assert pc.slope == alone.slope or np.isnan(pc.slope) and np.isnan(alone.slope)
 
 
+def test_a_chunk_of_one_point_equals_the_whole_batch(diagnose_case, monkeypatch):
+    """A ladder group's per-cell sphere sums (_quadratic) and Weiss values are the
+    same bits in one chunk and in two, the last of which holds one point."""
+    dom, fields, fb, p = diagnose_case
+    h = dom.grid.h
+    tops = diagnostics._ladder_top(dom.grid, fb.points, 8 * h)
+    pts, radii = fb.points[tops == 8 * h][:5], np.linspace(5 * h, 8 * h, 4)
+    quadratic, sums = diagnostics._quadratic, []
+    monkeypatch.setattr(diagnostics, "_quadratic", lambda forms, u: sums.append(
+        quadratic(forms, u)) or sums[-1])
+    runs = []
+    for split in (lambda idx: [idx], lambda idx: [idx[:-1], idx[-1:]]):
+        monkeypatch.setattr(diagnostics, "_chunks", lambda idx, point_bytes: split(idx))
+        runs.append([c.values.tolist() for c in weiss_curve(fields, pts, radii, p)])
+    assert runs[0] == runs[1]
+    k = len(fields)
+    assert len(sums) == 3 * k and sums[0].shape[1] == len(pts)
+    for whole, head, lone in zip(sums[:k], sums[k:2 * k], sums[2 * k:]):
+        assert whole.tolist() == np.hstack([head, lone[:, :1]]).tolist()
+
+
 def test_weiss_energy_keeps_its_guards_and_empty_support():
     p = FracParams(2, 0.3, 1.0)
     fields = smooth_fields(2, 1, p.s)

@@ -23,7 +23,7 @@ from fraclab.extension import (
     _apply,
     _cell_stencil,
     _in_footprint,
-    _modal_lu,
+    _modal_profiles,
     extend,
     extension_energy,
     neumann_trace,
@@ -129,11 +129,7 @@ def test_extend_residual_check_rejects_a_non_finite_solve(monkeypatch):
     g = BoxGrid(1, -2.0, 2.0, 32)
     slab = SlabGrid(g, 8, a=0.0)
 
-    class NanLU:
-        def solve(self, b):
-            return np.full_like(b, np.nan)
-
-    monkeypatch.setattr(extension, "_modal_lu", lambda slab: NanLU())
+    monkeypatch.setattr(extension, "_modal_profiles", lambda slab: np.nan * _modal_profiles(slab))
     with pytest.raises(RuntimeError, match="not finite"):
         extend([bump_trace(g)], slab)
 
@@ -220,17 +216,19 @@ def random_interior_trace(grid, seed):
     (2, 16, 16, -0.6), (2, 16, 16, 0.0), (2, 16, 16, 0.6), (1, 64, 16, 0.3),
 ])
 def test_separable_extend_matches_sparse_lu(n, cells, J, a):
-    """The DST-I / per-mode LU solve equals a sparse LU of the assembled
-    system on the same free nodes, up to roundoff."""
+    """The DST-I / modal profile solve equals a sparse LU of the assembled
+    system on the same free nodes, up to roundoff, for one trace alone and for
+    two traces in one call."""
     g = BoxGrid(n, -1.0, 1.0, cells)
     slab = SlabGrid(g, J, a=a)
-    tr = random_interior_trace(g, seed=cells + J)
-    (f,) = extend([tr], slab)
-    data = np.zeros(slab.values_shape())
-    data[..., 0] = tr
-    ref = _solve_dirichlet(slab, ~slab.boundary_mask(), data)
-    rel = np.abs(f.values - ref).max() / np.abs(ref).max()
-    assert rel <= 1e-12
+    traces = [random_interior_trace(g, seed=cells + J), random_interior_trace(g, seed=J)]
+    for fields in (extend(traces[:1], slab), extend(traces, slab)):
+        for f, tr in zip(fields, traces):
+            data = np.zeros(slab.values_shape())
+            data[..., 0] = tr
+            ref = _solve_dirichlet(slab, ~slab.boundary_mask(), data)
+            rel = np.abs(f.values - ref).max() / np.abs(ref).max()
+            assert rel <= 1e-12
 
 
 @pytest.mark.parametrize("n,cells", [(1, 64), (2, 16)])
@@ -259,7 +257,7 @@ def test_extend_checks_every_trace_before_factoring(monkeypatch):
     def fail(slab):
         raise AssertionError("the operator was factored")
 
-    monkeypatch.setattr(extension, "_modal_lu", fail)
+    monkeypatch.setattr(extension, "_modal_profiles", fail)
     g = BoxGrid(1, -1.0, 1.0, 16)
     slab = SlabGrid(g, 8, a=0.0)
     bad = bump_trace(g)
@@ -281,7 +279,7 @@ def test_dst1_matches_scipy_fft(shape, n):
     np.testing.assert_allclose(_dst1(_dst1(x, n), n), x, rtol=0, atol=1e-13)
 
 
-def test_extend_at_scale_passes_residual_check():
+def test_extend_at_scale_passes_residual_check(monkeypatch):
     """128^2 x 48 (758k unknowns); extend raises if the residual of the
     assembled operator exceeds 1e-10 relative, and keeps no per-edge data."""
     g = BoxGrid(2, -1.0, 1.0, 128)
@@ -299,23 +297,39 @@ def test_extend_at_scale_passes_residual_check():
     assert resident < 3 * f.values.nbytes
     np.testing.assert_array_equal(f.trace, u)
     assert f.values.min() >= -1e-12 and f.values.max() <= u.max() + 1e-12
-    # one tridiagonal block per mode: the LU fill stays linear in the unknowns
-    lu = _modal_lu(slab)
-    assert lu.L.nnz + lu.U.nnz <= 4 * 127**2 * 47
+    # one tridiagonal block per distinct mu: the LU fill stays linear in the unknowns
+    lus, splu = [], sla.splu
+    monkeypatch.setattr(sla, "splu", lambda *a, **kw: lus.append(splu(*a, **kw)) or lus[-1])
+    _modal_profiles(slab)
+    assert len(lus) == 1 and lus[0].L.nnz + lus[0].U.nnz <= 4 * 127**2 * 47
 
 
 def test_extend_residual_check_rejects_a_wrong_solve(monkeypatch):
     g = BoxGrid(1, -2.0, 2.0, 32)
     slab = SlabGrid(g, 8, a=0.0)
-    lu = _modal_lu(slab)
-
-    class PerturbedLU:
-        def solve(self, b):
-            return 1.0001 * lu.solve(b)
-
-    monkeypatch.setattr(extension, "_modal_lu", lambda slab: PerturbedLU())
+    monkeypatch.setattr(extension, "_modal_profiles", lambda slab: 1.0001 * _modal_profiles(slab))
     with pytest.raises(RuntimeError, match="residual"):
         extend([bump_trace(g)], slab)
+
+
+@pytest.mark.parametrize("n,cells,J,rows", [(2, 32, 32, 483 * 31), (1, 64, 12, 63 * 11)])
+def test_extend_factors_the_distinct_modes_once(monkeypatch, n, cells, J, rows):
+    """One extend of two traces factors once, a matrix of (distinct mu) * (J-1)
+    rows: 483 of the 961 modes on the 32^2 x 32 slab, every mode in 1D."""
+    shapes, splu = [], sla.splu
+    monkeypatch.setattr(sla, "splu", lambda A, **kw: shapes.append(A.shape) or splu(A, **kw))
+    g = BoxGrid(n, -1.0, 1.0, cells)
+    extend([random_interior_trace(g, seed=1), random_interior_trace(g, seed=2)],
+           SlabGrid(g, J, a=0.0))
+    assert shapes == [(rows, rows)]
+
+
+def test_mirror_modes_get_bit_identical_profiles():
+    """On the square, modes (i, j) and (j, i) share mu bit for bit, so their
+    profiles are one and the same."""
+    P = _modal_profiles(SlabGrid(BoxGrid(2, -1.0, 1.0, 32), 32, a=-0.4))
+    assert P.shape == (31, 31, 31) and np.all(np.isfinite(P))
+    assert P.tobytes() == np.ascontiguousarray(P.transpose(1, 0, 2)).tobytes()
 
 
 def oracle_edges(slab):

@@ -368,10 +368,35 @@ def test_carried_form_spectrum_equals_a_fresh_decomposition(n, cells, m):
     for size in (m, m + 1, flips.size // 3, flips.size // 2):
         idx = np.sort(rng.choice(flips, size=size, replace=False))
         form, ref = ev.full_spectrum(ev.solve(idx)[2]), _decompose(ev, idx)
-        for name in ("diag", "off", "tau", "reflectors", "lam", "S"):
+        for name in ("diag", "off", "tau", "lam", "S"):
             assert np.array_equal(getattr(form, name), getattr(ref, name)), (size, name)
+        assert np.array_equal(form.reflectors[:-1], ref.reflectors), size  # rows dormqr reads
         assert np.array_equal(ev.move_objectives(form, flips),
                               ev.move_objectives(ref, flips)), size
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 40])
+def test_form_reads_its_reflectors_in_place(d):
+    """The reflectors are an F-contiguous view of dsytrd's output, so dormqr gets
+    them without a copy; Q^T X equals dormqr on the copied block c[1:, :-1] bit for
+    bit, and Q^T K Q is the tridiagonal T."""
+    rng = np.random.default_rng(d)
+    A = rng.normal(size=(d, d))
+    K = A @ A.T + d * np.eye(d)
+    reduced = K.copy()
+    form = _Form(reduced, np.arange(d), min(d, 2))
+    assert form.reflectors.shape == (d, d - 1) and form.reflectors.flags.f_contiguous
+    assert np.shares_memory(form.reflectors, reduced) == (d > 1)
+    X = rng.normal(size=(d, 3))
+    want = X.copy()
+    if d > 1:
+        c = lapack.dsytrd(K.T, lower=1, lwork=16 * d)[0]
+        want[1:] = lapack.dormqr("L", "T", np.asfortranarray(c[1:, :-1]), form.tau, X[1:],
+                                 64 * (3 + 65))[0]
+    assert form.qt(X.copy()).tobytes() == want.tobytes()
+    T = np.diag(form.diag) + np.diag(form.off[: d - 1], 1) + np.diag(form.off[: d - 1], -1)
+    QtKQ = form.qt(np.ascontiguousarray(form.qt(K.copy()).T))
+    assert np.abs(QtKQ - T).max() <= 1e-13 * np.abs(T).max()
 
 
 @pytest.mark.parametrize("n,cells,m", [(2, 32, 2), (1, 64, 1)])

@@ -8,7 +8,6 @@ The penalized local energy J carries the rescaled penalty lambda_tilde; Weiss
 values are comparable to densities after dividing by lambda_tilde.
 """
 
-import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -16,9 +15,9 @@ import numpy as np
 
 from .constants import _gauss_jacobi, one_plane_solution, slope_constant, unit_ball_volume
 from .extension import (ExtensionField, _apply, _ball_energies, _c_tilde, _cell_stencil,
-                        _gather, _in_footprint, _placement, _slab_stencil)
-from .grids import (BoxGrid, ThinDomain, _ball_counts, _chunks, _groups, _neighbor_counts,
-                    _read_only)
+                        _gather, _in_footprint, _slab_stencil)
+from .grids import (BoxGrid, ThinDomain, _ball_counts, _chunks, _groups, _nearest_node,
+                    _neighbor_counts)
 
 __all__ = [
     "GeometryError",
@@ -158,12 +157,10 @@ def density_ratio(mask, x0, r):
 _K_POLAR, _K_AZIMUTH = 48, 64
 
 
-@functools.lru_cache(maxsize=8)
 def _hemisphere_rule(n, a):
     """Quadrature nodes/weights for int_{upper half unit sphere} |y|^a f dS.
 
     Returns (directions (q, n+1), weights (q,)) with the weight |y|^a folded in.
-    Built once per (n, a); the cached arrays are read-only.
     """
     if n == 1:
         # x = cos(theta): int_0^pi f (sin)^a dtheta = int_-1^1 f (1-x^2)^((a-1)/2) dx
@@ -180,17 +177,17 @@ def _hemisphere_rule(n, a):
                                 np.outer(rho, np.sin(phi)).ravel(),
                                 np.repeat(t, _K_AZIMUTH)])
         wts = np.repeat(wt * (2.0 * np.pi / _K_AZIMUTH), _K_AZIMUTH)
-    return _read_only(dirs, wts)
+    return dirs, wts
 
 
-def _sphere_forms(layout, radii, f, a):
-    """The hemisphere rule at the radii about a point f cells off a node as forms, radius
-    after radius: per slab cell holding samples q, the offsets of its K = 2^(n+1) corners
-    from the node's level-0 index (cells, K), sum_q w_q phi_q phi_q^T with phi_q their
+def _sphere_forms(slab, radii, f, rule):
+    """The hemisphere rule (dirs, wts) at the radii about a point f cells off a node as forms,
+    radius after radius: per slab cell holding samples q, the offsets of its K = 2^(n+1)
+    corners from the node's level-0 index (cells, K), sum_q w_q phi_q phi_q^T with phi_q their
     corner weights (cells, K, K); each radius's first cell. The samples lie in the ball."""
-    (dirs, wts), parts = _hemisphere_rule(layout[0], a), []
+    (dirs, wts), parts = rule, []
     for q in (r * dirs for r in radii):  # one radius's temporaries at a time
-        flat, weight, first, _, ty, *_ = _slab_stencil(layout, q[:, :-1] / layout[2] + f, q[:, -1])
+        flat, weight, first, _, ty, *_ = _slab_stencil(slab, q[:, :-1] / slab.base.h + f, q[:, -1])
         phi = (weight.prod(axis=1)[:, None] * np.stack([1.0 - ty, ty])).reshape(-1, ty.size)
         flat, k = flat.reshape(len(phi), -1) + first, len(phi)
         cell, at, inv = np.unique(flat[0], return_index=True, return_inverse=True)
@@ -227,11 +224,11 @@ def _weiss_energies(fields, X0, radii, params):
     supp = _trace_support([f.trace for f in fields], 1e-12)
     if not supp.any():
         return np.zeros((len(x0), len(radii)))
-    layout, nodes, offs = _placement(slab, x0)
+    nodes, offs = _nearest_node(grid, x0)
     base = np.ravel_multi_index((*nodes.T, 0), slab.values_shape())
-    sums = np.empty((len(x0), len(radii)))
+    sums, rule = np.empty((len(x0), len(radii))), _hemisphere_rule(n, params.a)
     for f, idx in _groups(offs):
-        offsets, forms, starts = _sphere_forms(layout, tuple(radii.tolist()), f, params.a)
+        offsets, forms, starts = _sphere_forms(slab, radii, f, rule)
         for part in _chunks(idx, 3 * offsets.nbytes):  # at, u and u M per point
             # numpy takes a one-row product through gemv, which orders its sums unlike
             # gemm: a lone point goes twice, so no point's sums depend on its chunk
@@ -314,34 +311,34 @@ def weiss_monotonicity_audit(curve, holder_seminorm):
 # ---------------------------------------------------------------------------
 
 
-def _blow_up_stencil(layout, r, f):
+def _blow_up_stencil(slab, r, f):
     """(unit grid on [-1, 1]^n, y / r levels, slab stencil of every (node, level) pair,
-    node-major) of a blow-up at radius r on a slab layout, f cells off a node."""
-    n, h, y_native = layout[0], layout[2], np.frombuffer(layout[5])
-    xg = BoxGrid(n, -1.0, 1.0, int(np.clip(np.round(2.0 * r / h), 8, 128)))
+    node-major) of a blow-up at radius r on the slab, f cells off a node."""
+    h, y_native = slab.base.h, slab.y_nodes
+    xg = BoxGrid(slab.base.n, -1.0, 1.0, int(np.clip(np.round(2.0 * r / h), 8, 128)))
     y_lv = y_native[y_native <= r * (1 + 1e-12)] / r
     if y_lv.size == 0 or y_lv[-1] < 1.0 - 1e-12:
         y_lv = np.append(y_lv, 1.0)
     x = np.repeat(xg.node_coords() * r / h + f, y_lv.size, axis=0)
-    return xg, y_lv, _slab_stencil(layout, x, np.tile(y_lv * r, xg.num_nodes))
+    return xg, y_lv, _slab_stencil(slab, x, np.tile(y_lv * r, xg.num_nodes))
 
 
 def _blow_up_window(source, x0, r):
-    """(fields, x0 as a (k, n) stack, r, *_placement) of blow-up windows, balls that must
-    fit in the box (_check_ball)."""
+    """(fields, x0 as a (k, n) stack, r, nodes, offsets: _nearest_node) of blow-up windows,
+    balls that must fit in the box (_check_ball)."""
     fields = _as_fields(source)
     r = float(r)
     if r <= 0:
         raise ValueError("rescale radius must be positive")
     x0 = _check_ball(fields[0].slab.base, x0, r, floor=0)
-    return (fields, x0, r, *_placement(fields[0].slab, x0))
+    return (fields, x0, r, *_nearest_node(fields[0].slab.base, x0))
 
 
-def _blow_up_model(layout, r, f, s, lambda_penalty, angle_count):
+def _blow_up_model(slab, r, f, s, lambda_penalty, angle_count):
     """(the blow-up stencil of its unit-ball (node, level) pairs, with the whole window's
     reach; the directions nu (k, n); slope_const * U(<x, nu>, y) at those points
     (k, points), one matrix-vector product per direction)."""
-    xg, y_lv, stencil = _blow_up_stencil(layout, r, f)
+    xg, y_lv, stencil = _blow_up_stencil(slab, r, f)
     pts_x = np.repeat(xg.node_coords(), y_lv.size, axis=0)
     pts_y = np.tile(y_lv, xg.num_nodes)
     mask = (pts_x**2).sum(axis=1) + pts_y**2 <= 1.0 + 1e-12  # the closed unit ball
@@ -374,11 +371,11 @@ def flatness(G_fields, X0, r, params, angle_count=128):
     Returns (epsilon, nu, f); for a (k, n) stack of centers X0, the (k,), (k, n)
     and (k, m) arrays of them, each row what it is alone.
     """
-    fields, x0, r, layout, nodes, offs = _blow_up_window(G_fields, X0, r)
+    fields, x0, r, nodes, offs = _blow_up_window(G_fields, X0, r)
     eps, nu, f = np.empty(len(x0)), np.empty(x0.shape), np.empty((len(x0), len(fields)))
     for off, idx in _groups(offs):
-        ball, nus, model = _blow_up_model(layout, r, off, params.s, params.lambda_penalty,
-                                          angle_count)
+        ball, nus, model = _blow_up_model(fields[0].slab, r, off, params.s,
+                                          params.lambda_penalty, angle_count)
         for part in _chunks(idx, 3 * 8 * 32 * len(nus)):  # the bounds: 32 points a direction
             # the blow-up's values at the ball points, (points of part, ball points, m)
             M = np.stack(_gather(fields, ball, nodes[part]), axis=-1) * r ** (-params.s)
@@ -400,29 +397,21 @@ def flatness(G_fields, X0, r, params, angle_count=128):
     return (eps, nu, f) if np.ndim(X0) == 2 else (float(eps[0]), nu[0], f[0])
 
 
-def boundary_slope(G_fields, x0, normal, params, t_lo=3.0, t_hi=10.0):
-    """Least-squares power-law slope of |G| along a ray from a boundary point.
-
-    Fits |G|(x0 + t * normal, 0) ~ alpha * t^s over t in [t_lo*h, t_hi*h];
-    pass the inward normal (pointing into the positivity set). Needs a normal (not nan)
-    and at least 4 samples in the grid, 1e-12 past the wall included, else ResolutionError.
-    For a (k, n) stack of points and normals, the (k,) slopes, nan where a point has
-    none, each what it is alone: one stencil for every sample, one fit per sample set.
-    """
-    fields = _as_fields(G_fields)
+def _slopes(fields, pts, normals, params, t_lo=3.0, t_hi=10.0):
+    """(slopes, reasons) of boundary_slope's fits at the (k, n) points along their normals:
+    the (k,) slopes, nan where a point has none, and per point None or why it has none,
+    which is exactly one of two: no normal (nan), or fewer than 4 samples in the grid."""
     grid, h = fields[0].slab.base, fields[0].slab.base.h
-    pts = _as_points(grid, x0)
-    nu = np.reshape(np.asarray(normal, dtype=float), pts.shape)
-    missing = np.isnan(nu).any(axis=1)
-    if np.ndim(x0) < 2 and missing[0]:
-        raise ResolutionError("no normal: the smoothed mask's gradient vanishes here")
-    nu = nu / np.array([np.linalg.norm(v) for v in nu])[:, None]
+    missing = np.isnan(normals).any(axis=1)
+    nu = normals / np.array([np.linalg.norm(v) for v in normals])[:, None]
     ts = np.arange(np.ceil(t_lo), np.floor(t_hi) + 1) * h
     pts = pts[:, None, :] + ts[:, None] * nu[:, None, :]
     ok = np.all((pts >= grid.lower - 1e-12) & (pts <= grid.upper + 1e-12), axis=2)
-    ok[missing | (ok.sum(axis=1) < 4)] = False
-    if np.ndim(x0) < 2 and not ok.any():
-        raise ResolutionError("fewer than 4 slope samples inside the grid")
+    few = ok.sum(axis=1) < 4
+    ok[missing | few] = False
+    reasons = ["no normal: the smoothed mask's gradient vanishes here" if m
+               else "fewer than 4 slope samples inside the grid" if f else None
+               for m, f in zip(missing, few)]
     vals = np.zeros(ok.shape)
     if ok.any():
         x = _in_footprint((pts[ok] - grid.lower) / h, grid.cells_per_axis)
@@ -436,7 +425,27 @@ def boundary_slope(G_fields, x0, normal, params, t_lo=3.0, t_hi=10.0):
             tk = ts[ok[rows[0]]]
             slopes[rows] = ((vals[np.ix_(rows, ok[rows[0]])] * tk**params.s).sum(axis=1)
                             / np.sum(tk ** (2.0 * params.s)))
-    return slopes if np.ndim(x0) == 2 else float(slopes[0])
+    return slopes, reasons
+
+
+def boundary_slope(G_fields, x0, normal, params, t_lo=3.0, t_hi=10.0):
+    """Least-squares power-law slope of |G| along a ray from a boundary point.
+
+    Fits |G|(x0 + t * normal, 0) ~ alpha * t^s over t in [t_lo*h, t_hi*h];
+    pass the inward normal (pointing into the positivity set). Needs a normal (not nan)
+    and at least 4 samples in the grid, 1e-12 past the wall included, else ResolutionError.
+    For a (k, n) stack of points and normals, the (k,) slopes, nan where a point has
+    none, each what it is alone: one stencil for every sample, one fit per sample set.
+    """
+    fields = _as_fields(G_fields)
+    pts = _as_points(fields[0].slab.base, x0)
+    normals = np.reshape(np.asarray(normal, dtype=float), pts.shape)
+    slopes, reasons = _slopes(fields, pts, normals, params, t_lo, t_hi)
+    if np.ndim(x0) == 2:
+        return slopes
+    if reasons[0] is not None:
+        raise ResolutionError(reasons[0])
+    return float(slopes[0])
 
 
 @dataclass(frozen=True)
@@ -451,7 +460,7 @@ class ClassifierConfig:
 @dataclass
 class PointClassification:
     """A point's label and the measurements behind it; `reason` says why
-    `slope` is nan (no normal, or boundary_slope's ResolutionError), else it is None."""
+    `slope` is nan (no normal, or too few samples: _slopes), else it is None."""
 
     density_limit: float
     label: str
@@ -525,15 +534,9 @@ def classify(mask, G_fields, x0, config, params, normal):
         for i in idx:
             ladders[i] = radii.copy()
     eps = flatness(G_fields, pts, r_lo, params)[0]
-    slopes = boundary_slope(G_fields, pts, -normals, params)
+    slopes, reasons = _slopes(_as_fields(G_fields), pts, -normals, params)
     out = []
     for i in range(len(pts)):
-        reason = None
-        if np.isnan(slopes[i]):  # the point alone raises the ResolutionError that says why
-            try:
-                boundary_slope(G_fields, pts[i], -normals[i], params)
-            except ResolutionError as exc:
-                reason = str(exc)
         if abs(gamma[i] - 0.5) <= config.tol and eps[i] < config.flat_threshold:
             label = "regular"
         elif gamma[i] >= 0.5 + config.delta:
@@ -542,5 +545,5 @@ def classify(mask, G_fields, x0, config, params, normal):
             label = "undetermined"
         out.append(PointClassification(density_limit=gamma[i], label=label,
                                        flatness=float(eps[i]), slope=float(slopes[i]),
-                                       radii=ladders[i], ratios=ratios[i], reason=reason))
+                                       radii=ladders[i], ratios=ratios[i], reason=reasons[i]))
     return out if np.ndim(x0) == 2 else out[0]

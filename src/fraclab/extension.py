@@ -18,11 +18,11 @@ orthonormal DST-I diagonalises L_x, so in sine coordinates the operator splits
 into one tridiagonal block T_mu per mode, which depends on the mode only through
 its eigenvalue mu. A trace's right-hand side lies on level 1 alone, so a mode's
 solution is the trace's DST coefficient times the profile T_mu^-1 e_1. Each extend
-call finds the profiles once for all its traces, by one sparse LU in natural order
-of the blocks of the distinct mu; each trace then costs two DSTs (sine-matrix
-products, O(N M) for N slab nodes and M nodes per axis) and a product. The method
-is exact: the result agrees with a direct sparse solve of the assembled system up
-to roundoff.
+call finds the sine matrix and the profiles once for all its traces, the profiles by
+one sparse LU in natural order of the blocks of the distinct mu; each trace then costs
+two DSTs (sine-matrix products, O(N M) for N slab nodes and M nodes per axis) and a
+product. The method is exact: the result agrees with a direct sparse solve of the
+assembled system up to roundoff.
 """
 
 import functools
@@ -178,24 +178,16 @@ class ExtensionField:
         return self.values[..., 0]
 
 
-def _placement(slab, x0):
-    """(layout, node, f): the slab's layout as a hashable value, the node nearest
-    the thin-space point x0, and x0's offset from it in cells (_nearest_node; for a
-    (k, n) stack of points, the (k, n) nodes and the list of offsets)."""
-    b = slab.base
-    return ((b.n, b.cells_per_axis, b.h, slab.J, slab.Y, slab.y_nodes.tobytes()),
-            *_nearest_node(b, x0))
-
-
-def _slab_stencil(layout, x, y):
-    """The stencil on a slab layout of samples at cell coordinates x (k, n) from a node and
+def _slab_stencil(slab, x, y):
+    """The stencil on the slab of samples at cell coordinates x (k, n) from a node and
     heights y: the cell stencil of the levels around each, ty of the way up, x, y."""
-    n, cells, _, J, Y, ynodes = *layout[:5], np.frombuffer(layout[5])
-    if np.any(y < -1e-12) or np.any(y > Y + 1e-12):
+    J, ynodes = slab.J, slab.y_nodes
+    if np.any(y < -1e-12) or np.any(y > slab.Y + 1e-12):
         raise ValueError("query points leave the slab vertically")
     j = np.clip(np.searchsorted(ynodes, y, side="right") - 1, 0, J - 1)
     ty = np.clip((y - ynodes[j]) / (ynodes[j + 1] - ynodes[j]), 0.0, 1.0)
-    return _cell_stencil(x, cells, (cells + 1,) * n + (J + 1,), np.stack([j, j + 1])) + (ty, x, y)
+    stencil = _cell_stencil(x, slab.base.cells_per_axis, slab.values_shape(), np.stack([j, j + 1]))
+    return stencil + (ty, x, y)
 
 
 def _gather(fields, stencil, node):
@@ -226,9 +218,9 @@ def _interp(fields, points):
     base = fields[0].slab.base
     if pts.shape[1] != base.n + 1:
         raise ValueError("points must have n+1 columns")
-    layout, node, _ = _placement(fields[0].slab, [base.lower] * base.n)
+    node, _ = _nearest_node(base, [base.lower] * base.n)
     x = _in_footprint((pts[:, :-1] - base.lower) / base.h, base.cells_per_axis)
-    return _gather(fields, _slab_stencil(layout, x, pts[:, -1]), node)
+    return _gather(fields, _slab_stencil(fields[0].slab, x, pts[:, -1]), node)
 
 
 def _c_tilde(fields, params):
@@ -286,12 +278,16 @@ def _apply(field, flat, weight, first):
     return functools.reduce(operator.iadd, terms)
 
 
-def _dst1(x, n):
-    """Orthonormal DST-I along the first n axes of x, its own inverse: the
-    symmetric sine matrix sqrt(2/N) sin(pi j k / N), j, k = 1..N-1, per axis."""
+def _sine_matrix(N):
+    """The symmetric orthonormal DST-I matrix sqrt(2/N) sin(pi j k / N), j, k = 1..N-1."""
+    k = np.arange(1, N)
+    return np.sqrt(2.0 / N) * np.sin(np.pi * np.outer(k, k) / N)
+
+
+def _dst1(x, n, S):
+    """Orthonormal DST-I along the first n axes of x, each of length N-1, its own
+    inverse: the sine matrix S = _sine_matrix(N) applied per axis."""
     for ax in range(n):
-        k = np.arange(1, x.shape[ax] + 1)
-        S = np.sqrt(2.0 / (k.size + 1)) * np.sin(np.pi * np.outer(k, k) / (k.size + 1))
         x = np.moveaxis(np.tensordot(S, x, axes=(1, ax)), 0, ax)
     return x
 
@@ -311,20 +307,22 @@ def _check_trace(trace, base):
 def extend(traces, slab):
     """One ExtensionField per trace: each a full node array on slab.base that
     vanishes on the lateral ring, all checked before anything is solved. The
-    profiles are found once per call, and only if some trace is nonzero; a
-    zero trace short-circuits to the zero field."""
+    sine matrix, the profiles and the free nodes are found once per call, and only
+    if some trace is nonzero; a zero trace short-circuits to the zero field."""
     traces = [_check_trace(trace, slab.base) for trace in traces]
     n, inner = slab.base.n, (slice(1, -1),) * slab.base.n
     cv = _conductances(slab)[-1]
-    profiles = _modal_profiles(slab) if any(map(np.any, traces)) else None
+    if any(map(np.any, traces)):
+        S, profiles = _sine_matrix(slab.base.cells_per_axis), _modal_profiles(slab)
+        free = ~slab.boundary_mask()
     fields = []
     for trace in traces:
         vals = np.zeros(slab.values_shape())
         vals[..., 0] = trace
         if np.any(trace):
-            z = profiles * (cv[0] * _dst1(trace[inner], n))[..., None]
-            vals[inner + (slice(1, -1),)] = _dst1(z, n)
-            _check_residual(slab, ~slab.boundary_mask(), vals)
+            z = profiles * (cv[0] * _dst1(trace[inner], n, S))[..., None]
+            vals[inner + (slice(1, -1),)] = _dst1(z, n, S)
+            _check_residual(slab, free, vals)
         fields.append(ExtensionField(slab, vals))
     return fields
 
@@ -361,13 +359,13 @@ def neumann_trace(field):
     return -grad, flagged
 
 
-def _ball_edges(layout, radii, f):
+def _ball_edges(slab, radii, f):
     """(the reach (2, n) of their cells; per axis, in C order, both ends' offsets from the
     node's level-0 index (2, m), the low ends' cells (n, m) and levels, and per radius the
     positions in its ball) of the slab edges whose midpoints lie in the open ball
     (_in_ball) of the largest radius about a point f cells off a node."""
-    n, cells, h, J, _, y = *layout[:5], np.frombuffer(layout[5])
-    strides = [math.prod(((cells + 1,) * n + (J + 1,))[ax + 1:]) for ax in range(n + 1)]
+    n, h, y, shape = slab.base.n, slab.base.h, slab.y_nodes, slab.values_shape()
+    strides = [math.prod(shape[ax + 1:]) for ax in range(n + 1)]
     top = max(radii, default=0.0)
     o, axes = np.arange(-int(top / h) - 1, int(top / h) + 2), []
     for step in np.eye(n + 1, dtype=int):
@@ -405,12 +403,12 @@ def _ball_energies(fields, center, radii):
     array selects them; a row is what it is alone."""
     slab, cells = fields[0].slab, fields[0].slab.base.cells_per_axis
     center = np.asarray(center, dtype=float)
-    layout, nodes, offs = _placement(slab, center.reshape(-1, slab.base.n))
-    radii = tuple(np.asarray(radii, dtype=float).tolist())
+    nodes, offs = _nearest_node(slab.base, center.reshape(-1, slab.base.n))
+    radii = np.asarray(radii, dtype=float)
     base = np.ravel_multi_index((*nodes.T, 0), slab.values_shape())
     out = np.zeros((len(fields), len(nodes), len(radii)))
     for f, idx in _groups(offs):
-        reach, edges = _ball_edges(layout, radii, f)
+        reach, edges = _ball_edges(slab, radii, f)
         # where the ball passes the wall the gathers clip, and no sum takes an edge past it
         past = np.any((nodes + reach[0] < 0) | (nodes + reach[1] > cells), axis=1)
         for axis, (c, (ends, cell, levels, *picks)) in enumerate(zip(_conductances(slab), edges)):

@@ -170,13 +170,6 @@ def _neighbor_counts(mask):
     return counts
 
 
-def _read_only(*arrays):
-    """The arrays, made read-only: caches hand them to every caller."""
-    for arr in arrays:
-        arr.setflags(write=False)
-    return arrays
-
-
 def _in_ball(d2, r):
     """Points strictly inside B_r at squared distances d2; one within 1e-12 r^2 of the
     sphere is outside, as in exact arithmetic on lattice ties (3-4-5 at 5h)."""
@@ -213,15 +206,15 @@ def _groups(keys):
     return [(key, np.array(idx)) for key, idx in groups.items()]
 
 
-@functools.lru_cache(maxsize=8)
-def _ball_nodes(cells, h, radii, f):
-    """Read-only C-order offsets of the nodes of a grid (cells, h) in the ball of the largest
-    radius about a point f cells off a node, and per radius their _in_ball mask."""
-    o = np.arange(-1 - int(max(radii) / h), 2 + int(max(radii) / h))
+def _ball_nodes(grid, radii, f):
+    """The C-order offsets of the grid's nodes in the ball of the largest radius about a
+    point f cells off a node, and per radius their _in_ball mask."""
+    h, top = grid.h, max(radii)
+    o = np.arange(-1 - int(top / h), 2 + int(top / h))
     d2 = functools.reduce(np.add.outer, [((o - c) * h) ** 2 for c in f])
-    idx = np.nonzero(_in_ball(d2, max(radii)))
-    offsets = np.dot((cells + 1) ** np.arange(len(f) - 1, -1, -1), o[np.array(idx)])
-    return _read_only(offsets, np.array([_in_ball(d2[idx], r) for r in radii]))
+    idx = np.nonzero(_in_ball(d2, top))
+    offsets = np.dot((grid.cells_per_axis + 1) ** np.arange(len(f) - 1, -1, -1), o[np.array(idx)])
+    return offsets, np.array([_in_ball(d2[idx], r) for r in radii])
 
 
 def _ball_counts(grid, x0, radii, flags):
@@ -231,11 +224,11 @@ def _ball_counts(grid, x0, radii, flags):
     point's nearest node."""
     x0 = np.asarray(x0, dtype=float)
     nodes, offs = _nearest_node(grid, x0.reshape(-1, grid.n))
-    radii = tuple(np.ravel(radii).tolist())
+    radii = np.ravel(radii)
     base = np.ravel_multi_index(tuple(nodes.T), grid.node_shape)
     out = np.empty((len(nodes), len(radii)), dtype=int)
     for f, idx in _groups(offs):
-        offsets, inside = _ball_nodes(grid.cells_per_axis, grid.h, radii, f)
+        offsets, inside = _ball_nodes(grid, radii, f)
         for part in _chunks(idx, offsets.nbytes + inside.nbytes):
             at = offsets + base[part, None]
             out[part] = np.count_nonzero(inside & flags.reshape(-1).take(at)[:, None], axis=2)

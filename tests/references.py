@@ -44,15 +44,15 @@ class RescaledField:
 def blow_up_rescale(source, x0, r, s):
     """Rescale extension fields around a thin-space point onto the unit ball
     scale (_blow_up_stencil); the rescaled field has one component per field."""
-    fields, x0, r, layout, nodes, offs = _blow_up_window(source, x0, r)
-    xg, y_lv, stencil = _blow_up_stencil(layout, r, offs[0])
+    fields, x0, r, nodes, offs = _blow_up_window(source, x0, r)
+    xg, y_lv, stencil = _blow_up_stencil(fields[0].slab, r, offs[0])
     vals = np.stack(_gather(fields, stencil, nodes[0]), axis=-1) * r ** (-s)
     return RescaledField(xg, y_lv, vals.reshape(xg.node_shape + (y_lv.size, -1)), r, x0[0])
 
 
 def windowed_ball_energies(fields, center, radii):
     """The ball energies as one index window of the values array computed them
-    before the cached edge sets: per axis, the midpoints' squared distances d2 over
+    before the edge sets: per axis, the midpoints' squared distances d2 over
     the largest radius's window, each radius's mask d2 < r^2, and per field the
     masked entries of c * (dg)^2 summed in C order."""
     slab = fields[0].slab

@@ -23,9 +23,9 @@ from fraclab.diagnostics import (
 from fraclab.diagnostics import _hemisphere_rule, _trace_support
 from fraclab.eigen import lowest_eigenpairs
 from fraclab.extension import (ExtensionField, SlabGrid, _ball_energies, _gather, _interp,
-                               _placement, _slab_stencil, extend)
-from fraclab.grids import (BoxGrid, ThinDomain, _ball_counts, _in_ball, ball_domain,
-                           interval_domain, mask_from_indices)
+                               _slab_stencil, extend)
+from fraclab.grids import (BoxGrid, ThinDomain, _ball_counts, _in_ball, _nearest_node,
+                           ball_domain, interval_domain, mask_from_indices)
 from fraclab.nonlocal_form import KernelTable
 
 from references import blow_up_rescale, windowed_ball_energies
@@ -98,6 +98,30 @@ def test_a_point_without_a_normal_gets_no_slope():
         assert np.isnan(pc.slope) == (k == bare[0])
     with pytest.raises(ResolutionError, match="no normal"):
         boundary_slope(fields, fb.points[bare[0]], -fb.normals[bare[0]], p)
+
+
+def test_classify_takes_the_slope_reasons_from_one_slope_call(monkeypatch):
+    """A stack that holds a point without a normal costs classify one slope call
+    (_slopes) for all its points and no single-point boundary_slope call; the
+    point gets the reason that boundary_slope raises for it alone."""
+    g = BoxGrid(2, -1.0, 1.0, 20)
+    mask = ball_domain(g, [-0.3, 0.0], 0.3).mask.copy()
+    mask[14, 10] = True  # the node (0.4, 0)
+    dom = ThinDomain(g, mask)
+    fb = free_boundary_set(dom)
+    p = FracParams(2, 0.5, 1.0)
+    fields = extend([dom.mask * 1.0], SlabGrid(g, 8, a=p.a, Y=4.0))
+    bare = np.flatnonzero(np.isnan(fb.normals).any(axis=1))
+    pick = [bare[0], bare[0] - 1]
+    with pytest.raises(ResolutionError) as alone:
+        boundary_slope(fields, fb.points[bare[0]], -fb.normals[bare[0]], p)
+    calls, slopes = [], diagnostics._slopes
+    monkeypatch.setattr(diagnostics, "_slopes", lambda *a: calls.append(len(a[1])) or slopes(*a))
+    monkeypatch.setattr(diagnostics, "boundary_slope", lambda *a: calls.append("alone"))
+    pcs = classify(dom, fields, fb.points[pick], ClassifierConfig(), p, fb.normals[pick])
+    assert calls == [len(pick)]
+    assert [pc.reason for pc in pcs] == [str(alone.value), None]
+    assert np.isnan(pcs[0].slope) and np.isfinite(pcs[1].slope)
 
 
 # -- density -----------------------------------------------------------------
@@ -479,8 +503,9 @@ def smooth_fields(n, count, s):
 def relative_samples(fields, x0, offsets, y):
     """The fields at thin-space offsets (k, n) from x0 and heights y, through
     the node-relative stencil placed at the node nearest x0."""
-    layout, node, off = _placement(fields[0].slab, x0)
-    return _gather(fields, _slab_stencil(layout, offsets / layout[2] + off, y), node)
+    slab = fields[0].slab
+    node, off = _nearest_node(slab.base, x0)
+    return _gather(fields, _slab_stencil(slab, offsets / slab.base.h + off, y), node)
 
 
 def absolute_samples(fields, x0, offsets, y):
@@ -583,7 +608,7 @@ def test_node_relative_stencils_match_absolute_interpolation(n):
     node = base.axis_nodes()[[int(0.75 * base.cells_per_axis), 20][:n]]
     radii = np.array([5.0, 6.0, 7.0, 8.5]) * h
     for x0, on_node in ((node, True), (node + np.array([0.37, -0.21])[:n] * h, False)):
-        assert (_placement(fields[0].slab, x0)[2] == (0.0,) * n) == on_node
+        assert (_nearest_node(base, x0)[1] == (0.0,) * n) == on_node
         want = loop_weiss(fields, x0, radii, p, samples=absolute_samples)
         got = weiss_curve(fields, x0, radii, p).values
         assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
@@ -623,22 +648,16 @@ def test_a_blow_up_window_obeys_the_ball_rule(n):
             blow_up_rescale(fields, x0, r, p.s)
 
 
-def test_stencil_caches_hold_no_slab_and_key_the_levels(clear_caches):
-    """The caches (every lru_cache of diagnostics, extension and grids, cleared
-    first) keep no slab alive, a slab whose y_nodes differ (as
-    gridio.read_slab_field may set them) gets its own index sets, and a second
-    evaluation on a layout misses no cache."""
-    caches = clear_caches()
+def test_stencil_caches_hold_no_slab_and_key_the_levels():
+    """The diagnostics keep no slab alive after an evaluation, and a slab whose
+    y_nodes differ (as gridio.read_slab_field may set them) gets its own index
+    sets."""
     p = FracParams(2, 0.3, 1.0)
     fields = smooth_fields(2, 1, p.s)
     h = fields[0].slab.base.h
     x0, radii = [0.55, 0.1], np.array([5.0, 6.0, 7.0, 8.5]) * h
-    misses = []
-    for _ in range(2):
-        weiss_curve(fields, x0, radii, p)
-        flatness(fields, x0, 6 * h, p)
-        misses.append([cache.cache_info().misses for cache in caches])
-    assert misses[0] == misses[1] and sum(map(bool, misses[0])) >= 2
+    weiss_curve(fields, x0, radii, p)
+    flatness(fields, x0, 6 * h, p)
     slab = SlabGrid(fields[0].slab.base, 16, a=p.a, Y=4.0)
     slab.y_nodes = slab.y_nodes * (1.0 + 0.01 * np.arange(slab.J + 1) / slab.J)
     moved = [ExtensionField(slab, fields[0].values)]
@@ -677,7 +696,9 @@ def test_weiss_from_the_sphere_forms_equals_the_per_sample_sums(monkeypatch):
         for x0, top in ladders:
             radii = np.linspace(5 * g.h, top, 4)
             cases.append((fields, x0, radii, p, weiss_curve(fields, x0, radii, p).values))
-    assert calls == [] and len(builds) == 6 and len(set(builds)) == 3
+    # the build keys without the slab; the radii as a tuple, since arrays do not hash
+    assert calls == [] and len(builds) == 6
+    assert len({(tuple(radii), f) for _, radii, f in builds}) == 3
     assert len({case[0][0].slab.a for case in cases}) == 2
     for fields, x0, radii, p, got in cases:
         for samples in (relative_samples, absolute_samples):
@@ -687,7 +708,7 @@ def test_weiss_from_the_sphere_forms_equals_the_per_sample_sums(monkeypatch):
 
 @pytest.mark.parametrize("n,cells", [(2, 20), (2, 29), (2, 30), (2, 48), (1, 30)])
 def test_ball_node_counts_equal_brute_force_at_every_node(n, cells):
-    """Node counts from the cached node sets (_ball_counts) equal _in_ball counts
+    """Node counts from the node sets (_ball_counts) equal _in_ball counts
     over every node's distance, for a ladder with lattice ties (5h: 3-4-5), at
     every node whose ladder fits in the box and at points off a node. On 29
     cells the node-relative squared distances of the ties round below (5h)^2,

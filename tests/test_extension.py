@@ -20,6 +20,7 @@ from fraclab.extension import (
     _conductances,
     _dst1,
     _interp,
+    _sine_matrix,
     _apply,
     _cell_stencil,
     _in_footprint,
@@ -275,8 +276,9 @@ def test_dst1_matches_scipy_fft(shape, n):
     fft = pytest.importorskip("scipy.fft")
     x = np.random.default_rng(len(shape)).normal(size=shape)
     ref = fft.dstn(x, type=1, norm="ortho", axes=tuple(range(n)))
-    assert np.abs(_dst1(x, n) - ref).max() <= 1e-14 * np.abs(ref).max()
-    np.testing.assert_allclose(_dst1(_dst1(x, n), n), x, rtol=0, atol=1e-13)
+    S = _sine_matrix(shape[0] + 1)
+    assert np.abs(_dst1(x, n, S) - ref).max() <= 1e-14 * np.abs(ref).max()
+    np.testing.assert_allclose(_dst1(_dst1(x, n, S), n, S), x, rtol=0, atol=1e-13)
 
 
 def test_extend_at_scale_passes_residual_check(monkeypatch):
@@ -315,13 +317,16 @@ def test_extend_residual_check_rejects_a_wrong_solve(monkeypatch):
 @pytest.mark.parametrize("n,cells,J,rows", [(2, 32, 32, 483 * 31), (1, 64, 12, 63 * 11)])
 def test_extend_factors_the_distinct_modes_once(monkeypatch, n, cells, J, rows):
     """One extend of two traces factors once, a matrix of (distinct mu) * (J-1)
-    rows: 483 of the 961 modes on the 32^2 x 32 slab, every mode in 1D."""
+    rows: 483 of the 961 modes on the 32^2 x 32 slab, every mode in 1D; and it
+    builds one sine matrix for every axis and trace."""
     shapes, splu = [], sla.splu
     monkeypatch.setattr(sla, "splu", lambda A, **kw: shapes.append(A.shape) or splu(A, **kw))
+    sines, sine_matrix = [], extension._sine_matrix
+    monkeypatch.setattr(extension, "_sine_matrix", lambda N: sines.append(N) or sine_matrix(N))
     g = BoxGrid(n, -1.0, 1.0, cells)
     extend([random_interior_trace(g, seed=1), random_interior_trace(g, seed=2)],
            SlabGrid(g, J, a=0.0))
-    assert shapes == [(rows, rows)]
+    assert shapes == [(rows, rows)] and sines == [cells]
 
 
 def test_mirror_modes_get_bit_identical_profiles():
